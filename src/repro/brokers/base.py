@@ -12,6 +12,7 @@ resource fails the whole session.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
@@ -130,8 +131,10 @@ class ResourceBroker:
 
     def reserve(self, amount: float, session_id: str) -> Reservation:
         """Grant ``amount`` to ``session_id`` or raise AdmissionError."""
-        if amount <= 0:
-            raise BrokerError(f"reservation amount must be positive, got {amount!r}")
+        if not 0 < amount < math.inf:  # also refuses nan: every comparison is False
+            raise BrokerError(
+                f"reservation amount must be finite and positive, got {amount!r}"
+            )
         if amount > self.available + 1e-9:
             registry = _metrics.active_registry()
             if registry is not None:

@@ -16,6 +16,7 @@ receiving host's QoSProxy owns.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
@@ -118,8 +119,10 @@ class PathBroker:
 
     def reserve(self, amount: float, session_id: str) -> PathReservation:
         """Reserve ``amount`` on every link of the route, atomically."""
-        if amount <= 0:
-            raise BrokerError(f"reservation amount must be positive, got {amount!r}")
+        if not 0 < amount < math.inf:  # also refuses nan: every comparison is False
+            raise BrokerError(
+                f"reservation amount must be finite and positive, got {amount!r}"
+            )
         available_before = self.available
         made: List[Reservation] = []
         try:

@@ -16,8 +16,8 @@ from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Uni
 
 from repro.brokers.base import Reservation, ResourceBroker
 from repro.brokers.path import PathBroker, PathReservation
-from repro.core.errors import AdmissionError, BrokerError
-from repro.core.resources import AvailabilitySnapshot, ResourceObservation, ResourceVector
+from repro.core.errors import BrokerError
+from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 
 AnyBroker = Union[ResourceBroker, PathBroker]
 AnyReservation = Union[Reservation, PathReservation]
@@ -109,11 +109,14 @@ class BrokerRegistry:
 
     # -- transactions -------------------------------------------------------------
 
-    def reserve_all(self, demand: ResourceVector, session_id: str) -> ReservationTransaction:
+    def reserve_all(
+        self, demand: Mapping[str, float], session_id: str
+    ) -> ReservationTransaction:
         """Reserve every resource of ``demand`` or nothing.
 
-        On any admission failure all reservations made so far are rolled
-        back and the AdmissionError propagates.
+        On *any* failure -- an admission refusal, an unknown resource, a
+        malformed amount -- the reservations made so far are rolled back
+        and the exception propagates.
         """
         transaction = ReservationTransaction(session_id=session_id)
         try:
@@ -121,7 +124,7 @@ class BrokerRegistry:
             for resource_id in sorted(demand):
                 broker = self.broker(resource_id)
                 transaction.reservations.append(broker.reserve(demand[resource_id], session_id))
-        except AdmissionError:
+        except BaseException:
             self.release_all(transaction)
             raise
         return transaction

@@ -33,6 +33,7 @@ drain/crash switches) -- the harness the property tests race.
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 import time as _time
 from contextlib import contextmanager
@@ -59,9 +60,10 @@ from repro.service.daemon import (
     ReservationService,
     ServiceError,
     _establishment_to_dict,
+    decode_arrival,
 )
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import CONTENTION_INDICES
+from repro.sim.experiment import CONTENTION_INDICES, make_planner
 from repro.sim.workload import SessionArrival
 
 from repro.cluster.shardmap import ShardMap
@@ -295,7 +297,7 @@ class ClusterCoordinator:
         self.shard_map = ShardMap.from_topology(
             self.grid.topology, len(self.shards)
         )
-        self.planner = _make_planner(algorithm, tie_break, self.streams)
+        self.planner = make_planner(algorithm, tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[contention_index]
         self.seed = seed
         self.algorithm = algorithm
@@ -306,7 +308,7 @@ class ClusterCoordinator:
         #: session_id -> shard indexes whose teardown failed while the
         #: shard was unreachable; retried by flush_pending_teardowns.
         self.pending_teardowns: Dict[str, List[int]] = {}
-        self._session_seq = 0
+        self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
         #: the router may share a process with shard services in tests).
         self.registry = MetricsRegistry()
@@ -341,36 +343,6 @@ class ClusterCoordinator:
         )
         return registry_exposition(self.registry)
 
-    # -- request decoding --------------------------------------------------
-
-    def _fresh_session_id(self) -> str:
-        self._session_seq += 1
-        return f"svc-{self._session_seq}"
-
-    def _arrival_from(self, payload: dict) -> SessionArrival:
-        try:
-            service = str(payload["service"])
-            domain = str(payload["domain"])
-        except (KeyError, TypeError) as exc:
-            raise ServiceError("missing required field 'service'/'domain'") from exc
-        session_id = str(payload.get("session_id") or self._fresh_session_id())
-        try:
-            demand_scale = float(payload.get("demand_scale", 1.0))
-            duration = float(payload.get("duration", 1.0))
-            arrival_time = float(payload.get("arrival_time", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(f"non-numeric field: {exc}") from exc
-        if demand_scale <= 0:
-            raise ServiceError(f"demand_scale must be positive, got {demand_scale!r}")
-        return SessionArrival(
-            session_id=session_id,
-            arrival_time=arrival_time,
-            domain=domain,
-            service=service,
-            demand_scale=demand_scale,
-            duration=duration,
-        )
-
     # -- single-shard pass-through -----------------------------------------
 
     async def forward(
@@ -398,7 +370,7 @@ class ClusterCoordinator:
             return 400, _json_body({"error": str(exc)})
 
     async def _establish_cross_shard(self, payload: dict) -> Tuple[int, bytes]:
-        arrival = self._arrival_from(payload)
+        arrival = decode_arrival(payload, self._session_ids)
         session_id = arrival.session_id
         if session_id in self.sessions:
             raise ServiceError(
@@ -773,17 +745,6 @@ class ClusterCoordinator:
     async def aclose(self) -> None:
         for shard in self.shards:
             await shard.aclose()
-
-
-def _make_planner(algorithm: str, tie_break: bool, streams: RandomStreams):
-    from repro.core.planner import BasicPlanner, RandomPlanner
-    from repro.core.tradeoff import TradeoffPlanner
-
-    if algorithm == "basic":
-        return BasicPlanner(tie_break=tie_break)
-    if algorithm == "tradeoff":
-        return TradeoffPlanner(tie_break=tie_break)
-    return RandomPlanner(rng=streams.stream("random-planner"))
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Public surface:
 * :class:`FaultConfig` / :class:`FaultPlan` -- seeded fault schedules;
 * :class:`FaultInjector` -- the per-run decision point at the protocol
   boundaries;
-* :class:`FaultTolerantCoordinator` (alias :class:`FaultyCoordinator`)
+* :class:`FaultTolerantCoordinator`
   and :class:`FaultTolerantDistributedCoordinator` -- the tolerant
   establishment paths, byte-identical to the plain coordinators under a
   zero plan;
@@ -16,7 +16,6 @@ Public surface:
 from repro.faults.coordinator import (
     FaultTolerantCoordinator,
     FaultTolerantDistributedCoordinator,
-    FaultyCoordinator,
     Lease,
 )
 from repro.faults.injector import MESSAGE_CHANNELS, FaultInjector
@@ -45,7 +44,6 @@ __all__ = [
     "FaultTolerantCoordinator",
     "FaultTolerantDistributedCoordinator",
     "FaultWindow",
-    "FaultyCoordinator",
     "InjectedFault",
     "Lease",
     "assert_capacity_conserved",

@@ -9,9 +9,9 @@
   message is a *timeout* (``segment.timeout``), answered with bounded
   retries under seeded exponential backoff (``segment.retry``);
 * phase 3 becomes two-phase reserve/commit: each applied segment is a
-  :class:`Lease` until the whole session commits.  A lease whose
-  rollback-release (or whose ack) is lost is *orphaned* -- registered
-  with the coordinator's reaper and reclaimed when its TTL expires
+  :class:`~repro.runtime.leases.Lease` until the whole session commits.
+  A lease whose rollback-release (or whose ack) is lost is *orphaned* --
+  left to the lease table's reaper and reclaimed when its TTL expires
   (``lease.expired``), so no capacity leaks past the lease TTL;
 * a failed establishment degrades gracefully (§4.3): re-plan on fresh
   observations (accepting a lower sink), excluding a host whose proxy
@@ -31,14 +31,11 @@ session backs off.
 
 from __future__ import annotations
 
-import itertools
-import time as _time
-from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.brokers.registry import AnyReservation, BrokerRegistry
+from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding
-from repro.core.errors import AdmissionError, ModelError
+from repro.core.errors import ModelError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.faults.injector import FaultInjector
 from repro.obs import events as _events
@@ -49,35 +46,12 @@ from repro.runtime.coordinator import (
     ObservationSchedule,
     ReservationCoordinator,
 )
-from repro.runtime.distributed import ComponentHost, DistributedCoordinator, FragmentRequest
-from repro.runtime.messages import AvailabilityRequest, PlanSegment
+from repro.runtime.distributed import DistributedCoordinator
+from repro.runtime.leases import Lease, LeaseTable
 from repro.runtime.model_store import ModelStore
 from repro.runtime.proxy import QoSProxy
 
-__all__ = ["Lease", "FaultTolerantCoordinator", "FaultyCoordinator",
-           "FaultTolerantDistributedCoordinator"]
-
-
-@dataclass(frozen=True)
-class Lease(object):
-    """One segment's reservations between reserve and commit.
-
-    Holds the *exact* reservation handles the segment created (not "all
-    reservations of the session"), so reaping an orphaned lease can
-    never release a later, committed reservation of the same session.
-    """
-
-    lease_id: str
-    session_id: str
-    host: str
-    reservations: Tuple[AnyReservation, ...]
-    reserved_at: float
-    ttl: float
-
-    @property
-    def expires_at(self) -> float:
-        """Instant after which the host-side reaper reclaims the lease."""
-        return self.reserved_at + self.ttl
+__all__ = ["Lease", "FaultTolerantCoordinator", "FaultTolerantDistributedCoordinator"]
 
 
 class FaultTolerantCoordinator(ReservationCoordinator):
@@ -95,9 +69,10 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         super().__init__(registry, model_store, proxies)
         self.injector = injector if injector is not None else FaultInjector.disabled()
         self._env = env
-        #: Orphaned leases awaiting the reaper, keyed by lease id.
-        self._leases: Dict[str, Lease] = {}
-        self._lease_seq = itertools.count(1)
+        #: Phase-3 leases on this coordinator's clock; orphans await the reaper.
+        self.leases = LeaseTable(
+            self.proxies, lambda: self.now, self.injector.config.lease_ttl
+        )
         #: Total orphaned leases reclaimed (watchdogs + explicit reaps).
         self.leases_reaped = 0
 
@@ -109,8 +84,8 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         return self._env.now if self._env is not None else self.injector.now
 
     def pending_leases(self) -> Tuple[Lease, ...]:
-        """Orphaned leases not yet reclaimed, in lease-id order."""
-        return tuple(self._leases[key] for key in sorted(self._leases))
+        """Leases not yet committed, released or reclaimed, in lease-id order."""
+        return self.leases.pending()
 
     # -- entry points ------------------------------------------------------
 
@@ -161,43 +136,16 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         if self.injector.is_zero:
             result = yield from super().establish_process(env, latency, *args, **kwargs)
             return result
-        if latency < 0:
-            raise ValueError(f"negative latency: {latency!r}")
-        now = env.now
-        schedule = kwargs.pop("observed_at", None)
-
-        def frozen_schedule(resource_id: str) -> Optional[float]:
-            """Observation schedule pinned to the request instant."""
-            base = schedule(resource_id) if schedule is not None else None
-            return now if base is None else base
-
-        if latency:
-            yield env.timeout(latency)
-        session_id, service_name = args[0], args[1]
-        registry = _metrics.active_registry()
-        started = _time.perf_counter() if registry is not None else 0.0
-        with _trace.span("establish", session=session_id, service=service_name) as span:
-            gen = self._ft_establish(*args, observed_at=frozen_schedule, **kwargs)
+        kwargs = yield from self._after_latency(env, latency, kwargs)
+        with self._establish_accounting(args[0], args[1]) as settle:
+            steps = self._ft_establish(*args, **kwargs)
             while True:
                 try:
-                    delay = next(gen)
+                    delay = next(steps)
                 except StopIteration as stop:
-                    result = stop.value
-                    break
+                    return settle(stop.value)
                 if delay:
                     yield env.timeout(delay)
-            span.set(outcome="established" if result.success else result.reason)
-            if registry is not None:
-                outcome = "established" if result.success else result.reason
-                registry.counter("coordinator.establish", outcome=outcome).inc()
-                if result.failed_resource is not None:
-                    registry.counter(
-                        "coordinator.admission_failures", resource=result.failed_resource
-                    ).inc()
-                registry.histogram("coordinator.establish_seconds").observe(
-                    _time.perf_counter() - started
-                )
-        return result
 
     # -- the fault-tolerant protocol core ----------------------------------
 
@@ -227,16 +175,19 @@ class FaultTolerantCoordinator(ReservationCoordinator):
             # routes around it exactly as §4.3 degrades -- and rejects
             # when the binding leaves no alternative.
             observations: Dict[str, ResourceObservation] = {}
+            reports: List = []
+            exchanges = self._phase1_exchanges(
+                session_id,
+                service,
+                binding,
+                resource_ids,
+                demand_scale=demand_scale,
+                contention_index=contention_index,
+            )
             with _trace.span("phase1_availability", resources=len(resource_ids)):
-                request = AvailabilityRequest(
-                    session_id=session_id, resource_ids=tuple(resource_ids)
-                )
-                for proxy in self._participating_proxies(resource_ids):
-                    owned = [rid for rid in resource_ids if proxy.owns(rid)]
+                for proxy, ask in exchanges:
                     if proxy.host in excluded:
-                        observations.update(self._zero_observations(owned))
                         continue
-                    delivered = False
                     for attempt in range(config.max_retries + 1):
                         fault = self.injector.message_fault(
                             "availability", proxy.host, session_id
@@ -246,16 +197,14 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                             age = self.injector.stale_age_for(proxy.host, session_id)
                             if age is not None:
                                 schedule = self._stale_schedule(observed_at, age)
-                            report = proxy.report_availability(
-                                request, observed_at=schedule
-                            )
+                            report = ask(observed_at=schedule)
                             delay = self.injector.message_delay(
                                 "availability", proxy.host, session_id
                             )
                             if delay:
                                 yield delay
+                            reports.append(report)
                             observations.update(report.observations)
-                            delivered = True
                             break
                         self._note_timeout(
                             session_id, proxy.host, "availability", fault, attempt
@@ -265,8 +214,12 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                                 session_id, proxy.host, "availability", attempt + 1
                             )
                             yield self.injector.backoff(attempt)
-                    if not delivered:
-                        observations.update(self._zero_observations(owned))
+                now = self.now
+                for resource_id in resource_ids:
+                    if resource_id not in observations:
+                        observations[resource_id] = ResourceObservation(
+                            available=0.0, alpha=1.0, observed_at=now
+                        )
                 snapshot = AvailabilitySnapshot(observations)
             observed_instant = max(
                 (obs.observed_at for obs in observations.values()), default=None
@@ -284,19 +237,20 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                 source_label=source_label,
                 demand_scale=demand_scale,
                 contention_index=contention_index,
+                reports=reports,
             )
             if failure is not None:
                 return failure
 
             # Phase 3: two-phase reserve/commit per segment.
-            segments = self._segments(session_id, plan)
+            segments = self._segments(plan.demand)
             committed: List[Lease] = []
             failed_resource: Optional[str] = None
             failed_host: Optional[str] = None
             with _trace.span("phase3_dispatch", segments=len(segments)) as dispatch_span:
-                for proxy, segment in segments:
+                for host in sorted(segments):
                     outcome, detail = yield from self._dispatch_segment(
-                        session_id, proxy, segment
+                        session_id, host, segments[host]
                     )
                     if outcome == "committed":
                         committed.append(detail)
@@ -307,6 +261,8 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                         failed_host = detail
                     break
                 if failed_resource is None and failed_host is None:
+                    for lease in committed:
+                        self.leases.commit(lease)
                     dispatch_span.set(committed=len(committed))
                     self._start_components(session_id, component_hosts)
                     self._emit_admitted(session_id, service_name, plan, observed_instant)
@@ -361,7 +317,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                 session_id, False, plan, reason="host_unreachable"
             )
 
-    def _dispatch_segment(self, session_id: str, proxy: QoSProxy, segment: PlanSegment):
+    def _dispatch_segment(self, session_id: str, host: str, demands: Mapping[str, float]):
         """One segment's reserve/ack exchange with bounded retries.
 
         Returns ``("committed", Lease)``, ``("admission_failed",
@@ -372,54 +328,35 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         """
         config = self.injector.config
         for attempt in range(config.max_retries + 1):
-            fault = self.injector.message_fault("reserve", proxy.host, session_id)
+            fault = self.injector.message_fault("reserve", host, session_id)
             if fault is None:
-                before = len(proxy.held_for(session_id))
-                try:
-                    proxy.apply_segment(segment)
-                except AdmissionError as exc:
-                    return ("admission_failed", exc.resource_id)
-                made = proxy.held_for(session_id)[before:]
-                lease = self._new_lease(session_id, proxy.host, made)
-                ack_fault = self.injector.message_fault("ack", proxy.host, session_id)
+                lease, refusal = self._hold(session_id, {host: demands})
+                if refusal is not None:
+                    return ("admission_failed", refusal.resource_id)
+                ack_fault = self.injector.message_fault("ack", host, session_id)
                 if ack_fault is None:
-                    delay = self.injector.message_delay("ack", proxy.host, session_id)
+                    delay = self.injector.message_delay("ack", host, session_id)
                     if delay:
                         yield delay
                     return ("committed", lease)
-                self._note_timeout(session_id, proxy.host, "ack", ack_fault, attempt)
+                self._note_timeout(session_id, host, "ack", ack_fault, attempt)
                 self._release_or_orphan(lease)
             else:
-                self._note_timeout(session_id, proxy.host, "reserve", fault, attempt)
+                self._note_timeout(session_id, host, "reserve", fault, attempt)
             if attempt < config.max_retries:
-                self._note_retry(session_id, proxy.host, "reserve", attempt + 1)
+                self._note_retry(session_id, host, "reserve", attempt + 1)
                 yield self.injector.backoff(attempt)
-        return ("unreachable", proxy.host)
+        return ("unreachable", host)
 
     # -- leases and the orphan reaper ---------------------------------------
-
-    def _new_lease(self, session_id: str, host: str, reservations) -> Lease:
-        return Lease(
-            lease_id=f"{session_id}/{host}#{next(self._lease_seq)}",
-            session_id=session_id,
-            host=host,
-            reservations=tuple(reservations),
-            reserved_at=self.now,
-            ttl=self.injector.config.lease_ttl,
-        )
 
     def _release_or_orphan(self, lease: Lease) -> None:
         """Roll a lease back -- or orphan it when the release is lost."""
         fault = self.injector.message_fault("release", lease.host, lease.session_id)
         if fault is None:
-            self.proxies[lease.host].release_reservations(
-                lease.session_id, lease.reservations
-            )
+            self.leases.release(lease)
             return
-        self._orphan(lease)
-
-    def _orphan(self, lease: Lease) -> None:
-        self._leases[lease.lease_id] = lease
+        self.leases.orphan(lease)
         registry = _metrics.active_registry()
         if registry is not None:
             registry.counter("coordinator.leases_orphaned").inc()
@@ -429,29 +366,7 @@ class FaultTolerantCoordinator(ReservationCoordinator):
     def _lease_watchdog(self, lease: Lease):
         """DES process reclaiming one orphan when its TTL expires."""
         yield self._env.timeout(max(0.0, lease.expires_at - self._env.now))
-        if lease.lease_id in self._leases:
-            self._reap(lease)
-
-    def _reap(self, lease: Lease) -> None:
-        self._leases.pop(lease.lease_id, None)
-        self.leases_reaped += 1
-        proxy = self.proxies.get(lease.host)
-        released = (
-            proxy.release_reservations(lease.session_id, lease.reservations)
-            if proxy is not None
-            else 0
-        )
-        _events.emit(
-            "lease.expired",
-            session=lease.session_id,
-            time=self.now,
-            host=lease.host,
-            lease=lease.lease_id,
-            released=released,
-        )
-        registry = _metrics.active_registry()
-        if registry is not None:
-            registry.counter("coordinator.leases_expired").inc()
+        self.reap_orphans(now=lease.expires_at)
 
     def reap_orphans(self, *, now: Optional[float] = None, force: bool = False) -> int:
         """Reclaim expired orphans (all of them with ``force``).
@@ -460,16 +375,21 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         serves the synchronous driver and end-of-run cleanup before
         :meth:`~repro.brokers.registry.BrokerRegistry.assert_quiescent`.
         """
-        instant = self.now if now is None else now
-        reaped = 0
-        for key in sorted(self._leases):
-            lease = self._leases.get(key)
-            if lease is None:
-                continue
-            if force or instant >= lease.expires_at:
-                self._reap(lease)
-                reaped += 1
-        return reaped
+        reaped = self.leases.reap(now, force)
+        for lease, released in reaped:
+            self.leases_reaped += 1
+            _events.emit(
+                "lease.expired",
+                session=lease.session_id,
+                time=self.now,
+                host=lease.host,
+                lease=lease.lease_id,
+                released=released,
+            )
+            registry = _metrics.active_registry()
+            if registry is not None:
+                registry.counter("coordinator.leases_expired").inc()
+        return len(reaped)
 
     def teardown(self, session_id: str) -> int:
         """Tear the session down and retire its orphaned leases.
@@ -478,21 +398,10 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         so the parent teardown releases them; dropping the lease records
         first turns the pending watchdogs into no-ops.
         """
-        for key in [
-            k for k, lease in self._leases.items() if lease.session_id == session_id
-        ]:
-            del self._leases[key]
+        self.leases.drop_session(session_id)
         return super().teardown(session_id)
 
     # -- small helpers -------------------------------------------------------
-
-    def _zero_observations(self, resource_ids) -> Dict[str, ResourceObservation]:
-        """What an unreachable host's resources look like to the planner."""
-        now = self.now
-        return {
-            resource_id: ResourceObservation(available=0.0, alpha=1.0, observed_at=now)
-            for resource_id in resource_ids
-        }
 
     def _stale_schedule(self, base: Optional[ObservationSchedule], age: float):
         """An observation schedule aged by an injected stale report."""
@@ -549,174 +458,15 @@ class FaultTolerantCoordinator(ReservationCoordinator):
             registry.counter("coordinator.replans", reason=reason).inc()
 
 
-#: The name the issue tracker uses for the zero-fault regression tests.
-FaultyCoordinator = FaultTolerantCoordinator
-
-
-class FaultTolerantDistributedCoordinator(DistributedCoordinator):
+class FaultTolerantDistributedCoordinator(FaultTolerantCoordinator, DistributedCoordinator):
     """The distributed (§3) coordinator behind the same fault boundary.
 
-    Fragment collection plays phase 1 (the component host answers or it
-    does not), dispatch plays phase 3 with the same reserve/ack/lease
-    machinery.  The distributed flavour has no DES entry point, so the
-    synchronous recovery policy applies: bounded retries at the same
-    instant, orphans reclaimed by :meth:`reap_orphans`.  With a zero
-    injector, byte-identical delegation to the parent.
+    :class:`FaultTolerantCoordinator`'s protocol over
+    :class:`~repro.runtime.distributed.DistributedCoordinator`'s pricing
+    source: a fragment request plays the phase-1 exchange (the component
+    host answers or it does not -- a component whose host never answers
+    has no priced edges, so no plan is feasible), and dispatch, leases,
+    reaping and tear-down are the fault boundary's own.  Without an
+    ``env`` the synchronous recovery policy applies: bounded retries at
+    the same instant, orphans reclaimed by :meth:`reap_orphans`.
     """
-
-    def __init__(
-        self,
-        registry: BrokerRegistry,
-        structure_store: ModelStore,
-        proxies: Mapping[str, ComponentHost],
-        *,
-        injector: Optional[FaultInjector] = None,
-    ) -> None:
-        super().__init__(registry, structure_store, proxies)
-        self.injector = injector if injector is not None else FaultInjector.disabled()
-        self._leases: Dict[str, Lease] = {}
-        self._lease_seq = itertools.count(1)
-
-    def establish(self, session_id, service_name, binding, planner, **kwargs):
-        if self.injector.is_zero:
-            return super().establish(session_id, service_name, binding, planner, **kwargs)
-        config = self.injector.config
-        service = self.structure_store.service(service_name)
-        demand_scale = kwargs.get("demand_scale", 1.0)
-        fragments = []
-        for component in service.components:
-            proxy = self.host_of_component(component.name)
-            fragment = None
-            for attempt in range(config.max_retries + 1):
-                fault = self.injector.message_fault(
-                    "availability", proxy.host, session_id
-                )
-                if fault is None:
-                    fragment = proxy.price_fragment(
-                        FragmentRequest(session_id, component.name, demand_scale),
-                        binding,
-                        observed_at=kwargs.get("observed_at"),
-                        contention_index=kwargs.get("contention_index"),
-                    )
-                    break
-                if attempt < config.max_retries:
-                    self.injector.backoff(attempt)
-            if fragment is None:
-                # Without the host-side translation function there is no
-                # QRG fragment to plan with: the session cannot proceed.
-                return EstablishmentResult(
-                    session_id, False, None, reason="host_unreachable"
-                )
-            fragments.append(fragment)
-        return self._dispatch_fragments(
-            session_id, planner, service, fragments,
-            source_label=kwargs.get("source_label"),
-        )
-
-    def _dispatch_fragments(
-        self, session_id, planner, service, fragments, *, source_label=None
-    ):
-        from repro.core.errors import PlanningError
-        from repro.core.qrg import assemble_qrg, resolve_source_level
-
-        observations: Dict[str, ResourceObservation] = {}
-        for fragment in fragments:
-            observations.update(fragment.observations)
-        snapshot = AvailabilitySnapshot(observations)
-        try:
-            source_level = resolve_source_level(service, source_label)
-        except PlanningError as exc:
-            return EstablishmentResult(session_id, False, None, reason=f"qrg: {exc}")
-        intra_edges = [edge for fragment in fragments for edge in fragment.edges]
-        qrg = assemble_qrg(service, source_level, intra_edges, snapshot)
-        plan = planner.plan(qrg)
-        if plan is None:
-            return EstablishmentResult(session_id, False, None, reason="no_feasible_plan")
-
-        demands_by_host: Dict[str, Dict[str, float]] = {}
-        demand = plan.demand
-        for fragment in fragments:
-            for resource_id in fragment.observations:
-                if resource_id in demand:
-                    demands_by_host.setdefault(fragment.proxy_host, {})[resource_id] = (
-                        demand[resource_id]
-                    )
-        config = self.injector.config
-        committed: List[Lease] = []
-        for host in sorted(demands_by_host):
-            proxy = self.proxies[host]
-            segment = PlanSegment(
-                session_id=session_id, proxy_host=host, demands=demands_by_host[host]
-            )
-            lease = None
-            failed_resource = None
-            for attempt in range(config.max_retries + 1):
-                fault = self.injector.message_fault("reserve", host, session_id)
-                if fault is None:
-                    before = len(proxy.held_for(session_id))
-                    try:
-                        self._apply_segment(proxy, segment)
-                    except AdmissionError as exc:
-                        failed_resource = exc.resource_id
-                        break
-                    made = proxy.held_for(session_id)[before:]
-                    candidate = Lease(
-                        lease_id=f"{session_id}/{host}#{next(self._lease_seq)}",
-                        session_id=session_id,
-                        host=host,
-                        reservations=tuple(made),
-                        reserved_at=self.injector.now,
-                        ttl=config.lease_ttl,
-                    )
-                    if self.injector.message_fault("ack", host, session_id) is None:
-                        lease = candidate
-                        break
-                    self._release_or_orphan(candidate)
-                if attempt < config.max_retries:
-                    self.injector.backoff(attempt)
-            if lease is None:
-                for earlier in committed:
-                    self._release_or_orphan(earlier)
-                reason = (
-                    "admission_failed" if failed_resource is not None else "host_unreachable"
-                )
-                return EstablishmentResult(
-                    session_id, False, plan, reason=reason,
-                    failed_resource=failed_resource,
-                )
-            committed.append(lease)
-        return EstablishmentResult(session_id, True, plan)
-
-    def _release_or_orphan(self, lease: Lease) -> None:
-        if self.injector.message_fault("release", lease.host, lease.session_id) is None:
-            self.proxies[lease.host].release_reservations(
-                lease.session_id, lease.reservations
-            )
-            return
-        self._leases[lease.lease_id] = lease
-
-    def pending_leases(self) -> Tuple[Lease, ...]:
-        """Orphaned leases not yet reclaimed, in lease-id order."""
-        return tuple(self._leases[key] for key in sorted(self._leases))
-
-    def reap_orphans(self, *, now: Optional[float] = None, force: bool = False) -> int:
-        """Reclaim expired orphans (all of them with ``force``)."""
-        instant = self.injector.now if now is None else now
-        reaped = 0
-        for key in sorted(self._leases):
-            lease = self._leases[key]
-            if force or instant >= lease.expires_at:
-                del self._leases[key]
-                proxy = self.proxies.get(lease.host)
-                if proxy is not None:
-                    proxy.release_reservations(lease.session_id, lease.reservations)
-                reaped += 1
-        return reaped
-
-    def teardown(self, session_id: str) -> int:
-        """Tear the session down and retire its orphaned leases."""
-        for key in [
-            k for k, lease in self._leases.items() if lease.session_id == session_id
-        ]:
-            del self._leases[key]
-        return super().teardown(session_id)

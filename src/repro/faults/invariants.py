@@ -115,7 +115,7 @@ def capacity_conservation(
 
     proxy_iter = proxies.values() if isinstance(proxies, Mapping) else proxies
     for proxy in proxy_iter:
-        for session_id in list(getattr(proxy, "_held", {})):
+        for session_id in proxy.held_sessions():
             for held in proxy.held_for(session_id):
                 for reservation in _expand(held):
                     report.proxy_held[reservation.resource_id] = (

@@ -18,8 +18,11 @@ under contention.
 
 from __future__ import annotations
 
+import math
 import time as _time
+from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.brokers.registry import BrokerRegistry
@@ -34,7 +37,8 @@ from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.runtime.messages import AvailabilityRequest, PlanSegment, SessionRequest
+from repro.runtime.leases import Lease, LeaseTable
+from repro.runtime.messages import AvailabilityRequest, SessionRequest
 from repro.runtime.model_store import ModelStore
 from repro.runtime.proxy import QoSProxy
 
@@ -106,6 +110,9 @@ class ReservationCoordinator:
         #: drift-triggered renegotiation of the dying session itself
         #: would re-reserve on proxies the teardown loop already passed.
         self._tearing_down: set = set()
+        #: Phase 3's hold -> commit engine.  The plain protocol commits in
+        #: the same call, so its leases never wait on this clock.
+        self.leases = LeaseTable(self.proxies, _time.monotonic, math.inf)
 
     # -- ownership ------------------------------------------------------------
 
@@ -144,22 +151,21 @@ class ReservationCoordinator:
         cover the binding's resources); this is the sequential reference
         point that :meth:`establish_batch` is byte-identical to.
         """
-        return self._with_establish_accounting(
-            session_id,
-            service_name,
-            lambda: self._establish(
-                session_id,
-                service_name,
-                binding,
-                planner,
-                component_hosts=component_hosts,
-                source_label=source_label,
-                demand_scale=demand_scale,
-                observed_at=observed_at,
-                contention_index=contention_index,
-                snapshot=snapshot,
-            ),
-        )
+        with self._establish_accounting(session_id, service_name) as settle:
+            return settle(
+                self._establish(
+                    session_id,
+                    service_name,
+                    binding,
+                    planner,
+                    component_hosts=component_hosts,
+                    source_label=source_label,
+                    demand_scale=demand_scale,
+                    observed_at=observed_at,
+                    contention_index=contention_index,
+                    snapshot=snapshot,
+                )
+            )
 
     def plan_session(
         self,
@@ -201,19 +207,18 @@ class ReservationCoordinator:
             contention_index=contention_index,
         )
 
-    def _with_establish_accounting(
-        self,
-        session_id: str,
-        service_name: str,
-        compute: Callable[[], EstablishmentResult],
-    ) -> EstablishmentResult:
-        """The per-session span/counter/histogram bracket of :meth:`establish`.
+    @contextmanager
+    def _establish_accounting(self, session_id: str, service_name: str):
+        """The per-session span/counter/histogram bracket of an establishment.
 
-        Shared verbatim by :meth:`establish_batch` so each batched
-        arrival is accounted exactly like a sequential one.  When a
-        request-scoped trace context is bound (daemon admissions), the
-        span carries the caller's request id; the coordinator never
-        *creates* contexts, so simulation runs stay byte-identical.
+        Yields ``settle``: the body hands it the
+        :class:`EstablishmentResult` (and gets it back), which is what
+        the bracket accounts.  Shared by :meth:`establish`, each arrival
+        of :meth:`establish_batch` and the fault boundary's DES driver,
+        so all three are accounted alike.  When a request-scoped trace
+        context is bound (daemon admissions), the span carries the
+        caller's request id; the coordinator never *creates* contexts,
+        so simulation runs stay byte-identical.
         """
         registry = _metrics.active_registry()
         started = _time.perf_counter() if registry is not None else 0.0
@@ -221,19 +226,66 @@ class ReservationCoordinator:
             context = _context.current_trace_context()
             if context is not None and context.request_id is not None:
                 span.set(request=context.request_id)
-            result = compute()
-            span.set(outcome="established" if result.success else result.reason)
-            if registry is not None:
+
+            def settle(result: EstablishmentResult) -> EstablishmentResult:
                 outcome = "established" if result.success else result.reason
-                registry.counter("coordinator.establish", outcome=outcome).inc()
-                if result.failed_resource is not None:
-                    registry.counter(
-                        "coordinator.admission_failures", resource=result.failed_resource
-                    ).inc()
-                registry.histogram("coordinator.establish_seconds").observe(
-                    _time.perf_counter() - started
-                )
-            return result
+                span.set(outcome=outcome)
+                if registry is not None:
+                    registry.counter("coordinator.establish", outcome=outcome).inc()
+                    if result.failed_resource is not None:
+                        registry.counter(
+                            "coordinator.admission_failures",
+                            resource=result.failed_resource,
+                        ).inc()
+                    registry.histogram("coordinator.establish_seconds").observe(
+                        _time.perf_counter() - started
+                    )
+                return result
+
+            yield settle
+
+    def _phase1_exchanges(
+        self,
+        session_id: str,
+        service,
+        binding: Binding,
+        resource_ids: Sequence[str],
+        *,
+        demand_scale,
+        contention_index,
+    ):
+        """Who phase 1 asks, and for what: one ``(proxy, ask)`` per exchange.
+
+        ``ask(observed_at=schedule)`` performs the exchange and returns
+        the proxy's report (anything with ``.observations``).  This and
+        :meth:`_price_qrg` are the two halves of a *pricing source*:
+        here the owning proxies report availability and the main proxy
+        prices the QRG itself;
+        :class:`~repro.runtime.distributed.DistributedCoordinator` has
+        the component hosts price their own fragments instead.
+        """
+        return self._availability_exchanges(session_id, resource_ids)
+
+    def _availability_exchanges(self, session_id: str, resource_ids: Sequence[str]):
+        request = AvailabilityRequest(
+            session_id=session_id, resource_ids=tuple(resource_ids)
+        )
+        return [
+            (proxy, partial(proxy.report_availability, request))
+            for proxy in self._participating_proxies(resource_ids)
+        ]
+
+    def _phase1(self, exchanges, resource_ids: Sequence[str], observed_at):
+        """Phase 1: run the exchanges; returns ``(snapshot, reports)``."""
+        with _trace.span("phase1_availability", resources=len(resource_ids)):
+            reports = [ask(observed_at=observed_at) for _proxy, ask in exchanges]
+            observations: Dict[str, ResourceObservation] = {}
+            for report in reports:
+                observations.update(report.observations)
+            missing = set(resource_ids) - set(observations)
+            if missing:
+                raise BrokerError(f"no proxy reported resources {sorted(missing)}")
+            return AvailabilitySnapshot(observations), reports
 
     def _collect_snapshot(
         self,
@@ -241,19 +293,9 @@ class ReservationCoordinator:
         resource_ids: Sequence[str],
         observed_at: Optional[ObservationSchedule],
     ) -> AvailabilitySnapshot:
-        """Phase 1: collect availability from the owning proxies."""
-        with _trace.span("phase1_availability", resources=len(resource_ids)):
-            request = AvailabilityRequest(
-                session_id=session_id, resource_ids=tuple(resource_ids)
-            )
-            observations: Dict[str, ResourceObservation] = {}
-            for proxy in self._participating_proxies(resource_ids):
-                report = proxy.report_availability(request, observed_at=observed_at)
-                observations.update(report.observations)
-            missing = set(resource_ids) - set(observations)
-            if missing:
-                raise BrokerError(f"no proxy reported resources {sorted(missing)}")
-            return AvailabilitySnapshot(observations)
+        """Phase 1 over explicit resource ids (a batch's union)."""
+        exchanges = self._availability_exchanges(session_id, resource_ids)
+        return self._phase1(exchanges, resource_ids, observed_at)[0]
 
     def _establish(
         self,
@@ -272,9 +314,18 @@ class ReservationCoordinator:
         """The three phases themselves (timing/accounting in :meth:`establish`)."""
         service = self._service_at_scale(service_name, demand_scale)
 
+        reports: Sequence = ()
         if snapshot is None:
             resource_ids = sorted(binding.resource_ids())
-            snapshot = self._collect_snapshot(session_id, resource_ids, observed_at)
+            exchanges = self._phase1_exchanges(
+                session_id,
+                service,
+                binding,
+                resource_ids,
+                demand_scale=demand_scale,
+                contention_index=contention_index,
+            )
+            snapshot, reports = self._phase1(exchanges, resource_ids, observed_at)
         # The causal log timestamps session events with the instant the
         # availability snapshot describes (== env.now for fresh probes).
         observed_instant = max(
@@ -293,6 +344,7 @@ class ReservationCoordinator:
             source_label=source_label,
             demand_scale=demand_scale,
             contention_index=contention_index,
+            reports=reports,
         )
         if failure is not None:
             return failure
@@ -310,34 +362,33 @@ class ReservationCoordinator:
         observed_instant: Optional[float],
         component_hosts: Optional[Mapping[str, str]],
     ) -> EstablishmentResult:
-        """Phase 3: dispatch plan segments to the owning proxies.
+        """Phase 3: hold every per-host segment of the plan, then commit.
 
-        A segment failure rolls back every applied segment; on success
-        the session's components are started and the admission is
-        recorded causally.
+        A refused segment leaves nothing held (:meth:`LeaseTable.hold`
+        is all-or-nothing); on success the session's components are
+        started and the admission is recorded causally.
         """
-        segments = self._segments(session_id, plan)
+        segments = self._segments(plan.demand)
         with _trace.span("phase3_dispatch", segments=len(segments)) as dispatch_span:
-            applied: List[QoSProxy] = []
-            try:
-                for proxy, segment in segments:
-                    proxy.apply_segment(segment)
-                    applied.append(proxy)
-            except AdmissionError as exc:
-                for proxy in applied:
-                    proxy.release_session(session_id)
-                dispatch_span.set(rolled_back=len(applied), failed_resource=exc.resource_id)
+            lease, refusal = self._hold(session_id, segments)
+            if refusal is not None:
+                failed_host = self.proxy_for(refusal.resource_id).host
+                dispatch_span.set(
+                    rolled_back=sorted(segments).index(failed_host),
+                    failed_resource=refusal.resource_id,
+                )
                 self._emit_admission_rejected(
                     session_id, service_name, plan, observations, observed_instant,
-                    exc.resource_id,
+                    refusal.resource_id,
                 )
                 return EstablishmentResult(
                     session_id,
                     False,
                     plan,
                     reason="admission_failed",
-                    failed_resource=exc.resource_id,
+                    failed_resource=refusal.resource_id,
                 )
+            self.leases.commit(lease)
         # Start the session's components on their hosts.
         self._start_components(session_id, component_hosts)
         self._emit_admitted(session_id, service_name, plan, observed_instant)
@@ -356,6 +407,7 @@ class ReservationCoordinator:
         source_label: Optional[str],
         demand_scale: float,
         contention_index,
+        reports: Sequence = (),
     ):
         """Phase 2 with its span and causal emissions, shared with the
         fault-tolerant coordinator.
@@ -375,6 +427,7 @@ class ReservationCoordinator:
                     source_label=source_label,
                     demand_scale=demand_scale,
                     contention_index=contention_index,
+                    reports=reports,
                 )
             except PlanningError as exc:
                 return None, self._reject_unplannable(
@@ -393,8 +446,13 @@ class ReservationCoordinator:
         source_label: Optional[str],
         demand_scale: float,
         contention_index,
+        reports: Sequence = (),
     ):
-        """Skeleton lookup + per-snapshot pricing, under a qrg_build span."""
+        """Skeleton lookup + per-snapshot pricing, under a qrg_build span.
+
+        ``reports`` are phase 1's replies; central pricing needs only
+        the snapshot merged from them.
+        """
         kwargs = (
             {} if contention_index is None else {"contention_index": contention_index}
         )
@@ -570,16 +628,20 @@ class ReservationCoordinator:
         )
         memo = BatchPlanMemo(planner)
         priced: Dict[Tuple, object] = {}
-        return [
-            self._with_establish_accounting(
-                request.session_id,
-                request.service_name,
-                lambda request=request: self._establish_batched(
-                    request, memo, priced, snapshot, observed_instant, contention_index
-                ),
-            )
-            for request in requests
-        ]
+        results: List[EstablishmentResult] = []
+        for request in requests:
+            with self._establish_accounting(
+                request.session_id, request.service_name
+            ) as settle:
+                results.append(
+                    settle(
+                        self._establish_batched(
+                            request, memo, priced, snapshot, observed_instant,
+                            contention_index,
+                        )
+                    )
+                )
+        return results
 
     def _price_group(
         self,
@@ -737,9 +799,18 @@ class ReservationCoordinator:
         latency elapses, so concurrent sessions race exactly as §5.2.4
         describes.  Yields DES timeouts; returns the result.
         """
+        kwargs = yield from self._after_latency(env, latency, kwargs)
+        return self.establish(*args, **kwargs)
+
+    def _after_latency(self, env, latency: float, kwargs: dict):
+        """Generator: wait out the protocol latency of one establishment.
+
+        Returns ``kwargs`` with the observation schedule pinned to the
+        request instant: the phase-1 round trip happens first, so
+        observations are as of *now*, not of when the latency elapsed.
+        """
         if latency < 0:
             raise ValueError(f"negative latency: {latency!r}")
-        # Phase 1 round-trip happens first; observations are as of now.
         now = env.now
         schedule = kwargs.pop("observed_at", None)
 
@@ -750,7 +821,7 @@ class ReservationCoordinator:
 
         if latency:
             yield env.timeout(latency)
-        return self.establish(*args, observed_at=frozen_schedule, **kwargs)
+        return dict(kwargs, observed_at=frozen_schedule)
 
     # -- adaptive renegotiation (§5 / §4.3) ------------------------------------
 
@@ -874,27 +945,29 @@ class ReservationCoordinator:
     ) -> bool:
         """Best-effort re-application of a released reservation snapshot.
 
-        Returns True when every host's demands were re-admitted; on any
-        admission failure the partial restore is rolled back (the session
-        ends up holding nothing) and False is returned.
+        Returns True when every host's demands were re-admitted; on an
+        admission refusal nothing is restored (the session ends up
+        holding nothing) and False is returned.
         """
-        applied: List[QoSProxy] = []
-        try:
-            for host in sorted(held):
-                proxy = self.proxies[host]
-                proxy.apply_segment(
-                    PlanSegment(
-                        session_id=session_id,
-                        proxy_host=host,
-                        demands=dict(held[host]),
-                    )
-                )
-                applied.append(proxy)
-        except AdmissionError:
-            for proxy in applied:
-                proxy.release_session(session_id)
+        lease, _refusal = self._hold(session_id, held)
+        if lease is None:
             return False
+        self.leases.commit(lease)
         return True
+
+    def _hold(
+        self, session_id: str, demands_by_host: Mapping[str, Mapping[str, float]]
+    ) -> Tuple[Optional[Lease], Optional[AdmissionError]]:
+        """:meth:`LeaseTable.hold` with a refusal as a value.
+
+        ``(lease, None)`` when everything was held, ``(None, refusal)``
+        when a broker said no (nothing stays held either way a refusal
+        is reported); any other exception propagates.
+        """
+        try:
+            return self.leases.hold(session_id, demands_by_host), None
+        except AdmissionError as refusal:
+            return None, refusal
 
     # -- tear-down -------------------------------------------------------------
 
@@ -969,23 +1042,13 @@ class ReservationCoordinator:
             seen[proxy.host] = proxy
         return [seen[host] for host in sorted(seen)]
 
-    def _segments(
-        self, session_id: str, plan: ReservationPlan
-    ) -> List[Tuple[QoSProxy, PlanSegment]]:
-        demand = plan.demand
-        per_proxy: Dict[str, Dict[str, float]] = {}
+    def _segments(self, demand: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
+        """Split a resource demand into per-host segments (host -> demands)."""
+        per_host: Dict[str, Dict[str, float]] = {}
         for resource_id in demand:
-            proxy = self.proxy_for(resource_id)
-            per_proxy.setdefault(proxy.host, {})[resource_id] = demand[resource_id]
-        segments: List[Tuple[QoSProxy, PlanSegment]] = []
-        for host in sorted(per_proxy):
-            segments.append(
-                (
-                    self.proxies[host],
-                    PlanSegment(session_id=session_id, proxy_host=host, demands=per_proxy[host]),
-                )
-            )
-        return segments
+            host = self.proxy_for(resource_id).host
+            per_host.setdefault(host, {})[resource_id] = demand[resource_id]
+        return per_host
 
 
 def _scaled_service(service, factor: float):

@@ -18,31 +18,35 @@ This module implements the distributed flavour.  Per session:
    holds the service *structure*: dependency graph and ranking, which
    are service-level rather than component-level knowledge) and runs
    the planning algorithm;
-3. plan dispatch and tear-down are identical to the centralised path.
+3. plan dispatch and tear-down *are* the centralised path.
 
-The two coordinators are interchangeable: given the same snapshot they
-compute identical plans (asserted by the test suite), so everything
-else in the library -- sessions, simulation, metrics -- accepts either.
+:class:`DistributedCoordinator` is therefore the one coordinator core
+with a different *pricing source* -- it overrides who phase 1 asks and
+how the priced QRG is put together, and inherits everything else.  The
+two are interchangeable: given the same availability they compute
+identical plans (asserted by the test suite), so everything else in the
+library -- sessions, simulation, metrics -- accepts either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from functools import partial
+from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding, ServiceComponent
-from repro.core.errors import AdmissionError, BrokerError, ModelError, PlanningError
+from repro.core.errors import ModelError, PlanningError
 from repro.core.qrg import (
     IntraEdge,
     assemble_qrg,
     price_component_edges,
     resolve_source_level,
 )
-from repro.core.resources import AvailabilitySnapshot, ResourceObservation
+from repro.core.resources import ResourceObservation
 from repro.core.translation import ScaledTranslation
-from repro.runtime.coordinator import EstablishmentResult, ObservationSchedule
-from repro.runtime.messages import PlanSegment
+from repro.obs import trace as _trace
+from repro.runtime.coordinator import ReservationCoordinator
 from repro.runtime.model_store import ModelStore
 from repro.runtime.proxy import QoSProxy
 
@@ -106,17 +110,15 @@ class ComponentHost(QoSProxy):
                 ScaledTranslation(component.translation, request.demand_scale)
             )
         # Observe exactly the resources this component's slots bind to.
+        # The host fronts those brokers (§3: it queries them directly),
+        # so pricing is also what declares the ownership phase 3's
+        # segments are routed by.
         resource_ids = sorted(
             {binding.resource_id(component.name, slot) for slot in component.slots()}
         )
-        observations: Dict[str, ResourceObservation] = {}
         for resource_id in resource_ids:
-            broker = self.registry.broker(resource_id)
-            when = observed_at(resource_id) if observed_at is not None else None
-            observations[resource_id] = (
-                broker.observe() if when is None else broker.observe_stale(when)
-            )
-        snapshot = AvailabilitySnapshot(observations)
+            self.own(resource_id)
+        snapshot = self.registry.snapshot(resource_ids, observed_at=observed_at)
         kwargs = {} if contention_index is None else {"contention_index": contention_index}
         edges = price_component_edges(component, binding, snapshot, **kwargs)
         return ComponentFragment(
@@ -124,27 +126,27 @@ class ComponentHost(QoSProxy):
             component=component.name,
             proxy_host=self.host,
             edges=tuple(edges),
-            observations=observations,
+            observations=dict(snapshot),
         )
 
 
-class DistributedCoordinator:
+class DistributedCoordinator(ReservationCoordinator):
     """Session establishment with per-host component definitions.
 
-    ``structure_store`` holds the service-level structure (graph +
-    ranking + level declarations); the per-component translation
-    functions live only in the :class:`ComponentHost` proxies.
+    The core's ``model_store`` plays the *structure store* here: it
+    holds the service-level structure (graph + ranking + level
+    declarations); the per-component translation functions live only in
+    the :class:`ComponentHost` proxies, which price their own fragments.
+    Phase 3, tear-down, renegotiation and accounting are inherited.
+    The snapshot-driven entry points (``snapshot=``, ``establish_batch``,
+    ``plan_session``) have no fragments to stitch and reject with a
+    ``qrg:`` reason.
     """
 
-    def __init__(
-        self,
-        registry: BrokerRegistry,
-        structure_store: ModelStore,
-        proxies: Mapping[str, ComponentHost],
-    ) -> None:
-        self.registry = registry
-        self.structure_store = structure_store
-        self.proxies: Dict[str, ComponentHost] = dict(proxies)
+    @property
+    def structure_store(self) -> ModelStore:
+        """The store holding the service structures."""
+        return self.model_store
 
     def host_of_component(self, component: str) -> ComponentHost:
         """The proxy storing ``component``; raises if none does."""
@@ -153,91 +155,37 @@ class DistributedCoordinator:
                 return proxy
         raise ModelError(f"no proxy stores component {component!r}")
 
-    def establish(
-        self,
-        session_id: str,
-        service_name: str,
-        binding: Binding,
-        planner,
-        *,
-        source_label: Optional[str] = None,
-        demand_scale: float = 1.0,
-        observed_at: Optional[ObservationSchedule] = None,
-        contention_index=None,
-    ) -> EstablishmentResult:
-        """Run the establishment phases for one session."""
-        service = self.structure_store.service(service_name)
+    def _service_at_scale(self, service_name: str, demand_scale: float):
+        """The structure is scale-free: each host scales its own component."""
+        return self.model_store.service(service_name)
 
-        # Phase 1+2a: gather locally priced fragments.
-        fragments: List[ComponentFragment] = []
-        observations: Dict[str, ResourceObservation] = {}
-        for component in service.components:
-            proxy = self.host_of_component(component.name)
-            fragment = proxy.price_fragment(
-                FragmentRequest(session_id, component.name, demand_scale),
-                binding,
-                observed_at=observed_at,
-                contention_index=contention_index,
+    def _phase1_exchanges(
+        self, session_id, service, binding, _resource_ids, *, demand_scale, contention_index
+    ):
+        """Phase 1+2a: one fragment request per component, to its host."""
+        return [
+            (
+                host,
+                partial(
+                    host.price_fragment,
+                    FragmentRequest(session_id, component.name, demand_scale),
+                    binding,
+                    contention_index=contention_index,
+                ),
             )
-            fragments.append(fragment)
-            observations.update(fragment.observations)
+            for component in service.components
+            for host in (self.host_of_component(component.name),)
+        ]
 
-        # Phase 2b: stitch and plan at the main proxy.
-        snapshot = AvailabilitySnapshot(observations)
-        try:
+    def _price_qrg(
+        self, service, binding, snapshot, *, source_label, reports: Sequence = (), **_central
+    ):
+        """Phase 2b: stitch the hosts' priced fragments into the full QRG."""
+        if not reports:
+            raise PlanningError("no component fragments to stitch")
+        with _trace.span("qrg_build", service=service.name) as qrg_span:
             source_level = resolve_source_level(service, source_label)
-        except PlanningError as exc:
-            return EstablishmentResult(session_id, False, None, reason=f"qrg: {exc}")
-        intra_edges = [edge for fragment in fragments for edge in fragment.edges]
-        qrg = assemble_qrg(service, source_level, intra_edges, snapshot)
-        plan = planner.plan(qrg)
-        if plan is None:
-            return EstablishmentResult(session_id, False, None, reason="no_feasible_plan")
-
-        # Phase 3: dispatch per-host segments (resource owner = the proxy
-        # that priced the fragment touching it).
-        demands_by_host: Dict[str, Dict[str, float]] = {}
-        demand = plan.demand
-        for fragment in fragments:
-            for resource_id in fragment.observations:
-                if resource_id in demand:
-                    demands_by_host.setdefault(fragment.proxy_host, {})[resource_id] = demand[
-                        resource_id
-                    ]
-        applied: List[ComponentHost] = []
-        try:
-            for host in sorted(demands_by_host):
-                proxy = self.proxies[host]
-                segment = PlanSegment(
-                    session_id=session_id, proxy_host=host, demands=demands_by_host[host]
-                )
-                self._apply_segment(proxy, segment)
-                applied.append(proxy)
-        except AdmissionError as exc:
-            for proxy in applied:
-                proxy.release_session(session_id)
-            return EstablishmentResult(
-                session_id, False, plan, reason="admission_failed",
-                failed_resource=exc.resource_id,
-            )
-        return EstablishmentResult(session_id, True, plan)
-
-    def _apply_segment(self, proxy: ComponentHost, segment: PlanSegment) -> None:
-        """Reserve a segment directly (ownership is implied by pricing)."""
-        made = []
-        try:
-            for resource_id in sorted(segment.demands):
-                broker = self.registry.broker(resource_id)
-                made.append(broker.reserve(segment.demands[resource_id], segment.session_id))
-        except AdmissionError:
-            for reservation in reversed(made):
-                self.registry.broker(reservation.resource_id).release(reservation)
-            raise
-        proxy._held.setdefault(segment.session_id, []).extend(made)
-
-    def teardown(self, session_id: str) -> int:
-        """Release everything every proxy holds for the session."""
-        released = 0
-        for proxy in self.proxies.values():
-            released += proxy.release_session(session_id)
-        return released
+            intra_edges = [edge for fragment in reports for edge in fragment.edges]
+            qrg = assemble_qrg(service, source_level, intra_edges, snapshot)
+            qrg_span.set(nodes=qrg.count_nodes(), edges=qrg.count_edges())
+        return qrg

@@ -78,26 +78,25 @@ class QoSProxy:
 
     # -- phase 3: plan segment execution ----------------------------------------
 
-    def apply_segment(self, segment: PlanSegment) -> None:
+    def apply_segment(self, segment: PlanSegment) -> Tuple[AnyReservation, ...]:
         """Reserve the segment's demands on the local brokers.
 
-        Atomic per segment: a failure rolls back the segment's own
-        reservations and re-raises, letting the coordinator roll back the
-        other proxies' segments.
+        Atomic per segment: whatever goes wrong, the segment's own
+        reservations are rolled back before the exception propagates,
+        letting the lease table roll back the other proxies' segments.
+        Returns the reservations made.
         """
-        made: List[AnyReservation] = []
+        unowned = segment.demands.keys() - self._owned
+        if unowned:
+            raise BrokerError(
+                f"proxy {self.host!r} received a demand for unowned "
+                f"resource {min(unowned)!r}"
+            )
         try:
-            for resource_id in sorted(segment.demands):
-                if resource_id not in self._owned:
-                    raise BrokerError(
-                        f"proxy {self.host!r} received a demand for unowned "
-                        f"resource {resource_id!r}"
-                    )
-                broker = self.registry.broker(resource_id)
-                made.append(broker.reserve(segment.demands[resource_id], segment.session_id))
+            made = self.registry.reserve_all(
+                segment.demands, segment.session_id
+            ).reservations
         except AdmissionError as exc:
-            for reservation in reversed(made):
-                self.registry.broker(reservation.resource_id).release(reservation)
             registry = _metrics.active_registry()
             if registry is not None:
                 registry.counter("proxy.segment_rejections", host=self.host).inc()
@@ -108,7 +107,7 @@ class QoSProxy:
                     session=segment.session_id,
                     resource=exc.resource_id,
                     host=self.host,
-                    rolled_back=len(made),
+                    rolled_back=sorted(segment.demands).index(exc.resource_id),
                     demands=dict(segment.demands),
                 )
             raise
@@ -125,6 +124,7 @@ class QoSProxy:
                 reservations=len(made),
                 demands=dict(segment.demands),
             )
+        return tuple(made)
 
     def release_session(self, session_id: str) -> int:
         """Release everything held for a session; returns count released.
@@ -135,48 +135,37 @@ class QoSProxy:
         the remaining reservations are still released, so no partial
         broker state survives a double release.
         """
-        reservations = self._held.pop(session_id, [])
+        self._started_components.pop(session_id, None)
+        return self.release_reservations(session_id, self._held.get(session_id, ()))
+
+    def release_reservations(self, session_id: str, reservations) -> int:
+        """Release specific reservations of a session (ending a lease).
+
+        Only the given reservations -- matched by identity -- are freed
+        and dropped from the session's held list, leaving any other
+        (say, committed) reservations of the same session in place.
+        Tolerant of reservations already released elsewhere; returns
+        the count released.
+        """
+        held = self._held.get(session_id)
+        if not held:  # the common case: a teardown visits every proxy
+            return 0
+        wanted = {id(reservation) for reservation in reservations}
+        kept: List[AnyReservation] = []
         released = 0
-        for reservation in reservations:
+        for reservation in held:
+            if id(reservation) not in wanted:
+                kept.append(reservation)
+                continue
             try:
                 self.registry.broker(reservation.resource_id).release(reservation)
             except BrokerError:
                 continue
             released += 1
-        self._started_components.pop(session_id, None)
-        if released:
-            registry = _metrics.active_registry()
-            if registry is not None:
-                registry.counter("proxy.reservations_released", host=self.host).inc(
-                    released
-                )
-        return released
-
-    def release_reservations(self, session_id: str, reservations) -> int:
-        """Release specific reservations of a session (lease reaping).
-
-        Used by the fault-tolerant coordinator's orphan reaper and its
-        compensating releases: only the given reservations are freed and
-        dropped from the session's held list, leaving any committed
-        reservations of the same session in place.  Tolerant of
-        reservations already released elsewhere; returns count released.
-        """
-        held = self._held.get(session_id)
-        released = 0
-        for reservation in reservations:
-            if held is None:
-                break
-            matched = next((r for r in held if r is reservation), None)
-            if matched is None:
-                continue
-            held.remove(matched)
-            try:
-                self.registry.broker(matched.resource_id).release(matched)
-            except BrokerError:
-                continue
-            released += 1
-        if held is not None and not held:
-            self._held.pop(session_id, None)
+        if kept:
+            self._held[session_id] = kept
+        else:
+            del self._held[session_id]
         if released:
             registry = _metrics.active_registry()
             if registry is not None:
@@ -188,6 +177,10 @@ class QoSProxy:
     def held_for(self, session_id: str) -> Tuple[AnyReservation, ...]:
         """Reservations this proxy currently holds for a session."""
         return tuple(self._held.get(session_id, ()))
+
+    def held_sessions(self) -> Tuple[str, ...]:
+        """Ids of the sessions this proxy holds reservations for."""
+        return tuple(self._held)
 
     # -- component lifecycle ------------------------------------------------------
 

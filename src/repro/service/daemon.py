@@ -48,6 +48,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
+import math
 import os as _os
 import sys as _sys
 import time as _time
@@ -56,11 +57,9 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.errors import AdmissionError, ModelError, ReproError
-from repro.core.planner import BasicPlanner, RandomPlanner
-from repro.core.tradeoff import TradeoffPlanner
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
-from repro.faults.coordinator import FaultTolerantCoordinator, Lease
+from repro.faults.coordinator import FaultTolerantCoordinator
 from repro.faults.injector import FaultInjector
 from repro.faults.plan import FAULT_SEED_INDEX, FaultConfig, FaultPlan
 from repro.obs import context as _context
@@ -76,11 +75,16 @@ from repro.obs.flight import (
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import registry_exposition
 from repro.runtime.coordinator import EstablishmentResult, RenegotiationResult
-from repro.runtime.messages import PlanSegment
+from repro.runtime.leases import LeaseTable
 from repro.service import http as _http
 from repro.service.events import EventPlane
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import ALGORITHMS, CONTENTION_INDICES, derive_run_seed
+from repro.sim.experiment import (
+    ALGORITHMS,
+    CONTENTION_INDICES,
+    derive_run_seed,
+    make_planner,
+)
 from repro.sim.workload import SessionArrival
 
 __all__ = ["DaemonConfig", "ReservationDaemon", "ReservationService", "ServiceError"]
@@ -92,6 +96,40 @@ class ServiceError(ReproError):
     def __init__(self, message: str, *, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
+
+
+def decode_arrival(payload: object, session_ids) -> SessionArrival:
+    """Decode one establish payload into a workload-style arrival.
+
+    The one arrival decoder of the daemon and the cluster router.
+    ``session_ids`` is the caller's counter the id of an arrival that
+    names none is drawn from.  Anything malformed -- a non-object, a
+    missing field, a non-numeric or non-finite number -- is a 400
+    :class:`ServiceError`, never an unhandled exception.
+    """
+    if not isinstance(payload, dict):
+        raise ServiceError("an arrival must be a JSON object")
+    try:
+        service = str(payload["service"])
+        domain = str(payload["domain"])
+    except KeyError as exc:
+        raise ServiceError(f"missing required field {exc.args[0]!r}") from exc
+    session_id = str(payload.get("session_id") or f"svc-{next(session_ids)}")
+    numbers = {"demand_scale": 1.0, "duration": 1.0, "arrival_time": 0.0}
+    for name, default in numbers.items():
+        try:
+            numbers[name] = float(payload.get(name, default))
+        except (TypeError, ValueError) as exc:
+            raise ServiceError(f"non-numeric field: {exc}") from exc
+        if not math.isfinite(numbers[name]):
+            raise ServiceError(f"{name} must be finite, got {numbers[name]!r}")
+    if numbers["demand_scale"] <= 0:
+        raise ServiceError(
+            f"demand_scale must be positive, got {numbers['demand_scale']!r}"
+        )
+    return SessionArrival(
+        session_id=session_id, domain=domain, service=service, **numbers
+    )
 
 
 @dataclass(frozen=True)
@@ -210,13 +248,13 @@ class ReservationService:
                 env=self.env,
             )
         self.coordinator = self.grid.coordinator
-        self.planner = self._make_planner()
+        self.planner = make_planner(config.algorithm, config.tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[config.contention_index]
         #: session_id -> the arrival facts needed to renegotiate/query it.
         self.sessions: Dict[str, dict] = {}
         self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
         self.started_at = _time.monotonic()
-        self._session_seq = 0
+        self._session_ids = itertools.count(1)
         self._started = False
         self._previous_tracer = None
         # Cluster sharding: which slice of the grid this daemon owns.
@@ -240,19 +278,12 @@ class ReservationService:
             self.shard_registry = self.grid.registry.subset(
                 sorted(self._owned_resources)
             )
-        #: Two-phase reserve/commit leases (lease_id -> (lease, hosts)).
-        self._shard_leases: Dict[str, Tuple[Lease, Tuple[str, ...]]] = {}
-        self._lease_seq = itertools.count(1)
+        #: Two-phase ``/v1/reserve`` leases, on the wall clock: the
+        #: router that holds them is another process.
+        self.leases = LeaseTable(self.grid.proxies, _time.monotonic, config.lease_ttl)
         self.lease_counters = {
             "reserved": 0, "committed": 0, "aborted": 0, "expired": 0
         }
-
-    def _make_planner(self):
-        if self.config.algorithm == "basic":
-            return BasicPlanner(tie_break=self.config.tie_break)
-        if self.config.algorithm == "tradeoff":
-            return TradeoffPlanner(tie_break=self.config.tie_break)
-        return RandomPlanner(rng=self.streams.stream("random-planner"))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -322,35 +353,6 @@ class ReservationService:
 
     # -- request decoding --------------------------------------------------
 
-    def _fresh_session_id(self) -> str:
-        self._session_seq += 1
-        return f"svc-{self._session_seq}"
-
-    def _arrival_from(self, payload: dict) -> SessionArrival:
-        """Decode one establish payload into a workload-style arrival."""
-        try:
-            service = str(payload["service"])
-            domain = str(payload["domain"])
-        except KeyError as exc:
-            raise ServiceError(f"missing required field {exc.args[0]!r}") from exc
-        session_id = str(payload.get("session_id") or self._fresh_session_id())
-        try:
-            demand_scale = float(payload.get("demand_scale", 1.0))
-            duration = float(payload.get("duration", 1.0))
-            arrival_time = float(payload.get("arrival_time", 0.0))
-        except (TypeError, ValueError) as exc:
-            raise ServiceError(f"non-numeric field: {exc}") from exc
-        if demand_scale <= 0:
-            raise ServiceError(f"demand_scale must be positive, got {demand_scale!r}")
-        return SessionArrival(
-            session_id=session_id,
-            arrival_time=arrival_time,
-            domain=domain,
-            service=service,
-            demand_scale=demand_scale,
-            duration=duration,
-        )
-
     def _placed(self, arrival: SessionArrival):
         """(binding, component_hosts) of an arrival; 400 on bad placement."""
         try:
@@ -366,7 +368,7 @@ class ReservationService:
 
     def establish(self, payload: dict) -> dict:
         """One three-phase establishment; returns the JSON-ready outcome."""
-        arrival = self._arrival_from(payload)
+        arrival = decode_arrival(payload, self._session_ids)
         if arrival.session_id in self.sessions:
             raise ServiceError(
                 f"session {arrival.session_id!r} already established", status=409
@@ -388,7 +390,7 @@ class ReservationService:
         arrivals_payload = payload.get("arrivals")
         if not isinstance(arrivals_payload, list) or not arrivals_payload:
             raise ServiceError("'arrivals' must be a non-empty list")
-        arrivals = [self._arrival_from(item) for item in arrivals_payload]
+        arrivals = [decode_arrival(item, self._session_ids) for item in arrivals_payload]
         seen = set()
         for arrival in arrivals:
             if arrival.session_id in self.sessions or arrival.session_id in seen:
@@ -510,48 +512,22 @@ class ReservationService:
             }
         except (TypeError, ValueError) as exc:
             raise ServiceError(f"non-numeric demand: {exc}") from exc
-        per_proxy: Dict[str, Dict[str, float]] = {}
         for resource_id in sorted(demands):
             self._check_owned(resource_id)
-            proxy = self.coordinator.proxy_for(resource_id)
-            per_proxy.setdefault(proxy.host, {})[resource_id] = demands[resource_id]
-        applied: List[Tuple[str, Tuple]] = []
+        # hold itself refuses a non-finite or non-positive amount (a 400).
         try:
-            for host in sorted(per_proxy):
-                proxy = self.grid.proxies[host]
-                before = len(proxy.held_for(session_id))
-                proxy.apply_segment(
-                    PlanSegment(
-                        session_id=session_id,
-                        proxy_host=host,
-                        demands=per_proxy[host],
-                    )
-                )
-                applied.append(
-                    (host, tuple(proxy.held_for(session_id)[before:]))
-                )
+            lease = self.leases.hold(
+                session_id, self.coordinator._segments(demands), self.shard_label
+            )
         except AdmissionError as exc:
-            for host, reservations in applied:
-                self.grid.proxies[host].release_reservations(
-                    session_id, reservations
-                )
             return {
                 "session_id": session_id,
                 "reserved": False,
                 "failed_resource": exc.resource_id,
             }
-        reservations = tuple(
-            reservation for _, held in applied for reservation in held
-        )
-        lease = Lease(
-            lease_id=f"{session_id}@{self.shard_label}#{next(self._lease_seq)}",
-            session_id=session_id,
-            host=self.shard_label,
-            reservations=reservations,
-            reserved_at=_time.monotonic(),
-            ttl=self.config.lease_ttl,
-        )
-        self._shard_leases[lease.lease_id] = (lease, tuple(sorted(per_proxy)))
+        # The holder is a remote router that may die at any moment, so
+        # the lease is the reaper's from birth; commit/abort race it.
+        self.leases.orphan(lease)
         self.lease_counters["reserved"] += 1
         _events.emit(
             "lease.reserved",
@@ -572,13 +548,13 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        entry = self._shard_leases.pop(lease_id, None)
-        if entry is None:
+        lease = self.leases.get(lease_id)
+        if lease is None:
             raise ServiceError(
                 f"unknown lease {lease_id!r} (expired or never reserved)",
                 status=404,
             )
-        lease, _hosts = entry
+        self.leases.commit(lease)
         meta = payload.get("session")
         record = {"cluster": True, "established_at": _time.monotonic()}
         if isinstance(meta, dict):
@@ -605,16 +581,10 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        entry = self._shard_leases.pop(lease_id, None)
-        if entry is None:
+        lease = self.leases.get(lease_id)
+        if lease is None:
             return {"lease_id": lease_id, "aborted": False, "released": 0}
-        lease, hosts = entry
-        released = sum(
-            self.grid.proxies[host].release_reservations(
-                lease.session_id, lease.reservations
-            )
-            for host in hosts
-        )
+        released = self.leases.release(lease)
         self.lease_counters["aborted"] += 1
         _events.emit(
             "lease.aborted",
@@ -627,29 +597,17 @@ class ReservationService:
 
     def reap_expired_leases(self, now: Optional[float] = None) -> int:
         """Release every lease past its TTL; returns the count reaped."""
-        now = _time.monotonic() if now is None else now
-        reaped = 0
-        for lease_id in sorted(self._shard_leases):
-            lease, hosts = self._shard_leases[lease_id]
-            if now < lease.expires_at:
-                continue
-            del self._shard_leases[lease_id]
-            released = sum(
-                self.grid.proxies[host].release_reservations(
-                    lease.session_id, lease.reservations
-                )
-                for host in hosts
-            )
+        reaped = self.leases.reap(now)
+        for lease, released in reaped:
             self.lease_counters["expired"] += 1
             _events.emit(
                 "lease.expired",
                 session=lease.session_id,
                 host=self.shard_label,
-                lease=lease_id,
+                lease=lease.lease_id,
                 released=released,
             )
-            reaped += 1
-        return reaped
+        return len(reaped)
 
     def availability(self) -> dict:
         """Observed availability of this shard's demand-addressable slice.
@@ -721,7 +679,7 @@ class ReservationService:
                 "index": self.config.shard_index,
                 "count": self.config.shard_count,
                 "owned_resources": len(self.shard_registry.resource_ids()),
-                "pending_leases": len(self._shard_leases),
+                "pending_leases": len(self.leases.pending()),
                 "lease_counters": dict(self.lease_counters),
             }
         return document
@@ -751,7 +709,7 @@ class ReservationService:
             instrument = self.registry.counter("daemon.lease_operations", op=op)
             instrument.inc(max(0.0, value - instrument.value))
         self.registry.gauge("daemon.active_sessions").set(len(self.sessions))
-        self.registry.gauge("daemon.pending_leases").set(len(self._shard_leases))
+        self.registry.gauge("daemon.pending_leases").set(len(self.leases.pending()))
         if self.config.shard_index is not None:
             self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
         self.registry.gauge("daemon.shard_count").set(self.config.shard_count)

@@ -71,6 +71,20 @@ CONTENTION_INDICES = {
 ALGORITHMS = ("basic", "tradeoff", "random")
 
 
+def make_planner(algorithm: str, tie_break: bool, streams: RandomStreams):
+    """The planner an ``ALGORITHMS`` name stands for.
+
+    The random planner draws from the ``random-planner`` stream of
+    ``streams``, so simulation, daemon and router built from one seed
+    plan identically.
+    """
+    if algorithm == "basic":
+        return BasicPlanner(tie_break=tie_break)
+    if algorithm == "tradeoff":
+        return TradeoffPlanner(tie_break=tie_break)
+    return RandomPlanner(rng=streams.stream("random-planner"))
+
+
 @dataclass(frozen=True)
 class SimulationConfig:
     """Everything that defines one run; defaults match §5.1."""
@@ -178,14 +192,6 @@ class SimulationResult:
         )
 
 
-def _make_planner(config: SimulationConfig, streams: RandomStreams):
-    if config.algorithm == "basic":
-        return BasicPlanner(tie_break=config.tie_break)
-    if config.algorithm == "tradeoff":
-        return TradeoffPlanner(tie_break=config.tie_break)
-    return RandomPlanner(rng=streams.stream("random-planner"))
-
-
 def _record_session_metrics(outcome: SessionOutcome) -> None:
     """Per-session outcome counters/histograms (no-op when disabled)."""
     registry = active_registry()
@@ -266,7 +272,7 @@ def _run_simulation(
         grid.coordinator = FaultTolerantCoordinator(
             grid.registry, grid.model_store, grid.proxies, injector=injector, env=env
         )
-    planner = _make_planner(config, streams)
+    planner = make_planner(config.algorithm, config.tie_break, streams)
     contention_index = CONTENTION_INDICES[config.contention_index]
     metrics = MetricsCollector(family_of_service=evaluation_family_keys())
     metrics.keep_outcomes = config.keep_outcomes

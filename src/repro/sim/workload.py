@@ -21,7 +21,6 @@ constraints and are all overridable via :class:`WorkloadSpec`.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -94,19 +93,6 @@ class SessionArrival:
             source_label=source_label,
             demand_scale=self.demand_scale,
         )
-
-
-def __getattr__(name: str):
-    if name == "SessionRequest":
-        warnings.warn(
-            "repro.sim.workload.SessionRequest was renamed to SessionArrival "
-            "(it collided with the distinct repro.runtime.messages."
-            "SessionRequest batch-planning input); update the import",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return SessionArrival
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)

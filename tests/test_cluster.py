@@ -210,7 +210,7 @@ def test_cross_shard_establish_commits_on_every_involved_shard():
             assert outcome["psi"] is not None
         # Leases all settled: nothing pending on any shard.
         for shard in shards:
-            assert not shard.service._shard_leases
+            assert not shard.service.leases.pending()
         for shard in shards:
             report = capacity_conservation(
                 shard.service.grid.registry, shard.service.grid.proxies
@@ -323,7 +323,7 @@ def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():
         assert outcome["reason"] == "shard_unreachable"
         # The dead shard holds the lease the router could not abort --
         # no capacity is lost for longer than the TTL.
-        assert len(victim.service._shard_leases) == 1
+        assert len(victim.service.leases.pending()) == 1
         reaped = await victim.reap(now=float("inf"))
         assert reaped == 1
         assert_cluster_clean(shards, session_ids=["lost"])

@@ -124,7 +124,7 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
         for shard in shards:
             await shard.reap(now=float("inf"))
         for shard in shards:
-            assert not shard.service._shard_leases, shard.label
+            assert not shard.service.leases.pending(), shard.label
             report = capacity_conservation(
                 shard.service.grid.registry, shard.service.grid.proxies
             )

@@ -36,10 +36,11 @@ from repro.faults import (
     FaultTolerantDistributedCoordinator,
     assert_capacity_conserved,
 )
+from repro.obs import EventLog, event_logging
 from repro.runtime import ComponentHost, ModelStore
 from repro.sim.experiment import derive_run_seed
 
-from tests.test_faults import build_ft_rig
+from tests.test_faults import ScriptedInjector, build_ft_rig
 
 rates = st.floats(min_value=0.0, max_value=0.6, allow_nan=False)
 window_rates = st.floats(min_value=0.0, max_value=8.0, allow_nan=False)
@@ -156,21 +157,67 @@ def test_no_fault_schedule_leaks_capacity_distributed(
     )
 
     established = []
-    for n in range(10):
-        clock.now = 12.0 * n
-        result = coordinator.establish(f"d{n}", "small", small_binding, BasicPlanner())
-        if result.success:
-            established.append(f"d{n}")
-        assert_capacity_conserved(registry, proxies)
-        if len(established) >= 2:
-            coordinator.teardown(established.pop(0))
+    log = EventLog()
+    with event_logging(log):
+        for n in range(10):
+            clock.now = 12.0 * n
+            result = coordinator.establish(
+                f"d{n}", "small", small_binding, BasicPlanner()
+            )
+            if result.success:
+                established.append(f"d{n}")
             assert_capacity_conserved(registry, proxies)
+            if len(established) >= 2:
+                coordinator.teardown(established.pop(0))
+                assert_capacity_conserved(registry, proxies)
 
-    for session_id in established:
-        coordinator.teardown(session_id)
-    coordinator.reap_orphans(force=True)
+        for session_id in established:
+            coordinator.teardown(session_id)
+        coordinator.reap_orphans(force=True)
     assert_capacity_conserved(registry, proxies)
     registry.assert_quiescent()
     for proxy in proxies.values():
         for session_id in list(getattr(proxy, "_held", {})):
             assert proxy.held_for(session_id) == ()
+
+    # The fragment path runs behind the *shared* fault boundary: every
+    # lost availability/reserve/ack message is a segment.timeout, and
+    # every reaped orphan (a lost release order) a lease.expired.
+    lost = [
+        dict(fault.detail)["channel"]
+        for fault in injector.injected
+        if fault.kind in ("message_drop", "broker_crash", "proxy_partition")
+    ]
+    assert log.count("segment.timeout") == len(lost) - lost.count("release")
+    assert log.count("lease.expired") == coordinator.leases_reaped
+    assert coordinator.leases_reaped <= lost.count("release")
+    assert coordinator.pending_leases() == ()
+
+
+def test_distributed_lost_ack_and_release_go_through_the_shared_boundary(
+    small_service, small_binding
+):
+    """Scripted: the first ack and its compensating release are lost on
+    the fragment path -- the events and the orphan are the centralized
+    boundary's, because it *is* the centralized boundary."""
+    clock = FakeClock()
+    injector = ScriptedInjector(
+        {"ack": ["message_drop"], "release": ["message_drop"]}, clock=clock
+    )
+    registry, coordinator, proxies = build_ft_distributed_rig(
+        small_service, injector, clock
+    )
+    log = EventLog()
+    with event_logging(log):
+        result = coordinator.establish("d1", "small", small_binding, BasicPlanner())
+        assert result.success
+        (orphan,) = coordinator.pending_leases()
+        assert coordinator.reap_orphans(now=orphan.expires_at - 1.0) == 0
+        clock.now = orphan.expires_at
+        assert coordinator.reap_orphans() == 1
+        coordinator.teardown("d1")
+    assert log.count("segment.timeout") == 1
+    assert log.count("segment.retry") == 1
+    assert log.count("lease.expired") == 1
+    assert_capacity_conserved(registry, proxies)
+    registry.assert_quiescent()

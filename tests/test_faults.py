@@ -30,7 +30,6 @@ from repro.faults import (
     FaultInjector,
     FaultPlan,
     FaultTolerantCoordinator,
-    FaultyCoordinator,
     assert_capacity_conserved,
     capacity_conservation,
 )
@@ -254,9 +253,6 @@ class TestZeroFaultIdentity:
             b = plain.establish(f"s{n}", "small", small_binding, BasicPlanner())
             assert a == b
         assert ft.teardown("s0") == plain.teardown("s0")
-
-    def test_alias_is_the_tolerant_coordinator(self):
-        assert FaultyCoordinator is FaultTolerantCoordinator
 
     def test_simulation_metrics_identical(self):
         base = dict(seed=11, workload=WorkloadSpec(rate_per_60tu=100.0, horizon=250.0))

@@ -180,15 +180,6 @@ class TestSessionArrival:
             assert arrival.long == SessionClassifier.is_long(arrival.duration)
             assert arrival.session_class in SessionClassifier.CLASSES
 
-    def test_deprecated_session_request_alias(self):
-        import repro.sim.workload as workload
-
-        with pytest.warns(DeprecationWarning, match="SessionArrival"):
-            alias = workload.SessionRequest
-        assert alias is SessionArrival
-        with pytest.raises(AttributeError):
-            workload.does_not_exist
-
     def test_to_session_request_converter(self):
         from repro.runtime.messages import SessionRequest as ProtocolRequest
 
