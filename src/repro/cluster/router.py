@@ -946,10 +946,7 @@ class ClusterDaemon:
                 {"error": "daemon is shutting down", "draining": True},
                 close=close,
             )
-        try:
-            payload = request.json()
-        except _http.ProtocolError:
-            raise
+        payload = request.json()
         if request.path == "/v1/establish":
             async with self._lock:
                 status, body = await self.coordinator.establish(payload)

@@ -20,9 +20,7 @@ structure is kept explicitly for the two-pass heuristic of §4.3.2.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as _np
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.component import Binding
 from repro.core.errors import ModelError, PlanningError
@@ -33,7 +31,6 @@ from repro.core.resources import (
     AvailabilitySnapshot,
     ContentionIndex,
     ResourceVector,
-    headroom_contention_index,
     ratio_contention_index,
 )
 from repro.core.service import DistributedService
@@ -207,118 +204,6 @@ def resolve_source_level(
     return source_component.input_level(source_label)
 
 
-def price_component_edges(
-    component,
-    binding: Binding,
-    snapshot: AvailabilitySnapshot,
-    *,
-    allowed_input_labels: Optional[frozenset] = None,
-    contention_index: ContentionIndex = ratio_contention_index,
-) -> List[IntraEdge]:
-    """Feasible, priced (Q_in -> Q_out) edges of ONE component.
-
-    This is the *local* half of QRG construction: it needs only the
-    component's own definition, its slot binding, and the availability of
-    the resources it touches -- which is why, in the distributed model
-    store of §3, each host's QoSProxy can compute its own component's
-    fragment and ship it to the main proxy.
-    """
-    availability = snapshot.availability()
-    edges: List[IntraEdge] = []
-    for qin, qout, requirement in component.supported_pairs():
-        if allowed_input_labels is not None and qin.label not in allowed_input_labels:
-            continue
-        bound = binding.bind_requirement(component.name, requirement)
-        for resource_id in bound:
-            if resource_id not in availability:
-                raise PlanningError(
-                    f"snapshot lacks resource {resource_id!r} needed by "
-                    f"component {component.name!r}"
-                )
-        if not bound.satisfiable_under(availability):
-            continue
-        report = bound.contention(availability, contention_index)
-        alpha = snapshot[report.bottleneck_resource].alpha
-        edges.append(
-            IntraEdge(
-                src=QRGNode(component.name, "in", qin.label),
-                dst=QRGNode(component.name, "out", qout.label),
-                requirement=requirement,
-                bound=bound,
-                weight=report.psi,
-                bottleneck_resource=report.bottleneck_resource,
-                alpha=alpha,
-                per_resource=dict(report.per_resource),
-            )
-        )
-    return edges
-
-
-def assemble_qrg(
-    service: DistributedService,
-    source_level: QoSLevel,
-    intra_edges: List[IntraEdge],
-    snapshot: AvailabilitySnapshot,
-) -> QoSResourceGraph:
-    """The *structural* half: nodes + equivalence edges + fan-in groups.
-
-    ``intra_edges`` may come from local pricing (:func:`build_qrg`) or
-    from fragments shipped by remote proxies (the distributed approach).
-    Edges from input levels other than the selected source level of the
-    source component are dropped here, so remote pricers need not know
-    which source level the session selected.
-    """
-    source_node = QRGNode(service.graph.source, "in", source_level.label)
-    nodes: Dict[QRGNode, QoSLevel] = {}
-    equiv_edges: List[EquivEdge] = []
-    fanin_groups: List[FanInGroup] = []
-
-    kept_edges = [
-        edge
-        for edge in intra_edges
-        if edge.src.component != service.graph.source or edge.src == source_node
-    ]
-
-    for name in service.graph.topological_order():
-        component = service.component(name)
-        if name == service.graph.source:
-            input_levels: Tuple[QoSLevel, ...] = (source_level,)
-        else:
-            input_levels = component.input_levels
-        for level in input_levels:
-            nodes[QRGNode(name, "in", level.label)] = level
-        for level in component.output_levels:
-            nodes[QRGNode(name, "out", level.label)] = level
-
-        upstream_names = service.graph.upstreams(name)
-        if not upstream_names:
-            continue
-        fan_in = len(upstream_names) > 1
-        for parts, combined in service.upstream_output_combinations(name):
-            matches = service.equivalent_input_levels(name, combined)
-            for match in matches:
-                input_node = QRGNode(name, "in", match.label)
-                part_nodes = tuple(
-                    QRGNode(upstream, "out", level.label) for upstream, level in parts
-                )
-                if fan_in:
-                    fanin_groups.append(FanInGroup(input_node=input_node, parts=part_nodes))
-                    for part_node in part_nodes:
-                        equiv_edges.append(EquivEdge(src=part_node, dst=input_node))
-                else:
-                    equiv_edges.append(EquivEdge(src=part_nodes[0], dst=input_node))
-
-    return QoSResourceGraph(
-        service=service,
-        source_node=source_node,
-        nodes=nodes,
-        intra_edges=kept_edges,
-        equiv_edges=equiv_edges,
-        fanin_groups=fanin_groups,
-        snapshot=snapshot,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Skeleton / pricing split (availability-independent vs per-snapshot).
 #
@@ -396,41 +281,24 @@ def component_edge_templates(
     return templates
 
 
-def build_skeleton(
-    service: DistributedService,
-    binding: Binding,
-    *,
-    source_label: Optional[str] = None,
-) -> QRGSkeleton:
-    """Construct the availability-independent skeleton of a QRG.
+def _walk_structure(
+    service: DistributedService, source_level: QoSLevel
+) -> Tuple[QRGNode, Dict[QRGNode, QoSLevel], List[EquivEdge], List[FanInGroup]]:
+    """Source node, nodes, equivalence edges and fan-in groups of a QRG.
 
-    Mirrors :func:`build_qrg` exactly, minus everything that needs an
-    availability snapshot: nodes, equivalence edges and fan-in groups
-    are complete; intra-component edges are kept as *templates* (with
-    their bound requirement vectors already computed) awaiting the
-    feasibility filter and psi weights of :func:`price_skeleton`.
+    The one walk over the service graph: everything here is a function
+    of (service, source level) alone -- no binding, no snapshot -- so the
+    skeleton (:func:`build_skeleton`) and the stitching of remotely
+    priced fragments (:func:`assemble_qrg`) both take it from here.
     """
-    source_level = resolve_source_level(service, source_label)
-    source_node = QRGNode(service.graph.source, "in", source_level.label)
-
-    templates: List[EdgeTemplate] = []
+    source = service.graph.source
     nodes: Dict[QRGNode, QoSLevel] = {}
     equiv_edges: List[EquivEdge] = []
     fanin_groups: List[FanInGroup] = []
 
     for name in service.graph.topological_order():
         component = service.component(name)
-        allowed = (
-            frozenset({source_level.label}) if name == service.graph.source else None
-        )
-        templates.extend(
-            component_edge_templates(component, binding, allowed_input_labels=allowed)
-        )
-
-        if name == service.graph.source:
-            input_levels: Tuple[QoSLevel, ...] = (source_level,)
-        else:
-            input_levels = component.input_levels
+        input_levels = (source_level,) if name == source else component.input_levels
         for level in input_levels:
             nodes[QRGNode(name, "in", level.label)] = level
         for level in component.output_levels:
@@ -454,6 +322,34 @@ def build_skeleton(
                 else:
                     equiv_edges.append(EquivEdge(src=part_nodes[0], dst=input_node))
 
+    return QRGNode(source, "in", source_level.label), nodes, equiv_edges, fanin_groups
+
+
+def build_skeleton(
+    service: DistributedService,
+    binding: Binding,
+    *,
+    source_label: Optional[str] = None,
+) -> QRGSkeleton:
+    """Construct the availability-independent skeleton of a QRG.
+
+    Nodes, equivalence edges and fan-in groups are complete;
+    intra-component edges are kept as *templates* (with their bound
+    requirement vectors already computed) awaiting the feasibility
+    filter and psi weights of :func:`price_skeleton`.
+    """
+    source_level = resolve_source_level(service, source_label)
+    source_node, nodes, equiv_edges, fanin_groups = _walk_structure(service, source_level)
+
+    templates: List[EdgeTemplate] = []
+    for name in service.graph.topological_order():
+        allowed = frozenset({source_level.label}) if name == source_node.component else None
+        templates.extend(
+            component_edge_templates(
+                service.component(name), binding, allowed_input_labels=allowed
+            )
+        )
+
     return QRGSkeleton(
         service=service,
         source_node=source_node,
@@ -465,63 +361,34 @@ def build_skeleton(
     )
 
 
-#: Mean bound resources per edge template above which the dense numpy
-#: pricing pass beats the scalar loop (empirical crossover; see
-#: :class:`_SkeletonPricingArrays.prefer_vector`).
-_VECTOR_MIN_MEAN_WIDTH = 5.0
+def assemble_qrg(
+    service: DistributedService,
+    source_level: QoSLevel,
+    intra_edges: List[IntraEdge],
+    snapshot: AvailabilitySnapshot,
+) -> QoSResourceGraph:
+    """The *structural* half around already-priced edges.
 
-
-class _SkeletonPricingArrays:
-    """Dense numpy layout of a skeleton's edge templates (lazy, cached).
-
-    ``required``/``bound_mask`` are (edges x resources) with columns in
-    ascending resource-id order -- the order the vectorized bottleneck
-    tie-break relies on.  Built once per skeleton; pricing then reduces
-    to one masked kernel evaluation per snapshot.
+    ``intra_edges`` are fragments shipped by remote proxies (the
+    distributed approach of §3).  Edges from input levels other than
+    the selected source level of the source component are dropped here,
+    so remote pricers need not know which source level the session
+    selected.
     """
-
-    __slots__ = (
-        "resource_ids",
-        "resource_set",
-        "required",
-        "bound_mask",
-        "edge_rids",
-        "flat_rows",
-        "flat_columns",
-        "prefer_vector",
+    source_node, nodes, equiv_edges, fanin_groups = _walk_structure(service, source_level)
+    return QoSResourceGraph(
+        service=service,
+        source_node=source_node,
+        nodes=nodes,
+        intra_edges=[
+            edge
+            for edge in intra_edges
+            if edge.src.component != source_node.component or edge.src == source_node
+        ],
+        equiv_edges=equiv_edges,
+        fanin_groups=fanin_groups,
+        snapshot=snapshot,
     )
-
-    def __init__(self, templates: Tuple[EdgeTemplate, ...]) -> None:
-        ids = sorted({rid for template in templates for rid, _ in template.bound_items})
-        index = {rid: column for column, rid in enumerate(ids)}
-        self.resource_ids: Tuple[str, ...] = tuple(ids)
-        self.resource_set: FrozenSet[str] = frozenset(ids)
-        self.required = _np.zeros((len(templates), len(ids)))
-        self.bound_mask = _np.zeros((len(templates), len(ids)), dtype=bool)
-        #: Per edge: its bound resource ids, in bound order.
-        self.edge_rids: List[Tuple[str, ...]] = []
-        #: Flat (row, column) gather indices over every edge's bound
-        #: items, concatenated in edge order -- one fancy-indexing pull
-        #: recovers all per-resource values without per-element boxing.
-        flat_rows: List[int] = []
-        flat_columns: List[int] = []
-        for row, template in enumerate(templates):
-            self.edge_rids.append(tuple(rid for rid, _ in template.bound_items))
-            for rid, amount in template.bound_items:
-                self.required[row, index[rid]] = amount
-                self.bound_mask[row, index[rid]] = True
-                flat_rows.append(row)
-                flat_columns.append(index[rid])
-        self.flat_rows = _np.array(flat_rows, dtype=_np.intp)
-        self.flat_columns = _np.array(flat_columns, dtype=_np.intp)
-        #: Whether the dense kernel beats the scalar loop for this
-        #: shape.  The per-edge python work (per-resource dict + edge
-        #: object) is identical on both paths, so the kernel only pays
-        #: off once it replaces enough scalar index calls per edge;
-        #: measured crossover is ~5 bound resources per template.
-        self.prefer_vector = bool(templates) and (
-            len(flat_rows) / len(templates) >= _VECTOR_MIN_MEAN_WIDTH
-        )
 
 
 def _new_intra_edge(
@@ -556,55 +423,28 @@ def _new_intra_edge(
     return edge
 
 
-def _ratio_kernel(required: _np.ndarray, available: _np.ndarray) -> _np.ndarray:
-    """Vectorized :func:`ratio_contention_index` (bit-identical)."""
-    return _np.where(available > 0.0, required / available, _np.inf)
-
-
-def _headroom_kernel(required: _np.ndarray, available: _np.ndarray) -> _np.ndarray:
-    """Vectorized :func:`headroom_contention_index` (bit-identical)."""
-    headroom = available - required
-    return _np.where(headroom > 0.0, required / headroom, _np.inf)
-
-
-#: Contention indices with a bit-identical vectorized form.  ``log`` is
-#: absent on purpose: ``numpy.log1p`` and ``math.log1p`` disagree in the
-#: last ulp on some inputs, and pricing must stay byte-identical to the
-#: scalar path.  Unknown (caller-supplied) indices also fall back.
-_VECTOR_KERNELS = {
-    ratio_contention_index: _ratio_kernel,
-    headroom_contention_index: _headroom_kernel,
-}
-
-
-def _pricing_arrays(skeleton: "QRGSkeleton") -> _SkeletonPricingArrays:
-    """The skeleton's cached dense layout (built on first use)."""
-    arrays = getattr(skeleton, "_pricing_arrays", None)
-    if arrays is None:
-        arrays = _SkeletonPricingArrays(skeleton.edge_templates)
-        object.__setattr__(skeleton, "_pricing_arrays", arrays)
-    return arrays
-
-
-def _price_edges_scalar(
-    skeleton: "QRGSkeleton",
+def _price_templates(
+    templates: Iterable[EdgeTemplate],
     snapshot: AvailabilitySnapshot,
-    availability: Mapping[str, float],
-    contention_index: ContentionIndex,
+    contention_index: Optional[ContentionIndex],
 ) -> List[IntraEdge]:
-    """Reference pricing loop: feasibility filter + psi weights.
+    """The one pricing rule (paper eq. 2-3): feasibility filter + psi.
 
-    The vectorized path must match this edge-for-edge, bit-for-bit; it
-    remains the executable spec (and the path for contention indices
-    without a registered kernel, and for snapshots missing resources --
-    the error message must name the first missing resource in template
-    order).
+    A template becomes an edge iff every bound requirement fits the
+    snapshot; its weight is the largest per-resource index, ties going
+    to the larger resource id, and ``alpha`` is that bottleneck's.  A
+    snapshot lacking a bound resource raises, naming the first missing
+    one in template order.  ``None`` means the ratio index.
+
+    This is ``bound.satisfiable_under`` + ``bound.contention`` inlined
+    (property-tested against them): the loop runs per session, and the
+    Mapping-protocol round trips are measurable at that frequency.
     """
+    if contention_index is None:
+        contention_index = ratio_contention_index
+    availability = snapshot.availability()
     intra_edges: List[IntraEdge] = []
-    # Inlined equivalent of bound.satisfiable_under + bound.contention
-    # (this loop runs per session; the Mapping-protocol round trips are
-    # measurable at that frequency).
-    for template in skeleton.edge_templates:
+    for template in templates:
         feasible = True
         for resource_id, required in template.bound_items:
             available = availability.get(resource_id)
@@ -641,111 +481,44 @@ def _price_edges_scalar(
     return intra_edges
 
 
-def _price_edges_vectorized(
-    skeleton: "QRGSkeleton",
-    arrays: _SkeletonPricingArrays,
+def price_component_edges(
+    component,
+    binding: Binding,
     snapshot: AvailabilitySnapshot,
-    availability: Mapping[str, float],
-    kernel,
+    *,
+    allowed_input_labels: Optional[frozenset] = None,
+    contention_index: Optional[ContentionIndex] = ratio_contention_index,
 ) -> List[IntraEdge]:
-    """One masked kernel evaluation prices every candidate edge at once.
+    """Feasible, priced (Q_in -> Q_out) edges of ONE component.
 
-    Division only involves the same (required, available) float pairs as
-    the scalar index functions, so the values are bit-identical; psi and
-    the bottleneck are pure selections over them.
+    This is the *local* half of QRG construction: it needs only the
+    component's own definition, its slot binding, and the availability of
+    the resources it touches -- which is why, in the distributed model
+    store of §3, each host's QoSProxy can compute its own component's
+    fragment and ship it to the main proxy.
     """
-    available = _np.array(
-        [availability[rid] for rid in arrays.resource_ids], dtype=float
+    templates = component_edge_templates(
+        component, binding, allowed_input_labels=allowed_input_labels
     )
-    with _np.errstate(divide="ignore", invalid="ignore"):
-        values = kernel(arrays.required, available)
-    values = _np.where(arrays.bound_mask, values, -_np.inf)
-    infeasible = ((arrays.required > available) & arrays.bound_mask).any(axis=1)
-    # The scalar tie-break takes the max (value, resource_id) tuple;
-    # columns are in ascending resource-id order, so among equal values
-    # the largest column must win.  argmax returns the *first* max, so
-    # scan each row reversed.
-    last_column = values.shape[1] - 1
-    best_column = last_column - _np.argmax(values[:, ::-1], axis=1)
-    psi = values[_np.arange(values.shape[0]), best_column]
-
-    # Bulk-convert to python scalars (one C pass each); per-element
-    # ndarray indexing in the edge loop would dominate the runtime.
-    flat_values = values[arrays.flat_rows, arrays.flat_columns].tolist()
-    infeasible_list = infeasible.tolist()
-    best_column_list = best_column.tolist()
-    psi_list = psi.tolist()
-
-    # One alpha lookup per *resource*, not per edge.
-    alphas = [snapshot[rid].alpha for rid in arrays.resource_ids]
-
-    intra_edges: List[IntraEdge] = []
-    position = 0
-    for row, template in enumerate(skeleton.edge_templates):
-        rids = arrays.edge_rids[row]
-        next_position = position + len(rids)
-        if infeasible_list[row]:
-            position = next_position
-            continue
-        per_resource = dict(zip(rids, flat_values[position:next_position]))
-        position = next_position
-        best = best_column_list[row]
-        intra_edges.append(
-            _new_intra_edge(
-                template.src,
-                template.dst,
-                template.requirement,
-                template.bound,
-                psi_list[row],
-                arrays.resource_ids[best],
-                alphas[best],
-                per_resource,
-            )
-        )
-    return intra_edges
+    return _price_templates(templates, snapshot, contention_index)
 
 
 def price_skeleton(
     skeleton: QRGSkeleton,
     snapshot: AvailabilitySnapshot,
     *,
-    contention_index: ContentionIndex = ratio_contention_index,
-    vectorize: Optional[bool] = None,
+    contention_index: Optional[ContentionIndex] = ratio_contention_index,
 ) -> QoSResourceGraph:
     """The cheap per-snapshot pass: feasibility filter + psi weights.
 
     Produces a graph equal (same nodes, edges, weights) to calling
-    :func:`build_qrg` from scratch against the same snapshot.  Indices
-    with a registered vectorized kernel (``ratio``, ``headroom``) can
-    price every candidate edge in one numpy pass over the skeleton's
-    cached dense layout; by default (``vectorize=None``) the pass is
-    used when the skeleton's shape makes it profitable (wide templates
-    -- see ``_VECTOR_MIN_MEAN_WIDTH``).  Other indices, snapshots
-    missing a required resource, and ``vectorize=False`` take the
-    scalar reference loop.  Both paths produce bit-identical graphs (a
-    property-tested invariant).
+    :func:`build_qrg` from scratch against the same snapshot.
     """
-    availability = snapshot.availability()
-    kernel = _VECTOR_KERNELS.get(contention_index)
-    use_vector = False
-    if kernel is not None and skeleton.edge_templates and vectorize is not False:
-        arrays = _pricing_arrays(skeleton)
-        use_vector = (
-            arrays.prefer_vector if vectorize is None else True
-        ) and arrays.resource_set.issubset(availability.keys())
-    if use_vector:
-        intra_edges = _price_edges_vectorized(
-            skeleton, arrays, snapshot, availability, kernel
-        )
-    else:
-        intra_edges = _price_edges_scalar(
-            skeleton, snapshot, availability, contention_index
-        )
     return QoSResourceGraph(
         service=skeleton.service,
         source_node=skeleton.source_node,
         nodes=dict(skeleton.nodes),
-        intra_edges=intra_edges,
+        intra_edges=_price_templates(skeleton.edge_templates, snapshot, contention_index),
         equiv_edges=list(skeleton.equiv_edges),
         fanin_groups=list(skeleton.fanin_groups),
         snapshot=snapshot,
@@ -754,6 +527,19 @@ def price_skeleton(
 
 #: Cache key: (service name, source label, extra discriminators, binding items).
 SkeletonKey = Tuple
+
+#: Most entries a per-session-key memo may hold.  ``demand_scale`` is
+#: part of the key and arrives off the wire as any positive float, so an
+#: unbounded memo grows for the life of a daemon; the §5.1 working set is
+#: at most 96 keys, an order of magnitude below this.
+MEMO_MAX_ENTRIES = 1024
+
+
+def memoise_bounded(memo: Dict, key, value) -> None:
+    """Insert on a miss, first evicting the oldest-inserted entry if full."""
+    if len(memo) >= MEMO_MAX_ENTRIES:
+        del memo[next(iter(memo))]
+    memo[key] = value
 
 
 class QRGSkeletonCache:
@@ -764,7 +550,9 @@ class QRGSkeletonCache:
     identity-based caching would never hit.  The cache trusts the caller
     to keep one service name pointing at one definition; anything that
     swaps a definition under a live cache must call :meth:`invalidate`
-    (the explicit invalidation hook).
+    (the explicit invalidation hook).  Holds at most
+    :data:`MEMO_MAX_ENTRIES` skeletons; a miss on a full cache evicts the
+    oldest-inserted one (an evicted key simply rebuilds).
 
     ``hits`` / ``misses`` are plain counters for benchmarks; with a
     metrics registry installed the cache also increments the
@@ -803,7 +591,7 @@ class QRGSkeletonCache:
             if registry is not None:
                 registry.counter("qrg.skeleton_cache", outcome="miss").inc()
             skeleton = build_skeleton(service, binding, source_label=source_label)
-            self._skeletons[key] = skeleton
+            memoise_bounded(self._skeletons, key, skeleton)
         else:
             self.hits += 1
             if registry is not None:

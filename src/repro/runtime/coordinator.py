@@ -30,7 +30,7 @@ from repro.core.component import Binding
 from repro.core.errors import AdmissionError, BrokerError, PlanningError
 from repro.core.plan import ReservationPlan
 from repro.core.planner import BatchPlanMemo
-from repro.core.qrg import QRGSkeletonCache, price_skeleton
+from repro.core.qrg import QRGSkeletonCache, memoise_bounded, price_skeleton
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.core.translation import ScaledTranslation
 from repro.obs import context as _context
@@ -453,9 +453,6 @@ class ReservationCoordinator:
         ``reports`` are phase 1's replies; central pricing needs only
         the snapshot merged from them.
         """
-        kwargs = (
-            {} if contention_index is None else {"contention_index": contention_index}
-        )
         with _trace.span("qrg_build", service=service.name) as qrg_span:
             skeleton = self.qrg_skeletons.skeleton_for(
                 service,
@@ -463,7 +460,7 @@ class ReservationCoordinator:
                 source_label=source_label,
                 extra=(demand_scale,),
             )
-            qrg = price_skeleton(skeleton, snapshot, **kwargs)
+            qrg = price_skeleton(skeleton, snapshot, contention_index=contention_index)
             qrg_span.set(nodes=qrg.count_nodes(), edges=qrg.count_edges())
         return qrg
 
@@ -995,6 +992,8 @@ class ReservationCoordinator:
         Scaled variants are memoised per (name, factor): the evaluation
         uses a handful of discrete multipliers (§5.1's N in {2, 10}), so
         rebuilding the scaled component list per session is pure waste.
+        The memo is bounded like the skeleton cache, because the wire
+        accepts any positive factor.
         """
         if demand_scale == 1.0:
             return self.model_store.service(service_name)
@@ -1002,7 +1001,7 @@ class ReservationCoordinator:
         service = self._scaled_services.get(key)
         if service is None:
             service = _scaled_service(self.model_store.service(service_name), demand_scale)
-            self._scaled_services[key] = service
+            memoise_bounded(self._scaled_services, key, service)
         return service
 
     def invalidate_qrg_cache(self, service_name: Optional[str] = None) -> int:

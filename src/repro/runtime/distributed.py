@@ -119,8 +119,9 @@ class ComponentHost(QoSProxy):
         for resource_id in resource_ids:
             self.own(resource_id)
         snapshot = self.registry.snapshot(resource_ids, observed_at=observed_at)
-        kwargs = {} if contention_index is None else {"contention_index": contention_index}
-        edges = price_component_edges(component, binding, snapshot, **kwargs)
+        edges = price_component_edges(
+            component, binding, snapshot, contention_index=contention_index
+        )
         return ComponentFragment(
             session_id=request.session_id,
             component=component.name,

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.core.errors import PlanningError
 from repro.core.planner import BasicPlanner
 from repro.core.qrg import (
+    MEMO_MAX_ENTRIES,
     QRGSkeletonCache,
     build_qrg,
     build_skeleton,
@@ -28,6 +29,9 @@ from repro.core.resources import (
     ratio_contention_index,
 )
 from repro.core.synthetic import random_availability, synthetic_chain, synthetic_diamond_dag
+from repro.service.daemon import DaemonConfig, ReservationService
+
+from tests.test_service_daemon import VALID_PAIRS
 
 
 def qrg_fingerprint(qrg):
@@ -201,80 +205,147 @@ class TestCacheBookkeeping:
         assert qrg_fingerprint(qrg) == qrg_fingerprint(build_qrg(service, binding, snapshot))
 
 
-class TestVectorizedPricingIdentity:
-    """Forced numpy pricing == the scalar reference loop, bit for bit.
+class TestPricingOracle:
+    """The inlined pricing loop == ``ResourceVector``'s statement of eq. 2-3.
 
-    The scalar loop is the executable spec; the vectorized pass is a
-    pure optimisation and must never change a weight, a bottleneck
-    choice, or the set of surviving edges.
+    ``satisfiable_under`` and ``contention`` are the model's public,
+    readable form of the rule; the per-session loop must never disagree
+    with them on a weight, a bottleneck choice, or which edges survive.
     """
 
     INDICES = {
         "ratio": ratio_contention_index,
         "headroom": headroom_contention_index,
         "log": log_contention_index,
+        "caller-supplied": lambda required, available: (required / available) ** 2,
     }
 
-    @settings(max_examples=30, deadline=None)
+    @staticmethod
+    def assert_priced_like_the_oracle(skeleton, snapshot, index):
+        """Returns how many templates the feasibility filter dropped."""
+        availability = snapshot.availability()
+        qrg = price_skeleton(skeleton, snapshot, contention_index=index)
+        priced = {(edge.src, edge.dst): edge for edge in qrg.intra_edges}
+        assert len(priced) == len(qrg.intra_edges)
+        dropped = 0
+        for template in skeleton.edge_templates:
+            edge = priced.pop((template.src, template.dst), None)
+            if edge is None:
+                assert not template.bound.satisfiable_under(availability)
+                dropped += 1
+                continue
+            assert edge.bound.satisfiable_under(availability)
+            report = edge.bound.contention(availability, index)
+            assert edge.weight == report.psi
+            assert edge.bottleneck_resource == report.bottleneck_resource
+            assert edge.per_resource == report.per_resource
+            assert edge.alpha == snapshot[report.bottleneck_resource].alpha
+        assert not priced
+        return dropped
+
+    @settings(max_examples=40, deadline=None)
     @given(chain_with_snapshots(), st.sampled_from(sorted(INDICES)))
-    def test_vector_matches_scalar_for_every_index(self, case, index_name):
-        service, binding, snapshots = case
-        skeleton = build_skeleton(service, binding)
-        index = self.INDICES[index_name]
-        for snapshot in snapshots:
-            scalar = price_skeleton(
-                skeleton, snapshot, contention_index=index, vectorize=False
-            )
-            vector = price_skeleton(
-                skeleton, snapshot, contention_index=index, vectorize=True
-            )
-            assert qrg_fingerprint(vector) == qrg_fingerprint(scalar)
-
-    @settings(max_examples=20, deadline=None)
-    @given(chain_with_snapshots())
-    def test_adaptive_dispatch_matches_forced_paths(self, case):
+    def test_every_edge_equals_the_vector_oracle(self, case, index_name):
         service, binding, snapshots = case
         skeleton = build_skeleton(service, binding)
         for snapshot in snapshots:
-            default = price_skeleton(skeleton, snapshot)
-            forced_scalar = price_skeleton(skeleton, snapshot, vectorize=False)
-            assert qrg_fingerprint(default) == qrg_fingerprint(forced_scalar)
+            self.assert_priced_like_the_oracle(
+                skeleton, snapshot, self.INDICES[index_name]
+            )
 
-    def test_log_index_has_no_registered_kernel(self):
-        # np.log1p and math.log1p differ in the last ulp on some
-        # platforms, so the log index must stay on the scalar loop even
-        # when vectorize=True is requested (the dispatch falls back).
-        from repro.core.qrg import _VECTOR_KERNELS
-
-        assert log_contention_index not in _VECTOR_KERNELS
-        assert ratio_contention_index in _VECTOR_KERNELS
-        assert headroom_contention_index in _VECTOR_KERNELS
-
-    def test_missing_resource_error_identical_under_vectorize(self):
-        service, binding, snapshot = synthetic_chain(3, 2)
-        skeleton = build_skeleton(service, binding)
-        resource_ids = sorted(binding.resource_ids())
-        partial = AvailabilitySnapshot.from_amounts(
-            {
-                rid: snapshot[rid].available
-                for rid in resource_ids[:-1]
-            }
-        )
-        with pytest.raises(PlanningError) as scalar_err:
-            price_skeleton(skeleton, partial, vectorize=False)
-        with pytest.raises(PlanningError) as vector_err:
-            price_skeleton(skeleton, partial, vectorize=True)
-        assert str(vector_err.value) == str(scalar_err.value)
-        assert resource_ids[-1] in str(vector_err.value)
-
-    def test_infeasible_edges_filtered_identically(self):
+    def test_starved_snapshot_drops_only_unsatisfiable_edges(self):
         service, binding, snapshot = synthetic_chain(3, 3)
         rng = np.random.default_rng(3)
-        # Starve the snapshot so a nontrivial subset of edges fails the
-        # feasibility filter on both paths.
         starved = random_availability(snapshot, rng, low=0.01, high=2.0)
         skeleton = build_skeleton(service, binding)
-        scalar = price_skeleton(skeleton, starved, vectorize=False)
-        vector = price_skeleton(skeleton, starved, vectorize=True)
-        assert len(scalar.intra_edges) < len(skeleton.edge_templates)
-        assert qrg_fingerprint(vector) == qrg_fingerprint(scalar)
+        dropped = self.assert_priced_like_the_oracle(
+            skeleton, starved, ratio_contention_index
+        )
+        assert 0 < dropped
+
+    def test_missing_resource_error_names_first_in_template_order(self):
+        service, binding, snapshot = synthetic_chain(3, 2)
+        skeleton = build_skeleton(service, binding)
+        # Two resources absent: the message must name the one the
+        # template walk meets first, and the component that needs it.
+        absent = sorted(binding.resource_ids())[-3::2]
+        partial = AvailabilitySnapshot.from_amounts(
+            {
+                rid: obs.available
+                for rid, obs in snapshot.items()
+                if rid not in absent
+            }
+        )
+        component, first = next(
+            (template.src.component, rid)
+            for template in skeleton.edge_templates
+            for rid, _required in template.bound_items
+            if rid in absent
+        )
+        with pytest.raises(PlanningError) as err:
+            price_skeleton(skeleton, partial)
+        assert str(err.value) == (
+            f"snapshot lacks resource {first!r} needed by component {component!r}"
+        )
+
+
+class TestCacheBound:
+    """``demand_scale`` is wire input and part of the cache key."""
+
+    def test_evicted_key_rebuilds_an_identical_skeleton(self):
+        service, binding, snapshot = synthetic_chain(2, 2)
+        cache = QRGSkeletonCache()
+        original = cache.skeleton_for(service, binding, extra=(0,))
+        for discriminator in range(1, MEMO_MAX_ENTRIES + 1):
+            cache.skeleton_for(service, binding, extra=(discriminator,))
+        assert len(cache) == MEMO_MAX_ENTRIES
+        # The newest entries are hits; the oldest-inserted one was evicted.
+        misses = cache.misses
+        cache.skeleton_for(service, binding, extra=(MEMO_MAX_ENTRIES,))
+        assert cache.misses == misses
+        rebuilt = cache.skeleton_for(service, binding, extra=(0,))
+        assert cache.misses == misses + 1
+        assert rebuilt is not original
+        assert qrg_fingerprint(price_skeleton(rebuilt, snapshot)) == qrg_fingerprint(
+            price_skeleton(original, snapshot)
+        )
+        assert cache.invalidate() == MEMO_MAX_ENTRIES
+
+    def test_wire_supplied_scales_cannot_grow_the_caches(self):
+        service = ReservationService(DaemonConfig(port=0, seed=11))
+        service.start()
+        try:
+            coordinator = service.coordinator
+
+            def decide(pair, scale):
+                # A daemon's DES clock stands still; advance it so the
+                # brokers' trend windows prune and 5,000 calls stay quick.
+                service.env.run(until=service.env.now + 1.0)
+                outcome = service.establish(
+                    {"service": pair[0], "domain": pair[1], "demand_scale": scale}
+                )
+                if outcome["success"]:
+                    service.teardown({"session_id": outcome["session_id"]})
+                return outcome["success"], outcome["level"], outcome["psi"]
+
+            def paper_decisions():
+                return [
+                    decide(pair, scale)
+                    for pair in VALID_PAIRS
+                    for scale in (1.0, 2.0, 10.0)
+                ]
+
+            before = paper_decisions()
+            first_flood = decide(VALID_PAIRS[0], 1.0 + 1e-6)
+            for i in range(2, 5001):
+                decide(VALID_PAIRS[0], 1.0 + i * 1e-6)
+            assert len(coordinator.qrg_skeletons) <= MEMO_MAX_ENTRIES
+            assert len(coordinator._scaled_services) <= MEMO_MAX_ENTRIES
+            assert not service.sessions
+
+            misses = coordinator.qrg_skeletons.misses
+            assert decide(VALID_PAIRS[0], 1.0 + 1e-6) == first_flood
+            assert coordinator.qrg_skeletons.misses == misses + 1
+            assert paper_decisions() == before
+        finally:
+            service.close()

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import build_qrg
 from repro.core.qrg import QRGNode, assemble_qrg, price_component_edges, resolve_source_level
+from repro.core.resources import AvailabilitySnapshot
 from repro.core.synthetic import synthetic_diamond_dag
+from repro.runtime import ComponentHost, FragmentRequest
+from repro.runtime.coordinator import _scaled_service
+
+from tests.test_qrg_cache import chain_with_snapshots, qrg_fingerprint
 
 
 @pytest.fixture
@@ -42,29 +49,52 @@ class TestFanInGroups:
             assert downstream_components == {"br0", "br1"}
 
 
+class _SnapshotRegistry:
+    """What ``ComponentHost.price_fragment`` asks of a broker registry."""
+
+    def __init__(self, snapshot):
+        self._snapshot = snapshot
+
+    def __contains__(self, resource_id):
+        return resource_id in self._snapshot
+
+    def snapshot(self, resource_ids, *, observed_at=None):
+        return AvailabilitySnapshot({rid: self._snapshot[rid] for rid in resource_ids})
+
+
 class TestSplitConstruction:
-    def test_price_plus_assemble_equals_build(self, diamond):
+    @settings(
+        max_examples=25,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(case=chain_with_snapshots(), demand_scale=st.sampled_from([2.0, 10.0]))
+    def test_price_plus_assemble_equals_build(self, diamond, case, demand_scale):
         """The distributed-pricing split must reproduce build_qrg exactly."""
-        service, binding, snapshot = diamond
-        whole = build_qrg(service, binding, snapshot)
+        chain, chain_binding, snapshots = case
+        inputs = [diamond] + [(chain, chain_binding, snapshot) for snapshot in snapshots]
+        for service, binding, snapshot in inputs:
+            source_level = resolve_source_level(service)
+            fragments = []
+            for component in service.components:
+                fragments.extend(price_component_edges(component, binding, snapshot))
+            stitched = assemble_qrg(service, source_level, fragments, snapshot)
+            assert qrg_fingerprint(stitched) == qrg_fingerprint(
+                build_qrg(service, binding, snapshot)
+            )
 
-        source_level = resolve_source_level(service)
-        fragments = []
-        for component in service.components:
-            fragments.extend(price_component_edges(component, binding, snapshot))
-        stitched = assemble_qrg(service, source_level, fragments, snapshot)
-
-        def edge_set(qrg):
-            return {
-                (e.src, e.dst, round(e.weight, 12), e.bottleneck_resource)
-                for e in qrg.intra_edges
-            }
-
-        assert edge_set(whole) == edge_set(stitched)
-        assert set(whole.nodes) == set(stitched.nodes)
-        assert {(e.src, e.dst) for e in whole.equiv_edges} == {
-            (e.src, e.dst) for e in stitched.equiv_edges
-        }
+            # The same split as §3 deploys it: a host prices a "fat"
+            # session's fragments from its own stored components.
+            host = ComponentHost("H", _SnapshotRegistry(snapshot))
+            shipped = []
+            for component in service.components:
+                host.store_component(component)
+                request = FragmentRequest("s", component.name, demand_scale)
+                shipped.extend(host.price_fragment(request, binding).edges)
+            stitched = assemble_qrg(service, source_level, shipped, snapshot)
+            assert qrg_fingerprint(stitched) == qrg_fingerprint(
+                build_qrg(_scaled_service(service, demand_scale), binding, snapshot)
+            )
 
     def test_assemble_drops_foreign_source_inputs(self, small_service, small_binding, ample_snapshot):
         """Edges priced for unselected source levels are filtered out."""
