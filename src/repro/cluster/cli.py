@@ -18,12 +18,11 @@ from __future__ import annotations
 
 import argparse
 import asyncio
-import signal
 import sys
 from typing import List, Optional, Tuple
 
 from repro.cluster.router import ClusterConfig, ClusterDaemon
-from repro.sim.experiment import ALGORITHMS, CONTENTION_INDICES
+from repro.service.cli import add_grid_arguments, grid_options, serve_until_signalled
 
 __all__ = ["build_config", "main"]
 
@@ -54,16 +53,7 @@ def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
                         type=_shard_address, metavar="HOST:PORT",
                         help="one shard daemon address; repeat per shard, "
                              "in shard-index order")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="grid seed -- must match every shard daemon")
-    parser.add_argument("--algorithm", default="basic",
-                        choices=sorted(ALGORITHMS))
-    parser.add_argument("--contention-index", default="ratio",
-                        choices=sorted(CONTENTION_INDICES))
-    parser.add_argument("--capacity-min", type=float, default=1000.0)
-    parser.add_argument("--capacity-max", type=float, default=4000.0)
-    parser.add_argument("--no-tie-break", action="store_true",
-                        help="disable the §4.3 load tie-break")
+    add_grid_arguments(parser, "grid seed -- must match every shard daemon")
     args = parser.parse_args(argv)
     if not args.shards:
         parser.error("at least one --shard host:port is required")
@@ -71,11 +61,7 @@ def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
         shards=tuple(args.shards),
         host=args.host,
         port=args.port,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        capacity_range=(args.capacity_min, args.capacity_max),
-        contention_index=args.contention_index,
-        tie_break=not args.no_tie_break,
+        **grid_options(args),
     )
 
 
@@ -85,24 +71,12 @@ async def _serve(config: ClusterConfig) -> None:
     problems = await daemon.coordinator.check()
     for problem in problems:
         print(f"repro-cluster: warning: {problem}", file=sys.stderr, flush=True)
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            signal.signal(signum, lambda *_: stop.set())
-    print(
-        f"repro-cluster: listening on {config.host}:{daemon.port} "
-        f"(shards={len(config.shards)}, seed={config.seed}, "
-        f"algorithm={config.algorithm})",
-        flush=True,
+    await serve_until_signalled(
+        daemon,
+        "repro-cluster",
+        f"shards={len(config.shards)}, seed={config.seed}, "
+        f"algorithm={config.algorithm}",
     )
-    try:
-        await stop.wait()
-    finally:
-        print("repro-cluster: shutting down", flush=True)
-        await daemon.shutdown()
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -23,11 +23,12 @@ With a single shard the router forwards requests verbatim, so its
 responses are byte-identical to the daemon's (and therefore to the
 in-process coordinator) -- the property the acceptance test pins.
 
-:class:`ClusterDaemon` serves the router over the same wire protocol as
-a single daemon, so the load generator and :class:`ServiceClient` work
-unchanged against a cluster.  :class:`LocalShardClient` swaps the HTTP
-hop for direct in-process calls (with per-shard event logs and
-drain/crash switches) -- the harness the property tests race.
+:class:`ClusterDaemon` serves the router inside the same
+:class:`~repro.service.server.ServingShell` as a single daemon, so the
+load generator and :class:`ServiceClient` work unchanged against a
+cluster.  :class:`LocalShardClient` swaps the HTTP hop for a direct call
+into the shard's route table (with per-shard event logs and drain/crash
+switches) -- the harness the property tests race.
 """
 
 from __future__ import annotations
@@ -36,19 +37,20 @@ import asyncio
 import itertools
 import json
 import time as _time
-from contextlib import contextmanager
-from dataclasses import dataclass
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
+from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ModelError, ReproError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
-from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import trace as _trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import registry_exposition
+from repro.runtime.coordinator import EstablishmentResult
 from repro.service import http as _http
 from repro.service.client import (
     ServiceClient,
@@ -61,7 +63,9 @@ from repro.service.daemon import (
     ServiceError,
     _establishment_to_dict,
     decode_arrival,
+    refusal,
 )
+from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
 from repro.sim.experiment import CONTENTION_INDICES, make_planner
 from repro.sim.workload import SessionArrival
@@ -77,7 +81,48 @@ __all__ = [
 ]
 
 
-class HttpShardClient:
+def _json_body(document: object) -> bytes:
+    return json.dumps(document, sort_keys=True).encode("utf-8")
+
+
+class _ShardClient:
+    """The calls the router makes on one shard, over :meth:`forward_raw`."""
+
+    index: int
+    label: str
+
+    async def forward_raw(
+        self, method: str, target: str, payload: Optional[dict]
+    ) -> ServiceResponse:
+        """One verbatim exchange (the single-shard byte-identity path)."""
+        raise NotImplementedError
+
+    async def _call(self, method: str, target: str, payload: Optional[dict] = None):
+        return (await self.forward_raw(method, target, payload)).checked()
+
+    async def availability(self) -> dict:
+        return await self._call("GET", "/v1/availability")
+
+    async def reserve(self, payload: dict) -> dict:
+        return await self._call("POST", "/v1/reserve", payload)
+
+    async def commit(self, payload: dict) -> dict:
+        return await self._call("POST", "/v1/commit", payload)
+
+    async def abort(self, payload: dict) -> dict:
+        return await self._call("POST", "/v1/abort", payload)
+
+    async def teardown(self, payload: dict) -> dict:
+        return await self._call("POST", "/v1/teardown", payload)
+
+    async def query(self) -> dict:
+        return await self._call("GET", "/v1/query")
+
+    async def aclose(self) -> None:
+        """Release pooled connections (none by default)."""
+
+
+class HttpShardClient(_ShardClient):
     """One shard daemon reached over HTTP (keep-alive pooled)."""
 
     def __init__(self, index: int, host: str, port: int) -> None:
@@ -85,47 +130,27 @@ class HttpShardClient:
         self.label = f"{host}:{port}"
         self._client = ServiceClient(host, port)
 
-    async def availability(self) -> dict:
-        return await self._client.availability()
-
-    async def reserve(self, payload: dict) -> dict:
-        return await self._client.reserve(
-            payload["session_id"], payload["demands"]
-        )
-
-    async def commit(self, payload: dict) -> dict:
-        return await self._client.commit(
-            payload["lease_id"], payload.get("session")
-        )
-
-    async def abort(self, payload: dict) -> dict:
-        return await self._client.abort(payload["lease_id"])
-
-    async def teardown(self, payload: dict) -> dict:
-        return await self._client.teardown(payload["session_id"])
-
-    async def query(self) -> dict:
-        return await self._client.query()
-
     async def forward_raw(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
-        """Verbatim pass-through (single-shard byte-identity path)."""
         return await self._client.request(method, target, payload)
 
     async def aclose(self) -> None:
         await self._client.aclose()
 
 
-class LocalShardClient:
+class LocalShardClient(_ShardClient):
     """In-process stand-in for a shard daemon (tests, benchmarks).
 
-    Wraps a bare (not :meth:`~ReservationService.start`-ed) service;
-    every call runs under ``event_logging(self.log)`` so each shard
-    keeps its own causal event log exactly as separate processes would.
-    ``draining``/``crashed`` flags (and :attr:`crash_on_next_reserve`,
-    the lost-ack case: capacity held, acknowledgement never arrives)
-    simulate the failures the router must absorb.
+    Wraps a bare (not :meth:`~ReservationService.start`-ed) service and
+    answers every call from the service's own route table
+    (:meth:`~ReservationService.handle`) -- the daemon's routes minus
+    the socket.  Every call runs under ``event_logging(self.log)`` so
+    each shard keeps its own causal event log exactly as separate
+    processes would.  ``draining`` is the daemon's drain flag;
+    ``crashed`` (and :attr:`crash_on_next_reserve`, the lost-ack case:
+    capacity held, acknowledgement never arrives) simulate the failures
+    the router must absorb.
     """
 
     def __init__(
@@ -144,116 +169,38 @@ class LocalShardClient:
         self.crashed = False
         self.crash_on_next_reserve = False
 
-    @contextmanager
     def _logged(self):
-        if self.log is not None:
-            with _events.event_logging(self.log):
-                yield
-        else:
-            yield
+        if self.log is None:
+            return nullcontext()
+        return _events.event_logging(self.log)
 
-    def _check(self, *, admission: bool) -> None:
+    def _check_alive(self) -> None:
         if self.crashed:
             raise ConnectionError(f"shard {self.label} is down")
-        if admission and self.draining:
-            raise ServiceDrainingError(
-                503, {"error": "daemon is shutting down", "draining": True}
-            )
-
-    async def _call(self, thunk, *, admission: bool = False):
-        self._check(admission=admission)
-        await asyncio.sleep(0)  # the network hop: an interleave point
-        self._check(admission=admission)
-        with self._logged():
-            try:
-                return thunk()
-            except ServiceError as exc:
-                raise ServiceClientError(exc.status, {"error": str(exc)}) from exc
-            except (ModelError, ReproError) as exc:
-                raise ServiceClientError(400, {"error": str(exc)}) from exc
-
-    async def availability(self) -> dict:
-        return await self._call(self.service.availability)
-
-    async def reserve(self, payload: dict) -> dict:
-        if self.crash_on_next_reserve:
-            # Lost ack: the shard grants the capacity, then dies before
-            # answering.  Only its TTL reaper can free the lease now.
-            self._check(admission=True)
-            with self._logged():
-                self.service.reserve(payload)
-            self.crash_on_next_reserve = False
-            self.crashed = True
-            raise ConnectionError(f"shard {self.label} crashed mid-reserve")
-        return await self._call(
-            lambda: self.service.reserve(payload), admission=True
-        )
-
-    async def commit(self, payload: dict) -> dict:
-        # Commit/abort finish an already-held round: drain-exempt,
-        # mirroring the daemon's routing.
-        return await self._call(lambda: self.service.commit(payload))
-
-    async def abort(self, payload: dict) -> dict:
-        return await self._call(lambda: self.service.abort(payload))
-
-    async def teardown(self, payload: dict) -> dict:
-        # Drain-exempt like commit/abort: a draining shard still
-        # releases capacity, else the round's holds would strand.
-        return await self._call(lambda: self.service.teardown(payload))
-
-    async def query(self) -> dict:
-        return await self._call(lambda: self.service.query())
-
-    async def reap(self, now: Optional[float] = None) -> int:
-        """Run the shard's lease reaper (the daemon does this on a timer)."""
-        if self.log is not None:
-            with _events.event_logging(self.log):
-                return self.service.reap_expired_leases(now)
-        return self.service.reap_expired_leases(now)
 
     async def forward_raw(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
-        path, _, query_text = target.partition("?")
-        def run() -> Tuple[int, object]:
-            try:
-                if (method, path) == ("GET", "/v1/query"):
-                    session_id = None
-                    for pair in query_text.split("&"):
-                        name, _, value = pair.partition("=")
-                        if name == "session_id":
-                            session_id = value
-                    return 200, self.service.query(session_id)
-                handlers = {
-                    "/v1/establish": self.service.establish,
-                    "/v1/establish_batch": self.service.establish_batch,
-                    "/v1/renegotiate": self.service.renegotiate,
-                    "/v1/teardown": self.service.teardown,
-                }
-                handler = handlers.get(path)
-                if handler is None or method != "POST":
-                    return 404, {"error": f"unknown path {path!r}"}
-                return 200, handler(payload)
-            except ServiceError as exc:
-                return exc.status, {"error": str(exc)}
-            except (ModelError, ReproError) as exc:
-                return 400, {"error": str(exc)}
-
-        self._check(admission=method == "POST")
-        await asyncio.sleep(0)
-        self._check(admission=method == "POST")
+        self._check_alive()
+        await asyncio.sleep(0)  # the network hop: an interleave point
+        self._check_alive()
+        path, query = _http.split_target(target)
         with self._logged():
-            status, document = run()
-        body = json.dumps(document, sort_keys=True).encode("utf-8")
-        return ServiceResponse(status=status, headers={}, body=body)
+            status, document = self.service.handle(
+                method, path, query, payload, draining=self.draining
+            )
+        if self.crash_on_next_reserve and path == "/v1/reserve" and status == 200:
+            # Lost ack: the shard grants the capacity, then dies before
+            # answering.  Only its TTL reaper can free the lease now.
+            self.crash_on_next_reserve = False
+            self.crashed = True
+            raise ConnectionError(f"shard {self.label} crashed mid-reserve")
+        return ServiceResponse(status=status, headers={}, body=_json_body(document))
 
-    async def aclose(self) -> None:
-        return None
-
-
-def _json_body(document: object) -> bytes:
-    return json.dumps(document, sort_keys=True).encode("utf-8")
+    async def reap(self, now: Optional[float] = None) -> int:
+        """Run the shard's lease reaper (the daemon does this on a timer)."""
+        with self._logged():
+            return self.service.reap_expired_leases(now)
 
 
 _UNREACHABLE = (ConnectionError, OSError, _http.ProtocolError, asyncio.TimeoutError)
@@ -360,16 +307,28 @@ class ClusterCoordinator:
     async def establish(self, payload: dict) -> Tuple[int, bytes]:
         if len(self.shards) == 1:
             status, body = await self.forward("POST", "/v1/establish", payload)
-            self._count_forwarded_establish(status, body)
+            # The shard's bytes are proxied verbatim; the verdict is read
+            # off them.  Request errors (4xx) are not admission decisions.
+            if status == 503:
+                self._note_shard(0, False)
+                self._count(False, "shard_unreachable")
+            elif status == 200:
+                self._note_shard(0, True)
+                try:
+                    document = json.loads(body)
+                except ValueError:
+                    return status, body
+                self._count(document.get("success"), document.get("reason"))
             return status, body
         try:
-            return await self._establish_cross_shard(payload)
-        except ServiceError as exc:
-            return exc.status, _json_body({"error": str(exc)})
-        except (ModelError, ReproError) as exc:
-            return 400, _json_body({"error": str(exc)})
+            result = await self._establish_cross_shard(payload)
+        except ReproError as exc:
+            status, document = refusal(exc)
+            return status, _json_body(document)
+        self._count(result.success, result.reason)
+        return 200, _json_body(_establishment_to_dict(result))
 
-    async def _establish_cross_shard(self, payload: dict) -> Tuple[int, bytes]:
+    async def _establish_cross_shard(self, payload: dict) -> EstablishmentResult:
         arrival = decode_arrival(payload, self._session_ids)
         session_id = arrival.session_id
         if session_id in self.sessions:
@@ -384,7 +343,7 @@ class ClusterCoordinator:
         with _trace.span("cluster.establish", session=session_id) as span:
             span.set(shards=len(involved))
             snapshot = await self._merged_snapshot(resource_ids, involved)
-            plan, failure = self.grid.coordinator.plan_session(
+            plan, result = self.grid.coordinator.plan_session(
                 session_id,
                 arrival.service,
                 binding,
@@ -393,8 +352,7 @@ class ClusterCoordinator:
                 demand_scale=arrival.demand_scale,
                 contention_index=self.contention_index,
             )
-            if failure is not None:
-                failure_dict = _establishment_to_dict(failure)
+            if result is not None:
                 if any(
                     not self.shard_reachable.get(index, True)
                     for index in involved
@@ -402,17 +360,15 @@ class ClusterCoordinator:
                     # The planner saw zero-filled availability for a dead
                     # shard; that is an infrastructure failure, not a
                     # QoS-aware "no".
-                    failure_dict["reason"] = "shard_unreachable"
-                return 200, self._rejected(failure_dict)
+                    result = replace(result, reason="shard_unreachable")
+                return result
             demand = plan.demand
             per_shard: Dict[int, Dict[str, float]] = {}
             for rid in sorted(demand):
                 per_shard.setdefault(shard_for[rid], {})[rid] = demand[rid]
-            outcome = await self._two_phase_commit(
-                session_id, arrival, plan, per_shard
-            )
-            span.set(outcome=json.loads(outcome[1])["reason"] or "established")
-            return outcome
+            result = await self._two_phase_commit(arrival, plan, per_shard)
+            span.set(outcome=result.reason or "established")
+            return result
 
     async def _merged_snapshot(
         self, resource_ids: List[str], involved: List[int]
@@ -452,11 +408,11 @@ class ClusterCoordinator:
 
     async def _two_phase_commit(
         self,
-        session_id: str,
         arrival: SessionArrival,
         plan,
         per_shard: Dict[int, Dict[str, float]],
-    ) -> Tuple[int, bytes]:
+    ) -> EstablishmentResult:
+        session_id = arrival.session_id
         leases: List[Tuple[int, str]] = []
         reason: Optional[str] = None
         failed_resource: Optional[str] = None
@@ -487,16 +443,8 @@ class ClusterCoordinator:
                 leases.append((shard_index, outcome["lease_id"]))
         if reason is not None:
             await self._abort_leases(leases)
-            return 200, self._rejected(
-                {
-                    "session_id": session_id,
-                    "success": False,
-                    "reason": reason,
-                    "failed_resource": failed_resource,
-                    "level": None,
-                    "label": None,
-                    "psi": None,
-                }
+            return EstablishmentResult(
+                session_id, False, None, reason, failed_resource
             )
 
         meta = {
@@ -524,16 +472,8 @@ class ClusterCoordinator:
                     # the TTL reaper's problem.
                     await self._abort_leases(leases[position:])
                     await self._teardown_on(committed, session_id)
-                    return 200, self._rejected(
-                        {
-                            "session_id": session_id,
-                            "success": False,
-                            "reason": "shard_unreachable",
-                            "failed_resource": None,
-                            "level": None,
-                            "label": None,
-                            "psi": None,
-                        }
+                    return EstablishmentResult(
+                        session_id, False, None, "shard_unreachable"
                     )
                 committed.append(shard_index)
         self.sessions[session_id] = {
@@ -542,51 +482,15 @@ class ClusterCoordinator:
             "level": plan.numeric_level,
             "shards": sorted(per_shard),
         }
-        self.counters["established"] += 1
-        self.registry.counter("cluster.admissions", verdict="established").inc()
-        return 200, _json_body(
-            {
-                "session_id": session_id,
-                "success": True,
-                "reason": "",
-                "failed_resource": None,
-                "level": plan.numeric_level,
-                "label": plan.end_to_end_label,
-                "psi": plan.psi,
-            }
-        )
+        return EstablishmentResult(session_id, True, plan)
 
-    def _count_forwarded_establish(self, status: int, body: bytes) -> None:
-        """Keep the admission verdict counters live on the single-shard
-        pass-through path, where the shard's response bytes are proxied
-        verbatim and never run through :meth:`_rejected`."""
-        if status == 503:
-            self.counters["rejected"] += 1
-            self.reject_reasons["shard_unreachable"] = (
-                self.reject_reasons.get("shard_unreachable", 0) + 1
-            )
-            self.registry.counter(
-                "cluster.admissions", verdict="rejected_infra"
-            ).inc()
-            self.registry.counter(
-                "cluster.rejects", reason="shard_unreachable"
-            ).inc()
-            self._note_shard(0, False)
-            return
-        if status != 200:
-            return  # request errors (400s) are not admission decisions
-        self._note_shard(0, True)
-        try:
-            document = json.loads(body)
-        except ValueError:
-            return
-        if document.get("success"):
+    def _count(self, success: bool, reason: Optional[str]) -> None:
+        """The one admission verdict counter (pass-through and 2PC alike)."""
+        if success:
             self.counters["established"] += 1
-            self.registry.counter(
-                "cluster.admissions", verdict="established"
-            ).inc()
+            self.registry.counter("cluster.admissions", verdict="established").inc()
             return
-        reason = document.get("reason") or "rejected"
+        reason = reason or "rejected"
         self.counters["rejected"] += 1
         self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
         verdict = (
@@ -595,18 +499,6 @@ class ClusterCoordinator:
         )
         self.registry.counter("cluster.admissions", verdict=verdict).inc()
         self.registry.counter("cluster.rejects", reason=reason).inc()
-
-    def _rejected(self, document: dict) -> bytes:
-        self.counters["rejected"] += 1
-        reason = document.get("reason") or "rejected"
-        self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
-        verdict = (
-            "rejected_infra" if reason in INFRA_REJECT_REASONS
-            else "rejected_merit"
-        )
-        self.registry.counter("cluster.admissions", verdict=verdict).inc()
-        self.registry.counter("cluster.rejects", reason=reason).inc()
-        return _json_body(document)
 
     async def _abort_leases(self, leases: List[Tuple[int, str]]) -> None:
         """Best-effort rollback; unreachable shards are left to their TTL."""
@@ -616,12 +508,30 @@ class ClusterCoordinator:
             except (ServiceClientError,) + _UNREACHABLE:
                 continue
 
-    async def _teardown_on(self, shard_indexes: List[int], session_id: str) -> None:
+    async def _teardown_on(
+        self, shard_indexes: Sequence[int], session_id: str
+    ) -> Tuple[int, List[int]]:
+        """Tear a session down shard by shard: (released, unreachable shards).
+
+        A shard that answers with an error holds nothing to release (a
+        404: it never held the session, or forgot it in a restart).
+        """
+        released = 0
+        unreachable: List[int] = []
         for shard_index in shard_indexes:
             try:
-                await self.shards[shard_index].teardown({"session_id": session_id})
-            except (ServiceClientError,) + _UNREACHABLE:
+                outcome = await self.shards[shard_index].teardown(
+                    {"session_id": session_id}
+                )
+                released += int(outcome.get("released", 0))
+            except ServiceClientError:
+                pass
+            except _UNREACHABLE:
+                self._note_shard(shard_index, False)
+                unreachable.append(shard_index)
                 continue
+            self._note_shard(shard_index, True)
+        return released, unreachable
 
     # -- teardown / query --------------------------------------------------
 
@@ -635,21 +545,7 @@ class ClusterCoordinator:
         targets = (
             record["shards"] if record is not None else range(len(self.shards))
         )
-        released = 0
-        unreachable: List[int] = []
-        for shard_index in targets:
-            try:
-                outcome = await self.shards[shard_index].teardown(
-                    {"session_id": session_id}
-                )
-                released += int(outcome.get("released", 0))
-                self._note_shard(shard_index, True)
-            except ServiceClientError:
-                self._note_shard(shard_index, True)
-                continue
-            except _UNREACHABLE:
-                self._note_shard(shard_index, False)
-                unreachable.append(shard_index)
+        released, unreachable = await self._teardown_on(targets, session_id)
         if record is not None and unreachable:
             # The session is gone from the router's view, but a shard
             # we could not reach may still hold its capacity (e.g. a
@@ -677,29 +573,32 @@ class ClusterCoordinator:
         """
         released = 0
         for session_id in sorted(self.pending_teardowns):
-            remaining: List[int] = []
-            for shard_index in self.pending_teardowns[session_id]:
-                try:
-                    outcome = await self.shards[shard_index].teardown(
-                        {"session_id": session_id}
-                    )
-                    released += int(outcome.get("released", 0))
-                    self._note_shard(shard_index, True)
-                except ServiceClientError:
-                    self._note_shard(shard_index, True)
-                    continue
-                except _UNREACHABLE:
-                    self._note_shard(shard_index, False)
-                    remaining.append(shard_index)
+            freed, remaining = await self._teardown_on(
+                self.pending_teardowns[session_id], session_id
+            )
+            released += freed
             if remaining:
                 self.pending_teardowns[session_id] = remaining
             else:
                 del self.pending_teardowns[session_id]
         return released
 
-    async def query(self) -> Tuple[int, bytes]:
+    async def query(
+        self, target: str = "/v1/query", session_id: Optional[str] = None
+    ) -> Tuple[int, bytes]:
+        """The cluster document, or one session's record with ``session_id``.
+
+        A single shard is asked ``target`` verbatim, so its
+        ``?session_id=`` answers stay byte-identical to the daemon's; a
+        multi-shard router answers from its own session table.
+        """
         if len(self.shards) == 1:
-            return await self.forward("GET", "/v1/query", None)
+            return await self.forward("GET", target, None)
+        if session_id is not None:
+            record = self.sessions.get(session_id)
+            if record is None:
+                return 404, _json_body({"error": f"unknown session {session_id!r}"})
+            return 200, _json_body(dict(record, session_id=session_id))
         per_shard: List[dict] = []
         for shard in self.shards:
             entry: dict = {"label": shard.label}
@@ -766,15 +665,17 @@ class ClusterConfig:
             raise ModelError("a cluster needs at least one shard address")
 
 
-class ClusterDaemon:
+class ClusterDaemon(ServingShell):
     """Serves a :class:`ClusterCoordinator` over the daemon wire protocol.
 
-    Establishments and teardowns run serialized under one lock (like the
-    shard daemons' own admission lock), so router decisions for a given
-    request order are deterministic.  Keep-alive, trace propagation and
-    the drain-refusal body all match :class:`ReservationDaemon`, which
-    is what lets the load generator point at a cluster unchanged.
+    Establishments and teardowns run serialized under the shell's lock
+    (like the shard daemons' own admissions), so router decisions for a
+    given request order are deterministic.  Sharing the shell with
+    :class:`ReservationDaemon` is what lets the load generator point at
+    a cluster unchanged.
     """
+
+    request_id_prefix = "cluster-req"
 
     def __init__(
         self,
@@ -782,6 +683,9 @@ class ClusterDaemon:
         *,
         coordinator: Optional[ClusterCoordinator] = None,
     ) -> None:
+        super().__init__(
+            config.host, config.port, drain_timeout=config.drain_timeout
+        )
         self.config = config
         self.coordinator = coordinator or ClusterCoordinator(
             [
@@ -794,26 +698,12 @@ class ClusterDaemon:
             contention_index=config.contention_index,
             tie_break=config.tie_break,
         )
-        self.requests = 0
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._lock = asyncio.Lock()
-        self._draining = False
-        self._connections: set = set()
         self._started_at = _time.monotonic()
-        self._flush_task: Optional[asyncio.Task] = None
-
-    @property
-    def port(self) -> int:
-        if self._server is None:
-            raise RuntimeError("cluster daemon is not started")
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.config.host, self.config.port
-        )
+        await super().start()
         if len(self.coordinator.shards) > 1:
-            self._flush_task = asyncio.create_task(self._flush_loop())
+            self._background = asyncio.create_task(self._flush_loop())
 
     async def _flush_loop(self) -> None:
         """Anti-entropy: settle teardowns owed to once-unreachable shards."""
@@ -823,153 +713,68 @@ class ClusterDaemon:
                 async with self._lock:
                     await self.coordinator.flush_pending_teardowns()
 
-    async def shutdown(self) -> None:
-        self._draining = True
-        if self._flush_task is not None:
-            self._flush_task.cancel()
-            try:
-                await self._flush_task
-            except asyncio.CancelledError:
-                pass
-            self._flush_task = None
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._connections):
-                writer.close()
-            await self._server.wait_closed()
-            self._server = None
+    async def shutdown(self, *, drain: Optional[bool] = True) -> None:
+        """Drain and stop listening, then close the shard clients."""
+        await super().shutdown(drain=drain)
         await self.coordinator.aclose()
 
-    async def serve_forever(self) -> None:
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
+    # -- routes ------------------------------------------------------------
 
-    # -- connection handling -----------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        self._connections.add(writer)
-        try:
-            while True:
-                try:
-                    request = await _http.read_request(reader)
-                    if request is None:
-                        return
-                    self.requests += 1
-                    close = (
-                        self._draining
-                        or request.headers.get("connection", "").lower() == "close"
-                    )
-                    context = self._context_for(request)
-                    token = _context.bind_trace_context(context)
-                    try:
-                        response = await self._dispatch(request, close)
-                    finally:
-                        _context.reset_trace_context(token)
-                    writer.write(response)
-                    await writer.drain()
-                except _http.ProtocolError as exc:
-                    try:
-                        writer.write(
-                            _http.json_response_bytes(400, {"error": str(exc)})
-                        )
-                        await writer.drain()
-                    except (ConnectionError, RuntimeError):  # pragma: no cover
-                        pass
-                    return
-                except (ConnectionError, asyncio.CancelledError):  # pragma: no cover
-                    return
-                if close:
-                    return
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):  # pragma: no cover
-                pass
-
-    def _context_for(self, request: _http.Request) -> _context.TraceContext:
-        request_id = request.headers.get(_context.REQUEST_ID_HEADER) or (
-            f"cluster-req-{self.requests}"
-        )
-        parent = _context.parse_traceparent(
-            request.headers.get(_context.TRACEPARENT_HEADER)
-        )
-        if parent is None:
-            return _context.new_trace_context(request_id=request_id)
-        return _context.TraceContext(
-            trace_id=parent.trace_id,
-            span_id=parent.span_id,
-            parent_id=parent.parent_id,
-            request_id=request_id,
-        )
-
-    async def _dispatch(self, request: _http.Request, close: bool) -> bytes:
-        single = len(self.coordinator.shards) == 1
-        route = (request.method, request.path)
-        if route == ("GET", "/healthz"):
-            return _http.json_response_bytes(
-                200,
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "role": "cluster-router",
-                    "shards": len(self.coordinator.shards),
-                    "requests": self.requests,
-                    "uptime_seconds": _time.monotonic() - self._started_at,
-                    "draining": self._draining,
-                },
-                close=close,
-            )
-        if route == ("GET", "/metrics"):
+    async def _dispatch(
+        self, request: _http.Request, parse_seconds: float, close: bool
+    ) -> bytes:
+        if (request.method, request.path) == ("GET", "/metrics"):
             body = self.coordinator.metrics_exposition().encode("utf-8")
             return _http.response_bytes(
                 200, body, content_type="text/plain; version=0.0.4", close=close
             )
+        status, body = await self._route(request)
+        return _http.response_bytes(status, body, close=close)
+
+    async def _route(self, request: _http.Request) -> Tuple[int, bytes]:
+        coordinator = self.coordinator
+        route = (request.method, request.path)
+        if route == ("GET", "/healthz"):
+            return 200, _json_body(
+                {
+                    "status": "draining" if self._draining else "ok",
+                    "role": "cluster-router",
+                    "shards": len(coordinator.shards),
+                    "requests": self.stats.requests,
+                    "uptime_seconds": _time.monotonic() - self._started_at,
+                    "inflight_admissions": self._inflight,
+                    "draining": self._draining,
+                }
+            )
         if route == ("GET", "/v1/query"):
-            status, body = await self.coordinator.query()
-            return _http.response_bytes(status, body, close=close)
+            return await coordinator.query(
+                request.target, request.query.get("session_id")
+            )
         if request.method != "POST":
-            return _http.json_response_bytes(
-                405,
-                {"error": f"no route for {request.method} {request.path}"},
-                close=close,
+            return 405, _json_body(
+                {"error": f"no route for {request.method} {request.path}"}
             )
         if self._draining:
-            return _http.json_response_bytes(
-                503,
-                {"error": "daemon is shutting down", "draining": True},
-                close=close,
-            )
+            return 503, _json_body(DRAIN_REFUSAL)
         payload = request.json()
         if request.path == "/v1/establish":
-            async with self._lock:
-                status, body = await self.coordinator.establish(payload)
-            return _http.response_bytes(status, body, close=close)
-        if request.path == "/v1/teardown":
-            async with self._lock:
-                status, body = await self.coordinator.teardown(payload)
-            return _http.response_bytes(status, body, close=close)
-        if request.path in ("/v1/establish_batch", "/v1/renegotiate"):
-            if single:
-                async with self._lock:
-                    status, body = await self.coordinator.forward(
-                        "POST", request.path, payload
-                    )
-                return _http.response_bytes(status, body, close=close)
-            return _http.json_response_bytes(
-                501,
+            operation = coordinator.establish
+        elif request.path == "/v1/teardown":
+            operation = coordinator.teardown
+        elif request.path not in ("/v1/establish_batch", "/v1/renegotiate"):
+            return 404, _json_body({"error": f"unknown path {request.path!r}"})
+        elif len(coordinator.shards) == 1:
+            operation = partial(coordinator.forward, "POST", request.path)
+        else:
+            return 501, _json_body(
                 {
                     "error": f"{request.path} is not supported by the "
                     "multi-shard router"
-                },
-                close=close,
+                }
             )
-        return _http.json_response_bytes(
-            404, {"error": f"unknown path {request.path!r}"}, close=close
-        )
+        self._enter_admission()
+        try:
+            async with self._lock:
+                return await operation(payload)
+        finally:
+            self._exit_admission()

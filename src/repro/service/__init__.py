@@ -5,7 +5,10 @@ fault-tolerant variant) behind a network admission API so the paper's
 three-phase protocol can be exercised by real concurrent clients instead
 of a single in-process driver:
 
-* :mod:`repro.service.daemon` -- the asyncio daemon (``repro-serve``).
+* :mod:`repro.service.daemon` -- the asyncio daemon (``repro-serve``)
+  and its transport-free route table.
+* :mod:`repro.service.server` -- the HTTP/1.1 serving shell the daemon
+  and the cluster router both run in.
 * :mod:`repro.service.client` -- the asyncio reference client.
 * :mod:`repro.service.events` -- EventLog fan-out with bounded
   per-subscriber queues and ``stream.truncated`` loss markers.

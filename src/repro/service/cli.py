@@ -24,7 +24,64 @@ from repro.faults.plan import FaultConfig
 from repro.service.daemon import DaemonConfig, ReservationDaemon
 from repro.sim.experiment import ALGORITHMS, CONTENTION_INDICES
 
-__all__ = ["build_config", "main"]
+__all__ = [
+    "add_grid_arguments",
+    "build_config",
+    "grid_options",
+    "main",
+    "serve_until_signalled",
+]
+
+
+def add_grid_arguments(parser: argparse.ArgumentParser, seed_help: str) -> None:
+    """The flags that define the grid; ``repro-serve`` and ``repro-cluster``
+    must agree on them, so they are declared once."""
+    parser.add_argument("--seed", type=int, default=0, help=seed_help)
+    parser.add_argument("--algorithm", default="basic", choices=sorted(ALGORITHMS))
+    parser.add_argument("--contention-index", default="ratio",
+                        choices=sorted(CONTENTION_INDICES))
+    parser.add_argument("--capacity-min", type=float, default=1000.0)
+    parser.add_argument("--capacity-max", type=float, default=4000.0)
+    parser.add_argument("--no-tie-break", action="store_true",
+                        help="disable the §4.3 load tie-break")
+
+
+def grid_options(args: argparse.Namespace) -> dict:
+    """The grid-shaped config fields parsed by :func:`add_grid_arguments`."""
+    return {
+        "seed": args.seed,
+        "algorithm": args.algorithm,
+        "capacity_range": (args.capacity_min, args.capacity_max),
+        "contention_index": args.contention_index,
+        "tie_break": not args.no_tie_break,
+    }
+
+
+async def serve_until_signalled(daemon, prog: str, banner: str, on_sigquit=None) -> None:
+    """Announce a started daemon, serve until SIGINT/SIGTERM, then drain.
+
+    ``on_sigquit`` (when given) runs on SIGQUIT without stopping the
+    daemon -- the kill -QUIT postmortem idiom.
+    """
+    stop = asyncio.Event()
+    handlers = {signal.SIGINT: stop.set, signal.SIGTERM: stop.set}
+    if on_sigquit is not None and hasattr(signal, "SIGQUIT"):
+        handlers[signal.SIGQUIT] = on_sigquit
+    loop = asyncio.get_running_loop()
+    for signum, handler in handlers.items():
+        try:
+            loop.add_signal_handler(signum, handler)
+        except NotImplementedError:  # pragma: no cover - non-POSIX loops
+            signal.signal(signum, lambda *_, handler=handler: handler())
+    print(
+        f"{prog}: listening on {daemon.config.host}:{daemon.port} ({banner})",
+        flush=True,
+    )
+    try:
+        await stop.wait()
+    finally:
+        print(f"{prog}: draining and shutting down", flush=True)
+        await daemon.shutdown(drain=True)
 
 
 def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
@@ -34,16 +91,11 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=8787,
                         help="listen port (0 = ephemeral, printed on boot)")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="grid + planner seed (admissions are "
-                             "deterministic given the seed and request order)")
-    parser.add_argument("--algorithm", default="basic", choices=sorted(ALGORITHMS))
-    parser.add_argument("--contention-index", default="ratio",
-                        choices=sorted(CONTENTION_INDICES))
-    parser.add_argument("--capacity-min", type=float, default=1000.0)
-    parser.add_argument("--capacity-max", type=float, default=4000.0)
-    parser.add_argument("--no-tie-break", action="store_true",
-                        help="disable the §4.3 load tie-break")
+    add_grid_arguments(
+        parser,
+        "grid + planner seed (admissions are deterministic given the seed "
+        "and request order)",
+    )
     parser.add_argument("--faults", action="store_true",
                         help="serve through the fault-tolerant coordinator "
                              "with an injected §6 fault plan")
@@ -77,11 +129,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
     return DaemonConfig(
         host=args.host,
         port=args.port,
-        seed=args.seed,
-        algorithm=args.algorithm,
-        capacity_range=(args.capacity_min, args.capacity_max),
-        contention_index=args.contention_index,
-        tie_break=not args.no_tie_break,
         faults=FaultConfig() if args.faults else None,
         event_capacity=args.event_capacity,
         subscriber_queue=args.subscriber_queue,
@@ -91,19 +138,13 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
         shard_index=args.shard_index,
         shard_count=args.shard_count,
         lease_ttl=args.lease_ttl,
+        **grid_options(args),
     )
 
 
 async def _serve(config: DaemonConfig) -> None:
     daemon = ReservationDaemon(config)
     await daemon.start()
-    stop = asyncio.Event()
-    loop = asyncio.get_running_loop()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        try:
-            loop.add_signal_handler(signum, stop.set)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            signal.signal(signum, lambda *_: stop.set())
 
     def _sigquit_dump() -> None:
         try:
@@ -119,27 +160,18 @@ async def _serve(config: DaemonConfig) -> None:
             print(f"repro-serve: flight recorder dumped to {path}",
                   file=sys.stderr, flush=True)
 
-    if hasattr(signal, "SIGQUIT"):
-        try:
-            loop.add_signal_handler(signal.SIGQUIT, _sigquit_dump)
-        except NotImplementedError:  # pragma: no cover - non-POSIX loops
-            pass
     shard = (
         f", shard={config.shard_index}/{config.shard_count}"
         if config.shard_index is not None
         else ""
     )
-    print(
-        f"repro-serve: listening on {config.host}:{daemon.port} "
-        f"(algorithm={config.algorithm}, seed={config.seed}, "
-        f"faults={'on' if config.faults else 'off'}{shard})",
-        flush=True,
+    await serve_until_signalled(
+        daemon,
+        "repro-serve",
+        f"algorithm={config.algorithm}, seed={config.seed}, "
+        f"faults={'on' if config.faults else 'off'}{shard}",
+        _sigquit_dump,
     )
-    try:
-        await stop.wait()
-    finally:
-        print("repro-serve: draining and shutting down", flush=True)
-        await daemon.shutdown(drain=True)
 
 
 def main(argv: Optional[List[str]] = None) -> int:

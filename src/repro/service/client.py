@@ -88,6 +88,15 @@ class ServiceResponse:
     def json(self) -> object:
         return json.loads(self.body.decode("utf-8")) if self.body else None
 
+    def checked(self) -> object:
+        """The decoded body of a 200; any other status raises its typed error."""
+        document = self.json()
+        if self.status != 200:
+            if _is_draining(self.status, document):
+                raise ServiceDrainingError(self.status, document)
+            raise ServiceClientError(self.status, document)
+        return document
+
 
 class ServiceClient:
     """Talks to one :class:`~repro.service.daemon.ReservationDaemon`."""
@@ -190,13 +199,7 @@ class ServiceClient:
             raise AssertionError("unreachable")  # pragma: no cover
 
     async def _call(self, method: str, path: str, payload: Optional[dict] = None):
-        response = await self.request(method, path, payload)
-        document = response.json()
-        if response.status != 200:
-            if _is_draining(response.status, document):
-                raise ServiceDrainingError(response.status, document)
-            raise ServiceClientError(response.status, document)
-        return document
+        return (await self.request(method, path, payload)).checked()
 
     # -- admission API -----------------------------------------------------
 

@@ -5,42 +5,43 @@ a workload, exit.  :class:`ReservationService` keeps one
 :class:`~repro.sim.environment.GridEnvironment` (and its
 :class:`~repro.runtime.coordinator.ReservationCoordinator`, or the
 fault-tolerant variant when a :class:`~repro.faults.plan.FaultConfig` is
-configured) alive behind an admission API, and
-:class:`ReservationDaemon` serves that API over HTTP:
+configured) alive behind an admission API and owns the one transport-free
+route table (:meth:`ReservationService.route`), and
+:class:`ReservationDaemon` serves that table over HTTP inside the shared
+:class:`~repro.service.server.ServingShell`:
 
 ===========================  ==================================================
 ``POST /v1/establish``       one three-phase establishment
 ``POST /v1/establish_batch`` N arrivals against one availability snapshot
 ``POST /v1/renegotiate``     §5 re-planning of a live session
 ``POST /v1/teardown``        release everything a session holds
+``POST /v1/reserve``         cross-shard 2PC: hold demands on a TTL lease
+``POST /v1/commit``          cross-shard 2PC: make a lease permanent
+``POST /v1/abort``           cross-shard 2PC: release a lease
 ``GET  /v1/query``           daemon + session + utilization state
+``GET  /v1/availability``    observed availability of the owned slice
 ``GET  /v1/events``          WebSocket stream of the causal event log
 ``GET  /metrics``            Prometheus text exposition of the live registry
 ``GET  /healthz``            liveness probe (uptime, in-flight, drain state)
 ``POST /v1/debug/dump``      flight-recorder snapshot on demand
 ===========================  ==================================================
 
-Admissions execute *serialized* on the event loop under one lock, so
-daemon decisions for a given request order are byte-identical to calling
-``coordinator.establish`` in-process in that order -- the property the
-acceptance test pins.  The event plane fans the coordinator's causal
-:class:`~repro.obs.events.EventLog` out to WebSocket subscribers through
-bounded queues (:mod:`repro.service.events`): a slow consumer loses its
-own events behind a ``stream.truncated`` marker, never the daemon's.
+Admissions execute *serialized* on the event loop under the shell's
+lock, so daemon decisions for a given request order are byte-identical
+to calling ``coordinator.establish`` in-process in that order -- the
+property the acceptance test pins.  The event plane fans the
+coordinator's causal :class:`~repro.obs.events.EventLog` out to
+WebSocket subscribers through bounded queues
+(:mod:`repro.service.events`): a slow consumer loses its own events
+behind a ``stream.truncated`` marker, never the daemon's.
 
-Every request is handled under a request-scoped
-:class:`~repro.obs.context.TraceContext` -- continued from the caller's
-``traceparent`` header when present and valid, a fresh root otherwise
-(a malformed header never fails a request).  While the context is bound,
-every span the coordinator emits and every causal event carries the
-request's ``trace_id``/``request_id``; trace ids never appear in
-response bodies, so decisions stay byte-identical to in-process calls.
-Per-phase admission latency (parse / queue_wait / plan / commit /
-serialize) lands in ``daemon.admission_phase_seconds`` histograms with
-trace-id exemplars, and an always-on :class:`~repro.obs.flight
-.FlightRecorder` keeps the most recent spans + events + wire counters
-for postmortem dumps (SIGQUIT, unhandled exception, or the debug
-endpoint).
+Trace ids never appear in response bodies, so decisions stay
+byte-identical to in-process calls.  Per-phase admission latency (parse
+/ queue_wait / plan / commit / serialize) lands in
+``daemon.admission_phase_seconds`` histograms with trace-id exemplars,
+and an always-on :class:`~repro.obs.flight.FlightRecorder` keeps the
+most recent spans + events + wire counters for postmortem dumps
+(SIGQUIT, unhandled exception, or the debug endpoint).
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ import math
 import os as _os
 import sys as _sys
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -78,6 +79,7 @@ from repro.runtime.coordinator import EstablishmentResult, RenegotiationResult
 from repro.runtime.leases import LeaseTable
 from repro.service import http as _http
 from repro.service.events import EventPlane
+from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
 from repro.sim.experiment import (
     ALGORITHMS,
@@ -96,6 +98,20 @@ class ServiceError(ReproError):
     def __init__(self, message: str, *, status: int = 400) -> None:
         super().__init__(message)
         self.status = status
+
+
+def refusal(exc: ReproError) -> Tuple[int, dict]:
+    """The ``(status, document)`` a refused request is answered with."""
+    status = exc.status if isinstance(exc, ServiceError) else 400
+    return status, {"error": str(exc)}
+
+
+def answer(operation, *args) -> Tuple[int, object]:
+    """``(200, operation(*args))``, or the refusal the operation raised."""
+    try:
+        return 200, operation(*args)
+    except ReproError as exc:
+        return refusal(exc)
 
 
 def decode_arrival(payload: object, session_ids) -> SessionArrival:
@@ -209,6 +225,10 @@ class DaemonConfig:
             raise ModelError("lease_ttl must be positive")
 
 
+#: POST routes a draining daemon still serves.
+_DRAIN_EXEMPT = frozenset({"/v1/commit", "/v1/abort", "/v1/teardown"})
+
+
 class ReservationService:
     """The daemon's in-process core: grid + coordinator + event plane.
 
@@ -284,6 +304,16 @@ class ReservationService:
         self.lease_counters = {
             "reserved": 0, "committed": 0, "aborted": 0, "expired": 0
         }
+        #: POST path -> admission operation (payload in, document out).
+        self._operations = {
+            "/v1/establish": self.establish,
+            "/v1/establish_batch": self.establish_batch,
+            "/v1/renegotiate": self.renegotiate,
+            "/v1/teardown": self.teardown,
+            "/v1/reserve": self.reserve,
+            "/v1/commit": self.commit,
+            "/v1/abort": self.abort,
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -350,6 +380,54 @@ class ReservationService:
             "active_sessions": len(self.sessions),
             "counters": dict(self.counters),
         }
+
+    def debug_dump(self) -> dict:
+        """``POST /v1/debug/dump``: the flight snapshot, in-band and on disk."""
+        path = self.flight_dump("debug_endpoint")
+        return {
+            "path": str(path) if path is not None else None,
+            "document": self.flight_snapshot("debug_endpoint"),
+        }
+
+    # -- the route table (transport-free) ----------------------------------
+
+    def route(self, method: str, path: str, query, *, draining: bool = False):
+        """Resolve one request: ``(status, document)``, or ``(None, operation)``.
+
+        Reads, the flight-dump hatch and every refusal need neither a
+        payload nor the admission lock and are answered on the spot;
+        an admission comes back as the operation to call with the
+        decoded payload, so the caller decides what serializes it.
+        Drain refuses *new* admissions.  Commit/abort finish a 2PC
+        round already holding capacity and teardown releases held
+        capacity, so they stay available -- a draining shard must not
+        wedge another shard's decision or strand a session's holds.
+        """
+        if method == "GET" and path == "/v1/query":
+            return answer(self.query, query.get("session_id"))
+        if method == "GET" and path == "/v1/availability":
+            return answer(self.availability)
+        if method != "POST":
+            return 405, {"error": f"no route for {method} {path}"}
+        if path == "/v1/debug/dump":
+            # The postmortem hatch works during drain on purpose: a
+            # wedged daemon is exactly when the flight recorder matters.
+            return answer(self.debug_dump)
+        operation = self._operations.get(path)
+        if operation is None:
+            return 404, {"error": f"unknown path {path!r}"}
+        if draining and path not in _DRAIN_EXEMPT:
+            return 503, DRAIN_REFUSAL
+        return None, operation
+
+    def handle(
+        self, method: str, path: str, query, payload, *, draining: bool = False
+    ) -> Tuple[int, object]:
+        """``(status, document)`` of one request, as the daemon answers it."""
+        status, document = self.route(method, path, query, draining=draining)
+        if status is None:
+            return answer(document, payload)
+        return status, document
 
     # -- request decoding --------------------------------------------------
 
@@ -743,53 +821,34 @@ def _renegotiation_to_dict(result: RenegotiationResult) -> dict:
     }
 
 
-@dataclass
-class _DaemonStats:
-    """Wire-level counters surfaced under /healthz."""
-
-    requests: int = 0
-    websocket_clients: int = 0
-
-
-class ReservationDaemon:
+class ReservationDaemon(ServingShell):
     """Serves a :class:`ReservationService` over HTTP + WebSocket."""
+
+    websocket_path = "/v1/events"
 
     def __init__(self, config: Optional[DaemonConfig] = None) -> None:
         self.config = config or DaemonConfig()
+        super().__init__(
+            self.config.host,
+            self.config.port,
+            drain_timeout=self.config.drain_timeout,
+            access_log=self.config.access_log,
+        )
         self.service = ReservationService(self.config)
-        self.stats = _DaemonStats()
-        self._server: Optional[asyncio.base_events.Server] = None
-        self._lock = asyncio.Lock()
-        self._inflight = 0
-        self._drained = asyncio.Event()
-        self._drained.set()
-        self._draining = False
+        self._record_wire = self.service.flight.record_wire
         self._ws_tasks: set = set()
-        #: Open keep-alive connections (closed forcibly on shutdown so
-        #: idle clients never stall ``Server.wait_closed``).
-        self._connections: set = set()
-        self._reaper_task: Optional[asyncio.Task] = None
 
     # -- lifecycle ---------------------------------------------------------
-
-    @property
-    def port(self) -> int:
-        """The bound TCP port (resolves port 0 after :meth:`start`)."""
-        if self._server is None:
-            raise RuntimeError("daemon is not started")
-        return self._server.sockets[0].getsockname()[1]
 
     async def start(self) -> None:
         """Install observability and bind the listening socket."""
         self.service.start()
         try:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.config.host, self.config.port
-            )
+            await super().start()
         except BaseException:
             self.service.close()
             raise
-        self._reaper_task = asyncio.create_task(self._reap_leases_forever())
+        self._background = asyncio.create_task(self._reap_leases_forever())
 
     async def _reap_leases_forever(self) -> None:
         """Release expired 2PC leases in the background.
@@ -804,167 +863,22 @@ class ReservationDaemon:
                 self.service.reap_expired_leases()
 
     async def shutdown(self, *, drain: Optional[bool] = True) -> None:
-        """Stop accepting work, drain in-flight admissions, release state.
+        """Drain and stop listening, then release the service.
 
-        New admissions are refused with 503 the moment shutdown begins;
-        requests already inside the admission lock complete (bounded by
-        ``config.drain_timeout``).  WebSocket streams are closed, the
-        socket and any idle keep-alive connections are closed, and the
-        observability handles are uninstalled.
+        WebSocket streams are closed and the observability handles
+        uninstalled once the socket is gone.
         """
-        self._draining = True
-        if drain:
-            try:
-                await asyncio.wait_for(
-                    self._drained.wait(), timeout=self.config.drain_timeout
-                )
-            except asyncio.TimeoutError:  # pragma: no cover - pathological
-                pass
-        if self._reaper_task is not None:
-            self._reaper_task.cancel()
-            try:
-                await self._reaper_task
-            except asyncio.CancelledError:
-                pass
-            self._reaper_task = None
-        if self._server is not None:
-            self._server.close()
-            for writer in list(self._connections):
-                writer.close()
-            await self._server.wait_closed()
-            self._server = None
+        await super().shutdown(drain=drain)
         for task in list(self._ws_tasks):
             task.cancel()
         if self._ws_tasks:
             await asyncio.gather(*self._ws_tasks, return_exceptions=True)
         self.service.close()
 
-    async def serve_forever(self) -> None:
-        """Run until cancelled (the ``repro-serve`` entry point's core)."""
-        if self._server is None:
-            await self.start()
-        try:
-            await self._server.serve_forever()
-        except asyncio.CancelledError:
-            pass
-
-    # -- connection handling -----------------------------------------------
-
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        """Serve requests until the client closes or asks us to.
-
-        HTTP/1.1 keep-alive: the loop reads back-to-back requests off
-        one socket; a clean EOF between requests ends it, a
-        ``Connection: close`` request header (or drain) makes the next
-        response the last one.
-        """
-        self._connections.add(writer)
-        try:
-            while True:
-                started = _time.perf_counter()
-                request: Optional[_http.Request] = None
-                context: Optional[_context.TraceContext] = None
-                response: Optional[bytes] = None
-                try:
-                    request = await _http.read_request(reader)
-                    if request is None:
-                        return
-                    parse_seconds = _time.perf_counter() - started
-                    self.stats.requests += 1
-                    self.service.flight.record_wire("requests")
-                    if request.path == "/v1/events" and request.wants_websocket:
-                        await self._serve_websocket(request, reader, writer)
-                        return
-                    close = (
-                        self._draining
-                        or request.headers.get("connection", "").lower() == "close"
-                    )
-                    context = self._context_for(request)
-                    token = _context.bind_trace_context(context)
-                    try:
-                        response = await self._dispatch(
-                            request, parse_seconds, close
-                        )
-                    finally:
-                        _context.reset_trace_context(token)
-                    writer.write(response)
-                    await writer.drain()
-                    self.service.flight.record_wire("response_bytes", len(response))
-                except _http.ProtocolError as exc:
-                    self.service.flight.record_wire("protocol_errors")
-                    try:
-                        response = _http.json_response_bytes(400, {"error": str(exc)})
-                        writer.write(response)
-                        await writer.drain()
-                    except (ConnectionError, RuntimeError):  # pragma: no cover
-                        pass
-                    return
-                except (ConnectionError, asyncio.CancelledError):  # pragma: no cover
-                    return
-                finally:
-                    if request is not None and response is not None:
-                        self._access_log(request, response, started, context)
-                if close:
-                    return
-        finally:
-            self._connections.discard(writer)
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, RuntimeError):  # pragma: no cover
-                pass
-
-    def _context_for(self, request: _http.Request) -> _context.TraceContext:
-        """The request's trace context: continued or a fresh root.
-
-        A valid ``traceparent`` header continues the caller's trace; a
-        missing, truncated or malformed one silently starts a fresh root
-        -- bad propagation must never fail a request.
-        """
-        request_id = request.headers.get(_context.REQUEST_ID_HEADER) or (
-            f"req-{self.stats.requests}"
-        )
-        parent = _context.parse_traceparent(
-            request.headers.get(_context.TRACEPARENT_HEADER)
-        )
-        if parent is None:
-            return _context.new_trace_context(request_id=request_id)
-        return _context.TraceContext(
-            trace_id=parent.trace_id,
-            span_id=parent.span_id,
-            parent_id=parent.parent_id,
-            request_id=request_id,
-        )
-
-    def _access_log(
-        self,
-        request: _http.Request,
-        response: bytes,
-        started: float,
-        context: Optional[_context.TraceContext],
-    ) -> None:
-        """One structured JSON line per request, to stderr."""
-        if not self.config.access_log:
-            return
-        try:
-            status = int(response[9:12])
-        except (ValueError, IndexError):  # pragma: no cover - defensive
-            status = 0
-        line = {
-            "ts": round(_time.time(), 6),
-            "method": request.method,
-            "path": request.path,
-            "status": status,
-            "duration_ms": round(1e3 * (_time.perf_counter() - started), 3),
-            "trace_id": context.trace_id if context else None,
-            "request_id": context.request_id if context else None,
-        }
-        print(json.dumps(line, sort_keys=True), file=_sys.stderr, flush=True)
+    # -- routes ------------------------------------------------------------
 
     async def _dispatch(
-        self, request: _http.Request, parse_seconds: float, close: bool = True
+        self, request: _http.Request, parse_seconds: float, close: bool
     ) -> bytes:
         route = (request.method, request.path)
         if route == ("GET", "/healthz"):
@@ -989,89 +903,44 @@ class ReservationDaemon:
             return _http.response_bytes(
                 200, body, content_type="text/plain; version=0.0.4", close=close
             )
-        if route == ("GET", "/v1/query"):
-            return self._guarded(
-                lambda: self.service.query(request.query.get("session_id")),
-                close=close,
-            )
-        if route == ("GET", "/v1/availability"):
-            return self._guarded(self.service.availability, close=close)
-        if request.method != "POST":
-            return _http.json_response_bytes(
-                405,
-                {"error": f"no route for {request.method} {request.path}"},
-                close=close,
-            )
-        if request.path == "/v1/debug/dump":
-            # The postmortem hatch works during drain on purpose: a
-            # wedged daemon is exactly when the flight recorder matters.
-            return self._guarded(self._debug_dump, close=close)
-        handlers = {
-            "/v1/establish": self.service.establish,
-            "/v1/establish_batch": self.service.establish_batch,
-            "/v1/renegotiate": self.service.renegotiate,
-            "/v1/teardown": self.service.teardown,
-            "/v1/reserve": self.service.reserve,
-            "/v1/commit": self.service.commit,
-            "/v1/abort": self.service.abort,
-        }
-        handler = handlers.get(request.path)
-        if handler is None:
-            return _http.json_response_bytes(
-                404, {"error": f"unknown path {request.path!r}"}, close=close
-            )
-        # Drain refuses *new* admissions.  Commit/abort finish a 2PC
-        # round already holding capacity, and teardown releases held
-        # capacity, so they stay available -- a draining shard must not
-        # wedge another shard's decision or strand a session's holds.
-        if self._draining and request.path not in (
-            "/v1/commit", "/v1/abort", "/v1/teardown"
-        ):
-            return _http.json_response_bytes(
-                503,
-                {"error": "daemon is shutting down", "draining": True},
-                close=close,
-            )
+        status, resolved = self._guarded(
+            self.service.route,
+            request.method,
+            request.path,
+            request.query,
+            draining=self._draining,
+        )
+        if status is not None:
+            return _http.json_response_bytes(status, resolved, close=close)
         decode_started = _time.perf_counter()
         payload = request.json()
         parse_seconds += _time.perf_counter() - decode_started
         name = request.path.rsplit("/", 1)[1]
-        return await self._admit(handler, payload, name, parse_seconds, close)
-
-    def _debug_dump(self) -> dict:
-        path = self.service.flight_dump("debug_endpoint")
-        return {
-            "path": str(path) if path is not None else None,
-            "document": self.service.flight_snapshot("debug_endpoint"),
-        }
+        return await self._admit(resolved, payload, name, parse_seconds, close)
 
     async def _admit(
         self,
-        handler,
+        operation,
         payload: dict,
         name: str,
         parse_seconds: float,
-        close: bool = True,
+        close: bool,
     ) -> bytes:
         """Run one admission operation serialized under the lock.
 
-        The in-flight window covers lock wait + execution, so shutdown's
-        drain barrier sees every request that was accepted before the
-        draining flag flipped.  Each phase of the admission (parse /
-        queue_wait / plan / commit / serialize) lands in the
-        ``daemon.admission_phase_seconds`` histogram, exemplared with
-        the request's trace id.
+        Each phase of the admission (parse / queue_wait / plan / commit
+        / serialize) lands in the ``daemon.admission_phase_seconds``
+        histogram, exemplared with the request's trace id.
         """
         context = _context.current_trace_context()
         trace_id = context.trace_id if context is not None else None
-        self._inflight += 1
-        self._drained.clear()
+        self._enter_admission()
         queue_started = _time.perf_counter()
         try:
             async with self._lock:
                 queue_wait = _time.perf_counter() - queue_started
                 with _trace.span(f"daemon.{name}") as span:
-                    status, document = self._run(handler, payload)
+                    status, document = self._guarded(answer, operation, payload)
                     span.set(status=status)
                 plan_seconds, commit_seconds = self._planning_phases(trace_id)
                 serialize_started = _time.perf_counter()
@@ -1087,9 +956,7 @@ class ReservationDaemon:
                 )
                 return response
         finally:
-            self._inflight -= 1
-            if self._inflight == 0:
-                self._drained.set()
+            self._exit_admission()
 
     def _planning_phases(self, trace_id: Optional[str]) -> Tuple[float, float]:
         """(plan, commit) seconds of the request that just ran.
@@ -1120,21 +987,13 @@ class ReservationDaemon:
                 "daemon.admission_phase_seconds", phase=phase
             ).observe(seconds, exemplar=trace_id)
 
-    def _run(self, handler, payload: dict):
-        """(status, document) of one operation; exceptions become errors."""
+    def _guarded(self, call, *args, **kwargs):
+        """``call(...)``; an exception no route expects is a 500 + flight dump."""
         try:
-            return 200, handler(payload)
-        except ServiceError as exc:
-            return exc.status, {"error": str(exc)}
-        except (ModelError, ReproError) as exc:
-            return 400, {"error": str(exc)}
+            return call(*args, **kwargs)
         except Exception as exc:  # pragma: no cover - defensive
             self._dump_on_exception(exc)
             return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-    def _guarded(self, operation, *, close: bool = True) -> bytes:
-        status, document = self._run(lambda _payload: operation(), None)
-        return _http.json_response_bytes(status, document, close=close)
 
     def _dump_on_exception(self, exc: Exception) -> None:
         """Best-effort flight dump when a handler dies unexpectedly."""

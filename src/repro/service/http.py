@@ -39,6 +39,7 @@ __all__ = [
     "ProtocolError",
     "Request",
     "read_request",
+    "split_target",
     "response_bytes",
     "json_response_bytes",
     "websocket_accept_key",
@@ -148,16 +149,21 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
                 body = await reader.readexactly(length)
             except asyncio.IncompleteReadError as exc:
                 raise ProtocolError("connection closed mid-body") from exc
-    parts = urlsplit(target)
-    query = dict(parse_qsl(parts.query, keep_blank_values=True))
+    path, query = split_target(target)
     return Request(
         method=method.upper(),
         target=target,
-        path=parts.path,
+        path=path,
         query=query,
         headers=headers,
         body=body,
     )
+
+
+def split_target(target: str) -> Tuple[str, Dict[str, str]]:
+    """The ``(path, query)`` of a request target (query URL-decoded)."""
+    parts = urlsplit(target)
+    return parts.path, dict(parse_qsl(parts.query, keep_blank_values=True))
 
 
 def response_bytes(

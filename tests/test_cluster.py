@@ -153,6 +153,18 @@ def test_single_shard_router_byte_identical_to_bare_service():
 def test_single_shard_router_over_http_byte_identical():
     operations = _seeded_operations(count=10)
 
+    service = ReservationService(DaemonConfig(seed=23))
+    documents = [(200, getattr(service, op)(payload)) for op, payload in operations]
+    # Reads are forwarded with their query string: one live session's
+    # record, and the 404 of an unknown one.
+    reads = [sorted(service.sessions)[0], "no-such"]
+    documents.append((200, service.query(reads[0])))
+    documents.append((404, {"error": "unknown session 'no-such'"}))
+    local = [
+        (status, json.dumps(document, sort_keys=True).encode("utf-8"))
+        for status, document in documents
+    ]
+
     async def scenario():
         daemon = ReservationDaemon(DaemonConfig(port=0, seed=23))
         await daemon.start()
@@ -162,26 +174,22 @@ def test_single_shard_router_over_http_byte_identical():
         await router.start()
         try:
             client = ServiceClient("127.0.0.1", router.port)
-            bodies = []
+            answers = []
             for op, payload in operations:
                 response = await client.request("POST", f"/v1/{op}", payload)
-                assert response.status == 200
-                bodies.append(response.body)
+                answers.append((response.status, response.body))
+            for session_id in reads:
+                response = await client.request(
+                    "GET", f"/v1/query?session_id={session_id}"
+                )
+                answers.append((response.status, response.body))
             await client.aclose()
-            return bodies
+            return answers
         finally:
             await router.shutdown()
             await daemon.shutdown()
 
-    api_bodies = asyncio.run(scenario())
-
-    service = ReservationService(DaemonConfig(seed=23))
-    local_bodies = []
-    for op, payload in operations:
-        document = getattr(service, op)(payload)
-        local_bodies.append(json.dumps(document, sort_keys=True).encode("utf-8"))
-
-    assert api_bodies == local_bodies
+    assert asyncio.run(scenario()) == local
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +219,17 @@ def test_cross_shard_establish_commits_on_every_involved_shard():
         # Leases all settled: nothing pending on any shard.
         for shard in shards:
             assert not shard.service.leases.pending()
+        # ?session_id= is answered from the router's own session table.
+        known = admitted[0]["session_id"]
+        status, body = await coordinator.query(session_id=known)
+        assert status == 200
+        assert json.loads(body) == dict(
+            coordinator.sessions[known], session_id=known
+        )
+        status, body = await coordinator.query(session_id="no-such")
+        assert (status, json.loads(body)) == (
+            404, {"error": "unknown session 'no-such'"}
+        )
         for shard in shards:
             report = capacity_conservation(
                 shard.service.grid.registry, shard.service.grid.proxies
