@@ -5,7 +5,12 @@ Supports two distinct needs of the paper's evaluation:
 * **Availability Change Index** (§4.3.1, eq. 5): the broker keeps an
   average ``r_avg_avail`` of the availability values *reported* during
   the past ``T`` time units; ``alpha = r_avail / r_avg_avail`` reflects
-  the trend.  The average is updated after each report.
+  the trend.  The average is updated after each report, in O(1): the
+  window's sum is kept beside the report log as an exact integer, so a
+  report costs the same after a million reports as after three, and
+  the mean is the correctly rounded quotient of the true sum -- a
+  window whose reports all equal the current availability yields
+  exactly 1.0, which §4.3's planner branches on.
 * **Stale observations** (§5.2.4): the inaccuracy experiments observe a
   resource's availability as it was up to ``E`` time units ago, so the
   true availability must be reconstructible for any past instant.
@@ -34,6 +39,13 @@ class AvailabilityHistory:
             raise BrokerError(f"averaging window must be positive, got {window!r}")
         self.window = float(window)
         self._reports: Deque[Tuple[float, float]] = deque()
+        #: Exact sum of the values in ``_reports``, as an integer count of
+        #: 2**-_sum_bits.  A float running sum would drift (entries leave
+        #: in another order than they rounded in) and a flat window would
+        #: stop reading 1.0.  ``_sum_bits`` is the finest binary exponent
+        #: any report has needed so far; it never exceeds 1074.
+        self._report_sum = 0
+        self._sum_bits = 0
         self._change_times: List[float] = []
         self._change_values: List[float] = []
         self._max_changes = max_changes
@@ -46,17 +58,39 @@ class AvailabilityHistory:
         The index compares the current availability against the mean of
         the values reported in the window *before* this report (the paper
         updates the average after each report).  Returns 1.0 when there
-        is no history yet -- "unchanged".
+        is no history yet -- "unchanged".  A non-finite report is refused
+        with :class:`BrokerError` and leaves the window as it was.
         """
+        reports = self._reports
         cutoff = now - self.window
-        while self._reports and self._reports[0][0] < cutoff:
-            self._reports.popleft()
-        if self._reports:
-            mean = sum(value for _t, value in self._reports) / len(self._reports)
+        while reports and reports[0][0] < cutoff:
+            numerator, denominator = reports.popleft()[1].as_integer_ratio()
+            # No report is finer than the unit: it entered through it.
+            self._report_sum -= numerator << (
+                self._sum_bits + 1 - denominator.bit_length()
+            )
+        if reports:
+            # int / int is correctly rounded: the mean is the double
+            # nearest the true mean, whatever the length of the window.
+            mean = self._report_sum / (len(reports) << self._sum_bits)
             index = 1.0 if mean <= 0 else available / mean
         else:
             index = 1.0
-        self._reports.append((now, available))
+        try:
+            # A finite float is numerator / 2**k (bit_length k + 1).
+            numerator, denominator = available.as_integer_ratio()
+        except (OverflowError, ValueError):
+            raise BrokerError(
+                f"availability report must be finite, got {available!r}"
+            ) from None
+        shift = self._sum_bits + 1 - denominator.bit_length()
+        if shift < 0:
+            # Finer than anything reported so far: refine the unit.
+            self._report_sum <<= -shift
+            self._sum_bits -= shift
+            shift = 0
+        self._report_sum += numerator << shift
+        reports.append((now, available))
         return index
 
     # -- change log (retrospective availability) -----------------------------

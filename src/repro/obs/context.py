@@ -25,6 +25,7 @@ trace -- a bad header must never fail a request.
 from __future__ import annotations
 
 import os
+import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, replace
@@ -50,7 +51,12 @@ TRACEPARENT_HEADER = "traceparent"
 REQUEST_ID_HEADER = "x-request-id"
 
 _SUPPORTED_VERSION = "00"
-_HEX = set("0123456789abcdef")
+#: version - trace_id - parent_id - flags, lowercase hex of exact widths.
+_TRACEPARENT = re.compile(
+    r"([0-9a-f]{2})-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}"
+)
+_ZERO_TRACE_ID = "0" * 32
+_ZERO_SPAN_ID = "0" * 16
 
 
 @dataclass(frozen=True)
@@ -94,10 +100,6 @@ def child_context(
     )
 
 
-def _is_hex(text: str, length: int) -> bool:
-    return len(text) == length and all(ch in _HEX for ch in text)
-
-
 def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
     """Decode a ``traceparent`` header; None on anything malformed.
 
@@ -109,17 +111,11 @@ def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
     """
     if not header or not isinstance(header, str):
         return None
-    parts = header.strip().split("-")
-    if len(parts) != 4:
+    match = _TRACEPARENT.fullmatch(header.strip())
+    if match is None:
         return None
-    version, trace_id, parent_id, flags = parts
-    if not _is_hex(version, 2) or version == "ff":
-        return None
-    if not _is_hex(trace_id, 32) or set(trace_id) == {"0"}:
-        return None
-    if not _is_hex(parent_id, 16) or set(parent_id) == {"0"}:
-        return None
-    if not _is_hex(flags, 2):
+    version, trace_id, parent_id = match.groups()
+    if version == "ff" or trace_id == _ZERO_TRACE_ID or parent_id == _ZERO_SPAN_ID:
         return None
     return TraceContext(trace_id=trace_id, span_id=_hex_id(8), parent_id=parent_id)
 

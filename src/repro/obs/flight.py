@@ -6,7 +6,9 @@ mode), causal reservation events (subscribed to the live
 :class:`~repro.obs.events.EventLog`, so it sees the full stream even
 past the log's own storage bound), and a small dict of wire counters
 (requests, bytes, errors).  Memory stays constant no matter how long
-the daemon runs.
+the daemon runs.  Both rings hold the *records* the tracer and the log
+made -- recording an event is one ``deque.append`` of an object that
+already exists -- and nothing is rendered until a dump is asked for.
 
 :meth:`snapshot` materialises the rings as a schema-v4 trace document
 (the same shape :func:`repro.obs.export.write_trace_json` produces, so
@@ -52,7 +54,8 @@ class FlightRecorder:
             raise ValueError(f"event_capacity must be positive, got {event_capacity!r}")
         #: Install this tracer (``obs.trace.install``) to feed the ring.
         self.tracer = Tracer(capacity=span_capacity)
-        #: Recent events as to_dict() payloads, oldest first.
+        #: Recent :class:`ReservationEvent` records, oldest first; they
+        #: are rendered only when :meth:`snapshot` is asked for a document.
         self.events = deque(maxlen=event_capacity)
         #: Free-form transport counters (requests, bytes, errors).
         self.wire: Dict[str, float] = {}
@@ -64,7 +67,7 @@ class FlightRecorder:
     # -- event plumbing ----------------------------------------------------
 
     def _on_event(self, event: ReservationEvent) -> None:
-        self.events.append(event.to_dict())
+        self.events.append(event)
         self.events_seen += 1
 
     def attach(self, log: EventLog) -> None:
@@ -114,7 +117,7 @@ class FlightRecorder:
         if meta:
             document_meta.update(meta)
         document = observability_to_dict(self.tracer, registry, None, meta=document_meta)
-        events = list(self.events)
+        events = [event.to_dict() for event in self.events]
         document["events"] = events
         counts: Dict[str, int] = {}
         for payload in events:

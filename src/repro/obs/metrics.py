@@ -10,10 +10,12 @@ A :class:`MetricsRegistry` hands out labelled instruments on demand:
 
 Instruments are keyed by ``(name, sorted labels)``, so
 ``registry.counter("broker.grants", resource="cpu:H1")`` always returns
-the same object.  Like :mod:`repro.obs.trace`, instrumented code goes
-through the module-level :func:`active_registry`; when no registry is
-installed (the default) the check is a single global read and recording
-costs nothing.
+the same object; a call site that repeats the same string labels in the
+same order (every one on the admission path) reaches it without
+sorting or formatting anything.  Like :mod:`repro.obs.trace`,
+instrumented code goes through the module-level :func:`active_registry`;
+when no registry is installed (the default) the check is a single global
+read and recording costs nothing.
 """
 
 from __future__ import annotations
@@ -222,12 +224,30 @@ class MetricsRegistry:
         self._counters: Dict[Tuple[str, Labels], Counter] = {}
         self._gauges: Dict[Tuple[str, Labels], Gauge] = {}
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
+        #: (name, *labels.items()) as a call site wrote it -> series key.
+        self._series_keys: Dict[tuple, Tuple[str, Labels]] = {}
 
     # -- instrument access (get-or-create) ----------------------------------
 
+    def _series_key(self, name: str, labels: Dict[str, object]) -> Tuple[str, Labels]:
+        """``(name, _label_key(labels))``, remembered for all-``str`` labels.
+
+        Only exact ``str`` values take the memo: ``1``, ``1.0`` and
+        ``True`` are equal as dict keys but three different label
+        values, and a ``str`` subclass may format as something else.
+        """
+        for value in labels.values():
+            if type(value) is not str:
+                return (name, _label_key(labels))
+        written = (name, *labels.items())
+        key = self._series_keys.get(written)
+        if key is None:
+            key = self._series_keys[written] = (name, _label_key(labels))
+        return key
+
     def counter(self, name: str, **labels: object) -> Counter:
         """The counter for (name, labels), created on first use."""
-        key = (name, _label_key(labels))
+        key = self._series_key(name, labels)
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
@@ -235,7 +255,7 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: object) -> Gauge:
         """The gauge for (name, labels), created on first use."""
-        key = (name, _label_key(labels))
+        key = self._series_key(name, labels)
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge()
@@ -253,7 +273,7 @@ class MetricsRegistry:
         ``buckets`` only matters at creation; later calls reuse the
         existing boundaries.
         """
-        key = (name, _label_key(labels))
+        key = self._series_key(name, labels)
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = self._histograms[key] = Histogram(buckets)

@@ -228,6 +228,10 @@ class DaemonConfig:
 #: POST routes a draining daemon still serves.
 _DRAIN_EXEMPT = frozenset({"/v1/commit", "/v1/abort", "/v1/teardown"})
 
+#: ``phase`` label values of ``daemon.admission_phase_seconds``, in the
+#: order :meth:`ReservationDaemon._admit` measures them.
+_PHASES = ("parse", "queue_wait", "plan", "commit", "serialize")
+
 
 class ReservationService:
     """The daemon's in-process core: grid + coordinator + event plane.
@@ -837,6 +841,7 @@ class ReservationDaemon(ServingShell):
         self.service = ReservationService(self.config)
         self._record_wire = self.service.flight.record_wire
         self._ws_tasks: set = set()
+        self._phase_histograms: Optional[tuple] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -939,39 +944,42 @@ class ReservationDaemon(ServingShell):
         try:
             async with self._lock:
                 queue_wait = _time.perf_counter() - queue_started
+                # Nothing yields between here and _planning_phases, so the
+                # spans opened from this index on are this request's.
+                first_span = self.service.flight.tracer.next_index
                 with _trace.span(f"daemon.{name}") as span:
                     status, document = self._guarded(answer, operation, payload)
                     span.set(status=status)
-                plan_seconds, commit_seconds = self._planning_phases(trace_id)
+                plan_seconds, commit_seconds = self._planning_phases(first_span)
                 serialize_started = _time.perf_counter()
                 response = _http.json_response_bytes(status, document, close=close)
                 serialize_seconds = _time.perf_counter() - serialize_started
                 self._observe_phases(
                     trace_id,
-                    parse=parse_seconds,
-                    queue_wait=queue_wait,
-                    plan=plan_seconds,
-                    commit=commit_seconds,
-                    serialize=serialize_seconds,
+                    parse_seconds,
+                    queue_wait,
+                    plan_seconds,
+                    commit_seconds,
+                    serialize_seconds,
                 )
                 return response
         finally:
             self._exit_admission()
 
-    def _planning_phases(self, trace_id: Optional[str]) -> Tuple[float, float]:
+    def _planning_phases(self, first_span: int) -> Tuple[float, float]:
         """(plan, commit) seconds of the request that just ran.
 
-        Admissions are serialized under the lock, so this request's
+        ``first_span`` is the tracer's span index when the request took
+        the lock.  Admissions are serialized under it, so the request's
         spans sit contiguously at the tail of the flight tracer's ring;
-        walk backwards while the trace id matches.  ``plan_batch``
-        parents the per-group ``phase2_plan`` spans, so a batch counts
-        the parent only (no double counting).
+        walk backwards while they are its own.  (Per request, not per
+        trace: a client may send a whole session under one trace id.)
+        ``plan_batch`` parents the per-group ``phase2_plan`` spans, so a
+        batch counts the parent only (no double counting).
         """
-        if trace_id is None:
-            return 0.0, 0.0
         phase2 = batch = commit = 0.0
         for record in reversed(self.service.flight.tracer.records):
-            if record.trace_id != trace_id:
+            if record.index < first_span:
                 break
             if record.name == "phase2_plan":
                 phase2 += record.duration
@@ -981,11 +989,20 @@ class ReservationDaemon(ServingShell):
                 commit += record.duration
         return (batch if batch else phase2), commit
 
-    def _observe_phases(self, trace_id: Optional[str], **phases: float) -> None:
-        for phase, seconds in phases.items():
-            self.service.registry.histogram(
-                "daemon.admission_phase_seconds", phase=phase
-            ).observe(seconds, exemplar=trace_id)
+    def _observe_phases(self, trace_id: Optional[str], *seconds: float) -> None:
+        """One observation per phase, in ``_PHASES`` order."""
+        histograms = self._phase_histograms
+        if histograms is None:
+            # Resolved on the first admission, not at construction: the
+            # series must not appear on /metrics before anything is timed.
+            histograms = self._phase_histograms = tuple(
+                self.service.registry.histogram(
+                    "daemon.admission_phase_seconds", phase=phase
+                )
+                for phase in _PHASES
+            )
+        for histogram, value in zip(histograms, seconds):
+            histogram.observe(value, exemplar=trace_id)
 
     def _guarded(self, call, *args, **kwargs):
         """``call(...)``; an exception no route expects is a 500 + flight dump."""

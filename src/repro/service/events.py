@@ -6,7 +6,9 @@ other end of a TCP connection can be arbitrarily slow.  The
 :class:`EventPlane` decouples the two: one synchronous fan-out callback
 pushes JSON-ready event dicts into a bounded :class:`asyncio.Queue` per
 subscriber, and a slow consumer loses events *from its own queue only* --
-admission processing and every other subscriber are unaffected.
+admission processing and every other subscriber are unaffected.  An
+event is rendered once per delivery round, and not at all while nobody
+is subscribed (it is still counted).
 
 Loss is never silent: once a subscriber's queue has room again, the next
 delivery is preceded by a single ``stream.truncated`` marker carrying the
@@ -125,6 +127,8 @@ class EventPlane:
     def _deliver(self, event: ReservationEvent) -> None:
         """EventLog subscriber callback: runs inside ``emit``."""
         self.events_seen += 1
+        if not self._subscribers:
+            return
         payload = event.to_dict()
         for subscriber in list(self._subscribers.values()):
             self._offer(subscriber, payload)

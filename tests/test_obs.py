@@ -112,6 +112,38 @@ class TestMetrics:
         b = registry.counter("c", y="2", x="1")
         assert a is b
 
+    def test_series_identity_is_the_formatted_label_value(self):
+        # A repeat lookup skips sorting and str(); it must not change
+        # which series a call reaches.  1 == 1.0 == True as dict keys,
+        # but they format as three different label values.
+        registry = MetricsRegistry()
+        for _ in range(2):  # the second pass takes the remembered keys
+            assert registry.counter("c", shard=1) is registry.counter("c", shard="1")
+            one, one_point, true = (
+                registry.counter("c", shard=value) for value in (1, 1.0, True)
+            )
+            assert len({id(one), id(one_point), id(true)}) == 3
+            assert registry.counter("c", shard="1.0") is one_point
+            assert registry.counter("c", shard="True") is true
+
+            class Shouty(str):
+                def __str__(self):
+                    return self.upper()
+
+            # Equal to and hashed like "a", formatted as "A".
+            assert registry.gauge("g", host=Shouty("a")) is registry.gauge("g", host="A")
+            assert registry.gauge("g", host="a") is not registry.gauge("g", host="A")
+            # Unhashable values are formatted like any other.
+            assert registry.histogram("h", hops=[1, 2]) is registry.histogram(
+                "h", hops="[1, 2]"
+            )
+            assert registry.counter("c", x="1", y="2") is registry.counter(
+                "c", y="2", x="1"
+            )
+        assert len(registry.iter_counters()) == 4
+        assert len(registry.iter_gauges()) == 2
+        assert len(registry.iter_histograms()) == 1
+
     def test_gauge_set_and_add(self):
         registry = MetricsRegistry()
         gauge = registry.gauge("broker.utilization", resource="cpu:H1")

@@ -1,0 +1,126 @@
+"""Record once, derive on read: deferred rendering must be invisible.
+
+One :class:`~repro.obs.events.ReservationEvent` per ``emit`` is shared
+by the event log, the flight recorder's ring and the event plane; it is
+rendered (``to_dict``) when a flight dump is asked for and per event
+only while a WebSocket subscriber exists.  Everything a reader sees --
+the schema-v4 flight document, the frames a subscriber receives, the
+counters on ``/v1/query`` -- must be what eager rendering produced.
+"""
+
+import asyncio
+import json
+
+from repro.obs import analyze
+from repro.obs.events import ReservationEvent
+from repro.service import (
+    DaemonConfig,
+    ReservationDaemon,
+    ReservationService,
+    ServiceClient,
+)
+from tests.test_service_daemon import VALID_PAIRS
+
+
+def admit_and_release(service: ReservationService, count: int, prefix: str) -> None:
+    for index in range(count):
+        name, domain = VALID_PAIRS[index % len(VALID_PAIRS)]
+        session_id = f"{prefix}-{index}"
+        outcome = service.establish(
+            {"service": name, "domain": domain, "session_id": session_id}
+        )
+        assert outcome["success"] is True
+        service.teardown({"session_id": session_id})
+
+
+def test_flight_snapshot_is_the_rendered_tail_of_the_event_stream(tmp_path):
+    ring = 64
+    service = ReservationService(DaemonConfig(seed=3, flight_events=ring))
+    service.start()
+    try:
+        admit_and_release(service, 12, "fl")
+        emitted = service.log.to_dicts()
+        assert len(emitted) > ring  # the ring wrapped: the tail is a real tail
+        document = service.flight_snapshot("test")
+        assert json.dumps(document["events"]) == json.dumps(emitted[-ring:])
+        assert document["events_dropped"] == len(emitted) - ring
+        assert document["meta"]["events_seen"] == len(emitted)
+        assert sum(document["event_counts"].values()) == ring
+        # The dump is the same document, and still a loadable schema v4.
+        path = service.flight.dump(
+            tmp_path / "flight.json", reason="test", registry=service.registry
+        )
+        on_disk = analyze.load_trace(path)
+        assert on_disk.schema_version == 4
+        assert [e.to_dict() for e in on_disk.events] == document["events"]
+    finally:
+        service.close()
+
+
+def test_no_event_is_rendered_while_nobody_subscribes(monkeypatch):
+    rendered = []
+    render = ReservationEvent.to_dict
+
+    def counting_to_dict(self):
+        rendered.append(self.seq)
+        return render(self)
+
+    monkeypatch.setattr(ReservationEvent, "to_dict", counting_to_dict)
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    try:
+        before = service.query()["event_log"]
+        admit_and_release(service, 50, "dark")
+        after = service.query()["event_log"]
+        assert rendered == []
+        # ... yet every event was recorded, fanned out and ring-buffered.
+        emitted = after["recorded"] - before["recorded"]
+        assert emitted > 50
+        assert after["fanned_out"] - before["fanned_out"] == emitted
+        assert service.flight.events_seen == after["recorded"]
+        assert after["subscribers"] == 0
+        # Asking for the document is what renders them.
+        service.flight_snapshot("test")
+        assert len(rendered) == len(service.flight.events)
+    finally:
+        service.close()
+
+
+def test_subscriber_joining_mid_run_receives_the_rendered_events():
+    async def collect(client, sink):
+        async for event in client.events():
+            sink.append(event)
+
+    async def scenario():
+        daemon = ReservationDaemon(DaemonConfig(seed=3, port=0))
+        await daemon.start()
+        try:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            for index in range(3):  # nobody listens to these
+                await client.establish(
+                    service="S2", domain="D1", session_id=f"early-{index}"
+                )
+            frames = []
+            task = asyncio.create_task(collect(client, frames))
+            await asyncio.sleep(0.1)
+            assert daemon.service.plane.subscriber_count == 1
+            joined_at = len(daemon.service.log)
+            for index in range(3):
+                await client.establish(
+                    service="S3", domain="D2", session_id=f"late-{index}"
+                )
+                await asyncio.sleep(0.1)  # let the burst flush
+            expected = daemon.service.log.to_dicts()[joined_at:]
+            assert expected
+            # Frame payloads are json.dumps(event.to_dict(), sort_keys=True).
+            assert [json.dumps(frame, sort_keys=True) for frame in frames] == [
+                json.dumps(payload, sort_keys=True) for payload in expected
+            ]
+            state = await client.query()
+            assert state["event_log"]["fanned_out"] == len(daemon.service.log)
+        finally:
+            await daemon.shutdown()
+        task.cancel()
+        await asyncio.gather(task, return_exceptions=True)
+
+    asyncio.run(scenario())

@@ -210,6 +210,44 @@ def test_admission_phase_histograms_with_exemplars():
     asyncio.run(scenario())
 
 
+def test_phase_histograms_count_each_request_once_under_a_shared_trace():
+    # `repro-loadgen --trace` binds ONE trace per session, so a teardown
+    # directly follows its establish under the same trace id.  Phase
+    # attribution is per request: the teardown must not re-read the
+    # establish's planning spans.
+    async def scenario():
+        daemon = await start_daemon(seed=3)
+        try:
+            client = ServiceClient("127.0.0.1", daemon.port)
+            pairs = 20
+            for i in range(pairs):
+                context = obs_context.new_trace_context(request_id=f"req-sh-{i}")
+                with obs_context.trace_context(context):
+                    outcome = await client.establish(
+                        service="S2", domain="D1", session_id=f"s-sh-{i}"
+                    )
+                    assert outcome["success"] is True
+                    await client.teardown(f"s-sh-{i}")
+            tracer = daemon.service.flight.tracer
+            registry = daemon.service.registry
+            for phase, span_name in (
+                ("plan", "phase2_plan"),
+                ("commit", "phase3_dispatch"),
+            ):
+                histogram = registry.histogram(
+                    "daemon.admission_phase_seconds", phase=phase
+                )
+                assert histogram.count == 2 * pairs
+                assert tracer.count(span_name) == pairs
+                assert histogram.sum == pytest.approx(
+                    tracer.total_time(span_name), rel=1e-9
+                )
+        finally:
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
 # ---------------------------------------------------------------------------
 # healthz + debug dump + access log
 
