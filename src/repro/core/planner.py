@@ -29,8 +29,6 @@ from repro.core.dijkstra import (
 from repro.core.errors import PlanningError
 from repro.core.plan import ComponentAssignment, ReservationPlan
 from repro.core.qrg import IntraEdge, QoSResourceGraph, QRGNode
-from repro.obs import events as _events
-from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
 
 
@@ -40,82 +38,6 @@ class Planner(Protocol):
     def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
         """Compute a reservation plan for the QRG (None when infeasible)."""
         ...  # pragma: no cover - protocol body
-
-
-#: Causal planner events whose emission implies a metrics counter; a
-#: :class:`BatchPlanMemo` replay bumps the counter alongside the event
-#: so batch and sequential planning agree on both.
-_REPLAYED_EVENT_COUNTERS = {"planner.tradeoff_backoff": "planner.tradeoff_backoffs"}
-
-
-class BatchPlanMemo:
-    """Per-batch plan memo: N sessions sharing one priced QRG plan once.
-
-    Deterministic planners (``planner.deterministic`` is True) return
-    the same plan for the same graph object, so repeated
-    :meth:`plan` calls against one QRG return the memoised plan; the
-    causal events the first call emitted (e.g.
-    ``planner.tradeoff_backoff``) are captured and *replayed* on every
-    hit, keeping a batch's event stream identical to the sequential
-    per-session loop.  Non-deterministic planners (RandomPlanner draws
-    a fresh path per call) bypass the memo entirely, preserving their
-    per-session draw order.
-
-    Spans and timing histograms are intentionally **not** replayed --
-    they record work actually done, and the amortisation is the point.
-    """
-
-    def __init__(self, planner) -> None:
-        self.planner = planner
-        self._memoised = bool(getattr(planner, "deterministic", False))
-        self._plans: dict = {}
-
-    def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
-        """The planner's plan for ``qrg`` (memoised per graph object)."""
-        if not self._memoised:
-            return self.planner.plan(qrg)
-        key = id(qrg)
-        hit = self._plans.get(key)
-        log = _events.active_event_log()
-        if hit is not None:
-            plan, events = hit
-            if log is not None:
-                registry = _metrics.active_registry()
-                for event in events:
-                    counter = _REPLAYED_EVENT_COUNTERS.get(event.kind)
-                    if counter is not None and registry is not None:
-                        registry.counter(counter).inc()
-                    log.emit(
-                        event.kind,
-                        session=event.session,
-                        resource=event.resource,
-                        time=event.time,
-                        **event.attributes,
-                    )
-            return plan
-        captured: List = []
-        if log is not None:
-            log.subscribe(captured.append)
-        try:
-            plan = self.planner.plan(qrg)
-        finally:
-            if log is not None:
-                log.unsubscribe(captured.append)
-        self._plans[key] = (plan, tuple(captured))
-        return plan
-
-
-def plan_batch(planner, qrgs: Sequence[Optional[QoSResourceGraph]]) -> List[Optional[ReservationPlan]]:
-    """Plan a batch of (possibly shared, possibly None) priced QRGs.
-
-    The batched planning entry point: N concurrent arrivals priced
-    against one availability snapshot hand their QRGs here -- arrivals
-    sharing a graph object pay one planner run (deterministic planners
-    only; see :class:`BatchPlanMemo`).  ``None`` entries (arrivals whose
-    pricing failed) map to ``None`` plans.
-    """
-    memo = BatchPlanMemo(planner)
-    return [None if qrg is None else memo.plan(qrg) for qrg in qrgs]
 
 
 def _reachable_sinks(
@@ -183,8 +105,6 @@ class BasicPlanner:
     """
 
     name = "basic"
-    #: Same QRG -> same plan; batch planning may memoise (BatchPlanMemo).
-    deterministic = True
 
     def __init__(self, tie_break: bool = True) -> None:
         self.tie_break = tie_break
@@ -214,8 +134,6 @@ class RandomPlanner:
     """
 
     name = "random"
-    #: Each plan() call draws from the rng; batch planning never memoises.
-    deterministic = False
 
     def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
         self.rng = rng if rng is not None else np.random.default_rng()

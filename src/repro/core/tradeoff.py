@@ -38,9 +38,6 @@ class TradeoffPlanner:
     """Basic algorithm + the availability-trend trade-off policy."""
 
     name = "tradeoff"
-    #: Same QRG -> same plan (and same backoff events); batch planning
-    #: may memoise, replaying the events per session (BatchPlanMemo).
-    deterministic = True
 
     def __init__(self, tie_break: bool = True) -> None:
         self.tie_break = tie_break

@@ -106,13 +106,12 @@ class FaultTolerantCoordinator(ReservationCoordinator):
                 return stop.value
 
     def establish_batch(self, requests, planner, **kwargs):
-        """Batched establishment under the fault boundary.
+        """A batch shares no snapshot under a non-zero fault plan.
 
-        With a zero injector this is the parent's amortised batch path
-        verbatim.  With faults enabled every arrival runs the tolerant
-        protocol individually -- faults are injected per message, so a
-        shared snapshot or memoised plan would mask exactly the
-        timeouts, stale reports, and retries the fault plan asks for.
+        Faults are injected per message, so one shared phase-1 round
+        would mask exactly the timeouts, stale reports and retries the
+        plan asks for: every arrival runs the tolerant protocol with a
+        phase 1 of its own.  A zero plan inherits the parent's batch.
         """
         if self.injector.is_zero:
             return super().establish_batch(requests, planner, **kwargs)

@@ -29,7 +29,6 @@ from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding
 from repro.core.errors import AdmissionError, BrokerError, PlanningError
 from repro.core.plan import ReservationPlan
-from repro.core.planner import BatchPlanMemo
 from repro.core.qrg import QRGSkeletonCache, memoise_bounded, price_skeleton
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.core.translation import ScaledTranslation
@@ -148,8 +147,8 @@ class ReservationCoordinator:
         ``demand_scale`` scales every translation-function requirement
         (the evaluation's "fat" sessions, §5.1).  ``snapshot`` replaces
         phase 1 with an already-collected availability snapshot (it must
-        cover the binding's resources); this is the sequential reference
-        point that :meth:`establish_batch` is byte-identical to.
+        cover the binding's resources); :meth:`establish_batch` shares
+        one across its arrivals this way.
         """
         with self._establish_accounting(session_id, service_name) as settle:
             return settle(
@@ -213,12 +212,11 @@ class ReservationCoordinator:
 
         Yields ``settle``: the body hands it the
         :class:`EstablishmentResult` (and gets it back), which is what
-        the bracket accounts.  Shared by :meth:`establish`, each arrival
-        of :meth:`establish_batch` and the fault boundary's DES driver,
-        so all three are accounted alike.  When a request-scoped trace
-        context is bound (daemon admissions), the span carries the
-        caller's request id; the coordinator never *creates* contexts,
-        so simulation runs stay byte-identical.
+        the bracket accounts.  Shared by :meth:`establish` and the fault
+        boundary's DES driver, so both are accounted alike.  When a
+        request-scoped trace context is bound (daemon admissions), the
+        span carries the caller's request id; the coordinator never
+        *creates* contexts, so simulation runs stay byte-identical.
         """
         registry = _metrics.active_registry()
         started = _time.perf_counter() if registry is not None else 0.0
@@ -286,16 +284,6 @@ class ReservationCoordinator:
             if missing:
                 raise BrokerError(f"no proxy reported resources {sorted(missing)}")
             return AvailabilitySnapshot(observations), reports
-
-    def _collect_snapshot(
-        self,
-        session_id: str,
-        resource_ids: Sequence[str],
-        observed_at: Optional[ObservationSchedule],
-    ) -> AvailabilitySnapshot:
-        """Phase 1 over explicit resource ids (a batch's union)."""
-        exchanges = self._availability_exchanges(session_id, resource_ids)
-        return self._phase1(exchanges, resource_ids, observed_at)[0]
 
     def _establish(
         self,
@@ -528,17 +516,7 @@ class ReservationCoordinator:
             )
         return plan, None
 
-    # -- batched establishment (amortised planning hot path) -------------------
-
-    @staticmethod
-    def _group_key(request: SessionRequest) -> Tuple:
-        """Requests with equal keys share one priced QRG within a batch."""
-        return (
-            request.service_name,
-            request.demand_scale,
-            request.source_label,
-            QRGSkeletonCache.binding_key(request.binding),
-        )
+    # -- batches (one phase-1 round for N arrivals) -----------------------------
 
     def _collect_batch_snapshot(
         self,
@@ -549,44 +527,8 @@ class ReservationCoordinator:
         union = sorted(
             {rid for request in requests for rid in request.binding.resource_ids()}
         )
-        return self._collect_snapshot(f"batch[{len(requests)}]", union, observed_at)
-
-    def plan_batch(
-        self,
-        requests: Iterable[SessionRequest],
-        planner,
-        *,
-        snapshot: Optional[AvailabilitySnapshot] = None,
-        observed_at: Optional[ObservationSchedule] = None,
-        contention_index=None,
-    ) -> List[Optional[ReservationPlan]]:
-        """Plan (without admitting) N arrivals against one snapshot.
-
-        The batched planning hot path: phase 1 runs once over the union
-        of the batch's bound resources (unless ``snapshot`` is given),
-        each distinct (service, demand_scale, source_label, binding)
-        group prices its QRG once, and deterministic planners plan each
-        priced QRG once (:class:`~repro.core.planner.BatchPlanMemo`).
-
-        Returns one entry per request, aligned: the plan, or ``None``
-        when pricing failed or no feasible plan exists.  Planning-only
-        -- no session events are emitted and nothing is reserved; use
-        :meth:`establish_batch` for the full three-phase protocol.
-        """
-        requests = list(requests)
-        with _trace.span("plan_batch", sessions=len(requests)) as span:
-            if snapshot is None:
-                snapshot = self._collect_batch_snapshot(requests, observed_at)
-            memo = BatchPlanMemo(planner)
-            priced: Dict[Tuple, object] = {}
-            plans: List[Optional[ReservationPlan]] = []
-            for request in requests:
-                entry = self._price_group(request, priced, snapshot, contention_index)
-                plans.append(
-                    None if isinstance(entry, PlanningError) else memo.plan(entry)
-                )
-            span.set(groups=len(priced))
-            return plans
+        exchanges = self._availability_exchanges(f"batch[{len(requests)}]", union)
+        return self._phase1(exchanges, union, observed_at)[0]
 
     def establish_batch(
         self,
@@ -599,116 +541,29 @@ class ReservationCoordinator:
     ) -> List[EstablishmentResult]:
         """Establish N concurrent arrivals against one availability snapshot.
 
-        Byte-identical in results, causal events, and counters to the
-        sequential reference loop
-
-        .. code-block:: python
-
-            shared = coordinator._collect_batch_snapshot(requests, observed_at)
-            [coordinator.establish(r.session_id, r.service_name, r.binding,
-                                   planner, ..., snapshot=shared)
-             for r in requests]
-
-        but prices each distinct request group's QRG once and (for
-        deterministic planners) runs the planner once per group,
-        replaying the planner's causal events per session.  Sessions are
-        admitted in request order, each seeing the reservations of the
-        ones before it -- exactly like the sequential loop.
+        What a batch shares is phase 1: one round over the union of the
+        batch's resources (unless ``snapshot`` is given).  Every arrival
+        is then an ordinary :meth:`establish` against that snapshot, in
+        request order, each seeing the reservations of the ones before
+        it -- phase 2 runs once per session, as in the paper.
         """
         requests = list(requests)
-        if not requests:
-            return []
-        if snapshot is None:
+        if snapshot is None and requests:
             snapshot = self._collect_batch_snapshot(requests, observed_at)
-        observed_instant = max(
-            (obs.observed_at for obs in snapshot.values()), default=None
-        )
-        memo = BatchPlanMemo(planner)
-        priced: Dict[Tuple, object] = {}
-        results: List[EstablishmentResult] = []
-        for request in requests:
-            with self._establish_accounting(
-                request.session_id, request.service_name
-            ) as settle:
-                results.append(
-                    settle(
-                        self._establish_batched(
-                            request, memo, priced, snapshot, observed_instant,
-                            contention_index,
-                        )
-                    )
-                )
-        return results
-
-    def _price_group(
-        self,
-        request: SessionRequest,
-        priced: Dict[Tuple, object],
-        snapshot: AvailabilitySnapshot,
-        contention_index,
-    ):
-        """The request group's priced QRG (or its PlanningError), memoised.
-
-        First encounter prices under a qrg_build span; later sessions in
-        the same group reuse the object (the memoisation
-        :class:`~repro.core.planner.BatchPlanMemo` keys on).
-        """
-        key = self._group_key(request)
-        entry = priced.get(key)
-        if entry is None:
-            service = self._service_at_scale(request.service_name, request.demand_scale)
-            try:
-                entry = self._price_qrg(
-                    service,
-                    request.binding,
-                    snapshot,
-                    source_label=request.source_label,
-                    demand_scale=request.demand_scale,
-                    contention_index=contention_index,
-                )
-            except PlanningError as exc:
-                entry = exc
-            priced[key] = entry
-        return entry
-
-    def _establish_batched(
-        self,
-        request: SessionRequest,
-        memo: BatchPlanMemo,
-        priced: Dict[Tuple, object],
-        snapshot: AvailabilitySnapshot,
-        observed_instant: Optional[float],
-        contention_index,
-    ) -> EstablishmentResult:
-        """One batched arrival: shared phase 2, per-session phase 3."""
-        with _trace.span("phase2_plan"):
-            entry = self._price_group(request, priced, snapshot, contention_index)
-            if isinstance(entry, PlanningError):
-                return self._reject_unplannable(
-                    request.session_id,
-                    request.service_name,
-                    snapshot,
-                    observed_instant,
-                    entry,
-                )
-            plan, failure = self._plan_priced(
+        return [
+            self.establish(
                 request.session_id,
                 request.service_name,
-                memo,
-                entry,
-                snapshot,
-                observed_instant,
+                request.binding,
+                planner,
+                component_hosts=request.component_hosts,
+                source_label=request.source_label,
+                demand_scale=request.demand_scale,
+                contention_index=contention_index,
+                snapshot=snapshot,
             )
-        if failure is not None:
-            return failure
-        return self._phase3_admit(
-            request.session_id,
-            request.service_name,
-            plan,
-            snapshot,
-            observed_instant,
-            request.component_hosts,
-        )
+            for request in requests
+        ]
 
     def _emit_admission_rejected(
         self,

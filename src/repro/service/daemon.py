@@ -435,15 +435,22 @@ class ReservationService:
 
     # -- request decoding --------------------------------------------------
 
-    def _placed(self, arrival: SessionArrival):
-        """(binding, component_hosts) of an arrival; 400 on bad placement."""
+    def _placed(self, service: str, domain: str):
+        """(binding, component_hosts) of a placement this daemon may admit.
+
+        400 on a bad placement; 409 from a shard when the placement
+        touches a resource another shard owns -- every shard builds the
+        whole grid, so planning it here would hold capacity on a local
+        copy of brokers whose real state lives elsewhere.
+        """
         try:
-            binding = self.grid.binding_for(arrival.service, arrival.domain)
-            component_hosts = self.grid.component_hosts_for(
-                arrival.service, arrival.domain
-            )
+            binding = self.grid.binding_for(service, domain)
+            component_hosts = self.grid.component_hosts_for(service, domain)
         except ModelError as exc:
             raise ServiceError(str(exc)) from exc
+        if self._owned_resources is not None:
+            for resource_id in sorted(binding.resource_ids()):
+                self._check_owned(resource_id)
         return binding, component_hosts
 
     # -- admission operations (serialized by the daemon's lock) ------------
@@ -455,7 +462,7 @@ class ReservationService:
             raise ServiceError(
                 f"session {arrival.session_id!r} already established", status=409
             )
-        binding, component_hosts = self._placed(arrival)
+        binding, component_hosts = self._placed(arrival.service, arrival.domain)
         result = self.coordinator.establish(
             arrival.session_id,
             arrival.service,
@@ -482,7 +489,7 @@ class ReservationService:
             seen.add(arrival.session_id)
         requests = []
         for arrival in arrivals:
-            binding, component_hosts = self._placed(arrival)
+            binding, component_hosts = self._placed(arrival.service, arrival.domain)
             requests.append(
                 arrival.to_session_request(binding, component_hosts=component_hosts)
             )
@@ -519,10 +526,15 @@ class ReservationService:
         session = self.sessions.get(str(session_id))
         if session is None:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
-        binding = self.grid.binding_for(session["service"], session["domain"])
-        component_hosts = self.grid.component_hosts_for(
-            session["service"], session["domain"]
-        )
+        if session.get("cluster"):
+            # Recorded by /v1/commit: this daemon holds one shard's share
+            # of the plan (and maybe no placement at all), not the session.
+            raise ServiceError(
+                f"session {session_id!r} was admitted by a cluster router; "
+                "renegotiate through it",
+                status=409,
+            )
+        binding, component_hosts = self._placed(session["service"], session["domain"])
         result = self.coordinator.renegotiate(
             str(session_id),
             session["service"],
@@ -974,20 +986,16 @@ class ReservationDaemon(ServingShell):
         spans sit contiguously at the tail of the flight tracer's ring;
         walk backwards while they are its own.  (Per request, not per
         trace: a client may send a whole session under one trace id.)
-        ``plan_batch`` parents the per-group ``phase2_plan`` spans, so a
-        batch counts the parent only (no double counting).
         """
-        phase2 = batch = commit = 0.0
+        plan = commit = 0.0
         for record in reversed(self.service.flight.tracer.records):
             if record.index < first_span:
                 break
             if record.name == "phase2_plan":
-                phase2 += record.duration
-            elif record.name == "plan_batch":
-                batch += record.duration
+                plan += record.duration
             elif record.name == "phase3_dispatch":
                 commit += record.duration
-        return (batch if batch else phase2), commit
+        return plan, commit
 
     def _observe_phases(self, trace_id: Optional[str], *seconds: float) -> None:
         """One observation per phase, in ``_PHASES`` order."""

@@ -1,16 +1,16 @@
-"""Batched planning == the sequential reference loop, byte for byte.
+"""A batch == one phase-1 round, then the sequential loop, byte for byte.
 
-:meth:`ReservationCoordinator.establish_batch` prices each distinct
-(service, demand_scale, source_label, binding) group once and lets
-deterministic planners plan each priced QRG once, but its observable
-behaviour -- results, causal events (including order), counters, and
-broker end-state -- must be exactly what the sequential loop
+:meth:`ReservationCoordinator.establish_batch` shares exactly one thing
+across its arrivals -- the availability snapshot -- so everything
+observable about it (results, causal events in order, *all* counters,
+the span stream, broker end-state) must be what the written-out loop
 
     shared = coordinator._collect_batch_snapshot(requests, observed_at)
     [coordinator.establish(..., snapshot=shared) for r in requests]
 
-produces.  These property tests pin that contract over random arrival
-sets on the figure-9 grid, for every planner.
+produces.  These property tests pin that contract (one phase 1,
+admission in request order) over random arrival sets on the figure-9
+grid, for every planner.
 """
 
 import numpy as np
@@ -21,8 +21,10 @@ from hypothesis import strategies as st
 from repro.core import BasicPlanner, RandomPlanner, TradeoffPlanner
 from repro.core.errors import ModelError
 from repro.des import Environment, RandomStreams
+from repro.faults import FaultConfig, FaultInjector, FaultPlan, FaultTolerantCoordinator
 from repro.obs.events import EventLog, event_logging
 from repro.obs.metrics import MetricsRegistry, metering
+from repro.obs.trace import Tracer, tracing
 from repro.runtime import SessionRequest
 from repro.sim.environment import GridEnvironment
 
@@ -73,23 +75,45 @@ def broker_state(grid):
     return {rid: grid.registry.broker(rid).available for rid in grid.resource_ids()}
 
 
+def span_view(tracer):
+    """Everything deterministic about the span stream (clock excluded)."""
+    return [
+        (r.index, r.name, r.depth, r.parent_index, r.attributes)
+        for r in tracer.records
+    ]
+
+
+def observed(grid, run):
+    """``run()`` under a fresh event log, registry and tracer."""
+    log, registry, tracer = EventLog(), MetricsRegistry(), Tracer()
+    with event_logging(log), metering(registry), tracing(tracer):
+        results = run()
+    return (
+        results,
+        event_view(log),
+        registry.snapshot()["counters"],
+        span_view(tracer),
+        broker_state(grid),
+    )
+
+
 def run_batched(grid_seed, picks, make_planner, demand_scale=1.0):
     grid = fresh_grid(grid_seed)
     requests = requests_for(grid, picks, demand_scale)
-    log, registry = EventLog(), MetricsRegistry()
-    with event_logging(log), metering(registry):
-        results = grid.coordinator.establish_batch(requests, make_planner())
-    return results, event_view(log), registry.snapshot()["counters"], broker_state(grid)
+    planner = make_planner()
+    return observed(
+        grid, lambda: grid.coordinator.establish_batch(requests, planner)
+    )
 
 
 def run_sequential(grid_seed, picks, make_planner, demand_scale=1.0):
     grid = fresh_grid(grid_seed)
     requests = requests_for(grid, picks, demand_scale)
-    log, registry = EventLog(), MetricsRegistry()
     planner = make_planner()
-    with event_logging(log), metering(registry):
+
+    def written_out():
         shared = grid.coordinator._collect_batch_snapshot(requests, None)
-        results = [
+        return [
             grid.coordinator.establish(
                 r.session_id,
                 r.service_name,
@@ -102,32 +126,14 @@ def run_sequential(grid_seed, picks, make_planner, demand_scale=1.0):
             )
             for r in requests
         ]
-    return results, event_view(log), registry.snapshot()["counters"], broker_state(grid)
 
-
-def comparable_counters(counters):
-    """Counters that describe behaviour, not work saved.
-
-    The skeleton-cache hit/miss counters are *supposed* to differ --
-    pricing each group once instead of once per session is the whole
-    point of the batch path -- so they are excluded from the identity
-    check.  Everything else (admissions, rejections, backoffs, broker
-    traffic) must match exactly.
-    """
-    return {
-        name: value
-        for name, value in counters.items()
-        if not name.startswith("qrg.skeleton_cache")
-    }
+    return observed(grid, written_out)
 
 
 def assert_identical(batched, sequential):
-    b_results, b_events, b_counters, b_brokers = batched
-    s_results, s_events, s_counters, s_brokers = sequential
-    assert b_results == s_results
-    assert b_events == s_events
-    assert comparable_counters(b_counters) == comparable_counters(s_counters)
-    assert b_brokers == s_brokers
+    views = ("results", "events", "counters", "spans", "brokers")
+    for view, ours, reference in zip(views, batched, sequential):
+        assert ours == reference, view
 
 
 PLANNERS = {
@@ -160,9 +166,8 @@ class TestEstablishBatchIdentity:
         rng_seed=st.integers(min_value=0, max_value=2**16),
     )
     def test_random_planner_matches_with_identical_seed(self, picks, rng_seed):
-        # RandomPlanner is non-deterministic so the memo bypasses it; a
-        # fresh, identically-seeded instance per run is the fair
-        # comparison (both sides consume the rng in request order).
+        # A fresh, identically-seeded instance per run is the fair
+        # comparison: both sides consume the rng in request order.
         assert_identical(
             run_batched(7, picks, lambda: RandomPlanner(rng=np.random.default_rng(rng_seed))),
             run_sequential(7, picks, lambda: RandomPlanner(rng=np.random.default_rng(rng_seed))),
@@ -183,67 +188,41 @@ class TestEstablishBatchIdentity:
         grid = fresh_grid()
         assert grid.coordinator.establish_batch([], BasicPlanner()) == []
 
-
-class TestPlanBatchAlignment:
-    @settings(max_examples=15, deadline=None)
-    @given(
-        picks=arrival_sets,
-        planner_name=st.sampled_from(sorted(PLANNERS)),
-    )
-    def test_plans_align_with_per_session_planning(self, picks, planner_name):
-        make_planner = PLANNERS[planner_name]
+    def test_a_batch_runs_phase_one_once_over_the_union(self):
+        # What a batch saves: N arrivals, one availability round.
         grid = fresh_grid()
-        requests = requests_for(grid, picks)
-        shared = grid.coordinator._collect_batch_snapshot(requests, None)
-        batch_plans = grid.coordinator.plan_batch(
-            requests, make_planner(), snapshot=shared
-        )
-        assert len(batch_plans) == len(requests)
-        planner = make_planner()
-        for request, plan in zip(requests, batch_plans):
-            result = fresh_grid().coordinator.establish(
-                request.session_id,
-                request.service_name,
-                request.binding,
-                planner,
-                component_hosts=request.component_hosts,
-                demand_scale=request.demand_scale,
-            )
-            if plan is None:
-                assert not result.success
-            else:
-                assert result.success
-                assert result.plan.assignments == plan.assignments
-                assert result.plan.psi == plan.psi
-
-    def test_planning_only_reserves_nothing_and_emits_no_session_events(self):
-        grid = fresh_grid()
-        requests = requests_for(grid, VALID_PAIRS[:4])
-        before = broker_state(grid)
-        log = EventLog()
-        with event_logging(log):
-            plans = grid.coordinator.plan_batch(requests, BasicPlanner())
-        assert any(plan is not None for plan in plans)
-        assert broker_state(grid) == before
-        assert not any(e.kind.startswith("session.") for e in log.records)
-
-
-class TestFaultTolerantDelegation:
-    def test_zero_injector_delegates_to_batched_path(self):
-        from repro.faults import FaultInjector, FaultTolerantCoordinator
-
-        grid = fresh_grid()
-        ft = FaultTolerantCoordinator(
-            grid.registry,
-            grid.model_store,
-            grid.proxies,
-            injector=FaultInjector.disabled(),
-        )
         requests = requests_for(grid, VALID_PAIRS[:6])
-        results = ft.establish_batch(requests, BasicPlanner())
+        union = {rid for r in requests for rid in r.binding.resource_ids()}
+        tracer = Tracer()
+        with tracing(tracer):
+            grid.coordinator.establish_batch(requests, BasicPlanner())
+        rounds = [r for r in tracer.records if r.name == "phase1_availability"]
+        assert [r.attributes["resources"] for r in rounds] == [len(union)]
+        assert tracer.count("phase2_plan") == len(requests)
 
-        reference = run_sequential(7, VALID_PAIRS[:6], BasicPlanner)
-        assert [r.success for r in results] == [r.success for r in reference[0]]
-        assert [r.qos_level for r in results] == [
-            r.qos_level for r in reference[0]
-        ]
+
+class TestFaultBoundary:
+    def fault_tolerant(self, grid, config):
+        plan = FaultPlan.generate(config, seed=1, horizon=0.0, hosts=())
+        return FaultTolerantCoordinator(
+            grid.registry, grid.model_store, grid.proxies, injector=FaultInjector(plan)
+        )
+
+    def test_zero_plan_batch_is_the_shared_snapshot_loop(self):
+        grid = fresh_grid()
+        ft = self.fault_tolerant(grid, FaultConfig())
+        requests = requests_for(grid, VALID_PAIRS[:6])
+        batched = observed(grid, lambda: ft.establish_batch(requests, BasicPlanner()))
+        assert_identical(batched, run_sequential(7, VALID_PAIRS[:6], BasicPlanner))
+
+    def test_faulty_plan_batch_shares_no_snapshot(self):
+        # Faults are injected per message: every arrival must run the
+        # tolerant protocol's own phase 1, or the plan's faults are masked.
+        grid = fresh_grid()
+        ft = self.fault_tolerant(grid, FaultConfig(stale_rate=1.0))
+        requests = requests_for(grid, VALID_PAIRS[:6])
+        tracer = Tracer()
+        with tracing(tracer):
+            results = ft.establish_batch(requests, BasicPlanner())
+        assert [r.session_id for r in results] == [r.session_id for r in requests]
+        assert tracer.count("phase1_availability") == len(requests)

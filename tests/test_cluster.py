@@ -433,6 +433,25 @@ def test_sharded_daemon_refuses_unowned_resources():
             with pytest.raises(ServiceClientError) as unowned:
                 await client.reserve("s-x", {foreign: 1.0})
             assert unowned.value.status == 409
+            # A placement touching another shard's resources is refused
+            # on every route that plans one, before a broker is touched.
+            # (S1/D3 crosses shards at this seed; S1/D7 is wholly shard 0's.)
+            crossing = {"service": "S1", "domain": "D3"}
+            mine = min((await client.availability())["resources"])
+            held = await client.reserve("s-c", {mine: 1.0})
+            await client.commit(held["lease_id"], session=crossing)
+            for path, payload in (
+                ("/v1/establish", crossing),
+                ("/v1/establish_batch",
+                 {"arrivals": [{"service": "S1", "domain": "D7"}, crossing]}),
+                ("/v1/renegotiate", {"session_id": "s-c"}),
+            ):
+                refused = await client.request("POST", path, payload)
+                assert refused.status == 409, (path, refused.body)
+            await client.teardown("s-c")
+            daemon.service.grid.registry.assert_quiescent()
+            local = await client.establish(service="S1", domain="D7")
+            assert local["success"] is True
             # availability reports only the owned slice
             availability = await client.availability()
             assert availability["shard"] == 0

@@ -95,6 +95,16 @@ def test_malformed_payloads_are_4xx_never_5xx(target):
             assert (first.status, again.status) == (200, 409)
             await client.aclose()
             if daemon is not None:
+                # three well-formed requests, the last one for the wrong
+                # door: a session recorded by /v1/commit is a router's
+                direct = ServiceClient("127.0.0.1", daemon.port)
+                held = await direct.reserve("2pc", {"cpu:H1": 10})
+                await direct.commit(held["lease_id"])  # 'session' is optional
+                wrong_door = await direct.request(
+                    "POST", "/v1/renegotiate", {"session_id": "2pc"}
+                )
+                assert wrong_door.status == 409, wrong_door.body
+                await direct.aclose()
                 assert "unhandled_exceptions" not in daemon.service.flight.wire
                 assert daemon.service.leases.pending() == ()
         finally:
