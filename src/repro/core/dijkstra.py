@@ -18,7 +18,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, Hashable, Iterable, List, Optional, Tuple, TypeVar
+from typing import Callable, Dict, Generic, Hashable, Iterable, List, Sequence, Tuple, TypeVar
 
 from repro.obs import trace as _trace
 
@@ -45,16 +45,22 @@ class PathSearchResult(Generic[Node]):
         """Node sequence from the source to ``node`` (inclusive)."""
         if node not in self.distance:
             raise KeyError(f"{node!r} is not reachable from {self.source!r}")
+        source, predecessor = self.source, self.predecessor
         path = [node]
-        while path[-1] != self.source:
-            path.append(self.predecessor[path[-1]])
+        while node != source:
+            node = predecessor[node]
+            path.append(node)
         path.reverse()
         return path
 
+    def edges_along(self, path: Sequence[Node]) -> List[object]:
+        """Edge payloads along a :meth:`path_to` result (None for 0-cost hops)."""
+        predecessor_edge = self.predecessor_edge
+        return [predecessor_edge[node] for node in path[1:]]
+
     def edges_to(self, node: Node) -> List[object]:
         """Edge payloads along the path to ``node`` (None for 0-cost hops)."""
-        nodes = self.path_to(node)
-        return [self.predecessor_edge[n] for n in nodes[1:]]
+        return self.edges_along(self.path_to(node))
 
 
 def minimax_dijkstra(
@@ -86,42 +92,48 @@ def _minimax_dijkstra(
     source: Node, successors: Successors, tie_break: bool
 ) -> PathSearchResult[Node]:
     """The uninstrumented search body of :func:`minimax_dijkstra`."""
+    inf = math.inf
+    pop, push = heapq.heappop, heapq.heappush
     distance: Dict[Node, float] = {source: 0.0}
     predecessor: Dict[Node, Node] = {}
     predecessor_edge: Dict[Node, object] = {}
-    incoming_weight: Dict[Node, float] = {source: -math.inf}
+    incoming_weight: Dict[Node, float] = {}
     done: set = set()
 
     counter = 0
     heap: List[Tuple[float, int, Node]] = [(0.0, counter, source)]
     while heap:
-        dist_u, _count, u = heapq.heappop(heap)
+        dist_u, _count, u = pop(heap)
+        # A node is pushed again only with a strictly smaller distance, so
+        # its best entry pops first and every later one finds it settled.
         if u in done:
             continue
-        if dist_u > distance.get(u, math.inf):
-            continue  # stale entry
         done.add(u)
         for v, weight, edge in successors(u):
             if weight < 0:
                 raise ValueError(f"negative edge weight {weight!r} on {u!r} -> {v!r}")
-            candidate = max(dist_u, weight)
-            current = distance.get(v, math.inf)
+            candidate = weight if weight > dist_u else dist_u
+            current = distance.get(v, inf)
             if candidate < current:
                 distance[v] = candidate
                 predecessor[v] = u
                 predecessor_edge[v] = edge
                 incoming_weight[v] = weight
                 counter += 1
-                heapq.heappush(heap, (candidate, counter, v))
-            elif tie_break and candidate == current and v not in done:
+                push(heap, (candidate, counter, v))
+            elif tie_break and candidate == current and v not in done and v in predecessor:
                 # Same bottleneck value: prefer the smaller incoming edge
                 # weight (paper's rule), then the smaller upstream value,
-                # then a stable lexicographic order.
-                better = (weight, dist_u, _node_key(u)) < (
-                    incoming_weight.get(v, math.inf),
-                    distance.get(predecessor.get(v, u), math.inf),
-                    _node_key(predecessor.get(v, u)),
-                )
+                # then a stable lexicographic order.  (An unreached ``v``
+                # ties only at infinity, which never replaces nothing.)
+                rival = predecessor[v]
+                rival_weight = incoming_weight[v]
+                if weight != rival_weight:
+                    better = weight < rival_weight
+                elif dist_u != distance[rival]:
+                    better = dist_u < distance[rival]
+                else:
+                    better = str(u) < str(rival)
                 if better:
                     predecessor[v] = u
                     predecessor_edge[v] = edge
@@ -132,10 +144,6 @@ def _minimax_dijkstra(
         predecessor=predecessor,
         predecessor_edge=predecessor_edge,
     )
-
-
-def _node_key(node: object) -> str:
-    return str(node)
 
 
 def enumerate_paths(

@@ -10,6 +10,7 @@ path-census experiments (Tables 1-2).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Dict, Mapping, Optional, Tuple
 
 from repro.core.errors import ModelError
@@ -63,9 +64,14 @@ class ReservationPlan:
         if not self.assignments:
             raise ModelError("a reservation plan must assign at least one component")
 
-    @property
+    @cached_property
     def demand(self) -> ResourceVector:
-        """Total per-resource-id amounts to reserve (components summed)."""
+        """Total per-resource-id amounts to reserve (components summed).
+
+        Built on first read and kept beside the fields (an admitted
+        session reads it two or three times); it is not a field, so
+        equality, hashing and ``dataclasses.replace`` never see it.
+        """
         totals: Dict[str, float] = {}
         for assignment in self.assignments:
             for resource_id, amount in assignment.bound.items():

@@ -43,7 +43,8 @@ class Planner(Protocol):
 def _reachable_sinks(
     qrg: QoSResourceGraph, search: PathSearchResult[QRGNode]
 ) -> List[QRGNode]:
-    return [node for node in qrg.sink_nodes() if search.reachable(node)]
+    distance = search.distance
+    return [node for node in qrg.sink_nodes() if node in distance]
 
 
 def _best_sink(qrg: QoSResourceGraph, sinks: Sequence[QRGNode]) -> Optional[QRGNode]:
@@ -76,12 +77,10 @@ def assemble_plan(
 ) -> ReservationPlan:
     """Turn an explicit QRG path into a :class:`ReservationPlan`."""
     with _trace.span("plan_assemble", service=qrg.service.name) as span:
-        assignments = tuple(
-            ComponentAssignment.from_edge(edge) for edge in edges if edge is not None
-        )
         intra = [edge for edge in edges if edge is not None]
-        psi = max((edge.weight for edge in intra), default=0.0)
-        bottleneck = _bottleneck_edge(edges)
+        assignments = tuple(map(ComponentAssignment.from_edge, intra))
+        bottleneck = _bottleneck_edge(intra)
+        psi = bottleneck.weight
         ranking = qrg.service.ranking
         span.set(psi=psi, bottleneck=bottleneck.bottleneck_resource, label=sink.label)
         return ReservationPlan(
@@ -120,9 +119,8 @@ class BasicPlanner:
                 span.set(feasible=False)
                 return None
             node_path = search.path_to(sink)
-            edges = search.edges_to(sink)
             span.set(feasible=True)
-            return assemble_plan(qrg, sink, node_path, edges)
+            return assemble_plan(qrg, sink, node_path, search.edges_along(node_path))
 
 
 class RandomPlanner:

@@ -19,8 +19,10 @@ structure is kept explicitly for the two-pass heuristic of §4.3.2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from collections import namedtuple
+from dataclasses import dataclass, field, replace
+from types import MappingProxyType
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.component import Binding
 from repro.core.errors import ModelError, PlanningError
@@ -36,28 +38,26 @@ from repro.core.resources import (
 from repro.core.service import DistributedService
 
 
-@dataclass(frozen=True, order=True)
-class QRGNode:
-    """Identity of one QRG node: (component, side, level label)."""
+class QRGNode(namedtuple("QRGNode", ("component", "kind", "label"))):
+    """Identity of one QRG node: (component, side, level label).
 
-    component: str
-    kind: str  # "in" | "out"
-    label: str
+    A tuple underneath: nodes are hashed and compared constantly
+    (adjacency indices, planner maps, the search's settled set), and a
+    tuple does both in C.  Value semantics throughout -- equal fields
+    mean equal, hash-equal, interchangeable nodes, ordered by
+    (component, kind, label) -- whether or not two instances are one
+    object (fragments shipped by remote proxies never are).
+    """
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("in", "out"):
-            raise ModelError(f"invalid QRG node kind: {self.kind!r}")
-        # Nodes are hashed constantly (adjacency indices, planner maps);
-        # the cached value keeps repeated hashing O(1).
-        object.__setattr__(
-            self, "_hash", hash((self.component, self.kind, self.label))
-        )
+    __slots__ = ()
 
-    def __hash__(self) -> int:
-        return self._hash  # type: ignore[attr-defined]
+    def __new__(cls, component: str, kind: str, label: str) -> "QRGNode":
+        if kind not in ("in", "out"):
+            raise ModelError(f"invalid QRG node kind: {kind!r}")
+        return tuple.__new__(cls, (component, kind, label))
 
     def __str__(self) -> str:
-        return f"{self.component}.{self.kind}:{self.label}"
+        return f"{self[0]}.{self[1]}:{self[2]}"
 
 
 @dataclass(frozen=True)
@@ -102,81 +102,154 @@ class FanInGroup:
     parts: Tuple[QRGNode, ...]
 
 
+#: One search hop: (next node, edge weight, intra edge or None).
+Hop = Tuple[QRGNode, float, Optional[IntraEdge]]
+
+
+def _grouped(pairs: Iterable[Tuple]) -> Mapping:
+    """``(key, value)`` pairs as a read-only key -> tuple of its values, in order."""
+    grouped: Dict = {}
+    for key, value in pairs:
+        grouped.setdefault(key, []).append(value)
+    return MappingProxyType({key: tuple(values) for key, values in grouped.items()})
+
+
+class QRGStructure:
+    """Everything about a QRG that (service, source level) fixes.
+
+    The one walk over the service graph.  Nodes, equivalence edges in
+    both directions, fan-in groups by input node, the sink nodes and
+    every node's zero-weight search hops need neither a binding nor a
+    snapshot, so they are computed here once and *shared read-only* by
+    every :class:`QoSResourceGraph` over this structure -- which is why
+    all of it is tuples behind a read-only mapping, and why every
+    reference to a node is to one instance (:meth:`node`): dict and set
+    lookups then succeed on identity without comparing fields.
+    """
+
+    def __init__(self, service: DistributedService, source_level: QoSLevel) -> None:
+        source = service.graph.source
+        self._interned: Dict[QRGNode, QRGNode] = {}
+        node = self.node
+        nodes: Dict[QRGNode, QoSLevel] = {}
+        equiv_edges: List[EquivEdge] = []
+        fanin_groups: List[FanInGroup] = []
+        for name in service.graph.topological_order():
+            component = service.component(name)
+            input_levels = (source_level,) if name == source else component.input_levels
+            for level in input_levels:
+                nodes[node(name, "in", level.label)] = level
+            for level in component.output_levels:
+                nodes[node(name, "out", level.label)] = level
+
+            upstream_names = service.graph.upstreams(name)
+            if not upstream_names:
+                continue
+            fan_in = len(upstream_names) > 1
+            for parts, combined in service.upstream_output_combinations(name):
+                for match in service.equivalent_input_levels(name, combined):
+                    input_node = node(name, "in", match.label)
+                    part_nodes = tuple(
+                        node(upstream, "out", level.label) for upstream, level in parts
+                    )
+                    if fan_in:
+                        fanin_groups.append(FanInGroup(input_node=input_node, parts=part_nodes))
+                    for part_node in part_nodes:
+                        equiv_edges.append(EquivEdge(src=part_node, dst=input_node))
+
+        self.service = service
+        self.source_node = node(source, "in", source_level.label)
+        self.nodes: Mapping[QRGNode, QoSLevel] = MappingProxyType(nodes)
+        self.equiv_edges = tuple(equiv_edges)
+        self.fanin_groups = tuple(fanin_groups)
+        sink = service.sink_component
+        self.sinks = tuple(node(sink.name, "out", level.label) for level in sink.output_levels)
+        self.equiv_from = _grouped((eq.src, eq) for eq in equiv_edges)
+        self.equiv_into = _grouped((eq.dst, eq) for eq in equiv_edges)
+        self.groups_by_input = _grouped((group.input_node, group) for group in fanin_groups)
+        self.equiv_hops: Mapping[QRGNode, Tuple[Hop, ...]] = _grouped(
+            (eq.src, (eq.dst, 0.0, None)) for eq in equiv_edges
+        )
+
+    def node(self, component: str, kind: str, label: str) -> QRGNode:
+        """The one instance this structure uses for a node identity."""
+        fresh = QRGNode(component, kind, label)
+        return self._interned.setdefault(fresh, fresh)
+
+
 class QoSResourceGraph:
-    """The constructed snapshot graph plus lookup indices."""
+    """One session's snapshot graph: a shared structure plus priced edges.
+
+    Only the intra-edge adjacency is built per graph; everything the
+    accessors return is a tuple (or a read-only mapping), so no caller
+    can reach into the structure other graphs share.
+    """
 
     def __init__(
         self,
-        service: DistributedService,
-        source_node: QRGNode,
-        nodes: Dict[QRGNode, QoSLevel],
+        structure: QRGStructure,
         intra_edges: List[IntraEdge],
-        equiv_edges: List[EquivEdge],
-        fanin_groups: List[FanInGroup],
         snapshot: AvailabilitySnapshot,
     ) -> None:
-        self.service = service
-        self.source_node = source_node
-        self.nodes = nodes
+        self.structure = structure
+        self.service = structure.service
+        self.source_node = structure.source_node
+        self.nodes = structure.nodes
+        self.equiv_edges = structure.equiv_edges
+        self.fanin_groups = structure.fanin_groups
         self.intra_edges = intra_edges
-        self.equiv_edges = equiv_edges
-        self.fanin_groups = fanin_groups
         self.snapshot = snapshot
-        # Adjacency indices.
-        self._out_intra: Dict[QRGNode, List[IntraEdge]] = {}
-        self._in_intra: Dict[QRGNode, List[IntraEdge]] = {}
+        # ``_grouped`` minus its generator and proxy: this runs per session.
+        hops: Dict[QRGNode, List[Hop]] = {}
         for edge in intra_edges:
-            self._out_intra.setdefault(edge.src, []).append(edge)
-            self._in_intra.setdefault(edge.dst, []).append(edge)
-        self._out_equiv: Dict[QRGNode, List[EquivEdge]] = {}
-        self._in_equiv: Dict[QRGNode, List[EquivEdge]] = {}
-        for eq in equiv_edges:
-            self._out_equiv.setdefault(eq.src, []).append(eq)
-            self._in_equiv.setdefault(eq.dst, []).append(eq)
-        self._groups_by_input: Dict[QRGNode, List[FanInGroup]] = {}
-        for group in fanin_groups:
-            self._groups_by_input.setdefault(group.input_node, []).append(group)
+            hops.setdefault(edge.src, []).append((edge.dst, edge.weight, edge))
+        self._intra_hops = {src: tuple(bucket) for src, bucket in hops.items()}
+        # Only the DAG planners ask for these two: indexed on first use.
+        self._intra_from: Optional[Mapping[QRGNode, Tuple[IntraEdge, ...]]] = None
+        self._intra_into: Optional[Mapping[QRGNode, Tuple[IntraEdge, ...]]] = None
 
     # -- topology queries --------------------------------------------------
 
-    def sink_nodes(self) -> List[QRGNode]:
+    def sink_nodes(self) -> Tuple[QRGNode, ...]:
         """Output nodes of the sink component (end-to-end QoS levels)."""
-        sink = self.service.sink_component
-        return [QRGNode(sink.name, "out", level.label) for level in sink.output_levels]
+        return self.structure.sinks
 
-    def intra_from(self, node: QRGNode) -> List[IntraEdge]:
+    def intra_from(self, node: QRGNode) -> Tuple[IntraEdge, ...]:
         """Intra-component edges leaving ``node``."""
-        return self._out_intra.get(node, [])
+        if self._intra_from is None:
+            self._intra_from = _grouped((edge.src, edge) for edge in self.intra_edges)
+        return self._intra_from.get(node, ())
 
-    def intra_into(self, node: QRGNode) -> List[IntraEdge]:
+    def intra_into(self, node: QRGNode) -> Tuple[IntraEdge, ...]:
         """Intra-component edges entering ``node``."""
-        return self._in_intra.get(node, [])
+        if self._intra_into is None:
+            self._intra_into = _grouped((edge.dst, edge) for edge in self.intra_edges)
+        return self._intra_into.get(node, ())
 
-    def equiv_from(self, node: QRGNode) -> List[EquivEdge]:
+    def equiv_from(self, node: QRGNode) -> Tuple[EquivEdge, ...]:
         """Equivalence edges leaving ``node``."""
-        return self._out_equiv.get(node, [])
+        return self.structure.equiv_from.get(node, ())
 
-    def equiv_into(self, node: QRGNode) -> List[EquivEdge]:
+    def equiv_into(self, node: QRGNode) -> Tuple[EquivEdge, ...]:
         """Equivalence edges entering ``node``."""
-        return self._in_equiv.get(node, [])
+        return self.structure.equiv_into.get(node, ())
 
-    def groups_for_input(self, node: QRGNode) -> List[FanInGroup]:
+    def groups_for_input(self, node: QRGNode) -> Tuple[FanInGroup, ...]:
         """Fan-in groups realising a fan-in input node."""
-        return self._groups_by_input.get(node, [])
+        return self.structure.groups_by_input.get(node, ())
 
-    def successors(self, node: QRGNode) -> List[Tuple[QRGNode, float, Optional[IntraEdge]]]:
-        """(next node, edge weight, intra edge or None) -- for Dijkstra."""
-        result: List[Tuple[QRGNode, float, Optional[IntraEdge]]] = []
-        for edge in self.intra_from(node):
-            result.append((edge.dst, edge.weight, edge))
-        for eq in self.equiv_from(node):
-            result.append((eq.dst, 0.0, None))
-        return result
+    def successors(self, node: QRGNode) -> Sequence[Hop]:
+        """(next node, edge weight, intra edge or None) -- for Dijkstra.
+
+        Intra edges leave only ``in`` nodes and equivalences only ``out``
+        nodes, so a node's hops are one ready-made tuple or the other.
+        """
+        return self._intra_hops.get(node) or self.structure.equiv_hops.get(node, ())
 
     def edge_between(self, src: QRGNode, dst: QRGNode) -> Optional[IntraEdge]:
         """The intra edge from ``src`` to ``dst``, or None."""
-        for edge in self.intra_from(src):
-            if edge.dst == dst:
+        for hop_dst, _weight, edge in self._intra_hops.get(src, ()):
+            if hop_dst == dst:
                 return edge
         return None
 
@@ -247,16 +320,12 @@ class QRGSkeleton:
     Immutable and reusable across snapshots: :func:`price_skeleton`
     turns it plus one :class:`AvailabilitySnapshot` into a full
     :class:`QoSResourceGraph` identical to a from-scratch
-    :func:`build_qrg`.
+    :func:`build_qrg`.  The templates' nodes are the structure's own
+    instances.
     """
 
-    service: DistributedService
-    source_node: QRGNode
-    source_level: QoSLevel
-    nodes: Tuple[Tuple[QRGNode, QoSLevel], ...]
+    structure: QRGStructure
     edge_templates: Tuple[EdgeTemplate, ...]
-    equiv_edges: Tuple[EquivEdge, ...]
-    fanin_groups: Tuple[FanInGroup, ...]
 
 
 def component_edge_templates(
@@ -281,50 +350,6 @@ def component_edge_templates(
     return templates
 
 
-def _walk_structure(
-    service: DistributedService, source_level: QoSLevel
-) -> Tuple[QRGNode, Dict[QRGNode, QoSLevel], List[EquivEdge], List[FanInGroup]]:
-    """Source node, nodes, equivalence edges and fan-in groups of a QRG.
-
-    The one walk over the service graph: everything here is a function
-    of (service, source level) alone -- no binding, no snapshot -- so the
-    skeleton (:func:`build_skeleton`) and the stitching of remotely
-    priced fragments (:func:`assemble_qrg`) both take it from here.
-    """
-    source = service.graph.source
-    nodes: Dict[QRGNode, QoSLevel] = {}
-    equiv_edges: List[EquivEdge] = []
-    fanin_groups: List[FanInGroup] = []
-
-    for name in service.graph.topological_order():
-        component = service.component(name)
-        input_levels = (source_level,) if name == source else component.input_levels
-        for level in input_levels:
-            nodes[QRGNode(name, "in", level.label)] = level
-        for level in component.output_levels:
-            nodes[QRGNode(name, "out", level.label)] = level
-
-        upstream_names = service.graph.upstreams(name)
-        if not upstream_names:
-            continue
-        fan_in = len(upstream_names) > 1
-        for parts, combined in service.upstream_output_combinations(name):
-            matches = service.equivalent_input_levels(name, combined)
-            for match in matches:
-                input_node = QRGNode(name, "in", match.label)
-                part_nodes = tuple(
-                    QRGNode(upstream, "out", level.label) for upstream, level in parts
-                )
-                if fan_in:
-                    fanin_groups.append(FanInGroup(input_node=input_node, parts=part_nodes))
-                    for part_node in part_nodes:
-                        equiv_edges.append(EquivEdge(src=part_node, dst=input_node))
-                else:
-                    equiv_edges.append(EquivEdge(src=part_nodes[0], dst=input_node))
-
-    return QRGNode(source, "in", source_level.label), nodes, equiv_edges, fanin_groups
-
-
 def build_skeleton(
     service: DistributedService,
     binding: Binding,
@@ -339,26 +364,21 @@ def build_skeleton(
     filter and psi weights of :func:`price_skeleton`.
     """
     source_level = resolve_source_level(service, source_label)
-    source_node, nodes, equiv_edges, fanin_groups = _walk_structure(service, source_level)
+    structure = QRGStructure(service, source_level)
+    source_node = structure.source_node
+    node = structure.node
 
     templates: List[EdgeTemplate] = []
     for name in service.graph.topological_order():
         allowed = frozenset({source_level.label}) if name == source_node.component else None
-        templates.extend(
-            component_edge_templates(
-                service.component(name), binding, allowed_input_labels=allowed
+        for template in component_edge_templates(
+            service.component(name), binding, allowed_input_labels=allowed
+        ):
+            # Swap the minted nodes for the structure's own instances.
+            templates.append(
+                replace(template, src=node(*template.src), dst=node(*template.dst))
             )
-        )
-
-    return QRGSkeleton(
-        service=service,
-        source_node=source_node,
-        source_level=source_level,
-        nodes=tuple(nodes.items()),
-        edge_templates=tuple(templates),
-        equiv_edges=tuple(equiv_edges),
-        fanin_groups=tuple(fanin_groups),
-    )
+    return QRGSkeleton(structure=structure, edge_templates=tuple(templates))
 
 
 def assemble_qrg(
@@ -375,19 +395,16 @@ def assemble_qrg(
     so remote pricers need not know which source level the session
     selected.
     """
-    source_node, nodes, equiv_edges, fanin_groups = _walk_structure(service, source_level)
+    structure = QRGStructure(service, source_level)
+    source_node = structure.source_node
     return QoSResourceGraph(
-        service=service,
-        source_node=source_node,
-        nodes=nodes,
-        intra_edges=[
+        structure,
+        [
             edge
             for edge in intra_edges
             if edge.src.component != source_node.component or edge.src == source_node
         ],
-        equiv_edges=equiv_edges,
-        fanin_groups=fanin_groups,
-        snapshot=snapshot,
+        snapshot,
     )
 
 
@@ -458,14 +475,18 @@ def _price_templates(
         if not feasible:
             continue
         per_resource: Dict[str, float] = {}
-        best: Optional[Tuple[float, str]] = None
+        bottleneck: Optional[str] = None
+        psi = 0.0
         for resource_id, required in template.bound_items:
             value = contention_index(required, availability[resource_id])
             per_resource[resource_id] = value
-            if best is None or (value, resource_id) > best:
-                best = (value, resource_id)
-        assert best is not None
-        psi, bottleneck = best
+            if (
+                bottleneck is None
+                or value > psi
+                or (value == psi and resource_id > bottleneck)
+            ):
+                psi, bottleneck = value, resource_id
+        assert bottleneck is not None
         intra_edges.append(
             _new_intra_edge(
                 template.src,
@@ -515,13 +536,9 @@ def price_skeleton(
     :func:`build_qrg` from scratch against the same snapshot.
     """
     return QoSResourceGraph(
-        service=skeleton.service,
-        source_node=skeleton.source_node,
-        nodes=dict(skeleton.nodes),
-        intra_edges=_price_templates(skeleton.edge_templates, snapshot, contention_index),
-        equiv_edges=list(skeleton.equiv_edges),
-        fanin_groups=list(skeleton.fanin_groups),
-        snapshot=snapshot,
+        skeleton.structure,
+        _price_templates(skeleton.edge_templates, snapshot, contention_index),
+        snapshot,
     )
 
 

@@ -93,8 +93,7 @@ class TradeoffPlanner:
                         alpha=alpha0,
                     )
             node_path = search.path_to(chosen)
-            edges = search.edges_to(chosen)
-            return assemble_plan(qrg, chosen, node_path, edges)
+            return assemble_plan(qrg, chosen, node_path, search.edges_along(node_path))
 
 
 def sink_report(qrg: QoSResourceGraph) -> List[Tuple[str, float, float]]:

@@ -1,10 +1,13 @@
 """Tests for the minimax path search, incl. brute-force cross-checks."""
 
+import heapq
 import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import enumerate_paths, minimax_dijkstra, path_bottleneck
 
@@ -108,6 +111,105 @@ class TestMinimaxDijkstra:
             path = result.path_to(target)
             hops = list(zip(path, path[1:]))
             assert max(edges[h] for h in hops) == pytest.approx(result.distance[target])
+
+
+def reference_minimax_dijkstra(source, successors, tie_break):
+    """The PR 19 search loop, verbatim: what the lean loop must equal.
+
+    Returns ``(distance, predecessor, predecessor_edge)``.
+    """
+    distance = {source: 0.0}
+    predecessor = {}
+    predecessor_edge = {}
+    incoming_weight = {source: -math.inf}
+    done = set()
+
+    counter = 0
+    heap = [(0.0, counter, source)]
+    while heap:
+        dist_u, _count, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        if dist_u > distance.get(u, math.inf):
+            continue  # stale entry
+        done.add(u)
+        for v, weight, edge in successors(u):
+            if weight < 0:
+                raise ValueError(f"negative edge weight {weight!r} on {u!r} -> {v!r}")
+            candidate = max(dist_u, weight)
+            current = distance.get(v, math.inf)
+            if candidate < current:
+                distance[v] = candidate
+                predecessor[v] = u
+                predecessor_edge[v] = edge
+                incoming_weight[v] = weight
+                counter += 1
+                heapq.heappush(heap, (candidate, counter, v))
+            elif tie_break and candidate == current and v not in done:
+                better = (weight, dist_u, str(u)) < (
+                    incoming_weight.get(v, math.inf),
+                    distance.get(predecessor.get(v, u), math.inf),
+                    str(predecessor.get(v, u)),
+                )
+                if better:
+                    predecessor[v] = u
+                    predecessor_edge[v] = edge
+                    incoming_weight[v] = weight
+    return distance, predecessor, predecessor_edge
+
+
+#: Names sharing prefixes, so the lexicographic level of the tie-break
+#: has to compare past the first character ("n1" < "n10" < "n2").
+NODE_NAMES = ["n", "n1", "n10", "n2", "na", "nab", "nb"]
+#: Few distinct weights, 0.0 and infinity among them: ties at every
+#: level, zero-weight hops and the "reached only at infinity" corner
+#: (psi of a zero requirement on an exhausted resource) all occur.
+WEIGHTS = [0.0, 0.25, 0.5, math.inf]
+
+
+@st.composite
+def small_graphs(draw):
+    """``(edge list, successors oracle)``; parallel edges and cycles allowed."""
+    node = st.sampled_from(NODE_NAMES)
+    edges = draw(
+        st.lists(st.tuples(node, node, st.sampled_from(WEIGHTS)), min_size=1, max_size=24)
+    )
+    table = {}
+    for index, (u, v, weight) in enumerate(edges):
+        table.setdefault(u, []).append((v, weight, (u, v, index)))
+    return edges, lambda n: table.get(n, [])
+
+
+class TestPinnedToTheLoopItReplaces:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.booleans())
+    def test_equals_the_reference_loop_exactly(self, graph, tie_break):
+        _edges, oracle = graph
+        distance, predecessor, predecessor_edge = reference_minimax_dijkstra(
+            "n", oracle, tie_break
+        )
+        result = minimax_dijkstra("n", oracle, tie_break=tie_break)
+        # Items in order: same values *and* the same settling sequence.
+        assert list(result.distance.items()) == list(distance.items())
+        assert result.predecessor == predecessor
+        assert result.predecessor_edge == predecessor_edge
+        for target in distance:
+            path = result.path_to(target)
+            assert path[0] == "n" and path[-1] == target
+            assert result.edges_to(target) == [predecessor_edge[n] for n in path[1:]]
+            assert result.edges_along(path) == result.edges_to(target)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_graphs(), st.booleans())
+    def test_a_reachable_negative_weight_still_raises(self, graph, tie_break):
+        edges, _oracle = graph
+        reachable = reference_minimax_dijkstra("n", _oracle, tie_break)[0]
+        table = {}
+        for u, v, weight in edges:
+            table.setdefault(u, []).append((v, weight, None))
+        table.setdefault(sorted(reachable)[-1], []).append(("n", -0.25, None))
+        with pytest.raises(ValueError, match="negative edge weight"):
+            minimax_dijkstra("n", lambda n: table.get(n, []), tie_break=tie_break)
 
 
 class TestEnumeratePaths:

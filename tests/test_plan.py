@@ -1,5 +1,8 @@
 """Tests for ReservationPlan and ComponentAssignment mechanics."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.core import ModelError, QRGNode, ResourceVector
@@ -64,6 +67,26 @@ class TestReservationPlan:
         a3 = ComponentAssignment.from_edge(make_edge("c3", resource="net:L1"))
         plan = make_plan([a1, a2, a3])
         assert dict(plan.demand) == {"cpu:H1": 20.0, "net:L1": 10.0}
+
+    def test_demand_is_built_once_and_is_not_part_of_the_value(self):
+        a1 = ComponentAssignment.from_edge(make_edge("c1", resource="cpu:H1"))
+        a2 = ComponentAssignment.from_edge(make_edge("c2", resource="cpu:H1"))
+        a3 = ComponentAssignment.from_edge(make_edge("c3", resource="net:L1"))
+        plan, unread = make_plan([a1, a2]), make_plan([a1, a2])
+        demand = plan.demand
+        assert plan.demand is demand  # one build per plan, however often read
+        assert dict(demand) == {"cpu:H1": 20.0}
+        # A plan that has been read equals, and hashes like, one that has not.
+        assert plan == unread and hash(plan) == hash(unread)
+        clone = pickle.loads(pickle.dumps(plan))
+        assert clone == plan and hash(clone) == hash(plan)
+        assert clone.demand == demand
+        # ``replace`` goes through the fields only: no stale total rides along.
+        replaced = dataclasses.replace(plan, assignments=(a1, a3))
+        assert dict(replaced.demand) == {"cpu:H1": 10.0, "net:L1": 10.0}
+        assert plan.demand is demand
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            plan.demand = replaced.demand
 
     def test_signature_string(self):
         plan = make_plan([ComponentAssignment.from_edge(make_edge())])

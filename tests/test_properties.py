@@ -263,3 +263,75 @@ class TestMonotoneIndexInvariance:
         assert len(signatures) == 1, signatures
         labels = {plan.end_to_end_label for plan in plans}
         assert len(labels) == 1
+
+
+#: A §5.1 arrival script through the in-process coordinator, every
+#: session live for a 256-arrival window; prints the decision digest.
+_DECISION_DIGEST_SCRIPT = """
+import hashlib, itertools, sys
+from repro.core.planner import BasicPlanner
+from repro.core.tradeoff import TradeoffPlanner
+from repro.des.engine import Environment
+from repro.des.rng import RandomStreams
+from repro.sim.environment import GridEnvironment
+from repro.sim.workload import WorkloadGenerator, WorkloadSpec
+
+WINDOW = 256
+planner = {"basic": BasicPlanner, "tradeoff": TradeoffPlanner}[sys.argv[1]]()
+env = Environment()
+grid = GridEnvironment(env, RandomStreams(11))
+spec = WorkloadSpec(rate_per_60tu=80.0, horizon=1e12)
+arrivals = list(itertools.islice(WorkloadGenerator(spec, RandomStreams(7)).generate(), 300))
+digest, admitted = hashlib.sha256(), []
+for index, arrival in enumerate(arrivals):
+    env.run(until=arrival.arrival_time)
+    result = grid.coordinator.establish(
+        arrival.session_id,
+        arrival.service,
+        grid.binding_for(arrival.service, arrival.domain),
+        planner,
+        component_hosts=grid.component_hosts_for(arrival.service, arrival.domain),
+        demand_scale=arrival.demand_scale,
+    )
+    plan = result.plan if result.success else None
+    row = (
+        arrival.session_id,
+        result.success,
+        result.qos_level,
+        plan and plan.psi,
+        plan and plan.path_signature,
+        plan and plan.bottleneck_resource,
+    )
+    digest.update(repr(row).encode())
+    admitted.append(result.success)
+    if index >= WINDOW and admitted[index - WINDOW]:
+        grid.coordinator.teardown(arrivals[index - WINDOW].session_id)
+print(digest.hexdigest(), sum(admitted))
+"""
+
+
+class TestDecisionsIgnoreTheHashSeed:
+    """QRG nodes are hashed everywhere (adjacency, planner maps, the
+    search's settled set); string hashes change with ``PYTHONHASHSEED``,
+    so a decision that leaned on set or dict *order* would change too."""
+
+    @pytest.mark.parametrize("algorithm", ["basic", "tradeoff"])
+    def test_digest_is_equal_under_two_hash_seeds(self, algorithm):
+        import subprocess
+        import sys
+
+        from tests.test_examples import subprocess_env
+
+        outputs = []
+        for hash_seed in ("0", "12345"):
+            completed = subprocess.run(
+                [sys.executable, "-c", _DECISION_DIGEST_SCRIPT, algorithm],
+                capture_output=True,
+                text=True,
+                timeout=300,
+                env={**subprocess_env(), "PYTHONHASHSEED": hash_seed},
+            )
+            assert completed.returncode == 0, completed.stderr
+            outputs.append(completed.stdout.split())
+        assert outputs[0] == outputs[1]
+        assert 0 < int(outputs[0][1]) <= 300

@@ -1,10 +1,13 @@
 """Tests for QoS-Resource Graph construction (paper §4.1.1)."""
 
+import pickle
+
 import pytest
 
 from repro.core import (
     AvailabilitySnapshot,
     Binding,
+    ModelError,
     PlanningError,
     QRGNode,
     ResourceObservation,
@@ -101,14 +104,59 @@ class TestConstruction:
 
 
 class TestQRGNode:
+    """The node's value contract, whatever it is represented as."""
+
     def test_kind_validated(self):
-        with pytest.raises(Exception):
+        with pytest.raises(ModelError):
             QRGNode("c", "sideways", "Q")
 
     def test_str(self):
         assert str(QRGNode("c1", "in", "Qa")) == "c1.in:Qa"
 
+    def test_repr(self):
+        # Byte for byte: it reaches error messages and span attributes.
+        node = QRGNode("c1", "in", "Qa")
+        assert repr(node) == "QRGNode(component='c1', kind='in', label='Qa')"
+
     def test_ordering_is_stable(self):
         a = QRGNode("c1", "in", "Qa")
         b = QRGNode("c1", "out", "Qa")
         assert a < b  # "in" < "out"
+
+    def test_separately_built_equal_nodes_are_interchangeable(self):
+        a = QRGNode("c1", "in", "Qa")
+        b = QRGNode("c" + str(1), "in", "Q" + "a")
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert {a: "x"}[b] == "x"
+        assert len({a, b}) == 1
+        assert a != QRGNode("c1", "out", "Qa")
+
+    def test_total_order_is_by_component_kind_label(self):
+        nodes = [
+            QRGNode(component, kind, label)
+            for component in ("c2", "c10", "c1")
+            for kind in ("out", "in")
+            for label in ("Qb", "Qa")
+        ]
+        assert sorted(nodes) == sorted(
+            nodes, key=lambda n: (n.component, n.kind, n.label)
+        )
+        assert sorted(nodes)[0] == QRGNode("c1", "in", "Qa")
+
+    def test_pickle_round_trip(self):
+        # Parallel sweep workers ship nodes inside plans and fragments.
+        node = QRGNode("c1", "out", "Qb")
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            clone = pickle.loads(pickle.dumps(node, protocol))
+            assert type(clone) is QRGNode
+            assert clone == node and hash(clone) == hash(node)
+            assert str(clone) == "c1.out:Qb"
+
+    def test_fields_are_read_only(self):
+        node = QRGNode("c1", "in", "Qa")
+        for name in ("component", "kind", "label", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, "x")
+        assert (node.component, node.kind, node.label) == ("c1", "in", "Qa")

@@ -76,6 +76,90 @@ def chain_with_snapshots(draw):
     return service, binding, snapshots
 
 
+def graph_record(qrg):
+    """The fingerprint plus everything the per-node accessors answer."""
+
+    def edge_id(edge):
+        return None if edge is None else (str(edge.src), str(edge.dst), edge.weight)
+
+    per_node = []
+    for node in sorted(set(qrg.nodes) | {edge.src for edge in qrg.intra_edges}):
+        per_node.append(
+            (
+                str(node),
+                [(str(dst), weight, edge_id(edge)) for dst, weight, edge in qrg.successors(node)],
+                [edge_id(edge) for edge in qrg.intra_from(node)],
+                [edge_id(edge) for edge in qrg.intra_into(node)],
+                [(str(eq.src), str(eq.dst)) for eq in qrg.equiv_from(node)],
+                [(str(eq.src), str(eq.dst)) for eq in qrg.equiv_into(node)],
+                [tuple(str(part) for part in group.parts) for group in qrg.groups_for_input(node)],
+            )
+        )
+    sinks = [str(node) for node in qrg.sink_nodes()]
+    return qrg_fingerprint(qrg), per_node, sinks, qrg.count_nodes(), qrg.count_edges()
+
+
+ATTACKS = (
+    lambda value: value.clear(),
+    lambda value: value.pop(),
+    lambda value: value.append(None),
+    lambda value: value.reverse(),
+    lambda value: value.__delitem__(0),
+    lambda value: value.__setitem__(0, None),
+    lambda value: value.__delitem__(next(iter(value))),
+    lambda value: value.__setitem__(next(iter(value)), None),
+    lambda value: value.update({None: None}),
+)
+
+
+def try_to_poison(qrg):
+    """Attempt every mutation on everything the graph hands out.
+
+    Each attempt must either raise or land on a private copy; nothing is
+    asserted here -- the caller re-reads the graphs afterwards.
+    """
+    handed_out = [qrg.nodes, qrg.equiv_edges, qrg.fanin_groups, qrg.sink_nodes()]
+    for node in list(qrg.nodes):
+        handed_out += [
+            qrg.successors(node),
+            qrg.intra_from(node),
+            qrg.intra_into(node),
+            qrg.equiv_from(node),
+            qrg.equiv_into(node),
+            qrg.groups_for_input(node),
+        ]
+    for value in handed_out:
+        for attack in ATTACKS:
+            try:
+                attack(value)
+            except (TypeError, AttributeError, KeyError, IndexError, StopIteration):
+                pass
+
+
+@st.composite
+def service_with_draining_snapshots(draw):
+    """A chain or a diamond DAG and a sequence of snapshots, some of
+    which exhaust one resource (so edges come and go between pricings)."""
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    rng = np.random.default_rng(seed)
+    if draw(st.booleans()):
+        service, binding, snapshot = synthetic_chain(
+            draw(st.integers(2, 4)), draw(st.integers(2, 3)), rng=rng
+        )
+    else:
+        service, binding, snapshot = synthetic_diamond_dag(
+            draw(st.integers(2, 3)), draw(st.integers(2, 3)), rng=rng
+        )
+    resource_ids = sorted(snapshot)
+    snapshots = []
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        amounts = random_availability(snapshot, rng, low=1.0, high=80.0).availability()
+        if draw(st.booleans()):
+            amounts[draw(st.sampled_from(resource_ids))] = 0.0
+        snapshots.append(AvailabilitySnapshot.from_amounts(amounts))
+    return service, binding, snapshots
+
+
 class TestCachedEqualsFresh:
     @settings(max_examples=40, deadline=None)
     @given(chain_with_snapshots())
@@ -119,6 +203,41 @@ class TestCachedEqualsFresh:
         fresh = build_qrg(service, binding, snapshot)
         cached = build_qrg(service, binding, snapshot, skeleton_cache=cache)
         assert qrg_fingerprint(cached) == qrg_fingerprint(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(service_with_draining_snapshots())
+    def test_the_shared_structure_cannot_be_poisoned(self, case):
+        # ONE cached skeleton, priced again and again; between pricings a
+        # caller scribbles on whatever the previous graph let it reach.
+        service, binding, snapshots = case
+        cache = QRGSkeletonCache()
+        earlier = []
+        for snapshot in snapshots:
+            expected = graph_record(build_qrg(service, binding, snapshot))
+            cached = build_qrg(service, binding, snapshot, skeleton_cache=cache)
+            assert graph_record(cached) == expected
+            try_to_poison(cached)
+            earlier.append((cached, expected))
+            for graph, record in earlier:
+                assert graph_record(graph) == record
+        assert cache.stats() == {"hits": len(snapshots) - 1, "misses": 1, "size": 1}
+
+    def test_a_skeleton_holds_one_node_instance_per_identity(self):
+        # Equal-but-distinct nodes cost a field-by-field compare on every
+        # dict hit; the skeleton hands everyone the node map's own keys.
+        service, binding, _snapshot = synthetic_diamond_dag(2, 3, rng=np.random.default_rng(5))
+        skeleton = build_skeleton(service, binding)
+        structure = skeleton.structure
+        canonical = {node: node for node in structure.nodes}
+        referenced = [structure.source_node, *structure.sinks]
+        for template in skeleton.edge_templates:
+            referenced += [template.src, template.dst]
+        for eq in structure.equiv_edges:
+            referenced += [eq.src, eq.dst]
+        for group in structure.fanin_groups:
+            referenced += [group.input_node, *group.parts]
+        assert structure.fanin_groups and skeleton.edge_templates
+        assert all(node is canonical[node] for node in referenced)
 
     def test_plans_agree_on_cached_graph(self):
         rng = np.random.default_rng(11)
