@@ -1,11 +1,11 @@
-"""Parallel sweep runner and QRG skeleton cache benchmarks.
+"""Pooled sweep and QRG skeleton cache benchmarks.
 
 Two claims are measured:
 
-* a parallel ``rate_sweep`` (3 algorithms x 4 rates) beats the serial
-  runner on wall time while producing byte-identical metrics -- the
-  speedup assertion (>= 2x on 4 workers) only fires on hosts with at
-  least 4 CPUs, but the identity assertion always runs;
+* a ``rate_sweep`` (3 algorithms x 4 rates) on a 4-process pool beats
+  the in-process run on wall time while producing byte-identical
+  metrics -- the speedup assertion (>= 2x on 4 workers) only fires on
+  hosts with at least 4 CPUs, but the identity assertion always runs;
 * a warm :class:`~repro.core.qrg.QRGSkeletonCache` makes QRG
   construction >= 3x faster than the cold (skeleton-rebuilding) path,
   since only per-snapshot feasibility filtering + psi pricing remain.
@@ -19,13 +19,7 @@ import numpy as np
 from conftest import BENCH_SEED, write_bench_ledger
 from repro.core.qrg import QRGSkeletonCache, build_qrg
 from repro.core.synthetic import random_availability, synthetic_chain
-from repro.sim import (
-    ParallelSweepRunner,
-    SerialSweepRunner,
-    SimulationConfig,
-    WorkloadSpec,
-    rate_sweep,
-)
+from repro.sim import SimulationConfig, WorkloadSpec, effective_workers, rate_sweep
 from repro.sim.experiment import _available_cpus
 
 SWEEP_ALGORITHMS = ("basic", "tradeoff", "random")
@@ -44,16 +38,15 @@ def _sweep_base() -> SimulationConfig:
 def test_bench_parallel_rate_sweep(benchmark):
     """Serial vs 4-worker parallel wall time for 3 algorithms x 4 rates."""
     base = _sweep_base()
-    runner = ParallelSweepRunner(max_workers=SWEEP_WORKERS)
     sweep_points = len(SWEEP_ALGORITHMS) * len(SWEEP_RATES)
-    effective_workers = runner.effective_workers(sweep_points)
+    pool_size = effective_workers(sweep_points, SWEEP_WORKERS)
 
     start = time.perf_counter()
-    serial = rate_sweep(SWEEP_ALGORITHMS, SWEEP_RATES, base=base, runner=SerialSweepRunner())
+    serial = rate_sweep(SWEEP_ALGORITHMS, SWEEP_RATES, base=base, workers=1)
     serial_seconds = time.perf_counter() - start
 
     def parallel_once():
-        return rate_sweep(SWEEP_ALGORITHMS, SWEEP_RATES, base=base, runner=runner)
+        return rate_sweep(SWEEP_ALGORITHMS, SWEEP_RATES, base=base, workers=SWEEP_WORKERS)
 
     start = time.perf_counter()
     parallel = benchmark.pedantic(parallel_once, rounds=1, iterations=1)
@@ -70,7 +63,7 @@ def test_bench_parallel_rate_sweep(benchmark):
     benchmark.extra_info["parallel_seconds"] = parallel_seconds
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["workers"] = SWEEP_WORKERS
-    benchmark.extra_info["effective_workers"] = effective_workers
+    benchmark.extra_info["effective_workers"] = pool_size
     benchmark.extra_info["cpus"] = AVAILABLE_CPUS
     write_bench_ledger(
         "parallel_rate_sweep",
@@ -90,17 +83,17 @@ def test_bench_parallel_rate_sweep(benchmark):
         # numeric diff (cpus/effective workers differ across machines).
         environment={
             "cpus": str(AVAILABLE_CPUS),
-            "effective_workers": str(effective_workers),
+            "effective_workers": str(pool_size),
         },
     )
     # Universal floor: clamping workers to schedulable CPUs means the
-    # parallel runner must never lose badly to serial again (the
+    # pool must never lose badly to in-process again (the
     # regression this guards against showed 0.68x on oversubscribed
     # boxes).  The margin absorbs single-run wall-clock noise.
     assert speedup >= 0.85, (
         f"parallel sweep regressed below serial: {speedup:.2f}x "
         f"({parallel_seconds:.2f}s vs {serial_seconds:.2f}s with "
-        f"{effective_workers} workers on {AVAILABLE_CPUS} CPUs)"
+        f"{pool_size} workers on {AVAILABLE_CPUS} CPUs)"
     )
     if ENOUGH_CPUS:
         assert speedup >= 2.0, (

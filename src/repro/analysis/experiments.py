@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -24,6 +24,7 @@ from repro.core.synthetic import random_availability, synthetic_chain, synthetic
 from repro.sim.experiment import (
     SimulationConfig,
     SimulationResult,
+    rate_sweep,
     run_configs,
 )
 from repro.sim.workload import WorkloadSpec
@@ -68,31 +69,6 @@ def _base_config(seed: int, quick: bool, **kw) -> SimulationConfig:
     )
 
 
-def _run_rate_sweep(
-    base: SimulationConfig, algorithms: Sequence[str], rates: Sequence[float]
-) -> Dict[str, List[SimulationResult]]:
-    """One batch of ``len(algorithms) * len(rates)`` runs through the
-    configured sweep runner (serial by default, parallel under
-    ``REPRO_SWEEP_WORKERS`` or :func:`repro.sim.parallel_sweeps`)."""
-    configs: List[SimulationConfig] = []
-    for algorithm in algorithms:
-        for rate in rates:
-            configs.append(
-                base.with_(
-                    algorithm=algorithm,
-                    workload=WorkloadSpec(
-                        rate_per_60tu=rate, horizon=base.workload.horizon,
-                        fat_weights=base.workload.fat_weights,
-                    ),
-                )
-            )
-    results = run_configs(configs)
-    out: Dict[str, List[SimulationResult]] = {}
-    for position, algorithm in enumerate(algorithms):
-        out[algorithm] = results[position * len(rates) : (position + 1) * len(rates)]
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Figure 11: success rate and average QoS vs generation rate.
 # ---------------------------------------------------------------------------
@@ -101,7 +77,7 @@ def _run_rate_sweep(
 def run_fig11(seed: int = 0, quick: bool = False) -> ExperimentReport:
     """Figure 11(a)+(b): basic vs tradeoff vs random across rates."""
     rates = _rates(quick)
-    sweeps = _run_rate_sweep(_base_config(seed, quick), ("basic", "tradeoff", "random"), rates)
+    sweeps = rate_sweep(("basic", "tradeoff", "random"), rates, base=_base_config(seed, quick))
     success = [
         Series(name, rates, [r.success_rate for r in runs]) for name, runs in sweeps.items()
     ]
@@ -217,18 +193,18 @@ def run_fig12(seed: int = 0, quick: bool = False) -> ExperimentReport:
     all_series: List[Series] = []
     results: List[SimulationResult] = []
 
-    random_accurate = _run_rate_sweep(_base_config(seed, quick), ("random",), rates)["random"]
+    random_accurate = rate_sweep(("random",), rates, base=_base_config(seed, quick))["random"]
     random_series = Series("random (E=0)", rates, [r.success_rate for r in random_accurate])
     results.extend(random_accurate)
 
     for algorithm, label in (("basic", "Figure 12(a)"), ("tradeoff", "Figure 12(b)")):
         series = []
-        accurate = _run_rate_sweep(_base_config(seed, quick), (algorithm,), rates)[algorithm]
+        accurate = rate_sweep((algorithm,), rates, base=_base_config(seed, quick))[algorithm]
         series.append(Series(f"{algorithm} (E=0)", rates, [r.success_rate for r in accurate]))
         results.extend(accurate)
         for stale in stale_values:
-            runs = _run_rate_sweep(
-                _base_config(seed, quick, staleness=stale), (algorithm,), rates
+            runs = rate_sweep(
+                (algorithm,), rates, base=_base_config(seed, quick, staleness=stale)
             )[algorithm]
             series.append(Series(f"{algorithm} (E={stale:g})", rates, [r.success_rate for r in runs]))
             results.extend(runs)
@@ -252,8 +228,10 @@ def run_fig12(seed: int = 0, quick: bool = False) -> ExperimentReport:
 def run_fig13(seed: int = 0, quick: bool = False) -> ExperimentReport:
     """Figure 13(a)+(b): success and QoS with 3:1 requirement diversity."""
     rates = _rates(quick)
-    sweeps = _run_rate_sweep(
-        _base_config(seed, quick, diversity_ratio=3.0), ("basic", "tradeoff", "random"), rates
+    sweeps = rate_sweep(
+        ("basic", "tradeoff", "random"),
+        rates,
+        base=_base_config(seed, quick, diversity_ratio=3.0),
     )
     success = [
         Series(name, rates, [r.success_rate for r in runs]) for name, runs in sweeps.items()
@@ -512,8 +490,8 @@ def run_drift_sweep(seed: int = 0, quick: bool = False) -> ExperimentReport:
     success rate (equivalently: lowers the rejection rate) that
     staleness costs the detect-only series -- renegotiation downgrades
     trade residual QoS level for admissions, exactly the §4.3 exchange.
-    Every renegotiation is causally chained to a ``session.drift`` (or
-    ``slo.violated``) record sharing its session id in the event log.
+    Every renegotiation is causally chained to a ``session.drift``
+    record sharing its session id in the event log.
     """
     from repro.obs.monitor import MonitorConfig
 

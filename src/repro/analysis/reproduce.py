@@ -9,21 +9,22 @@ Usage::
 
 Each experiment prints the same rows/series as the corresponding paper
 artifact; ``--out`` additionally writes the text report (and CSV for
-figure experiments) to files.  ``--workers N`` runs every sweep through
-the parallel runner (byte-identical results, N-way process pool).
+figure experiments) to files.  ``--workers N`` runs every sweep on an
+N-process pool (byte-identical results): it is the CLI spelling of
+``REPRO_SWEEP_WORKERS=N``, set for the duration of :func:`main`.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import os
 import pathlib
 import sys
 from typing import List, Optional
 
 from repro.analysis.experiments import EXPERIMENTS
 from repro.analysis.figures import to_csv
-from repro.sim.experiment import parallel_sweeps
+from repro.sim.experiment import WORKERS_ENV
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -73,10 +74,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         requested = sorted(EXPERIMENTS)
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-    runner_scope = (
-        parallel_sweeps(args.workers) if args.workers else contextlib.nullcontext()
-    )
-    with runner_scope:
+    inherited = os.environ.get(WORKERS_ENV)
+    if args.workers:
+        os.environ[WORKERS_ENV] = str(args.workers)
+    try:
         for experiment_id in requested:
             runner = EXPERIMENTS[experiment_id]
             print(f"=== {experiment_id} (seed={args.seed}, quick={args.quick}) ===")
@@ -89,6 +90,11 @@ def main(argv: Optional[List[str]] = None) -> int:
                     (args.out / f"{experiment_id}.csv").write_text(
                         to_csv(report.series, x_label="rate")
                     )
+    finally:
+        if inherited is None:
+            os.environ.pop(WORKERS_ENV, None)
+        else:
+            os.environ[WORKERS_ENV] = inherited
     return 0
 
 

@@ -109,6 +109,16 @@ class PathBroker:
             values.append(link.available if value is None else value)
         available = min(values)
         alpha = self.history.alpha(self._clock(), available)
+        log = _events.active_event_log()
+        if log is not None:
+            log.emit(
+                "broker.probe",
+                resource=self.resource_id,
+                time=when,
+                available=available,
+                alpha=alpha,
+                stale=True,
+            )
         return ResourceObservation(available=available, alpha=alpha, observed_at=when)
 
     # -- reserving -------------------------------------------------------------

@@ -36,12 +36,12 @@ from __future__ import annotations
 import asyncio
 import itertools
 import json
-import time as _time
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import CONTENTION_INDICES, make_planner
 from repro.core.errors import ModelError, ReproError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.des.engine import Environment
@@ -67,7 +67,6 @@ from repro.service.daemon import (
 )
 from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import CONTENTION_INDICES, make_planner
 from repro.sim.workload import SessionArrival
 
 from repro.cluster.shardmap import ShardMap
@@ -698,7 +697,6 @@ class ClusterDaemon(ServingShell):
             contention_index=config.contention_index,
             tie_break=config.tie_break,
         )
-        self._started_at = _time.monotonic()
 
     async def start(self) -> None:
         await super().start()
@@ -720,33 +718,21 @@ class ClusterDaemon(ServingShell):
 
     # -- routes ------------------------------------------------------------
 
+    def _health_fields(self) -> dict:
+        return {"role": "cluster-router", "shards": len(self.coordinator.shards)}
+
+    def _metrics_text(self) -> str:
+        return self.coordinator.metrics_exposition()
+
     async def _dispatch(
         self, request: _http.Request, parse_seconds: float, close: bool
     ) -> bytes:
-        if (request.method, request.path) == ("GET", "/metrics"):
-            body = self.coordinator.metrics_exposition().encode("utf-8")
-            return _http.response_bytes(
-                200, body, content_type="text/plain; version=0.0.4", close=close
-            )
         status, body = await self._route(request)
         return _http.response_bytes(status, body, close=close)
 
     async def _route(self, request: _http.Request) -> Tuple[int, bytes]:
         coordinator = self.coordinator
-        route = (request.method, request.path)
-        if route == ("GET", "/healthz"):
-            return 200, _json_body(
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "role": "cluster-router",
-                    "shards": len(coordinator.shards),
-                    "requests": self.stats.requests,
-                    "uptime_seconds": _time.monotonic() - self._started_at,
-                    "inflight_admissions": self._inflight,
-                    "draining": self._draining,
-                }
-            )
-        if route == ("GET", "/v1/query"):
+        if (request.method, request.path) == ("GET", "/v1/query"):
             return await coordinator.query(
                 request.target, request.query.get("session_id")
             )

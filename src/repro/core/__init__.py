@@ -10,7 +10,9 @@ Public surface:
   :func:`build_qrg`, :class:`QoSResourceGraph`;
 * planners -- :class:`BasicPlanner`, :class:`RandomPlanner`,
   :class:`TradeoffPlanner`, :class:`TwoPassDagPlanner`,
-  :class:`ExhaustiveDagPlanner`, plus the :func:`compute_plan` facade.
+  :class:`ExhaustiveDagPlanner`, the one name -> planner table
+  (:data:`PLANNERS`, :func:`make_planner`) and the :func:`compute_plan`
+  facade over it.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from repro.core.planner import BasicPlanner, RandomPlanner, feasible_end_to_end_
 from repro.core.qos import QoSLevel, QoSRanking, QoSVector, concat_levels
 from repro.core.qrg import QoSResourceGraph, QRGNode, build_qrg
 from repro.core.resources import (
+    CONTENTION_INDICES,
     AvailabilitySnapshot,
     ContentionReport,
     ResourceObservation,
@@ -55,11 +58,13 @@ from repro.core.translation import (
 )
 
 __all__ = [
+    "ALGORITHMS",
     "AdmissionError",
     "AvailabilitySnapshot",
     "BasicPlanner",
     "Binding",
     "BrokerError",
+    "CONTENTION_INDICES",
     "CallableTranslation",
     "ComponentAssignment",
     "ContentionReport",
@@ -69,6 +74,7 @@ __all__ = [
     "IncomparableError",
     "InfeasibleError",
     "ModelError",
+    "PLANNERS",
     "PlanningError",
     "QoSLevel",
     "QoSRanking",
@@ -94,11 +100,38 @@ __all__ = [
     "feasible_end_to_end_levels",
     "headroom_contention_index",
     "log_contention_index",
+    "make_planner",
     "minimax_dijkstra",
     "path_bottleneck",
     "ratio_contention_index",
     "sink_report",
 ]
+
+
+#: Algorithm name -> ``factory(tie_break, rng)``: the one place a name is
+#: bound to a planner class.  ``rng`` is a zero-argument callable, so a
+#: random stream is drawn only for the planner that consumes one.
+PLANNERS = {
+    "basic": lambda tie_break, rng: BasicPlanner(tie_break=tie_break),
+    "tradeoff": lambda tie_break, rng: TradeoffPlanner(tie_break=tie_break),
+    "random": lambda tie_break, rng: RandomPlanner(rng=rng()),
+    "dag": lambda tie_break, rng: TwoPassDagPlanner(),
+    "dag-exhaustive": lambda tie_break, rng: ExhaustiveDagPlanner(),
+}
+
+#: The chain planners of the paper's evaluation: what the simulator, the
+#: daemon and the router accept as ``algorithm``.
+ALGORITHMS = ("basic", "tradeoff", "random")
+
+
+def make_planner(algorithm: str, tie_break: bool, streams):
+    """The planner an :data:`ALGORITHMS` name stands for.
+
+    The random planner draws from the ``random-planner`` stream of
+    ``streams`` (a :class:`~repro.des.rng.RandomStreams`), so simulation,
+    daemon and router built from one seed plan identically.
+    """
+    return PLANNERS[algorithm](tie_break, lambda: streams.stream("random-planner"))
 
 
 def compute_plan(
@@ -119,6 +152,14 @@ def compute_plan(
     any DAG (including chains).  Returns None when no feasible end-to-end
     plan exists under the snapshot.
     """
+    factory = PLANNERS.get(algorithm)
+    if factory is None:
+        raise PlanningError(f"unknown planning algorithm {algorithm!r}")
+    if algorithm in ALGORITHMS and not service.graph.is_chain():
+        raise PlanningError(
+            f"algorithm {algorithm!r} requires a chain dependency graph; "
+            "use 'dag' or 'dag-exhaustive' for DAG services"
+        )
     qrg = build_qrg(
         service,
         binding,
@@ -126,19 +167,4 @@ def compute_plan(
         source_label=source_label,
         contention_index=contention_index,
     )
-    if algorithm in ("basic", "tradeoff", "random") and not service.graph.is_chain():
-        raise PlanningError(
-            f"algorithm {algorithm!r} requires a chain dependency graph; "
-            "use 'dag' or 'dag-exhaustive' for DAG services"
-        )
-    if algorithm == "basic":
-        return BasicPlanner().plan(qrg)
-    if algorithm == "tradeoff":
-        return TradeoffPlanner().plan(qrg)
-    if algorithm == "random":
-        return RandomPlanner(rng=rng).plan(qrg)
-    if algorithm == "dag":
-        return TwoPassDagPlanner().plan(qrg)
-    if algorithm == "dag-exhaustive":
-        return ExhaustiveDagPlanner().plan(qrg)
-    raise PlanningError(f"unknown planning algorithm {algorithm!r}")
+    return factory(True, lambda: rng).plan(qrg)

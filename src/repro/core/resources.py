@@ -51,6 +51,14 @@ def log_contention_index(required: float, available: float) -> float:
     return -math.log1p(-required / available)
 
 
+#: The psi definitions a config or CLI flag can name.
+CONTENTION_INDICES: Dict[str, ContentionIndex] = {
+    "ratio": ratio_contention_index,
+    "headroom": headroom_contention_index,
+    "log": log_contention_index,
+}
+
+
 class ResourceVector(Mapping[str, float]):
     """An immutable vector of per-resource amounts.
 

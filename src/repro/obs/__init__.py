@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Mapping, Optional
+from typing import Mapping, Optional
 
 from repro.obs import events as _events
 from repro.obs import export as _export
@@ -144,21 +144,16 @@ class ObservabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """What to observe in a run and where to export it.
+    """Where an observed run exports to, and how many events it keeps.
 
     Hangs off :class:`repro.sim.SimulationConfig` (``observability``
-    field); all paths are optional -- with none set, the collected
-    tracer/registry are still attached to the
-    :class:`~repro.sim.SimulationResult` for in-process inspection.
+    field); its presence is the switch -- an observed run always
+    collects spans, metrics and the causal event log.  All paths are
+    optional: with none set, the collected tracer/registry/log are still
+    attached to the :class:`~repro.sim.SimulationResult` for in-process
+    inspection.
     """
 
-    #: Collect span records (per-phase timings).
-    trace: bool = True
-    #: Collect counters/gauges/histograms.
-    metrics: bool = True
-    #: Collect the causal reservation event log (session/broker/proxy
-    #: lifecycle events; see :mod:`repro.obs.events`).
-    events: bool = True
     #: Cap on retained events (None = unbounded); beyond it, newer
     #: events are counted as dropped instead of stored.
     event_capacity: Optional[int] = None
@@ -168,11 +163,6 @@ class ObservabilityConfig:
     metrics_path: Optional[str] = None
     #: Write the results/-style text summary here.
     summary_path: Optional[str] = None
-
-    @property
-    def enabled(self) -> bool:
-        """True when anything at all is being collected."""
-        return self.trace or self.metrics or self.events
 
 
 @dataclass(frozen=True)
@@ -241,11 +231,12 @@ def reset_worker_observability() -> None:
 
 
 class ObservationSession:
-    """Installs a tracer and/or metrics registry for one block of work.
+    """Installs a tracer, a metrics registry and an event log for one
+    block of work.
 
-    A thin convenience over :func:`repro.obs.trace.install` and
-    :func:`repro.obs.metrics.install` that restores the previously
-    installed handles on exit and bundles the exporters.
+    A thin convenience over the three modules' ``install`` functions
+    that restores the previously installed handles on exit and bundles
+    the exporters.
 
     Sessions are *exclusive* per process: the instrumented hot paths
     dispatch through module-level handles, so a second session activated
@@ -258,13 +249,9 @@ class ObservationSession:
 
     def __init__(self, config: Optional[ObservabilityConfig] = None) -> None:
         self.config = config if config is not None else ObservabilityConfig()
-        self.tracer: Optional[Tracer] = Tracer() if self.config.trace else None
-        self.registry: Optional[MetricsRegistry] = (
-            MetricsRegistry() if self.config.metrics else None
-        )
-        self.event_log: Optional[EventLog] = (
-            EventLog(capacity=self.config.event_capacity) if self.config.events else None
-        )
+        self.tracer = Tracer()
+        self.registry = MetricsRegistry()
+        self.event_log = EventLog(capacity=self.config.event_capacity)
         self._previous_tracer: Optional[Tracer] = None
         self._previous_registry: Optional[MetricsRegistry] = None
         self._previous_event_log: Optional[EventLog] = None
@@ -287,54 +274,43 @@ class ObservationSession:
         self._previous_tracer = _trace.active_tracer()
         self._previous_registry = _metrics.active_registry()
         self._previous_event_log = _events.active_event_log()
-        if self.tracer is not None:
-            _trace.install(self.tracer)
-        if self.registry is not None:
-            _metrics.install(self.registry)
-        if self.event_log is not None:
-            _events.install(self.event_log, force=True)
+        _trace.install(self.tracer)
+        _metrics.install(self.registry)
+        _events.install(self.event_log, force=True)
         return self
 
     def __exit__(self, *_exc) -> bool:
         global _ACTIVE_SESSION
         if _ACTIVE_SESSION is self:
             _ACTIVE_SESSION = None
-        if self.tracer is not None:
-            if self._previous_tracer is None:
-                _trace.uninstall()
-            else:
-                _trace.install(self._previous_tracer)
-        if self.registry is not None:
-            if self._previous_registry is None:
-                _metrics.uninstall()
-            else:
-                _metrics.install(self._previous_registry)
-        if self.event_log is not None:
-            if self._previous_event_log is None:
-                _events.uninstall()
-            else:
-                _events.install(self._previous_event_log, force=True)
+        if self._previous_tracer is None:
+            _trace.uninstall()
+        else:
+            _trace.install(self._previous_tracer)
+        if self._previous_registry is None:
+            _metrics.uninstall()
+        else:
+            _metrics.install(self._previous_registry)
+        if self._previous_event_log is None:
+            _events.uninstall()
+        else:
+            _events.install(self._previous_event_log, force=True)
         return False
 
     # -- detaching ---------------------------------------------------------
 
     def summarize(self) -> ObservationSummary:
         """A detached, picklable :class:`ObservationSummary` of this session."""
-        span_totals: Dict[str, Dict[str, float]] = {}
-        if self.tracer is not None:
-            span_totals = {
+        return ObservationSummary(
+            span_totals={
                 name: {
                     "count": self.tracer.count(name),
                     "total_seconds": self.tracer.total_time(name),
                 }
                 for name in self.tracer.names()
-            }
-        metrics = self.registry.snapshot() if self.registry is not None else {}
-        event_counts = (
-            self.event_log.kind_counts() if self.event_log is not None else {}
-        )
-        return ObservationSummary(
-            span_totals=span_totals, metrics=metrics, event_counts=event_counts
+            },
+            metrics=self.registry.snapshot(),
+            event_counts=self.event_log.kind_counts(),
         )
 
     # -- exports -----------------------------------------------------------
@@ -355,8 +331,6 @@ class ObservationSession:
 
     def write_metrics_csv(self, path) -> Path:
         """Write the flat CSV metric rows; returns the written path."""
-        if self.registry is None:
-            raise ValueError("metrics collection is disabled for this session")
         return write_metrics_csv(path, self.registry)
 
     def summary(self, *, title: str = "observability summary") -> str:
@@ -371,7 +345,7 @@ class ObservationSession:
         """Write every export path configured on the config (if any)."""
         if self.config.trace_path:
             self.write_trace_json(self.config.trace_path, meta=meta)
-        if self.config.metrics_path and self.registry is not None:
+        if self.config.metrics_path:
             self.write_metrics_csv(self.config.metrics_path)
         if self.config.summary_path:
             self.write_summary(self.config.summary_path)

@@ -439,22 +439,19 @@ def fault_summary(doc: TraceDocument) -> FaultSummary:
 @dataclass
 class AdaptationSummary:
     """The §5 adaptation story of one run, from its monitoring events
-    (``broker.observed``, ``session.drift``, ``slo.violated``,
-    ``session.renegotiated``)."""
+    (``broker.observed``, ``session.drift``, ``session.renegotiated``)."""
 
     #: per-broker ``broker.observed`` digests seen.
     observations: int = 0
     #: resource -> drift detections against it.
     drifts: Dict[str, int] = field(default_factory=dict)
-    #: SLO name -> violations.
-    violations: Dict[str, int] = field(default_factory=dict)
     #: renegotiation outcome -> count (upgraded/downgraded/unchanged/...).
     renegotiations: Dict[str, int] = field(default_factory=dict)
     #: (session, trigger seq, renegotiation seq) causal pairs -- every
-    #: renegotiation matched to the latest prior drift/violation that
-    #: names the same session.
+    #: renegotiation matched to the latest prior drift that names the
+    #: same session.
     causal_pairs: List[Tuple[str, int, int]] = field(default_factory=list)
-    #: renegotiations with no prior drift/violation on their session.
+    #: renegotiations with no prior drift on their session.
     unmatched_renegotiations: int = 0
 
     @property
@@ -473,7 +470,6 @@ class AdaptationSummary:
         return (
             self.observations == 0
             and not self.drifts
-            and not self.violations
             and not self.renegotiations
         )
 
@@ -482,9 +478,9 @@ def adaptation_summary(doc: TraceDocument) -> AdaptationSummary:
     """Aggregate the online monitoring-plane events of a document.
 
     Every ``session.renegotiated`` is causally matched (by session id)
-    to the latest earlier ``session.drift`` / ``slo.violated`` that
-    triggered it; unmatched renegotiations are counted separately so the
-    drift -> renegotiation chain is auditable.  Returns an all-zero
+    to the latest earlier ``session.drift`` that triggered it; unmatched
+    renegotiations are counted separately so the drift -> renegotiation
+    chain is auditable.  Returns an all-zero
     summary for documents without monitoring events (v1/v2 included).
     """
     summary = AdaptationSummary()
@@ -495,11 +491,6 @@ def adaptation_summary(doc: TraceDocument) -> AdaptationSummary:
         elif event.kind == "session.drift":
             resource = event.resource or "unknown"
             summary.drifts[resource] = summary.drifts.get(resource, 0) + 1
-            if event.session:
-                last_trigger_seq[event.session] = event.seq
-        elif event.kind == "slo.violated":
-            name = str(event.attributes.get("slo", "unknown"))
-            summary.violations[name] = summary.violations.get(name, 0) + 1
             if event.session:
                 last_trigger_seq[event.session] = event.seq
         elif event.kind == "session.renegotiated":
@@ -513,7 +504,6 @@ def adaptation_summary(doc: TraceDocument) -> AdaptationSummary:
             else:
                 summary.causal_pairs.append((event.session, trigger, event.seq))
     summary.drifts = dict(sorted(summary.drifts.items()))
-    summary.violations = dict(sorted(summary.violations.items()))
     summary.renegotiations = dict(sorted(summary.renegotiations.items()))
     return summary
 

@@ -1,9 +1,9 @@
 """SRE-style multi-window burn-rate alerting over scraped fleet metrics.
 
-Per-process ``SLOSpec`` watchdogs (:mod:`repro.obs.monitor`) answer "is
-this broker out of bounds *right now*"; this module answers the
-operator's question -- "is the *cluster* spending its error budget too
-fast" -- using the standard SRE construction:
+The online monitor (:mod:`repro.obs.monitor`) watches one run's event
+stream for drift; this module answers the operator's question -- "is
+the *cluster* spending its error budget too fast" -- using the standard
+SRE construction:
 
 * every :class:`~repro.obs.slo.BurnRateSLO` defines an error rate
   (failed admissions over all admissions, or the fraction of requests

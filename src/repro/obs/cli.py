@@ -441,12 +441,6 @@ def _cmd_watch(args: argparse.Namespace) -> int:
                 f"({attributes.get('direction', '?')}, "
                 f"{float(attributes.get('relative', 0.0)):+.1%})"
             )
-        elif event.kind == "slo.violated":
-            detail = (
-                f"slo={attributes.get('slo')} objective={attributes.get('objective')} "
-                f"measured={float(attributes.get('measured', 0.0)):.4g} "
-                f"limit={float(attributes.get('limit', 0.0)):.4g}"
-            )
         elif event.kind == "session.renegotiated":
             detail = (
                 f"trigger={attributes.get('trigger')} outcome={attributes.get('outcome')} "
@@ -497,7 +491,6 @@ def _cmd_monitor_report(args: argparse.Namespace) -> int:
     for key in (
         "events_seen",
         "drift_detected",
-        "slo_violations",
         "sessions_tracked",
         "rejection_rate",
         "qos_ewma",

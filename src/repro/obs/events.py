@@ -22,12 +22,11 @@ reservation-lifecycle events:
   per-phase timeout and bounded retry of the fault-tolerant
   coordinator, every re-plan after a failed host or admission loss, and
   every orphaned reserve/commit lease reclaimed by the reaper;
-* ``broker.observed`` / ``session.drift`` / ``slo.violated`` /
-  ``session.renegotiated`` -- the online monitoring plane of
-  :mod:`repro.obs.monitor`: periodic rolling-estimate digests per
-  broker, detected divergence between a session's planned-against
-  availability and the live one, declarative SLO violations, and the
-  §5 adaptation loop's renegotiations;
+* ``broker.observed`` / ``session.drift`` / ``session.renegotiated`` --
+  the online monitoring plane of :mod:`repro.obs.monitor`: periodic
+  rolling-estimate digests per broker, detected divergence between a
+  session's planned-against availability and the live one, and the §5
+  adaptation loop's renegotiations;
 * ``slo.burn_rate`` / ``slo.budget_exhausted`` -- the cluster telemetry
   plane of :mod:`repro.obs.burn`: SRE-style multi-window burn-rate alert
   transitions (``state="firing"`` / ``state="resolved"``) and the moment
@@ -103,7 +102,6 @@ EVENT_KINDS = frozenset(
         "lease.expired",
         "broker.observed",
         "session.drift",
-        "slo.violated",
         "session.renegotiated",
         "slo.burn_rate",
         "slo.budget_exhausted",

@@ -1,5 +1,5 @@
-"""Online monitoring plane: streaming estimators, drift detection, SLO
-watchdogs, and the §5 adaptation loop.
+"""Online monitoring plane: streaming estimators, drift detection, and
+the §5 adaptation loop.
 
 Where :mod:`repro.obs.analyze` answers questions *after* a run, this
 module watches the live :class:`~repro.obs.events.EventLog` stream (via
@@ -16,10 +16,7 @@ module watches the live :class:`~repro.obs.events.EventLog` stream (via
   ``session.admitted`` records) with the broker's current estimate and
   emit ``session.drift`` when they diverge beyond a configurable
   threshold (plus periodic ``broker.observed`` digests);
-* **SLO watchdogs** evaluate declarative :class:`~repro.obs.slo.SLOSpec`
-  bounds against the estimators and emit ``slo.violated`` (with
-  hysteresis -- one event per crossing, re-armed on recovery);
-* an :class:`AdaptationPolicy` closes the loop: on drift or violation it
+* an :class:`AdaptationPolicy` closes the loop: on drift it
   renegotiates the affected session through
   :meth:`repro.runtime.coordinator.ReservationCoordinator.renegotiate`
   (the §4.3 downgrade/upgrade path), which emits
@@ -29,7 +26,8 @@ The monitor never consumes its own output: monitoring-plane event kinds
 are ignored on input, so subscribing it to the same log it emits into
 cannot recurse.  Nothing here reads the wall clock into its *logic*
 (only the watchdog-latency histogram does), so serial and parallel sweep
-runs produce byte-identical monitor digests.
+runs produce byte-identical monitor digests.  Whether the *fleet* keeps
+its objectives is :mod:`repro.obs.burn`'s question, not this module's.
 """
 
 from __future__ import annotations
@@ -37,12 +35,11 @@ from __future__ import annotations
 import time as _time
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.brokers.history import AvailabilityHistory
 from repro.obs import metrics as _metrics
-from repro.obs.events import EventLog, ReservationEvent
-from repro.obs.slo import SLOSpec, SLOViolation
+from repro.obs.events import EVENT_KINDS, EventLog, ReservationEvent
 
 __all__ = [
     "AdaptationPolicy",
@@ -56,7 +53,7 @@ __all__ = [
 #: Event kinds the monitoring plane *produces*; ignored on its input so
 #: a monitor subscribed to the log it emits into cannot feed on itself.
 MONITOR_EVENT_KINDS = frozenset(
-    {"broker.observed", "session.drift", "slo.violated", "session.renegotiated"}
+    {"broker.observed", "session.drift", "session.renegotiated"}
 )
 
 #: Watchdog-latency boundaries (seconds): event dispatch is microseconds.
@@ -85,8 +82,6 @@ class MonitorConfig:
     #: Emit one ``broker.observed`` digest every N availability updates
     #: of a resource (0 disables the digests).
     observe_every: int = 8
-    #: Declarative objectives the watchdogs evaluate.
-    slos: Tuple[SLOSpec, ...] = ()
     #: Drive the adaptation loop (renegotiations); False = detect only.
     adapt: bool = True
     #: Renegotiation budget per session.
@@ -224,7 +219,6 @@ class _SessionWatch:
     service: str = ""
     #: resource -> availability the plan was computed from.
     planned_available: Dict[str, float] = field(default_factory=dict)
-    psi: float = 0.0
     bottleneck: Optional[str] = None
     #: Paper-style numeric end-to-end level (higher = better).
     level: Optional[int] = None
@@ -260,25 +254,28 @@ class OnlineMonitor:
         self._by_resource: Dict[str, Set[str]] = {}
         #: session -> resources already flagged since the last admit.
         self._drifted: Dict[str, Set[str]] = {}
-        #: EWMA of admitted sessions' numeric levels (the delivered-QoS
-        #: estimator the ``min_qos_level`` objective watches).
+        #: EWMA of admitted sessions' numeric levels (delivered QoS).
         self._qos_ewma: Optional[float] = None
-        #: EWMA of planned bottleneck psi (the ``max_psi`` objective).
+        #: EWMA of planned bottleneck psi.
         self._psi_ewma: Optional[float] = None
-        #: (slo name, objective) -> currently tripped (hysteresis).
-        self._slo_state: Dict[Tuple[str, str], bool] = {}
-        self._outcomes = 0
         self._sessions_seen: Set[str] = set()
         self._last_time: Optional[float] = None
         self.events_seen = 0
         self.drift_detected = 0
-        self.slo_violations = 0
 
     # -- stream input ------------------------------------------------------
 
     def on_event(self, event: ReservationEvent) -> None:
         """The :meth:`EventLog.subscribe` callback."""
-        if event.kind in MONITOR_EVENT_KINDS or event.kind == "log.truncated":
+        kind = event.kind
+        # Kinds outside the vocabulary only arrive from recorded traces
+        # (an older schema's events); like the plane's own, they are not
+        # input.
+        if (
+            kind in MONITOR_EVENT_KINDS
+            or kind == "log.truncated"
+            or kind not in EVENT_KINDS
+        ):
             return
         started = _time.perf_counter()
         self.events_seen += 1
@@ -317,12 +314,9 @@ class OnlineMonitor:
             self._stage_session(event)
         elif kind == "session.admitted":
             self._admit_session(event)
-            self._evaluate_slos(event.time)
         elif kind == "session.rejected":
             if event.session:
                 self._sessions_seen.add(event.session)
-            self._outcomes += 1
-            self._evaluate_slos(event.time)
 
     # -- per-broker estimators ---------------------------------------------
 
@@ -373,7 +367,6 @@ class OnlineMonitor:
             planned_available={
                 str(resource): float(value) for resource, value in available.items()
             },
-            psi=float(event.attributes.get("psi", 0.0)),
             bottleneck=event.attributes.get("bottleneck"),
         )
         psi = event.attributes.get("psi")
@@ -408,7 +401,6 @@ class OnlineMonitor:
         for resource in watch.planned_available:
             self._by_resource.setdefault(resource, set()).add(session_id)
         self._sessions_seen.add(session_id)
-        self._outcomes += 1
         if self.policy is not None:
             self.policy.set_level(session_id, watch.level)
         if watch.level is not None:
@@ -475,8 +467,6 @@ class OnlineMonitor:
             if self.policy is not None:
                 self.policy.on_drift(session_id, resource, now)
 
-    # -- SLO watchdogs ------------------------------------------------------
-
     def global_rejection_rate(self, now: Optional[float]) -> float:
         """Rejected fraction of all admission attempts in the window."""
         attempts = 0
@@ -486,81 +476,6 @@ class OnlineMonitor:
             attempts += seen
             rejected += bad
         return rejected / attempts if attempts else 0.0
-
-    def _evaluate_slos(self, now: Optional[float]) -> None:
-        if not self.config.slos:
-            return
-        for spec in self.config.slos:
-            if self._outcomes < spec.min_sessions:
-                continue
-            checks: List[Tuple[str, float, float, bool]] = []
-            if spec.max_rejection_rate is not None:
-                measured = self.global_rejection_rate(now)
-                checks.append(
-                    (
-                        "rejection_rate",
-                        measured,
-                        spec.max_rejection_rate,
-                        measured > spec.max_rejection_rate,
-                    )
-                )
-            if spec.min_qos_level is not None and self._qos_ewma is not None:
-                checks.append(
-                    (
-                        "qos_level",
-                        self._qos_ewma,
-                        spec.min_qos_level,
-                        self._qos_ewma < spec.min_qos_level,
-                    )
-                )
-            if spec.max_psi is not None and self._psi_ewma is not None:
-                checks.append(
-                    ("psi", self._psi_ewma, spec.max_psi, self._psi_ewma > spec.max_psi)
-                )
-            for objective, measured, limit, violated in checks:
-                key = (spec.name, objective)
-                if not violated:
-                    self._slo_state[key] = False  # recovered: re-arm
-                    continue
-                if self._slo_state.get(key):
-                    continue  # still tripped: one event per crossing
-                self._slo_state[key] = True
-                self.slo_violations += 1
-                violation = SLOViolation(spec.name, objective, measured, limit)
-                session_id = self._slo_candidate(objective)
-                self._emit(
-                    "slo.violated",
-                    session=session_id,
-                    time=now,
-                    **violation.to_attributes(),
-                )
-                registry = _metrics.active_registry()
-                if registry is not None:
-                    registry.counter("monitor.slo_violations", slo=spec.name).inc()
-                if self.policy is not None and session_id is not None:
-                    self.policy.on_violation(session_id, spec.name, now)
-
-    def _slo_candidate(self, objective: str) -> Optional[str]:
-        """The live session to renegotiate for a tripped objective.
-
-        A too-low delivered QoS is best helped by re-planning the worst
-        session (it may now upgrade); pressure objectives (psi, rejection
-        rate) by re-planning the most contended one (it may downgrade and
-        free the bottleneck).  Ties break on session id for determinism.
-        """
-        if not self._active:
-            return None
-        if objective == "qos_level":
-            return min(
-                self._active,
-                key=lambda sid: (
-                    self._active[sid].level
-                    if self._active[sid].level is not None
-                    else 1 << 30,
-                    sid,
-                ),
-            )
-        return max(self._active, key=lambda sid: (self._active[sid].psi, sid))
 
     # -- output -------------------------------------------------------------
 
@@ -589,7 +504,6 @@ class OnlineMonitor:
         document = {
             "events_seen": self.events_seen,
             "drift_detected": self.drift_detected,
-            "slo_violations": self.slo_violations,
             "sessions_tracked": len(self._sessions_seen),
             "sessions_live": len(self._active),
             "qos_ewma": self._qos_ewma,
@@ -625,7 +539,7 @@ def replay_events(
 
 
 class AdaptationPolicy:
-    """The §5 loop: drift/violation in, renegotiation out.
+    """The §5 loop: drift in, renegotiation out.
 
     Sessions are registered with :meth:`watch` (carrying everything
     :meth:`~repro.runtime.coordinator.ReservationCoordinator.renegotiate`
@@ -694,10 +608,6 @@ class AdaptationPolicy:
     ) -> None:
         """Drift detected against ``resource``: queue a renegotiation."""
         self._enqueue(session_id, "drift", now)
-
-    def on_violation(self, session_id: str, slo: str, now: Optional[float]) -> None:
-        """SLO tripped: queue a renegotiation of the candidate session."""
-        self._enqueue(session_id, f"slo:{slo}", now)
 
     def _enqueue(self, session_id: str, trigger: str, now: Optional[float]) -> None:
         if session_id not in self._contexts or session_id in self.dropped:

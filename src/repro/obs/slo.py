@@ -1,94 +1,18 @@
-"""Declarative service-level objectives for the online monitoring plane.
+"""The repo's one SLO concept: fleet-level burn-rate objectives.
 
-An :class:`SLOSpec` names a bound the run is expected to keep -- a
-maximum broker rejection rate, a minimum delivered QoS level, a maximum
-contention index psi -- and the :class:`~repro.obs.monitor.OnlineMonitor`
-watchdogs evaluate every spec against its rolling estimators as the
-event stream arrives, emitting one ``slo.violated`` event per crossing
-(with hysteresis: a spec re-arms only after its objective recovers).
-
-Specs are plain frozen data so they can ride on a
-:class:`~repro.obs.monitor.MonitorConfig` across process boundaries
-(the parallel sweep runner pickles configs into pool workers).
-
-:class:`BurnRateSLO` is the *fleet-level* counterpart introduced with
-the cluster telemetry plane: instead of a per-process threshold it
-declares a target ratio of good events (admission success rate, or
-requests under a latency bound) and the SRE-style multi-window
-burn-rate parameters the :class:`~repro.obs.burn.BurnRateEngine`
-evaluates against scraped time series.
+A :class:`BurnRateSLO` declares a target ratio of good events (admission
+success rate, or requests under a latency bound) and the SRE-style
+multi-window burn-rate parameters the
+:class:`~repro.obs.burn.BurnRateEngine` evaluates against scraped time
+series.  Plain frozen data, loadable from an ``--slo-config`` document.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, Tuple
 
-__all__ = ["BurnRateSLO", "SLOSpec", "SLOViolation"]
-
-
-@dataclass(frozen=True)
-class SLOSpec:
-    """One declarative objective; at least one bound must be set.
-
-    ``max_rejection_rate`` bounds the rolling fraction of broker
-    admission attempts rejected (over the monitor's ``rate_window``);
-    ``min_qos_level`` bounds the EWMA of admitted sessions' paper-style
-    numeric levels (best = N .. worst = 1, so *higher* is better);
-    ``max_psi`` bounds the EWMA of planned bottleneck contention
-    indices.  ``min_sessions`` is a warm-up: no objective is evaluated
-    before that many sessions produced an outcome, so a single early
-    rejection cannot trip a rate bound computed over one sample.
-    """
-
-    name: str
-    max_rejection_rate: Optional[float] = None
-    min_qos_level: Optional[float] = None
-    max_psi: Optional[float] = None
-    min_sessions: int = 5
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("SLOSpec needs a non-empty name")
-        if (
-            self.max_rejection_rate is None
-            and self.min_qos_level is None
-            and self.max_psi is None
-        ):
-            raise ValueError(
-                f"SLOSpec {self.name!r} sets no objective; give at least one "
-                "of max_rejection_rate / min_qos_level / max_psi"
-            )
-        if self.max_rejection_rate is not None and not 0.0 <= self.max_rejection_rate <= 1.0:
-            raise ValueError(
-                f"max_rejection_rate must be within [0, 1], got {self.max_rejection_rate!r}"
-            )
-        if self.max_psi is not None and self.max_psi <= 0.0:
-            raise ValueError(f"max_psi must be positive, got {self.max_psi!r}")
-        if self.min_sessions < 0:
-            raise ValueError(f"min_sessions must be >= 0, got {self.min_sessions!r}")
-
-
-@dataclass(frozen=True)
-class SLOViolation:
-    """One detected crossing of one objective of one spec."""
-
-    slo: str
-    #: Which bound tripped: ``rejection_rate`` / ``qos_level`` / ``psi``.
-    objective: str
-    #: The measured rolling value at detection time.
-    measured: float
-    #: The spec's bound it crossed.
-    limit: float
-
-    def to_attributes(self) -> dict:
-        """The ``slo.violated`` event's attribute payload."""
-        return {
-            "slo": self.slo,
-            "objective": self.objective,
-            "measured": self.measured,
-            "limit": self.limit,
-        }
+__all__ = ["BurnRateSLO"]
 
 
 @dataclass(frozen=True)

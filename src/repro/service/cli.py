@@ -20,9 +20,8 @@ import signal
 import sys
 from typing import List, Optional
 
-from repro.faults.plan import FaultConfig
+from repro.core import ALGORITHMS, CONTENTION_INDICES
 from repro.service.daemon import DaemonConfig, ReservationDaemon
-from repro.sim.experiment import ALGORITHMS, CONTENTION_INDICES
 
 __all__ = [
     "add_grid_arguments",
@@ -96,9 +95,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
         "grid + planner seed (admissions are deterministic given the seed "
         "and request order)",
     )
-    parser.add_argument("--faults", action="store_true",
-                        help="serve through the fault-tolerant coordinator "
-                             "with an injected §6 fault plan")
     parser.add_argument("--event-capacity", type=int, default=65536,
                         help="bounded EventLog capacity")
     parser.add_argument("--subscriber-queue", type=int, default=256,
@@ -129,7 +125,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
     return DaemonConfig(
         host=args.host,
         port=args.port,
-        faults=FaultConfig() if args.faults else None,
         event_capacity=args.event_capacity,
         subscriber_queue=args.subscriber_queue,
         drain_timeout=args.drain_timeout,
@@ -168,8 +163,7 @@ async def _serve(config: DaemonConfig) -> None:
     await serve_until_signalled(
         daemon,
         "repro-serve",
-        f"algorithm={config.algorithm}, seed={config.seed}, "
-        f"faults={'on' if config.faults else 'off'}{shard}",
+        f"algorithm={config.algorithm}, seed={config.seed}{shard}",
         _sigquit_dump,
     )
 

@@ -3,10 +3,9 @@
 Everything before this module is run-to-completion: build a grid, drive
 a workload, exit.  :class:`ReservationService` keeps one
 :class:`~repro.sim.environment.GridEnvironment` (and its
-:class:`~repro.runtime.coordinator.ReservationCoordinator`, or the
-fault-tolerant variant when a :class:`~repro.faults.plan.FaultConfig` is
-configured) alive behind an admission API and owns the one transport-free
-route table (:meth:`ReservationService.route`), and
+:class:`~repro.runtime.coordinator.ReservationCoordinator`) alive
+behind an admission API and owns the one transport-free route table
+(:meth:`ReservationService.route`), and
 :class:`ReservationDaemon` serves that table over HTTP inside the shared
 :class:`~repro.service.server.ServingShell`:
 
@@ -57,12 +56,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.core import ALGORITHMS, CONTENTION_INDICES, make_planner
 from repro.core.errors import AdmissionError, ModelError, ReproError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
-from repro.faults.coordinator import FaultTolerantCoordinator
-from repro.faults.injector import FaultInjector
-from repro.faults.plan import FAULT_SEED_INDEX, FaultConfig, FaultPlan
 from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -81,12 +78,6 @@ from repro.service import http as _http
 from repro.service.events import EventPlane
 from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import (
-    ALGORITHMS,
-    CONTENTION_INDICES,
-    derive_run_seed,
-    make_planner,
-)
 from repro.sim.workload import SessionArrival
 
 __all__ = ["DaemonConfig", "ReservationDaemon", "ReservationService", "ServiceError"]
@@ -166,10 +157,6 @@ class DaemonConfig:
     capacity_range: Tuple[float, float] = (1000.0, 4000.0)
     contention_index: str = "ratio"
     tie_break: bool = True
-    #: Route admissions through the fault-tolerant coordinator.
-    faults: Optional[FaultConfig] = None
-    #: Horizon the fault plan is generated over (TU of the DES clock).
-    fault_horizon: float = 10800.0
     #: Retained-event bound of the daemon's EventLog (None = unbounded).
     event_capacity: Optional[int] = 65536
     #: Per-WebSocket-subscriber queue bound (the slow-consumer cutoff).
@@ -256,21 +243,6 @@ class ReservationService:
         self.grid = GridEnvironment(
             self.env, self.streams, capacity_range=config.capacity_range
         )
-        if config.faults is not None:
-            plan = FaultPlan.generate(
-                config.faults,
-                seed=derive_run_seed(config.seed, FAULT_SEED_INDEX),
-                horizon=config.fault_horizon,
-                hosts=sorted(self.grid.proxies),
-            )
-            injector = FaultInjector(plan, clock=lambda: self.env.now)
-            self.grid.coordinator = FaultTolerantCoordinator(
-                self.grid.registry,
-                self.grid.model_store,
-                self.grid.proxies,
-                injector=injector,
-                env=self.env,
-            )
         self.coordinator = self.grid.coordinator
         self.planner = make_planner(config.algorithm, config.tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[config.contention_index]
@@ -749,7 +721,6 @@ class ReservationService:
             "uptime_seconds": _time.monotonic() - self.started_at,
             "algorithm": self.config.algorithm,
             "seed": self.config.seed,
-            "fault_tolerant": self.config.faults is not None,
             "active_sessions": len(self.sessions),
             "counters": dict(self.counters),
             "event_log": {
@@ -894,32 +865,21 @@ class ReservationDaemon(ServingShell):
 
     # -- routes ------------------------------------------------------------
 
+    def _health_fields(self) -> dict:
+        return {
+            "role": "shard",
+            "shard": self.service.shard_label,
+            "shard_index": self.service.config.shard_index,
+            "shard_count": self.service.config.shard_count,
+            "websocket_clients": self.stats.websocket_clients,
+        }
+
+    def _metrics_text(self) -> str:
+        return self.service.metrics_exposition()
+
     async def _dispatch(
         self, request: _http.Request, parse_seconds: float, close: bool
     ) -> bytes:
-        route = (request.method, request.path)
-        if route == ("GET", "/healthz"):
-            return _http.json_response_bytes(
-                200,
-                {
-                    "status": "draining" if self._draining else "ok",
-                    "role": "shard",
-                    "shard": self.service.shard_label,
-                    "shard_index": self.service.config.shard_index,
-                    "shard_count": self.service.config.shard_count,
-                    "requests": self.stats.requests,
-                    "websocket_clients": self.stats.websocket_clients,
-                    "uptime_seconds": _time.monotonic() - self.service.started_at,
-                    "inflight_admissions": self._inflight,
-                    "draining": self._draining,
-                },
-                close=close,
-            )
-        if route == ("GET", "/metrics"):
-            body = self.service.metrics_exposition().encode("utf-8")
-            return _http.response_bytes(
-                200, body, content_type="text/plain; version=0.0.4", close=close
-            )
         status, resolved = self._guarded(
             self.service.route,
             request.method,

@@ -7,8 +7,10 @@ the 400 a malformed request earns, the access log, the wire counters,
 and the drain flag with its in-flight barrier.
 :class:`~repro.service.daemon.ReservationDaemon` and
 :class:`~repro.cluster.router.ClusterDaemon` subclass it and supply
-three things: ``_dispatch`` (their routes), the admissions they run
-under the shell's lock between :meth:`ServingShell._enter_admission` and
+four things: ``_dispatch`` (their routes), the two hooks behind the
+probes every daemon answers (``GET /healthz``, ``GET /metrics``), the
+admissions they run under the shell's lock between
+:meth:`ServingShell._enter_admission` and
 :meth:`ServingShell._exit_admission`, and one background task.
 
 Every request is handled under a request-scoped
@@ -37,6 +39,9 @@ __all__ = ["DRAIN_REFUSAL", "ServerStats", "ServingShell"]
 #: ``ServiceDrainingError``.
 DRAIN_REFUSAL = {"error": "daemon is shutting down", "draining": True}
 
+#: The two probe paths the shell answers itself, before ``_dispatch``.
+_PROBES = ("/healthz", "/metrics")
+
 
 @dataclass
 class ServerStats:
@@ -62,6 +67,7 @@ class ServingShell:
         self._bind_port = port
         self._drain_timeout = drain_timeout
         self._log_requests = access_log
+        self._started_at = _time.monotonic()
         self._server: Optional[asyncio.base_events.Server] = None
         #: Serializes admissions, so decisions for a given request order
         #: are deterministic; the reaper/flush tasks take it too.
@@ -82,6 +88,14 @@ class ServingShell:
         self, request: _http.Request, parse_seconds: float, close: bool
     ) -> bytes:
         """The serialized response to one request (the daemon's routes)."""
+        raise NotImplementedError
+
+    def _health_fields(self) -> dict:
+        """The role-specific ``/healthz`` fields, beside the shell's own."""
+        raise NotImplementedError
+
+    def _metrics_text(self) -> str:
+        """The ``/metrics`` body (Prometheus text format)."""
         raise NotImplementedError
 
     async def _serve_websocket(self, request, reader, writer) -> None:
@@ -198,9 +212,12 @@ class ServingShell:
                     context = self._context_for(request)
                     token = _context.bind_trace_context(context)
                     try:
-                        response = await self._dispatch(
-                            request, parse_seconds, close
-                        )
+                        if request.method == "GET" and request.path in _PROBES:
+                            response = self._probe(request.path, close)
+                        else:
+                            response = await self._dispatch(
+                                request, parse_seconds, close
+                            )
                     finally:
                         _context.reset_trace_context(token)
                     writer.write(response)
@@ -233,6 +250,28 @@ class ServingShell:
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):  # pragma: no cover
                 pass
+
+    def _probe(self, path: str, close: bool) -> bytes:
+        """``GET /healthz`` and ``GET /metrics``, the same on every daemon."""
+        if path == "/metrics":
+            return _http.response_bytes(
+                200,
+                self._metrics_text().encode("utf-8"),
+                content_type="text/plain; version=0.0.4",
+                close=close,
+            )
+        return _http.json_response_bytes(
+            200,
+            {
+                "status": "draining" if self._draining else "ok",
+                "requests": self.stats.requests,
+                "uptime_seconds": _time.monotonic() - self._started_at,
+                "inflight_admissions": self._inflight,
+                "draining": self._draining,
+                **self._health_fields(),
+            },
+            close=close,
+        )
 
     def _context_for(self, request: _http.Request) -> _context.TraceContext:
         """The request's trace context: continued or a fresh root.

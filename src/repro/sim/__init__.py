@@ -14,17 +14,13 @@
 
 from repro.sim.environment import GridEnvironment
 from repro.sim.experiment import (
-    ParallelSweepRunner,
-    SerialSweepRunner,
     SimulationConfig,
     SimulationResult,
-    default_sweep_runner,
     derive_run_seed,
-    parallel_sweeps,
+    effective_workers,
     rate_sweep,
     run_configs,
     run_simulation,
-    set_default_sweep_runner,
     sweep,
 )
 from repro.sim.metrics import ClassBreakdown, MetricsCollector, PathCensus
@@ -52,9 +48,7 @@ __all__ = [
     "FAMILY_B",
     "GridEnvironment",
     "MetricsCollector",
-    "ParallelSweepRunner",
     "PathCensus",
-    "SerialSweepRunner",
     "ServiceFamily",
     "SessionArrival",
     "SessionClassifier",
@@ -65,15 +59,13 @@ __all__ = [
     "WorkloadSpec",
     "build_evaluation_services",
     "compress_diversity",
-    "default_sweep_runner",
     "derive_run_seed",
+    "effective_workers",
     "evaluation_family_keys",
     "evaluation_services_for",
     "family_of_service",
-    "parallel_sweeps",
     "rate_sweep",
     "run_configs",
     "run_simulation",
-    "set_default_sweep_runner",
     "sweep",
 ]

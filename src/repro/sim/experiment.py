@@ -6,14 +6,11 @@ release every session with the configured algorithm, and return the
 collected metrics.  :func:`sweep` maps a config factory over a parameter
 list (the generation-rate sweeps of figures 11-13).
 
-Sweeps execute through a *runner*: the default
-:class:`SerialSweepRunner` runs in-process, while
-:class:`ParallelSweepRunner` fans runs out over a process pool.  Runs
-are pure functions of their config (all randomness goes through named,
-seed-derived streams), so parallel results are byte-identical to serial
-ones.  ``REPRO_SWEEP_WORKERS=<n>`` in the environment makes every sweep
-parallel by default; :func:`parallel_sweeps` does the same for one
-block of code.
+Every batch executes through :func:`run_configs`, in this process or on
+``workers`` pool processes.  Runs are pure functions of their config
+(all randomness goes through named, seed-derived streams), so results
+are byte-identical for every worker count.  ``REPRO_SWEEP_WORKERS=<n>``
+in the environment is the default for calls that pass no ``workers=``.
 """
 
 from __future__ import annotations
@@ -21,21 +18,14 @@ from __future__ import annotations
 import os as _os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import PurePath
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
+from repro.core import ALGORITHMS, CONTENTION_INDICES, make_planner
 from repro.core.errors import ModelError
-from repro.core.planner import BasicPlanner, RandomPlanner
-from repro.core.resources import (
-    headroom_contention_index,
-    log_contention_index,
-    ratio_contention_index,
-)
-from repro.core.tradeoff import TradeoffPlanner
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
 from repro.faults.coordinator import FaultTolerantCoordinator
@@ -62,28 +52,6 @@ from repro.sim.services import (
 from repro.sim.staleness import StaleObservationModel
 from repro.sim.workload import WorkloadGenerator, WorkloadSpec
 
-CONTENTION_INDICES = {
-    "ratio": ratio_contention_index,
-    "headroom": headroom_contention_index,
-    "log": log_contention_index,
-}
-
-ALGORITHMS = ("basic", "tradeoff", "random")
-
-
-def make_planner(algorithm: str, tie_break: bool, streams: RandomStreams):
-    """The planner an ``ALGORITHMS`` name stands for.
-
-    The random planner draws from the ``random-planner`` stream of
-    ``streams``, so simulation, daemon and router built from one seed
-    plan identically.
-    """
-    if algorithm == "basic":
-        return BasicPlanner(tie_break=tie_break)
-    if algorithm == "tradeoff":
-        return TradeoffPlanner(tie_break=tie_break)
-    return RandomPlanner(rng=streams.stream("random-planner"))
-
 
 @dataclass(frozen=True)
 class SimulationConfig:
@@ -107,7 +75,7 @@ class SimulationConfig:
     tie_break: bool = True
     #: Retain individual SessionOutcome records (memory-heavy).
     keep_outcomes: bool = False
-    #: Tracing/metrics collection and export (None = fully disabled,
+    #: Span/metrics/event collection and export (None = not observed,
     #: the zero-overhead default).  See :mod:`repro.obs`.
     observability: Optional[ObservabilityConfig] = None
     #: Fault schedule + recovery policy (None = the plain coordinator;
@@ -144,13 +112,13 @@ class SimulationResult:
     metrics: MetricsSnapshot
     paths: PathCensus
     wall_seconds: float
-    #: The run's tracer + metrics registry (None unless the config
-    #: enabled observability).  Dropped when the result crosses a
-    #: process boundary; see :attr:`observation_summary`.
+    #: The run's live observation session, as :func:`run_simulation`
+    #: returns it (None unless the config enabled observability).
+    #: :func:`run_configs` replaces it by :attr:`observation_summary`.
     observation: Optional[ObservationSession] = None
     #: Picklable digest of the observation (span totals + metrics
-    #: snapshot), set by :meth:`detached` -- what pool workers ship back
-    #: in place of the live session.
+    #: snapshot), set by :meth:`detached` -- what :func:`run_configs`
+    #: returns in place of the live session.
     observation_summary: Optional[ObservationSummary] = None
     #: Fault-injection digest of the run (None when the config carried
     #: no fault schedule): injected-fault counts by kind plus the number
@@ -223,8 +191,7 @@ def run_simulation(config: SimulationConfig) -> SimulationResult:
     the result as ``observation``) and writes any configured export
     paths (JSON trace, CSV metrics, text summary) before returning.
     """
-    observation: Optional[ObservationSession] = None
-    if config.observability is not None and config.observability.enabled:
+    if config.observability is not None:
         observation = ObservationSession(config.observability)
         with observation:
             result = _run_simulation(config, observation)
@@ -380,11 +347,11 @@ def _run_simulation(
     )
 
 
-# -- sweep runners ------------------------------------------------------------
+# -- batches -------------------------------------------------------------------
 
-#: Environment variable holding a worker count; when set, every sweep
-#: that does not pass an explicit runner goes parallel with that many
-#: workers (the CI smoke of the parallel path sets this to 2).
+#: Environment variable holding the process-wide default worker count of
+#: :func:`run_configs` (unset = 1; ``repro-reproduce --workers`` sets it,
+#: the CI smoke of the pool path sets it to 2).
 WORKERS_ENV = "REPRO_SWEEP_WORKERS"
 
 
@@ -400,23 +367,12 @@ def derive_run_seed(base_seed: int, index: int) -> int:
     return int(sequence.generate_state(1)[0])
 
 
-def _worker_initializer() -> None:
-    """Runs once in each pool worker before it takes any work.
-
-    A forked worker inherits the parent's module-level observability
-    handles (active tracer/registry and session marker); clearing them
-    gives each worker isolated, no-op handles until its own runs install
-    their sessions.
-    """
-    reset_worker_observability()
-
-
 def _execute_detached(config: SimulationConfig) -> SimulationResult:
-    """Worker entry point: run one config, return a picklable result.
+    """Run one config, return a picklable result.
 
     Exports (JSON trace / CSV metrics / text summary) happen inside
-    :func:`run_simulation`, i.e. inside the worker, before the live
-    observation is replaced by its summary.
+    :func:`run_simulation`, i.e. inside the process that ran the config,
+    before the live observation is replaced by its summary.
     """
     return run_simulation(config).detached()
 
@@ -432,12 +388,14 @@ def _batch_worker_initializer(configs: Sequence[SimulationConfig]) -> None:
     """Install the read-only config batch in a pool worker (runs once).
 
     The batch crosses the process boundary exactly once per worker, via
-    the pool's ``initargs``; :func:`_worker_initializer` then isolates
-    the worker's observability handles as for any forked worker.
+    the pool's ``initargs``.  A forked worker also inherits the parent's
+    module-level observability handles (active tracer/registry and
+    session marker); clearing them gives each worker isolated, no-op
+    handles until its own runs install their sessions.
     """
     global _WORKER_CONFIGS
     _WORKER_CONFIGS = list(configs)
-    _worker_initializer()
+    reset_worker_observability()
 
 
 def _execute_batch_index(index: int) -> SimulationResult:
@@ -458,11 +416,11 @@ def _derive_export_paths(configs: Sequence[SimulationConfig]) -> List[Simulation
     """Give each run of a batch its own export files.
 
     A batch whose configs share export paths would have every run
-    overwrite the previous run's files (serial) or race on them
-    (parallel).  For batches of more than one config, ``.runNNN`` is
-    inserted before each path's extension -- applied identically for the
-    serial and parallel runners so both produce the same files and, via
-    the rewritten configs, byte-identical results.
+    overwrite the previous run's files (in-process) or race on them
+    (pool).  For batches of more than one config, ``.runNNN`` is
+    inserted before each path's extension -- identically for every
+    worker count, so all produce the same files and, via the rewritten
+    configs, byte-identical results.
     """
     if len(configs) <= 1:
         return list(configs)
@@ -492,146 +450,55 @@ def _derive_export_paths(configs: Sequence[SimulationConfig]) -> List[Simulation
     return derived
 
 
-@dataclass(frozen=True)
-class SerialSweepRunner:
-    """Run a batch in-process, in order.
+def effective_workers(batch_size: int, workers: Optional[int] = None) -> int:
+    """The process count a batch of ``batch_size`` runs would execute on.
 
-    Results keep their live :class:`ObservationSession` attached, which
-    is what interactive inspection (and the seed's tests) rely on.
+    ``workers=None`` reads ``REPRO_SWEEP_WORKERS`` (default 1).  The
+    count is clamped to the batch size and to the CPUs this process may
+    run on: oversubscribing a small machine trades cache locality for
+    context switches and was the dominant cost of the committed 0.85x
+    pool regression.
     """
-
-    def run(self, configs: Sequence[SimulationConfig]) -> List[SimulationResult]:
-        return [run_simulation(config) for config in configs]
-
-
-@dataclass(frozen=True)
-class ParallelSweepRunner:
-    """Run a batch over a process pool.
-
-    Each run is a pure function of its config (all randomness flows
-    through named streams seeded from ``config.seed``), so results are
-    byte-identical to :class:`SerialSweepRunner` -- only wall time and
-    the form of the observation differ: workers write any configured
-    exports themselves and ship back a detached
-    :class:`~repro.obs.ObservationSummary` instead of the live session
-    (live tracers/registries are not picklable and must not cross a
-    process boundary).
-
-    Three properties keep the pool from ever running *slower* than
-    serial (the committed 0.85x regression this design replaces):
-
-    * the worker count is clamped to the batch size **and** to the CPUs
-      the process may run on (``clamp_to_cpus``) -- oversubscribing a
-      small machine trades cache locality for context switches and was
-      the dominant cost of the regression;
-    * one effective worker means no pool at all: the batch runs inline
-      (still returning detached results, so the output shape does not
-      depend on the worker count);
-    * the config batch crosses the process boundary once per *worker*
-      (via the pool initializer), not once per task, and tasks are
-      dispatched as chunked index ranges -- per-task IPC is one integer
-      out, one detached summary back.
-    """
-
-    #: Pool size; None = all available CPUs.  Values <= 1 (or batches of
-    #: one) run inline, still returning detached results so the output
-    #: shape does not depend on the worker count.
-    max_workers: Optional[int] = None
-    #: Indices dispatched per pool task; None derives a chunk size that
-    #: gives each worker ~4 chunks (dynamic load balancing without
-    #: per-task dispatch overhead).
-    chunk_size: Optional[int] = None
-    #: Never run more workers than CPUs this process can use.  Opt out
-    #: to measure oversubscription or force a pool on a small host.
-    clamp_to_cpus: bool = True
-
-    def effective_workers(self, batch_size: int) -> int:
-        """The worker count a batch of ``batch_size`` would actually use."""
-        workers = self.max_workers if self.max_workers is not None else _available_cpus()
-        workers = min(workers, batch_size)
-        if self.clamp_to_cpus:
-            workers = min(workers, _available_cpus())
-        return max(workers, 0)
-
-    def effective_chunk_size(self, batch_size: int, workers: int) -> int:
-        """Indices per pool task (explicit ``chunk_size`` wins)."""
-        if self.chunk_size is not None:
-            if self.chunk_size < 1:
-                raise ModelError(f"chunk_size must be >= 1, got {self.chunk_size!r}")
-            return self.chunk_size
-        return max(1, batch_size // (workers * 4))
-
-    def run(self, configs: Sequence[SimulationConfig]) -> List[SimulationResult]:
-        configs = list(configs)
-        workers = self.effective_workers(len(configs))
-        if workers <= 1 or len(configs) <= 1:
-            return [_execute_detached(config) for config in configs]
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_batch_worker_initializer,
-            initargs=(configs,),
-        ) as pool:
-            return list(
-                pool.map(
-                    _execute_batch_index,
-                    range(len(configs)),
-                    chunksize=self.effective_chunk_size(len(configs), workers),
-                )
-            )
-
-
-#: Session-wide default runner override (set via set_default_sweep_runner
-#: or the parallel_sweeps context manager); None = consult WORKERS_ENV,
-#: then fall back to serial.
-_DEFAULT_RUNNER = None
-
-
-def default_sweep_runner():
-    """The runner used when a sweep is not passed one explicitly."""
-    if _DEFAULT_RUNNER is not None:
-        return _DEFAULT_RUNNER
-    env_workers = _os.environ.get(WORKERS_ENV)
-    if env_workers:
-        return ParallelSweepRunner(max_workers=int(env_workers))
-    return SerialSweepRunner()
-
-
-def set_default_sweep_runner(runner) -> None:
-    """Install (or with None, clear) the session-wide default runner."""
-    global _DEFAULT_RUNNER
-    _DEFAULT_RUNNER = runner
-
-
-@contextmanager
-def parallel_sweeps(max_workers: Optional[int] = None) -> Iterator[ParallelSweepRunner]:
-    """Make every sweep in the block parallel by default.
-
-    ::
-
-        with parallel_sweeps(4):
-            results = rate_sweep(ALGORITHMS, rates)
-    """
-    previous = _DEFAULT_RUNNER
-    runner = ParallelSweepRunner(max_workers=max_workers)
-    set_default_sweep_runner(runner)
-    try:
-        yield runner
-    finally:
-        set_default_sweep_runner(previous)
+    if workers is None:
+        workers = int(_os.environ.get(WORKERS_ENV) or 1)
+    return min(workers, batch_size, _available_cpus())
 
 
 def run_configs(
-    configs: Sequence[SimulationConfig], *, runner=None
+    configs: Sequence[SimulationConfig], *, workers: Optional[int] = None
 ) -> List[SimulationResult]:
-    """Execute a batch of configs through a sweep runner.
+    """Execute a batch of configs, in this process or on a process pool.
 
-    The central execution funnel: every sweep builds its config list and
-    hands it here, so serial and parallel execution see the exact same
-    configs (including the per-run export-path derivation) and produce
-    byte-identical metrics.
+    The one executor: every sweep builds its config list and hands it
+    here, so every worker count sees the exact same configs (including
+    the per-run export-path derivation) and produces byte-identical
+    metrics.  Results are always detached -- exports are written by
+    whichever process ran the config, and a picklable
+    :class:`~repro.obs.ObservationSummary` comes back in place of the
+    live session -- so their shape never depends on the worker count.
+
+    One effective worker (see :func:`effective_workers`) means no pool at
+    all.  More run a pool in which the batch crosses the process
+    boundary once per *worker* (via the pool initializer), not once per
+    task, and indices are dispatched in chunks sized to give each worker
+    ~4 of them: dynamic load balancing without per-task IPC.
     """
-    runner = runner if runner is not None else default_sweep_runner()
-    return runner.run(_derive_export_paths(configs))
+    configs = _derive_export_paths(configs)
+    pool_size = effective_workers(len(configs), workers)
+    if pool_size <= 1:
+        return [_execute_detached(config) for config in configs]
+    with ProcessPoolExecutor(
+        max_workers=pool_size,
+        initializer=_batch_worker_initializer,
+        initargs=(configs,),
+    ) as pool:
+        return list(
+            pool.map(
+                _execute_batch_index,
+                range(len(configs)),
+                chunksize=max(1, len(configs) // (pool_size * 4)),
+            )
+        )
 
 
 # -- sweeps -------------------------------------------------------------------
@@ -643,14 +510,13 @@ def sweep(
     values: Sequence,
     *,
     workload_field: bool = False,
-    runner=None,
+    workers: Optional[int] = None,
 ) -> List[SimulationResult]:
     """Run ``base`` once per value of ``parameter``.
 
     ``workload_field=True`` varies a field of the nested
     :class:`WorkloadSpec` (e.g. ``rate_per_60tu``) instead of the config
-    itself.  ``runner`` picks the execution strategy (default: serial,
-    or parallel under :func:`parallel_sweeps` / ``REPRO_SWEEP_WORKERS``).
+    itself.  ``workers`` is :func:`run_configs`'s.
     """
     configs: List[SimulationConfig] = []
     for value in values:
@@ -658,7 +524,7 @@ def sweep(
             configs.append(base.with_(workload=replace(base.workload, **{parameter: value})))
         else:
             configs.append(base.with_(**{parameter: value}))
-    return run_configs(configs, runner=runner)
+    return run_configs(configs, workers=workers)
 
 
 def rate_sweep(
@@ -666,13 +532,12 @@ def rate_sweep(
     rates: Sequence[float],
     *,
     base: Optional[SimulationConfig] = None,
-    runner=None,
+    workers: Optional[int] = None,
 ) -> Dict[str, List[SimulationResult]]:
     """The figures' common shape: one success/QoS series per algorithm.
 
-    All ``len(algorithms) * len(rates)`` runs form one batch, so a
-    parallel runner overlaps runs across algorithms, not just within
-    one series.
+    All ``len(algorithms) * len(rates)`` runs form one batch, so a pool
+    overlaps runs across algorithms, not just within one series.
     """
     base = base if base is not None else SimulationConfig()
     algorithms = list(algorithms)
@@ -685,7 +550,7 @@ def rate_sweep(
                     workload=replace(base.workload, rate_per_60tu=rate),
                 )
             )
-    results = run_configs(configs, runner=runner)
+    results = run_configs(configs, workers=workers)
     out: Dict[str, List[SimulationResult]] = {}
     for position, algorithm in enumerate(algorithms):
         out[algorithm] = results[position * len(rates) : (position + 1) * len(rates)]

@@ -309,20 +309,15 @@ class TestFaultySimulation:
         assert "fault injection (" in out
         assert "faults fired" in out
 
-    def test_parallel_sweep_matches_serial_under_faults(self):
-        from repro.sim.experiment import (
-            ParallelSweepRunner,
-            SerialSweepRunner,
-            run_configs,
-        )
+    def test_parallel_sweep_matches_serial_under_faults(self, monkeypatch):
+        from repro.sim.experiment import run_configs
 
         configs = [faulty_config(seed=s) for s in (3, 4)]
-        serial = run_configs(configs, runner=SerialSweepRunner())
-        # clamp_to_cpus=False forces a real pool even on a 1-CPU box:
-        # the process boundary is the thing under test.
-        parallel = run_configs(
-            configs, runner=ParallelSweepRunner(max_workers=2, clamp_to_cpus=False)
-        )
+        serial = run_configs(configs, workers=1)
+        # A real pool even on a 1-CPU box: the process boundary is the
+        # thing under test.
+        monkeypatch.setattr("repro.sim.experiment._available_cpus", lambda: 2)
+        parallel = run_configs(configs, workers=2)
         for s, p in zip(serial, parallel):
             assert p.metrics == s.metrics
             assert p.fault_stats == s.fault_stats

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from repro.brokers import AvailabilityHistory, LocalResourceBroker
 from repro.core.errors import BrokerError
-from repro.sim.experiment import SerialSweepRunner, SimulationConfig, sweep
+from repro.sim.experiment import SimulationConfig, sweep
 from repro.sim.workload import WorkloadSpec
 
 
@@ -153,10 +153,8 @@ def _tradeoff_sweep(rates):
     base = SimulationConfig(
         algorithm="tradeoff", seed=7, workload=WorkloadSpec(horizon=600.0)
     )
-    # Serial on purpose: a monkeypatched alpha does not reach pool workers.
-    results = sweep(
-        base, "rate_per_60tu", rates, workload_field=True, runner=SerialSweepRunner()
-    )
+    # In-process on purpose: a monkeypatched alpha does not reach pool workers.
+    results = sweep(base, "rate_per_60tu", rates, workload_field=True, workers=1)
     return [result.metrics for result in results]
 
 

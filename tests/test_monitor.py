@@ -1,4 +1,4 @@
-"""The online monitoring plane (repro.obs.monitor + repro.obs.slo).
+"""The online monitoring plane (repro.obs.monitor).
 
 Four contracts under test:
 
@@ -32,15 +32,7 @@ from repro.obs.monitor import (
     OnlineMonitor,
     replay_events,
 )
-from repro.obs.slo import SLOSpec, SLOViolation
-from repro.sim.experiment import (
-    WORKERS_ENV,
-    ParallelSweepRunner,
-    SerialSweepRunner,
-    SimulationConfig,
-    run_configs,
-    run_simulation,
-)
+from repro.sim.experiment import SimulationConfig, run_configs, run_simulation
 from repro.sim.workload import WorkloadSpec
 
 
@@ -99,18 +91,6 @@ class TestConfigValidation:
     def test_bad_values_rejected(self, kw):
         with pytest.raises(ValueError):
             MonitorConfig(**kw)
-
-    def test_slo_spec_validation(self):
-        with pytest.raises(ValueError, match="no objective"):
-            SLOSpec("empty")
-        with pytest.raises(ValueError, match="non-empty name"):
-            SLOSpec("", max_psi=0.5)
-        with pytest.raises(ValueError, match="within"):
-            SLOSpec("r", max_rejection_rate=1.5)
-        spec = SLOSpec("ok", max_rejection_rate=0.2, min_qos_level=2.0)
-        assert spec.min_sessions == 5
-        violation = SLOViolation("ok", "rejection_rate", 0.4, 0.2)
-        assert violation.to_attributes()["objective"] == "rejection_rate"
 
 
 class TestBrokerEstimate:
@@ -262,70 +242,6 @@ class TestDriftDetection:
         assert observed[0].attributes["ewma_available"] == pytest.approx(100.0)
 
 
-class TestSLOWatchdogs:
-    def make(self, spec):
-        config = MonitorConfig(adapt=False, observe_every=0, slos=(spec,))
-        log = EventLog()
-        monitor = OnlineMonitor(config, log=log)
-        log.subscribe(monitor.on_event)
-        return monitor, log
-
-    def test_rejection_rate_trips_once_with_hysteresis(self):
-        spec = SLOSpec("rej", max_rejection_rate=0.2, min_sessions=1)
-        monitor, log = self.make(spec)
-        planned(log, "s1", {"cpu:H1": 100.0})
-        admitted(log, "s1")
-        log.emit(
-            "broker.reject", resource="cpu:H1", session="s2", time=2.0,
-            requested=90.0, available=50.0,
-        )
-        log.emit("session.rejected", session="s2", time=2.0, reason="admission_failed")
-        violations = [e for e in log if e.kind == "slo.violated"]
-        assert len(violations) == 1
-        attrs = violations[0].attributes
-        assert attrs["slo"] == "rej" and attrs["objective"] == "rejection_rate"
-        assert attrs["measured"] == 1.0 and attrs["limit"] == 0.2
-        # still tripped: no second event while the rate stays high
-        log.emit("session.rejected", session="s3", time=3.0, reason="admission_failed")
-        assert log.count("slo.violated") == 1
-        # recovery (nine grants drown the rejections) re-arms the spec...
-        for n in range(9):
-            log.emit(
-                "broker.grant", resource="cpu:H1", session=f"g{n}",
-                time=4.0 + n, requested=1.0, available=100.0,
-            )
-        planned(log, "s4", {"cpu:H1": 100.0}, time=14.0)
-        admitted(log, "s4", time=14.0)
-        assert monitor.global_rejection_rate(14.0) <= 0.2
-        # ...so the next sustained crossing emits a second event
-        for n in range(4):
-            log.emit(
-                "broker.reject", resource="cpu:H1", session=f"r{n}",
-                time=15.0 + n, requested=90.0, available=10.0,
-            )
-        log.emit("session.rejected", session="s5", time=19.0, reason="admission_failed")
-        assert log.count("slo.violated") == 2
-        assert monitor.slo_violations == 2
-
-    def test_min_sessions_warmup_gate(self):
-        spec = SLOSpec("rej", max_rejection_rate=0.1, min_sessions=3)
-        monitor, log = self.make(spec)
-        log.emit("broker.reject", resource="cpu:H1", session="s1", time=1.0, available=5.0)
-        log.emit("session.rejected", session="s1", time=1.0, reason="admission_failed")
-        assert log.count("slo.violated") == 0  # one outcome < warm-up of 3
-
-    def test_qos_level_objective_targets_worst_session(self):
-        spec = SLOSpec("qos", min_qos_level=2.5, min_sessions=1)
-        monitor, log = self.make(spec)
-        planned(log, "hi", {"cpu:H1": 100.0})
-        admitted(log, "hi", level=3)
-        planned(log, "lo", {"cpu:H2": 100.0})
-        admitted(log, "lo", level=1)  # EWMA drops below 2.5
-        (violation,) = [e for e in log if e.kind == "slo.violated"]
-        assert violation.attributes["objective"] == "qos_level"
-        assert violation.session == "lo"  # renegotiate the worst-off session
-
-
 class FakeCoordinator:
     """Stands in for ReservationCoordinator.renegotiate in unit tests."""
 
@@ -452,9 +368,7 @@ class TestMonitoredSimulation:
     def adaptive_run(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("monitor") / "trace.json"
         config = monitored_config(
-            observability=ObservabilityConfig(
-                trace=True, metrics=True, events=True, trace_path=str(out)
-            )
+            observability=ObservabilityConfig(trace_path=str(out))
         )
         return run_simulation(config), out
 
@@ -512,9 +426,9 @@ class TestParallelIsolation:
         configs = [
             monitored_config(staleness=staleness) for staleness in (0.0, 2.0)
         ]
-        serial = run_configs(configs, runner=SerialSweepRunner())
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        parallel = run_configs(configs, runner=ParallelSweepRunner(max_workers=2))
+        monkeypatch.setattr("repro.sim.experiment._available_cpus", lambda: 2)
+        serial = run_configs(configs, workers=1)
+        parallel = run_configs(configs, workers=2)
         for left, right in zip(serial, parallel):
             assert left.monitor_stats == right.monitor_stats
             assert left.metrics == right.metrics

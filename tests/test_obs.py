@@ -337,23 +337,6 @@ class TestObservationSession:
             assert active_registry() is session.registry
         assert active_tracer() is None and active_registry() is None
 
-    def test_partial_collection(self):
-        config = ObservabilityConfig(trace=False, metrics=True)
-        assert config.enabled
-        session = ObservationSession(config)
-        assert session.tracer is None and session.registry is not None
-        with session:
-            assert active_tracer() is None
-            assert active_registry() is session.registry
-        with pytest.raises(ValueError):
-            ObservationSession(ObservabilityConfig(metrics=False)).write_metrics_csv("x")
-
-    def test_disabled_config(self):
-        config = ObservabilityConfig(trace=False, metrics=False, events=False)
-        assert not config.enabled
-        # any single collector keeps the session worth entering
-        assert ObservabilityConfig(trace=False, metrics=False).enabled
-
     def test_export_writes_configured_paths(self, tmp_path):
         config = ObservabilityConfig(
             trace_path=str(tmp_path / "trace.json"),

@@ -281,6 +281,74 @@ def monitored_trace(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture
+def legacy_trace(tmp_path):
+    """A trace from before the per-process SLO watchdog was deleted: a
+    live monitor's drift detection plus one hand-written event of a kind
+    the vocabulary no longer has (``EventLog.emit`` would refuse it)."""
+    from repro.obs import EventLog, observability_to_dict
+    from repro.obs.monitor import MonitorConfig, OnlineMonitor
+
+    log = EventLog()
+    log.subscribe(OnlineMonitor(MonitorConfig(adapt=False), log=log).on_event)
+    log.emit(
+        "session.planned", session="s1", time=1.0, service="S1", psi=0.4,
+        bottleneck="cpu:H1", available={"cpu:H1": 100.0},
+    )
+    log.emit("session.admitted", session="s1", time=1.0, service="S1", numeric_level=3)
+    log.emit("broker.release", resource="cpu:H1", time=2.0, available=10.0)
+    assert log.count("session.drift") == 1
+    document = observability_to_dict(events=log)
+    document["events"].append(
+        {
+            "kind": "slo.violated", "seq": len(log), "wall": 0.0, "time": 2.0,
+            "session": "s1", "resource": None,
+            "attributes": {
+                "slo": "rej", "objective": "rejection_rate",
+                "measured": 1.0, "limit": 0.2,
+            },
+        }
+    )
+    document["event_counts"]["slo.violated"] = 1
+    path = tmp_path / "legacy.json"
+    path.write_text(json.dumps(document))
+    return str(path)
+
+
+class TestLegacyWatchdogEvents:
+    """Old traces still load; the deleted kind is neither shown nor counted."""
+
+    def test_watch_shows_the_recording_without_it(self, legacy_trace, capsys):
+        assert main(["watch", legacy_trace]) == 0
+        out = capsys.readouterr().out
+        assert "recorded by the run's live monitor" in out
+        assert "session.drift" in out
+        assert "slo" not in out
+
+    def test_replay_ignores_it(self, legacy_trace, capsys):
+        from repro.obs.analyze import adaptation_summary, load_trace
+        from repro.obs.monitor import replay_events
+
+        doc = load_trace(legacy_trace)
+        assert doc.events[-1].attributes["objective"] == "rejection_rate"
+        monitor, log = replay_events(doc.events)
+        # planned + admitted + release: not the recorded drift, not the legacy kind
+        assert monitor.events_seen == 3
+        assert log.kind_counts() == {"session.drift": 1}
+        assert adaptation_summary(doc).total_drifts == 1
+        assert main(["watch", legacy_trace, "--threshold", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed offline" in out and "slo" not in out
+
+    def test_monitor_report_has_no_row_for_it(self, legacy_trace, capsys):
+        assert main(["monitor-report", legacy_trace, "--threshold", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "replayed offline" in out
+        assert "events_seen            3" in out
+        assert "drift detections       1" in out
+        assert "slo" not in out
+
+
 class TestWatch:
     def test_recorded_timeline(self, monitored_trace, capsys):
         assert main(["watch", monitored_trace]) == 0
@@ -327,6 +395,8 @@ class TestMonitorReport:
         assert main(["monitor-report", GOLDEN_V3, "--pairs", "1"]) == 0
         out = capsys.readouterr().out
         assert "drift_detected" in out
+        # the golden's monitoring section predates the watchdog's removal
+        assert "slo_violations" not in out
         assert "outcome downgraded" in out
         assert "ssn-1: trigger seq" in out
 

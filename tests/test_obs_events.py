@@ -269,13 +269,6 @@ class TestSessionIntegration:
         assert active_event_log() is None
         assert session.event_log.count("broker.probe") == 1
 
-    def test_events_disabled(self):
-        config = ObservabilityConfig(events=False)
-        session = ObservationSession(config)
-        assert session.event_log is None
-        with session:
-            assert active_event_log() is None
-
     def test_event_capacity_flows_through(self):
         config = ObservabilityConfig(event_capacity=3)
         with ObservationSession(config) as session:

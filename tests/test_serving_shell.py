@@ -2,9 +2,10 @@
 
 ``ReservationDaemon`` and ``ClusterDaemon`` run inside the same
 :class:`~repro.service.server.ServingShell`, so what the shell owns --
-keep-alive, ``Connection: close``, the 400 a malformed request earns,
-trace continuation, 405-before-404, and the drain barrier -- is checked
-once against all three deployments.  And ``LocalShardClient``, the
+keep-alive, ``Connection: close``, the two probes (``/healthz``,
+``/metrics``), the 400 a malformed request earns, trace continuation,
+405-before-404, and the drain barrier -- is checked once against all
+three deployments.  And ``LocalShardClient``, the
 in-process stand-in the Hypothesis cluster schedules race, answers from
 the daemon's own route table: a table of requests (every route, the
 malformed payloads, then everything again while draining) must come
@@ -76,6 +77,19 @@ def test_shell_contract(target):
             assert (await client.healthz())["status"] == "ok"
             assert (await client.healthz())["requests"] == 2
             assert (client.connections_opened, client.connections_reused) == (1, 1)
+
+            # the two probes are the shell's: the common /healthz keys
+            # beside the role's own, the exposition type on /metrics
+            health = await client.healthz()
+            assert {
+                "status", "role", "requests", "uptime_seconds",
+                "inflight_admissions", "draining",
+            } < set(health)
+            assert ("websocket_clients" in health) == (target == "daemon")
+            response = await client.request("GET", "/metrics")
+            assert response.status == 200
+            assert response.headers["content-type"] == "text/plain; version=0.0.4"
+            assert response.body.startswith(b"# ")
 
             # Connection: close is honoured, keep-alive is the default
             head = b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
