@@ -9,7 +9,7 @@ This module provides that extension:
   *interval* ``[start, end)`` instead of "from now until released".
   Availability is a piecewise-constant function of time; admission
   checks the *minimum* availability over the requested interval.
-* :func:`advance_snapshot` -- builds an
+* :meth:`AdvanceRegistry.snapshot` -- builds an
   :class:`~repro.core.resources.AvailabilitySnapshot` for a future
   window, so the unchanged planning algorithms (basic/tradeoff/DAG)
   plan *advance* multi-resource reservations with zero modification --
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
@@ -118,8 +119,10 @@ class TimelineBroker:
         self, amount: float, session_id: str, start: float, end: float
     ) -> AdvanceReservation:
         """Book ``amount`` over ``[start, end)`` or raise AdmissionError."""
-        if amount <= 0:
-            raise BrokerError(f"reservation amount must be positive, got {amount!r}")
+        if not 0 < amount < math.inf:  # also refuses nan: every comparison is False
+            raise BrokerError(
+                f"reservation amount must be finite and positive, got {amount!r}"
+            )
         self._check_window(start, end)
         if amount > self.available_over(start, end) + 1e-9:
             raise AdmissionError(
@@ -225,7 +228,11 @@ class AdvanceRegistry:
         )
 
     def reserve_plan(self, plan, session_id: str, start: float, end: float) -> List[AdvanceReservation]:
-        """Book an entire reservation plan's demand over a window, atomically."""
+        """Book an entire reservation plan's demand over a window, atomically.
+
+        On *any* failure the bookings made so far are cancelled and the
+        exception propagates.
+        """
         made: List[AdvanceReservation] = []
         demand = plan.demand
         try:
@@ -233,9 +240,8 @@ class AdvanceRegistry:
                 made.append(
                     self.broker(resource_id).reserve(demand[resource_id], session_id, start, end)
                 )
-        except AdmissionError:
-            for reservation in reversed(made):
-                self.broker(reservation.resource_id).cancel(reservation)
+        except BaseException:
+            self.cancel_all(reversed(made))
             raise
         return made
 
@@ -243,10 +249,3 @@ class AdvanceRegistry:
         """Cancel several bookings."""
         for reservation in reservations:
             self.broker(reservation.resource_id).cancel(reservation)
-
-
-def advance_snapshot(
-    registry: AdvanceRegistry, resource_ids: Iterable[str], start: float, end: float
-) -> AvailabilitySnapshot:
-    """Convenience alias for :meth:`AdvanceRegistry.snapshot`."""
-    return registry.snapshot(resource_ids, start, end)

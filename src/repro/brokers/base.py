@@ -14,7 +14,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.brokers.history import AvailabilityHistory
 from repro.core.errors import AdmissionError, BrokerError
@@ -37,14 +37,21 @@ class Reservation:
     amount: float
     session_id: str
     made_at: float
+    #: The per-link reservations a route's reservation is made of
+    #: (empty for a pool, whose reservation is its own and only part).
+    parts: Tuple["Reservation", ...] = ()
 
 
 class ResourceBroker:
-    """Base implementation of an admission-controlled capacity pool.
+    """An admission-controlled capacity pool, and the one broker protocol.
 
-    Subclasses specialise what the resource *is* (host-local pool,
-    network link, end-to-end path); the accounting, availability
-    reporting, and trend tracking are shared.
+    Reporting, amount validation, trend tracking and every metric and
+    event exist here once.  Subclasses specialise what the resource
+    *is*: a host-local pool and a network link only name it; an
+    end-to-end path (:class:`~repro.brokers.path.PathBroker`) puts a
+    route of links in the pool's place by overriding the quantities
+    and the four hooks (``_available_at``, ``_take``, ``_refusal``,
+    ``_give_back``), and nothing else.
     """
 
     def __init__(
@@ -57,13 +64,19 @@ class ResourceBroker:
     ) -> None:
         if capacity <= 0:
             raise BrokerError(f"capacity of {resource_id!r} must be positive, got {capacity!r}")
-        self.resource_id = resource_id
         self._capacity = float(capacity)
         self._reserved = 0.0
-        self._clock: Clock = clock if clock is not None else (lambda: 0.0)
         self._reservations: Dict[int, Reservation] = {}
-        self.history = AvailabilityHistory(window=trend_window)
+        self._init_reporting(resource_id, clock, trend_window)
         self.history.record_change(self._clock(), self._capacity)
+
+    def _init_reporting(
+        self, resource_id: str, clock: Optional[Clock], trend_window: float
+    ) -> None:
+        """What every broker has whatever it books in: name, clock, history."""
+        self.resource_id = resource_id
+        self._clock: Clock = clock if clock is not None else (lambda: 0.0)
+        self.history = AvailabilityHistory(window=trend_window)
         #: Labels attached to this broker's metrics; subclasses extend.
         self._metric_labels: Dict[str, str] = {"resource": resource_id}
 
@@ -83,6 +96,14 @@ class ResourceBroker:
     def available(self) -> float:
         """Amount currently available (capacity - reserved)."""
         return self._capacity - self._reserved
+
+    def outstanding(self) -> int:
+        """Number of live reservations (diagnostics / invariants)."""
+        return len(self._reservations)
+
+    def utilization(self) -> float:
+        """Fraction of capacity currently reserved."""
+        return self._reserved / self._capacity
 
     def observe(self) -> ResourceObservation:
         """Report availability + Availability Change Index (eq. 5)."""
@@ -107,9 +128,7 @@ class ResourceBroker:
         (the trend reports arrive on their own schedule), against the
         stale value.
         """
-        value = self.history.value_at(when)
-        if value is None:
-            value = self.available
+        value = self._available_at(when)
         alpha = self.history.alpha(self._clock(), value)
         log = _events.active_event_log()
         if log is not None:
@@ -123,11 +142,12 @@ class ResourceBroker:
             )
         return ResourceObservation(available=value, alpha=alpha, observed_at=when)
 
-    # -- reserving (broker operation 2) ---------------------------------------
+    def _available_at(self, when: float) -> float:
+        """The change log's value at ``when`` (the present before any)."""
+        value = self.history.value_at(when)
+        return self.available if value is None else value
 
-    def can_reserve(self, amount: float) -> bool:
-        """True when a reservation of ``amount`` would be admitted."""
-        return 0 < amount <= self.available + 1e-9
+    # -- reserving (broker operation 2) ---------------------------------------
 
     def reserve(self, amount: float, session_id: str) -> Reservation:
         """Grant ``amount`` to ``session_id`` or raise AdmissionError."""
@@ -135,7 +155,12 @@ class ResourceBroker:
             raise BrokerError(
                 f"reservation amount must be finite and positive, got {amount!r}"
             )
-        if amount > self.available + 1e-9:
+        amount = float(amount)
+        now = self._clock()
+        available_before = self.available
+        reservation = self._take(amount, session_id, now)
+        if reservation is None:
+            message, detail = self._refusal(amount)
             registry = _metrics.active_registry()
             if registry is not None:
                 registry.counter("broker.rejections", **self._metric_labels).inc()
@@ -145,28 +170,13 @@ class ResourceBroker:
                     "broker.reject",
                     session=session_id,
                     resource=self.resource_id,
-                    time=self._clock(),
-                    requested=float(amount),
+                    time=now,
+                    requested=amount,
                     available=self.available,
-                    capacity=self._capacity,
+                    capacity=self.capacity,
+                    **detail,
                 )
-            raise AdmissionError(
-                f"{self.resource_id}: requested {amount:g} exceeds availability "
-                f"{self.available:g} (capacity {self._capacity:g})",
-                resource_id=self.resource_id,
-            )
-        now = self._clock()
-        available_before = self.available
-        reservation = Reservation(
-            reservation_id=next(_reservation_ids),
-            resource_id=self.resource_id,
-            amount=float(amount),
-            session_id=session_id,
-            made_at=now,
-        )
-        self._reserved += reservation.amount
-        self._reservations[reservation.reservation_id] = reservation
-        self.history.record_change(now, self.available)
+            raise AdmissionError(message, resource_id=self.resource_id)
         registry = _metrics.active_registry()
         if registry is not None:
             registry.counter("broker.grants", **self._metric_labels).inc()
@@ -182,27 +192,41 @@ class ResourceBroker:
                 time=now,
                 requested=reservation.amount,
                 available=available_before,
-                capacity=self._capacity,
+                capacity=self.capacity,
                 utilization=self.utilization(),
             )
         return reservation
+
+    def _take(self, amount: float, session_id: str, now: float) -> Optional[Reservation]:
+        """Book ``amount`` and log the change, or None when it does not fit."""
+        if amount > self._capacity - self._reserved + 1e-9:
+            return None
+        reservation = Reservation(
+            reservation_id=next(_reservation_ids),
+            resource_id=self.resource_id,
+            amount=amount,
+            session_id=session_id,
+            made_at=now,
+        )
+        self._reserved += amount
+        self._reservations[reservation.reservation_id] = reservation
+        self.history.record_change(now, self._capacity - self._reserved)
+        return reservation
+
+    def _refusal(self, amount: float) -> Tuple[str, Dict[str, object]]:
+        """A refusal's message and what it adds to the ``broker.reject`` event."""
+        return (
+            f"{self.resource_id}: requested {amount:g} exceeds availability "
+            f"{self.available:g} (capacity {self._capacity:g})",
+            {},
+        )
 
     # -- terminating (broker operation 3) ---------------------------------------
 
     def release(self, reservation: Reservation) -> None:
         """Terminate or cancel a reservation, returning its capacity."""
-        stored = self._reservations.pop(reservation.reservation_id, None)
-        if stored is None:
-            raise BrokerError(
-                f"{self.resource_id}: unknown reservation {reservation.reservation_id} "
-                "(double release?)"
-            )
-        self._reserved -= stored.amount
-        if self._reserved < -1e-9:  # pragma: no cover - accounting invariant
-            raise BrokerError(f"{self.resource_id}: negative reserved amount")
-        self._reserved = max(self._reserved, 0.0)
         now = self._clock()
-        self.history.record_change(now, self.available)
+        self._give_back(reservation, now)
         registry = _metrics.active_registry()
         if registry is not None:
             registry.counter("broker.releases", **self._metric_labels).inc()
@@ -213,22 +237,28 @@ class ResourceBroker:
         if log is not None:
             log.emit(
                 "broker.release",
-                session=stored.session_id,
+                session=reservation.session_id,
                 resource=self.resource_id,
                 time=now,
-                amount=stored.amount,
+                amount=reservation.amount,
                 available=self.available,
-                capacity=self._capacity,
+                capacity=self.capacity,
                 utilization=self.utilization(),
             )
 
-    def outstanding(self) -> int:
-        """Number of live reservations (diagnostics / invariants)."""
-        return len(self._reservations)
-
-    def utilization(self) -> float:
-        """Fraction of capacity currently reserved."""
-        return self._reserved / self._capacity
+    def _give_back(self, reservation: Reservation, now: float) -> None:
+        """Unbook a live reservation and log the change."""
+        stored = self._reservations.pop(reservation.reservation_id, None)
+        if stored is None:
+            raise BrokerError(
+                f"{self.resource_id}: unknown reservation {reservation.reservation_id} "
+                "(double release?)"
+            )
+        self._reserved -= stored.amount
+        if self._reserved < -1e-9:  # pragma: no cover - accounting invariant
+            raise BrokerError(f"{self.resource_id}: negative reserved amount")
+        self._reserved = max(self._reserved, 0.0)
+        self.history.record_change(now, self._capacity - self._reserved)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -28,13 +28,8 @@ from repro.core.errors import BrokerError
 class AvailabilityHistory:
     """Report log (for alpha) + change log (for retrospective queries)."""
 
-    def __init__(self, window: float = 3.0, max_changes: Optional[int] = None) -> None:
-        """``window`` is the paper's ``T`` (3 time units in §5's runs).
-
-        ``max_changes`` optionally bounds the change log's memory by
-        dropping the oldest change points (retrospective queries then
-        clamp to the oldest retained point).
-        """
+    def __init__(self, window: float = 3.0) -> None:
+        """``window`` is the paper's ``T`` (3 time units in §5's runs)."""
         if window <= 0:
             raise BrokerError(f"averaging window must be positive, got {window!r}")
         self.window = float(window)
@@ -48,7 +43,6 @@ class AvailabilityHistory:
         self._sum_bits = 0
         self._change_times: List[float] = []
         self._change_values: List[float] = []
-        self._max_changes = max_changes
 
     # -- alpha (availability change index) --------------------------------
 
@@ -106,9 +100,6 @@ class AvailabilityHistory:
         else:
             self._change_times.append(now)
             self._change_values.append(available)
-        if self._max_changes is not None and len(self._change_times) > self._max_changes:
-            del self._change_times[0]
-            del self._change_values[0]
 
     def value_at(self, when: float) -> Optional[float]:
         """Availability as of time ``when`` (None before any record)."""
@@ -116,12 +107,6 @@ class AvailabilityHistory:
         if index < 0:
             return self._change_values[0] if self._change_values else None
         return self._change_values[index]
-
-    def latest(self) -> Optional[Tuple[float, float]]:
-        """Most recent (time, value) change point, or None."""
-        if not self._change_times:
-            return None
-        return self._change_times[-1], self._change_values[-1]
 
     def __len__(self) -> int:
         return len(self._change_times)

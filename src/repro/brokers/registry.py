@@ -11,48 +11,26 @@ distributed service session").
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.brokers.base import Reservation, ResourceBroker
-from repro.brokers.path import PathBroker, PathReservation
 from repro.core.errors import BrokerError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
-
-AnyBroker = Union[ResourceBroker, PathBroker]
-AnyReservation = Union[Reservation, PathReservation]
-
-
-@dataclass
-class ReservationTransaction:
-    """All reservations one session holds, releasable as a unit."""
-
-    session_id: str
-    reservations: List[AnyReservation] = field(default_factory=list)
-
-    @property
-    def resource_ids(self) -> Tuple[str, ...]:
-        """The registered resource ids, sorted."""
-        return tuple(reservation.resource_id for reservation in self.reservations)
-
-    def total_amount(self) -> float:
-        """Sum of reserved amounts across the transaction."""
-        return sum(reservation.amount for reservation in self.reservations)
 
 
 class BrokerRegistry:
     """Directory of every brokered resource in the environment."""
 
     def __init__(self) -> None:
-        self._brokers: Dict[str, AnyBroker] = {}
+        self._brokers: Dict[str, ResourceBroker] = {}
 
-    def register(self, broker: AnyBroker) -> None:
+    def register(self, broker: ResourceBroker) -> None:
         """Register one entry; duplicate registration raises."""
         if broker.resource_id in self._brokers:
             raise BrokerError(f"duplicate broker for resource {broker.resource_id!r}")
         self._brokers[broker.resource_id] = broker
 
-    def broker(self, resource_id: str) -> AnyBroker:
+    def broker(self, resource_id: str) -> ResourceBroker:
         """Look up the broker for ``resource_id``; raises if unknown."""
         try:
             return self._brokers[resource_id]
@@ -66,7 +44,7 @@ class BrokerRegistry:
         """The registered resource ids, sorted."""
         return tuple(sorted(self._brokers))
 
-    def brokers(self) -> Iterable[AnyBroker]:
+    def brokers(self) -> Iterable[ResourceBroker]:
         """Iterate all registered brokers in resource-id order."""
         return (self._brokers[rid] for rid in sorted(self._brokers))
 
@@ -111,28 +89,29 @@ class BrokerRegistry:
 
     def reserve_all(
         self, demand: Mapping[str, float], session_id: str
-    ) -> ReservationTransaction:
+    ) -> List[Reservation]:
         """Reserve every resource of ``demand`` or nothing.
 
         On *any* failure -- an admission refusal, an unknown resource, a
         malformed amount -- the reservations made so far are rolled back
-        and the exception propagates.
+        and the exception propagates.  Returns the reservations made,
+        in resource-id order.
         """
-        transaction = ReservationTransaction(session_id=session_id)
+        made: List[Reservation] = []
         try:
             # Deterministic order keeps failure attribution stable.
             for resource_id in sorted(demand):
-                broker = self.broker(resource_id)
-                transaction.reservations.append(broker.reserve(demand[resource_id], session_id))
+                made.append(self.broker(resource_id).reserve(demand[resource_id], session_id))
         except BaseException:
-            self.release_all(transaction)
+            self.release_all(made)
             raise
-        return transaction
+        return made
 
-    def release_all(self, transaction: ReservationTransaction) -> None:
-        """Release every reservation of a transaction (idempotent-safe)."""
-        while transaction.reservations:
-            reservation = transaction.reservations.pop()
+    def release_all(self, reservations: List[Reservation]) -> None:
+        """Release the reservations, last first, emptying the list
+        (so a repeated call finds nothing left to release)."""
+        while reservations:
+            reservation = reservations.pop()
             self.broker(reservation.resource_id).release(reservation)
 
     # -- invariants (used by tests and the simulation's self-checks) -----------

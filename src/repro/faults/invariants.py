@@ -22,10 +22,10 @@ Two-level network resources: a :class:`~repro.brokers.path.PathBroker`
 keeps no books of its own -- its reservations live entirely in the
 per-link brokers (which the registry also lists, and which several
 paths share).  The checker therefore skips path brokers on the broker
-side and *expands* each proxy-held
-:class:`~repro.brokers.path.PathReservation` into its constituent link
-reservations, so both sides are compared in the same (stateful-broker)
-coordinate system.
+side and *expands* each proxy-held reservation into its ``parts`` (the
+constituent link reservations of a path's; a pool's reservation is its
+own only part), so both sides are compared in the same
+(stateful-broker) coordinate system.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from repro.brokers.path import PathBroker, PathReservation
+from repro.brokers.path import PathBroker
 from repro.brokers.registry import BrokerRegistry
 from repro.core.errors import ReproError
 
@@ -88,13 +88,6 @@ class ConservationReport:
         return "\n".join(lines)
 
 
-def _expand(reservation: Union[PathReservation, object]):
-    """A reservation as its stateful-broker parts (links for paths)."""
-    if isinstance(reservation, PathReservation):
-        return reservation.link_reservations
-    return (reservation,)
-
-
 def capacity_conservation(
     registry: BrokerRegistry, proxies: Union[Mapping[str, object], Iterable[object]]
 ) -> ConservationReport:
@@ -117,7 +110,7 @@ def capacity_conservation(
     for proxy in proxy_iter:
         for session_id in proxy.held_sessions():
             for held in proxy.held_for(session_id):
-                for reservation in _expand(held):
+                for reservation in held.parts or (held,):
                     report.proxy_held[reservation.resource_id] = (
                         report.proxy_held.get(reservation.resource_id, 0.0)
                         + reservation.amount

@@ -24,7 +24,6 @@ from repro.runtime.messages import (
     AvailabilityReport,
     AvailabilityRequest,
     PlanSegment,
-    ReleaseOrder,
     SessionRequest,
 )
 from repro.runtime.model_store import ModelStore
@@ -42,7 +41,6 @@ __all__ = [
     "ModelStore",
     "PlanSegment",
     "QoSProxy",
-    "ReleaseOrder",
     "ReservationCoordinator",
     "ServiceSession",
     "SessionOutcome",

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.brokers.registry import AnyReservation
+from repro.brokers.base import Reservation
 from repro.core.errors import BrokerError
 from repro.runtime.messages import PlanSegment
 from repro.runtime.proxy import QoSProxy
@@ -49,7 +49,7 @@ class Lease:
     session_id: str
     #: Who answers for the lease: a proxy host, or a shard label.
     host: str
-    reservations: Tuple[AnyReservation, ...]
+    reservations: Tuple[Reservation, ...]
     reserved_at: float
     ttl: float
     #: The proxy hosts whose books list ``reservations``.
@@ -108,7 +108,7 @@ class LeaseTable:
                         f"demand for {resource_id!r} must be finite and "
                         f"positive, got {amount!r}"
                     )
-        made: List[AnyReservation] = []
+        made: List[Reservation] = []
         try:
             for host in hosts:
                 made += self._proxies[host].apply_segment(

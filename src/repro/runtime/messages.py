@@ -65,11 +65,3 @@ class PlanSegment:
     session_id: str
     proxy_host: str
     demands: Mapping[str, float]
-
-
-@dataclass(frozen=True)
-class ReleaseOrder:
-    """Tear-down: release everything the session holds on this proxy."""
-
-    session_id: str
-    proxy_host: str

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Set, Tuple
 
-from repro.brokers.registry import AnyReservation, BrokerRegistry
+from repro.brokers.base import Reservation
+from repro.brokers.registry import BrokerRegistry
 from repro.core.errors import AdmissionError, BrokerError
 from repro.core.resources import ResourceObservation
 from repro.obs import events as _events
@@ -30,7 +31,7 @@ class QoSProxy:
         self.registry = registry
         self._owned: Set[str] = set()
         # session id -> reservations this proxy holds for it
-        self._held: Dict[str, List[AnyReservation]] = {}
+        self._held: Dict[str, List[Reservation]] = {}
         self._started_components: Dict[str, List[str]] = {}
 
     # -- ownership --------------------------------------------------------
@@ -78,7 +79,7 @@ class QoSProxy:
 
     # -- phase 3: plan segment execution ----------------------------------------
 
-    def apply_segment(self, segment: PlanSegment) -> Tuple[AnyReservation, ...]:
+    def apply_segment(self, segment: PlanSegment) -> Tuple[Reservation, ...]:
         """Reserve the segment's demands on the local brokers.
 
         Atomic per segment: whatever goes wrong, the segment's own
@@ -93,9 +94,7 @@ class QoSProxy:
                 f"resource {min(unowned)!r}"
             )
         try:
-            made = self.registry.reserve_all(
-                segment.demands, segment.session_id
-            ).reservations
+            made = self.registry.reserve_all(segment.demands, segment.session_id)
         except AdmissionError as exc:
             registry = _metrics.active_registry()
             if registry is not None:
@@ -151,7 +150,7 @@ class QoSProxy:
         if not held:  # the common case: a teardown visits every proxy
             return 0
         wanted = {id(reservation) for reservation in reservations}
-        kept: List[AnyReservation] = []
+        kept: List[Reservation] = []
         released = 0
         for reservation in held:
             if id(reservation) not in wanted:
@@ -174,7 +173,7 @@ class QoSProxy:
                 )
         return released
 
-    def held_for(self, session_id: str) -> Tuple[AnyReservation, ...]:
+    def held_for(self, session_id: str) -> Tuple[Reservation, ...]:
         """Reservations this proxy currently holds for a session."""
         return tuple(self._held.get(session_id, ()))
 

@@ -161,12 +161,9 @@ class GridEnvironment:
         for broker in self.registry.brokers():
             utilization[broker.resource_id] = broker.utilization()
             if registry_metrics is not None:
-                labels = getattr(
-                    broker, "_metric_labels", {"resource": broker.resource_id}
-                )
-                registry_metrics.gauge("broker.utilization", **labels).set(
-                    broker.utilization()
-                )
+                registry_metrics.gauge(
+                    "broker.utilization", **broker._metric_labels
+                ).set(broker.utilization())
         return utilization
 
     def _add_path_broker(self, a: str, b: str, clock, trend_window: float) -> None:

@@ -1,5 +1,7 @@
 """Tests for advance (book-ahead) reservations -- the §6 extension."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -53,6 +55,16 @@ class TestTimelineBroker:
             broker.reserve(20.0, "s2", 5.0, 15.0)
         assert broker.available_over(10.0, 15.0) == 100.0
         assert broker.outstanding() == 1
+
+    @pytest.mark.parametrize("amount", [float("nan"), float("inf"), 0.0, -5.0])
+    def test_malformed_amount_books_nothing(self, amount):
+        broker = TimelineBroker("cpu:x", 10.0)
+        broker.reserve(4.0, "bg", 0.0, 5.0)
+        with pytest.raises(BrokerError, match="finite and positive"):
+            broker.reserve(amount, "s", 0.0, 1.0)
+        assert broker.outstanding() == 1  # the background booking alone
+        assert broker.available_over(0.0, 1.0) == 6.0
+        assert broker.available_over(5.0, 9.0) == 10.0
 
     def test_cancel_restores_window(self):
         broker = TimelineBroker("cpu:H1", 100.0)
@@ -150,6 +162,18 @@ class TestAdvancePlanning:
         with pytest.raises(AdmissionError):
             registry.reserve_plan(plan, "s1", 0.0, 10.0)
         assert registry.broker("cpu:H1").available_over(0.0, 10.0) == 100.0
+
+    def test_rollback_on_any_failure_not_only_a_refusal(self):
+        registry = AdvanceRegistry()
+        registry.register(TimelineBroker("cpu:H1", 100.0))
+        registry.register(TimelineBroker("net:L1", 100.0))
+        plan = SimpleNamespace(demand={"cpu:H1": 10.0, "net:L1": float("nan")})
+        with pytest.raises(BrokerError, match="finite and positive"):
+            registry.reserve_plan(plan, "s1", 0.0, 10.0)
+        cpu = registry.broker("cpu:H1")
+        assert cpu.outstanding() == 0
+        assert cpu.available_over(0.0, 10.0) == 100.0
+        assert (cpu._times, cpu._loads) == ([], [])  # the timeline is empty again
 
     def test_registry_duplicate_and_missing(self):
         registry = AdvanceRegistry()

@@ -73,12 +73,6 @@ class TestAccounting:
         with pytest.raises(BrokerError, match="double release"):
             broker.release(reservation)
 
-    def test_can_reserve(self):
-        broker = LocalResourceBroker("H1", "cpu", 100.0)
-        assert broker.can_reserve(100.0)
-        assert not broker.can_reserve(100.1)
-        assert not broker.can_reserve(0.0)
-
     def test_utilization(self):
         broker = LocalResourceBroker("H1", "cpu", 100.0)
         broker.reserve(25.0, "s1")

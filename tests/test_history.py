@@ -239,17 +239,3 @@ class TestChangeLog:
         history.record_change(5.0, 50.0)
         with pytest.raises(BrokerError):
             history.record_change(4.0, 60.0)
-
-    def test_latest(self):
-        history = AvailabilityHistory()
-        assert history.latest() is None
-        history.record_change(2.0, 30.0)
-        assert history.latest() == (2.0, 30.0)
-
-    def test_max_changes_bound(self):
-        history = AvailabilityHistory(max_changes=2)
-        for t in range(5):
-            history.record_change(float(t), float(t * 10))
-        assert len(history) == 2
-        # clamped to the oldest retained point
-        assert history.value_at(0.0) == 30.0

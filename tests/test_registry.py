@@ -59,12 +59,14 @@ class TestTransactions:
     def test_reserve_all_success(self):
         registry, cpu, link, _path = make_registry()
         demand = ResourceVector({"cpu:H1": 30.0, "net:H1-H2": 40.0})
-        transaction = registry.reserve_all(demand, "s1")
+        made = registry.reserve_all(demand, "s1")
         assert cpu.available == 70.0
         assert link.available == 40.0
-        assert set(transaction.resource_ids) == {"cpu:H1", "net:H1-H2"}
-        assert transaction.total_amount() == 70.0
-        registry.release_all(transaction)
+        assert [(r.resource_id, r.amount) for r in made] == [
+            ("cpu:H1", 30.0),
+            ("net:H1-H2", 40.0),
+        ]
+        registry.release_all(made)
         registry.assert_quiescent()
 
     def test_reserve_all_rolls_back_on_failure(self):
@@ -78,9 +80,9 @@ class TestTransactions:
 
     def test_release_all_is_safe_to_repeat(self):
         registry, *_ = make_registry()
-        transaction = registry.reserve_all(ResourceVector({"cpu:H1": 10.0}), "s1")
-        registry.release_all(transaction)
-        registry.release_all(transaction)  # empty now: no-op
+        made = registry.reserve_all(ResourceVector({"cpu:H1": 10.0}), "s1")
+        registry.release_all(made)
+        registry.release_all(made)  # empty now: no-op
         registry.assert_quiescent()
 
     def test_assert_quiescent_detects_leak(self):
