@@ -79,6 +79,7 @@ class ResourceBroker:
         self.history = AvailabilityHistory(window=trend_window)
         #: Labels attached to this broker's metrics; subclasses extend.
         self._metric_labels: Dict[str, str] = {"resource": resource_id}
+        self._instruments = _metrics.Instruments(self._metric_labels)
 
     # -- reporting (broker operation 1) -------------------------------------
 
@@ -163,7 +164,7 @@ class ResourceBroker:
             message, detail = self._refusal(amount)
             registry = _metrics.active_registry()
             if registry is not None:
-                registry.counter("broker.rejections", **self._metric_labels).inc()
+                self._instruments.counter(registry, "broker.rejections").inc()
             log = _events.active_event_log()
             if log is not None:
                 log.emit(
@@ -178,12 +179,13 @@ class ResourceBroker:
                 )
             raise AdmissionError(message, resource_id=self.resource_id)
         registry = _metrics.active_registry()
-        if registry is not None:
-            registry.counter("broker.grants", **self._metric_labels).inc()
-            registry.gauge("broker.utilization", **self._metric_labels).set(
-                self.utilization()
-            )
         log = _events.active_event_log()
+        if registry is None and log is None:
+            return reservation
+        utilization = self.utilization()
+        if registry is not None:
+            self._instruments.counter(registry, "broker.grants").inc()
+            self._instruments.gauge(registry, "broker.utilization").set(utilization)
         if log is not None:
             log.emit(
                 "broker.grant",
@@ -193,7 +195,7 @@ class ResourceBroker:
                 requested=reservation.amount,
                 available=available_before,
                 capacity=self.capacity,
-                utilization=self.utilization(),
+                utilization=utilization,
             )
         return reservation
 
@@ -228,12 +230,13 @@ class ResourceBroker:
         now = self._clock()
         self._give_back(reservation, now)
         registry = _metrics.active_registry()
-        if registry is not None:
-            registry.counter("broker.releases", **self._metric_labels).inc()
-            registry.gauge("broker.utilization", **self._metric_labels).set(
-                self.utilization()
-            )
         log = _events.active_event_log()
+        if registry is None and log is None:
+            return
+        utilization = self.utilization()
+        if registry is not None:
+            self._instruments.counter(registry, "broker.releases").inc()
+            self._instruments.gauge(registry, "broker.utilization").set(utilization)
         if log is not None:
             log.emit(
                 "broker.release",
@@ -243,7 +246,7 @@ class ResourceBroker:
                 amount=reservation.amount,
                 available=self.available,
                 capacity=self.capacity,
-                utilization=self.utilization(),
+                utilization=utilization,
             )
 
     def _give_back(self, reservation: Reservation, now: float) -> None:

@@ -580,6 +580,7 @@ class QRGSkeletonCache:
         self._skeletons: Dict[SkeletonKey, QRGSkeleton] = {}
         self.hits = 0
         self.misses = 0
+        self._instruments = _metrics.Instruments()
 
     @staticmethod
     def binding_key(binding: Binding) -> Tuple:
@@ -606,13 +607,17 @@ class QRGSkeletonCache:
         if skeleton is None:
             self.misses += 1
             if registry is not None:
-                registry.counter("qrg.skeleton_cache", outcome="miss").inc()
+                self._instruments.counter(
+                    registry, "qrg.skeleton_cache", outcome="miss"
+                ).inc()
             skeleton = build_skeleton(service, binding, source_label=source_label)
             memoise_bounded(self._skeletons, key, skeleton)
         else:
             self.hits += 1
             if registry is not None:
-                registry.counter("qrg.skeleton_cache", outcome="hit").inc()
+                self._instruments.counter(
+                    registry, "qrg.skeleton_cache", outcome="hit"
+                ).inc()
         return skeleton
 
     def invalidate(self, service_name: Optional[str] = None) -> int:

@@ -59,7 +59,7 @@ _ZERO_TRACE_ID = "0" * 32
 _ZERO_SPAN_ID = "0" * 16
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TraceContext:
     """One request's identity (immutable; derive children, never mutate)."""
 
@@ -83,9 +83,8 @@ def _hex_id(n_bytes: int) -> str:
 
 def new_trace_context(request_id: Optional[str] = None) -> TraceContext:
     """A fresh root context (new trace_id, no parent)."""
-    return TraceContext(
-        trace_id=_hex_id(16), span_id=_hex_id(8), request_id=request_id
-    )
+    ids = _hex_id(24)  # one read of the entropy pool for both ids
+    return TraceContext(trace_id=ids[:32], span_id=ids[32:], request_id=request_id)
 
 
 def child_context(
@@ -131,9 +130,10 @@ _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
 )
 
 
-def current_trace_context() -> Optional[TraceContext]:
-    """The context bound in this task, or None outside any request."""
-    return _CURRENT.get()
+#: ``current_trace_context()``: the context bound in this task, or None
+#: outside any request.  The ContextVar's own ``get`` -- every recorded
+#: span and event asks, and a C method spares each one a Python frame.
+current_trace_context = _CURRENT.get
 
 
 def bind_trace_context(context: Optional[TraceContext]):

@@ -46,9 +46,15 @@ exported trace document (see :mod:`repro.obs.analyze`).
 Live consumers can :meth:`~EventLog.subscribe` a callback to an
 :class:`EventLog`; subscribers see *every* emitted event -- including
 the ones the capacity bound keeps out of storage -- which is what the
-online monitoring plane builds on.  With no subscriber installed the
-dispatch cost is one empty-list truth test on the already-enabled path;
-the disabled path is untouched.
+online monitoring plane builds on.  Dispatch is one call per subscriber
+per event, so what a subscriber is matters: the service daemon's
+flight recorder subscribes its ring's own ``deque.append`` (a C call,
+no Python frame), the event plane subscribes only while a WebSocket
+client listens, and consumers that only need *how many* events they
+were handed read the :attr:`~EventLog.next_seq` watermark instead of
+counting in a callback.  A started daemon with no WebSocket client
+therefore runs no Python code per event beyond :meth:`~EventLog.emit`
+itself; the disabled path is untouched.
 
 When a request-scoped :class:`~repro.obs.context.TraceContext` is bound
 (the service daemon binds one per admission), every emitted event is
@@ -110,7 +116,7 @@ EVENT_KINDS = frozenset(
 )
 
 
-@dataclass
+@dataclass(slots=True)
 class ReservationEvent:
     """One recorded lifecycle event.
 
@@ -217,6 +223,17 @@ class EventLog:
     def subscriber_count(self) -> int:
         """Number of live subscribers."""
         return len(self._subscribers)
+
+    @property
+    def next_seq(self) -> int:
+        """The ``seq`` the next event will get -- a delivery watermark.
+
+        Every ``seq`` below it was handed to each subscriber of its
+        moment (capacity-dropped events and the ``log.truncated``
+        marker included), so a consumer that subscribed at watermark
+        ``w`` has been handed ``next_seq - w`` events.
+        """
+        return self._next_seq
 
     # -- recording ---------------------------------------------------------
 

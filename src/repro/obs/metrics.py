@@ -11,11 +11,15 @@ A :class:`MetricsRegistry` hands out labelled instruments on demand:
 Instruments are keyed by ``(name, sorted labels)``, so
 ``registry.counter("broker.grants", resource="cpu:H1")`` always returns
 the same object; a call site that repeats the same string labels in the
-same order (every one on the admission path) reaches it without
-sorting or formatting anything.  Like :mod:`repro.obs.trace`,
-instrumented code goes through the module-level :func:`active_registry`;
-when no registry is installed (the default) the check is a single global
-read and recording costs nothing.
+same order reaches it without sorting or formatting anything.  Like
+:mod:`repro.obs.trace`, instrumented code goes through the module-level
+:func:`active_registry`; when no registry is installed (the default) the
+check is a single global read and recording costs nothing.
+
+That lookup still rebuilds a series key per call, which the admission
+path would pay on every event.  Its owners (brokers, proxies, the
+coordinator, the skeleton cache) keep one :class:`Instruments` each
+instead: their series resolved once per installed registry.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ __all__ = [
     "DEFAULT_PSI_BUCKETS",
     "Gauge",
     "Histogram",
+    "Instruments",
     "MetricsRegistry",
     "active_registry",
     "install",
@@ -351,6 +356,77 @@ class MetricsRegistry:
                 for (name, labels), histogram in sorted(self._histograms.items(), key=_sort_key)
             },
         }
+
+
+class Instruments:
+    """One owner's series on a registry, resolved once per registry.
+
+    An owner on a hot path asks this instead of the registry, passing
+    the registry it just read from :func:`active_registry`.  A series is
+    resolved on its first use under that registry -- so it appears in
+    exports exactly when a per-event lookup would have created it -- and
+    is one dict read from then on, keyed by name plus the values of any
+    per-call labels (which must be ``str``; a call site always passes
+    the same label names).  A different registry, told apart by
+    identity, starts over: nothing resolved under one is written to
+    another.
+
+    ``labels`` are the owner's own labels, read when a series is
+    resolved, so an owner may finish filling the mapping it passed.
+    """
+
+    __slots__ = ("_labels", "_registry", "_counters", "_gauges", "_histograms")
+
+    def __init__(self, labels: Optional[Dict[str, str]] = None) -> None:
+        self._labels = labels if labels is not None else {}
+        self._bind(None)
+
+    def _bind(self, registry: Optional[MetricsRegistry]) -> None:
+        self._registry = registry
+        self._counters: Dict[object, Counter] = {}
+        self._gauges: Dict[object, Gauge] = {}
+        self._histograms: Dict[object, Histogram] = {}
+
+    def counter(self, registry: MetricsRegistry, name: str, **labels: str) -> Counter:
+        """The owner's counter ``name`` (plus ``labels``) on ``registry``."""
+        if registry is not self._registry:
+            self._bind(registry)
+        key = (name, *labels.values()) if labels else name
+        instrument = self._counters.get(key)
+        if instrument is None:
+            instrument = self._counters[key] = registry.counter(
+                name, **self._labels, **labels
+            )
+        return instrument
+
+    def gauge(self, registry: MetricsRegistry, name: str, **labels: str) -> Gauge:
+        """The owner's gauge ``name`` (plus ``labels``) on ``registry``."""
+        if registry is not self._registry:
+            self._bind(registry)
+        key = (name, *labels.values()) if labels else name
+        instrument = self._gauges.get(key)
+        if instrument is None:
+            instrument = self._gauges[key] = registry.gauge(name, **self._labels, **labels)
+        return instrument
+
+    def histogram(
+        self,
+        registry: MetricsRegistry,
+        name: str,
+        *,
+        buckets: Tuple[float, ...] = DEFAULT_LATENCY_BUCKETS,
+        **labels: str,
+    ) -> Histogram:
+        """The owner's histogram ``name`` (plus ``labels``) on ``registry``."""
+        if registry is not self._registry:
+            self._bind(registry)
+        key = (name, *labels.values()) if labels else name
+        instrument = self._histograms.get(key)
+        if instrument is None:
+            instrument = self._histograms[key] = registry.histogram(
+                name, buckets=buckets, **self._labels, **labels
+            )
+        return instrument
 
 
 #: The installed registry; None means metrics are disabled (the default).

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class SpanRecord:
     """One finished span (or instant event, when ``duration`` is 0).
 
@@ -299,7 +299,7 @@ def span(name: str, **attributes: object):
     tracer = _ACTIVE
     if tracer is None:
         return _NULL_SPAN
-    return tracer.span(name, **attributes)
+    return _ActiveSpan(tracer, name, attributes)
 
 
 def event(name: str, **attributes: object) -> None:

@@ -112,6 +112,7 @@ class ReservationCoordinator:
         #: Phase 3's hold -> commit engine.  The plain protocol commits in
         #: the same call, so its leases never wait on this clock.
         self.leases = LeaseTable(self.proxies, _time.monotonic, math.inf)
+        self._instruments = _metrics.Instruments()
 
     # -- ownership ------------------------------------------------------------
 
@@ -229,15 +230,19 @@ class ReservationCoordinator:
                 outcome = "established" if result.success else result.reason
                 span.set(outcome=outcome)
                 if registry is not None:
-                    registry.counter("coordinator.establish", outcome=outcome).inc()
+                    instruments = self._instruments
+                    instruments.counter(
+                        registry, "coordinator.establish", outcome=outcome
+                    ).inc()
                     if result.failed_resource is not None:
-                        registry.counter(
+                        instruments.counter(
+                            registry,
                             "coordinator.admission_failures",
                             resource=result.failed_resource,
                         ).inc()
-                    registry.histogram("coordinator.establish_seconds").observe(
-                        _time.perf_counter() - started
-                    )
+                    instruments.histogram(
+                        registry, "coordinator.establish_seconds"
+                    ).observe(_time.perf_counter() - started)
                 return result
 
             yield settle
@@ -769,7 +774,9 @@ class ReservationCoordinator:
 
             registry = _metrics.active_registry()
             if registry is not None:
-                registry.counter("monitor.renegotiations", outcome=outcome).inc()
+                self._instruments.counter(
+                    registry, "monitor.renegotiations", outcome=outcome
+                ).inc()
             log = _events.active_event_log()
             if log is not None:
                 log.emit(
@@ -836,7 +843,7 @@ class ReservationCoordinator:
             span.set(released=released)
             registry = _metrics.active_registry()
             if registry is not None:
-                registry.counter("coordinator.teardowns").inc()
+                self._instruments.counter(registry, "coordinator.teardowns").inc()
             return released
 
     # -- caching --------------------------------------------------------------

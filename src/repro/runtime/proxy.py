@@ -33,6 +33,7 @@ class QoSProxy:
         # session id -> reservations this proxy holds for it
         self._held: Dict[str, List[Reservation]] = {}
         self._started_components: Dict[str, List[str]] = {}
+        self._instruments = _metrics.Instruments({"host": host})
 
     # -- ownership --------------------------------------------------------
 
@@ -98,7 +99,7 @@ class QoSProxy:
         except AdmissionError as exc:
             registry = _metrics.active_registry()
             if registry is not None:
-                registry.counter("proxy.segment_rejections", host=self.host).inc()
+                self._instruments.counter(registry, "proxy.segment_rejections").inc()
             log = _events.active_event_log()
             if log is not None:
                 log.emit(
@@ -113,7 +114,7 @@ class QoSProxy:
         self._held.setdefault(segment.session_id, []).extend(made)
         registry = _metrics.active_registry()
         if registry is not None:
-            registry.counter("proxy.segments_applied", host=self.host).inc()
+            self._instruments.counter(registry, "proxy.segments_applied").inc()
         log = _events.active_event_log()
         if log is not None:
             log.emit(
@@ -168,9 +169,9 @@ class QoSProxy:
         if released:
             registry = _metrics.active_registry()
             if registry is not None:
-                registry.counter("proxy.reservations_released", host=self.host).inc(
-                    released
-                )
+                self._instruments.counter(
+                    registry, "proxy.reservations_released"
+                ).inc(released)
         return released
 
     def held_for(self, session_id: str) -> Tuple[Reservation, ...]:

@@ -7,8 +7,10 @@ other end of a TCP connection can be arbitrarily slow.  The
 pushes JSON-ready event dicts into a bounded :class:`asyncio.Queue` per
 subscriber, and a slow consumer loses events *from its own queue only* --
 admission processing and every other subscriber are unaffected.  An
-event is rendered once per delivery round, and not at all while nobody
-is subscribed (it is still counted).
+event is rendered once per delivery round.  The callback is subscribed
+to the log only while the plane has a subscriber, so an unwatched
+daemon runs none of it; :attr:`EventPlane.events_seen` is read off the
+log's ``seq`` watermark and counts every event either way.
 
 Loss is never silent: once a subscriber's queue has room again, the next
 delivery is preceded by a single ``stream.truncated`` marker carrying the
@@ -74,25 +76,36 @@ class EventPlane:
         self._subscribers: Dict[int, EventSubscriber] = {}
         self._ids = itertools.count(1)
         self._log: Optional[EventLog] = None
-        #: Total events fanned out (delivered or dropped), for /v1/query.
-        self.events_seen = 0
+        #: The attached log's seq watermark at attach, and the events
+        #: seen over earlier attachments.
+        self._attached_at = 0
+        self._seen_before = 0
 
     # -- wiring ------------------------------------------------------------
+
+    @property
+    def events_seen(self) -> int:
+        """Events fanned out (delivered, dropped or unwatched), for /v1/query."""
+        if self._log is None:
+            return self._seen_before
+        return self._seen_before + self._log.next_seq - self._attached_at
 
     def attach(self, log: EventLog) -> None:
         """Start fanning out every event ``log`` emits."""
         if self._log is not None:
             raise RuntimeError("EventPlane is already attached to a log")
         self._log = log
-        log.subscribe(self._deliver)
+        self._attached_at = log.next_seq
+        if self._subscribers:
+            log.subscribe(self._deliver)
 
     def detach(self) -> None:
         """Stop fanning out and close every subscriber's stream."""
-        if self._log is not None:
-            self._log.unsubscribe(self._deliver)
-            self._log = None
         for subscriber in list(self._subscribers.values()):
             self.unsubscribe(subscriber)
+        if self._log is not None:
+            self._seen_before = self.events_seen
+            self._log = None
 
     # -- subscriptions -----------------------------------------------------
 
@@ -100,11 +113,15 @@ class EventPlane:
         """A new subscriber receiving every event from now on."""
         subscriber = EventSubscriber(next(self._ids), queue_size or self.queue_size)
         self._subscribers[subscriber.subscriber_id] = subscriber
+        if self._log is not None:
+            self._log.subscribe(self._deliver)  # idempotent
         return subscriber
 
     def unsubscribe(self, subscriber: EventSubscriber) -> None:
         """Close the subscriber's stream (idempotent)."""
         self._subscribers.pop(subscriber.subscriber_id, None)
+        if not self._subscribers and self._log is not None:
+            self._log.unsubscribe(self._deliver)
         if not subscriber.closed:
             subscriber.closed = True
             # Make sure the reader wakes up even on a full queue: drop
@@ -126,9 +143,6 @@ class EventPlane:
 
     def _deliver(self, event: ReservationEvent) -> None:
         """EventLog subscriber callback: runs inside ``emit``."""
-        self.events_seen += 1
-        if not self._subscribers:
-            return
         payload = event.to_dict()
         for subscriber in list(self._subscribers.values()):
             self._offer(subscriber, payload)
