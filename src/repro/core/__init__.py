@@ -17,9 +17,7 @@ Public surface:
 
 from __future__ import annotations
 
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from repro.core.component import Binding, ServiceComponent
 from repro.core.dagplan import ExhaustiveDagPlanner, TwoPassDagPlanner
@@ -56,6 +54,9 @@ from repro.core.translation import (
     TabularTranslation,
     TranslationFunction,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 __all__ = [
     "ALGORITHMS",

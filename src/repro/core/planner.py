@@ -16,9 +16,7 @@ planned by :mod:`repro.core.dagplan`.
 
 from __future__ import annotations
 
-from typing import List, Optional, Protocol, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, List, Optional, Protocol, Sequence, Tuple
 
 from repro.core.dijkstra import (
     PathSearchResult,
@@ -30,6 +28,9 @@ from repro.core.errors import PlanningError
 from repro.core.plan import ComponentAssignment, ReservationPlan
 from repro.core.qrg import IntraEdge, QoSResourceGraph, QRGNode
 from repro.obs import trace as _trace
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class Planner(Protocol):
@@ -134,7 +135,11 @@ class RandomPlanner:
     name = "random"
 
     def __init__(self, rng: Optional[np.random.Generator] = None) -> None:
-        self.rng = rng if rng is not None else np.random.default_rng()
+        if rng is None:
+            import numpy as np
+
+            rng = np.random.default_rng()
+        self.rng = rng
 
     def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
         """Compute a reservation plan for the QRG (None when infeasible)."""

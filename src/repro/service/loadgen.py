@@ -31,8 +31,6 @@ import time as _time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.des.rng import RandomStreams
 from repro.obs import context as _context
 from repro.obs import trace as _trace
@@ -126,6 +124,8 @@ class LoadReport:
     def percentile_ms(self, q: float) -> float:
         if not self.latencies_ms:
             return 0.0
+        import numpy as np
+
         return float(np.percentile(np.asarray(self.latencies_ms), q))
 
     def headline(self) -> Dict[str, float]:
@@ -135,6 +135,8 @@ class LoadReport:
         (``wall``/``_ms``/``seconds``) so ``repro-obs diff`` gates them
         per runner fingerprint instead of structurally.
         """
+        import numpy as np
+
         return {
             "sessions": self.sessions,
             "wall_seconds": self.wall_seconds,

@@ -78,11 +78,11 @@ class GridEnvironment:
         self.registry = BrokerRegistry()
         clock = lambda: env.now  # noqa: E731 - tiny closure over the clock
 
-        capacity_rng = streams.stream("capacities")
+        capacity_rng = streams.pcg64("capacities")
 
         def draw_capacity() -> float:
             """One capacity draw from the configured uniform range."""
-            return float(capacity_rng.uniform(low, high))
+            return capacity_rng.uniform(float(low), float(high))
 
         # Host-local CPU pools.
         self.cpu_brokers: Dict[str, LocalResourceBroker] = {}

@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from pathlib import PurePath
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as _np
-
 from repro.core import ALGORITHMS, CONTENTION_INDICES, make_planner
 from repro.core.errors import ModelError
 from repro.des.engine import Environment
@@ -363,7 +361,9 @@ def derive_run_seed(base_seed: int, index: int) -> int:
     seed, yet a pure function of ``(base_seed, index)`` -- the property
     that makes parallel batches byte-identical to serial ones.
     """
-    sequence = _np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
+    import numpy as np
+
+    sequence = np.random.SeedSequence(entropy=base_seed, spawn_key=(index,))
     return int(sequence.generate_state(1)[0])
 
 

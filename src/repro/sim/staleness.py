@@ -9,11 +9,12 @@ independently drawn instant in ``[now - E, now]``.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional
 
 from repro.core.errors import ModelError
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 class StaleObservationModel:

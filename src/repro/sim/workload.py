@@ -22,12 +22,13 @@ constraints and are all overridable via :class:`WorkloadSpec`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.core.errors import ModelError
 from repro.des.rng import RandomStreams
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,8 @@ class PopularityDrift:
         if weights is None:
             # Draw the missing prefix in order so results are independent
             # of query pattern.
+            import numpy as np
+
             for k in range(len(self._weights_by_interval), interval + 1):
                 alpha = np.full(len(self.services), self._concentration)
                 self._weights_by_interval[k] = self._rng.dirichlet(alpha)
@@ -220,6 +223,11 @@ class WorkloadGenerator:
                 domain: f"S{(int(domain[1:]) + 1) // 2}" for domain in spec.domains
             }
         self.excluded_service = excluded_service
+        # Resolved once here, not per draw: an import statement on the
+        # per-arrival path costs a microsecond even when numpy is loaded.
+        import numpy
+
+        self._np = numpy
         self.popularity = PopularityDrift(
             spec.services,
             streams.stream("popularity"),
@@ -262,6 +270,7 @@ class WorkloadGenerator:
         weights = self.popularity.weights_at(time)
         excluded = self.excluded_service.get(domain)
         candidates = [s for s in self.spec.services if s != excluded]
+        np = self._np
         raw = np.array([weights[s] for s in candidates])
         if raw.sum() <= 0:
             raw = np.ones(len(candidates))
@@ -271,7 +280,7 @@ class WorkloadGenerator:
     def _pick_scale(self, rng: np.random.Generator) -> float:
         if rng.random() < self.spec.p_normal:
             return 1.0
-        weights = np.asarray(self.spec.fat_weights, dtype=float)
+        weights = self._np.asarray(self.spec.fat_weights, dtype=float)
         index = int(rng.choice(len(self.spec.fat_factors), p=weights / weights.sum()))
         return float(self.spec.fat_factors[index])
 

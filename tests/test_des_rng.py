@@ -1,5 +1,8 @@
 """Tests for named random streams: determinism and independence."""
 
+import random
+import zlib
+
 import numpy as np
 import pytest
 
@@ -82,3 +85,70 @@ class TestValidationAndHelpers:
         streams = RandomStreams(123)
         draws = [streams.exponential("e", 2.0) for _ in range(4000)]
         assert abs(np.mean(draws) - 2.0) < 0.15
+
+
+def _numpy_stream(seed: int, name: str) -> np.random.Generator:
+    """The numpy generator the pure-Python stream reimplements."""
+    key = zlib.crc32(name.encode("utf-8"))
+    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(key,)))
+
+
+_SEED_RNG = random.Random(2026)
+_SEEDS = [0, 1, 7, 11, 13, 2**31 - 1, 2**32, 2**64 - 1] + [
+    _SEED_RNG.getrandbits(_SEED_RNG.randint(8, 64)) for _ in range(200)
+]
+_NAMES = ["capacities", "arrivals", "random-planner", "x", "été"]
+_RANGES = [(0.0, 1.0), (1000.0, 4000.0), (-3.5, 2.25), (5.0, 5.0)]
+
+
+class TestPCG64Stream:
+    """``RandomStreams.pcg64`` is numpy's uniform stream, bit for bit."""
+
+    @pytest.mark.parametrize("name", _NAMES)
+    def test_uniform_draws_equal_numpys(self, name):
+        mismatches = []
+        for seed in _SEEDS:
+            ours = RandomStreams(seed).pcg64(name)
+            oracle = _numpy_stream(seed, name)
+            for low, high in _RANGES:
+                for _ in range(50):
+                    mine, theirs = ours.uniform(low, high), float(oracle.uniform(low, high))
+                    if mine != theirs:
+                        mismatches.append((seed, low, high, mine, theirs))
+        assert mismatches == []
+
+    def test_raw_outputs_equal_numpys(self):
+        ours = RandomStreams(7).pcg64("capacities")
+        oracle = _numpy_stream(7, "capacities").bit_generator
+        assert [ours.next64() for _ in range(100)] == [
+            int(value) for value in oracle.random_raw(100)
+        ]
+
+    def test_stream_is_memoised_per_name(self):
+        streams = RandomStreams(7)
+        assert streams.pcg64("a") is streams.pcg64("a")
+        assert streams.pcg64("a") is not streams.pcg64("b")
+        assert "a" not in streams  # the numpy generators are a separate family
+
+    @pytest.mark.parametrize("seed", [7, 11, 13])
+    def test_grid_capacities_equal_the_numpy_draw(self, seed):
+        from repro.des.engine import Environment
+        from repro.sim.environment import GridEnvironment
+
+        grid = GridEnvironment(Environment(), RandomStreams(seed))
+        oracle = _numpy_stream(seed, "capacities")
+        pools = [grid.cpu_brokers[h] for h in sorted(grid.cpu_brokers)] + [
+            grid.link_brokers[link] for link in sorted(grid.link_brokers)
+        ]
+        assert [broker.capacity for broker in pools] == [
+            float(oracle.uniform(1000.0, 4000.0)) for _ in pools
+        ]
+
+    def test_numpy_integer_seed_is_accepted(self):
+        streams = RandomStreams(np.int64(7))
+        assert streams.seed == 7 and type(streams.seed) is int
+        assert streams.pcg64("x").uniform(0, 1) == RandomStreams(7).pcg64("x").uniform(0, 1)
+
+    def test_negative_seed_is_refused_like_numpy(self):
+        with pytest.raises(ValueError):
+            RandomStreams(-1).pcg64("x")
