@@ -31,7 +31,7 @@ own only part), so both sides are compared in the same
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Tuple, Union
+from typing import Collection, Dict, Iterable, List, Mapping, Tuple, Union
 
 from repro.brokers.path import PathBroker
 from repro.brokers.registry import BrokerRegistry
@@ -170,7 +170,7 @@ class ReconcileReport:
     releases: Dict[str, int] = field(default_factory=dict)
     #: label -> resource -> net granted-minus-released units still out.
     outstanding: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Shards whose logs hit their capacity bound (checks are partial).
+    #: Shards whose logs are tails of a bounded ring (checks are partial).
     truncated: List[str] = field(default_factory=list)
     #: Sessions whose events span more than one shard (trace-id joined).
     cross_shard_sessions: int = 0
@@ -215,14 +215,21 @@ def _event_field(event: object, name: str, default: object = None) -> object:
 
 
 def reconcile_shard_events(
-    shard_events: Mapping[str, Iterable[object]]
+    shard_events: Mapping[str, Iterable[object]],
+    *,
+    partial: Collection[str] = (),
 ) -> ReconcileReport:
     """Verify global conservation over merged per-shard event logs.
 
     ``shard_events`` maps a shard label to that shard's causally ordered
     events -- :class:`~repro.obs.events.ReservationEvent` instances or
     their ``to_dict()`` form (flight dumps, trace documents); the two
-    may be mixed freely.  Pure inspection: nothing is mutated.
+    may be mixed freely.  ``partial`` names the shards whose logs are
+    tails -- a bounded log that evicted its oldest events
+    (``EventLog.dropped``, a document's ``events_dropped``): a release
+    there may pair with a grant no longer held, so neither a negative
+    balance nor a rolled-back lease's remainder is a violation on them.
+    Pure inspection: nothing is mutated.
     """
     report = ReconcileReport(shards=list(shard_events))
     #: resource -> set of shard labels that granted on it.
@@ -237,15 +244,12 @@ def reconcile_shard_events(
         report.grants[label] = 0
         report.releases[label] = 0
         balances: Dict[str, float] = {}
-        truncated = False
+        truncated = label in partial
         for event in events:
             kind = _event_field(event, "kind")
             session = _event_field(event, "session")
             resource = _event_field(event, "resource")
             attributes = _event_field(event, "attributes", {}) or {}
-            if kind == "log.truncated":
-                truncated = True
-                continue
             if session:
                 session_shards.setdefault(str(session), set()).add(label)
             if kind == "broker.grant":

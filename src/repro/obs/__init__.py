@@ -144,19 +144,16 @@ class ObservabilityError(RuntimeError):
 
 @dataclass(frozen=True)
 class ObservabilityConfig:
-    """Where an observed run exports to, and how many events it keeps.
+    """Where an observed run exports to.
 
     Hangs off :class:`repro.sim.SimulationConfig` (``observability``
     field); its presence is the switch -- an observed run always
-    collects spans, metrics and the causal event log.  All paths are
-    optional: with none set, the collected tracer/registry/log are still
-    attached to the :class:`~repro.sim.SimulationResult` for in-process
-    inspection.
+    collects spans, metrics and the whole causal event log.  All paths
+    are optional: with none set, the collected tracer/registry/log are
+    still attached to the :class:`~repro.sim.SimulationResult` for
+    in-process inspection.
     """
 
-    #: Cap on retained events (None = unbounded); beyond it, newer
-    #: events are counted as dropped instead of stored.
-    event_capacity: Optional[int] = None
     #: Write the machine-readable JSON trace document here.
     trace_path: Optional[str] = None
     #: Write flat CSV metric rows here.
@@ -251,7 +248,7 @@ class ObservationSession:
         self.config = config if config is not None else ObservabilityConfig()
         self.tracer = Tracer()
         self.registry = MetricsRegistry()
-        self.event_log = EventLog(capacity=self.config.event_capacity)
+        self.event_log = EventLog()
         self._previous_tracer: Optional[Tracer] = None
         self._previous_registry: Optional[MetricsRegistry] = None
         self._previous_event_log: Optional[EventLog] = None

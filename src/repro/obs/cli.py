@@ -629,11 +629,13 @@ def _cmd_reconcile(args: argparse.Namespace) -> int:
         name if names.count(name) == 1 else path
         for name, path in zip(names, args.traces)
     ]
-    shard_events = {
-        label: _load_trace(path).events
-        for label, path in zip(labels, args.traces)
+    documents = {
+        label: _load_trace(path) for label, path in zip(labels, args.traces)
     }
-    report = reconcile_shard_events(shard_events)
+    report = reconcile_shard_events(
+        {label: doc.events for label, doc in documents.items()},
+        partial={label for label, doc in documents.items() if doc.events_dropped},
+    )
     _print(report.describe().splitlines())
     return 0 if report.ok else 1
 

@@ -31,9 +31,7 @@ reservation-lifecycle events:
   plane of :mod:`repro.obs.burn`: SRE-style multi-window burn-rate alert
   transitions (``state="firing"`` / ``state="resolved"``) and the moment
   a rolling error budget runs dry, both computed over scraped fleet
-  metrics rather than any single process;
-* ``log.truncated`` -- the single marker this log emits when its
-  capacity bound is first hit (see :class:`EventLog`).
+  metrics rather than any single process.
 
 Like the tracer and the metrics registry, instrumented code dispatches
 through the module-level :func:`emit` helper, which is a single global
@@ -43,18 +41,21 @@ stays effectively free.  Events are causally ordered by a monotonic
 clock (``time``) so per-resource timelines can be reconstructed from an
 exported trace document (see :mod:`repro.obs.analyze`).
 
+A bounded log is a ring: it holds the most recent ``capacity`` events
+and counts the ones it evicted, which is all the service daemon's
+flight recorder is (see :mod:`repro.obs.flight`).
+
 Live consumers can :meth:`~EventLog.subscribe` a callback to an
 :class:`EventLog`; subscribers see *every* emitted event -- including
-the ones the capacity bound keeps out of storage -- which is what the
-online monitoring plane builds on.  Dispatch is one call per subscriber
-per event, so what a subscriber is matters: the service daemon's
-flight recorder subscribes its ring's own ``deque.append`` (a C call,
-no Python frame), the event plane subscribes only while a WebSocket
-client listens, and consumers that only need *how many* events they
-were handed read the :attr:`~EventLog.next_seq` watermark instead of
-counting in a callback.  A started daemon with no WebSocket client
-therefore runs no Python code per event beyond :meth:`~EventLog.emit`
-itself; the disabled path is untouched.
+the ones a bounded log has since evicted -- which is what the online
+monitoring plane builds on.  Dispatch is one call per subscriber per
+event, so what a subscriber is matters: the service daemon's event
+plane subscribes only while a WebSocket client listens, and consumers
+that only need *how many* events they were handed read the
+:attr:`~EventLog.next_seq` watermark instead of counting in a
+callback.  A started daemon with no WebSocket client therefore runs no
+Python code per event beyond :meth:`~EventLog.emit` itself; the
+disabled path is untouched.
 
 When a request-scoped :class:`~repro.obs.context.TraceContext` is bound
 (the service daemon binds one per admission), every emitted event is
@@ -66,9 +67,10 @@ stay None and the serialized shape is unchanged.
 from __future__ import annotations
 
 import time as _time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional
+from typing import Callable, Deque, Dict, Iterator, List, Optional
 
 from repro.obs import context as _context
 
@@ -111,7 +113,6 @@ EVENT_KINDS = frozenset(
         "session.renegotiated",
         "slo.burn_rate",
         "slo.budget_exhausted",
-        "log.truncated",
     }
 )
 
@@ -176,25 +177,33 @@ class ReservationEvent:
 class EventLog:
     """Collects reservation-lifecycle events for one run.
 
-    ``capacity`` bounds memory on very long runs: once reached, further
-    events are counted in :attr:`dropped` instead of stored (newest
-    dropped, oldest kept -- the causal prefix stays intact), and a
-    single ``log.truncated`` marker is appended so a truncated log is
-    distinguishable from a quiet one.  Subscribers (see
+    ``capacity`` bounds memory on long-lived processes: the log is then
+    a ring of the ``capacity`` most recent events, and the older ones it
+    evicts are counted in :attr:`dropped`.  A log that dropped events is
+    a tail, told apart from a quiet one by ``dropped`` (and, in an
+    exported document, ``events_dropped``).  Subscribers (see
     :meth:`subscribe`) are exempt from the bound: they receive every
-    emitted event, stored or not.
+    emitted event.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
-        self.records: List[ReservationEvent] = []
-        self.capacity = capacity
-        self.dropped = 0
+        #: The held events, oldest first (a ring when bounded).
+        self.records: Deque[ReservationEvent] = deque(maxlen=capacity)
         self._next_seq = 0
         self._epoch = _time.perf_counter()
-        self._truncated = False
         self._subscribers: List[Callable[[ReservationEvent], None]] = []
+
+    @property
+    def capacity(self) -> Optional[int]:
+        """The ring's bound (None = unbounded)."""
+        return self.records.maxlen
+
+    @property
+    def dropped(self) -> int:
+        """Events emitted but no longer held (evicted by the bound)."""
+        return self._next_seq - len(self.records)
 
     # -- live subscribers --------------------------------------------------
 
@@ -203,8 +212,8 @@ class EventLog:
 
         Callbacks run synchronously inside :meth:`emit`, in subscription
         order, and see the full stream even when the capacity bound
-        drops events from storage.  Returns ``callback`` so the caller
-        can keep the handle for :meth:`unsubscribe`.
+        has since evicted events from the ring.  Returns ``callback`` so
+        the caller can keep the handle for :meth:`unsubscribe`.
         """
         if not callable(callback):
             raise TypeError(f"subscriber must be callable, got {callback!r}")
@@ -229,9 +238,9 @@ class EventLog:
         """The ``seq`` the next event will get -- a delivery watermark.
 
         Every ``seq`` below it was handed to each subscriber of its
-        moment (capacity-dropped events and the ``log.truncated``
-        marker included), so a consumer that subscribed at watermark
-        ``w`` has been handed ``next_seq - w`` events.
+        moment (events the ring has since evicted included), so a
+        consumer that subscribed at watermark ``w`` has been handed
+        ``next_seq - w`` events.
         """
         return self._next_seq
 
@@ -252,35 +261,12 @@ class EventLog:
                 f"unknown event kind {kind!r}; known kinds: {sorted(EVENT_KINDS)}"
             )
         seq = self._next_seq
-        self._next_seq += 1
-        stored = self.capacity is None or len(self.records) < self.capacity + (
-            1 if self._truncated else 0
-        )
-        if not stored:
-            self.dropped += 1
-            if not self._truncated:
-                # One marker records that (and where) truncation began;
-                # it occupies a single slot past the capacity bound so
-                # the stored prefix itself stays intact.
-                self._truncated = True
-                marker = ReservationEvent(
-                    kind="log.truncated",
-                    seq=self._next_seq,
-                    wall=_time.perf_counter() - self._epoch,
-                    time=time,
-                    attributes={"capacity": self.capacity, "first_dropped_seq": seq},
-                )
-                self._next_seq += 1
-                self.records.append(marker)
-                for callback in self._subscribers:
-                    callback(marker)
-            if not self._subscribers:
-                return
+        self._next_seq = seq + 1
         context = _context.current_trace_context()
-        # The one record of this event: the log, the flight ring and the
-        # event plane all hold this object.  Positional on purpose --
-        # keyword construction of a nine-field record costs 2.5x as much,
-        # on every event of every admission.
+        # The one record of this event: the ring and the event plane both
+        # hold this object.  Positional on purpose -- keyword
+        # construction of a nine-field record costs 2.5x as much, on
+        # every event of every admission.
         event = ReservationEvent(
             kind,
             seq,
@@ -292,16 +278,9 @@ class EventLog:
             context.trace_id if context is not None else None,
             context.request_id if context is not None else None,
         )
-        if stored:
-            self.records.append(event)
+        self.records.append(event)
         for callback in self._subscribers:
             callback(event)
-
-    def clear(self) -> None:
-        """Drop every recorded event (epoch and seq counter are kept)."""
-        self.records.clear()
-        self.dropped = 0
-        self._truncated = False
 
     # -- reading -----------------------------------------------------------
 

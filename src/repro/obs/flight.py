@@ -2,15 +2,14 @@
 
 A :class:`FlightRecorder` keeps a bounded ring of the most recent
 telemetry -- spans (a :class:`~repro.obs.trace.Tracer` in capacity
-mode), causal reservation events (subscribed to the live
-:class:`~repro.obs.events.EventLog`, so it sees the full stream even
-past the log's own storage bound), and a small dict of wire counters
+mode), causal reservation events, and a small dict of wire counters
 (requests, bytes, errors).  Memory stays constant no matter how long
-the daemon runs.  Both rings hold the *records* the tracer and the log
-made, and nothing is rendered until a dump is asked for: the event ring
-subscribes its own ``deque.append``, so recording an event is one C
-call on an object that already exists, and :attr:`events_seen` is read
-off the log's ``seq`` watermark rather than counted per event.
+the daemon runs.  The event ring is not a copy: it *is* the daemon's
+:class:`~repro.obs.events.EventLog`, bounded at
+:data:`EVENT_CAPACITY`, so recording an event is the log's own
+``deque.append`` and :attr:`~FlightRecorder.events_seen` is the log's
+``seq`` watermark.  Both rings hold the *records* the tracer and the
+log made, and nothing is rendered until a dump is asked for.
 
 :meth:`snapshot` materialises the rings as a schema-v4 trace document
 (the same shape :func:`repro.obs.export.write_trace_json` produces, so
@@ -25,7 +24,6 @@ from __future__ import annotations
 
 import json
 import time as _time
-from collections import deque
 from pathlib import Path
 from typing import Dict, Optional, Union
 
@@ -34,7 +32,7 @@ from repro.obs.export import observability_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-__all__ = ["DEFAULT_EVENT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "FlightRecorder"]
+__all__ = ["DEFAULT_SPAN_CAPACITY", "EVENT_CAPACITY", "FlightRecorder"]
 
 #: Ring sizes: generous enough to cover a multi-hundred-request burst
 #: while keeping a dump comfortably under a few megabytes.  Measured
@@ -42,58 +40,26 @@ __all__ = ["DEFAULT_EVENT_CAPACITY", "DEFAULT_SPAN_CAPACITY", "FlightRecorder"]
 #: 7.5 spans and 12.7 events (refusals included), a teardown 1 span and
 #: 6 events; over HTTP each request adds its ``daemon.<operation>`` span.
 DEFAULT_SPAN_CAPACITY = 4096
-DEFAULT_EVENT_CAPACITY = 16384
+EVENT_CAPACITY = 16384
 
 
 class FlightRecorder:
     """Bounded rings of recent spans, events and wire counters."""
 
-    def __init__(
-        self,
-        *,
-        span_capacity: int = DEFAULT_SPAN_CAPACITY,
-        event_capacity: int = DEFAULT_EVENT_CAPACITY,
-    ) -> None:
-        if event_capacity <= 0:
-            raise ValueError(f"event_capacity must be positive, got {event_capacity!r}")
-        #: Install this tracer (``obs.trace.install``) to feed the ring.
+    def __init__(self, *, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
+        #: Install this tracer (``obs.trace.install``) to feed the span ring.
         self.tracer = Tracer(capacity=span_capacity)
-        #: Recent :class:`ReservationEvent` records, oldest first; they
-        #: are rendered only when :meth:`snapshot` is asked for a document.
-        self.events = deque(maxlen=event_capacity)
+        #: Install this log (``obs.events.install``): it is the event ring.
+        self.log = EventLog(capacity=EVENT_CAPACITY)
         #: Free-form transport counters (requests, bytes, errors).
         self.wire: Dict[str, float] = {}
         self.dump_count = 0
-        self._attached: Optional[EventLog] = None
-        #: The attached log's seq watermark at attach, and the events
-        #: seen over earlier attachments.
-        self._attached_at = 0
-        self._seen_before = 0
         self._started_unix = _time.time()
-
-    # -- event plumbing ----------------------------------------------------
 
     @property
     def events_seen(self) -> int:
-        """Events handed to the ring since creation (evicted ones included)."""
-        if self._attached is None:
-            return self._seen_before
-        return self._seen_before + self._attached.next_seq - self._attached_at
-
-    def attach(self, log: EventLog) -> None:
-        """Subscribe to ``log`` so every emitted event enters the ring."""
-        if self._attached is not None:
-            raise RuntimeError("flight recorder is already attached to an event log")
-        log.subscribe(self.events.append)
-        self._attached = log
-        self._attached_at = log.next_seq
-
-    def detach(self) -> None:
-        """Stop recording events (no-op when not attached)."""
-        if self._attached is not None:
-            self._seen_before = self.events_seen
-            self._attached.unsubscribe(self.events.append)
-            self._attached = None
+        """Events emitted since creation (evicted ones included)."""
+        return self.log.next_seq
 
     # -- wire counters -----------------------------------------------------
 
@@ -122,22 +88,15 @@ class FlightRecorder:
             "dumped_at_unix": _time.time(),
             "recorder_started_unix": self._started_unix,
             "span_capacity": self.tracer.capacity,
-            "event_capacity": self.events.maxlen,
+            "event_capacity": self.log.capacity,
             "events_seen": self.events_seen,
             "dump_count": self.dump_count,
         }
         if meta:
             document_meta.update(meta)
-        document = observability_to_dict(self.tracer, registry, None, meta=document_meta)
-        events = [event.to_dict() for event in self.events]
-        document["events"] = events
-        counts: Dict[str, int] = {}
-        for payload in events:
-            counts[payload["kind"]] = counts.get(payload["kind"], 0) + 1
-        document["event_counts"] = dict(sorted(counts.items()))
-        dropped = self.events_seen - len(events)
-        if dropped:
-            document["events_dropped"] = dropped
+        document = observability_to_dict(
+            self.tracer, registry, self.log, meta=document_meta
+        )
         document["wire"] = dict(self.wire)
         return document
 

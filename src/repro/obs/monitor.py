@@ -271,11 +271,7 @@ class OnlineMonitor:
         # Kinds outside the vocabulary only arrive from recorded traces
         # (an older schema's events); like the plane's own, they are not
         # input.
-        if (
-            kind in MONITOR_EVENT_KINDS
-            or kind == "log.truncated"
-            or kind not in EVENT_KINDS
-        ):
+        if kind in MONITOR_EVENT_KINDS or kind not in EVENT_KINDS:
             return
         started = _time.perf_counter()
         self.events_seen += 1

@@ -64,12 +64,7 @@ from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.obs.events import EventLog
-from repro.obs.flight import (
-    DEFAULT_EVENT_CAPACITY,
-    DEFAULT_SPAN_CAPACITY,
-    FlightRecorder,
-)
+from repro.obs.flight import DEFAULT_SPAN_CAPACITY, FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import registry_exposition
 from repro.runtime.coordinator import EstablishmentResult, RenegotiationResult
@@ -157,8 +152,6 @@ class DaemonConfig:
     capacity_range: Tuple[float, float] = (1000.0, 4000.0)
     contention_index: str = "ratio"
     tie_break: bool = True
-    #: Retained-event bound of the daemon's EventLog (None = unbounded).
-    event_capacity: Optional[int] = 65536
     #: Per-WebSocket-subscriber queue bound (the slow-consumer cutoff).
     subscriber_queue: int = 256
     #: Seconds shutdown waits for in-flight admissions before forcing.
@@ -168,9 +161,9 @@ class DaemonConfig:
     #: Directory flight-recorder dumps are written to (None = no files;
     #: ``POST /v1/debug/dump`` still returns the snapshot in-band).
     flight_dir: Optional[str] = None
-    #: Flight-recorder ring sizes (most recent spans / events kept).
+    #: Flight-recorder span ring size (most recent spans kept); the
+    #: event ring is the daemon's EventLog, bounded by the recorder.
     flight_spans: int = DEFAULT_SPAN_CAPACITY
-    flight_events: int = DEFAULT_EVENT_CAPACITY
     #: Cluster sharding: this daemon owns the resources the
     #: :class:`~repro.cluster.shardmap.ShardMap` assigns to
     #: ``shard_index`` out of ``shard_count`` shards.  ``None`` (the
@@ -197,8 +190,8 @@ class DaemonConfig:
             raise ModelError("subscriber_queue must be >= 2")
         if self.drain_timeout < 0:
             raise ModelError("drain_timeout must be >= 0")
-        if self.flight_spans <= 0 or self.flight_events <= 0:
-            raise ModelError("flight_spans and flight_events must be positive")
+        if self.flight_spans <= 0:
+            raise ModelError("flight_spans must be positive")
         if self.shard_count < 1:
             raise ModelError("shard_count must be >= 1")
         if self.shard_index is not None and not (
@@ -235,11 +228,10 @@ class ReservationService:
         self.env = Environment()
         self.streams = RandomStreams(config.seed)
         self.registry = MetricsRegistry()
-        self.log = EventLog(capacity=config.event_capacity)
+        self.flight = FlightRecorder(span_capacity=config.flight_spans)
+        #: The one event log, and the flight recorder's event ring.
+        self.log = self.flight.log
         self.plane = EventPlane(queue_size=config.subscriber_queue)
-        self.flight = FlightRecorder(
-            span_capacity=config.flight_spans, event_capacity=config.flight_events
-        )
         self.grid = GridEnvironment(
             self.env, self.streams, capacity_range=config.capacity_range
         )
@@ -305,7 +297,6 @@ class ReservationService:
             raise
         self._previous_tracer = _trace.active_tracer()
         _trace.install(self.flight.tracer)
-        self.flight.attach(self.log)
         self.plane.attach(self.log)
         self._started = True
 
@@ -314,7 +305,6 @@ class ReservationService:
         if not self._started:
             return
         self.plane.detach()
-        self.flight.detach()
         if _trace.active_tracer() is self.flight.tracer:
             if self._previous_tracer is None:
                 _trace.uninstall()

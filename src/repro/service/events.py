@@ -14,11 +14,10 @@ log's ``seq`` watermark and counts every event either way.
 
 Loss is never silent: once a subscriber's queue has room again, the next
 delivery is preceded by a single ``stream.truncated`` marker carrying the
-number of events that subscriber missed (mirroring the ``log.truncated``
-marker the bounded :class:`EventLog` itself appends at capacity).  Every
-drop also increments the ``service.events_dropped`` counter (labelled by
-why the queue had no room) on the installed metrics registry, so slow
-consumers are visible at ``/metrics`` without tailing any stream.
+number of events that subscriber missed.  Every drop also increments
+the ``service.events_dropped`` counter (labelled by why the queue had
+no room) on the installed metrics registry, so slow consumers are
+visible at ``/metrics`` without tailing any stream.
 """
 
 from __future__ import annotations
@@ -32,8 +31,7 @@ from repro.obs.events import EventLog, ReservationEvent
 
 __all__ = ["EventPlane", "EventSubscriber", "TRUNCATION_KIND"]
 
-#: The marker kind injected into a slow subscriber's stream.  Distinct
-#: from ``log.truncated`` (the EventLog's own storage bound): this one is
+#: The marker kind injected into a slow subscriber's stream: it is
 #: per-subscriber and says "events were emitted that *you* did not get".
 TRUNCATION_KIND = "stream.truncated"
 

@@ -576,20 +576,31 @@ def test_reconcile_accepts_balanced_books_and_counts_cross_shard():
 
 
 def test_reconcile_truncated_log_skips_balance_checks():
-    events = [
-        _release("cpu:H1", 5.0),
-        {
-            "kind": "log.truncated",
-            "seq": 9,
-            "wall": 0.0,
-            "session": None,
-            "resource": None,
-            "attributes": {},
-        },
-    ]
-    report = reconcile_shard_events({"a": events})
+    # A ring's tail: the grant this release pairs with was evicted.
+    report = reconcile_shard_events(
+        {"a": [_release("cpu:H1", 5.0)], "b": [_release("cpu:H2", 5.0)]},
+        partial={"a"},
+    )
     assert report.truncated == ["a"]
-    assert report.ok, report.describe()
+    assert len(report.violations) == 1
+    assert report.violations[0].startswith("b: cpu:H2 released 5")
+
+
+def test_reconcile_cli_reads_a_wrapped_flight_dump_as_a_tail(tmp_path):
+    from repro.obs.cli import main as obs_main
+
+    def dump(name, events, dropped):
+        document = {"schema_version": 4, "events": events}
+        if dropped:
+            document["events_dropped"] = dropped
+        path = tmp_path / name
+        path.write_text(json.dumps(document))
+        return str(path)
+
+    wrapped = dump("wrapped.json", [_release("cpu:H1", 5.0)], dropped=40)
+    assert obs_main(["reconcile", wrapped]) == 0
+    whole = dump("whole.json", [_release("cpu:H1", 5.0)], dropped=0)
+    assert obs_main(["reconcile", whole]) == 1
 
 
 def test_reconcile_cli_gates_on_violations(tmp_path):

@@ -40,26 +40,30 @@ class TestEventLog:
         log = EventLog()
         with pytest.raises(ValueError, match="unknown event kind"):
             log.emit("session.exploded")
+        # a bounded log writes no marker of its own into the record
+        assert not any(kind.startswith("log.") for kind in EVENT_KINDS)
         # module-level emit validates too (when a log is installed)
         with event_logging(log):
             with pytest.raises(ValueError):
                 events_mod.emit("not.a.kind")
 
-    def test_capacity_drops_newest_and_counts(self):
+    def test_capacity_keeps_newest_and_counts_evicted(self):
         log = EventLog(capacity=2)
+        assert (log.capacity, log.dropped) == (2, 0)
         for n in range(5):
             log.emit("broker.probe", resource=f"r{n}")
-        # causal prefix kept, plus exactly one truncation marker
-        assert len(log) == 3
+        # a ring: the two newest are held, the three oldest counted, and
+        # nothing else is written into the record
+        assert [(e.seq, e.resource) for e in log] == [(3, "r3"), (4, "r4")]
         assert log.dropped == 3
-        events = list(log)
-        assert [e.resource for e in events[:2]] == ["r0", "r1"]
-        marker = events[2]
-        assert marker.kind == "log.truncated"
-        assert marker.attributes == {"capacity": 2, "first_dropped_seq": 2}
-        assert marker.seq > marker.attributes["first_dropped_seq"]
+        assert log.next_seq == len(log) + log.dropped == 5
+        assert log.kind_counts() == {"broker.probe": 2}
         with pytest.raises(ValueError):
             EventLog(capacity=0)
+        unbounded = EventLog()
+        for _ in range(5):
+            unbounded.emit("broker.probe", resource="r")
+        assert (unbounded.capacity, len(unbounded), unbounded.dropped) == (None, 5, 0)
 
     def test_subscribers_see_past_capacity(self):
         log = EventLog(capacity=2)
@@ -69,26 +73,14 @@ class TestEventLog:
         assert log.subscriber_count == 1
         for n in range(4):
             log.emit("broker.probe", resource=f"r{n}")
-        # storage truncates, but the stream delivers every event (and the
-        # single marker) to subscribers
-        kinds = [k for k, _ in seen]
-        assert kinds.count("log.truncated") == 1
-        assert [r for k, r in seen if k == "broker.probe"] == ["r0", "r1", "r2", "r3"]
+        # the ring evicts, but the stream delivers every event, and only
+        # the events, to subscribers
+        assert seen == [("broker.probe", f"r{n}") for n in range(4)]
         log.unsubscribe(callback)
         log.unsubscribe(callback)  # unknown callback is a no-op
         assert log.subscriber_count == 0
         with pytest.raises(TypeError):
             log.subscribe("not callable")
-
-    def test_clear_resets_truncation(self):
-        log = EventLog(capacity=1)
-        for _ in range(3):
-            log.emit("broker.probe", resource="r")
-        assert log.count("log.truncated") == 1
-        log.clear()
-        assert len(log) == 0 and log.dropped == 0
-        log.emit("broker.probe", resource="r")
-        assert log.count("log.truncated") == 0
 
     def test_install_over_existing_log_raises(self):
         first, second = EventLog(), EventLog()
@@ -268,18 +260,6 @@ class TestSessionIntegration:
             events_mod.emit("broker.probe", resource="cpu:H1")
         assert active_event_log() is None
         assert session.event_log.count("broker.probe") == 1
-
-    def test_event_capacity_flows_through(self):
-        config = ObservabilityConfig(event_capacity=3)
-        with ObservationSession(config) as session:
-            for _ in range(5):
-                events_mod.emit("broker.probe", resource="r")
-        # 3 stored + the single log.truncated marker
-        assert len(session.event_log) == 4
-        assert session.event_log.dropped == 2
-        assert session.event_log.count("log.truncated") == 1
-        document = session.to_dict()
-        assert document["events_dropped"] == 2
 
     def test_summary_carries_event_counts(self):
         with ObservationSession() as session:

@@ -163,7 +163,7 @@ def plane_digests(service: ReservationService) -> dict:
                 for r in service.flight.tracer.records
             ]
         ),
-        "flight_seqs": _digest([event.seq for event in service.flight.events]),
+        "flight_seqs": _digest([event.seq for event in service.flight.log]),
         "registry": _digest(
             {
                 "counters": snapshot["counters"],
@@ -381,7 +381,7 @@ def test_a_warmed_admission_resolves_no_series_and_runs_no_python_subscriber(
         admit_and_release(service, len(VALID_PAIRS), "counted")
         path_bookings = sum(
             1
-            for event in service.log.records[emitted:]
+            for event in itertools.islice(service.log.records, emitted, None)
             if event.kind in ("broker.grant", "broker.release")
             and event.resource.startswith("net:")
         )

@@ -1,24 +1,31 @@
 """Record once, derive on read: deferred rendering must be invisible.
 
 One :class:`~repro.obs.events.ReservationEvent` per ``emit`` is shared
-by the event log, the flight recorder's ring and the event plane; it is
-rendered (``to_dict``) when a flight dump is asked for and per event
-only while a WebSocket subscriber exists.  Everything a reader sees --
-the schema-v4 flight document, the frames a subscriber receives, the
-counters on ``/v1/query`` -- must be what eager rendering produced.
+by the event log -- which is the flight recorder's ring -- and the event
+plane; it is rendered (``to_dict``) when a flight dump is asked for and
+per event only while a WebSocket subscriber exists.  Everything a
+reader sees -- the schema-v4 flight document, the frames a subscriber
+receives, the counters on ``/v1/query`` -- must be what eager rendering
+produced.
 """
 
 import asyncio
+import dataclasses
+import itertools
 import json
 
-from repro.obs import analyze
+import pytest
+
+from repro.obs import ObservabilityConfig, analyze
 from repro.obs.events import ReservationEvent
+from repro.obs.flight import EVENT_CAPACITY
 from repro.service import (
     DaemonConfig,
     ReservationDaemon,
     ReservationService,
     ServiceClient,
 )
+from repro.service.cli import build_config
 from tests.test_service_daemon import VALID_PAIRS
 
 
@@ -34,17 +41,25 @@ def admit_and_release(service: ReservationService, count: int, prefix: str) -> N
 
 
 def test_flight_snapshot_is_the_rendered_tail_of_the_event_stream(tmp_path):
-    ring = 64
-    service = ReservationService(DaemonConfig(seed=3, flight_events=ring))
+    service = ReservationService(DaemonConfig(seed=3))
     service.start()
     try:
-        admit_and_release(service, 12, "fl")
-        emitted = service.log.to_dicts()
-        assert len(emitted) > ring  # the ring wrapped: the tail is a real tail
+        rounds = itertools.count()
+        while not service.log.dropped:  # run until the ring wraps
+            admit_and_release(service, 100, f"fl{next(rounds)}")
+        log = service.log
+        ring = log.capacity
+        held = log.to_dicts()
+        # The log is the ring: it holds the newest events, seq-contiguous.
+        assert len(held) == ring
+        assert [e["seq"] for e in held] == list(range(log.dropped, log.next_seq))
+        assert service.query()["event_log"]["recorded"] == ring
+        assert service.query()["event_log"]["dropped"] == log.dropped
         document = service.flight_snapshot("test")
-        assert json.dumps(document["events"]) == json.dumps(emitted[-ring:])
-        assert document["events_dropped"] == len(emitted) - ring
-        assert document["meta"]["events_seen"] == len(emitted)
+        assert json.dumps(document["events"]) == json.dumps(held)
+        assert document["events_dropped"] == log.dropped
+        assert document["meta"]["events_seen"] == log.next_seq
+        assert document["meta"]["event_capacity"] == ring
         assert sum(document["event_counts"].values()) == ring
         # The dump is the same document, and still a loadable schema v4.
         path = service.flight.dump(
@@ -55,6 +70,20 @@ def test_flight_snapshot_is_the_rendered_tail_of_the_event_stream(tmp_path):
         assert [e.to_dict() for e in on_disk.events] == document["events"]
     finally:
         service.close()
+
+
+def test_the_event_ring_has_one_bound_and_no_knob():
+    service = ReservationService(DaemonConfig(seed=3))
+    assert service.log is service.flight.log
+    assert service.log.capacity == EVENT_CAPACITY
+    assert not {"event_capacity", "flight_events"} & {
+        field.name for field in dataclasses.fields(DaemonConfig)
+    }
+    assert "event_capacity" not in {
+        field.name for field in dataclasses.fields(ObservabilityConfig)
+    }
+    with pytest.raises(SystemExit):
+        build_config(["--event-capacity", "10"])
 
 
 def test_no_event_is_rendered_while_nobody_subscribes(monkeypatch):
@@ -81,7 +110,7 @@ def test_no_event_is_rendered_while_nobody_subscribes(monkeypatch):
         assert after["subscribers"] == 0
         # Asking for the document is what renders them.
         service.flight_snapshot("test")
-        assert len(rendered) == len(service.flight.events)
+        assert len(rendered) == len(service.flight.log)
     finally:
         service.close()
 
