@@ -6,9 +6,9 @@ Public surface:
 * :class:`FaultInjector` -- the per-run decision point at the protocol
   boundaries;
 * :class:`FaultTolerantCoordinator`
-  and :class:`FaultTolerantDistributedCoordinator` -- the tolerant
-  establishment paths, byte-identical to the plain coordinators under a
-  zero plan;
+  and :class:`FaultTolerantDistributedCoordinator` -- the coordinators'
+  one establishment protocol under a recovery policy, byte-identical to
+  the plain coordinators under a zero plan;
 * :func:`capacity_conservation` / :func:`assert_capacity_conserved` --
   the broker-vs-proxy bookkeeping invariant.
 """

@@ -1,51 +1,52 @@
-"""Fault-tolerant session establishment (the recovery half of PR 4).
+"""Fault-tolerant session establishment: the recovery policy.
 
-:class:`FaultTolerantCoordinator` layers the recovery policy of
-:class:`~repro.faults.plan.FaultConfig` on the three-phase protocol of
-:class:`~repro.runtime.coordinator.ReservationCoordinator`:
+:class:`FaultTolerantCoordinator` runs the one three-phase protocol of
+:class:`~repro.runtime.coordinator.ReservationCoordinator` under the
+recovery policy of :class:`~repro.faults.plan.FaultConfig`.  It keeps no
+copy of the phases; it overrides only the seams a fault changes:
 
-* every phase-1 availability exchange and phase-3 segment dispatch is
-  routed past the :class:`~repro.faults.injector.FaultInjector`; a lost
-  message is a *timeout* (``segment.timeout``), answered with bounded
-  retries under seeded exponential backoff (``segment.retry``);
-* phase 3 becomes two-phase reserve/commit: each applied segment is a
-  :class:`~repro.runtime.leases.Lease` until the whole session commits.
-  A lease whose rollback-release (or whose ack) is lost is *orphaned* --
-  left to the lease table's reaper and reclaimed when its TTL expires
-  (``lease.expired``), so no capacity leaks past the lease TTL;
-* a failed establishment degrades gracefully (§4.3): re-plan on fresh
-  observations (accepting a lower sink), excluding a host whose proxy
-  stopped answering (``session.replanned``), up to ``max_replans``.
+* how one phase-1 exchange is delivered
+  (:meth:`~FaultTolerantCoordinator._deliver`): past the
+  :class:`~repro.faults.injector.FaultInjector`, a lost message is a
+  *timeout* (``segment.timeout``), answered with bounded retries under
+  seeded exponential backoff (``segment.retry``); a delivered one may
+  be delayed or stale, and a host that never answered reports zero
+  availability (:meth:`~FaultTolerantCoordinator._unreported`);
+* how one phase-3 segment is dispatched: a reserve/ack exchange per
+  host, each applied segment a :class:`~repro.runtime.leases.Lease`
+  until the whole session commits.  A lease whose rollback-release (or
+  whose ack) is lost is *orphaned* -- left to the lease table's reaper
+  and reclaimed when its TTL expires (``lease.expired``), so no
+  capacity leaks past the lease TTL;
+* how many re-plans a failure gets: graceful degradation (§4.3)
+  re-plans on fresh observations (accepting a lower sink), excluding a
+  host whose proxy stopped answering (``session.replanned``), up to
+  ``max_replans``;
+* whether a batch may share one phase-1 snapshot.
 
-Byte-identity contract: with a zero :class:`FaultPlan` every entry point
-delegates verbatim to the parent coordinator -- same code path, same
-spans, same events, same results -- which the regression tests assert.
+The protocol is a generator yielding the delays of backoff and delayed
+messages: the synchronous driver (:meth:`establish`) lets them pass at
+once (retries happen at the same instant), while the DES driver
+(:meth:`establish_process`) turns each into a real ``env.timeout`` so
+crash/partition windows can pass while a session backs off.
 
-The establishment core is a *generator* yielding backoff delays: the
-synchronous driver (:meth:`FaultTolerantCoordinator._establish`)
-discards them (retries happen at the same instant), while the DES
-driver (:meth:`FaultTolerantCoordinator.establish_process`) turns each
-into a real ``env.timeout`` so crash/partition windows can pass while a
-session backs off.
+Zero-fault byte-identity: a zero :class:`FaultPlan` runs the same code,
+and its injector neither fires nor draws.  It sets the plain protocol's
+policy values -- no re-plan, a batch shares one snapshot, the dispatch
+span names no commit count or lost host -- so spans, events and results
+equal the plain coordinator's, which the regression tests assert.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Mapping, Optional, Set, Tuple
 
 from repro.brokers.registry import BrokerRegistry
-from repro.core.component import Binding
-from repro.core.errors import ModelError
-from repro.core.resources import AvailabilitySnapshot, ResourceObservation
+from repro.core.resources import ResourceObservation
 from repro.faults.injector import FaultInjector
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
-from repro.runtime.coordinator import (
-    EstablishmentResult,
-    ObservationSchedule,
-    ReservationCoordinator,
-)
+from repro.runtime.coordinator import ObservationSchedule, ReservationCoordinator
 from repro.runtime.distributed import DistributedCoordinator
 from repro.runtime.leases import Lease, LeaseTable
 from repro.runtime.model_store import ModelStore
@@ -75,6 +76,15 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         )
         #: Total orphaned leases reclaimed (watchdogs + explicit reaps).
         self.leases_reaped = 0
+        # A plan that can fire nothing keeps the plain protocol's policy:
+        # no re-plan, a batch shares one phase-1 snapshot (faults are
+        # injected per message, so sharing one round would mask the
+        # timeouts, stale reports and retries a faulty plan asks for),
+        # and the dispatch span names no commit count or lost host.
+        faulty = not self.injector.is_zero
+        self._max_replans = self.injector.config.max_replans if faulty else 0
+        self._shares_snapshots = not faulty
+        self._dispatch_detail = faulty
 
     # -- clock / bookkeeping ----------------------------------------------
 
@@ -87,270 +97,101 @@ class FaultTolerantCoordinator(ReservationCoordinator):
         """Leases not yet committed, released or reclaimed, in lease-id order."""
         return self.leases.pending()
 
-    # -- entry points ------------------------------------------------------
+    # -- the protocol's seams -----------------------------------------------
 
-    def _establish(self, *args, **kwargs) -> EstablishmentResult:
-        """Synchronous driver: backoff delays collapse to the same instant."""
-        if self.injector.is_zero:
-            return super()._establish(*args, **kwargs)
-        if kwargs.pop("snapshot", None) is not None:
-            raise ModelError(
-                "snapshot= establishment is unsupported under fault injection: "
-                "phase 1 must run per session so message faults apply"
-            )
-        gen = self._ft_establish(*args, **kwargs)
-        while True:
-            try:
-                next(gen)
-            except StopIteration as stop:
-                return stop.value
+    def _deliver(self, session_id: str, host: str, ask, observed_at):
+        """One availability exchange with per-attempt timeouts and retries.
 
-    def establish_batch(self, requests, planner, **kwargs):
-        """A batch shares no snapshot under a non-zero fault plan.
-
-        Faults are injected per message, so one shared phase-1 round
-        would mask exactly the timeouts, stale reports and retries the
-        plan asks for: every arrival runs the tolerant protocol with a
-        phase 1 of its own.  A zero plan inherits the parent's batch.
+        A delivered report may be served stale and arrive late; None
+        when every attempt was lost.
         """
-        if self.injector.is_zero:
-            return super().establish_batch(requests, planner, **kwargs)
-        kwargs.pop("snapshot", None)
-        return [
-            self.establish(
-                request.session_id,
-                request.service_name,
-                request.binding,
-                planner,
-                component_hosts=request.component_hosts,
-                source_label=request.source_label,
-                demand_scale=request.demand_scale,
-                **kwargs,
-            )
-            for request in list(requests)
-        ]
-
-    def establish_process(self, env, latency: float, /, *args, **kwargs):
-        """DES driver: backoff delays become real simulated waiting."""
-        if self.injector.is_zero:
-            result = yield from super().establish_process(env, latency, *args, **kwargs)
-            return result
-        kwargs = yield from self._after_latency(env, latency, kwargs)
-        with self._establish_accounting(args[0], args[1]) as settle:
-            steps = self._ft_establish(*args, **kwargs)
-            while True:
-                try:
-                    delay = next(steps)
-                except StopIteration as stop:
-                    return settle(stop.value)
-                if delay:
-                    yield env.timeout(delay)
-
-    # -- the fault-tolerant protocol core ----------------------------------
-
-    def _ft_establish(
-        self,
-        session_id: str,
-        service_name: str,
-        binding: Binding,
-        planner,
-        *,
-        component_hosts: Optional[Mapping[str, str]] = None,
-        source_label: Optional[str] = None,
-        demand_scale: float = 1.0,
-        observed_at: Optional[ObservationSchedule] = None,
-        contention_index=None,
-    ):
-        """Generator running the tolerant protocol; yields backoff delays."""
         config = self.injector.config
-        service = self._service_at_scale(service_name, demand_scale)
-        resource_ids = sorted(binding.resource_ids())
-        excluded: Set[str] = set()
-        replans = 0
-        while True:
-            # Phase 1: availability, with per-proxy timeouts and retries.
-            # An unreachable (or replan-excluded) host is represented by
-            # zero availability for its resources: the planner then
-            # routes around it exactly as §4.3 degrades -- and rejects
-            # when the binding leaves no alternative.
-            observations: Dict[str, ResourceObservation] = {}
-            reports: List = []
-            exchanges = self._phase1_exchanges(
-                session_id,
-                service,
-                binding,
-                resource_ids,
-                demand_scale=demand_scale,
-                contention_index=contention_index,
-            )
-            with _trace.span("phase1_availability", resources=len(resource_ids)):
-                for proxy, ask in exchanges:
-                    if proxy.host in excluded:
-                        continue
-                    for attempt in range(config.max_retries + 1):
-                        fault = self.injector.message_fault(
-                            "availability", proxy.host, session_id
-                        )
-                        if fault is None:
-                            schedule = observed_at
-                            age = self.injector.stale_age_for(proxy.host, session_id)
-                            if age is not None:
-                                schedule = self._stale_schedule(observed_at, age)
-                            report = ask(observed_at=schedule)
-                            delay = self.injector.message_delay(
-                                "availability", proxy.host, session_id
-                            )
-                            if delay:
-                                yield delay
-                            reports.append(report)
-                            observations.update(report.observations)
-                            break
-                        self._note_timeout(
-                            session_id, proxy.host, "availability", fault, attempt
-                        )
-                        if attempt < config.max_retries:
-                            self._note_retry(
-                                session_id, proxy.host, "availability", attempt + 1
-                            )
-                            yield self.injector.backoff(attempt)
-                now = self.now
-                for resource_id in resource_ids:
-                    if resource_id not in observations:
-                        observations[resource_id] = ResourceObservation(
-                            available=0.0, alpha=1.0, observed_at=now
-                        )
-                snapshot = AvailabilitySnapshot(observations)
-            observed_instant = max(
-                (obs.observed_at for obs in observations.values()), default=None
-            )
+        for attempt in range(config.max_retries + 1):
+            fault = self.injector.message_fault("availability", host, session_id)
+            if fault is None:
+                schedule = observed_at
+                age = self.injector.stale_age_for(host, session_id)
+                if age is not None:
+                    schedule = self._stale_schedule(observed_at, age)
+                report = ask(observed_at=schedule)
+                delay = self.injector.message_delay("availability", host, session_id)
+                if delay:
+                    yield delay
+                return report
+            self._note_timeout(session_id, host, "availability", fault, attempt)
+            if attempt < config.max_retries:
+                self._note_retry(session_id, host, "availability", attempt + 1)
+                yield self.injector.backoff(attempt)
+        return None
 
-            # Phase 2: identical to the plain coordinator (shared helper).
-            plan, failure = self._phase2_plan(
-                session_id,
-                service,
-                service_name,
-                binding,
-                planner,
-                snapshot,
-                observed_instant,
-                source_label=source_label,
-                demand_scale=demand_scale,
-                contention_index=contention_index,
-                reports=reports,
-            )
-            if failure is not None:
-                return failure
+    def _unreported(self, missing):
+        """An unreachable (or excluded) host reports zero availability.
 
-            # Phase 3: two-phase reserve/commit per segment.
-            segments = self._segments(plan.demand)
-            committed: List[Lease] = []
-            failed_resource: Optional[str] = None
-            failed_host: Optional[str] = None
-            with _trace.span("phase3_dispatch", segments=len(segments)) as dispatch_span:
-                for host in sorted(segments):
-                    outcome, detail = yield from self._dispatch_segment(
-                        session_id, host, segments[host]
-                    )
-                    if outcome == "committed":
-                        committed.append(detail)
-                        continue
-                    if outcome == "admission_failed":
-                        failed_resource = detail
-                    else:
-                        failed_host = detail
-                    break
-                if failed_resource is None and failed_host is None:
-                    for lease in committed:
-                        self.leases.commit(lease)
-                    dispatch_span.set(committed=len(committed))
-                    self._start_components(session_id, component_hosts)
-                    self._emit_admitted(session_id, service_name, plan, observed_instant)
-                    return EstablishmentResult(session_id, True, plan)
-                for lease in committed:
-                    self._release_or_orphan(lease)
-                dispatch_span.set(
-                    rolled_back=len(committed),
-                    failed_resource=failed_resource,
-                    failed_host=failed_host,
-                )
+        The planner then routes around it exactly as §4.3 degrades --
+        and rejects when the binding leaves no alternative.
+        """
+        now = self.now
+        return {
+            resource_id: ResourceObservation(available=0.0, alpha=1.0, observed_at=now)
+            for resource_id in missing
+        }
 
-            # Graceful degradation: re-plan (fresh observations = lower
-            # sink per §4.3), excluding a host that stopped answering.
-            reason = "admission_failed" if failed_resource is not None else "host_unreachable"
-            if failed_host is not None:
-                excluded.add(failed_host)
-                # The unreachable host's skeletons are stale (replans and
-                # later sessions see it as zero availability, and a
-                # recovered host may rebind); every other service keeps
-                # its warm cache entry -- see the per-host regression
-                # test in tests/test_faults.py.
-                self.invalidate_qrg_cache_for_host(failed_host)
-            if replans < config.max_replans:
-                replans += 1
-                self._note_replan(session_id, reason, replans, excluded)
-                continue
-            if reason == "admission_failed":
-                self._emit_admission_rejected(
-                    session_id, service_name, plan, observations, observed_instant,
-                    failed_resource,
-                )
-                return EstablishmentResult(
-                    session_id,
-                    False,
-                    plan,
-                    reason="admission_failed",
-                    failed_resource=failed_resource,
-                )
-            log = _events.active_event_log()
-            if log is not None:
-                log.emit(
-                    "session.rejected",
-                    session=session_id,
-                    time=observed_instant,
-                    service=service_name,
-                    reason="host_unreachable",
-                    host=failed_host,
-                    available=snapshot.availability(),
-                )
-            return EstablishmentResult(
-                session_id, False, plan, reason="host_unreachable"
-            )
+    def _dispatch_groups(self, segments):
+        """One reserve/ack exchange, and one lease, per host in order."""
+        return [{host: segments[host]} for host in sorted(segments)]
 
-    def _dispatch_segment(self, session_id: str, host: str, demands: Mapping[str, float]):
+    def _dispatch(self, session_id: str, demands_by_host):
         """One segment's reserve/ack exchange with bounded retries.
 
-        Returns ``("committed", Lease)``, ``("admission_failed",
-        resource_id)``, or ``("unreachable", host)``.  A reservation
-        whose ack was lost exists host-side but is unknown to the main
-        proxy: it is compensated with a release order -- and orphaned
-        for the reaper when that release is lost too.
+        A reservation whose ack was lost exists host-side but is unknown
+        to the main proxy: it is compensated with a release order -- and
+        orphaned for the reaper when that release is lost too.
         """
+        (host,) = demands_by_host
         config = self.injector.config
         for attempt in range(config.max_retries + 1):
             fault = self.injector.message_fault("reserve", host, session_id)
             if fault is None:
-                lease, refusal = self._hold(session_id, {host: demands})
+                lease, refusal = self._hold(session_id, demands_by_host)
                 if refusal is not None:
-                    return ("admission_failed", refusal.resource_id)
+                    return None, refusal.resource_id, None
                 ack_fault = self.injector.message_fault("ack", host, session_id)
                 if ack_fault is None:
                     delay = self.injector.message_delay("ack", host, session_id)
                     if delay:
                         yield delay
-                    return ("committed", lease)
+                    return lease, None, None
                 self._note_timeout(session_id, host, "ack", ack_fault, attempt)
-                self._release_or_orphan(lease)
+                self._roll_back(lease)
             else:
                 self._note_timeout(session_id, host, "reserve", fault, attempt)
             if attempt < config.max_retries:
                 self._note_retry(session_id, host, "reserve", attempt + 1)
                 yield self.injector.backoff(attempt)
-        return ("unreachable", host)
+        return None, None, host
+
+    def _replan(self, session_id: str, attempt: int, failed_host, excluded) -> bool:
+        """Graceful degradation: re-plan on fresh observations, if allowed.
+
+        A host that stopped answering is excluded from every later
+        phase 1.  Its skeletons are stale (replans and later sessions
+        see it as zero availability, and a recovered host may rebind);
+        every other service keeps its warm cache entry -- see the
+        per-host regression test in tests/test_faults.py.
+        """
+        if failed_host is not None:
+            excluded.add(failed_host)
+            self.invalidate_qrg_cache_for_host(failed_host)
+        if attempt > self._max_replans:
+            return False
+        reason = "admission_failed" if failed_host is None else "host_unreachable"
+        self._note_replan(session_id, reason, attempt, excluded)
+        return True
 
     # -- leases and the orphan reaper ---------------------------------------
 
-    def _release_or_orphan(self, lease: Lease) -> None:
-        """Roll a lease back -- or orphan it when the release is lost."""
+    def _roll_back(self, lease: Lease) -> None:
+        """Roll a held lease back -- or orphan it when the release is lost."""
         fault = self.injector.message_fault("release", lease.host, lease.session_id)
         if fault is None:
             self.leases.release(lease)

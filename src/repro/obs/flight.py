@@ -1,11 +1,11 @@
 """Always-on flight recorder: the daemon's black box for postmortems.
 
 A :class:`FlightRecorder` keeps a bounded ring of the most recent
-telemetry -- spans (a :class:`~repro.obs.trace.Tracer` in capacity
-mode), causal reservation events, and a small dict of wire counters
-(requests, bytes, errors).  Memory stays constant no matter how long
-the daemon runs.  The event ring is not a copy: it *is* the daemon's
-:class:`~repro.obs.events.EventLog`, bounded at
+telemetry -- spans (a :class:`~repro.obs.trace.Tracer` ring of
+:data:`SPAN_CAPACITY`), causal reservation events, and a small dict of
+wire counters (requests, bytes, errors).  Memory stays constant no
+matter how long the daemon runs.  The event ring is not a copy: it
+*is* the daemon's :class:`~repro.obs.events.EventLog`, bounded at
 :data:`EVENT_CAPACITY`, so recording an event is the log's own
 ``deque.append`` and :attr:`~FlightRecorder.events_seen` is the log's
 ``seq`` watermark.  Both rings hold the *records* the tracer and the
@@ -32,23 +32,23 @@ from repro.obs.export import observability_to_dict
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import Tracer
 
-__all__ = ["DEFAULT_SPAN_CAPACITY", "EVENT_CAPACITY", "FlightRecorder"]
+__all__ = ["EVENT_CAPACITY", "FlightRecorder", "SPAN_CAPACITY"]
 
 #: Ring sizes: generous enough to cover a multi-hundred-request burst
 #: while keeping a dump comfortably under a few megabytes.  Measured
 #: over a 600-arrival script on a seed-7 daemon: an establish records
 #: 7.5 spans and 12.7 events (refusals included), a teardown 1 span and
 #: 6 events; over HTTP each request adds its ``daemon.<operation>`` span.
-DEFAULT_SPAN_CAPACITY = 4096
+SPAN_CAPACITY = 4096
 EVENT_CAPACITY = 16384
 
 
 class FlightRecorder:
     """Bounded rings of recent spans, events and wire counters."""
 
-    def __init__(self, *, span_capacity: int = DEFAULT_SPAN_CAPACITY) -> None:
+    def __init__(self) -> None:
         #: Install this tracer (``obs.trace.install``) to feed the span ring.
-        self.tracer = Tracer(capacity=span_capacity)
+        self.tracer = Tracer(capacity=SPAN_CAPACITY)
         #: Install this log (``obs.events.install``): it is the event ring.
         self.log = EventLog(capacity=EVENT_CAPACITY)
         #: Free-form transport counters (requests, bytes, errors).

@@ -14,6 +14,11 @@ With accurate observations and atomic establishment (the default, as in
 in a way planning treated independently; with the staleness model of
 §5.2.4 (``observed_at``) phase 3 admission failures become the norm
 under contention.
+
+The phases are written once, as a generator yielding the delays the
+protocol waits out (:meth:`ReservationCoordinator._establish`); the
+fault boundary (:mod:`repro.faults.coordinator`) overrides only the
+seams a fault changes.
 """
 
 from __future__ import annotations
@@ -23,11 +28,11 @@ import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
 from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding
-from repro.core.errors import AdmissionError, BrokerError, PlanningError
+from repro.core.errors import AdmissionError, BrokerError, ModelError, PlanningError
 from repro.core.plan import ReservationPlan
 from repro.core.qrg import QRGSkeletonCache, memoise_bounded, price_skeleton
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
@@ -44,6 +49,12 @@ from repro.runtime.proxy import QoSProxy
 #: Maps a resource id to the past instant it should be observed at
 #: (None = now) -- the §5.2.4 observation-inaccuracy hook.
 ObservationSchedule = Callable[[str], Optional[float]]
+
+#: The span each phase of the protocol runs under (the daemon reads its
+#: plan and commit time off the last two).
+PHASE1_SPAN = "phase1_availability"
+PHASE2_SPAN = "phase2_plan"
+PHASE3_SPAN = "phase3_dispatch"
 
 
 @dataclass(frozen=True)
@@ -90,6 +101,11 @@ class RenegotiationResult:
 
 class ReservationCoordinator:
     """Executes the three-phase establishment protocol."""
+
+    #: Whether a batch's arrivals may share one phase-1 snapshot.
+    _shares_snapshots = True
+    #: Whether the phase-3 span names its commit count and lost host.
+    _dispatch_detail = False
 
     def __init__(
         self,
@@ -149,23 +165,23 @@ class ReservationCoordinator:
         (the evaluation's "fat" sessions, §5.1).  ``snapshot`` replaces
         phase 1 with an already-collected availability snapshot (it must
         cover the binding's resources); :meth:`establish_batch` shares
-        one across its arrivals this way.
+        one across its arrivals this way.  Any delay the protocol waits
+        out passes at once.
         """
+        steps = self._establish(
+            session_id,
+            service_name,
+            binding,
+            planner,
+            component_hosts=component_hosts,
+            source_label=source_label,
+            demand_scale=demand_scale,
+            observed_at=observed_at,
+            contention_index=contention_index,
+            snapshot=snapshot,
+        )
         with self._establish_accounting(session_id, service_name) as settle:
-            return settle(
-                self._establish(
-                    session_id,
-                    service_name,
-                    binding,
-                    planner,
-                    component_hosts=component_hosts,
-                    source_label=source_label,
-                    demand_scale=demand_scale,
-                    observed_at=observed_at,
-                    contention_index=contention_index,
-                    snapshot=snapshot,
-                )
-            )
+            return settle(_run(steps))
 
     def plan_session(
         self,
@@ -213,8 +229,8 @@ class ReservationCoordinator:
 
         Yields ``settle``: the body hands it the
         :class:`EstablishmentResult` (and gets it back), which is what
-        the bracket accounts.  Shared by :meth:`establish` and the fault
-        boundary's DES driver, so both are accounted alike.  When a
+        the bracket accounts.  Shared by :meth:`establish` and
+        :meth:`establish_process`, so both are accounted alike.  When a
         request-scoped trace context is bound (daemon admissions), the
         span carries the caller's request id; the coordinator never
         *creates* contexts, so simulation runs stay byte-identical.
@@ -278,18 +294,6 @@ class ReservationCoordinator:
             for proxy in self._participating_proxies(resource_ids)
         ]
 
-    def _phase1(self, exchanges, resource_ids: Sequence[str], observed_at):
-        """Phase 1: run the exchanges; returns ``(snapshot, reports)``."""
-        with _trace.span("phase1_availability", resources=len(resource_ids)):
-            reports = [ask(observed_at=observed_at) for _proxy, ask in exchanges]
-            observations: Dict[str, ResourceObservation] = {}
-            for report in reports:
-                observations.update(report.observations)
-            missing = set(resource_ids) - set(observations)
-            if missing:
-                raise BrokerError(f"no proxy reported resources {sorted(missing)}")
-            return AvailabilitySnapshot(observations), reports
-
     def _establish(
         self,
         session_id: str,
@@ -303,89 +307,200 @@ class ReservationCoordinator:
         observed_at: Optional[ObservationSchedule] = None,
         contention_index=None,
         snapshot: Optional[AvailabilitySnapshot] = None,
-    ) -> EstablishmentResult:
-        """The three phases themselves (timing/accounting in :meth:`establish`)."""
-        service = self._service_at_scale(service_name, demand_scale)
+    ):
+        """The three phases themselves, once for every coordinator.
 
-        reports: Sequence = ()
-        if snapshot is None:
-            resource_ids = sorted(binding.resource_ids())
-            exchanges = self._phase1_exchanges(
+        A generator: it yields the delays the protocol waits out and
+        returns the :class:`EstablishmentResult`.  :meth:`establish`
+        lets the delays pass at once, :meth:`establish_process` turns
+        each into simulated time; this class never yields one.  What a
+        fault changes is left to the seams it calls -- how a phase-1
+        exchange is delivered (:meth:`_deliver`, :meth:`_unreported`),
+        how a phase-3 dispatch goes (:meth:`_dispatch_groups`,
+        :meth:`_dispatch`, :meth:`_roll_back`) and whether a failed
+        dispatch is planned again (:meth:`_replan`).
+        """
+        if snapshot is not None and not self._shares_snapshots:
+            raise ModelError(
+                "snapshot= establishment is unsupported under fault injection: "
+                "phase 1 must run per session so message faults apply"
+            )
+        service = self._service_at_scale(service_name, demand_scale)
+        given, reports = snapshot, ()
+        excluded: Set[str] = set()
+        replans = 0
+        while True:
+            if given is None:
+                resource_ids = sorted(binding.resource_ids())
+                exchanges = self._phase1_exchanges(
+                    session_id,
+                    service,
+                    binding,
+                    resource_ids,
+                    demand_scale=demand_scale,
+                    contention_index=contention_index,
+                )
+                snapshot, reports = yield from self._phase1(
+                    session_id, exchanges, resource_ids, observed_at, excluded
+                )
+            # The causal log timestamps session events with the instant the
+            # availability snapshot describes (== env.now for fresh probes).
+            observed_instant = max(
+                (obs.observed_at for obs in snapshot.values()), default=None
+            )
+
+            # Phase 2: local plan computation at the main proxy.
+            plan, failure = self._phase2_plan(
                 session_id,
                 service,
+                service_name,
                 binding,
-                resource_ids,
+                planner,
+                snapshot,
+                observed_instant,
+                source_label=source_label,
                 demand_scale=demand_scale,
                 contention_index=contention_index,
+                reports=reports,
             )
-            snapshot, reports = self._phase1(exchanges, resource_ids, observed_at)
-        # The causal log timestamps session events with the instant the
-        # availability snapshot describes (== env.now for fresh probes).
-        observed_instant = max(
-            (obs.observed_at for obs in snapshot.values()), default=None
-        )
+            if failure is not None:
+                return failure
 
-        # Phase 2: local plan computation at the main proxy.
-        plan, failure = self._phase2_plan(
-            session_id,
-            service,
-            service_name,
-            binding,
-            planner,
-            snapshot,
-            observed_instant,
-            source_label=source_label,
-            demand_scale=demand_scale,
-            contention_index=contention_index,
-            reports=reports,
-        )
-        if failure is not None:
-            return failure
+            failed_resource, failed_host = yield from self._phase3(
+                session_id, self._segments(plan.demand)
+            )
+            if failed_resource is None and failed_host is None:
+                self._start_components(session_id, component_hosts)
+                self._emit_admitted(session_id, service_name, plan, observed_instant)
+                return EstablishmentResult(session_id, True, plan)
+            replans += 1
+            if not self._replan(session_id, replans, failed_host, excluded):
+                break
+        if failed_host is None:
+            self._emit_admission_rejected(
+                session_id, service_name, plan, snapshot, observed_instant,
+                failed_resource,
+            )
+            return EstablishmentResult(
+                session_id,
+                False,
+                plan,
+                reason="admission_failed",
+                failed_resource=failed_resource,
+            )
+        log = _events.active_event_log()
+        if log is not None:
+            log.emit(
+                "session.rejected",
+                session=session_id,
+                time=observed_instant,
+                service=service_name,
+                reason="host_unreachable",
+                host=failed_host,
+                available=snapshot.availability(),
+            )
+        return EstablishmentResult(session_id, False, plan, reason="host_unreachable")
 
-        return self._phase3_admit(
-            session_id, service_name, plan, snapshot, observed_instant, component_hosts
-        )
+    def _phase1(self, session_id, exchanges, resource_ids, observed_at, excluded=()):
+        """Phase 1: deliver the exchanges; returns ``(snapshot, reports)``.
 
-    def _phase3_admit(
-        self,
-        session_id: str,
-        service_name: str,
-        plan: ReservationPlan,
-        observations: Mapping[str, ResourceObservation],
-        observed_instant: Optional[float],
-        component_hosts: Optional[Mapping[str, str]],
-    ) -> EstablishmentResult:
-        """Phase 3: hold every per-host segment of the plan, then commit.
-
-        A refused segment leaves nothing held (:meth:`LeaseTable.hold`
-        is all-or-nothing); on success the session's components are
-        started and the admission is recorded causally.
+        A generator yielding the deliveries' delays.  A host in
+        ``excluded`` is not asked, and a resource no report covers is
+        :meth:`_unreported`'s to stand in for.
         """
-        segments = self._segments(plan.demand)
-        with _trace.span("phase3_dispatch", segments=len(segments)) as dispatch_span:
-            lease, refusal = self._hold(session_id, segments)
-            if refusal is not None:
-                failed_host = self.proxy_for(refusal.resource_id).host
-                dispatch_span.set(
-                    rolled_back=sorted(segments).index(failed_host),
-                    failed_resource=refusal.resource_id,
+        with _trace.span(PHASE1_SPAN, resources=len(resource_ids)):
+            reports = []
+            for proxy, ask in exchanges:
+                if proxy.host in excluded:
+                    continue
+                report = yield from self._deliver(session_id, proxy.host, ask, observed_at)
+                if report is not None:
+                    reports.append(report)
+            observations: Dict[str, ResourceObservation] = {}
+            for report in reports:
+                observations.update(report.observations)
+            missing = [rid for rid in resource_ids if rid not in observations]
+            if missing:
+                observations.update(self._unreported(missing))
+            return AvailabilitySnapshot(observations), reports
+
+    def _phase3(self, session_id: str, segments: Mapping[str, Mapping[str, float]]):
+        """Phase 3: dispatch the plan's per-host segments, then commit.
+
+        A generator yielding the dispatches' delays; returns
+        ``(failed_resource, failed_host)``, both None once every lease
+        is committed.  A refused or lost dispatch rolls back the leases
+        held before it.
+        """
+        with _trace.span(PHASE3_SPAN, segments=len(segments)) as span:
+            held: List[Lease] = []
+            for group in self._dispatch_groups(segments):
+                lease, failed_resource, failed_host = yield from self._dispatch(
+                    session_id, group
                 )
-                self._emit_admission_rejected(
-                    session_id, service_name, plan, observations, observed_instant,
-                    refusal.resource_id,
-                )
-                return EstablishmentResult(
-                    session_id,
-                    False,
-                    plan,
-                    reason="admission_failed",
-                    failed_resource=refusal.resource_id,
-                )
-            self.leases.commit(lease)
-        # Start the session's components on their hosts.
-        self._start_components(session_id, component_hosts)
-        self._emit_admitted(session_id, service_name, plan, observed_instant)
-        return EstablishmentResult(session_id, True, plan)
+                if lease is None:
+                    break
+                held.append(lease)
+            else:
+                for lease in held:
+                    self.leases.commit(lease)
+                if self._dispatch_detail:
+                    span.set(committed=len(held))
+                return None, None
+            for lease in held:
+                self._roll_back(lease)
+            failing = failed_host or self.proxy_for(failed_resource).host
+            span.set(
+                rolled_back=sorted(segments).index(failing),
+                failed_resource=failed_resource,
+            )
+            if self._dispatch_detail:
+                span.set(failed_host=failed_host)
+            return failed_resource, failed_host
+
+    # -- what a fault changes: the protocol's seams ---------------------------
+
+    def _deliver(self, session_id: str, host: str, ask, observed_at):
+        """One phase-1 exchange: the report, or None when it never came.
+
+        A generator yielding the exchange's delays.  Here every message
+        arrives, at once.
+        """
+        return ask(observed_at=observed_at)
+        yield  # unreachable: makes this a generator, like its overrides
+
+    def _unreported(self, missing: Sequence[str]) -> Mapping[str, ResourceObservation]:
+        """Stand-ins for resources no report covered: here, an error."""
+        raise BrokerError(f"no proxy reported resources {sorted(missing)}")
+
+    def _dispatch_groups(self, segments):
+        """Phase 3's dispatches, each a ``{host: demands}`` held as one lease.
+
+        Nothing between the proxies is lost here, so the whole plan is
+        one all-or-nothing :meth:`LeaseTable.hold`.
+        """
+        return (segments,)
+
+    def _dispatch(self, session_id: str, demands_by_host):
+        """One phase-3 dispatch, as ``(lease, failed_resource, failed_host)``.
+
+        A generator yielding the dispatch's delays.  Returns the held
+        lease, or the resource a broker refused, or the host that never
+        answered; here no host fails to answer.
+        """
+        lease, refusal = self._hold(session_id, demands_by_host)
+        if refusal is not None:
+            return None, refusal.resource_id, None
+        return lease, None, None
+        yield  # unreachable: makes this a generator, like its overrides
+
+    def _roll_back(self, lease: Lease) -> None:
+        """Undo a lease held before a later dispatch failed."""
+        self.leases.release(lease)
+
+    def _replan(self, session_id: str, attempt: int, failed_host, excluded) -> bool:
+        """Whether a failed dispatch is planned again: never, here."""
+        return False
 
     def _phase2_plan(
         self,
@@ -402,8 +517,8 @@ class ReservationCoordinator:
         contention_index,
         reports: Sequence = (),
     ):
-        """Phase 2 with its span and causal emissions, shared with the
-        fault-tolerant coordinator.
+        """Phase 2 with its span and causal emissions, shared with
+        :meth:`plan_session`.
 
         The QRG skeleton (nodes, equivalence edges, bound requirement
         vectors) depends only on (service, binding, demand_scale), so it
@@ -411,7 +526,7 @@ class ReservationCoordinator:
         run against this session's snapshot.  Returns ``(plan, None)``
         on success and ``(None, EstablishmentResult)`` on failure.
         """
-        with _trace.span("phase2_plan"):
+        with _trace.span(PHASE2_SPAN):
             try:
                 qrg = self._price_qrg(
                     service,
@@ -532,8 +647,9 @@ class ReservationCoordinator:
         union = sorted(
             {rid for request in requests for rid in request.binding.resource_ids()}
         )
-        exchanges = self._availability_exchanges(f"batch[{len(requests)}]", union)
-        return self._phase1(exchanges, union, observed_at)[0]
+        session_id = f"batch[{len(requests)}]"
+        exchanges = self._availability_exchanges(session_id, union)
+        return _run(self._phase1(session_id, exchanges, union, observed_at))[0]
 
     def establish_batch(
         self,
@@ -550,10 +666,13 @@ class ReservationCoordinator:
         batch's resources (unless ``snapshot`` is given).  Every arrival
         is then an ordinary :meth:`establish` against that snapshot, in
         request order, each seeing the reservations of the ones before
-        it -- phase 2 runs once per session, as in the paper.
+        it -- phase 2 runs once per session, as in the paper.  A
+        coordinator whose arrivals may not share a snapshot
+        (``_shares_snapshots``) runs each arrival's phase 1 on its
+        own, and refuses a given ``snapshot`` as :meth:`establish` does.
         """
         requests = list(requests)
-        if snapshot is None and requests:
+        if snapshot is None and requests and self._shares_snapshots:
             snapshot = self._collect_batch_snapshot(requests, observed_at)
         return [
             self.establish(
@@ -564,6 +683,7 @@ class ReservationCoordinator:
                 component_hosts=request.component_hosts,
                 source_label=request.source_label,
                 demand_scale=request.demand_scale,
+                observed_at=observed_at,
                 contention_index=contention_index,
                 snapshot=snapshot,
             )
@@ -647,17 +767,29 @@ class ReservationCoordinator:
                 bottleneck=plan.bottleneck_resource,
             )
 
-    def establish_process(self, env, latency: float, /, *args, **kwargs):
+    def establish_process(
+        self, env, latency: float, /, session_id: str, service_name: str, *args, **kwargs
+    ):
         """Generator flavour of :meth:`establish` with protocol latency.
 
         Models §4.2's overhead: one message round trip between the
         participating proxies and the main proxy (phase 1+3) plus local
         computation.  The availability snapshot is taken *before* the
         latency elapses, so concurrent sessions race exactly as §5.2.4
-        describes.  Yields DES timeouts; returns the result.
+        describes.  Every delay the protocol itself waits out (a fault
+        boundary's message delays and retry backoff) becomes simulated
+        time too.  Yields DES timeouts; returns the result.
         """
         kwargs = yield from self._after_latency(env, latency, kwargs)
-        return self.establish(*args, **kwargs)
+        with self._establish_accounting(session_id, service_name) as settle:
+            steps = self._establish(session_id, service_name, *args, **kwargs)
+            while True:
+                try:
+                    delay = next(steps)
+                except StopIteration as stop:
+                    return settle(stop.value)
+                if delay:
+                    yield env.timeout(delay)
 
     def _after_latency(self, env, latency: float, kwargs: dict):
         """Generator: wait out the protocol latency of one establishment.
@@ -910,6 +1042,15 @@ class ReservationCoordinator:
             host = self.proxy_for(resource_id).host
             per_host.setdefault(host, {})[resource_id] = demand[resource_id]
         return per_host
+
+
+def _run(steps):
+    """Drive a protocol generator to its result, its delays passing at once."""
+    while True:
+        try:
+            next(steps)
+        except StopIteration as stop:
+            return stop.value
 
 
 def _scaled_service(service, factor: float):

@@ -64,10 +64,15 @@ from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
-from repro.obs.flight import DEFAULT_SPAN_CAPACITY, FlightRecorder
+from repro.obs.flight import FlightRecorder
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import registry_exposition
-from repro.runtime.coordinator import EstablishmentResult, RenegotiationResult
+from repro.runtime.coordinator import (
+    PHASE2_SPAN,
+    PHASE3_SPAN,
+    EstablishmentResult,
+    RenegotiationResult,
+)
 from repro.runtime.leases import LeaseTable
 from repro.service import http as _http
 from repro.service.events import EventPlane
@@ -161,9 +166,6 @@ class DaemonConfig:
     #: Directory flight-recorder dumps are written to (None = no files;
     #: ``POST /v1/debug/dump`` still returns the snapshot in-band).
     flight_dir: Optional[str] = None
-    #: Flight-recorder span ring size (most recent spans kept); the
-    #: event ring is the daemon's EventLog, bounded by the recorder.
-    flight_spans: int = DEFAULT_SPAN_CAPACITY
     #: Cluster sharding: this daemon owns the resources the
     #: :class:`~repro.cluster.shardmap.ShardMap` assigns to
     #: ``shard_index`` out of ``shard_count`` shards.  ``None`` (the
@@ -190,8 +192,6 @@ class DaemonConfig:
             raise ModelError("subscriber_queue must be >= 2")
         if self.drain_timeout < 0:
             raise ModelError("drain_timeout must be >= 0")
-        if self.flight_spans <= 0:
-            raise ModelError("flight_spans must be positive")
         if self.shard_count < 1:
             raise ModelError("shard_count must be >= 1")
         if self.shard_index is not None and not (
@@ -228,7 +228,7 @@ class ReservationService:
         self.env = Environment()
         self.streams = RandomStreams(config.seed)
         self.registry = MetricsRegistry()
-        self.flight = FlightRecorder(span_capacity=config.flight_spans)
+        self.flight = FlightRecorder()
         #: The one event log, and the flight recorder's event ring.
         self.log = self.flight.log
         self.plane = EventPlane(queue_size=config.subscriber_queue)
@@ -941,9 +941,9 @@ class ReservationDaemon(ServingShell):
         for record in reversed(self.service.flight.tracer.records):
             if record.index < first_span:
                 break
-            if record.name == "phase2_plan":
+            if record.name == PHASE2_SPAN:
                 plan += record.duration
-            elif record.name == "phase3_dispatch":
+            elif record.name == PHASE3_SPAN:
                 commit += record.duration
         return plan, commit
 

@@ -226,3 +226,15 @@ class TestFaultBoundary:
             results = ft.establish_batch(requests, BasicPlanner())
         assert [r.session_id for r in results] == [r.session_id for r in requests]
         assert tracer.count("phase1_availability") == len(requests)
+
+    def test_faulty_plan_batch_refuses_a_given_snapshot(self):
+        # establish(snapshot=...) refuses under a non-zero plan, so the
+        # batch must too, rather than silently drop the caller's snapshot.
+        grid = fresh_grid()
+        ft = self.fault_tolerant(grid, FaultConfig(stale_rate=1.0))
+        requests = requests_for(grid, VALID_PAIRS[:3])
+        shared = grid.coordinator._collect_batch_snapshot(requests, None)
+        before = broker_state(grid)
+        with pytest.raises(ModelError, match="snapshot="):
+            ft.establish_batch(requests, BasicPlanner(), snapshot=shared)
+        assert broker_state(grid) == before

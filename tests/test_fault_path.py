@@ -1,0 +1,196 @@
+"""The fault boundary's records, pinned.
+
+The fault-tolerant coordinators run the one establishment protocol of
+:class:`~repro.runtime.coordinator.ReservationCoordinator` through the
+seams a fault changes (delivery, dispatch, re-planning).  These tests
+pin what that protocol records under every fault kind -- the causal
+event stream, the span records, the run's results and its fault
+statistics -- as sha256 digests, for both simulation drivers (no
+latency: the synchronous driver; latency: the DES driver), a monitored
+run that renegotiates under faults, and a synchronous schedule through
+the distributed (§3) coordinator.  A change that alters any record, a
+retry's timing or a decision fails here.
+"""
+
+import hashlib
+import json
+
+from repro.core import BasicPlanner
+from repro.faults import FAULT_SEED_INDEX, FaultConfig, FaultInjector, FaultPlan
+from repro.obs import EventLog, ObservabilityConfig, event_logging
+from repro.obs.metrics import MetricsRegistry, metering
+from repro.obs.monitor import MonitorConfig
+from repro.obs.trace import Tracer, tracing
+from repro.sim import SimulationConfig, WorkloadSpec, run_simulation
+from repro.sim.experiment import derive_run_seed
+
+from tests.test_fault_properties import FakeClock, build_ft_distributed_rig
+
+#: Every fault kind at once: message drops, delays and stale reports,
+#: plus crash and partition windows.
+EVERY_FAULT = FaultConfig(
+    drop_rate=0.1,
+    delay_rate=0.2,
+    crash_rate=0.3,
+    partition_rate=0.3,
+    stale_rate=0.1,
+)
+
+#: sha256 digests of each run's records (see ``_digests``), computed
+#: while the fault boundary still kept its own copy of the three phases.
+PINNED = {
+    "sync": {
+        "counters": "4f08dccae0163393e1f9de067ab1f97f1ad04a3c14355d454df85ec06594a3b4",
+        "events": "f0c15c9b5a66cb6c5daef8ce0bebed1a3b3e2937fa2febdedcc3e08a3a7f5767",
+        "fault_stats": "d0754e927776cc2c815ce9b80970716f2cd124dc2d625bfb1c59f2edbff34426",
+        "results": "d83cd812458b592c981a34934bba565a83208e3d1c6d3f24498a299deae2ba10",
+        "spans": "ebb165bd80e18d133104439cd9bbc1d9e8a5c986fd75f882a8602b3e8d7508de",
+    },
+    "des": {
+        "counters": "bd344f306f01ee3babfa91d30740b0da3504ef2f6426408151462d477880e3fe",
+        "events": "7d2ff7cba947fe9b084099e55f7eb8024139b8dcab7d247642a68588e4188184",
+        "fault_stats": "fc600c4331fa9a20c085dc9d6cafc8eb372a404f09391405fcb5013df1242dce",
+        "results": "8d6694c75fc56a9fadef74f22386f162bcf03157d75c359779ac091b7e01acf9",
+        "spans": "bb2b0d3cde3fadd0f6181fd9c3c624446a37cc743cfcc51fc55dc1602bb693bf",
+    },
+    "monitored": {
+        "counters": "369cf7ed4ea49d10d01eeaf9567864574825ffdaf6523060e8c60ea086bd210b",
+        "events": "bb4cf84800fc3329e627f555c24780106c3a35e0fc18de06b68c2587dd9964b7",
+        "fault_stats": "8dd72ed0c1b482a94ec6f2c4d7715b6599c83d421f4b860487b14b5357c375a5",
+        "results": "dd711482b122a2574d5869cabe8d7d725a3768a760ff2e5985bf6945980052e6",
+        "spans": "2a4624ff6ba25e3a48031eafe0ea0cc8864a5c99be39061de46b39d674a63a2c",
+    },
+    "distributed": {
+        "counters": "1f2db8b07d7e01b2be21faf8064fd865fe11a05b4e9740b2ed7bf6853d6f1660",
+        "events": "9be6e400ef88e8b4e64d694b2e119762b75b0817c7054744ffc6f89207ee837f",
+        "fault_stats": "1562242035724e19ee571b7671c75c93227de289d266b59e7dd435c81fb456cd",
+        "results": "5aeacf30a0a8aff7d8dbf936012bb51c43efbf3144f45763aa956d54e674de6c",
+        "spans": "e67770f9a01fa2fbe1a35132bb473e2ddb2a0264dda324ac18f29ca20673abe5",
+    },
+}
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _spans(records):
+    return [
+        (r.name, r.depth, r.index, r.parent_index, r.attributes) for r in records
+    ]
+
+
+def _events(log):
+    return [
+        {key: value for key, value in payload.items() if key != "wall"}
+        for payload in log.to_dicts()
+    ]
+
+
+def _digests(*, events, spans, results, fault_stats, counters) -> dict:
+    return {
+        "events": _digest(events),
+        "spans": _digest(spans),
+        "results": _digest(results),
+        "fault_stats": _digest(fault_stats),
+        "counters": _digest(counters),
+    }
+
+
+def simulation_digests(**changes) -> dict:
+    config = SimulationConfig(
+        seed=11,
+        workload=WorkloadSpec(rate_per_60tu=120.0, horizon=200.0),
+        faults=EVERY_FAULT,
+        observability=ObservabilityConfig(),
+        **changes,
+    )
+    result = run_simulation(config)
+    observation = result.observation
+    return _digests(
+        events=_events(observation.event_log),
+        spans=_spans(observation.tracer.records),
+        results=[result.metrics, result.paths._counts, result.monitor_stats],
+        fault_stats=result.fault_stats,
+        counters=observation.registry.snapshot()["counters"],
+    )
+
+
+def distributed_digests(small_service, small_binding) -> dict:
+    """Two 30-session schedules on a fake clock, six sessions live at most.
+
+    Without re-plans a lost reserve ends in ``host_unreachable`` and a
+    stale report in ``admission_failed``; with one, the failed host is
+    excluded and the session planned again.
+    """
+    tracer, log, registry = Tracer(), EventLog(), MetricsRegistry()
+    results, fault_stats = [], []
+    with tracing(tracer), event_logging(log), metering(registry):
+        for max_replans in (0, 1):
+            clock = FakeClock()
+            config = FaultConfig(
+                drop_rate=0.45,
+                stale_rate=0.5,
+                crash_rate=0.5,
+                partition_rate=0.5,
+                max_retries=1,
+                max_replans=max_replans,
+            )
+            plan = FaultPlan.generate(
+                config,
+                seed=derive_run_seed(3, FAULT_SEED_INDEX),
+                horizon=240.0,
+                hosts=("H1", "H2"),
+            )
+            injector = FaultInjector(plan, clock=clock)
+            _registry, coordinator, _proxies = build_ft_distributed_rig(
+                small_service, injector, clock
+            )
+            live = []
+            for n in range(30):
+                clock.now = 8.0 * n
+                result = coordinator.establish(
+                    f"d{max_replans}.{n}", "small", small_binding, BasicPlanner()
+                )
+                results.append(
+                    (result.session_id, result.success, result.reason,
+                     result.failed_resource, result.qos_level)
+                )
+                if result.success:
+                    live.append(result.session_id)
+                if len(live) >= 6:
+                    coordinator.teardown(live.pop(0))
+                coordinator.reap_orphans()
+            for session_id in live:
+                coordinator.teardown(session_id)
+            coordinator.reap_orphans(force=True)
+            fault_stats.append([injector.injected, coordinator.leases_reaped])
+    return _digests(
+        events=_events(log),
+        spans=_spans(tracer.records),
+        results=results,
+        fault_stats=fault_stats,
+        counters=registry.snapshot()["counters"],
+    )
+
+
+def test_synchronous_driver_records_what_it_recorded_before():
+    assert simulation_digests() == PINNED["sync"]
+
+
+def test_des_driver_records_what_it_recorded_before():
+    assert simulation_digests(latency=0.4) == PINNED["des"]
+
+
+def test_monitored_run_under_faults_records_what_it_recorded_before():
+    digests = simulation_digests(
+        staleness=2.0, monitoring=MonitorConfig(adapt=True)
+    )
+    assert digests == PINNED["monitored"]
+
+
+def test_distributed_schedule_records_what_it_recorded_before(
+    small_service, small_binding
+):
+    assert distributed_digests(small_service, small_binding) == PINNED["distributed"]

@@ -6,8 +6,9 @@ The three contracts under test:
   is a pure function of ``(config, seed, horizon, hosts)``, and a
   faulty simulation is a pure function of its config;
 * **Zero-fault byte-identity** -- with an all-zero :class:`FaultConfig`
-  the fault-tolerant coordinators delegate verbatim to their parents:
-  same ``EstablishmentResult``s, same full-simulation metrics;
+  the fault-tolerant coordinators run the parents' one protocol and
+  record what they record: same ``EstablishmentResult``s, events and
+  spans, same full-simulation metrics;
 * **No capacity leaks** -- whatever is injected, the brokers' and
   proxies' reservation books agree (``capacity_conservation``) and the
   registry is quiescent once sessions are torn down and orphaned
@@ -34,6 +35,7 @@ from repro.faults import (
     capacity_conservation,
 )
 from repro.obs import EventLog, ObservabilityConfig, event_logging
+from repro.obs.trace import Tracer, tracing
 from repro.runtime import ModelStore, QoSProxy, ReservationCoordinator
 from repro.runtime.messages import PlanSegment
 from repro.sim import SimulationConfig, WorkloadSpec, run_simulation
@@ -248,11 +250,27 @@ class TestZeroFaultIdentity:
         store.register(small_service)
         plain = ReservationCoordinator(plain_registry, store, {"H1": p1, "H2": p2})
 
-        for n in range(6):
-            a = ft.establish(f"s{n}", "small", small_binding, BasicPlanner())
-            b = plain.establish(f"s{n}", "small", small_binding, BasicPlanner())
-            assert a == b
-        assert ft.teardown("s0") == plain.teardown("s0")
+        records = {}
+        for name, coordinator in (("ft", ft), ("plain", plain)):
+            tracer, log = Tracer(), EventLog()
+            with tracing(tracer), event_logging(log):
+                results = [
+                    coordinator.establish(f"s{n}", "small", small_binding, BasicPlanner())
+                    for n in range(6)
+                ]
+                released = coordinator.teardown("s0")
+            records[name] = (
+                results,
+                released,
+                [
+                    {key: value for key, value in event.items() if key != "wall"}
+                    for event in log.to_dicts()
+                ],
+                [(r.name, r.depth, r.index, r.parent_index, r.attributes)
+                 for r in tracer.records],
+            )
+        assert records["ft"] == records["plain"]
+        assert records["ft"][2] and records["ft"][3]
 
     def test_simulation_metrics_identical(self):
         base = dict(seed=11, workload=WorkloadSpec(rate_per_60tu=100.0, horizon=250.0))
@@ -261,6 +279,33 @@ class TestZeroFaultIdentity:
         assert zero.metrics == plain.metrics
         assert zero.paths == plain.paths
         assert zero.fault_stats == {"orphans_reaped": 0}
+
+    def test_des_driver_records_identical(self):
+        # Under protocol latency both coordinators run establish_process,
+        # which drives the one protocol generator: a zero plan yields no
+        # delay, so the DES interleaving and every record are the same.
+        def records(**faults):
+            result = run_simulation(
+                SimulationConfig(
+                    seed=11,
+                    latency=0.4,
+                    workload=WorkloadSpec(rate_per_60tu=100.0, horizon=150.0),
+                    observability=ObservabilityConfig(),
+                    **faults,
+                )
+            )
+            observation = result.observation
+            return (
+                result.metrics,
+                [
+                    {key: value for key, value in event.items() if key != "wall"}
+                    for event in observation.event_log.to_dicts()
+                ],
+                [(r.name, r.depth, r.index, r.parent_index, r.attributes)
+                 for r in observation.tracer.records],
+            )
+
+        assert records(faults=FaultConfig()) == records()
 
 
 # -- faulty full simulations -----------------------------------------------

@@ -477,6 +477,7 @@ class TestDashboard:
                 process.terminate()
             for process in (router, shard):
                 process.wait(timeout=10)
+                process.stdout.close()
 
     def test_snapshot_one_shot(self, fleet, tmp_path, capsys):
         shard_port, router_port = fleet

@@ -123,8 +123,8 @@ def test_subscriber_joining_mid_run_receives_the_rendered_events():
     async def scenario():
         daemon = ReservationDaemon(DaemonConfig(seed=3, port=0))
         await daemon.start()
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             for index in range(3):  # nobody listens to these
                 await client.establish(
                     service="S2", domain="D1", session_id=f"early-{index}"
@@ -148,6 +148,7 @@ def test_subscriber_joining_mid_run_receives_the_rendered_events():
             state = await client.query()
             assert state["event_log"]["fanned_out"] == len(daemon.service.log)
         finally:
+            await client.aclose()
             await daemon.shutdown()
         task.cancel()
         await asyncio.gather(task, return_exceptions=True)

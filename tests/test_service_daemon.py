@@ -52,8 +52,8 @@ async def start_daemon(**overrides) -> ReservationDaemon:
 def test_establish_teardown_roundtrip():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             outcome = await client.establish(
                 service="S2", domain="D1", session_id="s-1", duration=30.0
             )
@@ -69,6 +69,7 @@ def test_establish_teardown_roundtrip():
             assert state["counters"]["established"] == 1
             assert state["counters"]["torn_down"] == 1
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -77,8 +78,8 @@ def test_establish_teardown_roundtrip():
 def test_api_error_statuses():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             await client.establish(service="S2", domain="D1", session_id="dup")
             with pytest.raises(ServiceClientError) as duplicate:
                 await client.establish(service="S2", domain="D1", session_id="dup")
@@ -100,6 +101,7 @@ def test_api_error_statuses():
                 await client._call("GET", "/v1/nope")
             assert no_route.value.status == 405
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -108,8 +110,8 @@ def test_api_error_statuses():
 def test_metrics_exposition_is_scrapable():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             await client.establish(service="S2", domain="D1", session_id="m-1")
             text = await client.metrics()
             assert "repro_broker_grants_total" in text
@@ -123,6 +125,7 @@ def test_metrics_exposition_is_scrapable():
                 assert value not in {"inf", "-inf", "nan"}
                 float(value.replace("+Inf", "inf").replace("-Inf", "-inf"))
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -135,8 +138,8 @@ def test_metrics_exposition_is_scrapable():
 def test_concurrent_establish_teardown_races_stay_consistent():
     async def scenario():
         daemon = await start_daemon(seed=5)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             admitted = 0
             rejected = 0
 
@@ -163,6 +166,7 @@ def test_concurrent_establish_teardown_races_stay_consistent():
             # (beyond float dust from reserve/release accumulation).
             assert all(u < 1e-9 for u in state["utilization"].values())
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -171,8 +175,8 @@ def test_concurrent_establish_teardown_races_stay_consistent():
 def test_duplicate_session_race_admits_exactly_once():
     async def scenario():
         daemon = await start_daemon(seed=5)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
 
             async def claim():
                 try:
@@ -189,6 +193,7 @@ def test_duplicate_session_race_admits_exactly_once():
             state = await client.query()
             assert state["active_sessions"] == 1
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -206,8 +211,8 @@ async def _collect_events(client, sink, **kwargs):
 def test_slow_subscriber_is_truncated_and_isolated():
     async def scenario():
         daemon = await start_daemon(seed=7)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             slow, fast = [], []
             # queue=2 is the minimum bound: one establish emits an order
             # of magnitude more events than that in one synchronous
@@ -236,6 +241,7 @@ def test_slow_subscriber_is_truncated_and_isolated():
             assert state["counters"]["established"] == 2
             assert state["event_log"]["fanned_out"] == len(fast)
         finally:
+            await client.aclose()
             await daemon.shutdown()
         for task in (slow_task, fast_task):
             task.cancel()
@@ -247,8 +253,8 @@ def test_slow_subscriber_is_truncated_and_isolated():
 def test_websocket_close_releases_subscriber():
     async def scenario():
         daemon = await start_daemon(seed=7)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             sink = []
             task = asyncio.create_task(_collect_events(client, sink))
             await asyncio.sleep(0.1)
@@ -261,6 +267,7 @@ def test_websocket_close_releases_subscriber():
             assert daemon.service.plane.subscriber_count == 0
             assert daemon.stats.websocket_clients == 0
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -323,6 +330,7 @@ def test_shutdown_drains_inflight_and_refuses_new_admissions():
         # The daemon is gone: the socket no longer accepts connections.
         with pytest.raises((ConnectionError, OSError)):
             await client.healthz()
+        await client.aclose()
 
     asyncio.run(scenario())
 
@@ -353,8 +361,8 @@ def test_daemon_decisions_byte_identical_to_in_process():
 
     async def through_api():
         daemon = await start_daemon(**config)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             bodies = []
             for op, payload in operations:
                 response = await client.request("POST", f"/v1/{op}", payload)
@@ -362,6 +370,7 @@ def test_daemon_decisions_byte_identical_to_in_process():
                 bodies.append(response.body)
             return bodies
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     api_bodies = asyncio.run(through_api())
@@ -406,7 +415,9 @@ def test_load_generator_open_loop_run():
                 headline["admission_latency_p50_ms"]
                 <= headline["admission_latency_p99_ms"]
             )
-            state = await ServiceClient("127.0.0.1", daemon.port).query()
+            client = ServiceClient("127.0.0.1", daemon.port)
+            state = await client.query()
+            await client.aclose()
             assert state["active_sessions"] == 0
         finally:
             await daemon.shutdown()

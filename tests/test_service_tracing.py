@@ -36,8 +36,8 @@ async def start_daemon(**overrides) -> ReservationDaemon:
 def test_traceparent_propagates_to_daemon_events():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-prop")
             with obs_context.trace_context(context):
                 outcome = await client.establish(
@@ -58,6 +58,7 @@ def test_traceparent_propagates_to_daemon_events():
             assert "daemon.establish" in names
             assert "establish" in names  # the coordinator's span
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -66,8 +67,8 @@ def test_traceparent_propagates_to_daemon_events():
 def test_trace_ids_never_leak_into_response_bodies():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-leak")
             with obs_context.trace_context(context):
                 response = await client.request(
@@ -78,6 +79,7 @@ def test_trace_ids_never_leak_into_response_bodies():
             assert response.status == 200
             assert context.trace_id not in response.body.decode("utf-8")
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -95,8 +97,8 @@ def test_trace_ids_never_leak_into_response_bodies():
 def test_malformed_traceparent_gets_fresh_root_not_500(header):
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             response = await client.request(
                 "POST",
                 "/v1/establish",
@@ -112,6 +114,7 @@ def test_malformed_traceparent_gets_fresh_root_not_500(header):
             if header.startswith("00-a"):
                 assert all(e.trace_id != "a" * 32 for e in stamped)
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -120,8 +123,8 @@ def test_malformed_traceparent_gets_fresh_root_not_500(header):
 def test_batch_fan_out_shares_one_trace():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-batch")
             arrivals = [
                 {"session_id": f"b-{i}", "service": "S2", "domain": "D1"}
@@ -136,6 +139,7 @@ def test_batch_fan_out_shares_one_trace():
             # one batch trace id attached.
             assert {f"b-{i}" for i in range(4)} <= sessions
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -144,8 +148,8 @@ def test_batch_fan_out_shares_one_trace():
 def test_concurrent_admissions_never_share_a_trace():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             contexts = {}
 
             async def admit(i):
@@ -167,6 +171,7 @@ def test_concurrent_admissions_never_share_a_trace():
                 trace_ids = {e.trace_id for e in events}
                 assert trace_ids == {contexts[session].trace_id}
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -179,8 +184,8 @@ def test_concurrent_admissions_never_share_a_trace():
 def test_admission_phase_histograms_with_exemplars():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-ph")
             with obs_context.trace_context(context):
                 await client.establish(
@@ -205,6 +210,7 @@ def test_admission_phase_histograms_with_exemplars():
             text = await client.metrics()
             assert f"trace_id={context.trace_id}" in text
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -217,8 +223,8 @@ def test_phase_histograms_count_each_request_once_under_a_shared_trace():
     # establish's planning spans.
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             pairs = 20
             for i in range(pairs):
                 context = obs_context.new_trace_context(request_id=f"req-sh-{i}")
@@ -243,6 +249,7 @@ def test_phase_histograms_count_each_request_once_under_a_shared_trace():
                     tracer.total_time(span_name), rel=1e-9
                 )
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -255,14 +262,15 @@ def test_phase_histograms_count_each_request_once_under_a_shared_trace():
 def test_healthz_reports_uptime_inflight_and_drain_state():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             health = await client.healthz()
             assert health["status"] == "ok"
             assert health["draining"] is False
             assert health["uptime_seconds"] >= 0.0
             assert health["inflight_admissions"] == 0
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -271,8 +279,8 @@ def test_healthz_reports_uptime_inflight_and_drain_state():
 def test_debug_dump_endpoint_returns_snapshot_and_writes_file(tmp_path):
     async def scenario():
         daemon = await start_daemon(seed=3, flight_dir=str(tmp_path))
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-dump")
             with obs_context.trace_context(context):
                 await client.establish(
@@ -292,6 +300,7 @@ def test_debug_dump_endpoint_returns_snapshot_and_writes_file(tmp_path):
             assert on_disk.schema_version == 4
             assert any(e.trace_id == context.trace_id for e in on_disk.events)
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -300,12 +309,13 @@ def test_debug_dump_endpoint_returns_snapshot_and_writes_file(tmp_path):
 def test_debug_dump_without_flight_dir_is_in_band_only():
     async def scenario():
         daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             dump = await client._call("POST", "/v1/debug/dump")
             assert dump["path"] is None
             assert dump["document"]["schema_version"] == 4
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -314,8 +324,8 @@ def test_debug_dump_without_flight_dir_is_in_band_only():
 def test_access_log_lines_are_structured_json(capsys):
     async def scenario():
         daemon = await start_daemon(seed=3, access_log=True)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             context = obs_context.new_trace_context(request_id="req-log")
             with obs_context.trace_context(context):
                 await client.establish(
@@ -324,6 +334,7 @@ def test_access_log_lines_are_structured_json(capsys):
             await client.healthz()
             return context
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     context = asyncio.run(scenario())
@@ -409,8 +420,8 @@ def test_loadgen_without_tracing_has_no_document_and_no_headers():
 def test_flight_dump_files_are_sequenced(tmp_path):
     async def scenario():
         daemon = await start_daemon(seed=3, flight_dir=str(tmp_path))
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             await client.establish(service="S2", domain="D1", session_id="f-1")
             first = daemon.service.flight_dump("sigquit")
             second = daemon.service.flight_dump("sigquit")
@@ -418,6 +429,7 @@ def test_flight_dump_files_are_sequenced(tmp_path):
             assert first.name.startswith("flight-sigquit-")
             assert first.exists() and second.exists()
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
@@ -435,8 +447,8 @@ def test_build_config_wires_tracing_flags(tmp_path):
 def test_event_plane_drops_surface_as_labelled_counter():
     async def scenario():
         daemon = await start_daemon(seed=3, subscriber_queue=2)
+        client = ServiceClient("127.0.0.1", daemon.port)
         try:
-            client = ServiceClient("127.0.0.1", daemon.port)
             subscriber = daemon.service.plane.subscribe(queue_size=2)
             try:
                 for i in range(8):
@@ -453,6 +465,7 @@ def test_event_plane_drops_surface_as_labelled_counter():
             finally:
                 daemon.service.plane.unsubscribe(subscriber)
         finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
