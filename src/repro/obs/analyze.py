@@ -1,9 +1,8 @@
 """Trace analysis: answer "why" questions from an exported trace document.
 
 Loads the JSON trace documents written by :func:`repro.obs.export
-.write_trace_json` (schema v4 with request-scoped ``trace_id``/
-``request_id`` stamps on spans and events; v1-v3 documents without them
-still load) and computes:
+.write_trace_json` (schema v4, with request-scoped ``trace_id``/
+``request_id`` stamps on spans and events) and computes:
 
 * :func:`critical_path` -- per-session wall-time breakdown by phase
   *self time* (time in a span minus its children), the "where did this
@@ -70,11 +69,10 @@ class TraceFormatError(ValueError):
 
 @dataclass
 class TraceDocument:
-    """One loaded trace document, version-normalised.
+    """One loaded trace document.
 
-    v1 documents (no event log) load with ``events == []``; v1/v2
-    documents (no online monitoring plane) load with ``monitoring ==
-    {}``; consumers need not branch on the schema version.
+    Optional sections a document omits load empty: no event log gives
+    ``events == []``, no online monitoring plane ``monitoring == {}``.
     """
 
     schema_version: int
@@ -88,33 +86,42 @@ class TraceDocument:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "TraceDocument":
-        """Normalise a loaded JSON document (schema v1 through v4)."""
+        """Load a JSON document of schema :data:`TRACE_SCHEMA_VERSION`.
+
+        Raises :class:`TraceFormatError` for anything else, including a
+        v4 document whose sections have the wrong shape.
+        """
         if not isinstance(payload, dict) or "schema_version" not in payload:
             raise TraceFormatError(
                 "not a trace document: missing the 'schema_version' field"
             )
-        version = int(payload["schema_version"])
-        if not 1 <= version <= TRACE_SCHEMA_VERSION:
+        version = payload["schema_version"]
+        if type(version) is not int or version != TRACE_SCHEMA_VERSION:
             raise TraceFormatError(
-                f"unsupported trace schema version {version}; "
-                f"this build reads versions 1..{TRACE_SCHEMA_VERSION}"
+                f"unsupported trace schema version {version!r}; "
+                f"this build reads version {TRACE_SCHEMA_VERSION}"
             )
-        return cls(
-            schema_version=version,
-            meta=dict(payload.get("meta", {})),
-            spans=list(payload.get("spans", [])),
-            span_totals={
-                name: dict(totals)
-                for name, totals in payload.get("span_totals", {}).items()
-            },
-            metrics=dict(payload.get("metrics", {})),
-            events=[
-                ReservationEvent.from_dict(event)
-                for event in payload.get("events", [])
-            ],
-            events_dropped=int(payload.get("events_dropped", 0)),
-            monitoring=dict(payload.get("monitoring", {})),
-        )
+        try:
+            return cls(
+                schema_version=version,
+                meta=dict(payload.get("meta", {})),
+                spans=list(payload.get("spans", [])),
+                span_totals={
+                    name: dict(totals)
+                    for name, totals in payload.get("span_totals", {}).items()
+                },
+                metrics=dict(payload.get("metrics", {})),
+                events=[
+                    ReservationEvent.from_dict(event)
+                    for event in payload.get("events", [])
+                ],
+                events_dropped=int(payload.get("events_dropped", 0)),
+                monitoring=dict(payload.get("monitoring", {})),
+            )
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            raise TraceFormatError(
+                f"malformed trace document: {type(exc).__name__}: {exc}"
+            ) from exc
 
     def counters(self) -> Dict[str, float]:
         """Flat ``name{labels} -> value`` view of the counters."""
@@ -133,7 +140,7 @@ class TraceDocument:
 
 
 def load_trace(path: PathLike) -> TraceDocument:
-    """Load and normalise a trace JSON file (schema v1 through v4)."""
+    """Load a trace JSON file (see :meth:`TraceDocument.from_dict`)."""
     payload = json.loads(Path(path).read_text())
     return TraceDocument.from_dict(payload)
 
@@ -258,7 +265,7 @@ class BrokerTimeline:
 def broker_timelines(doc: TraceDocument) -> Dict[str, BrokerTimeline]:
     """Per-resource utilization/rejection timelines from ``broker.*`` events.
 
-    Returns an empty mapping for v1 documents (no event log).
+    Returns an empty mapping for a document without an event log.
     """
     timelines: Dict[str, BrokerTimeline] = {}
     ordered = sorted(
@@ -332,7 +339,8 @@ def top_bottlenecks(doc: TraceDocument, k: int = 5) -> List[BottleneckReport]:
     ``session.admitted``) names the plan's psi bottleneck; every
     ``session.rejected(reason=admission_failed)`` names the resource
     that lost the phase-3 race; every ``broker.reject`` is a raw
-    admission refusal.  v1 documents yield an empty list.
+    admission refusal.  A document without an event log yields an empty
+    list.
     """
     reports: Dict[str, BottleneckReport] = {}
 
@@ -402,8 +410,9 @@ class FaultSummary:
 def fault_summary(doc: TraceDocument) -> FaultSummary:
     """Aggregate the fault-injection and recovery events of a document.
 
-    Returns an all-zero summary for fault-free (or v1) documents, so
-    callers can unconditionally ask and print only when non-empty.
+    Returns an all-zero summary for fault-free (or event-less)
+    documents, so callers can unconditionally ask and print only when
+    non-empty.
     """
     summary = FaultSummary()
     for event in doc.events:
@@ -480,8 +489,8 @@ def adaptation_summary(doc: TraceDocument) -> AdaptationSummary:
     Every ``session.renegotiated`` is causally matched (by session id)
     to the latest earlier ``session.drift`` that triggered it; unmatched
     renegotiations are counted separately so the drift -> renegotiation
-    chain is auditable.  Returns an all-zero
-    summary for documents without monitoring events (v1/v2 included).
+    chain is auditable.  Returns an all-zero summary for documents
+    without monitoring events.
     """
     summary = AdaptationSummary()
     last_trigger_seq: Dict[str, int] = {}

@@ -1,8 +1,7 @@
 """``repro-obs`` -- post-mortem analysis of exported trace documents.
 
-Subcommands (all consume the JSON trace documents that
-:class:`~repro.obs.ObservationSession` / ``--trace-json`` write; schema
-v1 and v2 both load):
+Subcommands (all consume the schema-v4 JSON trace documents that
+:class:`~repro.obs.ObservationSession` / ``--trace-json`` write):
 
 * ``summarize``     -- meta, phase timings, session outcomes, event
   counts, per-broker rejection rates and the top bottleneck resources;
@@ -16,10 +15,10 @@ v1 and v2 both load):
   on the ledgers' runner fingerprints: different machines never
   hard-compare wall-clock leaves);
 * ``watch``         -- the monitoring-plane timeline of a trace
-  (drift detections, SLO violations, renegotiations), replaying the
+  (broker digests, drift detections, renegotiations), replaying the
   online monitor over the event log when the run had none live;
 * ``monitor-report``-- the monitoring digest (per-broker estimators,
-  drift/SLO/renegotiation counts, causal drift->renegotiation pairs);
+  drift/renegotiation counts, causal drift->renegotiation pairs);
 * ``export-prom``   -- the document's metrics snapshot in Prometheus
   text exposition format;
 * ``stitch``        -- merge a client-side and a daemon-side trace
@@ -248,12 +247,7 @@ def _cmd_top(args: argparse.Namespace) -> int:
     doc = _load_trace(args.trace)
     lines = _bottleneck_lines(doc, args.k)
     if not lines:
-        _print(
-            [
-                "no bottleneck signals in this trace "
-                "(schema v1 documents carry no event log)"
-            ]
-        )
+        _print(["no bottleneck signals in this trace"])
         return 0
     broker = _broker_lines(doc, limit=args.k)
     if broker:
@@ -419,7 +413,7 @@ def _monitor_events(doc: analyze.TraceDocument, threshold: Optional[float]):
 def _cmd_watch(args: argparse.Namespace) -> int:
     doc = _load_trace(args.trace)
     if not doc.events:
-        _print(["no event log in this trace (schema v1 documents carry none)"])
+        _print(["no event log in this trace"])
         return 0
     events, replayed, _monitor = _monitor_events(doc, args.threshold)
     header = (
@@ -950,7 +944,7 @@ def build_parser() -> argparse.ArgumentParser:
     watch = sub.add_parser(
         "watch",
         help="chronological timeline of monitoring-plane events "
-        "(drift, SLO violations, renegotiations)",
+        "(broker digests, drift, renegotiations)",
     )
     watch.add_argument("trace", help="trace JSON document")
     watch.add_argument(
@@ -970,7 +964,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     monitor_report = sub.add_parser(
         "monitor-report",
-        help="monitoring-plane summary: estimators, SLOs, adaptation outcomes, "
+        help="monitoring-plane summary: estimators, adaptation outcomes, "
         "and drift->renegotiation causal chains",
     )
     monitor_report.add_argument("trace", help="trace JSON document")

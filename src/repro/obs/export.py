@@ -35,15 +35,15 @@ __all__ = [
 
 PathLike = Union[str, Path]
 
-#: Schema version stamped into every JSON trace document.  v2 added the
-#: causal reservation event log (``events`` + ``event_counts``); v3
-#: added the optional ``monitoring`` section (the online monitoring
-#: plane's digest, see :mod:`repro.obs.monitor`); v4 added optional
+#: Schema version stamped into every JSON trace document, the one
+#: version :func:`repro.obs.analyze.load_trace` reads.  Beside spans and
+#: metrics a document may carry the causal reservation event log
+#: (``events`` + ``event_counts``), the ``monitoring`` section (the
+#: online monitoring plane's digest, see :mod:`repro.obs.monitor`),
 #: ``trace_id``/``request_id`` keys on spans and events (present only
 #: when a request-scoped :mod:`repro.obs.context` was bound -- the
-#: cross-process linkage ``repro-obs stitch`` merges on) plus the
-#: flight-recorder ``meta`` fields of :mod:`repro.obs.flight`.  v1-v3
-#: documents remain loadable -- see :func:`repro.obs.analyze.load_trace`.
+#: cross-process linkage ``repro-obs stitch`` merges on) and the
+#: flight-recorder ``meta`` fields of :mod:`repro.obs.flight`.
 TRACE_SCHEMA_VERSION = 4
 
 

@@ -56,6 +56,22 @@ MONITOR_EVENT_KINDS = frozenset(
     {"broker.observed", "session.drift", "session.renegotiated"}
 )
 
+#: Smoothing factor of the EWMA estimators (1.0 = last sample wins).
+EWMA_ALPHA = 0.3
+#: The §4.3.1 averaging window ``T`` of the online alpha, sim time.
+ALPHA_WINDOW = 3.0
+#: Rolling window of the rejection-rate estimator, sim time.
+RATE_WINDOW = 60.0
+#: One ``broker.observed`` digest every N availability updates of a
+#: resource.
+OBSERVE_EVERY = 8
+#: Renegotiation budget per session.
+MAX_RENEGOTIATIONS = 2
+#: Minimum sim time between renegotiations of one session.
+COOLDOWN = 5.0
+#: Bound on the adaptation queue; overflow is counted, not grown.
+QUEUE_CAPACITY = 256
+
 #: Watchdog-latency boundaries (seconds): event dispatch is microseconds.
 WATCHDOG_BUCKETS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 1e-3, 1e-2,
@@ -64,7 +80,7 @@ WATCHDOG_BUCKETS: Tuple[float, ...] = (
 
 @dataclass(frozen=True)
 class MonitorConfig:
-    """Tuning knobs of the online monitoring plane.
+    """What a run asks of the online monitoring plane.
 
     Frozen and picklable so it can ride on a
     :class:`~repro.sim.SimulationConfig` into pool workers.
@@ -73,52 +89,13 @@ class MonitorConfig:
     #: Relative divergence between a session's planned-against
     #: availability and the live EWMA estimate that counts as drift.
     drift_threshold: float = 0.25
-    #: Smoothing factor of the EWMA estimators (1.0 = last sample wins).
-    ewma_alpha: float = 0.3
-    #: The §4.3.1 averaging window ``T`` of the online alpha, sim time.
-    window: float = 3.0
-    #: Rolling window of the rejection-rate estimator, sim time.
-    rate_window: float = 60.0
-    #: Emit one ``broker.observed`` digest every N availability updates
-    #: of a resource (0 disables the digests).
-    observe_every: int = 8
     #: Drive the adaptation loop (renegotiations); False = detect only.
     adapt: bool = True
-    #: Renegotiation budget per session.
-    max_renegotiations: int = 2
-    #: Minimum sim time between renegotiations of one session.
-    cooldown: float = 5.0
-    #: Bound on the adaptation queue; overflow is counted, not grown.
-    queue_capacity: int = 256
 
     def __post_init__(self) -> None:
         if self.drift_threshold <= 0:
             raise ValueError(
                 f"drift_threshold must be positive, got {self.drift_threshold!r}"
-            )
-        if not 0.0 < self.ewma_alpha <= 1.0:
-            raise ValueError(
-                f"ewma_alpha must lie in (0, 1], got {self.ewma_alpha!r}"
-            )
-        if self.window <= 0:
-            raise ValueError(f"window must be positive, got {self.window!r}")
-        if self.rate_window <= 0:
-            raise ValueError(
-                f"rate_window must be positive, got {self.rate_window!r}"
-            )
-        if self.observe_every < 0:
-            raise ValueError(
-                f"observe_every must be >= 0, got {self.observe_every!r}"
-            )
-        if self.max_renegotiations < 0:
-            raise ValueError(
-                f"max_renegotiations must be >= 0, got {self.max_renegotiations!r}"
-            )
-        if self.cooldown < 0:
-            raise ValueError(f"cooldown must be >= 0, got {self.cooldown!r}")
-        if self.queue_capacity <= 0:
-            raise ValueError(
-                f"queue_capacity must be positive, got {self.queue_capacity!r}"
             )
 
 
@@ -135,7 +112,7 @@ class BrokerEstimate:
         "_attempts",
     )
 
-    def __init__(self, resource: str, window: float) -> None:
+    def __init__(self, resource: str) -> None:
         self.resource = resource
         #: EWMA of observed availability (None until the first sample --
         #: an empty history never divides or drifts).
@@ -146,68 +123,62 @@ class BrokerEstimate:
         self.psi: Optional[float] = None
         #: Availability samples folded in so far.
         self.updates: int = 0
-        self._history = AvailabilityHistory(window=window)
+        self._history = AvailabilityHistory(window=ALPHA_WINDOW)
         #: (sim time, rejected) of each admission attempt, rolling.
         self._attempts: Deque[Tuple[float, bool]] = deque()
 
-    def record_available(
-        self, now: Optional[float], available: float, ewma_alpha: float
-    ) -> None:
+    def record_available(self, now: Optional[float], available: float) -> None:
         """Fold one availability observation into the estimators."""
         if self.ewma_available is None:
             self.ewma_available = float(available)
         else:
-            self.ewma_available += ewma_alpha * (available - self.ewma_available)
+            self.ewma_available += EWMA_ALPHA * (available - self.ewma_available)
         if now is not None:
             self.alpha = self._history.alpha(now, available)
         self.updates += 1
 
-    def record_attempt(
-        self, now: Optional[float], rejected: bool, rate_window: float
-    ) -> None:
+    def record_attempt(self, now: Optional[float], rejected: bool) -> None:
         """Record one admission attempt for the rolling rejection rate."""
         if now is None:
             return
         self._attempts.append((now, rejected))
-        self._prune(now, rate_window)
+        self._prune(now)
 
-    def record_psi(self, psi: float, ewma_alpha: float) -> None:
+    def record_psi(self, psi: float) -> None:
         """Fold one bottleneck contention index into the psi EWMA."""
         if self.psi is None:
             self.psi = float(psi)
         else:
-            self.psi += ewma_alpha * (psi - self.psi)
+            self.psi += EWMA_ALPHA * (psi - self.psi)
 
-    def rejection_rate(self, now: Optional[float], rate_window: float) -> float:
+    def rejection_rate(self, now: Optional[float]) -> float:
         """Rejected fraction of the attempts within the rolling window."""
         if now is not None:
-            self._prune(now, rate_window)
+            self._prune(now)
         if not self._attempts:
             return 0.0
         rejected = sum(1 for _t, was_rejected in self._attempts if was_rejected)
         return rejected / len(self._attempts)
 
-    def attempt_counts(
-        self, now: Optional[float], rate_window: float
-    ) -> Tuple[int, int]:
+    def attempt_counts(self, now: Optional[float]) -> Tuple[int, int]:
         """(attempts, rejections) within the rolling window."""
         if now is not None:
-            self._prune(now, rate_window)
+            self._prune(now)
         rejected = sum(1 for _t, was_rejected in self._attempts if was_rejected)
         return len(self._attempts), rejected
 
-    def _prune(self, now: float, rate_window: float) -> None:
-        cutoff = now - rate_window
+    def _prune(self, now: float) -> None:
+        cutoff = now - RATE_WINDOW
         while self._attempts and self._attempts[0][0] < cutoff:
             self._attempts.popleft()
 
-    def digest(self, now: Optional[float], rate_window: float) -> dict:
+    def digest(self, now: Optional[float]) -> dict:
         """JSON-compatible snapshot of the estimators."""
         return {
             "ewma_available": self.ewma_available,
             "alpha": self.alpha,
             "psi": self.psi,
-            "rejection_rate": self.rejection_rate(now, rate_window),
+            "rejection_rate": self.rejection_rate(now),
             "updates": self.updates,
         }
 
@@ -319,9 +290,7 @@ class OnlineMonitor:
     def _estimate_for(self, resource: str) -> BrokerEstimate:
         estimate = self.estimates.get(resource)
         if estimate is None:
-            estimate = self.estimates[resource] = BrokerEstimate(
-                resource, self.config.window
-            )
+            estimate = self.estimates[resource] = BrokerEstimate(resource)
         return estimate
 
     def _observe(
@@ -330,16 +299,10 @@ class OnlineMonitor:
         if resource is None or available is None:
             return
         estimate = self._estimate_for(resource)
-        estimate.record_available(now, float(available), self.config.ewma_alpha)
-        if (
-            self.config.observe_every
-            and estimate.updates % self.config.observe_every == 0
-        ):
+        estimate.record_available(now, float(available))
+        if estimate.updates % OBSERVE_EVERY == 0:
             self._emit(
-                "broker.observed",
-                resource=resource,
-                time=now,
-                **estimate.digest(now, self.config.rate_window),
+                "broker.observed", resource=resource, time=now, **estimate.digest(now)
             )
         self._check_drift(resource, now)
 
@@ -348,9 +311,7 @@ class OnlineMonitor:
     ) -> None:
         if resource is None:
             return
-        self._estimate_for(resource).record_attempt(
-            now, rejected, self.config.rate_window
-        )
+        self._estimate_for(resource).record_attempt(now, rejected)
 
     # -- session baselines --------------------------------------------------
 
@@ -370,14 +331,10 @@ class OnlineMonitor:
             if self._psi_ewma is None:
                 self._psi_ewma = float(psi)
             else:
-                self._psi_ewma += self.config.ewma_alpha * (
-                    float(psi) - self._psi_ewma
-                )
+                self._psi_ewma += EWMA_ALPHA * (float(psi) - self._psi_ewma)
             bottleneck = event.attributes.get("bottleneck")
             if bottleneck:
-                self._estimate_for(str(bottleneck)).record_psi(
-                    float(psi), self.config.ewma_alpha
-                )
+                self._estimate_for(str(bottleneck)).record_psi(float(psi))
 
     def _admit_session(self, event: ReservationEvent) -> None:
         session_id = event.session
@@ -403,9 +360,7 @@ class OnlineMonitor:
             if self._qos_ewma is None:
                 self._qos_ewma = float(watch.level)
             else:
-                self._qos_ewma += self.config.ewma_alpha * (
-                    watch.level - self._qos_ewma
-                )
+                self._qos_ewma += EWMA_ALPHA * (watch.level - self._qos_ewma)
 
     def _forget_session(self, session_id: str) -> None:
         previous = self._active.pop(session_id, None)
@@ -468,7 +423,7 @@ class OnlineMonitor:
         attempts = 0
         rejected = 0
         for estimate in self.estimates.values():
-            seen, bad = estimate.attempt_counts(now, self.config.rate_window)
+            seen, bad = estimate.attempt_counts(now)
             attempts += seen
             rejected += bad
         return rejected / attempts if attempts else 0.0
@@ -506,7 +461,7 @@ class OnlineMonitor:
             "psi_ewma": self._psi_ewma,
             "rejection_rate": self.global_rejection_rate(now),
             "brokers": {
-                resource: self.estimates[resource].digest(now, self.config.rate_window)
+                resource: self.estimates[resource].digest(now)
                 for resource in sorted(self.estimates)
             },
         }
@@ -544,9 +499,8 @@ class AdaptationPolicy:
     raise further triggers, which queue (bounded) and drain in order.
     """
 
-    def __init__(self, coordinator, config: Optional[MonitorConfig] = None) -> None:
+    def __init__(self, coordinator) -> None:
         self.coordinator = coordinator
-        self.config = config if config is not None else MonitorConfig()
         self.monitor: Optional[OnlineMonitor] = None
         self._contexts: Dict[str, dict] = {}
         self._pending: Deque[Tuple[str, str, Optional[float]]] = deque()
@@ -608,12 +562,12 @@ class AdaptationPolicy:
     def _enqueue(self, session_id: str, trigger: str, now: Optional[float]) -> None:
         if session_id not in self._contexts or session_id in self.dropped:
             return
-        if self._count.get(session_id, 0) >= self.config.max_renegotiations:
+        if self._count.get(session_id, 0) >= MAX_RENEGOTIATIONS:
             return
         last = self._last.get(session_id)
-        if last is not None and now is not None and now - last < self.config.cooldown:
+        if last is not None and now is not None and now - last < COOLDOWN:
             return
-        if len(self._pending) >= self.config.queue_capacity:
+        if len(self._pending) >= QUEUE_CAPACITY:
             self.queue_dropped += 1
             return
         self._pending.append((session_id, trigger, now))
@@ -636,7 +590,7 @@ class AdaptationPolicy:
         context = self._contexts.get(session_id)
         if context is None or session_id in self.dropped:
             return
-        if self._count.get(session_id, 0) >= self.config.max_renegotiations:
+        if self._count.get(session_id, 0) >= MAX_RENEGOTIATIONS:
             return
         self._count[session_id] = self._count.get(session_id, 0) + 1
         if now is not None:

@@ -130,17 +130,21 @@ class ScrapeResult:
     samples: int
 
 
+#: Points each scraped series keeps: at the default 1 Hz scrape, twelve
+#: minutes of history, far past any burn-rate window this repo uses.
+SERIES_CAPACITY = 720
+
+
 class _Series:
     """One bounded ring of (timestamp, value) points."""
 
     __slots__ = ("kind", "name", "labels", "points")
 
-    def __init__(self, kind: str, name: str, labels: Dict[str, str],
-                 capacity: int) -> None:
+    def __init__(self, kind: str, name: str, labels: Dict[str, str]) -> None:
         self.kind = kind
         self.name = name
         self.labels = labels
-        self.points: Deque[Tuple[float, float]] = deque(maxlen=capacity)
+        self.points: Deque[Tuple[float, float]] = deque(maxlen=SERIES_CAPACITY)
 
     def record(self, ts: float, value: float) -> None:
         self.points.append((ts, value))
@@ -228,15 +232,11 @@ class TimeSeriesStore:
     """In-memory ring store for scraped fleet samples.
 
     Keyed twice: by target (one ring set per scraped process) and
-    within a target by the parsed sample key.  ``capacity`` bounds each
-    series' ring -- at the default 1 Hz scrape, 720 points is twelve
-    minutes of history, far past any burn-rate window this repo uses.
+    within a target by the parsed sample key.  :data:`SERIES_CAPACITY`
+    bounds each series' ring.
     """
 
-    def __init__(self, *, capacity: int = 720) -> None:
-        if capacity < 2:
-            raise ValueError("TimeSeriesStore capacity must be >= 2")
-        self._capacity = capacity
+    def __init__(self) -> None:
         self._targets: Dict[str, TargetMeta] = {}
         self._series: Dict[str, Dict[str, _Series]] = {}
 
@@ -259,7 +259,7 @@ class TimeSeriesStore:
             # suffix outside the label braces; name/labels always come
             # from the base sample key.
             name, labels = split_series_key(key.split("#", 1)[0])
-            series = _Series(kind, name, labels, self._capacity)
+            series = _Series(kind, name, labels)
             rings[key] = series
             if kind == "counter" and baseline is not None:
                 # The target was scraped before without this counter, so

@@ -95,8 +95,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
         "grid + planner seed (admissions are deterministic given the seed "
         "and request order)",
     )
-    parser.add_argument("--subscriber-queue", type=int, default=256,
-                        help="default per-WebSocket-subscriber queue bound")
     parser.add_argument("--drain-timeout", type=float, default=10.0,
                         help="seconds to wait for in-flight admissions on "
                              "shutdown")
@@ -123,7 +121,6 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
     return DaemonConfig(
         host=args.host,
         port=args.port,
-        subscriber_queue=args.subscriber_queue,
         drain_timeout=args.drain_timeout,
         access_log=args.access_log,
         flight_dir=args.flight_dir,

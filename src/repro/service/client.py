@@ -3,11 +3,10 @@
 One :class:`ServiceClient` talks to one daemon.  Admission calls share
 a small keep-alive connection pool: a socket is opened on demand,
 parked after a ``Connection: keep-alive`` response, and reused by the
-next request (``keep_alive=False`` restores the historical
-``Connection: close`` exchange per request).  A request that finds its
-pooled socket already closed by the daemon is retried once on a fresh
-connection -- only when the old socket died before yielding any
-response bytes, so the request cannot have been executed twice.
+next request.  A request that finds its pooled socket already closed
+by the daemon is retried once on a fresh connection -- only when the
+old socket died before yielding any response bytes, so the request
+cannot have been executed twice.
 :attr:`ServiceClient.connections_opened` and
 :attr:`ServiceClient.connections_reused` count the raw socket traffic
 (the load generator surfaces them in its report).
@@ -44,6 +43,9 @@ __all__ = [
     "ServiceClientError",
     "ServiceDrainingError",
 ]
+
+#: Seconds :meth:`ServiceClient.events` waits for the WebSocket upgrade.
+HANDSHAKE_TIMEOUT = 10.0
 
 
 class ServiceClientError(RuntimeError):
@@ -101,10 +103,9 @@ class ServiceResponse:
 class ServiceClient:
     """Talks to one :class:`~repro.service.daemon.ReservationDaemon`."""
 
-    def __init__(self, host: str, port: int, *, keep_alive: bool = True) -> None:
+    def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self.keep_alive = keep_alive
         self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
         #: Raw sockets opened so far (pool misses + ``Connection: close``).
         self.connections_opened = 0
@@ -152,7 +153,7 @@ class ServiceClient:
         head_lines = [
             f"{method} {path} HTTP/1.1",
             f"Host: {self.host}:{self.port}",
-            "Connection: keep-alive" if self.keep_alive else "Connection: close",
+            "Connection: keep-alive",
             f"Content-Length: {len(body)}",
             "Content-Type: application/json",
         ]
@@ -186,11 +187,7 @@ class ServiceClient:
                     if reused and attempt == 0:
                         continue
                     raise
-                keep = (
-                    self.keep_alive
-                    and response.headers.get("connection", "").lower() != "close"
-                )
-                if keep:
+                if response.headers.get("connection", "").lower() != "close":
                     self._release(reader, writer)
                 else:
                     await _close_writer(writer)
@@ -262,9 +259,7 @@ class ServiceClient:
 
     # -- the event plane ---------------------------------------------------
 
-    async def events(
-        self, *, queue: Optional[int] = None, handshake_timeout: float = 10.0
-    ) -> AsyncIterator[dict]:
+    async def events(self, *, queue: Optional[int] = None) -> AsyncIterator[dict]:
         """Subscribe to ``/v1/events``; yields event dicts until closed.
 
         ``queue`` requests a specific per-subscriber bound from the
@@ -288,7 +283,7 @@ class ServiceClient:
             writer.write(head.encode("latin-1"))
             await writer.drain()
             status_line = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=handshake_timeout
+                reader.readuntil(b"\r\n\r\n"), timeout=HANDSHAKE_TIMEOUT
             )
             if b" 101 " not in status_line.split(b"\r\n", 1)[0]:
                 raise ServiceClientError(400, status_line.decode("latin-1", "replace"))

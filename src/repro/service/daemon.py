@@ -157,8 +157,6 @@ class DaemonConfig:
     capacity_range: Tuple[float, float] = (1000.0, 4000.0)
     contention_index: str = "ratio"
     tie_break: bool = True
-    #: Per-WebSocket-subscriber queue bound (the slow-consumer cutoff).
-    subscriber_queue: int = 256
     #: Seconds shutdown waits for in-flight admissions before forcing.
     drain_timeout: float = 10.0
     #: Emit one JSON access-log line per request to stderr.
@@ -188,8 +186,6 @@ class DaemonConfig:
                 f"unknown contention index {self.contention_index!r}; "
                 f"pick from {sorted(CONTENTION_INDICES)}"
             )
-        if self.subscriber_queue < 2:
-            raise ModelError("subscriber_queue must be >= 2")
         if self.drain_timeout < 0:
             raise ModelError("drain_timeout must be >= 0")
         if self.shard_count < 1:
@@ -231,7 +227,7 @@ class ReservationService:
         self.flight = FlightRecorder()
         #: The one event log, and the flight recorder's event ring.
         self.log = self.flight.log
-        self.plane = EventPlane(queue_size=config.subscriber_queue)
+        self.plane = EventPlane()
         self.grid = GridEnvironment(
             self.env, self.streams, capacity_range=config.capacity_range
         )
@@ -1005,6 +1001,8 @@ class ReservationDaemon(ServingShell):
         queue_size = None
         if "queue" in request.query:
             try:
+                # One slot for the truncation marker plus one for a
+                # payload lets a stalled consumer recover.
                 queue_size = max(2, int(request.query["queue"]))
             except ValueError:
                 queue_size = None

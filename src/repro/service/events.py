@@ -35,6 +35,10 @@ __all__ = ["EventPlane", "EventSubscriber", "TRUNCATION_KIND"]
 #: per-subscriber and says "events were emitted that *you* did not get".
 TRUNCATION_KIND = "stream.truncated"
 
+#: Bound of a subscriber's queue (the slow-consumer cutoff) unless the
+#: subscription asks for another (``GET /v1/events?queue=N``).
+SUBSCRIBER_QUEUE = 256
+
 #: Sentinel closing a subscriber's stream (queued on detach/close).
 _CLOSE = None
 
@@ -65,12 +69,7 @@ class EventSubscriber:
 class EventPlane:
     """Fans one :class:`EventLog` out to bounded per-subscriber queues."""
 
-    def __init__(self, *, queue_size: int = 256) -> None:
-        if queue_size < 2:
-            # One slot for the truncation marker plus one for a payload
-            # is the minimum that lets a stalled consumer ever recover.
-            raise ValueError(f"queue_size must be >= 2, got {queue_size!r}")
-        self.queue_size = queue_size
+    def __init__(self) -> None:
         self._subscribers: Dict[int, EventSubscriber] = {}
         self._ids = itertools.count(1)
         self._log: Optional[EventLog] = None
@@ -109,7 +108,7 @@ class EventPlane:
 
     def subscribe(self, *, queue_size: Optional[int] = None) -> EventSubscriber:
         """A new subscriber receiving every event from now on."""
-        subscriber = EventSubscriber(next(self._ids), queue_size or self.queue_size)
+        subscriber = EventSubscriber(next(self._ids), queue_size or SUBSCRIBER_QUEUE)
         self._subscribers[subscriber.subscriber_id] = subscriber
         if self._log is not None:
             self._log.subscribe(self._deliver)  # idempotent

@@ -25,7 +25,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = [
@@ -171,7 +171,6 @@ def response_bytes(
     body: bytes = b"",
     *,
     content_type: str = "application/json",
-    extra_headers: Optional[Mapping[str, str]] = None,
     close: bool = True,
 ) -> bytes:
     """Serialize one HTTP response.
@@ -187,8 +186,6 @@ def response_bytes(
         f"Content-Length: {len(body)}",
         "Connection: close" if close else "Connection: keep-alive",
     ]
-    for name, value in (extra_headers or {}).items():
-        lines.append(f"{name}: {value}")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 

@@ -6,8 +6,8 @@ Replays the §5.1 Poisson arrival process against a live
 fires its ``/v1/establish`` at ``arrival_time * time_scale`` seconds
 after start *regardless of how earlier requests are doing* (open loop --
 the daemon's queueing shows up as admission latency, exactly what a
-closed loop would hide).  Admitted sessions optionally hold their
-reservation for a scaled duration and then tear down.
+closed loop would hide).  Admitted sessions hold their reservation for
+a scaled duration and then tear down.
 
 The run distils into a :class:`LoadReport` whose :meth:`headline
 <LoadReport.headline>` feeds the committed ``BENCH_service_load``
@@ -73,25 +73,16 @@ class LoadGenConfig:
     #: Hold admitted reservations for ``duration * time_scale`` wall
     #: seconds (capped) before tearing down; 0 tears down immediately.
     max_hold_seconds: float = 0.25
-    #: Tear admitted sessions down at all (off = leak them on purpose).
-    teardown: bool = True
-    #: Stop after this many arrivals (None = the full horizon).
-    max_sessions: Optional[int] = None
-    #: Send arrivals in establish_batch groups of this size instead of
-    #: one establish per client (1 = plain per-session open loop).
-    batch: int = 1
-    #: Bind a fresh root trace context per arrival (per group when
-    #: batching) so every request carries ``traceparent`` headers, and
-    #: record client-side spans into a run-local tracer; the run's
-    #: :class:`LoadReport` then carries a schema-v4 trace document ready
-    #: for ``repro-obs stitch`` against the daemon's flight dump.
+    #: Bind a fresh root trace context per arrival so every request
+    #: carries ``traceparent`` headers, and record client-side spans
+    #: into a run-local tracer; the run's :class:`LoadReport` then
+    #: carries a schema-v4 trace document ready for ``repro-obs
+    #: stitch`` against the daemon's flight dump.
     trace: bool = False
 
     def __post_init__(self) -> None:
         if self.time_scale <= 0:
             raise ValueError(f"time_scale must be positive, got {self.time_scale!r}")
-        if self.batch < 1:
-            raise ValueError(f"batch must be >= 1, got {self.batch!r}")
 
 
 @dataclass
@@ -192,8 +183,6 @@ async def run_load(host: str, port: int, config: LoadGenConfig) -> LoadReport:
     """Replay the configured workload against a live daemon."""
     generator = WorkloadGenerator(config.workload, RandomStreams(config.seed))
     arrivals = list(generator.generate())
-    if config.max_sessions is not None:
-        arrivals = arrivals[: config.max_sessions]
     client = ServiceClient(host, port)
     tracker = _Tracker()
     tracer = _trace.Tracer() if config.trace else None
@@ -202,24 +191,10 @@ async def run_load(host: str, port: int, config: LoadGenConfig) -> LoadReport:
         _trace.install(tracer)
     started = _time.perf_counter()
     try:
-        if config.batch > 1:
-            groups = [
-                arrivals[i : i + config.batch]
-                for i in range(0, len(arrivals), config.batch)
-            ]
-            tasks = [
-                asyncio.create_task(
-                    _batch_client(client, group, config, tracker, started)
-                )
-                for group in groups
-            ]
-        else:
-            tasks = [
-                asyncio.create_task(
-                    _one_client(client, arrival, config, tracker, started)
-                )
-                for arrival in arrivals
-            ]
+        tasks = [
+            asyncio.create_task(_one_client(client, arrival, config, tracker, started))
+            for arrival in arrivals
+        ]
         if tasks:
             await asyncio.gather(*tasks)
     finally:
@@ -257,14 +232,6 @@ async def run_load(host: str, port: int, config: LoadGenConfig) -> LoadReport:
     )
 
 
-async def _pace(arrival_time: float, config: LoadGenConfig, started: float) -> None:
-    """Sleep until the arrival's scheduled open-loop fire time."""
-    due = arrival_time * config.time_scale
-    delay = due - (_time.perf_counter() - started)
-    if delay > 0:
-        await asyncio.sleep(delay)
-
-
 async def _one_client(
     client: ServiceClient,
     arrival: SessionArrival,
@@ -272,7 +239,11 @@ async def _one_client(
     tracker: _Tracker,
     started: float,
 ) -> None:
-    await _pace(arrival.arrival_time, config, started)
+    # Open loop: fire at the scheduled time, however earlier requests fare.
+    due = arrival.arrival_time * config.time_scale
+    delay = due - (_time.perf_counter() - started)
+    if delay > 0:
+        await asyncio.sleep(delay)
     tracker.enter()
     token = None
     if config.trace:
@@ -303,62 +274,12 @@ async def _one_client(
         tracker.leave()
 
 
-async def _batch_client(
-    client: ServiceClient,
-    group: List[SessionArrival],
-    config: LoadGenConfig,
-    tracker: _Tracker,
-    started: float,
-) -> None:
-    """One client submitting a whole batch at its first arrival's time."""
-    await _pace(group[0].arrival_time, config, started)
-    tracker.enter()
-    token = None
-    if config.trace:
-        token = _context.bind_trace_context(
-            _context.new_trace_context(
-                request_id=f"batch-{group[0].session_id}"
-            )
-        )
-    try:
-        sent = _time.perf_counter()
-        try:
-            with _trace.span("loadgen.establish_batch") as span:
-                span.set(
-                    session=group[0].session_id, batch_size=len(group)
-                )
-                outcomes = await client.establish_batch(
-                    [arrival_payload(arrival) for arrival in group]
-                )
-        except (ServiceClientError, ConnectionError, OSError):
-            tracker.errors += len(group)
-            return
-        tracker.latencies_ms.append((_time.perf_counter() - sent) * 1e3)
-        holders = []
-        for arrival, outcome in zip(group, outcomes):
-            if outcome.get("success"):
-                tracker.admitted += 1
-                holders.append(
-                    _hold_and_teardown(client, arrival, config, tracker)
-                )
-            else:
-                tracker.rejected += 1
-        if holders:
-            await asyncio.gather(*holders)
-    finally:
-        if token is not None:
-            _context.reset_trace_context(token)
-        tracker.leave()
-
-
 async def _hold_and_teardown(
     client: ServiceClient,
     arrival: SessionArrival,
     config: LoadGenConfig,
     tracker: _Tracker,
 ) -> None:
-    if not config.teardown:
-        return
     hold = min(arrival.duration * config.time_scale, config.max_hold_seconds)
     if hold > 0:
         await asyncio.sleep(hold)
@@ -383,10 +304,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                         help="wall seconds per workload TU")
     parser.add_argument("--max-hold", type=float, default=0.25,
                         help="cap on scaled reservation hold, seconds")
-    parser.add_argument("--max-sessions", type=int, default=None)
-    parser.add_argument("--batch", type=int, default=1,
-                        help="establish_batch group size (1 = per-session)")
-    parser.add_argument("--no-teardown", action="store_true")
     parser.add_argument("--out", default=None,
                         help="write the report JSON here")
     parser.add_argument("--trace-json", default=None,
@@ -401,9 +318,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         seed=args.seed,
         time_scale=args.time_scale,
         max_hold_seconds=args.max_hold,
-        teardown=not args.no_teardown,
-        max_sessions=args.max_sessions,
-        batch=args.batch,
         trace=args.trace_json is not None,
     )
     report = asyncio.run(run_load(args.host, args.port, config))

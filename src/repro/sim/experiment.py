@@ -80,7 +80,7 @@ class SimulationConfig:
     #: a zero FaultConfig routes through the fault-tolerant coordinator
     #: but is regression-tested byte-identical).  See :mod:`repro.faults`.
     faults: Optional[FaultConfig] = None
-    #: Online monitoring plane: streaming drift detection, SLO watchdogs
+    #: Online monitoring plane: streaming estimators, drift detection
     #: and (with ``adapt=True``) §5 renegotiation of live sessions.
     #: None = no monitor subscribed, zero overhead.  See
     #: :mod:`repro.obs.monitor`.
@@ -126,7 +126,7 @@ class SimulationResult:
     #: Digest of the online monitoring plane (None when the config
     #: carried no :class:`~repro.obs.monitor.MonitorConfig`): the
     #: :meth:`OnlineMonitor.report` document -- estimators per broker,
-    #: drift/SLO counts and the adaptation outcomes.  Plain JSON types,
+    #: drift counts and the adaptation outcomes.  Plain JSON types,
     #: so it survives the process boundary of parallel sweeps.
     monitor_stats: Optional[Dict[str, object]] = None
 
@@ -258,7 +258,7 @@ def _run_simulation(
             stream_log = private_log = EventLog(capacity=1)
             _obs_events.install(private_log)
         if config.monitoring.adapt:
-            policy = AdaptationPolicy(grid.coordinator, config.monitoring)
+            policy = AdaptationPolicy(grid.coordinator)
         monitor = OnlineMonitor(config.monitoring, log=stream_log, policy=policy)
         stream_log.subscribe(monitor.on_event)
 

@@ -25,7 +25,10 @@ from repro.obs.analyze import adaptation_summary, load_trace
 from repro.obs.events import EventLog
 from repro.obs.export import TRACE_SCHEMA_VERSION
 from repro.obs.monitor import (
+    EWMA_ALPHA,
     MONITOR_EVENT_KINDS,
+    OBSERVE_EVERY,
+    RATE_WINDOW,
     AdaptationPolicy,
     BrokerEstimate,
     MonitorConfig,
@@ -78,14 +81,7 @@ class TestConfigValidation:
         "kw",
         [
             {"drift_threshold": 0.0},
-            {"ewma_alpha": 0.0},
-            {"ewma_alpha": 1.5},
-            {"window": -1.0},
-            {"rate_window": 0.0},
-            {"observe_every": -1},
-            {"max_renegotiations": -1},
-            {"cooldown": -0.1},
-            {"queue_capacity": 0},
+            {"drift_threshold": -1.0},
         ],
     )
     def test_bad_values_rejected(self, kw):
@@ -97,41 +93,41 @@ class TestBrokerEstimate:
     def test_empty_history_is_inert(self):
         """No samples: alpha stays at the §4.3.1 neutral 1.0, the EWMA
         stays None (nothing to drift against), rates stay 0."""
-        estimate = BrokerEstimate("cpu:H1", window=3.0)
+        estimate = BrokerEstimate("cpu:H1")
         assert estimate.ewma_available is None
         assert estimate.alpha == 1.0
-        assert estimate.rejection_rate(10.0, 60.0) == 0.0
-        digest = estimate.digest(10.0, 60.0)
+        assert estimate.rejection_rate(10.0) == 0.0
+        digest = estimate.digest(10.0)
         assert digest["ewma_available"] is None and digest["updates"] == 0
 
     def test_first_sample_seeds_later_samples_smooth(self):
-        estimate = BrokerEstimate("cpu:H1", window=3.0)
-        estimate.record_available(1.0, 100.0, ewma_alpha=0.5)
+        estimate = BrokerEstimate("cpu:H1")
+        estimate.record_available(1.0, 100.0)
         assert estimate.ewma_available == 100.0
-        estimate.record_available(2.0, 50.0, ewma_alpha=0.5)
-        assert estimate.ewma_available == pytest.approx(75.0)
+        estimate.record_available(2.0, 50.0)
+        assert estimate.ewma_available == pytest.approx(100.0 - EWMA_ALPHA * 50.0)
         assert estimate.updates == 2
 
     def test_timeless_samples_skip_alpha(self):
         # events without a sim time still feed the EWMA but cannot be
         # placed in the §4.3.1 averaging window
-        estimate = BrokerEstimate("cpu:H1", window=3.0)
-        estimate.record_available(None, 80.0, ewma_alpha=0.3)
+        estimate = BrokerEstimate("cpu:H1")
+        estimate.record_available(None, 80.0)
         assert estimate.ewma_available == 80.0
         assert estimate.alpha == 1.0
 
     def test_rejection_rate_window_prunes(self):
-        estimate = BrokerEstimate("cpu:H1", window=3.0)
-        estimate.record_attempt(0.0, True, rate_window=10.0)
-        estimate.record_attempt(5.0, False, rate_window=10.0)
-        assert estimate.rejection_rate(5.0, 10.0) == pytest.approx(0.5)
+        estimate = BrokerEstimate("cpu:H1")
+        estimate.record_attempt(0.0, True)
+        estimate.record_attempt(5.0, False)
+        assert estimate.rejection_rate(5.0) == pytest.approx(0.5)
         # the early rejection ages out of the window
-        assert estimate.rejection_rate(11.0, 10.0) == 0.0
+        assert estimate.rejection_rate(RATE_WINDOW + 1.0) == 0.0
 
 
 class TestDriftDetection:
     def setup_monitor(self, **kw):
-        config = MonitorConfig(adapt=False, observe_every=0, **kw)
+        config = MonitorConfig(adapt=False, **kw)
         log = EventLog()
         monitor = OnlineMonitor(config, log=log)
         log.subscribe(monitor.on_event)
@@ -227,18 +223,18 @@ class TestDriftDetection:
         assert estimate.ewma_available < 100.0
 
     def test_broker_observed_digests_emitted_periodically(self):
-        config = MonitorConfig(adapt=False, observe_every=2)
+        config = MonitorConfig(adapt=False)
         log = EventLog()
         monitor = OnlineMonitor(config, log=log)
         log.subscribe(monitor.on_event)
-        for n in range(4):
+        for n in range(2 * OBSERVE_EVERY):
             log.emit(
                 "broker.release", resource="cpu:H1", time=float(n),
                 available=100.0,
             )
         observed = [e for e in log if e.kind == "broker.observed"]
         assert len(observed) == 2
-        assert observed[0].attributes["updates"] == 2
+        assert observed[0].attributes["updates"] == OBSERVE_EVERY
         assert observed[0].attributes["ewma_available"] == pytest.approx(100.0)
 
 
@@ -260,18 +256,18 @@ class FakeCoordinator:
 
 
 class TestAdaptationPolicy:
-    def make_policy(self, outcomes, **kw):
+    def make_policy(self, outcomes):
         coordinator = FakeCoordinator(outcomes)
-        policy = AdaptationPolicy(coordinator, MonitorConfig(**kw))
+        policy = AdaptationPolicy(coordinator)
         policy.watch(
             "s1", service_name="S1", binding=None, planner=None, level=3
         )
         return coordinator, policy
 
     def test_budget_and_cooldown(self):
+        # MAX_RENEGOTIATIONS = 2 per session, COOLDOWN = 5.0 between them
         coordinator, policy = self.make_policy(
             [("downgraded", 2), ("unchanged", 2), ("unchanged", 2)],
-            max_renegotiations=2, cooldown=5.0,
         )
         policy.on_drift("s1", "cpu:H1", 10.0)
         assert len(coordinator.calls) == 1
@@ -293,9 +289,7 @@ class TestAdaptationPolicy:
         assert coordinator.calls == []
 
     def test_failed_dropped_blocks_further_attempts(self):
-        coordinator, policy = self.make_policy(
-            [("failed_dropped", None)], cooldown=0.0
-        )
+        coordinator, policy = self.make_policy([("failed_dropped", None)])
         policy.on_drift("s1", "cpu:H1", 1.0)
         policy.on_drift("s1", "cpu:H1", 50.0)
         assert len(coordinator.calls) == 1
@@ -338,7 +332,7 @@ class TestAdaptationPolicy:
                 )
 
         coordinator = ReentrantCoordinator()
-        policy = AdaptationPolicy(coordinator, MonitorConfig(cooldown=0.0))
+        policy = AdaptationPolicy(coordinator)
         coordinator.policy = policy
         for sid in ("s1", "s2"):
             policy.watch(sid, service_name="S1", binding=None, planner=None, level=3)

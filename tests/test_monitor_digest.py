@@ -1,0 +1,101 @@
+"""The monitoring plane's output, pinned.
+
+The §5 adaptation loop's estimators, drift detectors and renegotiation
+policy run on constants (EWMA smoothing, the online alpha's window, the
+rejection-rate window, the digest cadence, the renegotiation budget,
+cooldown and queue bound).  These tests pin what the plane produces on
+CI's monitor-smoke run -- its ``monitor_stats`` and the
+``broker.observed`` / ``session.drift`` / ``session.renegotiated``
+events it emits -- as sha256 digests, live with adaptation on and off,
+and replayed offline over the detect-only run's log at two drift
+thresholds.  A change to any estimator, detection or renegotiation
+fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from repro.obs import ObservabilityConfig
+from repro.obs.monitor import MONITOR_EVENT_KINDS, MonitorConfig, replay_events
+from repro.sim import SimulationConfig, WorkloadSpec, run_simulation
+
+#: sha256 digests of each run's ``monitor_stats`` and monitor events
+#: (see ``_digests``), computed before the estimator constants stopped
+#: being configuration.
+PINNED = {
+    "adapt": {
+        "events": "5a9c76db001b9465b295c27cf01a46213de40448632ce3e10ed14bb03bb5d084",
+        "stats": "86505bd4b7da62a22c33b0b559e0c555a55d35c9e62e8af96d94c4efc578a528",
+    },
+    "detect": {
+        "events": "99bddef4a3e209573831d44601d4a50e45d9851ea24a4f1df78f6548b4d84d6d",
+        "stats": "85e439410093fb7a1211aeda055e9494cda33123ae30001aa78224004e078332",
+    },
+    "replay_default": {
+        "events": "d1e2c759abb708a07ffe00d7ec38806608654510ea5dfe0c9309b6cffe778cd0",
+        "stats": "db7ae1e15cea8a3d82e49dc1ded45d5a77c2b35f82cc2530f956b2b236519944",
+    },
+    "replay_0.1": {
+        "events": "030b47d1a346e353c27854fe49cde17fdd40c255c77e7d8e86a964c3c0c5c767",
+        "stats": "4b74c4e1571ed0e221b5d7d0ec55fcce96f2cb9a82841086630226f200edcb4a",
+    },
+}
+
+
+def _digest(value) -> str:
+    text = json.dumps(value, sort_keys=True, default=repr)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _digests(stats, log) -> dict:
+    events = [
+        {key: value for key, value in payload.items() if key != "wall"}
+        for payload in log.to_dicts()
+        if payload["kind"] in MONITOR_EVENT_KINDS
+    ]
+    return {"events": _digest(events), "stats": _digest(stats)}
+
+
+def monitored_run(*, adapt: bool):
+    """CI's monitor-smoke configuration."""
+    return run_simulation(
+        SimulationConfig(
+            algorithm="tradeoff",
+            seed=7,
+            staleness=2.0,
+            workload=WorkloadSpec(rate_per_60tu=140.0, horizon=120.0),
+            monitoring=MonitorConfig(adapt=adapt),
+            observability=ObservabilityConfig(),
+        )
+    )
+
+
+@pytest.fixture(scope="module")
+def detect_only_run():
+    return monitored_run(adapt=False)
+
+
+def test_adapting_run_monitors_what_it_monitored_before():
+    result = monitored_run(adapt=True)
+    assert result.monitor_stats["adaptation"]["sessions_renegotiated"] >= 1
+    digests = _digests(result.monitor_stats, result.observation.event_log)
+    assert digests == PINNED["adapt"]
+
+
+def test_detecting_run_monitors_what_it_monitored_before(detect_only_run):
+    result = detect_only_run
+    assert result.monitor_stats["drift_detected"] >= 1
+    digests = _digests(result.monitor_stats, result.observation.event_log)
+    assert digests == PINNED["detect"]
+
+
+@pytest.mark.parametrize(
+    "name, config",
+    [("replay_default", None), ("replay_0.1", MonitorConfig(drift_threshold=0.1))],
+)
+def test_replay_detects_what_it_detected_before(detect_only_run, name, config):
+    events = detect_only_run.observation.event_log.records
+    monitor, log = replay_events(events, config)
+    assert _digests(monitor.report(), log) == PINNED[name]

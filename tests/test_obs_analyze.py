@@ -10,7 +10,6 @@ from repro.obs import MetricsRegistry, ObservabilityConfig
 from repro.obs.analyze import (
     TraceDocument,
     TraceFormatError,
-    adaptation_summary,
     broker_timelines,
     critical_path,
     diff_documents,
@@ -22,69 +21,20 @@ from repro.obs.analyze import (
 from repro.obs.export import TRACE_SCHEMA_VERSION
 from repro.obs.prom import registry_exposition, snapshot_exposition
 
-GOLDEN_DIR = Path(__file__).parent / "data"
-GOLDEN_V1 = GOLDEN_DIR / "trace_v1_golden.json"
-GOLDEN_V2 = GOLDEN_DIR / "trace_v2_golden.json"
-GOLDEN_V3 = GOLDEN_DIR / "trace_v3_golden.json"
+DATA_DIR = Path(__file__).parent / "data"
+#: Small hand-written schema-v4 documents: spans and metrics only, and
+#: two sessions with an event log.
+SPANS_ONLY = DATA_DIR / "trace_spans_only.json"
+TWO_SESSIONS = DATA_DIR / "trace_two_sessions.json"
 
 
 class TestLoadTrace:
-    def test_golden_v1_still_loads(self):
-        """Schema v1 documents (pre-event-log) stay loadable forever."""
-        doc = load_trace(GOLDEN_V1)
-        assert doc.schema_version == 1
-        assert doc.events == [] and doc.events_dropped == 0
-        assert doc.span_totals["establish"]["count"] == 1
-        assert doc.counter_total("broker.grants") == 2.0
-        # v1 analysis degrades gracefully: no events -> empty reports
-        assert broker_timelines(doc) == {}
-        assert top_bottlenecks(doc) == []
-        # ...but span-based analysis still works
-        assert len(critical_path(doc)) == 1
-
-    def test_golden_v2_still_loads(self):
-        """Schema v2 documents (pre-monitoring) stay loadable forever."""
-        payload = json.loads(GOLDEN_V2.read_text())
-        assert payload["schema_version"] == 2
-        doc = TraceDocument.from_dict(payload)
-        assert doc.monitoring == {}  # the v3 section is absent, not invented
-        assert len(doc.events) == 7
-        first = doc.events[0]
-        assert first.kind == "session.planned"
-        assert first.attributes["requested"] == {"cpu:H1": 40.0}
-        counted = {}
-        for event in doc.events:
-            counted[event.kind] = counted.get(event.kind, 0) + 1
-        assert counted == payload["event_counts"]
-
-    def test_golden_v3_still_loads(self):
-        """Schema v3 documents (pre-trace-context) stay loadable forever."""
-        payload = json.loads(GOLDEN_V3.read_text())
-        assert payload["schema_version"] == 3
-        assert set(payload) == {
-            "schema_version",
-            "meta",
-            "spans",
-            "span_totals",
-            "metrics",
-            "events",
-            "event_counts",
-            "monitoring",
-        }
-        doc = TraceDocument.from_dict(payload)
-        assert doc.monitoring["drift_detected"] == 1
-        assert doc.monitoring["adaptation"]["outcomes"] == {"downgraded": 1}
-        drift = next(e for e in doc.events if e.kind == "session.drift")
-        reneg = next(e for e in doc.events if e.kind == "session.renegotiated")
-        assert drift.session == reneg.session == "ssn-1"  # causal pair
-        assert drift.seq < reneg.seq
-        summary = adaptation_summary(doc)
-        assert summary.causal_pairs == [("ssn-1", drift.seq, reneg.seq)]
-        assert summary.unmatched_renegotiations == 0
-
     def test_future_and_garbage_versions_rejected(self, tmp_path):
         with pytest.raises(TraceFormatError, match="unsupported"):
             TraceDocument.from_dict({"schema_version": TRACE_SCHEMA_VERSION + 1})
+        # one schema is read: older versions are refused like newer ones
+        with pytest.raises(TraceFormatError, match="unsupported"):
+            TraceDocument.from_dict({"schema_version": TRACE_SCHEMA_VERSION - 1})
         with pytest.raises(TraceFormatError, match="missing"):
             TraceDocument.from_dict({"spans": []})
         target = tmp_path / "bad.json"
@@ -95,7 +45,7 @@ class TestLoadTrace:
 
 class TestCriticalPath:
     def test_self_times_and_critical_phase(self):
-        doc = load_trace(GOLDEN_V1)
+        doc = load_trace(SPANS_ONLY)
         (breakdown,) = critical_path(doc)
         assert breakdown.session == "ssn-1"
         assert breakdown.service == "S1"
@@ -112,7 +62,7 @@ class TestCriticalPath:
         assert breakdown.critical_phase == "qrg_build"
 
     def test_filter_sort_and_limit(self):
-        doc = load_trace(GOLDEN_V2)
+        doc = load_trace(TWO_SESSIONS)
         both = critical_path(doc)
         assert [b.session for b in both] == ["ssn-1", "ssn-2"]  # slowest first
         assert critical_path(doc, limit=1)[0].session == "ssn-1"
@@ -124,7 +74,7 @@ class TestCriticalPath:
 
 class TestBrokerTimelines:
     def test_counts_rates_and_points(self):
-        doc = load_trace(GOLDEN_V2)
+        doc = load_trace(TWO_SESSIONS)
         timelines = broker_timelines(doc)
         assert list(timelines) == ["cpu:H1"]
         timeline = timelines["cpu:H1"]
@@ -140,7 +90,7 @@ class TestBrokerTimelines:
 
 class TestTopBottlenecks:
     def test_scoring_and_ranking(self):
-        doc = load_trace(GOLDEN_V2)
+        doc = load_trace(TWO_SESSIONS)
         (report,) = top_bottlenecks(doc, k=3)
         assert report.resource == "cpu:H1"
         assert report.planned_bottleneck == 2
@@ -151,14 +101,14 @@ class TestTopBottlenecks:
         assert report.mean_psi == pytest.approx((0.4 + 0.9) / 2)
 
     def test_k_truncates(self):
-        doc = load_trace(GOLDEN_V2)
+        doc = load_trace(TWO_SESSIONS)
         assert top_bottlenecks(doc, k=0) == []
 
 
 class TestDiff:
     def test_trace_documents_compare_curated_leaves(self):
-        base = json.loads(GOLDEN_V2.read_text())
-        new = json.loads(GOLDEN_V2.read_text())
+        base = json.loads(TWO_SESSIONS.read_text())
+        new = json.loads(TWO_SESSIONS.read_text())
         new["event_counts"]["broker.reject"] = 5
         new["metrics"]["counters"]["broker.grants{resource=cpu:H1}"]["value"] = 3.0
         entries = {e.path: e for e in diff_documents(base, new)}
@@ -268,7 +218,7 @@ class TestPromExposition:
         assert sum(1 for l in lines if l.startswith("# TYPE repro_establish_latency ")) == 1
 
     def test_snapshot_from_trace_document(self):
-        doc = load_trace(GOLDEN_V1)
+        doc = load_trace(SPANS_ONLY)
         text = snapshot_exposition(doc.metrics)
         assert 'repro_broker_grants_total{resource="cpu:H1"} 2.0' in text
         assert 'repro_coordinator_establish_seconds_bucket{le="+Inf"} 1.0' in text

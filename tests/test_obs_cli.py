@@ -1,16 +1,19 @@
 """The repro-obs CLI: each subcommand against a real exported trace."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.obs.cli import main
 
-GOLDEN_DIR = Path(__file__).parent / "data"
-GOLDEN_V1 = str(GOLDEN_DIR / "trace_v1_golden.json")
-GOLDEN_V2 = str(GOLDEN_DIR / "trace_v2_golden.json")
-GOLDEN_V3 = str(GOLDEN_DIR / "trace_v3_golden.json")
+DATA_DIR = Path(__file__).parent / "data"
+#: Small hand-written schema-v4 documents: spans and metrics only, two
+#: sessions with an event log, one renegotiated session.
+SPANS_ONLY = str(DATA_DIR / "trace_spans_only.json")
+TWO_SESSIONS = str(DATA_DIR / "trace_two_sessions.json")
+RENEGOTIATED = str(DATA_DIR / "trace_renegotiated.json")
 
 
 @pytest.fixture(scope="module")
@@ -42,10 +45,10 @@ class TestSummarize:
         assert "bottleneck resources:" in out
         assert "session.admitted" in out
 
-    def test_v1_documents_summarize_without_event_sections(self, capsys):
-        assert main(["summarize", GOLDEN_V1]) == 0
+    def test_eventless_documents_summarize_without_event_sections(self, capsys):
+        assert main(["summarize", SPANS_ONLY]) == 0
         out = capsys.readouterr().out
-        assert "schema v1" in out
+        assert "schema v4" in out
         assert "per-phase timings:" in out
         assert "reservation events:" not in out
 
@@ -59,21 +62,37 @@ class TestSummarize:
         with pytest.raises(SystemExit, match="schema_version"):
             main(["summarize", str(bogus)])
 
+    @pytest.mark.parametrize(
+        "document",
+        [
+            {"schema_version": "four"},
+            {"schema_version": None},
+            {"schema_version": 4, "events": [{"kind": "broker.grant"}]},
+            {"schema_version": 4, "meta": [1, 2]},
+        ],
+        ids=["version-text", "version-null", "event-without-seq", "meta-list"],
+    )
+    def test_malformed_document_exits_naming_the_file(self, tmp_path, document):
+        bogus = tmp_path / "bad.json"
+        bogus.write_text(json.dumps(document))
+        with pytest.raises(SystemExit, match=f"^repro-obs: {re.escape(str(bogus))}: "):
+            main(["summarize", str(bogus)])
+
 
 class TestCriticalPath:
     def test_per_session_breakdown(self, capsys):
-        assert main(["critical-path", GOLDEN_V2]) == 0
+        assert main(["critical-path", TWO_SESSIONS]) == 0
         out = capsys.readouterr().out
         assert "session ssn-1" in out
         assert "critical phase: establish" in out
         assert "aggregate self time over 2 sessions:" in out
 
     def test_session_filter(self, capsys):
-        assert main(["critical-path", GOLDEN_V2, "--session", "ssn-2"]) == 0
+        assert main(["critical-path", TWO_SESSIONS, "--session", "ssn-2"]) == 0
         out = capsys.readouterr().out
         assert "ssn-2" in out and "ssn-1" not in out
         with pytest.raises(SystemExit, match="no establish span"):
-            main(["critical-path", GOLDEN_V2, "--session", "nope"])
+            main(["critical-path", TWO_SESSIONS, "--session", "nope"])
 
     def test_real_trace_breakdown(self, sim_trace, capsys):
         assert main(["critical-path", sim_trace, "--limit", "3"]) == 0
@@ -83,28 +102,28 @@ class TestCriticalPath:
 
 class TestTop:
     def test_ranks_bottlenecks(self, capsys):
-        assert main(["top", GOLDEN_V2, "-k", "2"]) == 0
+        assert main(["top", TWO_SESSIONS, "-k", "2"]) == 0
         out = capsys.readouterr().out
         assert "cpu:H1" in out
         assert "per-broker admission:" in out
 
-    def test_v1_has_no_signals(self, capsys):
-        assert main(["top", GOLDEN_V1]) == 0
+    def test_eventless_document_has_no_signals(self, capsys):
+        assert main(["top", SPANS_ONLY]) == 0
         assert "no bottleneck signals" in capsys.readouterr().out
 
 
 class TestDiff:
     def test_identical_documents_gate_ok(self, capsys):
-        assert main(["diff", GOLDEN_V2, GOLDEN_V2, "--gate"]) == 0
+        assert main(["diff", TWO_SESSIONS, TWO_SESSIONS, "--gate"]) == 0
         assert "gate: OK" in capsys.readouterr().out
 
     def test_gate_flags_structural_change(self, tmp_path, capsys):
-        payload = json.loads(Path(GOLDEN_V2).read_text())
+        payload = json.loads(Path(TWO_SESSIONS).read_text())
         payload["event_counts"]["session.rejected"] = 10
         changed = tmp_path / "changed.json"
         changed.write_text(json.dumps(payload))
         assert main(
-            ["diff", GOLDEN_V2, str(changed), "--gate", "--tolerance", "0.5"]
+            ["diff", TWO_SESSIONS, str(changed), "--gate", "--tolerance", "0.5"]
         ) == 1
         out = capsys.readouterr().out
         assert "event_counts.session.rejected" in out
@@ -123,7 +142,7 @@ class TestDiff:
         assert main(["diff", str(a), str(b), "--gate", "--tolerance", "0.25"]) == 1
 
     def test_changed_only_hides_identical_leaves(self, capsys):
-        assert main(["diff", GOLDEN_V2, GOLDEN_V2, "--changed-only"]) == 0
+        assert main(["diff", TWO_SESSIONS, TWO_SESSIONS, "--changed-only"]) == 0
         out = capsys.readouterr().out
         assert "event_counts" not in out  # all identical, all hidden
 
@@ -376,8 +395,8 @@ class TestWatch:
         out = capsys.readouterr().out
         assert "replayed offline" in out
 
-    def test_v1_trace_has_nothing_to_watch(self, capsys):
-        assert main(["watch", GOLDEN_V1]) == 0
+    def test_eventless_trace_has_nothing_to_watch(self, capsys):
+        assert main(["watch", SPANS_ONLY]) == 0
         assert "no event log" in capsys.readouterr().out
 
 
@@ -391,11 +410,12 @@ class TestMonitorReport:
         assert "causal chains (from the event log):" in out
         assert "-> renegotiated seq" in out
 
-    def test_golden_v3_report(self, capsys):
-        assert main(["monitor-report", GOLDEN_V3, "--pairs", "1"]) == 0
+    def test_renegotiated_trace_report(self, capsys):
+        assert main(["monitor-report", RENEGOTIATED, "--pairs", "1"]) == 0
         out = capsys.readouterr().out
         assert "drift_detected" in out
-        # the golden's monitoring section predates the watchdog's removal
+        # the recorded monitoring section predates the watchdog's
+        # removal: its slo_violations key gets no row
         assert "slo_violations" not in out
         assert "outcome downgraded" in out
         assert "ssn-1: trigger seq" in out
@@ -406,21 +426,21 @@ class TestMonitorReport:
         assert "replayed offline" in out
         assert "per-broker estimators:" in out
 
-    def test_v1_trace_has_nothing_to_report(self, capsys):
-        assert main(["monitor-report", GOLDEN_V1]) == 0
+    def test_eventless_trace_has_nothing_to_report(self, capsys):
+        assert main(["monitor-report", SPANS_ONLY]) == 0
         assert "nothing to report" in capsys.readouterr().out
 
 
 class TestExportProm:
     def test_stdout_exposition(self, capsys):
-        assert main(["export-prom", GOLDEN_V1]) == 0
+        assert main(["export-prom", SPANS_ONLY]) == 0
         out = capsys.readouterr().out
         assert 'repro_broker_grants_total{resource="cpu:H1"} 2.0' in out
 
     def test_output_file_and_prefix(self, tmp_path):
         target = tmp_path / "metrics.prom"
         assert main(
-            ["export-prom", GOLDEN_V1, "-o", str(target), "--prefix", "paper_"]
+            ["export-prom", SPANS_ONLY, "-o", str(target), "--prefix", "paper_"]
         ) == 0
         assert "paper_broker_grants_total" in target.read_text()
 

@@ -1,11 +1,10 @@
 """HTTP/1.1 keep-alive in the service client/daemon, and typed draining.
 
 The client pools one connection per (host, port) and reuses it across
-sequential requests; ``Connection: close`` (sent, received, or implied
-by ``keep_alive=False``) ends the reuse.  A pooled socket that died
-while idle is retried once -- but only when it failed before any
-response bytes, so a request is never silently executed twice.  A
-draining daemon's 503 surfaces as the typed
+sequential requests; a ``Connection: close`` response ends the reuse.
+A pooled socket that died while idle is retried once -- but only when
+it failed before any response bytes, so a request is never silently
+executed twice.  A draining daemon's 503 surfaces as the typed
 :class:`~repro.service.client.ServiceDrainingError` so callers can
 distinguish "try another replica" from a real error, and the load
 generator reports its connection economics in the ledger.
@@ -42,22 +41,6 @@ def test_sequential_requests_reuse_one_connection():
                 await client.healthz()
             assert client.connections_opened == 1
             assert client.connections_reused == 5
-            await client.aclose()
-        finally:
-            await daemon.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_keep_alive_disabled_opens_per_request():
-    async def scenario():
-        daemon = await start_daemon(seed=3)
-        try:
-            client = ServiceClient("127.0.0.1", daemon.port, keep_alive=False)
-            for _ in range(4):
-                await client.healthz()
-            assert client.connections_opened == 4
-            assert client.connections_reused == 0
             await client.aclose()
         finally:
             await daemon.shutdown()

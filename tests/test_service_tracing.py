@@ -446,7 +446,7 @@ def test_build_config_wires_tracing_flags(tmp_path):
 
 def test_event_plane_drops_surface_as_labelled_counter():
     async def scenario():
-        daemon = await start_daemon(seed=3, subscriber_queue=2)
+        daemon = await start_daemon(seed=3)
         client = ServiceClient("127.0.0.1", daemon.port)
         try:
             subscriber = daemon.service.plane.subscribe(queue_size=2)
