@@ -8,22 +8,30 @@ executes cross-shard reservations with two-phase reserve/commit
 (:mod:`repro.cluster.router`).  ``repro-cluster``
 (:mod:`repro.cluster.cli`) serves the router over the same wire
 protocol as a single daemon.
+
+The package imports nothing at import time: ``python -m
+repro.cluster.cli`` runs this file before the CLI's ``main()`` keeps
+``ssl`` out of the process, and the router imports asyncio.
 """
 
-from repro.cluster.router import (
-    ClusterConfig,
-    ClusterCoordinator,
-    ClusterDaemon,
-    HttpShardClient,
-    LocalShardClient,
-)
-from repro.cluster.shardmap import ShardMap
+#: Public names, resolved lazily (PEP 562) from the submodule that
+#: defines them.
+_EXPORTS = {
+    "ClusterConfig": "repro.cluster.router",
+    "ClusterCoordinator": "repro.cluster.router",
+    "ClusterDaemon": "repro.cluster.router",
+    "HttpShardClient": "repro.cluster.router",
+    "LocalShardClient": "repro.cluster.router",
+    "ShardMap": "repro.cluster.shardmap",
+}
 
-__all__ = [
-    "ClusterConfig",
-    "ClusterCoordinator",
-    "ClusterDaemon",
-    "HttpShardClient",
-    "LocalShardClient",
-    "ShardMap",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    target = _EXPORTS.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(target), name)

@@ -17,12 +17,18 @@ shard map just divides who may grant what.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import sys
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from repro.cluster.router import ClusterConfig, ClusterDaemon
-from repro.service.cli import add_grid_arguments, grid_options, serve_until_signalled
+from repro.service.cli import (
+    add_grid_arguments,
+    grid_options,
+    plain_http_only,
+    serve_until_signalled,
+)
+
+if TYPE_CHECKING:
+    from repro.cluster.router import ClusterConfig
 
 __all__ = ["build_config", "main"]
 
@@ -43,6 +49,8 @@ def _shard_address(text: str) -> Tuple[str, int]:
 
 
 def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
+    from repro.cluster.router import ClusterConfig
+
     parser = argparse.ArgumentParser(
         prog="repro-cluster", description=__doc__.splitlines()[0]
     )
@@ -66,6 +74,8 @@ def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
 
 
 async def _serve(config: ClusterConfig) -> None:
+    from repro.cluster.router import ClusterDaemon
+
     daemon = ClusterDaemon(config)
     await daemon.start()
     problems = await daemon.coordinator.check()
@@ -80,6 +90,9 @@ async def _serve(config: ClusterConfig) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    plain_http_only()
+    import asyncio
+
     config = build_config(argv)
     try:
         asyncio.run(_serve(config))

@@ -149,7 +149,9 @@ class LocalShardClient(_ShardClient):
     processes would.  ``draining`` is the daemon's drain flag;
     ``crashed`` (and :attr:`crash_on_next_reserve`, the lost-ack case:
     capacity held, acknowledgement never arrives) simulate the failures
-    the router must absorb.
+    the router must absorb.  :attr:`lose_next_reply` names a path
+    (``/v1/commit``, ``/v1/abort``, ``/v1/teardown``) whose next call
+    the shard applies and stays up, but whose reply never arrives.
     """
 
     def __init__(
@@ -167,6 +169,7 @@ class LocalShardClient(_ShardClient):
         self.draining = False
         self.crashed = False
         self.crash_on_next_reserve = False
+        self.lose_next_reply: Optional[str] = None
 
     def _logged(self):
         if self.log is None:
@@ -194,6 +197,9 @@ class LocalShardClient(_ShardClient):
             self.crash_on_next_reserve = False
             self.crashed = True
             raise ConnectionError(f"shard {self.label} crashed mid-reserve")
+        if path == self.lose_next_reply:
+            self.lose_next_reply = None
+            raise ConnectionError(f"shard {self.label}: reply to {path} lost")
         return ServiceResponse(status=status, headers={}, body=_json_body(document))
 
     async def reap(self, now: Optional[float] = None) -> int:
@@ -251,8 +257,9 @@ class ClusterCoordinator:
         self.sessions: Dict[str, dict] = {}
         self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
         self.reject_reasons: Dict[str, int] = {}
-        #: session_id -> shard indexes whose teardown failed while the
-        #: shard was unreachable; retried by flush_pending_teardowns.
+        #: session_id -> shard indexes that may still hold the session:
+        #: a teardown failed while the shard was unreachable, or a
+        #: commit's reply was lost.  Retried by flush_pending_teardowns.
         self.pending_teardowns: Dict[str, List[int]] = {}
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
@@ -333,6 +340,12 @@ class ClusterCoordinator:
         if session_id in self.sessions:
             raise ServiceError(
                 f"session {session_id!r} already established", status=409
+            )
+        if session_id in self.pending_teardowns:
+            # A shard may still hold the old session under this id; the
+            # debt's teardown would free the new one's slice there.
+            raise ServiceError(
+                f"session {session_id!r} is still being torn down", status=409
             )
         binding = self.grid.binding_for(arrival.service, arrival.domain)
         resource_ids = sorted(binding.resource_ids())
@@ -461,16 +474,22 @@ class ClusterCoordinator:
                         {"lease_id": lease_id, "session": meta}
                     )
                 except (ServiceClientError,) + _UNREACHABLE as exc:
-                    self._note_shard(
-                        shard_index, isinstance(exc, ServiceClientError)
-                    )
-                    # Commit is drain-exempt, so a failure here means a
-                    # dead shard (or an expired lease).  Undo the rest:
-                    # abort the still-held leases, tear the committed
-                    # slices back down.  The dead shard's own holds are
-                    # the TTL reaper's problem.
+                    answered = isinstance(exc, ServiceClientError)
+                    self._note_shard(shard_index, answered)
+                    # Undo the rest: abort the still-held leases, tear the
+                    # committed slices back down.  A shard that answered
+                    # with an error (an expired lease) committed nothing;
+                    # an unreachable one may have committed before its
+                    # reply was lost, which no abort undoes.  It owes a
+                    # teardown, as does a committed shard we cannot reach
+                    # now: flush_pending_teardowns settles the debt (a
+                    # 404 means the shard holds nothing).
                     await self._abort_leases(leases[position:])
-                    await self._teardown_on(committed, session_id)
+                    _, owed = await self._teardown_on(committed, session_id)
+                    if not answered:
+                        owed.append(shard_index)
+                    if owed:
+                        self._owe_teardown(session_id, owed)
                     return EstablishmentResult(
                         session_id, False, None, "shard_unreachable"
                     )
@@ -550,25 +569,28 @@ class ClusterCoordinator:
             # we could not reach may still hold its capacity (e.g. a
             # partition, not a crash-restart).  Remember the debt and
             # settle it when the shard is reachable again.
-            pending = set(self.pending_teardowns.get(session_id, []))
-            self.pending_teardowns[session_id] = sorted(
-                pending | set(unreachable)
-            )
+            self._owe_teardown(session_id, unreachable)
         if record is None and released == 0:
             return 404, _json_body({"error": f"unknown session {session_id!r}"})
         self.counters["torn_down"] += 1
         return 200, _json_body({"session_id": session_id, "released": released})
 
+    def _owe_teardown(self, session_id: str, shard_indexes: Sequence[int]) -> None:
+        """Record that ``shard_indexes`` may still hold ``session_id``."""
+        pending = set(self.pending_teardowns.get(session_id, []))
+        self.pending_teardowns[session_id] = sorted(pending | set(shard_indexes))
+
     async def flush_pending_teardowns(self) -> int:
         """Retry teardowns that earlier failed against unreachable shards.
 
         A healed partition leaves the shard still holding capacity for
-        sessions the router already tore down everywhere else; this
-        anti-entropy pass releases them.  A shard that instead crashed
-        and restarted answers 404 (its memory of the session died with
-        the process), which settles the debt too.  Returns the amount
-        released; shards still unreachable keep their entry for the
-        next pass.
+        sessions the router already tore down everywhere else, and a
+        lost commit reply can leave it holding a session the router
+        never admitted; this anti-entropy pass releases them.  A shard
+        that holds nothing (it crashed and restarted, or the lost
+        commit never applied) answers 404, which settles the debt too.
+        Returns the amount released; shards still unreachable keep
+        their entry for the next pass.
         """
         released = 0
         for session_id in sorted(self.pending_teardowns):

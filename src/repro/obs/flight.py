@@ -39,6 +39,10 @@ __all__ = ["EVENT_CAPACITY", "FlightRecorder", "SPAN_CAPACITY"]
 #: over a 600-arrival script on a seed-7 daemon: an establish records
 #: 7.5 spans and 12.7 events (refusals included), a teardown 1 span and
 #: 6 events; over HTTP each request adds its ``daemon.<operation>`` span.
+#: Full, the rings are the daemon's largest runtime allocation: 16,384
+#: events hold about 7.1 MiB (attribute dicts 3.7, records 1.6, floats
+#: 1.0) and 4,096 spans about 1.6 MiB, by a ``gc.get_referents`` walk of
+#: a seed-7 daemon after 8,000 HTTP requests (Python 3.11, x86-64).
 SPAN_CAPACITY = 4096
 EVENT_CAPACITY = 16384
 

@@ -16,36 +16,38 @@ of a single in-process driver:
   the ``BENCH_service_load`` ledger.
 * :mod:`repro.service.http` -- the stdlib HTTP/1.1 + RFC 6455 plumbing
   both sides share.
+
+The package imports nothing at import time: ``python -m
+repro.service.cli`` runs this file before the CLI's ``main()`` keeps
+``ssl`` out of the process, and the daemon's modules import asyncio.
 """
 
-from repro.service.client import (
-    ServiceClient,
-    ServiceClientError,
-    ServiceDrainingError,
-    ServiceResponse,
-)
-from repro.service.daemon import (
-    DaemonConfig,
-    ReservationDaemon,
-    ReservationService,
-    ServiceError,
-)
-from repro.service.events import TRUNCATION_KIND, EventPlane, EventSubscriber
-from repro.service.loadgen import LoadGenConfig, LoadReport, run_load
+#: Public names, resolved lazily (PEP 562) from the submodule that
+#: defines them.
+_EXPORTS = {
+    "DaemonConfig": "repro.service.daemon",
+    "EventPlane": "repro.service.events",
+    "EventSubscriber": "repro.service.events",
+    "LoadGenConfig": "repro.service.loadgen",
+    "LoadReport": "repro.service.loadgen",
+    "ReservationDaemon": "repro.service.daemon",
+    "ReservationService": "repro.service.daemon",
+    "ServiceClient": "repro.service.client",
+    "ServiceClientError": "repro.service.client",
+    "ServiceDrainingError": "repro.service.client",
+    "ServiceError": "repro.service.daemon",
+    "ServiceResponse": "repro.service.client",
+    "TRUNCATION_KIND": "repro.service.events",
+    "run_load": "repro.service.loadgen",
+}
 
-__all__ = [
-    "DaemonConfig",
-    "EventPlane",
-    "EventSubscriber",
-    "LoadGenConfig",
-    "LoadReport",
-    "ReservationDaemon",
-    "ReservationService",
-    "ServiceClient",
-    "ServiceClientError",
-    "ServiceDrainingError",
-    "ServiceError",
-    "ServiceResponse",
-    "TRUNCATION_KIND",
-    "run_load",
-]
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name: str):
+    target = _EXPORTS.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(target), name)

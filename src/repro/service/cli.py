@@ -15,21 +15,38 @@ always-on ring of recent spans, events and wire counters) to
 from __future__ import annotations
 
 import argparse
-import asyncio
 import signal
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.core import ALGORITHMS, CONTENTION_INDICES
-from repro.service.daemon import DaemonConfig, ReservationDaemon
+
+if TYPE_CHECKING:
+    from repro.service.daemon import DaemonConfig
 
 __all__ = [
     "add_grid_arguments",
     "build_config",
     "grid_options",
     "main",
+    "plain_http_only",
     "serve_until_signalled",
 ]
+
+
+def plain_http_only() -> None:
+    """Keep OpenSSL out of a serving process: make ``import ssl`` fail.
+
+    ``repro-serve`` and ``repro-cluster`` speak plain HTTP, and asyncio
+    imports ``ssl`` only if it can.  A ``None`` entry in ``sys.modules``
+    is the documented way to make an import raise ``ImportError``, so
+    asyncio then runs without TLS support.  A ``main()`` calls this
+    before anything imports asyncio, which is why this module and
+    :mod:`repro.cluster.cli` import their asyncio-bound modules inside
+    the functions that use them.  If ``ssl`` is already loaded, this is
+    a no-op.
+    """
+    sys.modules.setdefault("ssl", None)
 
 
 def add_grid_arguments(parser: argparse.ArgumentParser, seed_help: str) -> None:
@@ -62,6 +79,8 @@ async def serve_until_signalled(daemon, prog: str, banner: str, on_sigquit=None)
     ``on_sigquit`` (when given) runs on SIGQUIT without stopping the
     daemon -- the kill -QUIT postmortem idiom.
     """
+    import asyncio
+
     stop = asyncio.Event()
     handlers = {signal.SIGINT: stop.set, signal.SIGTERM: stop.set}
     if on_sigquit is not None and hasattr(signal, "SIGQUIT"):
@@ -84,6 +103,8 @@ async def serve_until_signalled(daemon, prog: str, banner: str, on_sigquit=None)
 
 
 def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
+    from repro.service.daemon import DaemonConfig
+
     parser = argparse.ArgumentParser(
         prog="repro-serve", description=__doc__.splitlines()[0]
     )
@@ -132,6 +153,8 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
 
 
 async def _serve(config: DaemonConfig) -> None:
+    from repro.service.daemon import ReservationDaemon
+
     daemon = ReservationDaemon(config)
     await daemon.start()
 
@@ -163,6 +186,9 @@ async def _serve(config: DaemonConfig) -> None:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    plain_http_only()
+    import asyncio
+
     config = build_config(argv)
     try:
         asyncio.run(_serve(config))

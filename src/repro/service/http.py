@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import asyncio
 import base64
-import hashlib
 import json
 import os
 import struct
@@ -199,7 +198,13 @@ def json_response_bytes(status: int, payload: object, *, close: bool = True) -> 
 
 
 def websocket_accept_key(key: str) -> str:
-    """The ``Sec-WebSocket-Accept`` value for a client's key."""
+    """The ``Sec-WebSocket-Accept`` value for a client's key.
+
+    ``hashlib`` is imported here, its only use: at module level it would
+    map OpenSSL into every serving process for one SHA-1 per handshake.
+    """
+    import hashlib
+
     digest = hashlib.sha1((key + _WS_GUID).encode("latin-1")).digest()
     return base64.b64encode(digest).decode("latin-1")
 

@@ -10,20 +10,14 @@
 * :mod:`repro.sim.metrics` -- success rate, QoS levels, per-class
   breakdowns, path census, bottleneck census;
 * :mod:`repro.sim.experiment` -- configuration, single runs, sweeps.
+
+The experiment layer (``experiment``, ``metrics``, ``staleness``) is
+imported on first use of one of its names: it brings
+``multiprocessing`` and the fault and monitoring planes, which a
+serving daemon never runs.
 """
 
 from repro.sim.environment import GridEnvironment
-from repro.sim.experiment import (
-    SimulationConfig,
-    SimulationResult,
-    derive_run_seed,
-    effective_workers,
-    rate_sweep,
-    run_configs,
-    run_simulation,
-    sweep,
-)
-from repro.sim.metrics import ClassBreakdown, MetricsCollector, PathCensus
 from repro.sim.services import (
     FAMILY_A,
     FAMILY_B,
@@ -34,13 +28,29 @@ from repro.sim.services import (
     evaluation_services_for,
     family_of_service,
 )
-from repro.sim.staleness import StaleObservationModel
 from repro.sim.workload import (
     SessionArrival,
     SessionClassifier,
     WorkloadGenerator,
     WorkloadSpec,
 )
+
+#: Names of the experiment layer, resolved lazily (PEP 562) from the
+#: submodule that defines them.
+_LAZY_EXPERIMENT = {
+    "ClassBreakdown": "repro.sim.metrics",
+    "MetricsCollector": "repro.sim.metrics",
+    "PathCensus": "repro.sim.metrics",
+    "SimulationConfig": "repro.sim.experiment",
+    "SimulationResult": "repro.sim.experiment",
+    "StaleObservationModel": "repro.sim.staleness",
+    "derive_run_seed": "repro.sim.experiment",
+    "effective_workers": "repro.sim.experiment",
+    "rate_sweep": "repro.sim.experiment",
+    "run_configs": "repro.sim.experiment",
+    "run_simulation": "repro.sim.experiment",
+    "sweep": "repro.sim.experiment",
+}
 
 __all__ = [
     "ClassBreakdown",
@@ -69,3 +79,12 @@ __all__ = [
     "run_simulation",
     "sweep",
 ]
+
+
+def __getattr__(name: str):
+    target = _LAZY_EXPERIMENT.get(name)
+    if target is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    return getattr(importlib.import_module(target), name)

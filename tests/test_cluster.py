@@ -357,6 +357,94 @@ def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():
     asyncio.run(scenario())
 
 
+def _cross_shard_commits(shard_count):
+    """``(service, domain, committing shards)``, one per distinct shard set."""
+    async def probe():
+        seen = {}
+        for service_name, domain in VALID_PAIRS:
+            coordinator = ClusterCoordinator(make_local_shards(shard_count), seed=7)
+            await coordinator.establish(
+                {"service": service_name, "domain": domain, "session_id": "probe"}
+            )
+            involved = tuple(coordinator.sessions["probe"]["shards"])
+            if len(involved) >= 2:
+                seen.setdefault(involved, (service_name, domain, involved))
+        return list(seen.values())
+
+    return asyncio.run(probe())
+
+
+@pytest.mark.parametrize("shard_count", [2, 3])
+def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
+    """A shard applies ``/v1/commit``, stays up, and its reply is lost.
+
+    The commit's outcome is unknown to the router, so an abort cannot
+    undo it: the shard joins the session's teardown debt, and the next
+    anti-entropy pass frees the committed slice.
+    """
+    cases = [
+        (service_name, domain, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in involved
+    ]
+    assert {victim for _, _, victim in cases} == set(range(shard_count))
+
+    async def scenario(service_name, domain, victim_index):
+        shards = make_local_shards(shard_count)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        victim = shards[victim_index]
+        victim.lose_next_reply = "/v1/commit"
+        status, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "lost"}
+        )
+        assert status == 200
+        outcome = json.loads(body)
+        assert outcome["success"] is False
+        assert outcome["reason"] == "shard_unreachable"
+        assert not victim.crashed
+        assert "lost" not in coordinator.sessions
+        assert victim_index in coordinator.pending_teardowns["lost"]
+        status, _ = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "lost"}
+        )
+        assert status == 409
+        await coordinator.flush_pending_teardowns()
+        assert not coordinator.pending_teardowns
+        for shard in shards:
+            await shard.reap(now=float("inf"))
+            assert "lost" not in shard.service.sessions, shard.label
+        assert_cluster_clean(shards, session_ids=["lost"])
+        report = reconcile_shard_events(
+            {shard.label: list(shard.log) for shard in shards}
+        )
+        assert report.ok, report.describe()
+        for label, per_resource in report.outstanding.items():
+            assert not per_resource, (label, per_resource)
+
+    for service_name, domain, victim_index in cases:
+        asyncio.run(scenario(service_name, domain, victim_index))
+
+
+def test_a_lost_teardown_reply_is_settled_by_a_404():
+    """The shard tore the session down; the retry finds nothing and settles."""
+    async def scenario():
+        shards = make_local_shards(2)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        status, body = await coordinator.establish(
+            {"service": "S2", "domain": "D1", "session_id": "s"}
+        )
+        assert json.loads(body)["success"] is True
+        shards[1].lose_next_reply = "/v1/teardown"
+        status, _ = await coordinator.teardown({"session_id": "s"})
+        assert status == 200
+        assert coordinator.pending_teardowns == {"s": [1]}
+        assert await coordinator.flush_pending_teardowns() == 0
+        assert not coordinator.pending_teardowns
+        assert_cluster_clean(shards, session_ids=["s"])
+
+    asyncio.run(scenario())
+
+
 def test_unknown_session_teardown_is_404_multi_shard():
     async def scenario():
         shards = make_local_shards(2)

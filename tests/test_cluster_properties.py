@@ -1,7 +1,8 @@
 """Property: no race of cross-shard admissions against shard failure leaks.
 
 Hypothesis generates schedules of concurrent establishments, teardowns,
-drains, un-drains and lost-ack crashes against a 2- or 3-shard cluster
+drains, un-drains, lost-ack crashes and lost replies from shards that
+stay up (to a commit, an abort or a teardown) against a 2- or 3-shard cluster
 of in-process shard services, interleaved on the event loop exactly as
 HTTP requests interleave on the wire.  After every step each shard's
 broker and proxy books must agree (capacity conservation); after the
@@ -36,6 +37,13 @@ operations = st.lists(
         st.tuples(st.just("drain"), st.integers(min_value=0, max_value=2)),
         st.tuples(st.just("undrain"), st.integers(min_value=0, max_value=2)),
         st.tuples(st.just("crash"), st.integers(min_value=0, max_value=2)),
+        st.tuples(
+            st.just("lose_reply"),
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(["/v1/commit", "/v1/abort", "/v1/teardown"]),
+            ),
+        ),
         st.tuples(st.just("race"), st.lists(pair_indexes, min_size=2, max_size=4)),
     ),
     min_size=1,
@@ -105,6 +113,9 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
                 shards[arg % shard_count].draining = False
             elif op == "crash":
                 shards[arg % shard_count].crash_on_next_reserve = True
+            elif op == "lose_reply":
+                shard_index, path = arg
+                shards[shard_index % shard_count].lose_next_reply = path
             elif op == "race":
                 await asyncio.gather(*(establish(p) for p in arg))
             _assert_books_agree(shards)
@@ -116,6 +127,7 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
         for shard in shards:
             shard.crashed = False
             shard.crash_on_next_reserve = False
+            shard.lose_next_reply = None
             shard.draining = False
         for session_id in list(established):
             await coordinator.teardown({"session_id": session_id})

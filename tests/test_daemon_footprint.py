@@ -1,21 +1,30 @@
-"""What a daemon process carries: no numpy, no per-request page faults.
+"""What a daemon process carries: no numpy, no OpenSSL, no simulator.
 
 The serving path (``repro-serve``, ``repro-cluster``) draws its grid's
 capacities from the pure-Python PCG64 stream, so a daemon that never
-plans with ``--algorithm random`` never imports numpy.  Each check runs
-in a fresh interpreter: the test runner itself has numpy loaded.
+plans with ``--algorithm random`` never imports numpy.  It speaks plain
+HTTP, so its ``main()`` keeps ``ssl`` out of the process, and it imports
+``hashlib`` only for a WebSocket handshake; the package inits import
+only what a caller names, so the simulator's experiment layer (and
+``multiprocessing`` with it) stays out too.  Each check runs in a fresh
+interpreter: the test runner itself has all of these loaded.
 """
 
 from __future__ import annotations
 
+import base64
 import http.client
+import json
+import os
 import re
+import socket
 import subprocess
 import sys
 import textwrap
 
 import pytest
 
+from repro.service.http import websocket_accept_key
 from tests.test_examples import REPO, subprocess_env
 
 
@@ -68,6 +77,122 @@ def test_daemons_and_router_serve_without_importing_numpy():
     assert out.strip() == "False"
 
 
+def test_importing_the_clis_loads_neither_asyncio_nor_the_simulator():
+    out = run_python(
+        """
+        import sys
+        import repro.service.cli, repro.cluster.cli
+        loaded = [name for name in ("asyncio", "repro.sim.experiment",
+                                    "multiprocessing", "ssl", "hashlib")
+                  if name in sys.modules]
+        import ssl, hashlib  # a library import leaves ssl importable
+        print(loaded, ssl.OPENSSL_VERSION_NUMBER > 0,
+              hashlib.sha1(b"").hexdigest()[:8])
+        """
+    )
+    assert out.split() == ["[]", "True", "da39a3ee"]
+
+
+def boot(module: str, *args: str) -> tuple:
+    """``python -m module --port 0 args``: the process and its bound port."""
+    process = subprocess.Popen(
+        [sys.executable, "-m", module, "--port", "0", *args],
+        cwd=REPO,
+        env=subprocess_env(),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        text=True,
+    )
+    line = process.stdout.readline()
+    match = re.search(r"listening on [^:]+:(\d+) ", line)
+    if not match:
+        process.kill()
+        process.wait(timeout=10)
+        raise AssertionError(f"{module}: no boot line: {line!r}")
+    return process, int(match.group(1))
+
+
+def stop(*processes: subprocess.Popen) -> None:
+    for process in processes:
+        process.terminate()
+    for process in processes:
+        process.wait(timeout=10)
+        process.stdout.close()
+
+
+def post(port: int, path: str, payload: dict) -> dict:
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=30)
+    try:
+        connection.request("POST", path, json.dumps(payload),
+                           {"Content-Type": "application/json"})
+        response = connection.getresponse()
+        assert response.status == 200, response.read()
+        return json.loads(response.read())
+    finally:
+        connection.close()
+
+
+#: The shared objects that would mean OpenSSL or multiprocessing is in.
+UNWANTED_LIBRARIES = re.compile(r"/(_ssl|_hashlib|_multiprocessing)\.[^/\s]*$",
+                                re.MULTILINE)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
+def test_serving_processes_map_no_openssl_and_no_multiprocessing():
+    """Two shard daemons and a router serve an establish and a teardown."""
+    processes = []
+    try:
+        ports = []
+        for index in range(2):
+            process, port = boot("repro.service.cli", "--seed", "7",
+                                 "--shard-index", str(index), "--shard-count", "2")
+            processes.append(process)
+            ports.append(port)
+        shard_flags = [flag for port in ports
+                       for flag in ("--shard", f"127.0.0.1:{port}")]
+        router, router_port = boot("repro.cluster.cli", "--seed", "7", *shard_flags)
+        processes.append(router)
+        session = {"service": "S2", "domain": "D1", "session_id": "one"}
+        assert post(router_port, "/v1/establish", session)["success"] is True
+        assert post(router_port, "/v1/teardown", session)["released"] > 0
+        mapped = {}
+        for process in processes:
+            with open(f"/proc/{process.pid}/maps") as maps:
+                mapped[process.pid] = sorted(
+                    set(UNWANTED_LIBRARIES.findall(maps.read()))
+                )
+    finally:
+        stop(*processes)
+    assert mapped == {process.pid: [] for process in processes}
+
+
+def test_the_websocket_handshake_imports_hashlib_on_demand():
+    process, port = boot("repro.service.cli")
+    try:
+        key = base64.b64encode(os.urandom(16)).decode("ascii")
+        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
+            sock.sendall(
+                (
+                    "GET /v1/events HTTP/1.1\r\n"
+                    f"Host: 127.0.0.1:{port}\r\n"
+                    "Upgrade: websocket\r\n"
+                    "Connection: Upgrade\r\n"
+                    f"Sec-WebSocket-Key: {key}\r\n"
+                    "Sec-WebSocket-Version: 13\r\n\r\n"
+                ).encode("latin-1")
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                chunk = sock.recv(4096)
+                assert chunk, head
+                head += chunk
+    finally:
+        stop(process)
+    status_line, _, rest = head.decode("latin-1").partition("\r\n")
+    assert status_line.startswith("HTTP/1.1 101 ")
+    assert f"Sec-WebSocket-Accept: {websocket_accept_key(key)}\r\n" in rest
+
+
 #: sha256 of the 40 ``/v1/establish`` answers below, read off the tree
 #: that still drew the grid's capacities through numpy.
 RANDOM_PLANNER_DIGEST = "ca676dd76e7c443a491a7fa49c46ace4d15bd58ffb6f4e6199dabbe1533d840c"
@@ -106,19 +231,9 @@ def test_random_planner_imports_numpy_on_use_and_keeps_its_decisions():
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc")
 def test_a_request_does_not_fault_in_fresh_pages():
     """asyncio's 256 KiB socket reads stay on the heap, not in a new mmap."""
-    process = subprocess.Popen(
-        [sys.executable, "-m", "repro.service.cli", "--port", "0"],
-        cwd=REPO,
-        env=subprocess_env(),
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        text=True,
-    )
+    process, port = boot("repro.service.cli")
     try:
-        line = process.stdout.readline()
-        match = re.search(r"repro-serve: listening on [^:]+:(\d+) ", line)
-        assert match, f"no boot line: {line!r}"
-        connection = http.client.HTTPConnection("127.0.0.1", int(match.group(1)))
+        connection = http.client.HTTPConnection("127.0.0.1", port)
 
         def healthz(count: int) -> None:
             for _ in range(count):
@@ -135,6 +250,5 @@ def test_a_request_does_not_fault_in_fresh_pages():
         faults = minor_faults() - before
         connection.close()
     finally:
-        process.terminate()
-        process.wait(timeout=10)
+        stop(process)
     assert faults / 1000 <= 0.1
