@@ -124,12 +124,6 @@ class ShardMap:
         """Shard index owning a resource id."""
         return self.shard_of_node(self.owner_node(resource_id))
 
-    def nodes_of(self, shard: int) -> Tuple[str, ...]:
-        """All nodes assigned to one shard, sorted."""
-        return tuple(
-            sorted(node for node, index in self.assignments.items() if index == shard)
-        )
-
     def owned_resource_ids(self, shard: int, resource_ids) -> Tuple[str, ...]:
         """Filter a resource-id iterable down to one shard's slice."""
         return tuple(

@@ -154,10 +154,6 @@ class InjectedFault:
     time: float
     detail: Tuple[Tuple[str, object], ...] = ()
 
-    def detail_dict(self) -> Dict[str, object]:
-        """The detail pairs as a plain dict (event-attribute form)."""
-        return dict(self.detail)
-
 
 @dataclass(frozen=True)
 class FaultPlan:

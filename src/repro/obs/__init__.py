@@ -189,10 +189,6 @@ class ObservationSummary:
         """Number of finished spans with the given name (0 when absent)."""
         return int(self.span_totals.get(name, {}).get("count", 0))
 
-    def span_seconds(self, name: str) -> float:
-        """Summed duration of spans with the given name (0 when absent)."""
-        return float(self.span_totals.get(name, {}).get("total_seconds", 0.0))
-
     def counter_total(self, name: str) -> float:
         """Sum of a counter over every label combination."""
         counters = self.metrics.get("counters", {})

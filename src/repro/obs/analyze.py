@@ -13,9 +13,10 @@ Loads the JSON trace documents written by :func:`repro.obs.export
 * :func:`top_bottlenecks` -- the top-K contended resources, scored from
   how often each was a plan's psi bottleneck, lost a phase-3 admission
   race, or rejected a broker request;
-* :func:`diff_documents` / :func:`gate_diff` -- numeric deltas between
-  two documents (trace or benchmark-ledger JSON), the engine behind
-  ``repro-obs diff`` and the CI benchmark regression gate;
+* :func:`diff_documents` / :func:`gate_documents` -- numeric deltas
+  between two documents (trace or benchmark-ledger JSON) and the gate
+  over them, the engine behind ``repro-obs diff`` and the CI benchmark
+  regression gate;
 * :func:`stitch_traces` -- merge a *client-side* trace document (from
   the load generator or any traced ``ServiceClient`` caller) with a
   *daemon-side* one (a flight-recorder dump, or the daemon's exported
@@ -43,6 +44,7 @@ __all__ = [
     "BrokerTimeline",
     "DiffEntry",
     "FaultSummary",
+    "Gate",
     "RequestTimeline",
     "SessionBreakdown",
     "StitchReport",
@@ -54,6 +56,7 @@ __all__ = [
     "diff_documents",
     "fault_summary",
     "gate_diff",
+    "gate_documents",
     "is_timing_path",
     "load_trace",
     "stitch_traces",
@@ -805,3 +808,77 @@ def gate_diff(
         if relative is math.inf or abs(relative) > band:
             regressions.append(entry)
     return regressions
+
+
+@dataclass(frozen=True)
+class Gate:
+    """What :func:`gate_documents` held two documents' leaves to."""
+
+    #: The entries the gate compared, timing leaves re-based on a
+    #: recorded runner baseline where one applied.
+    gated: List[DiffEntry]
+    #: The gated entries outside their tolerance band.
+    regressions: List[DiffEntry]
+    #: Why timing leaves were re-based or dropped (None when neither).
+    note: Optional[str] = None
+
+
+def _runner_fingerprint(document: dict) -> Optional[str]:
+    """A ledger's runner fingerprint (None for traces and older ledgers)."""
+    runner = document.get("runner")
+    fingerprint = runner.get("fingerprint") if isinstance(runner, dict) else None
+    return str(fingerprint) if fingerprint else None
+
+
+def gate_documents(
+    base: dict, new: dict, entries: Sequence[DiffEntry], *,
+    tolerance: float = 0.25, timing_tolerance: float = 0.5, ignore_timing: bool = False,
+) -> Gate:
+    """Gate ``entries`` (leaves of ``diff_documents(base, new)``), keying
+    timing comparisons on the documents' runner fingerprints.
+
+    Same fingerprint, or none on either side (traces, pre-fingerprint
+    ledgers): timing leaves gate at ``timing_tolerance``.  Different
+    fingerprints: wall clocks from different machines are never compared.
+    If the baseline records a timing baseline for the new runner
+    (``timing_baselines[fingerprint]``), timing leaves it names gate
+    against that value and the others drop out; without one, every
+    timing leaf drops out.  ``ignore_timing`` drops them regardless.
+    """
+    gated = list(entries)
+    note = None
+    base_runner = _runner_fingerprint(base)
+    new_runner = _runner_fingerprint(new)
+    if not ignore_timing and (base_runner or new_runner) and base_runner != new_runner:
+        baselines = base.get("timing_baselines")
+        recorded = (
+            baselines.get(new_runner) if new_runner and isinstance(baselines, dict) else None
+        )
+        if isinstance(recorded, dict):
+            gated = [
+                DiffEntry(entry.path, float(recorded[entry.path]), entry.new)
+                if is_timing_path(entry.path)
+                else entry
+                for entry in entries
+                if not is_timing_path(entry.path) or entry.path in recorded
+            ]
+            substituted = sum(1 for entry in gated if is_timing_path(entry.path))
+            note = (
+                "gate: runner fingerprints differ; "
+                f"{substituted} timing leaves gated against the baseline "
+                f"recorded for {new_runner}"
+            )
+        else:
+            ignore_timing = True
+            note = (
+                "gate: runner fingerprints differ "
+                f"({base_runner or 'unrecorded'} vs {new_runner or 'unrecorded'}) "
+                "and the baseline records no timing baseline for "
+                f"{new_runner or 'this runner'}; "
+                "timing leaves excluded from the gate"
+            )
+    regressions = gate_diff(
+        gated, tolerance=tolerance, ignore_timing=ignore_timing,
+        timing_tolerance=None if ignore_timing else timing_tolerance,
+    )
+    return Gate(gated, regressions, note)

@@ -11,14 +11,17 @@ and/or a :class:`~repro.obs.metrics.MetricsRegistry`:
 * :func:`summary_report` / :func:`write_summary` -- the human-readable
   digest in the style of the ``results/*.txt`` artifacts: per-phase
   timing totals and per-broker grant/reject tallies.
+
+:func:`table` aligns those tallies, and every table ``repro-obs`` prints.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import re
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.obs.events import EventLog
 from repro.obs.metrics import MetricsRegistry, format_labels
@@ -28,6 +31,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "observability_to_dict",
     "summary_report",
+    "table",
     "write_metrics_csv",
     "write_summary",
     "write_trace_json",
@@ -45,6 +49,8 @@ PathLike = Union[str, Path]
 #: cross-process linkage ``repro-obs stitch`` merges on) and the
 #: flight-recorder ``meta`` fields of :mod:`repro.obs.flight`.
 TRACE_SCHEMA_VERSION = 4
+
+_ALIGN_WIDTH = re.compile(r"[<>^]\d+")
 
 
 def observability_to_dict(
@@ -106,6 +112,21 @@ def write_metrics_csv(path: PathLike, registry: MetricsRegistry) -> Path:
     return target
 
 
+def table(columns: Sequence[Tuple[str, str]], rows: Iterable[Sequence[object]]) -> List[str]:
+    """A header line of column titles, then one line per row.
+
+    A column is ``(title, spec)``, where ``spec`` is the format spec of
+    its cells and starts with their alignment and width (``"<16"``,
+    ``">9.3f"``); the title takes that alignment and width.  Every line
+    is indented two spaces, with one space between cells.
+    """
+    heads = [format(title, _ALIGN_WIDTH.match(spec).group()) for title, spec in columns]
+    lines = ["  " + " ".join(heads)]
+    for row in rows:
+        lines.append("  " + " ".join(format(v, spec) for v, (_, spec) in zip(row, columns)))
+    return lines
+
+
 def _broker_table(registry: MetricsRegistry) -> List[str]:
     """Per-resource grants/rejections/releases rows, aligned."""
     per_resource: Dict[str, Dict[str, float]] = {}
@@ -116,35 +137,32 @@ def _broker_table(registry: MetricsRegistry) -> List[str]:
         per_resource.setdefault(resource, {})[name.split(".", 1)[1]] = value
     if not per_resource:
         return []
-    lines = ["per-broker reservations:", f"  {'resource':<14} {'grants':>8} {'rejects':>8} {'releases':>9}"]
-    for resource in sorted(per_resource):
-        counts = per_resource[resource]
-        lines.append(
-            f"  {resource:<14} {counts.get('grants', 0):>8g} "
-            f"{counts.get('rejections', 0):>8g} {counts.get('releases', 0):>9g}"
-        )
-    return lines
+    return ["per-broker reservations:"] + table(
+        [("resource", "<14"), ("grants", ">8g"), ("rejects", ">8g"), ("releases", ">9g")],
+        (
+            (resource, counts.get("grants", 0), counts.get("rejections", 0),
+             counts.get("releases", 0))
+            for resource, counts in sorted(per_resource.items())
+        ),
+    )
 
 
 def _histogram_table(registry: MetricsRegistry) -> List[str]:
     """Per-histogram distribution rows: count, mean and p50/p95/p99."""
-    histograms = registry.iter_histograms()
-    if not any(histogram.count for _n, _l, histogram in histograms):
-        return []
-    lines = [
-        "distributions:",
-        f"  {'histogram':<30} {'count':>7} {'mean':>11} {'p50':>11} {'p95':>11} {'p99':>11}",
+    histograms = [
+        (name, labels, h) for name, labels, h in registry.iter_histograms() if h.count
     ]
-    for name, labels, histogram in histograms:
-        if not histogram.count:
-            continue
-        label_text = format_labels(tuple(sorted((k, v) for k, v in labels.items())))
-        lines.append(
-            f"  {name + label_text:<30} {histogram.count:>7} {histogram.mean:>11.6g} "
-            f"{histogram.percentile(0.50):>11.6g} {histogram.percentile(0.95):>11.6g} "
-            f"{histogram.percentile(0.99):>11.6g}"
-        )
-    return lines
+    if not histograms:
+        return []
+    return ["distributions:"] + table(
+        [("histogram", "<30"), ("count", ">7")]
+        + [(title, ">11.6g") for title in ("mean", "p50", "p95", "p99")],
+        (
+            (name + format_labels(tuple(sorted(labels.items()))), h.count, h.mean,
+             h.percentile(0.50), h.percentile(0.95), h.percentile(0.99))
+            for name, labels, h in histograms
+        ),
+    )
 
 
 def summary_report(
@@ -157,23 +175,18 @@ def summary_report(
     """A ``results/``-style text report of one traced run."""
     lines: List[str] = [title, "=" * len(title)]
     if tracer is not None and tracer.records:
-        lines.append("")
-        lines.append("per-phase timings:")
-        lines.append(f"  {'span':<22} {'count':>7} {'total_s':>10} {'mean_us':>10}")
+        rows = []
         for name in tracer.names():
-            count = tracer.count(name)
-            total = tracer.total_time(name)
-            mean_us = 1e6 * total / count if count else 0.0
-            lines.append(f"  {name:<22} {count:>7} {total:>10.4f} {mean_us:>10.1f}")
+            count, total = tracer.count(name), tracer.total_time(name)
+            rows.append((name, count, total, 1e6 * total / count if count else 0.0))
+        lines += ["", "per-phase timings:"] + table(
+            [("span", "<22"), ("count", ">7"), ("total_s", ">10.4f"), ("mean_us", ">10.1f")],
+            rows,
+        )
     if registry is not None:
-        broker_lines = _broker_table(registry)
-        if broker_lines:
-            lines.append("")
-            lines.extend(broker_lines)
-        histogram_lines = _histogram_table(registry)
-        if histogram_lines:
-            lines.append("")
-            lines.extend(histogram_lines)
+        for section in (_broker_table(registry), _histogram_table(registry)):
+            if section:
+                lines += [""] + section
         session_names = sorted(
             {name for name, _labels, _value in registry.iter_counters() if name.startswith("session.")}
         )

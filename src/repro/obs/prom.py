@@ -403,12 +403,6 @@ def _key_from_items(name: str, items: Tuple[Tuple[str, str], ...]) -> str:
     return name + rendered if rendered else name
 
 
-def _sample_key(name: str, labels: Mapping[str, str]) -> str:
-    if not labels:
-        return name
-    return _key_from_items(name, tuple(sorted(labels.items())))
-
-
 def _parse_exemplar_comment(body: str) -> Optional[ParsedExemplar]:
     """``EXEMPLAR <series>{labels} trace_id=<id> value=<v>`` or None."""
     try:

@@ -47,7 +47,6 @@ from repro.core.resources import ResourceObservation
 from repro.core.translation import ScaledTranslation
 from repro.obs import trace as _trace
 from repro.runtime.coordinator import ReservationCoordinator
-from repro.runtime.model_store import ModelStore
 from repro.runtime.proxy import QoSProxy
 
 
@@ -143,11 +142,6 @@ class DistributedCoordinator(ReservationCoordinator):
     ``plan_session``) have no fragments to stitch and reject with a
     ``qrg:`` reason.
     """
-
-    @property
-    def structure_store(self) -> ModelStore:
-        """The store holding the service structures."""
-        return self.model_store
 
     def host_of_component(self, component: str) -> ComponentHost:
         """The proxy storing ``component``; raises if none does."""

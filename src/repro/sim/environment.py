@@ -154,18 +154,6 @@ class GridEnvironment:
                     "broker.capacity", resource=broker.resource_id
                 ).set(broker.capacity)
 
-    def snapshot_utilization(self) -> Dict[str, float]:
-        """Current utilization per broker; also refreshes the gauges."""
-        registry_metrics = _metrics.active_registry()
-        utilization: Dict[str, float] = {}
-        for broker in self.registry.brokers():
-            utilization[broker.resource_id] = broker.utilization()
-            if registry_metrics is not None:
-                registry_metrics.gauge(
-                    "broker.utilization", **broker._metric_labels
-                ).set(broker.utilization())
-        return utilization
-
     def _add_path_broker(self, a: str, b: str, clock, trend_window: float) -> None:
         resource_id = _pair_id(a, b)
         route = self.routing.route(a, b)

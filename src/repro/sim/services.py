@@ -123,10 +123,6 @@ class ServiceFamily:
             QoSRanking(list(self.ranking)),
         )
 
-    def all_tables(self) -> Dict[str, Mapping[Tuple[str, str], Mapping[str, float]]]:
-        """Component name -> requirement table mapping."""
-        return {"cS": self.server_table, "cP": self.proxy_table, "cC": self.client_table}
-
 
 # --------------------------------------------------------------------------
 # Family A -- figure 10(a), services S1 and S4.
