@@ -8,7 +8,7 @@ the kernel's cost visible.
 import pytest
 
 from repro.brokers import LinkBandwidthBroker, LocalResourceBroker, PathBroker
-from repro.des import Container, Environment
+from repro.des import Environment
 
 
 def test_bench_timeout_churn(benchmark):
@@ -50,32 +50,6 @@ def test_bench_process_spawning(benchmark):
         return env.now
 
     benchmark(spawn_wave)
-
-
-def test_bench_container_contention(benchmark):
-    """Producer/consumer pairs hammering one Container."""
-
-    def run_pool():
-        env = Environment()
-        pool = Container(env, capacity=1000, init=500)
-
-        def producer(env):
-            for _ in range(2000):
-                yield pool.put(3)
-                yield env.timeout(0.5)
-
-        def consumer(env):
-            for _ in range(2000):
-                yield pool.get(3)
-                yield env.timeout(0.5)
-
-        for _ in range(3):
-            env.process(producer(env))
-            env.process(consumer(env))
-        env.run()
-        return pool.level
-
-    benchmark(run_pool)
 
 
 def test_bench_broker_reserve_release(benchmark):

@@ -62,6 +62,7 @@ from repro.service.daemon import (
     ReservationService,
     ServiceError,
     _establishment_to_dict,
+    check_grid_fields,
     decode_arrival,
     refusal,
 )
@@ -240,6 +241,7 @@ class ClusterCoordinator:
     ) -> None:
         if not shards:
             raise ModelError("a cluster needs at least one shard")
+        check_grid_fields(algorithm, contention_index)
         self.shards = list(shards)
         self.env = Environment()
         self.streams = RandomStreams(seed)
@@ -684,6 +686,7 @@ class ClusterConfig:
     def __post_init__(self) -> None:
         if not self.shards:
             raise ModelError("a cluster needs at least one shard address")
+        check_grid_fields(self.algorithm, self.contention_index, self.drain_timeout)
 
 
 class ClusterDaemon(ServingShell):

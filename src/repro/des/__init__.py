@@ -1,41 +1,20 @@
 """Discrete-event simulation kernel.
 
-A small, dependency-free (numpy only, for RNG) process-based DES engine in
-the style of simpy.  It provides the substrate on which the reservation
-environment of the paper's evaluation (section 5) runs:
+The substrate the paper's evaluation (section 5) runs on, with only what
+the simulator uses:
 
-* :class:`~repro.des.engine.Environment` -- the event loop, simulation
-  clock, and scheduling interface.
-* :class:`~repro.des.events.Event`, :class:`~repro.des.events.Timeout`,
-  :class:`~repro.des.events.AnyOf`, :class:`~repro.des.events.AllOf` --
-  the primitives a process can wait on.
-* :class:`~repro.des.process.Process` -- a generator-based coroutine; a
-  process yields events and is resumed when they fire.
-* :class:`~repro.des.container.Container` -- a capacity pool with blocking
-  ``get``/``put``, useful for modelling queued resources in examples and
-  tests (the paper's brokers use non-blocking admission control instead).
+* :class:`~repro.des.engine.Environment` -- the clock and the event
+  queue: ``now``, ``timeout(delay)``, ``process(generator)``, ``run()``,
+  ``run(until=t)`` and ``peek()``.
+* :class:`~repro.des.engine.Event`, :class:`~repro.des.engine.Timeout`
+  and :class:`~repro.des.engine.Process` -- what a process waits on; a
+  process is a generator that yields timeouts or other processes.
 * :class:`~repro.des.rng.RandomStreams` -- named, independently seeded
-  ``numpy`` generator streams, so experiments are reproducible and
-  individual sources of randomness can be varied independently.
+  random streams, so experiments are reproducible and one source of
+  randomness can vary without perturbing the others.
 """
 
-from repro.des.engine import Environment, Interrupt, SimulationError
-from repro.des.events import AllOf, AnyOf, Event, EventStatus, Timeout
-from repro.des.process import Process
-from repro.des.container import Container, ContainerError
+from repro.des.engine import Environment, Event, Process, Timeout
 from repro.des.rng import RandomStreams
 
-__all__ = [
-    "AllOf",
-    "AnyOf",
-    "Container",
-    "ContainerError",
-    "Environment",
-    "Event",
-    "EventStatus",
-    "Interrupt",
-    "Process",
-    "RandomStreams",
-    "SimulationError",
-    "Timeout",
-]
+__all__ = ["Environment", "Event", "Process", "RandomStreams", "Timeout"]

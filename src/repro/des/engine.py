@@ -1,154 +1,174 @@
-"""The simulation engine: clock, event queue, and run loop."""
+"""The simulation kernel: a clock, timeouts and generator processes.
+
+Time only advances between events.  The queue is ordered by
+``(time, priority, insertion id)``: at one instant a process wake-up
+(``URGENT``) runs before any timeout due then (``NORMAL``), however
+early that timeout was scheduled, and events of one priority run in the
+order they were scheduled.  So a session started at ``t`` runs before a
+departure due at ``t``, and a run is fully deterministic.
+"""
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Generator, Optional
 
-from repro.des.events import AllOf, AnyOf, Event, EventStatus, Timeout
-
-
-class SimulationError(Exception):
-    """Raised for structural errors in the simulation itself."""
-
-
-class EmptySchedule(SimulationError):
-    """Raised by :meth:`Environment.step` when no events remain."""
-
-
-class Interrupt(Exception):
-    """Thrown into a process when another process interrupts it.
-
-    The ``cause`` attribute carries the value supplied by the interrupter.
-    """
-
-    @property
-    def cause(self) -> Any:
-        """The value supplied by the interrupter."""
-        return self.args[0] if self.args else None
-
-
-# Scheduling priorities: URGENT events (process resumptions) run before
-# NORMAL events scheduled at the same instant, which keeps the semantics
-# of "wake the waiter before starting the next arrival at time t".
 URGENT = 0
 NORMAL = 1
 
+_PENDING = object()
 
-class Environment:
-    """Execution environment of a simulation run.
 
-    The environment owns the simulation clock and the event queue.  Time
-    only advances between events; all computation at one instant is
-    ordered by (time, priority, insertion id), which makes runs fully
-    deterministic.
+class Event:
+    """A one-shot occurrence a process waits on by yielding it.
+
+    It is *triggered* once it is on the queue with its outcome (a value,
+    or an exception) and *processed* once its callbacks have run, which
+    the engine marks by setting ``callbacks`` to None.
     """
 
-    def __init__(self, initial_time: float = 0.0) -> None:
-        self._now = float(initial_time)
-        self._queue: list[tuple[float, int, int, Event]] = []
-        self._eid = itertools.count()
-        self._active_process = None
+    __slots__ = ("env", "callbacks", "_value", "_exception")
 
-    # -- clock ----------------------------------------------------------
+    def __init__(self, env: "Environment") -> None:
+        self.env = env
+        self.callbacks: Optional[list] = []
+        self._value: Any = _PENDING
+        self._exception: Optional[BaseException] = None
+
+    @property
+    def value(self) -> Any:
+        """The event's value; raises until triggered, re-raises a failure."""
+        if self._exception is not None:
+            raise self._exception
+        if self._value is _PENDING:
+            raise RuntimeError("value of a pending event is not available")
+        return self._value
+
+    def _trigger(self, value: Any, exception: Optional[BaseException], priority: int) -> None:
+        self._value, self._exception = value, exception
+        self.env._schedule(self, 0.0, priority)
+
+
+class Timeout(Event):
+    """An event that fires ``delay`` time units after its creation."""
+
+    __slots__ = ()
+
+    def __init__(self, env: "Environment", delay: float) -> None:
+        if delay < 0:
+            raise ValueError(f"negative timeout delay: {delay!r}")
+        super().__init__(env)
+        self._value = None
+        env._schedule(self, delay, NORMAL)
+
+
+class Process(Event):
+    """A generator driven by the event loop.
+
+    Each value the generator yields must be an :class:`Event` (a
+    :class:`Timeout` or another process); the process sleeps until it
+    fires, then is resumed with its value or has its exception thrown
+    in.  The process is itself an event: it fires with the generator's
+    return value, or fails with what the generator raised.  A failure no
+    process waits on propagates out of :meth:`Environment.run`.
+    """
+
+    __slots__ = ("_generator",)
+
+    def __init__(self, env: "Environment", generator: Generator) -> None:
+        if not hasattr(generator, "send") or not hasattr(generator, "throw"):
+            raise TypeError(
+                f"Process requires a generator, got {type(generator).__name__}; "
+                "did you forget to call the generator function?"
+            )
+        super().__init__(env)
+        self._generator = generator
+        self._wake(None, None)
+
+    def _wake(self, value: Any, exception: Optional[BaseException]) -> None:
+        """Resume at this instant, ahead of the timeouts due now."""
+        wakeup = Event(self.env)
+        wakeup.callbacks.append(self._resume)
+        wakeup._trigger(value, exception, URGENT)
+
+    def _resume(self, event: Event) -> None:
+        try:
+            if event._exception is not None:
+                target = self._generator.throw(event._exception)
+            else:
+                target = self._generator.send(event._value)
+        except StopIteration as stop:
+            self._trigger(stop.value, None, NORMAL)
+            return
+        except Exception as exc:
+            self._trigger(None, exc, NORMAL)
+            return
+        if not isinstance(target, Event):
+            # Thrown into the generator, so its cleanup runs.
+            self._wake(None, RuntimeError(
+                f"process yielded a non-event: {target!r}; processes may only "
+                "wait on Event instances (Timeout, Process)"
+            ))
+        elif target.env is not self.env:
+            raise RuntimeError("process yielded an event from a different environment")
+        elif target.callbacks is None:
+            self._wake(target._value, target._exception)
+        else:
+            target.callbacks.append(self._resume)
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"<Process {getattr(self._generator, '__name__', 'process')}>"
+
+
+class Environment:
+    """The simulation clock and its event queue."""
+
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue: list = []
+        self._eid = itertools.count()
 
     @property
     def now(self) -> float:
         """Current simulated time."""
         return self._now
 
-    @property
-    def active_process(self):
-        """The process currently being resumed, if any."""
-        return self._active_process
+    def timeout(self, delay: float) -> Timeout:
+        """An event that fires ``delay`` time units from now."""
+        return Timeout(self, delay)
 
-    # -- event construction ----------------------------------------------
-
-    def event(self) -> Event:
-        """Create a fresh, untriggered :class:`Event`."""
-        return Event(self)
-
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        """Create an event that fires ``delay`` time units from now."""
-        return Timeout(self, delay, value)
-
-    def any_of(self, events) -> AnyOf:
-        """Condition firing when any of the events fires."""
-        return AnyOf(self, events)
-
-    def all_of(self, events) -> AllOf:
-        """Condition firing when all of the events have fired."""
-        return AllOf(self, events)
-
-    def process(self, generator: Generator) -> "Process":
-        """Start a new process from a generator function's generator."""
-        from repro.des.process import Process
-
+    def process(self, generator: Generator) -> Process:
+        """Start a process from a generator; it first runs at this instant."""
         return Process(self, generator)
 
-    # -- scheduling -------------------------------------------------------
-
-    def _schedule(self, event: Event, delay: float = 0.0, priority: int = NORMAL) -> None:
+    def _schedule(self, event: Event, delay: float, priority: int) -> None:
         heapq.heappush(self._queue, (self._now + delay, priority, next(self._eid), event))
-
-    def _schedule_urgent(self, event: Event) -> None:
-        self._schedule(event, 0.0, URGENT)
 
     def peek(self) -> float:
         """Time of the next scheduled event, or ``inf`` when idle."""
-        return self._queue[0][0] if self._queue else float("inf")
+        return self._queue[0][0] if self._queue else math.inf
 
-    def step(self) -> None:
-        """Process the single next event."""
-        try:
-            when, _prio, _eid, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no more events scheduled") from None
-        if when < self._now:  # pragma: no cover - defensive; cannot happen
-            raise SimulationError("event scheduled in the past")
-        self._now = when
-        callbacks, event.callbacks = event.callbacks, []
-        event._status = EventStatus.PROCESSED
-        for callback in callbacks:
-            callback(event)
-        if event._exception is not None and not event._defused:
-            raise event._exception
+    def run(self, until: Optional[float] = None) -> None:
+        """Process events until the queue is empty, or through time ``until``.
 
-    def run(self, until: Optional[float | Event] = None) -> Any:
-        """Run the simulation.
-
-        ``until`` may be:
-
-        * ``None`` -- run until the event queue is exhausted,
-        * a number -- run until the clock reaches that time,
-        * an :class:`Event` -- run until that event is processed and
-          return its value (or raise its exception).
+        With ``until`` the clock ends at ``until`` even when idle; events
+        due later stay queued.
         """
-        if until is None:
-            while self._queue:
-                self.step()
-            return None
-
-        if isinstance(until, Event):
-            stop = until
-            while not stop.processed:
-                if not self._queue:
-                    raise SimulationError(
-                        "run(until=event) exhausted the schedule before the event fired"
-                    )
-                self.step()
-            if stop._exception is not None:
-                raise stop._exception
-            return stop._value
-
-        horizon = float(until)
+        horizon = math.inf if until is None else float(until)
         if horizon < self._now:
             raise ValueError(f"cannot run until {horizon!r}, which is in the past")
-        while self._queue and self._queue[0][0] <= horizon:
-            self.step()
-        self._now = horizon
-        return None
+        queue = self._queue
+        while queue and queue[0][0] <= horizon:
+            self._now, _priority, _eid, event = heapq.heappop(queue)
+            callbacks, event.callbacks = event.callbacks, None
+            for callback in callbacks:
+                callback(event)
+            if event._exception is not None and not callbacks:
+                raise event._exception
+        if until is not None:
+            self._now = horizon
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Environment t={self._now} queued={len(self._queue)}>"

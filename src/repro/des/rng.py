@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import numbers
 import zlib
-from typing import TYPE_CHECKING, Dict, Iterator, List
+from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
@@ -169,21 +169,6 @@ class RandomStreams:
             self._pcg64[name] = generator
         return generator
 
-    def __getitem__(self, name: str) -> "np.random.Generator":
-        return self.stream(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._streams
-
-    def names(self) -> Iterator[str]:
-        """Sorted names of all stored entries."""
-        return iter(sorted(self._streams))
-
-    def spawn(self, name: str) -> "RandomStreams":
-        """Derive an independent child family (e.g. per replication)."""
-        child_seed = zlib.crc32(f"{self._seed}:{name}".encode("utf-8"))
-        return RandomStreams(child_seed)
-
     def exponential(self, name: str, mean: float) -> float:
         """One draw from Exp(mean) on stream ``name`` (Poisson gaps)."""
         if mean <= 0:
@@ -195,16 +180,3 @@ class RandomStreams:
         if high < low:
             raise ValueError(f"empty uniform range [{low!r}, {high!r}]")
         return float(self.stream(name).uniform(low, high))
-
-    def choice_weighted(self, name: str, items, weights) -> object:
-        """Weighted choice from ``items``; weights need not be normalised."""
-        import numpy as np
-
-        weights = np.asarray(list(weights), dtype=float)
-        if len(weights) != len(items):
-            raise ValueError("items and weights must have the same length")
-        if np.any(weights < 0) or weights.sum() <= 0:
-            raise ValueError(f"invalid weights {weights!r}")
-        probabilities = weights / weights.sum()
-        index = int(self.stream(name).choice(len(items), p=probabilities))
-        return items[index]

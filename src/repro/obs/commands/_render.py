@@ -64,4 +64,4 @@ def _at_least(convert, low, *, strict=False):
 row_count = _at_least(int, 1)  # rows or items to show
 line_limit = _at_least(int, 0)  # lines to show, 0 for all of them
 fraction = _at_least(float, 0.0)  # a relative tolerance band
-positive_seconds = _at_least(float, 0.0, strict=True)  # a length of time
+positive = _at_least(float, 0.0, strict=True)  # a length of time, a drift threshold

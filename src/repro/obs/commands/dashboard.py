@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import List, Tuple
 
-from repro.obs.commands._render import load_json, positive_seconds, print_lines
+from repro.obs.commands._render import load_json, positive, print_lines
 from repro.obs.export import table
 
 #: What the snapshot records of each scraped target.
@@ -34,7 +34,7 @@ def register(sub) -> argparse.ArgumentParser:
         help="shard daemons and/or the cluster router to scrape",
     )
     parser.add_argument(
-        "--interval", type=positive_seconds, default=1.0, metavar="SECONDS",
+        "--interval", type=positive, default=1.0, metavar="SECONDS",
         help="scrape interval (default 1.0)",
     )
     parser.add_argument(

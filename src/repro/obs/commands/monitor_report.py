@@ -7,7 +7,7 @@ from __future__ import annotations
 import argparse
 
 from repro.obs import analyze
-from repro.obs.commands._render import load_trace, print_lines, raise_line, row_count
+from repro.obs.commands._render import load_trace, positive, print_lines, raise_line, row_count
 from repro.obs.commands.watch import monitor_events
 from repro.obs.export import table
 
@@ -25,7 +25,7 @@ def register(sub) -> argparse.ArgumentParser:
     )
     parser.add_argument("trace", help="trace JSON document")
     parser.add_argument(
-        "--threshold", type=float, metavar="FRAC",
+        "--threshold", type=positive, metavar="FRAC",
         help="replay detection offline with this drift threshold instead of "
         "using the recorded monitoring section",
     )

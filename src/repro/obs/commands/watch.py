@@ -8,7 +8,7 @@ import argparse
 from typing import Optional
 
 from repro.obs import analyze
-from repro.obs.commands._render import line_limit, load_trace, print_lines, raise_line
+from repro.obs.commands._render import line_limit, load_trace, positive, print_lines, raise_line
 
 
 def register(sub) -> argparse.ArgumentParser:
@@ -20,7 +20,7 @@ def register(sub) -> argparse.ArgumentParser:
     parser.add_argument("trace", help="trace JSON document")
     parser.add_argument("--kind", help="show only this event kind (e.g. session.drift)")
     parser.add_argument(
-        "--threshold", type=float, metavar="FRAC",
+        "--threshold", type=positive, metavar="FRAC",
         help="replay detection offline with this drift threshold instead of "
         "using the recorded monitor events",
     )

@@ -139,6 +139,19 @@ def decode_arrival(payload: object, session_ids) -> SessionArrival:
     )
 
 
+def check_grid_fields(algorithm: str, contention_index: str, drain_timeout: float = 0.0) -> None:
+    """Refuse the fields a daemon and a cluster router share (ModelError)."""
+    if algorithm not in ALGORITHMS:
+        raise ModelError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+    if contention_index not in CONTENTION_INDICES:
+        raise ModelError(
+            f"unknown contention index {contention_index!r}; "
+            f"pick from {sorted(CONTENTION_INDICES)}"
+        )
+    if drain_timeout < 0:
+        raise ModelError("drain_timeout must be >= 0")
+
+
 @dataclass(frozen=True)
 class DaemonConfig:
     """Everything that defines one daemon instance.
@@ -177,17 +190,7 @@ class DaemonConfig:
     lease_ttl: float = 5.0
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ModelError(
-                f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}"
-            )
-        if self.contention_index not in CONTENTION_INDICES:
-            raise ModelError(
-                f"unknown contention index {self.contention_index!r}; "
-                f"pick from {sorted(CONTENTION_INDICES)}"
-            )
-        if self.drain_timeout < 0:
-            raise ModelError("drain_timeout must be >= 0")
+        check_grid_fields(self.algorithm, self.contention_index, self.drain_timeout)
         if self.shard_count < 1:
             raise ModelError("shard_count must be >= 1")
         if self.shard_index is not None and not (

@@ -117,6 +117,20 @@ def test_shard_map_rejects_bad_counts_and_unknown_resources():
         shard_map.shard_of("link:L999")
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("algorithm", "nope"), ("contention_index", "bogus"), ("drain_timeout", -1)],
+)
+def test_router_refuses_what_the_daemon_refuses(field, value):
+    with pytest.raises(ModelError):
+        DaemonConfig(**{field: value})
+    with pytest.raises(ModelError):
+        ClusterConfig(shards=(("127.0.0.1", 1),), **{field: value})
+    if field != "drain_timeout":
+        with pytest.raises(ModelError):
+            ClusterCoordinator(make_local_shards(1), **{field: value})
+
+
 # ---------------------------------------------------------------------------
 # single-shard byte-identity
 

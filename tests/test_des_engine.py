@@ -2,16 +2,12 @@
 
 import pytest
 
-from repro.des import Environment, Event, EventStatus, SimulationError, Timeout
-from repro.des.engine import EmptySchedule
+from repro.des import Environment
 
 
 class TestClock:
     def test_starts_at_zero(self):
         assert Environment().now == 0.0
-
-    def test_custom_initial_time(self):
-        assert Environment(initial_time=5.0).now == 5.0
 
     def test_time_advances_with_timeouts(self):
         env = Environment()
@@ -25,65 +21,39 @@ class TestClock:
         assert env.now == 10.0
 
     def test_run_until_past_raises(self):
-        env = Environment(initial_time=5.0)
+        env = Environment()
+        env.run(until=5.0)
         with pytest.raises(ValueError):
             env.run(until=1.0)
 
 
 class TestEvents:
-    def test_event_lifecycle(self):
-        env = Environment()
-        event = env.event()
-        assert event.status is EventStatus.PENDING
-        assert not event.triggered
-        event.succeed("payload")
-        assert event.triggered and not event.processed
-        env.run()
-        assert event.processed
-        assert event.value == "payload"
-
     def test_value_before_trigger_raises(self):
         env = Environment()
-        with pytest.raises(RuntimeError):
-            env.event().value
 
-    def test_double_succeed_raises(self):
-        env = Environment()
-        event = env.event()
-        event.succeed()
-        with pytest.raises(RuntimeError):
-            event.succeed()
+        def proc(env):
+            yield env.timeout(1)
 
-    def test_fail_requires_exception(self):
-        env = Environment()
-        with pytest.raises(TypeError):
-            env.event().fail("not an exception")
+        with pytest.raises(RuntimeError, match="pending"):
+            env.process(proc(env)).value
 
     def test_failed_event_raises_on_value(self):
         env = Environment()
-        event = env.event()
-        event.fail(ValueError("boom"))
-        event.defuse()
-        env.run()
-        with pytest.raises(ValueError):
-            event.value
 
-    def test_unhandled_failure_propagates_from_run(self):
-        env = Environment()
-        env.event().fail(RuntimeError("unobserved"))
-        with pytest.raises(RuntimeError, match="unobserved"):
+        def bad(env):
+            yield env.timeout(1)
+            raise ValueError("boom")
+
+        process = env.process(bad(env))
+        with pytest.raises(ValueError):
             env.run()
+        with pytest.raises(ValueError, match="boom"):
+            process.value
 
     def test_negative_timeout_rejected(self):
         env = Environment()
         with pytest.raises(ValueError):
             env.timeout(-1)
-
-    def test_timeout_carries_value(self):
-        env = Environment()
-        timeout = env.timeout(1.0, value="tick")
-        env.run()
-        assert timeout.value == "tick"
 
 
 class TestOrdering:
@@ -103,6 +73,27 @@ class TestOrdering:
         env.run()
         assert order == ["a", "b", "c"]
 
+    def test_process_started_at_t_runs_before_an_earlier_timeout_due_at_t(self):
+        """The contract the simulator's digests rest on: an arrival at t
+        starts its session before a departure due at t is processed,
+        though the departure was scheduled first."""
+        env = Environment()
+        order = []
+
+        def session(env):
+            order.append(("session", env.now))
+            yield env.timeout(0)
+
+        def arrivals(env):
+            yield env.timeout(5)
+            env.process(session(env))
+
+        env.process(arrivals(env))
+        env.run(until=1)  # arrivals now waits on its timeout due at 5
+        env.timeout(4).callbacks.append(lambda _e: order.append(("departure", env.now)))
+        env.run()
+        assert order == [("session", 5.0), ("departure", 5.0)]
+
     def test_run_until_number_excludes_later_events(self):
         env = Environment()
         fired = []
@@ -111,80 +102,8 @@ class TestOrdering:
         env.run(until=5.0)
         assert fired == [1]
 
-    def test_step_on_empty_schedule_raises(self):
-        with pytest.raises(EmptySchedule):
-            Environment().step()
-
     def test_peek(self):
         env = Environment()
         assert env.peek() == float("inf")
         env.timeout(2.5)
         assert env.peek() == 2.5
-
-
-class TestRunUntilEvent:
-    def test_returns_event_value(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(4)
-            return "done"
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == "done"
-        assert env.now == 4.0
-
-    def test_raises_event_exception(self):
-        env = Environment()
-
-        def proc(env):
-            yield env.timeout(1)
-            raise KeyError("inside")
-
-        process = env.process(proc(env))
-        with pytest.raises(KeyError):
-            env.run(until=process)
-
-    def test_unreachable_event_raises_simulation_error(self):
-        env = Environment()
-        never = env.event()
-        with pytest.raises(SimulationError):
-            env.run(until=never)
-
-
-class TestConditions:
-    def test_all_of_waits_for_every_event(self):
-        env = Environment()
-
-        def proc(env):
-            t1, t2 = env.timeout(1, "a"), env.timeout(3, "b")
-            result = yield env.all_of([t1, t2])
-            return (env.now, sorted(result.values()))
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == (3.0, ["a", "b"])
-
-    def test_any_of_fires_on_first(self):
-        env = Environment()
-
-        def proc(env):
-            result = yield env.any_of([env.timeout(5, "slow"), env.timeout(1, "fast")])
-            return (env.now, list(result.values()))
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == (1.0, ["fast"])
-
-    def test_empty_condition_fires_immediately(self):
-        env = Environment()
-
-        def proc(env):
-            result = yield env.all_of([])
-            return result
-
-        process = env.process(proc(env))
-        assert env.run(until=process) == {}
-
-    def test_condition_rejects_foreign_events(self):
-        env_a, env_b = Environment(), Environment()
-        with pytest.raises(ValueError):
-            env_a.all_of([env_b.timeout(1)])

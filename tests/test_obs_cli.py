@@ -853,6 +853,10 @@ def test_import_loads_no_heavy_module():
         (["stitch", _GOLDEN, _GOLDEN, "--limit", "0"], "--limit"),
         (["monitor-report", "trace_renegotiated.json", "--pairs", "-1"], "--pairs"),
         (["watch", _GOLDEN, "--limit", "-1"], "--limit"),
+        (["watch", _GOLDEN, "--threshold", "0"], "--threshold"),
+        (["watch", _GOLDEN, "--threshold", "-1"], "--threshold"),
+        (["monitor-report", _GOLDEN, "--threshold", "0"], "--threshold"),
+        (["monitor-report", _GOLDEN, "--threshold", "-1"], "--threshold"),
         (["diff", _GOLDEN, _TWO, "--gate", "--tolerance", "-0.1"], "--tolerance"),
         (["diff", _GOLDEN, _TWO, "--gate", "--timing-tolerance", "-0.1"],
          "--timing-tolerance"),
