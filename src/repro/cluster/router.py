@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from functools import partial
@@ -52,7 +51,9 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.prom import registry_exposition
 from repro.runtime.coordinator import EstablishmentResult
 from repro.service import http as _http
+from repro.service.http import decode_json, encode_json
 from repro.service.client import (
+    UNREACHABLE,
     ServiceClient,
     ServiceClientError,
     ServiceDrainingError,
@@ -79,10 +80,6 @@ __all__ = [
     "HttpShardClient",
     "LocalShardClient",
 ]
-
-
-def _json_body(document: object) -> bytes:
-    return json.dumps(document, sort_keys=True).encode("utf-8")
 
 
 class _ShardClient:
@@ -201,15 +198,13 @@ class LocalShardClient(_ShardClient):
         if path == self.lose_next_reply:
             self.lose_next_reply = None
             raise ConnectionError(f"shard {self.label}: reply to {path} lost")
-        return ServiceResponse(status=status, headers={}, body=_json_body(document))
+        return ServiceResponse(status=status, headers={}, body=encode_json(document))
 
     async def reap(self, now: Optional[float] = None) -> int:
         """Run the shard's lease reaper (the daemon does this on a timer)."""
         with self._logged():
             return self.service.reap_expired_leases(now)
 
-
-_UNREACHABLE = (ConnectionError, OSError, _http.ProtocolError, asyncio.TimeoutError)
 
 #: Reject reasons that are the infrastructure failing, not admission
 #: control saying a QoS-aware "no" -- the distinction the cluster
@@ -306,8 +301,8 @@ class ClusterCoordinator:
         """Verbatim proxying to the only shard (byte-identity path)."""
         try:
             response = await self.shards[0].forward_raw(method, target, payload)
-        except _UNREACHABLE:
-            return 503, _json_body({"error": "shard unreachable"})
+        except UNREACHABLE:
+            return 503, encode_json({"error": "shard unreachable"})
         return response.status, response.body
 
     # -- cross-shard establishment -----------------------------------------
@@ -323,8 +318,8 @@ class ClusterCoordinator:
             elif status == 200:
                 self._note_shard(0, True)
                 try:
-                    document = json.loads(body)
-                except ValueError:
+                    document = decode_json(body)
+                except _http.ProtocolError:
                     return status, body
                 self._count(document.get("success"), document.get("reason"))
             return status, body
@@ -332,9 +327,9 @@ class ClusterCoordinator:
             result = await self._establish_cross_shard(payload)
         except ReproError as exc:
             status, document = refusal(exc)
-            return status, _json_body(document)
+            return status, encode_json(document)
         self._count(result.success, result.reason)
-        return 200, _json_body(_establishment_to_dict(result))
+        return 200, encode_json(_establishment_to_dict(result))
 
     async def _establish_cross_shard(self, payload: dict) -> EstablishmentResult:
         arrival = decode_arrival(payload, self._session_ids)
@@ -401,7 +396,7 @@ class ClusterCoordinator:
             )
         observations: Dict[str, ResourceObservation] = {}
         for shard_index, response in zip(involved, responses):
-            self._note_shard(shard_index, not isinstance(response, _UNREACHABLE))
+            self._note_shard(shard_index, not isinstance(response, UNREACHABLE))
         for response in responses:
             if isinstance(response, BaseException):
                 continue
@@ -445,7 +440,7 @@ class ClusterCoordinator:
                 except ServiceClientError:
                     reason = "shard_error"
                     break
-                except _UNREACHABLE:
+                except UNREACHABLE:
                     self._note_shard(shard_index, False)
                     reason = "shard_unreachable"
                     break
@@ -475,17 +470,17 @@ class ClusterCoordinator:
                     await self.shards[shard_index].commit(
                         {"lease_id": lease_id, "session": meta}
                     )
-                except (ServiceClientError,) + _UNREACHABLE as exc:
+                except (ServiceClientError,) + UNREACHABLE as exc:
                     answered = isinstance(exc, ServiceClientError)
                     self._note_shard(shard_index, answered)
                     # Undo the rest: abort the still-held leases, tear the
                     # committed slices back down.  A shard that answered
                     # with an error (an expired lease) committed nothing;
                     # an unreachable one may have committed before its
-                    # reply was lost, which no abort undoes.  It owes a
-                    # teardown, as does a committed shard we cannot reach
-                    # now: flush_pending_teardowns settles the debt (a
-                    # 404 means the shard holds nothing).
+                    # reply was lost or garbled, which no abort undoes.
+                    # It owes a teardown, as does a committed shard we
+                    # cannot reach now: flush_pending_teardowns settles
+                    # the debt (a 404 means the shard holds nothing).
                     await self._abort_leases(leases[position:])
                     _, owed = await self._teardown_on(committed, session_id)
                     if not answered:
@@ -525,7 +520,7 @@ class ClusterCoordinator:
         for shard_index, lease_id in leases:
             try:
                 await self.shards[shard_index].abort({"lease_id": lease_id})
-            except (ServiceClientError,) + _UNREACHABLE:
+            except (ServiceClientError,) + UNREACHABLE:
                 continue
 
     async def _teardown_on(
@@ -546,7 +541,7 @@ class ClusterCoordinator:
                 released += int(outcome.get("released", 0))
             except ServiceClientError:
                 pass
-            except _UNREACHABLE:
+            except UNREACHABLE:
                 self._note_shard(shard_index, False)
                 unreachable.append(shard_index)
                 continue
@@ -560,7 +555,7 @@ class ClusterCoordinator:
             return await self.forward("POST", "/v1/teardown", payload)
         session_id = str(payload.get("session_id") or "")
         if not session_id:
-            return 400, _json_body({"error": "missing required field 'session_id'"})
+            return 400, encode_json({"error": "missing required field 'session_id'"})
         record = self.sessions.pop(session_id, None)
         targets = (
             record["shards"] if record is not None else range(len(self.shards))
@@ -573,9 +568,9 @@ class ClusterCoordinator:
             # settle it when the shard is reachable again.
             self._owe_teardown(session_id, unreachable)
         if record is None and released == 0:
-            return 404, _json_body({"error": f"unknown session {session_id!r}"})
+            return 404, encode_json({"error": f"unknown session {session_id!r}"})
         self.counters["torn_down"] += 1
-        return 200, _json_body({"session_id": session_id, "released": released})
+        return 200, encode_json({"session_id": session_id, "released": released})
 
     def _owe_teardown(self, session_id: str, shard_indexes: Sequence[int]) -> None:
         """Record that ``shard_indexes`` may still hold ``session_id``."""
@@ -620,14 +615,14 @@ class ClusterCoordinator:
         if session_id is not None:
             record = self.sessions.get(session_id)
             if record is None:
-                return 404, _json_body({"error": f"unknown session {session_id!r}"})
-            return 200, _json_body(dict(record, session_id=session_id))
+                return 404, encode_json({"error": f"unknown session {session_id!r}"})
+            return 200, encode_json(dict(record, session_id=session_id))
         per_shard: List[dict] = []
         for shard in self.shards:
             entry: dict = {"label": shard.label}
             try:
                 document = await shard.query()
-            except (ServiceClientError,) + _UNREACHABLE as exc:
+            except (ServiceClientError,) + UNREACHABLE as exc:
                 entry["reachable"] = False
                 self._note_shard(shard.index, isinstance(exc, ServiceClientError))
             else:
@@ -636,7 +631,7 @@ class ClusterCoordinator:
                 entry["active_sessions"] = document.get("active_sessions")
                 entry["shard"] = document.get("shard")
             per_shard.append(entry)
-        return 200, _json_body(
+        return 200, encode_json(
             {
                 "shards": len(self.shards),
                 "seed": self.seed,
@@ -654,7 +649,7 @@ class ClusterCoordinator:
         for shard in self.shards:
             try:
                 document = await shard.query()
-            except (ServiceClientError,) + _UNREACHABLE as exc:
+            except (ServiceClientError,) + UNREACHABLE as exc:
                 problems.append(f"{shard.label}: unreachable ({exc})")
                 continue
             if document.get("seed") != self.seed:
@@ -762,22 +757,22 @@ class ClusterDaemon(ServingShell):
                 request.target, request.query.get("session_id")
             )
         if request.method != "POST":
-            return 405, _json_body(
+            return 405, encode_json(
                 {"error": f"no route for {request.method} {request.path}"}
             )
         if self._draining:
-            return 503, _json_body(DRAIN_REFUSAL)
+            return 503, encode_json(DRAIN_REFUSAL)
         payload = request.json()
         if request.path == "/v1/establish":
             operation = coordinator.establish
         elif request.path == "/v1/teardown":
             operation = coordinator.teardown
         elif request.path not in ("/v1/establish_batch", "/v1/renegotiate"):
-            return 404, _json_body({"error": f"unknown path {request.path!r}"})
+            return 404, encode_json({"error": f"unknown path {request.path!r}"})
         elif len(coordinator.shards) == 1:
             operation = partial(coordinator.forward, "POST", request.path)
         else:
-            return 501, _json_body(
+            return 501, encode_json(
                 {
                     "error": f"{request.path} is not supported by the "
                     "multi-shard router"

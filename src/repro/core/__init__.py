@@ -95,6 +95,7 @@ __all__ = [
     "TranslationError",
     "TwoPassDagPlanner",
     "build_qrg",
+    "check_planner_fields",
     "compute_plan",
     "concat_levels",
     "enumerate_paths",
@@ -123,6 +124,21 @@ PLANNERS = {
 #: The chain planners of the paper's evaluation: what the simulator, the
 #: daemon and the router accept as ``algorithm``.
 ALGORITHMS = ("basic", "tradeoff", "random")
+
+
+def check_planner_fields(algorithm: str, contention_index: str) -> None:
+    """Refuse an unknown :data:`ALGORITHMS` or contention index name.
+
+    The one check behind every config that names a planner: the
+    simulator's, the daemon's and the cluster router's.
+    """
+    if algorithm not in ALGORITHMS:
+        raise ModelError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
+    if contention_index not in CONTENTION_INDICES:
+        raise ModelError(
+            f"unknown contention index {contention_index!r}; "
+            f"pick from {sorted(CONTENTION_INDICES)}"
+        )
 
 
 def make_planner(algorithm: str, tie_break: bool, streams):

@@ -52,8 +52,7 @@ from typing import (
 )
 
 from repro.obs.prom import ParsedExposition, parse_exposition, split_series_key
-from repro.service import http as _http
-from repro.service.client import ServiceClient
+from repro.service.client import UNREACHABLE, ServiceClient
 
 __all__ = [
     "ScrapeResult",
@@ -67,9 +66,6 @@ __all__ = [
 
 #: Synthetic per-target gauge recorded by the scraper: 1 reachable, 0 not.
 UP_SERIES = "up"
-
-#: Exceptions that mean "target unreachable", mirroring the router's view.
-_UNREACHABLE = (ConnectionError, OSError, _http.ProtocolError, asyncio.TimeoutError)
 
 
 def parse_selector(text: str) -> Tuple[str, Dict[str, str]]:
@@ -495,7 +491,7 @@ class TelemetryScraper:
                                             timeout=self.timeout)
             text = await asyncio.wait_for(client.metrics(),
                                           timeout=self.timeout)
-        except _UNREACHABLE as exc:
+        except UNREACHABLE as exc:
             self.store.record_unreachable(
                 key, ts=ts, host=host, port=port,
                 error=f"{type(exc).__name__}: {exc}",

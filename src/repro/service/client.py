@@ -6,7 +6,13 @@ parked after a ``Connection: keep-alive`` response, and reused by the
 next request.  A request that finds its pooled socket already closed
 by the daemon is retried once on a fresh connection -- only when the
 old socket died before yielding any response bytes, so the request
-cannot have been executed twice.
+cannot have been executed twice.  Every byte read or written goes
+through :mod:`repro.service.http`, so a reply the codec refuses (a bad
+``Content-Length``, a body over the bound, a missing length, non-JSON
+where JSON is due) raises :class:`~repro.service.http.ProtocolError`.
+That error and the transport's own (no answer at all) make up
+:data:`UNREACHABLE`: a call that raises one of them has an outcome its
+caller cannot know.
 :attr:`ServiceClient.connections_opened` and
 :attr:`ServiceClient.connections_reused` count the raw socket traffic
 (the load generator surfaces them in its report).
@@ -29,7 +35,6 @@ the wire format is byte-for-byte what it always was.
 from __future__ import annotations
 
 import asyncio
-import json
 from dataclasses import dataclass
 from typing import AsyncIterator, Dict, List, Optional, Tuple
 
@@ -42,6 +47,7 @@ __all__ = [
     "ServiceResponse",
     "ServiceClientError",
     "ServiceDrainingError",
+    "UNREACHABLE",
 ]
 
 #: Seconds :meth:`ServiceClient.events` waits for the WebSocket upgrade.
@@ -66,17 +72,9 @@ class ServiceDrainingError(ServiceClientError):
     """
 
 
-def _is_draining(status: int, payload: object) -> bool:
-    """Recognize the daemon's 503 drain-refusal body."""
-    if status != 503 or not isinstance(payload, dict):
-        return False
-    if payload.get("draining") is True:
-        return True
-    return "shutting down" in str(payload.get("error", ""))
-
-
-class _ConnectionLost(Exception):
-    """A (pooled) socket died before any response bytes arrived."""
+#: What a call raises when its peer did not answer, or answered with
+#: bytes that are no reply: the call's outcome is unknown to the caller.
+UNREACHABLE = (OSError, _http.ProtocolError, asyncio.TimeoutError)
 
 
 @dataclass(frozen=True)
@@ -88,16 +86,21 @@ class ServiceResponse:
     body: bytes
 
     def json(self) -> object:
-        return json.loads(self.body.decode("utf-8")) if self.body else None
+        return _http.decode_json(self.body) if self.body else None
 
     def checked(self) -> object:
-        """The decoded body of a 200; any other status raises its typed error."""
+        """The decoded body of a 200; any other status raises its typed error.
+
+        A 503 whose body says ``draining`` (the servers' drain refusal)
+        is a :class:`ServiceDrainingError`.
+        """
         document = self.json()
-        if self.status != 200:
-            if _is_draining(self.status, document):
-                raise ServiceDrainingError(self.status, document)
-            raise ServiceClientError(self.status, document)
-        return document
+        if self.status == 200:
+            return document
+        draining = isinstance(document, dict) and document.get("draining") is True
+        if self.status == 503 and draining:
+            raise ServiceDrainingError(self.status, document)
+        raise ServiceClientError(self.status, document)
 
 
 class ServiceClient:
@@ -147,28 +150,23 @@ class ServiceClient:
         headers: Optional[Dict[str, str]] = None,
     ) -> ServiceResponse:
         """One request/response exchange (pooled connection when possible)."""
-        body = b""
-        if payload is not None:
-            body = json.dumps(payload, sort_keys=True).encode("utf-8")
-        head_lines = [
-            f"{method} {path} HTTP/1.1",
-            f"Host: {self.host}:{self.port}",
-            "Connection: keep-alive",
-            f"Content-Length: {len(body)}",
-            "Content-Type: application/json",
-        ]
-        merged = dict(headers or {})
+        body = b"" if payload is None else _http.encode_json(payload)
+        fields = {
+            "Host": f"{self.host}:{self.port}",
+            "Connection": "keep-alive",
+            "Content-Length": len(body),
+            "Content-Type": "application/json",
+            **(headers or {}),
+        }
         context = _context.current_trace_context()
         if context is not None:
             # A fresh span id per request keeps retries distinguishable
             # on the daemon side while staying inside the same trace.
             child = _context.child_context(context, request_id=context.request_id)
-            merged.setdefault(_context.TRACEPARENT_HEADER, child.traceparent())
+            fields.setdefault(_context.TRACEPARENT_HEADER, child.traceparent())
             if child.request_id is not None:
-                merged.setdefault(_context.REQUEST_ID_HEADER, child.request_id)
-        for name, value in merged.items():
-            head_lines.append(f"{name}: {value}")
-        wire = ("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1") + body
+                fields.setdefault(_context.REQUEST_ID_HEADER, child.request_id)
+        wire = _http.request_bytes(method, path, fields, body)
         with _trace.span("client.request") as span:
             span.set(method=method, path=path)
             for attempt in (0, 1):
@@ -176,17 +174,22 @@ class ServiceClient:
                 try:
                     writer.write(wire)
                     await writer.drain()
-                    response = await _read_response(reader)
-                except (_ConnectionLost, ConnectionError, OSError):
-                    # The daemon may close an idle pooled socket at any
-                    # time; that is only safe to retry when no response
-                    # bytes arrived (the request never executed).
-                    if reused:
-                        self.connections_reused -= 1
+                    parts = await _http.read_response(reader)
+                    if parts is None:
+                        raise ConnectionResetError("closed before any response bytes")
+                except BaseException as exc:
+                    # A failed exchange never returns to the pool: its
+                    # stream may sit mid-message.  The daemon may close an
+                    # idle pooled socket at any time; that is only safe
+                    # to retry when no response bytes arrived (the
+                    # request never executed).
                     await _close_writer(writer)
-                    if reused and attempt == 0:
-                        continue
+                    if reused and isinstance(exc, OSError):
+                        self.connections_reused -= 1
+                        if attempt == 0:
+                            continue
                     raise
+                response = ServiceResponse(*parts)
                 if response.headers.get("connection", "").lower() != "close":
                     self._release(reader, writer)
                 else:
@@ -269,26 +272,25 @@ class ServiceClient:
         """
         path = "/v1/events" + (f"?queue={queue}" if queue is not None else "")
         key = "cmVwcm8tc2VydmljZS1ldnQ="  # any base64 16-byte nonce works
-        head = (
-            f"GET {path} HTTP/1.1\r\n"
-            f"Host: {self.host}:{self.port}\r\n"
-            "Upgrade: websocket\r\n"
-            "Connection: Upgrade\r\n"
-            f"Sec-WebSocket-Key: {key}\r\n"
-            "Sec-WebSocket-Version: 13\r\n"
-            "\r\n"
-        )
         reader, writer = await asyncio.open_connection(self.host, self.port)
         try:
-            writer.write(head.encode("latin-1"))
+            writer.write(_http.request_bytes("GET", path, {
+                "Host": f"{self.host}:{self.port}",
+                "Upgrade": "websocket",
+                "Connection": "Upgrade",
+                "Sec-WebSocket-Key": key,
+                "Sec-WebSocket-Version": 13,
+            }))
             await writer.drain()
-            status_line = await asyncio.wait_for(
-                reader.readuntil(b"\r\n\r\n"), timeout=HANDSHAKE_TIMEOUT
+            upgrade = await asyncio.wait_for(
+                _http.read_response(reader), timeout=HANDSHAKE_TIMEOUT
             )
-            if b" 101 " not in status_line.split(b"\r\n", 1)[0]:
-                raise ServiceClientError(400, status_line.decode("latin-1", "replace"))
-            expected = _http.websocket_accept_key(key).encode("latin-1")
-            if expected not in status_line:
+            if upgrade is None:
+                return
+            status, headers, body = upgrade
+            if status != 101:
+                raise ServiceClientError(status, body.decode("latin-1"))
+            if headers.get("sec-websocket-accept") != _http.websocket_accept_key(key):
                 raise ServiceClientError(400, "bad Sec-WebSocket-Accept")
             while True:
                 opcode, payload = await _http.read_ws_frame(reader)
@@ -301,7 +303,7 @@ class ServiceClient:
                     await writer.drain()
                     continue
                 if opcode in (_http.OP_TEXT, _http.OP_BINARY):
-                    yield json.loads(payload.decode("utf-8"))
+                    yield _http.decode_json(payload)
         except (_http.ProtocolError, ConnectionError):
             return
         finally:
@@ -310,11 +312,7 @@ class ServiceClient:
                 await writer.drain()
             except (ConnectionError, RuntimeError):
                 pass
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except ConnectionError:  # pragma: no cover
-                pass
+            await _close_writer(writer)
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:
@@ -323,31 +321,3 @@ async def _close_writer(writer: asyncio.StreamWriter) -> None:
         await writer.wait_closed()
     except (ConnectionError, OSError):  # pragma: no cover
         pass
-
-
-async def _read_response(reader: asyncio.StreamReader) -> ServiceResponse:
-    """Parse one HTTP response (Content-Length framed)."""
-    try:
-        head = await reader.readuntil(b"\r\n\r\n")
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            raise _ConnectionLost() from exc
-        raise _http.ProtocolError("connection closed before response head") from exc
-    lines = head.decode("latin-1").split("\r\n")
-    try:
-        status = int(lines[0].split(" ", 2)[1])
-    except (IndexError, ValueError) as exc:
-        raise _http.ProtocolError(f"malformed status line {lines[0]!r}") from exc
-    headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        name, sep, value = line.partition(":")
-        if sep:
-            headers[name.strip().lower()] = value.strip()
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        body = await reader.readexactly(int(length_text))
-    else:
-        body = await reader.read()
-    return ServiceResponse(status=status, headers=headers, body=body)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import asyncio
 import itertools
-import json
 import math
 import os as _os
 import sys as _sys
@@ -56,7 +55,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
-from repro.core import ALGORITHMS, CONTENTION_INDICES, make_planner
+from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import AdmissionError, ModelError, ReproError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
@@ -141,13 +140,7 @@ def decode_arrival(payload: object, session_ids) -> SessionArrival:
 
 def check_grid_fields(algorithm: str, contention_index: str, drain_timeout: float = 0.0) -> None:
     """Refuse the fields a daemon and a cluster router share (ModelError)."""
-    if algorithm not in ALGORITHMS:
-        raise ModelError(f"unknown algorithm {algorithm!r}; pick from {ALGORITHMS}")
-    if contention_index not in CONTENTION_INDICES:
-        raise ModelError(
-            f"unknown contention index {contention_index!r}; "
-            f"pick from {sorted(CONTENTION_INDICES)}"
-        )
+    check_planner_fields(algorithm, contention_index)
     if drain_timeout < 0:
         raise ModelError("drain_timeout must be >= 0")
 
@@ -1026,10 +1019,7 @@ class ReservationDaemon(ServingShell):
                 event = await subscriber.next_event()
                 if event is None:
                     break
-                frame = _http.encode_ws_frame(
-                    json.dumps(event, sort_keys=True).encode("utf-8")
-                )
-                writer.write(frame)
+                writer.write(_http.encode_ws_frame(_http.encode_json(event)))
                 await writer.drain()
         except (ConnectionError, asyncio.CancelledError):
             pass

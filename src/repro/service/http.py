@@ -1,19 +1,25 @@
-"""Minimal HTTP/1.1 + WebSocket (RFC 6455) plumbing over asyncio streams.
+"""Minimal HTTP/1.1 + WebSocket (RFC 6455) codec over asyncio streams.
 
 The reservation daemon speaks plain HTTP for its admission API and a
 WebSocket for the live event plane.  The container policy is stdlib-only
 (no FastAPI/uvicorn/websockets), so this module implements exactly the
-slice both ends need:
+slice both ends need, and it is the only code that turns wire bytes into
+messages and messages into wire bytes, at either end:
 
-* request parsing (request line, headers, ``Content-Length`` bodies) and
-  response serialization for short-lived ``Connection: close`` exchanges;
+* one message reader behind :func:`read_request` and
+  :func:`read_response`, with one set of bounds and one
+  :class:`ProtocolError` for a malformed start or header line, a bad
+  ``Content-Length``, an EOF mid-message or an unparsable target;
+* one writer per direction, :func:`request_bytes` and
+  :func:`response_bytes`, and one JSON body codec,
+  :func:`encode_json` and :func:`decode_json`;
 * the RFC 6455 opening handshake (``Sec-WebSocket-Accept``) and data
   framing -- unmasked server frames, masked client frames, 7/16/64-bit
   payload lengths, close/ping/pong control opcodes.
 
-Both the daemon (:mod:`repro.service.daemon`) and the client
-(:mod:`repro.service.client`) build on these primitives, so the framing
-code is exercised from both directions in every test.
+The servers (:mod:`repro.service.server`) and the client
+(:mod:`repro.service.client`) both build on these primitives, so the
+codec is exercised from both directions in every test.
 """
 
 from __future__ import annotations
@@ -24,7 +30,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = [
@@ -38,17 +44,22 @@ __all__ = [
     "ProtocolError",
     "Request",
     "read_request",
+    "read_response",
     "split_target",
+    "request_bytes",
     "response_bytes",
     "json_response_bytes",
+    "encode_json",
+    "decode_json",
     "websocket_accept_key",
     "websocket_handshake_bytes",
     "encode_ws_frame",
     "read_ws_frame",
 ]
 
-#: Bounds on inbound messages; a reservation API exchange is tiny, so
-#: anything larger is a confused (or hostile) peer, not a real request.
+#: Bounds on every inbound message, read by either end.  A head is tiny
+#: and the largest body is a full flight-ring dump (~4.7 MiB), so
+#: anything larger is a confused (or hostile) peer, not a real message.
 MAX_HEADER_BYTES = 32 * 1024
 MAX_BODY_BYTES = 8 * 1024 * 1024
 
@@ -75,7 +86,7 @@ _STATUS_PHRASES = {
 
 
 class ProtocolError(ValueError):
-    """Malformed HTTP request or WebSocket frame."""
+    """Malformed HTTP message, JSON body or WebSocket frame."""
 
 
 @dataclass
@@ -93,10 +104,7 @@ class Request:
         """The body decoded as a JSON object ({} when empty)."""
         if not self.body:
             return {}
-        try:
-            payload = json.loads(self.body.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise ProtocolError(f"invalid JSON body: {exc}") from exc
+        payload = decode_json(self.body)
         if not isinstance(payload, dict):
             raise ProtocolError("JSON body must be an object")
         return payload
@@ -109,23 +117,22 @@ class Request:
         return upgrade == "websocket" and "upgrade" in connection
 
 
-async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
-    """Parse one request; None on clean EOF before any bytes arrive."""
+async def _read_head(reader: asyncio.StreamReader, kind: str):
+    """``(start line fields, headers)`` of one message; None on clean EOF."""
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
         if not exc.partial:
             return None
-        raise ProtocolError("connection closed mid-request") from exc
+        raise ProtocolError(f"connection closed mid-{kind}") from exc
     except asyncio.LimitOverrunError as exc:
-        raise ProtocolError("request head exceeds the stream limit") from exc
+        raise ProtocolError(f"{kind} head exceeds the stream limit") from exc
     if len(head) > MAX_HEADER_BYTES:
-        raise ProtocolError(f"request head exceeds {MAX_HEADER_BYTES} bytes")
-    try:
-        lines = head.decode("latin-1").split("\r\n")
-        method, target, _version = lines[0].split(" ", 2)
-    except (UnicodeDecodeError, ValueError) as exc:
-        raise ProtocolError(f"malformed request line: {head[:80]!r}") from exc
+        raise ProtocolError(f"{kind} head exceeds {MAX_HEADER_BYTES} bytes")
+    lines = head.decode("latin-1").split("\r\n")
+    start = lines[0].split(" ", 2)
+    if len(start) != 3:
+        raise ProtocolError(f"malformed {kind} line: {head[:80]!r}")
     headers: Dict[str, str] = {}
     for line in lines[1:]:
         if not line:
@@ -134,35 +141,78 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
         if not sep:
             raise ProtocolError(f"malformed header line: {line!r}")
         headers[name.strip().lower()] = value.strip()
-    body = b""
-    length_text = headers.get("content-length")
-    if length_text is not None:
-        try:
-            length = int(length_text)
-        except ValueError as exc:
-            raise ProtocolError(f"bad Content-Length: {length_text!r}") from exc
-        if length < 0 or length > MAX_BODY_BYTES:
-            raise ProtocolError(f"body of {length} bytes refused")
-        if length:
-            try:
-                body = await reader.readexactly(length)
-            except asyncio.IncompleteReadError as exc:
-                raise ProtocolError("connection closed mid-body") from exc
+    return start, headers
+
+
+async def _read_body(reader: asyncio.StreamReader, length_text: str) -> bytes:
+    """The ``Content-Length`` framed body, at most :data:`MAX_BODY_BYTES`."""
+    try:
+        length = int(length_text)
+    except ValueError as exc:
+        raise ProtocolError(f"bad Content-Length: {length_text!r}") from exc
+    if length < 0 or length > MAX_BODY_BYTES:
+        raise ProtocolError(f"body of {length} bytes refused")
+    try:
+        return await reader.readexactly(length)
+    except asyncio.IncompleteReadError as exc:
+        raise ProtocolError("connection closed mid-body") from exc
+
+
+async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
+    """Parse one request; None on clean EOF before any bytes arrive."""
+    head = await _read_head(reader, "request")
+    if head is None:
+        return None
+    (method, target, _version), headers = head
+    body = await _read_body(reader, headers.get("content-length", "0"))
     path, query = split_target(target)
-    return Request(
-        method=method.upper(),
-        target=target,
-        path=path,
-        query=query,
-        headers=headers,
-        body=body,
-    )
+    return Request(method.upper(), target, path, query, headers, body)
+
+
+async def read_response(
+    reader: asyncio.StreamReader,
+) -> Optional[Tuple[int, Dict[str, str], bytes]]:
+    """Parse one response to ``(status, headers, body)``; None on clean EOF.
+
+    Every server here frames its bodies with ``Content-Length``, so a
+    response without one is malformed -- except a ``101`` upgrade, which
+    is a head only.
+    """
+    head = await _read_head(reader, "response")
+    if head is None:
+        return None
+    (_version, status_text, _phrase), headers = head
+    try:
+        status = int(status_text)
+    except ValueError as exc:
+        raise ProtocolError(f"malformed status code: {status_text!r}") from exc
+    if status == 101:
+        return status, headers, b""
+    if "content-length" not in headers:
+        raise ProtocolError(f"HTTP {status} response without Content-Length")
+    return status, headers, await _read_body(reader, headers["content-length"])
 
 
 def split_target(target: str) -> Tuple[str, Dict[str, str]]:
     """The ``(path, query)`` of a request target (query URL-decoded)."""
-    parts = urlsplit(target)
+    try:
+        parts = urlsplit(target)
+    except ValueError as exc:
+        raise ProtocolError(f"unparsable request target: {target[:80]!r}") from exc
     return parts.path, dict(parse_qsl(parts.query, keep_blank_values=True))
+
+
+def _message_bytes(lines: List[str], body: bytes = b"") -> bytes:
+    """A start line and header lines, the blank line, then ``body``."""
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+
+
+def request_bytes(
+    method: str, target: str, headers: Dict[str, object], body: bytes = b""
+) -> bytes:
+    """Serialize one request; ``headers`` are written in their order."""
+    start = f"{method} {target} HTTP/1.1"
+    return _message_bytes([start, *(f"{k}: {v}" for k, v in headers.items())], body)
 
 
 def response_bytes(
@@ -185,13 +235,25 @@ def response_bytes(
         f"Content-Length: {len(body)}",
         "Connection: close" if close else "Connection: keep-alive",
     ]
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    return _message_bytes(lines, body)
+
+
+def encode_json(document: object) -> bytes:
+    """The one JSON body encoding: sorted keys, UTF-8."""
+    return json.dumps(document, sort_keys=True).encode("utf-8")
+
+
+def decode_json(body: bytes) -> object:
+    """A JSON body's value; :class:`ProtocolError` on bad UTF-8 or JSON."""
+    try:
+        return json.loads(body.decode("utf-8"))
+    except (ValueError, RecursionError) as exc:
+        raise ProtocolError(f"invalid JSON body: {exc}") from exc
 
 
 def json_response_bytes(status: int, payload: object, *, close: bool = True) -> bytes:
     """A JSON response with deterministic key order."""
-    body = json.dumps(payload, sort_keys=True).encode("utf-8")
-    return response_bytes(status, body, close=close)
+    return response_bytes(status, encode_json(payload), close=close)
 
 
 # -- WebSocket ---------------------------------------------------------------
@@ -211,13 +273,14 @@ def websocket_accept_key(key: str) -> str:
 
 def websocket_handshake_bytes(key: str) -> bytes:
     """The 101 Switching Protocols response completing the handshake."""
-    return (
-        "HTTP/1.1 101 Switching Protocols\r\n"
-        "Upgrade: websocket\r\n"
-        "Connection: Upgrade\r\n"
-        f"Sec-WebSocket-Accept: {websocket_accept_key(key)}\r\n"
-        "\r\n"
-    ).encode("latin-1")
+    return _message_bytes(
+        [
+            "HTTP/1.1 101 Switching Protocols",
+            "Upgrade: websocket",
+            "Connection: Upgrade",
+            f"Sec-WebSocket-Accept: {websocket_accept_key(key)}",
+        ]
+    )
 
 
 def encode_ws_frame(payload: bytes, *, opcode: int = OP_TEXT, mask: bool = False) -> bytes:

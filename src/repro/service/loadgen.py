@@ -35,7 +35,7 @@ from repro.des.rng import RandomStreams
 from repro.obs import context as _context
 from repro.obs import trace as _trace
 from repro.obs.export import observability_to_dict
-from repro.service.client import ServiceClient, ServiceClientError
+from repro.service.client import UNREACHABLE, ServiceClient, ServiceClientError
 from repro.sim.workload import SessionArrival, WorkloadGenerator, WorkloadSpec
 
 __all__ = ["LoadGenConfig", "LoadReport", "arrival_payload", "run_load", "main"]
@@ -259,7 +259,7 @@ async def _one_client(
             with _trace.span("loadgen.establish") as span:
                 span.set(session=arrival.session_id, service=arrival.service)
                 outcome = await client.establish(**arrival_payload(arrival))
-        except (ServiceClientError, ConnectionError, OSError):
+        except (ServiceClientError,) + UNREACHABLE:
             tracker.errors += 1
             return
         tracker.latencies_ms.append((_time.perf_counter() - sent) * 1e3)
@@ -286,7 +286,7 @@ async def _hold_and_teardown(
     try:
         await client.teardown(arrival.session_id)
         tracker.torn_down += 1
-    except (ServiceClientError, ConnectionError, OSError):
+    except (ServiceClientError,) + UNREACHABLE:
         tracker.errors += 1
 
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import PurePath
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import ALGORITHMS, CONTENTION_INDICES, make_planner
+from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import ModelError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
@@ -87,13 +87,7 @@ class SimulationConfig:
     monitoring: Optional[MonitorConfig] = None
 
     def __post_init__(self) -> None:
-        if self.algorithm not in ALGORITHMS:
-            raise ModelError(f"unknown algorithm {self.algorithm!r}; pick from {ALGORITHMS}")
-        if self.contention_index not in CONTENTION_INDICES:
-            raise ModelError(
-                f"unknown contention index {self.contention_index!r}; "
-                f"pick from {sorted(CONTENTION_INDICES)}"
-            )
+        check_planner_fields(self.algorithm, self.contention_index)
         if self.staleness < 0 or self.latency < 0:
             raise ModelError("staleness and latency must be >= 0")
 

@@ -27,7 +27,10 @@ from repro.service import (
     ReservationService,
     ServiceClient,
     ServiceClientError,
+    ServiceResponse,
 )
+from repro.service.client import UNREACHABLE
+from repro.service.http import MAX_BODY_BYTES, ProtocolError
 from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
@@ -416,27 +419,118 @@ def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
         assert outcome["success"] is False
         assert outcome["reason"] == "shard_unreachable"
         assert not victim.crashed
-        assert "lost" not in coordinator.sessions
-        assert victim_index in coordinator.pending_teardowns["lost"]
         status, _ = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "lost"}
         )
         assert status == 409
-        await coordinator.flush_pending_teardowns()
-        assert not coordinator.pending_teardowns
-        for shard in shards:
-            await shard.reap(now=float("inf"))
-            assert "lost" not in shard.service.sessions, shard.label
-        assert_cluster_clean(shards, session_ids=["lost"])
-        report = reconcile_shard_events(
-            {shard.label: list(shard.log) for shard in shards}
-        )
-        assert report.ok, report.describe()
-        for label, per_resource in report.outstanding.items():
-            assert not per_resource, (label, per_resource)
+        await _settle_unknown_commit(coordinator, shards, victim_index, "lost")
 
     for service_name, domain, victim_index in cases:
         asyncio.run(scenario(service_name, domain, victim_index))
+
+
+async def _settle_unknown_commit(coordinator, shards, victim_index, session_id):
+    """The victim owes a teardown; one anti-entropy pass and a reap free all."""
+    assert session_id not in coordinator.sessions
+    assert victim_index in coordinator.pending_teardowns[session_id]
+    await coordinator.flush_pending_teardowns()
+    assert not coordinator.pending_teardowns
+    for shard in shards:
+        await shard.reap(now=float("inf"))
+        assert session_id not in shard.service.sessions, shard.label
+    assert_cluster_clean(shards, session_ids=[session_id])
+    report = reconcile_shard_events({shard.label: list(shard.log) for shard in shards})
+    assert report.ok, report.describe()
+    for label, per_resource in report.outstanding.items():
+        assert not per_resource, (label, per_resource)
+
+
+class GarblingShardClient(LocalShardClient):
+    """A shard that applies the next ``/v1/commit`` and answers it with bytes
+    that are no JSON -- a proxy's error page, a truncated write."""
+
+    garble_next_commit = True
+
+    async def forward_raw(self, method, target, payload):
+        response = await super().forward_raw(method, target, payload)
+        if target == "/v1/commit" and self.garble_next_commit:
+            self.garble_next_commit = False
+            return ServiceResponse(response.status, {}, b"<html>bad gateway")
+        return response
+
+
+@pytest.mark.parametrize("shard_count", [2, 3])
+def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
+    """The shard committed; its reply does not parse.  Like a lost reply,
+    the outcome is unknown: the router books a teardown debt and the
+    anti-entropy pass frees the slice, instead of raising out of
+    ``establish`` and leaving the session committed on the shard."""
+    cases = [
+        (service_name, domain, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in involved
+    ]
+
+    async def scenario(service_name, domain, victim_index):
+        shards = make_local_shards(shard_count)
+        victim = shards[victim_index]
+        shards[victim_index] = GarblingShardClient(
+            victim_index, victim.service, log=victim.log, label=victim.label
+        )
+        coordinator = ClusterCoordinator(shards, seed=7)
+        status, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "garbled"}
+        )
+        assert status == 200
+        outcome = json.loads(body)
+        assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
+        await _settle_unknown_commit(coordinator, shards, victim_index, "garbled")
+
+    for service_name, domain, victim_index in cases:
+        asyncio.run(scenario(service_name, domain, victim_index))
+
+
+#: Replies ServiceClient must refuse with a ProtocolError, never a hang.
+GARBLED_REPLIES = [
+    b"HTTP/1.1 200 OK\r\nContent-Length: abc\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\n\r\n{}" % (MAX_BODY_BYTES + 1),
+    b"HTTP/1.1 200 OK\r\nConnection: keep-alive\r\n\r\n{}",
+    b"HTTP/1.1 200 OK\r\nContent-Length: 17\r\n\r\n<html>bad gateway",
+]
+
+
+async def _commit_against(reply, expected):
+    """``client.commit`` against a server answering ``reply`` (None: it
+    closes without a byte) must raise ``expected`` within a second."""
+    async def answer(reader, writer):
+        await reader.readuntil(b"\r\n\r\n")
+        if reply is not None:
+            writer.write(reply)
+            await writer.drain()
+            await reader.read()  # hold the socket open until the client closes
+        writer.close()
+
+    server = await asyncio.start_server(answer, "127.0.0.1", 0)
+    client = ServiceClient("127.0.0.1", server.sockets[0].getsockname()[1])
+    try:
+        with pytest.raises(expected):
+            await asyncio.wait_for(client.commit("lease-1"), timeout=1.0)
+    finally:
+        await client.aclose()
+        server.close()
+        await server.wait_closed()
+
+
+@pytest.mark.parametrize("reply", GARBLED_REPLIES)
+def test_service_client_refuses_a_garbled_reply(reply):
+    asyncio.run(_commit_against(reply, ProtocolError))
+
+
+def test_a_silent_close_on_a_fresh_socket_is_unreachable():
+    """No retry is safe on a fresh socket, so the error must be one the
+    router reads as an unknown outcome."""
+    asyncio.run(_commit_against(None, UNREACHABLE))
 
 
 def test_a_lost_teardown_reply_is_settled_by_a_404():

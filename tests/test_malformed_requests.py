@@ -52,6 +52,14 @@ MALFORMED = [
     ("/v1/reserve", {"demands": {"cpu:H1": 10}}),
 ]
 
+#: Raw requests the HTTP codec refuses -- every one must be answered 400.
+MALFORMED_WIRE = [
+    b"GARBAGE\r\n\r\n",
+    b"POST /v1/establish HTTP/1.1\r\nContent-Length: 9\r\n\r\n{not json",
+    b"GET http://[::1 HTTP/1.1\r\n\r\n",
+    b"POST /v1/establish HTTP/1.1\r\nContent-Length: 100000\r\n\r\n" + b"[" * 100_000,
+]
+
 
 async def _serve(target):
     """Boot ``target``; returns (port to drive, daemon or None, shutdown)."""

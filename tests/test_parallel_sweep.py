@@ -25,8 +25,8 @@ from repro.obs import (
     active_observation_session,
     reset_worker_observability,
 )
+from repro.core import ALGORITHMS
 from repro.sim.experiment import (
-    ALGORITHMS,
     WORKERS_ENV,
     SimulationConfig,
     derive_run_seed,

@@ -27,10 +27,11 @@ from repro.service import (
     ReservationService,
     ServiceClient,
     ServiceDrainingError,
+    ServiceResponse,
 )
-from repro.service.client import _read_response
+from repro.service.http import read_response
 
-from tests.test_malformed_requests import GOOD, MALFORMED, _serve
+from tests.test_malformed_requests import GOOD, MALFORMED, MALFORMED_WIRE, _serve
 
 
 async def _raw(port, wire):
@@ -39,7 +40,7 @@ async def _raw(port, wire):
     try:
         writer.write(wire)
         await writer.drain()
-        response = await _read_response(reader)
+        response = ServiceResponse(*await read_response(reader))
         try:
             closed = await asyncio.wait_for(reader.read(1), timeout=0.3) == b""
         except asyncio.TimeoutError:
@@ -101,12 +102,7 @@ def test_shell_contract(target):
             assert (response.headers["connection"], closed) == ("keep-alive", False)
 
             # a malformed request is a 400 that closes the connection
-            body = b"{not json"
-            for wire in (
-                b"GARBAGE\r\n\r\n",
-                b"POST /v1/establish HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s"
-                % (len(body), body),
-            ):
+            for wire in MALFORMED_WIRE:
                 response, closed = await _raw(port, wire)
                 assert (response.status, closed) == (400, True), wire
                 assert "error" in response.json()
