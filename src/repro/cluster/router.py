@@ -27,8 +27,18 @@ in-process coordinator) -- the property the acceptance test pins.
 :class:`~repro.service.server.ServingShell` as a single daemon, so the
 load generator and :class:`ServiceClient` work unchanged against a
 cluster.  :class:`LocalShardClient` swaps the HTTP hop for a direct call
-into the shard's route table (with per-shard event logs and drain/crash
-switches) -- the harness the property tests race.
+into the shard's route table (with per-shard event logs and the drain
+flag) -- the transport the property tests race.
+
+The router reads every shard answer in one place,
+:meth:`ClusterCoordinator._exchange`: a reply is either read (through a
+small per-route reader), a refusal that applied nothing
+(``shard_draining``, ``shard_error``), or unknown (``shard_unreachable``:
+no reply, or one of the wrong shape -- the shard may have applied the
+call).  Each caller's handling of an unknown outcome is what keeps the
+cluster leak-free: an unknown reserve is left to the shard's TTL
+reaper, an unknown commit or teardown becomes a teardown debt, and an
+unknown availability reply zero-fills that shard's resources.
 """
 
 from __future__ import annotations
@@ -144,12 +154,7 @@ class LocalShardClient(_ShardClient):
     (:meth:`~ReservationService.handle`) -- the daemon's routes minus
     the socket.  Every call runs under ``event_logging(self.log)`` so
     each shard keeps its own causal event log exactly as separate
-    processes would.  ``draining`` is the daemon's drain flag;
-    ``crashed`` (and :attr:`crash_on_next_reserve`, the lost-ack case:
-    capacity held, acknowledgement never arrives) simulate the failures
-    the router must absorb.  :attr:`lose_next_reply` names a path
-    (``/v1/commit``, ``/v1/abort``, ``/v1/teardown``) whose next call
-    the shard applies and stays up, but whose reply never arrives.
+    processes would.  ``draining`` is the daemon's drain flag.
     """
 
     def __init__(
@@ -165,39 +170,21 @@ class LocalShardClient(_ShardClient):
         self.log = log
         self.label = label or f"local-{index}"
         self.draining = False
-        self.crashed = False
-        self.crash_on_next_reserve = False
-        self.lose_next_reply: Optional[str] = None
 
     def _logged(self):
         if self.log is None:
             return nullcontext()
         return _events.event_logging(self.log)
 
-    def _check_alive(self) -> None:
-        if self.crashed:
-            raise ConnectionError(f"shard {self.label} is down")
-
     async def forward_raw(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
-        self._check_alive()
         await asyncio.sleep(0)  # the network hop: an interleave point
-        self._check_alive()
         path, query = _http.split_target(target)
         with self._logged():
             status, document = self.service.handle(
                 method, path, query, payload, draining=self.draining
             )
-        if self.crash_on_next_reserve and path == "/v1/reserve" and status == 200:
-            # Lost ack: the shard grants the capacity, then dies before
-            # answering.  Only its TTL reaper can free the lease now.
-            self.crash_on_next_reserve = False
-            self.crashed = True
-            raise ConnectionError(f"shard {self.label} crashed mid-reserve")
-        if path == self.lose_next_reply:
-            self.lose_next_reply = None
-            raise ConnectionError(f"shard {self.label}: reply to {path} lost")
         return ServiceResponse(status=status, headers={}, body=encode_json(document))
 
     async def reap(self, now: Optional[float] = None) -> int:
@@ -212,6 +199,51 @@ class LocalShardClient(_ShardClient):
 INFRA_REJECT_REASONS = frozenset(
     {"shard_unreachable", "shard_error", "shard_draining"}
 )
+
+#: The failure of an exchange whose outcome the router cannot know.
+UNKNOWN = "shard_unreachable"
+
+#: What an exchange raises when no reply came (:data:`UNREACHABLE`), or
+#: what a reader raises on a reply of the wrong shape.
+_NO_READABLE_REPLY = UNREACHABLE + (
+    AttributeError, LookupError, TypeError, ValueError, ModelError
+)
+
+#: A resource no readable reply covered: planning sees it exhausted.
+_UNSEEN = ResourceObservation(available=0.0)
+
+
+def _read_object(document) -> dict:
+    """A JSON object: all the router reads off a commit, abort or query."""
+    if not isinstance(document, dict):
+        raise TypeError(f"expected a JSON object, got {type(document).__name__}")
+    return document
+
+
+def _read_availability(wanted, document) -> Dict[str, ResourceObservation]:
+    """``GET /v1/availability``: the observations of the ``wanted`` resources."""
+    observations = {}
+    for rid, fields in _read_object(document)["resources"].items():
+        if rid in wanted:
+            observed_at = fields.get("observed_at")
+            observations[rid] = ResourceObservation(
+                available=max(0.0, float(fields.get("available", 0.0))),
+                alpha=float(fields.get("alpha", 1.0)),
+                observed_at=None if observed_at is None else float(observed_at),
+            )
+    return observations
+
+
+def _read_reserve(document) -> Tuple[Optional[str], Optional[str]]:
+    """``/v1/reserve``: ``(lease_id, None)``, or ``(None, failed_resource)``."""
+    if _read_object(document).get("reserved"):
+        return document["lease_id"], None
+    return None, document.get("failed_resource")
+
+
+def _read_released(document) -> int:
+    """``/v1/teardown``: the amount the shard released."""
+    return int(_read_object(document).get("released", 0))
 
 
 class ClusterCoordinator:
@@ -255,8 +287,8 @@ class ClusterCoordinator:
         self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
         self.reject_reasons: Dict[str, int] = {}
         #: session_id -> shard indexes that may still hold the session:
-        #: a teardown failed while the shard was unreachable, or a
-        #: commit's reply was lost.  Retried by flush_pending_teardowns.
+        #: its teardown or commit there had an unknown outcome (no
+        #: reply, or an unreadable one).  Retried by flush_pending_teardowns.
         self.pending_teardowns: Dict[str, List[int]] = {}
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
@@ -274,6 +306,29 @@ class ClusterCoordinator:
         self.registry.gauge(
             "cluster.shard_reachable", shard=f"shard-{shard_index}"
         ).set(1.0 if reachable else 0.0)
+
+    async def _exchange(self, shard_index: int, call, read):
+        """Await one shard ``call`` and ``read`` its reply: ``(value, failure)``.
+
+        ``failure`` is None when the shard answered and the reply read;
+        ``shard_draining`` or ``shard_error`` when it answered with a
+        refusal, having applied nothing; :data:`UNKNOWN` when no reply
+        came, or one ``read`` cannot read -- the shard may have applied
+        the call, and every caller's handling of an unknown outcome
+        assumes it did.  The one place the router reads a shard's
+        answer, and records whether the shard is reachable.
+        """
+        value = failure = None
+        try:
+            value = read(await call)
+        except ServiceDrainingError:
+            failure = "shard_draining"
+        except ServiceClientError:
+            failure = "shard_error"
+        except _NO_READABLE_REPLY:
+            failure = UNKNOWN
+        self._note_shard(shard_index, failure != UNKNOWN)
+        return value, failure
 
     def metrics_exposition(self) -> str:
         """The router's ``/metrics`` body (Prometheus text format).
@@ -318,8 +373,8 @@ class ClusterCoordinator:
             elif status == 200:
                 self._note_shard(0, True)
                 try:
-                    document = decode_json(body)
-                except _http.ProtocolError:
+                    document = _read_object(decode_json(body))
+                except (_http.ProtocolError, TypeError):
                     return status, body
                 self._count(document.get("success"), document.get("reason"))
             return status, body
@@ -384,35 +439,24 @@ class ClusterCoordinator:
     ) -> AvailabilitySnapshot:
         """Phase 1 over the wire: gather availability from every shard.
 
-        Resources a dead shard should have covered are zero-filled --
-        the same degrade-not-crash stance the fault-tolerant
-        coordinator takes on a timed-out proxy.
+        Resources a shard should have covered are zero-filled when its
+        reply is unknown (no reply, or one of the wrong shape) -- the
+        same degrade-not-crash stance the fault-tolerant coordinator
+        takes on a timed-out proxy.
         """
-        wanted = set(resource_ids)
+        read = partial(_read_availability, set(resource_ids))
         with _trace.span("cluster.snapshot", shards=len(involved)):
-            responses = await asyncio.gather(
-                *(self.shards[index].availability() for index in involved),
-                return_exceptions=True,
+            replies = await asyncio.gather(
+                *(
+                    self._exchange(index, self.shards[index].availability(), read)
+                    for index in involved
+                )
             )
         observations: Dict[str, ResourceObservation] = {}
-        for shard_index, response in zip(involved, responses):
-            self._note_shard(shard_index, not isinstance(response, UNREACHABLE))
-        for response in responses:
-            if isinstance(response, BaseException):
-                continue
-            for rid, fields in response.get("resources", {}).items():
-                if rid not in wanted:
-                    continue
-                observations[rid] = ResourceObservation(
-                    available=max(0.0, float(fields.get("available", 0.0))),
-                    alpha=float(fields.get("alpha", 1.0)),
-                    observed_at=fields.get("observed_at"),
-                )
+        for read_observations, _ in replies:
+            observations.update(read_observations or {})
         for rid in resource_ids:
-            if rid not in observations:
-                observations[rid] = ResourceObservation(
-                    available=0.0, alpha=1.0, observed_at=None
-                )
+            observations.setdefault(rid, _UNSEEN)
         return AvailabilitySnapshot(observations)
 
     async def _two_phase_commit(
@@ -427,29 +471,18 @@ class ClusterCoordinator:
         failed_resource: Optional[str] = None
         with _trace.span("cluster.reserve", shards=len(per_shard)):
             for shard_index in sorted(per_shard):
-                try:
-                    outcome = await self.shards[shard_index].reserve(
-                        {
-                            "session_id": session_id,
-                            "demands": per_shard[shard_index],
-                        }
-                    )
-                except ServiceDrainingError:
-                    reason = "shard_draining"
+                # An unknown reserve may hold a lease no abort can name:
+                # the shard's TTL reaper frees it.
+                request = {"session_id": session_id, "demands": per_shard[shard_index]}
+                reserve = self.shards[shard_index].reserve(request)
+                held, reason = await self._exchange(shard_index, reserve, _read_reserve)
+                if reason is not None:
                     break
-                except ServiceClientError:
-                    reason = "shard_error"
-                    break
-                except UNREACHABLE:
-                    self._note_shard(shard_index, False)
-                    reason = "shard_unreachable"
-                    break
-                self._note_shard(shard_index, True)
-                if not outcome.get("reserved"):
+                lease_id, failed_resource = held
+                if lease_id is None:
                     reason = "admission_failed"
-                    failed_resource = outcome.get("failed_resource")
                     break
-                leases.append((shard_index, outcome["lease_id"]))
+                leases.append((shard_index, lease_id))
         if reason is not None:
             await self._abort_leases(leases)
             return EstablishmentResult(
@@ -466,24 +499,22 @@ class ClusterCoordinator:
         committed: List[int] = []
         with _trace.span("cluster.commit", shards=len(leases)):
             for position, (shard_index, lease_id) in enumerate(leases):
-                try:
-                    await self.shards[shard_index].commit(
-                        {"lease_id": lease_id, "session": meta}
-                    )
-                except (ServiceClientError,) + UNREACHABLE as exc:
-                    answered = isinstance(exc, ServiceClientError)
-                    self._note_shard(shard_index, answered)
+                commit = self.shards[shard_index].commit(
+                    {"lease_id": lease_id, "session": meta}
+                )
+                _, failure = await self._exchange(shard_index, commit, _read_object)
+                if failure is not None:
                     # Undo the rest: abort the still-held leases, tear the
                     # committed slices back down.  A shard that answered
                     # with an error (an expired lease) committed nothing;
-                    # an unreachable one may have committed before its
-                    # reply was lost or garbled, which no abort undoes.
-                    # It owes a teardown, as does a committed shard we
-                    # cannot reach now: flush_pending_teardowns settles
-                    # the debt (a 404 means the shard holds nothing).
+                    # one whose outcome is unknown may have committed,
+                    # which no abort undoes.  It owes a teardown, as does
+                    # a committed shard we cannot reach now:
+                    # flush_pending_teardowns settles the debt (a 404
+                    # means the shard holds nothing).
                     await self._abort_leases(leases[position:])
                     _, owed = await self._teardown_on(committed, session_id)
-                    if not answered:
+                    if failure == UNKNOWN:
                         owed.append(shard_index)
                     if owed:
                         self._owe_teardown(session_id, owed)
@@ -518,35 +549,26 @@ class ClusterCoordinator:
     async def _abort_leases(self, leases: List[Tuple[int, str]]) -> None:
         """Best-effort rollback; unreachable shards are left to their TTL."""
         for shard_index, lease_id in leases:
-            try:
-                await self.shards[shard_index].abort({"lease_id": lease_id})
-            except (ServiceClientError,) + UNREACHABLE:
-                continue
+            abort = self.shards[shard_index].abort({"lease_id": lease_id})
+            await self._exchange(shard_index, abort, _read_object)
 
     async def _teardown_on(
         self, shard_indexes: Sequence[int], session_id: str
     ) -> Tuple[int, List[int]]:
-        """Tear a session down shard by shard: (released, unreachable shards).
+        """Tear a session down shard by shard: (released, unknown shards).
 
         A shard that answers with an error holds nothing to release (a
         404: it never held the session, or forgot it in a restart).
         """
         released = 0
-        unreachable: List[int] = []
+        unknown: List[int] = []
         for shard_index in shard_indexes:
-            try:
-                outcome = await self.shards[shard_index].teardown(
-                    {"session_id": session_id}
-                )
-                released += int(outcome.get("released", 0))
-            except ServiceClientError:
-                pass
-            except UNREACHABLE:
-                self._note_shard(shard_index, False)
-                unreachable.append(shard_index)
-                continue
-            self._note_shard(shard_index, True)
-        return released, unreachable
+            teardown = self.shards[shard_index].teardown({"session_id": session_id})
+            freed, failure = await self._exchange(shard_index, teardown, _read_released)
+            released += freed or 0
+            if failure == UNKNOWN:
+                unknown.append(shard_index)
+        return released, unknown
 
     # -- teardown / query --------------------------------------------------
 
@@ -619,15 +641,11 @@ class ClusterCoordinator:
             return 200, encode_json(dict(record, session_id=session_id))
         per_shard: List[dict] = []
         for shard in self.shards:
-            entry: dict = {"label": shard.label}
-            try:
-                document = await shard.query()
-            except (ServiceClientError,) + UNREACHABLE as exc:
-                entry["reachable"] = False
-                self._note_shard(shard.index, isinstance(exc, ServiceClientError))
-            else:
-                entry["reachable"] = True
-                self._note_shard(shard.index, True)
+            document, failure = await self._exchange(
+                shard.index, shard.query(), _read_object
+            )
+            entry: dict = {"label": shard.label, "reachable": failure is None}
+            if failure is None:
                 entry["active_sessions"] = document.get("active_sessions")
                 entry["shard"] = document.get("shard")
             per_shard.append(entry)
@@ -647,10 +665,11 @@ class ClusterCoordinator:
         """Boot-time sanity: every reachable shard must share our config."""
         problems: List[str] = []
         for shard in self.shards:
-            try:
-                document = await shard.query()
-            except (ServiceClientError,) + UNREACHABLE as exc:
-                problems.append(f"{shard.label}: unreachable ({exc})")
+            document, failure = await self._exchange(
+                shard.index, shard.query(), _read_object
+            )
+            if failure is not None:
+                problems.append(f"{shard.label}: {failure}")
                 continue
             if document.get("seed") != self.seed:
                 problems.append(

@@ -43,6 +43,7 @@ __all__ = [
     "ReconcileReport",
     "capacity_conservation",
     "assert_capacity_conserved",
+    "cross_tier_violations",
     "reconcile_shard_events",
 ]
 
@@ -323,3 +324,30 @@ def reconcile_shard_events(
         1 for labels in session_shards.values() if len(labels) > 1
     )
     return report
+
+
+def cross_tier_violations(
+    router_sessions: Mapping[str, Mapping[str, object]],
+    pending_teardowns: Mapping[str, Collection[int]],
+    shard_sessions: Mapping[int, Mapping[str, Mapping[str, object]]],
+) -> List[str]:
+    """Committed shard slices the cluster router will never tear down.
+
+    ``shard_sessions`` maps a shard index to that shard's session table;
+    a record with ``cluster: true`` is a slice a 2PC commit made
+    permanent.  Each must belong to a session the router still holds
+    (``router_sessions``, the shard listed under ``"shards"``) or owes a
+    teardown (``pending_teardowns``, the shard listed): anything else is
+    capacity no one will release -- the leak per-shard reconciliation
+    cannot see, since each shard's books balance on their own.  Pure
+    inspection; an empty list means the tiers agree.
+    """
+    return [
+        f"shard {shard_index}: session {session_id} is committed but neither "
+        "held nor owed a teardown by the router"
+        for shard_index, sessions in sorted(shard_sessions.items())
+        for session_id, record in sorted(sessions.items())
+        if record.get("cluster")
+        and shard_index not in router_sessions.get(session_id, {}).get("shards", ())
+        and shard_index not in pending_teardowns.get(session_id, ())
+    ]

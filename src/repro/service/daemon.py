@@ -862,12 +862,8 @@ class ReservationDaemon(ServingShell):
     async def _dispatch(
         self, request: _http.Request, parse_seconds: float, close: bool
     ) -> bytes:
-        status, resolved = self._guarded(
-            self.service.route,
-            request.method,
-            request.path,
-            request.query,
-            draining=self._draining,
+        status, resolved = self.service.route(
+            request.method, request.path, request.query, draining=self._draining
         )
         if status is not None:
             return _http.json_response_bytes(status, resolved, close=close)
@@ -902,7 +898,7 @@ class ReservationDaemon(ServingShell):
                 # spans opened from this index on are this request's.
                 first_span = self.service.flight.tracer.next_index
                 with _trace.span(f"daemon.{name}") as span:
-                    status, document = self._guarded(answer, operation, payload)
+                    status, document = answer(operation, payload)
                     span.set(status=status)
                 plan_seconds, commit_seconds = self._planning_phases(first_span)
                 serialize_started = _time.perf_counter()
@@ -954,17 +950,9 @@ class ReservationDaemon(ServingShell):
         for histogram, value in zip(histograms, seconds):
             histogram.observe(value, exemplar=trace_id)
 
-    def _guarded(self, call, *args, **kwargs):
-        """``call(...)``; an exception no route expects is a 500 + flight dump."""
-        try:
-            return call(*args, **kwargs)
-        except Exception as exc:  # pragma: no cover - defensive
-            self._dump_on_exception(exc)
-            return 500, {"error": f"{type(exc).__name__}: {exc}"}
-
-    def _dump_on_exception(self, exc: Exception) -> None:
-        """Best-effort flight dump when a handler dies unexpectedly."""
-        self.service.flight.record_wire("unhandled_exceptions")
+    def _on_unhandled(self, exc: Exception) -> None:
+        """Count the exception, then dump the flight recorder (best effort)."""
+        super()._on_unhandled(exc)
         try:
             path = self.service.flight_dump("exception")
         except Exception:  # pragma: no cover - the dump must never re-raise

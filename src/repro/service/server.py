@@ -3,8 +3,9 @@
 :class:`ServingShell` owns everything about a daemon that is not its
 routes: the listening socket and its lifecycle, the keep-alive request
 loop, the ``Connection: close`` decision, trace-context continuation,
-the 400 a malformed request earns, the access log, the wire counters,
-and the drain flag with its in-flight barrier.
+the 400 a malformed request earns, the 500 a route that raises earns,
+the access log, the wire counters, and the drain flag with its
+in-flight barrier.
 :class:`~repro.service.daemon.ReservationDaemon` and
 :class:`~repro.cluster.router.ClusterDaemon` subclass it and supply
 four things: ``_dispatch`` (their routes), the two hooks behind the
@@ -45,10 +46,12 @@ _PROBES = ("/healthz", "/metrics")
 
 @dataclass
 class ServerStats:
-    """Wire-level counters surfaced under /healthz."""
+    """Wire-level counters (``requests`` and ``websocket_clients`` are
+    surfaced under /healthz)."""
 
     requests: int = 0
     websocket_clients: int = 0
+    unhandled_exceptions: int = 0
 
 
 class ServingShell:
@@ -104,6 +107,11 @@ class ServingShell:
 
     def _record_wire(self, key: str, amount: float = 1.0) -> None:
         """Transport-counter sink; the bare shell keeps none."""
+
+    def _on_unhandled(self, exc: Exception) -> None:
+        """A route raised ``exc`` (answered ``500``): count it."""
+        self.stats.unhandled_exceptions += 1
+        self._record_wire("unhandled_exceptions")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -224,6 +232,15 @@ class ServingShell:
                             response = await self._dispatch(
                                 request, parse_seconds, close
                             )
+                    except _http.ProtocolError:
+                        raise  # a malformed body: the 400 below
+                    except Exception as exc:
+                        # No route expects it: the caller still gets an
+                        # answer, and the connection stays usable.
+                        self._on_unhandled(exc)
+                        response = _http.json_response_bytes(
+                            500, {"error": f"{type(exc).__name__}: {exc}"}, close=close
+                        )
                     finally:
                         _context.reset_trace_context(token)
                     writer.write(response)

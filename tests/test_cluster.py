@@ -5,7 +5,9 @@ resource exactly once and deterministically, a single-shard cluster
 router returns responses byte-identical to the bare daemon (and hence to
 the in-process coordinator), cross-shard establishments either commit on
 every involved shard or leave zero net capacity behind under admission
-failure / drain / crash, stranded leases are reaped by TTL, and the
+failure / drain / crash / a lost, garbled or wrong-shape shard reply
+(with every committed slice held or owed a teardown by the router),
+stranded leases are reaped by TTL, and the
 offline reconciler verifies global conservation from merged per-shard
 event logs -- catching each violation class when fed corrupted books.
 """
@@ -18,6 +20,7 @@ import pytest
 from repro.core.errors import ModelError
 from repro.faults.invariants import (
     capacity_conservation,
+    cross_tier_violations,
     reconcile_shard_events,
 )
 from repro.obs.events import EventLog
@@ -49,17 +52,60 @@ def _topology(seed: int = 0):
     return GridEnvironment(Environment(), RandomStreams(seed)).topology
 
 
+class FaultyShardClient(LocalShardClient):
+    """An in-process shard with the faults the router must absorb.
+
+    ``crashed`` makes every call fail as if the shard were down.
+    ``crash_on_next_reserve`` is the lost ack: the shard grants the next
+    reserve, then dies before answering, so only its TTL reaper can free
+    the lease.  ``lose_next_reply`` names a path whose next call the
+    shard applies and stays up, but whose reply never arrives.
+    ``garble_next_reply`` is a ``(path, body)`` pair: the shard applies
+    the next call to ``path`` and answers it with ``body`` -- bytes that
+    are no JSON, or JSON of the wrong shape.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.crashed = False
+        self.crash_on_next_reserve = False
+        self.lose_next_reply = None
+        self.garble_next_reply = None
+
+    def _check_alive(self):
+        if self.crashed:
+            raise ConnectionError(f"shard {self.label} is down")
+
+    async def forward_raw(self, method, target, payload):
+        self._check_alive()
+        await asyncio.sleep(0)  # the shard may crash while the request travels
+        self._check_alive()
+        response = await super().forward_raw(method, target, payload)
+        if self.crash_on_next_reserve and target == "/v1/reserve":
+            if response.status == 200:
+                self.crash_on_next_reserve = False
+                self.crashed = True
+                raise ConnectionError(f"shard {self.label} crashed mid-reserve")
+        if target == self.lose_next_reply:
+            self.lose_next_reply = None
+            raise ConnectionError(f"shard {self.label}: reply to {target} lost")
+        if self.garble_next_reply and self.garble_next_reply[0] == target:
+            body = self.garble_next_reply[1]
+            self.garble_next_reply = None
+            return ServiceResponse(response.status, {}, body)
+        return response
+
+
 def make_local_shards(count: int, seed: int = 7, **overrides):
-    """``count`` in-process shard services with per-shard event logs."""
+    """``count`` in-process shards (:class:`FaultyShardClient`, no fault
+    armed) with per-shard event logs."""
     shards = []
     for index in range(count):
         config = DaemonConfig(
             seed=seed, shard_index=index, shard_count=count, **overrides
         )
         shards.append(
-            LocalShardClient(
-                index, ReservationService(config), log=EventLog()
-            )
+            FaultyShardClient(index, ReservationService(config), log=EventLog())
         )
     return shards
 
@@ -429,34 +475,32 @@ def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
         asyncio.run(scenario(service_name, domain, victim_index))
 
 
+def assert_tiers_agree(coordinator, shards):
+    """Every slice a shard holds committed is one the router holds or owes."""
+    violations = cross_tier_violations(
+        coordinator.sessions,
+        coordinator.pending_teardowns,
+        {shard.index: shard.service.sessions for shard in shards},
+    )
+    assert not violations, violations
+
+
 async def _settle_unknown_commit(coordinator, shards, victim_index, session_id):
     """The victim owes a teardown; one anti-entropy pass and a reap free all."""
     assert session_id not in coordinator.sessions
     assert victim_index in coordinator.pending_teardowns[session_id]
+    assert_tiers_agree(coordinator, shards)
     await coordinator.flush_pending_teardowns()
     assert not coordinator.pending_teardowns
     for shard in shards:
         await shard.reap(now=float("inf"))
         assert session_id not in shard.service.sessions, shard.label
     assert_cluster_clean(shards, session_ids=[session_id])
+    assert_tiers_agree(coordinator, shards)
     report = reconcile_shard_events({shard.label: list(shard.log) for shard in shards})
     assert report.ok, report.describe()
     for label, per_resource in report.outstanding.items():
         assert not per_resource, (label, per_resource)
-
-
-class GarblingShardClient(LocalShardClient):
-    """A shard that applies the next ``/v1/commit`` and answers it with bytes
-    that are no JSON -- a proxy's error page, a truncated write."""
-
-    garble_next_commit = True
-
-    async def forward_raw(self, method, target, payload):
-        response = await super().forward_raw(method, target, payload)
-        if target == "/v1/commit" and self.garble_next_commit:
-            self.garble_next_commit = False
-            return ServiceResponse(response.status, {}, b"<html>bad gateway")
-        return response
 
 
 @pytest.mark.parametrize("shard_count", [2, 3])
@@ -473,10 +517,7 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
 
     async def scenario(service_name, domain, victim_index):
         shards = make_local_shards(shard_count)
-        victim = shards[victim_index]
-        shards[victim_index] = GarblingShardClient(
-            victim_index, victim.service, log=victim.log, label=victim.label
-        )
+        shards[victim_index].garble_next_reply = ("/v1/commit", b"<html>bad gateway")
         coordinator = ClusterCoordinator(shards, seed=7)
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "garbled"}
@@ -488,6 +529,113 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
 
     for service_name, domain, victim_index in cases:
         asyncio.run(scenario(service_name, domain, victim_index))
+
+
+#: Replies that are valid JSON of the wrong shape, per route; the shard
+#: applied the call before answering.  ``"$rid"`` stands for a resource
+#: the victim shard owns and the placement needs.
+WRONG_SHAPES = [
+    pytest.param("/v1/availability", [], id="availability-list"),
+    pytest.param(
+        "/v1/availability",
+        {"resources": {"$rid": {"available": "x"}}},
+        id="availability-not-a-number",
+    ),
+    pytest.param("/v1/reserve", [], id="reserve-list"),
+    pytest.param("/v1/reserve", {"reserved": True}, id="reserve-no-lease"),
+    pytest.param("/v1/commit", [], id="commit-list"),
+    pytest.param("/v1/teardown", [], id="teardown-list"),
+    pytest.param("/v1/teardown", {"released": "many"}, id="teardown-not-a-number"),
+]
+
+
+@pytest.mark.parametrize("shard_count", [2, 3])
+@pytest.mark.parametrize("route,reply", WRONG_SHAPES)
+def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
+    """A reply the router cannot read is an unknown outcome, on every route.
+
+    Establishment and teardown answer 200 instead of raising; a call
+    that can fail fails as ``shard_unreachable``; a shard that may have
+    committed or torn down joins the teardown debt; and after one
+    anti-entropy pass and a reap every shard is quiescent.  The garbled
+    teardown hits the *first* shard of the session, so the router must
+    still reach the others.
+    """
+    cases = [
+        (service_name, domain, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in (involved[:1] if route == "/v1/teardown" else involved)
+    ]
+    assert cases
+    may_have_applied = route in ("/v1/commit", "/v1/teardown")
+
+    async def scenario(service_name, domain, victim_index):
+        shards = make_local_shards(shard_count)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        rid = min(
+            resource_id
+            for resource_id in coordinator.grid.binding_for(
+                service_name, domain
+            ).resource_ids()
+            if coordinator.shard_map.shard_of(resource_id) == victim_index
+        )
+        body = json.dumps(reply).replace("$rid", rid).encode()
+        request = {"service": service_name, "domain": domain, "session_id": "shape"}
+        if route == "/v1/teardown":
+            status, outcome = await coordinator.establish(request)
+            assert json.loads(outcome)["success"] is True
+            shards[victim_index].garble_next_reply = (route, body)
+            status, _ = await coordinator.teardown({"session_id": "shape"})
+            assert status == 200
+        else:
+            shards[victim_index].garble_next_reply = (route, body)
+            status, outcome = await coordinator.establish(request)
+            assert status == 200
+            outcome = json.loads(outcome)
+            assert (outcome["success"], outcome["reason"]) == (
+                False,
+                "shard_unreachable",
+            )
+        assert shards[victim_index].garble_next_reply is None  # it was read
+        assert "shape" not in coordinator.sessions
+        owed = coordinator.pending_teardowns.get("shape", [])
+        assert (victim_index in owed) == may_have_applied
+        assert_tiers_agree(coordinator, shards)
+        await coordinator.flush_pending_teardowns()
+        assert not coordinator.pending_teardowns
+        for shard in shards:
+            await shard.reap(now=float("inf"))
+            assert not shard.service.leases.pending(), shard.label
+            assert "shape" not in shard.service.sessions, shard.label
+        assert_cluster_clean(shards, session_ids=["shape"])
+        report = reconcile_shard_events(
+            {shard.label: list(shard.log) for shard in shards}
+        )
+        assert report.ok, report.describe()
+        for label, per_resource in report.outstanding.items():
+            assert not per_resource, (label, per_resource)
+
+    for service_name, domain, victim_index in cases:
+        asyncio.run(scenario(service_name, domain, victim_index))
+
+
+def test_cross_tier_check_flags_a_committed_slice_the_router_forgot():
+    committed = {"cluster": True}
+    shard_sessions = {
+        0: {"held": committed, "owed": committed, "local": {"service": "S2"}},
+        1: {"held": committed},
+    }
+    assert not cross_tier_violations(
+        {"held": {"shards": [0, 1]}}, {"owed": [0]}, shard_sessions
+    )
+    assert cross_tier_violations(
+        {"held": {"shards": [1]}}, {"owed": [1]}, shard_sessions
+    ) == [
+        "shard 0: session held is committed but neither held nor owed a "
+        "teardown by the router",
+        "shard 0: session owed is committed but neither held nor owed a "
+        "teardown by the router",
+    ]
 
 
 #: Replies ServiceClient must refuse with a ProtocolError, never a hang.

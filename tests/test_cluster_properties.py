@@ -1,16 +1,19 @@
 """Property: no race of cross-shard admissions against shard failure leaks.
 
 Hypothesis generates schedules of concurrent establishments, teardowns,
-drains, un-drains, lost-ack crashes and lost replies from shards that
-stay up (to a commit, an abort or a teardown) against a 2- or 3-shard cluster
-of in-process shard services, interleaved on the event loop exactly as
-HTTP requests interleave on the wire.  After every step each shard's
-broker and proxy books must agree (capacity conservation); after the
-schedule -- once crashed shards restart, live sessions tear down, and
-the TTL reaper collects stranded leases -- every shard must be fully
-quiescent and the merged per-shard event logs must reconcile with zero
-violations: nothing leaked, nothing double-granted, every aborted 2PC
-round rolled back to zero.
+drains, un-drains, lost-ack crashes, lost replies from shards that
+stay up (to a commit, an abort or a teardown) and replies of the wrong
+shape (to an availability, reserve, commit or teardown call the shard
+applied) against a 2- or 3-shard cluster of in-process shard services,
+interleaved on the event loop exactly as HTTP requests interleave on
+the wire.  After every step each shard's broker and proxy books must
+agree (capacity conservation), and every slice a shard holds committed
+must be one the router holds or owes a teardown (cross-tier
+reconciliation); after the schedule -- once crashed shards restart,
+live sessions tear down, and the TTL reaper collects stranded leases --
+every shard must be fully quiescent and the merged per-shard event logs
+must reconcile with zero violations: nothing leaked, nothing
+double-granted, every aborted 2PC round rolled back to zero.
 """
 
 import asyncio
@@ -22,10 +25,9 @@ from repro.faults.invariants import (
     capacity_conservation,
     reconcile_shard_events,
 )
-from repro.obs.events import EventLog
-from repro.service import DaemonConfig, ReservationService
-from repro.cluster import ClusterCoordinator, LocalShardClient
+from repro.cluster import ClusterCoordinator
 
+from tests.test_cluster import assert_tiers_agree, make_local_shards
 from tests.test_service_daemon import VALID_PAIRS
 
 pair_indexes = st.integers(min_value=0, max_value=len(VALID_PAIRS) - 1)
@@ -42,6 +44,15 @@ operations = st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=2),
                 st.sampled_from(["/v1/commit", "/v1/abort", "/v1/teardown"]),
+            ),
+        ),
+        st.tuples(
+            st.just("garble"),
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(
+                    ["/v1/availability", "/v1/reserve", "/v1/commit", "/v1/teardown"]
+                ),
             ),
         ),
         st.tuples(st.just("race"), st.lists(pair_indexes, min_size=2, max_size=4)),
@@ -67,16 +78,7 @@ def _assert_books_agree(shards):
 @given(shard_count=st.integers(min_value=2, max_value=3), schedule=operations)
 def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
     async def scenario():
-        shards = []
-        for index in range(shard_count):
-            config = DaemonConfig(
-                seed=7, shard_index=index, shard_count=shard_count
-            )
-            shards.append(
-                LocalShardClient(
-                    index, ReservationService(config), log=EventLog()
-                )
-            )
+        shards = make_local_shards(shard_count)
         coordinator = ClusterCoordinator(shards, seed=7)
         sid = 0
         established = []
@@ -116,9 +118,13 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
             elif op == "lose_reply":
                 shard_index, path = arg
                 shards[shard_index % shard_count].lose_next_reply = path
+            elif op == "garble":
+                shard_index, path = arg
+                shards[shard_index % shard_count].garble_next_reply = (path, b"[]")
             elif op == "race":
                 await asyncio.gather(*(establish(p) for p in arg))
             _assert_books_agree(shards)
+            assert_tiers_agree(coordinator, shards)
 
         # Recovery: crashed shards come back, every session tears down,
         # the anti-entropy pass settles teardowns owed to shards that
@@ -128,6 +134,7 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
             shard.crashed = False
             shard.crash_on_next_reserve = False
             shard.lose_next_reply = None
+            shard.garble_next_reply = None
             shard.draining = False
         for session_id in list(established):
             await coordinator.teardown({"session_id": session_id})
@@ -135,6 +142,7 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
         assert not coordinator.pending_teardowns
         for shard in shards:
             await shard.reap(now=float("inf"))
+        assert_tiers_agree(coordinator, shards)
         for shard in shards:
             assert not shard.service.leases.pending(), shard.label
             report = capacity_conservation(

@@ -254,3 +254,44 @@ def test_local_shard_client_answers_like_the_daemon():
         return mismatches
 
     assert asyncio.run(scenario()) == []
+
+
+@pytest.mark.parametrize("target", ["daemon", "router-3-shards"])
+def test_a_route_that_raises_is_a_500_on_a_usable_connection(target, tmp_path):
+    """The shell answers what a route raises with ``500 {"error": ...}``,
+    counts it, and keeps the connection; the daemon's hook also dumps its
+    flight recorder."""
+    def boom(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    async def scenario():
+        if target == "daemon":
+            server = ReservationDaemon(
+                DaemonConfig(port=0, seed=11, flight_dir=str(tmp_path))
+            )
+            await server.start()
+            server.service.route = boom
+        else:
+            port, _, running = await _serve(target)
+            server = running[0]
+            server.coordinator.establish = boom
+        client = ServiceClient("127.0.0.1", server.port)
+        try:
+            response = await client.request("POST", "/v1/establish", GOOD)
+            assert (response.status, response.json()) == (
+                500,
+                {"error": "RuntimeError: boom"},
+            )
+            assert (await client.healthz())["status"] == "ok"
+            assert (client.connections_opened, client.connections_reused) == (1, 1)
+            assert server.stats.unhandled_exceptions == 1
+        finally:
+            await client.aclose()
+            await server.shutdown()
+        if target == "daemon":
+            assert server.service.flight.wire["unhandled_exceptions"] == 1
+            assert [path.name.split("-")[1] for path in tmp_path.iterdir()] == [
+                "exception"
+            ]
+
+    asyncio.run(scenario())
