@@ -20,7 +20,6 @@ _EXPORTS = {
     "ClusterConfig": "repro.cluster.router",
     "ClusterCoordinator": "repro.cluster.router",
     "ClusterDaemon": "repro.cluster.router",
-    "HttpShardClient": "repro.cluster.router",
     "LocalShardClient": "repro.cluster.router",
     "ShardMap": "repro.cluster.shardmap",
 }

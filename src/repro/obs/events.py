@@ -43,19 +43,26 @@ exported trace document (see :mod:`repro.obs.analyze`).
 
 A bounded log is a ring: it holds the most recent ``capacity`` events
 and counts the ones it evicted, which is all the service daemon's
-flight recorder is (see :mod:`repro.obs.flight`).
+flight recorder is (see :mod:`repro.obs.flight`).  The log holds each
+event as one flat row -- ``(kind, wall, time, session, resource,
+trace_id, request_id, keys, *values)``, with one shared ``keys`` tuple
+per distinct attribute-name set and ``seq`` implied by the row's
+position -- and builds a :class:`ReservationEvent` only for a reader
+(iterating it, :meth:`~EventLog.to_dicts`, the ``for_*`` filters) or a
+live subscriber.  A full 16,384-event ring is about 4.0 MiB, where a
+record plus an attribute dict per event was 7.0.
 
 Live consumers can :meth:`~EventLog.subscribe` a callback to an
 :class:`EventLog`; subscribers see *every* emitted event -- including
 the ones a bounded log has since evicted -- which is what the online
-monitoring plane builds on.  Dispatch is one call per subscriber per
-event, so what a subscriber is matters: the service daemon's event
-plane subscribes only while a WebSocket client listens, and consumers
-that only need *how many* events they were handed read the
-:attr:`~EventLog.next_seq` watermark instead of counting in a
-callback.  A started daemon with no WebSocket client therefore runs no
-Python code per event beyond :meth:`~EventLog.emit` itself; the
-disabled path is untouched.
+monitoring plane builds on.  Dispatch is one event built at ``emit``
+and one call per subscriber, so what a subscriber is matters: the
+service daemon's event plane subscribes only while a WebSocket client
+listens, and consumers that only need *how many* events they were
+handed read the :attr:`~EventLog.next_seq` watermark instead of
+counting in a callback.  A started daemon with no WebSocket client
+therefore runs no Python code per event beyond :meth:`~EventLog.emit`
+itself; the disabled path is untouched.
 
 When a request-scoped :class:`~repro.obs.context.TraceContext` is bound
 (the service daemon binds one per admission), every emitted event is
@@ -66,8 +73,9 @@ stay None and the serialized shape is unchanged.
 
 from __future__ import annotations
 
+import itertools
 import time as _time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, Deque, Dict, Iterator, List, Optional
@@ -189,8 +197,13 @@ class EventLog:
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
-        #: The held events, oldest first (a ring when bounded).
-        self.records: Deque[ReservationEvent] = deque(maxlen=capacity)
+        #: The held events as rows, oldest first (a ring when bounded):
+        #: ``(kind, wall, time, session, resource, trace_id, request_id,
+        #: keys, *values)``.  A row's ``seq`` is its position plus
+        #: :attr:`dropped`; ``keys`` is the attribute names, one shared
+        #: tuple per distinct key set (:attr:`_key_sets`).
+        self._rows: Deque[tuple] = deque(maxlen=capacity)
+        self._key_sets: Dict[tuple, tuple] = {}
         self._next_seq = 0
         self._epoch = _time.perf_counter()
         self._subscribers: List[Callable[[ReservationEvent], None]] = []
@@ -198,12 +211,12 @@ class EventLog:
     @property
     def capacity(self) -> Optional[int]:
         """The ring's bound (None = unbounded)."""
-        return self.records.maxlen
+        return self._rows.maxlen
 
     @property
     def dropped(self) -> int:
         """Events emitted but no longer held (evicted by the bound)."""
-        return self._next_seq - len(self.records)
+        return self._next_seq - len(self._rows)
 
     # -- live subscribers --------------------------------------------------
 
@@ -263,66 +276,82 @@ class EventLog:
         seq = self._next_seq
         self._next_seq = seq + 1
         context = _context.current_trace_context()
-        # The one record of this event: the ring and the event plane both
-        # hold this object.  Positional on purpose -- keyword
-        # construction of a nine-field record costs 2.5x as much, on
-        # every event of every admission.
-        event = ReservationEvent(
+        keys = tuple(attributes)
+        # One flat row per event, and no record: a ``ReservationEvent``
+        # is built only for a subscriber (here) or a reader (below).
+        row = (
             kind,
-            seq,
             _time.perf_counter() - self._epoch,
             time,
             session,
             resource,
-            attributes,
             context.trace_id if context is not None else None,
             context.request_id if context is not None else None,
+            self._key_sets.setdefault(keys, keys),
+            *attributes.values(),
         )
-        self.records.append(event)
-        for callback in self._subscribers:
-            callback(event)
+        self._rows.append(row)
+        if self._subscribers:
+            # Positional on purpose: keyword construction of a
+            # nine-field record costs 2.5x as much.
+            event = ReservationEvent(
+                kind, seq, row[1], time, session, resource, attributes, row[5], row[6]
+            )
+            for callback in self._subscribers:
+                callback(event)
 
     # -- reading -----------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._rows)
 
     def __iter__(self) -> Iterator[ReservationEvent]:
-        return iter(self.records)
+        return map(_event, itertools.count(self.dropped), self._rows)
+
+    def _where(self, field: int, value: object) -> List[ReservationEvent]:
+        """The held events whose row has ``value`` at ``field``."""
+        return [
+            _event(seq, row)
+            for seq, row in enumerate(self._rows, self.dropped)
+            if row[field] == value
+        ]
 
     def count(self, kind: str) -> int:
         """Number of recorded events of the given kind."""
-        return sum(1 for record in self.records if record.kind == kind)
+        return sum(1 for row in self._rows if row[0] == kind)
 
     def kinds(self) -> List[str]:
         """Distinct event kinds, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.kind, None)
-        return list(seen)
+        return list(dict.fromkeys(row[0] for row in self._rows))
 
     def kind_counts(self) -> Dict[str, int]:
         """kind -> number of recorded events (sorted by kind)."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.kind] = counts.get(record.kind, 0) + 1
-        return dict(sorted(counts.items()))
+        return dict(sorted(Counter(row[0] for row in self._rows).items()))
 
     def for_session(self, session_id: str) -> List[ReservationEvent]:
         """Every event tagged with the given session id, in causal order."""
-        return [record for record in self.records if record.session == session_id]
+        return self._where(3, session_id)
 
     def for_resource(self, resource_id: str) -> List[ReservationEvent]:
         """Every event tagged with the given resource id, in causal order."""
-        return [record for record in self.records if record.resource == resource_id]
+        return self._where(4, resource_id)
 
     def for_trace(self, trace_id: str) -> List[ReservationEvent]:
         """Every event stamped with the given trace id, in causal order."""
-        return [record for record in self.records if record.trace_id == trace_id]
+        return self._where(5, trace_id)
 
     def to_dicts(self) -> List[dict]:
         """Every event as a JSON-compatible dict, in causal order."""
-        return [record.to_dict() for record in self.records]
+        return [event.to_dict() for event in self]
+
+
+def _event(seq: int, row: tuple) -> ReservationEvent:
+    """The event an :class:`EventLog` row holds, given its ``seq``."""
+    kind, wall, time, session, resource, trace_id, request_id, keys = row[:8]
+    return ReservationEvent(
+        kind, seq, wall, time, session, resource,
+        dict(zip(keys, row[8:])), trace_id, request_id,
+    )
 
 
 #: The installed event log; None means event logging is disabled (default).

@@ -7,9 +7,10 @@ wire counters (requests, bytes, errors).  Memory stays constant no
 matter how long the daemon runs.  The event ring is not a copy: it
 *is* the daemon's :class:`~repro.obs.events.EventLog`, bounded at
 :data:`EVENT_CAPACITY`, so recording an event is the log's own
-``deque.append`` and :attr:`~FlightRecorder.events_seen` is the log's
-``seq`` watermark.  Both rings hold the *records* the tracer and the
-log made, and nothing is rendered until a dump is asked for.
+``deque.append`` of one flat row and :attr:`~FlightRecorder.events_seen`
+is the log's ``seq`` watermark.  The span ring holds the tracer's
+records and the event ring the log's rows, and nothing is rendered
+until a dump is asked for.
 
 :meth:`snapshot` materialises the rings as a schema-v4 trace document
 (the same shape :func:`repro.obs.export.write_trace_json` produces, so
@@ -40,9 +41,11 @@ __all__ = ["EVENT_CAPACITY", "FlightRecorder", "SPAN_CAPACITY"]
 #: 7.5 spans and 12.7 events (refusals included), a teardown 1 span and
 #: 6 events; over HTTP each request adds its ``daemon.<operation>`` span.
 #: Full, the rings are the daemon's largest runtime allocation: 16,384
-#: events hold about 7.1 MiB (attribute dicts 3.7, records 1.6, floats
-#: 1.0) and 4,096 spans about 1.6 MiB, by a ``gc.get_referents`` walk of
-#: a seed-7 daemon after 8,000 HTTP requests (Python 3.11, x86-64).
+#: events hold about 4.0 MiB (rows 2.1, floats 1.0, attribute values
+#: that are dicts 0.7) and 4,096 spans about 1.4 MiB, by a
+#: ``gc.get_referents`` walk of a started seed-3 service run until the
+#: event ring wraps (Python 3.11, x86-64; see
+#: ``tests/test_daemon_footprint.py``).
 SPAN_CAPACITY = 4096
 EVENT_CAPACITY = 16384
 

@@ -26,19 +26,13 @@ repro.service.cli`` runs this file before the CLI's ``main()`` keeps
 #: defines them.
 _EXPORTS = {
     "DaemonConfig": "repro.service.daemon",
-    "EventPlane": "repro.service.events",
-    "EventSubscriber": "repro.service.events",
-    "LoadGenConfig": "repro.service.loadgen",
-    "LoadReport": "repro.service.loadgen",
     "ReservationDaemon": "repro.service.daemon",
     "ReservationService": "repro.service.daemon",
     "ServiceClient": "repro.service.client",
     "ServiceClientError": "repro.service.client",
     "ServiceDrainingError": "repro.service.client",
-    "ServiceError": "repro.service.daemon",
     "ServiceResponse": "repro.service.client",
     "TRUNCATION_KIND": "repro.service.events",
-    "run_load": "repro.service.loadgen",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -67,7 +67,7 @@ def event_view(log):
     """Everything deterministic about the event stream (wall excluded)."""
     return [
         (e.seq, e.kind, e.session, e.resource, e.time, e.attributes)
-        for e in log.records
+        for e in log
     ]
 
 

@@ -6,13 +6,15 @@ plans with ``--algorithm random`` never imports numpy.  It speaks plain
 HTTP, so its ``main()`` keeps ``ssl`` out of the process, and it imports
 ``hashlib`` only for a WebSocket handshake; the package inits import
 only what a caller names, so the simulator's experiment layer (and
-``multiprocessing`` with it) stays out too.  Each check runs in a fresh
-interpreter: the test runner itself has all of these loaded.
+``multiprocessing`` with it) stays out too.  Each import check runs in a
+fresh interpreter: the test runner itself has all of these loaded.  What
+a full event ring occupies is walked in-process.
 """
 
 from __future__ import annotations
 
 import base64
+import gc
 import http.client
 import json
 import os
@@ -21,11 +23,14 @@ import socket
 import subprocess
 import sys
 import textwrap
+import types
 
 import pytest
 
+from repro.service import DaemonConfig, ReservationService
 from repro.service.http import websocket_accept_key
 from tests.test_examples import REPO, subprocess_env
+from tests.test_record_once import wrap_the_ring
 
 
 def run_python(source: str) -> str:
@@ -252,3 +257,72 @@ def test_a_request_does_not_fault_in_fresh_pages():
     finally:
         stop(process)
     assert faults / 1000 <= 0.1
+
+
+#: What a full event ring may occupy.  The ring read 7.0 MiB while it
+#: held a ``ReservationEvent`` and an attribute dict per event; as one
+#: row per event it reads 4.0 MiB (Python 3.11, x86-64).
+EVENT_RING_BOUND_MIB = 4.5
+
+#: Objects the walk does not count: shared, not held by the ring.
+NOT_HELD = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+
+
+def walked_bytes(root: object, skip: object) -> int:
+    """``sys.getsizeof`` of everything ``root`` reaches, each object once.
+
+    The walk follows ``gc.get_referents`` and leaves out types, modules,
+    functions and ``skip`` (the method ``docs/observability.md`` states).
+    """
+    seen = {id(root), id(skip)}
+    stack, total = [root], 0
+    while stack:
+        obj = stack.pop()
+        total += sys.getsizeof(obj)
+        for referent in gc.get_referents(obj):
+            if id(referent) not in seen and not isinstance(referent, NOT_HELD):
+                seen.add(id(referent))
+                stack.append(referent)
+    return total
+
+
+def run_every_route(service: ReservationService) -> None:
+    """Each admission and read route once, a refusal and an abort included."""
+
+    def call(method: str, path: str, payload=None, query=None) -> dict:
+        status, document = service.handle(method, path, query or {}, payload)
+        assert status == 200, (path, document)
+        return document
+
+    call("POST", "/v1/establish", {"service": "S2", "domain": "D1", "session_id": "a"})
+    call("POST", "/v1/establish_batch",
+         {"arrivals": [{"service": "S3", "domain": "D2", "session_id": "b"}]})
+    call("POST", "/v1/renegotiate", {"session_id": "a"})
+    refused = call("POST", "/v1/establish", {"service": "S4", "domain": "D3",
+                                             "session_id": "x", "demand_scale": 1e6})
+    assert refused["success"] is False
+    call("GET", "/v1/query", query={"session_id": "a"})
+    call("GET", "/v1/availability")
+    for session, finish in (("c", "/v1/commit"), ("d", "/v1/abort")):
+        lease = call("POST", "/v1/reserve",
+                     {"session_id": session, "demands": {"cpu:H1": 1}})
+        call("POST", finish, {"lease_id": lease["lease_id"]})
+    for session in "abc":
+        call("POST", "/v1/teardown", {"session_id": session})
+    call("POST", "/v1/debug/dump")
+
+
+def test_a_full_event_ring_is_compact():
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    try:
+        run_every_route(service)
+        log = service.log
+        wrap_the_ring(service)
+        ring_bytes = walked_bytes(log, log._subscribers)
+    finally:
+        service.close()
+    assert len(log) == log.capacity
+    assert ring_bytes <= EVENT_RING_BOUND_MIB * 2**20, ring_bytes / 2**20
+    # The key sets come from the call sites' fixed vocabularies.
+    assert len(log._key_sets) <= 32, sorted(log._key_sets)

@@ -96,6 +96,6 @@ def test_detecting_run_monitors_what_it_monitored_before(detect_only_run):
     [("replay_default", None), ("replay_0.1", MonitorConfig(drift_threshold=0.1))],
 )
 def test_replay_detects_what_it_detected_before(detect_only_run, name, config):
-    events = detect_only_run.observation.event_log.records
+    events = list(detect_only_run.observation.event_log)
     monitor, log = replay_events(events, config)
     assert _digests(monitor.report(), log) == PINNED[name]

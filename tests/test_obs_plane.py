@@ -381,7 +381,7 @@ def test_a_warmed_admission_resolves_no_series_and_runs_no_python_subscriber(
         admit_and_release(service, len(VALID_PAIRS), "counted")
         path_bookings = sum(
             1
-            for event in itertools.islice(service.log.records, emitted, None)
+            for event in itertools.islice(service.log, emitted, None)
             if event.kind in ("broker.grant", "broker.release")
             and event.resource.startswith("net:")
         )

@@ -1,12 +1,14 @@
 """Record once, derive on read: deferred rendering must be invisible.
 
-One :class:`~repro.obs.events.ReservationEvent` per ``emit`` is shared
-by the event log -- which is the flight recorder's ring -- and the event
-plane; it is rendered (``to_dict``) when a flight dump is asked for and
-per event only while a WebSocket subscriber exists.  Everything a
-reader sees -- the schema-v4 flight document, the frames a subscriber
-receives, the counters on ``/v1/query`` -- must be what eager rendering
-produced.
+The event log -- which is the flight recorder's ring -- holds one flat
+row per ``emit``.  A :class:`~repro.obs.events.ReservationEvent` is built
+from a row when someone reads the log, and at ``emit`` only while a
+subscriber exists; it is rendered (``to_dict``) when a flight dump is
+asked for and per event only while a WebSocket subscriber exists.
+Everything a reader sees -- the schema-v4 flight document, the frames a
+subscriber receives, the counters on ``/v1/query`` -- must be what eager
+rendering produced, and the event built at ``emit`` must be the event
+built on read.
 """
 
 import asyncio
@@ -40,13 +42,19 @@ def admit_and_release(service: ReservationService, count: int, prefix: str) -> N
         service.teardown({"session_id": session_id})
 
 
+def wrap_the_ring(service: ReservationService) -> None:
+    """Admit and release sessions until the event ring has evicted one."""
+    for round_index in itertools.count():
+        if service.log.dropped:
+            return
+        admit_and_release(service, 100, f"wrap{round_index}")
+
+
 def test_flight_snapshot_is_the_rendered_tail_of_the_event_stream(tmp_path):
     service = ReservationService(DaemonConfig(seed=3))
     service.start()
     try:
-        rounds = itertools.count()
-        while not service.log.dropped:  # run until the ring wraps
-            admit_and_release(service, 100, f"fl{next(rounds)}")
+        wrap_the_ring(service)
         log = service.log
         ring = log.capacity
         held = log.to_dicts()
@@ -70,6 +78,25 @@ def test_flight_snapshot_is_the_rendered_tail_of_the_event_stream(tmp_path):
         assert [e.to_dict() for e in on_disk.events] == document["events"]
     finally:
         service.close()
+
+
+def test_the_event_a_subscriber_is_handed_is_the_event_the_ring_reads_back():
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    handed = {}
+    log = service.log
+    callback = log.subscribe(
+        lambda event: handed.__setitem__(event.seq, json.dumps(event.to_dict()))
+    )
+    try:
+        wrap_the_ring(service)
+    finally:
+        log.unsubscribe(callback)
+        service.close()
+    held = log.to_dicts()
+    assert [e["seq"] for e in held] == list(range(log.dropped, log.next_seq))
+    assert len(handed) == log.next_seq
+    assert [handed[e["seq"]] for e in held] == [json.dumps(e) for e in held]
 
 
 def test_the_event_ring_has_one_bound_and_no_knob():

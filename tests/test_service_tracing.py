@@ -108,7 +108,7 @@ def test_malformed_traceparent_gets_fresh_root_not_500(header):
             assert response.status == 200
             # The daemon minted a fresh root: events are stamped with
             # *some* trace id, just not one derived from the bad header.
-            stamped = [e for e in daemon.service.log.records if e.trace_id]
+            stamped = [e for e in daemon.service.log if e.trace_id]
             assert stamped
             assert all(e.request_id == "req-mal" for e in stamped)
             if header.startswith("00-a"):
@@ -165,7 +165,7 @@ def test_concurrent_admissions_never_share_a_trace():
             for i in range(6):
                 session = f"c-{i}"
                 events = [
-                    e for e in daemon.service.log.records if e.session == session
+                    e for e in daemon.service.log if e.session == session
                 ]
                 assert events
                 trace_ids = {e.trace_id for e in events}
@@ -404,7 +404,7 @@ def test_loadgen_without_tracing_has_no_document_and_no_headers():
             # The daemon still mints fresh roots for unpropagated
             # requests, but request ids are its own counters -- proof no
             # client headers arrived.
-            stamped = [e for e in daemon.service.log.records if e.request_id]
+            stamped = [e for e in daemon.service.log if e.request_id]
             assert stamped
             assert all(e.request_id.startswith("req-") for e in stamped)
         finally:

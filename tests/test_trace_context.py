@@ -137,7 +137,7 @@ def test_spans_and_events_stamp_the_bound_context():
     assert inside.request_id == "req-9"
     assert outside.trace_id is None and outside.request_id is None
 
-    stamped, unstamped = log.records
+    stamped, unstamped = list(log)
     assert stamped.trace_id == context.trace_id
     assert stamped.request_id == "req-9"
     assert unstamped.trace_id is None

@@ -137,7 +137,7 @@ def test_a_full_flight_ring_dump_reads_under_the_body_bound():
         try:
             ring = daemon.service.flight.log
             sessions = 0
-            while len(ring.records) < ring.capacity:
+            while len(ring) < ring.capacity:
                 session = {"service": "S2", "domain": "D1", "session_id": f"f{sessions}"}
                 daemon.service.handle("POST", "/v1/establish", {}, session)
                 daemon.service.handle("POST", "/v1/teardown", {}, session)
