@@ -207,9 +207,10 @@ def _label_key(labels: Dict[str, object]) -> Labels:
 def _sort_key(item):
     """Deterministic export order: by name, then formatted label string.
 
-    Every reader of the registry (snapshot, rows, iter_*) sorts with this
-    one key so trace documents, CSV rows and ``repro-obs diff`` output
-    are stable across runs and Python versions.
+    :meth:`MetricsRegistry.series` sorts with this one key, and every
+    reader of the registry (snapshot, rows, iter_*, the exposition) walks
+    that order, so trace documents, CSV rows, ``/metrics`` and ``repro-obs
+    diff`` output are stable across runs and Python versions.
     """
     (name, labels) = item[0]
     return (name, format_labels(labels))
@@ -231,6 +232,8 @@ class MetricsRegistry:
         self._histograms: Dict[Tuple[str, Labels], Histogram] = {}
         #: (name, *labels.items()) as a call site wrote it -> series key.
         self._series_keys: Dict[tuple, Tuple[str, Labels]] = {}
+        #: What series() returns; None again whenever a series is created.
+        self._order: Optional[Tuple[Tuple[str, str, Labels, object], ...]] = None
 
     # -- instrument access (get-or-create) ----------------------------------
 
@@ -256,6 +259,7 @@ class MetricsRegistry:
         instrument = self._counters.get(key)
         if instrument is None:
             instrument = self._counters[key] = Counter()
+            self._order = None
         return instrument
 
     def gauge(self, name: str, **labels: object) -> Gauge:
@@ -264,6 +268,7 @@ class MetricsRegistry:
         instrument = self._gauges.get(key)
         if instrument is None:
             instrument = self._gauges[key] = Gauge()
+            self._order = None
         return instrument
 
     def histogram(
@@ -282,6 +287,7 @@ class MetricsRegistry:
         instrument = self._histograms.get(key)
         if instrument is None:
             instrument = self._histograms[key] = Histogram(buckets)
+            self._order = None
         return instrument
 
     # -- reading -------------------------------------------------------------
@@ -299,25 +305,47 @@ class MetricsRegistry:
             if counter_name == name
         )
 
+    def series(self) -> Tuple[Tuple[str, str, Labels, object], ...]:
+        """Every series as ``(kind, name, labels, instrument)``, in export order.
+
+        ``kind`` is ``"counter"``, ``"gauge"`` or ``"histogram"``; counters
+        come first, then gauges, then histograms, each sorted by name and
+        formatted labels.  The order is sorted once and kept until a series
+        is created, so every reader below -- and the exposition renderer,
+        which keys the text it renders per series on this tuple -- shares it.
+        """
+        order = self._order
+        if order is None:
+            order = self._order = tuple(
+                (kind, name, labels, instrument)
+                for kind, instruments in (
+                    ("counter", self._counters),
+                    ("gauge", self._gauges),
+                    ("histogram", self._histograms),
+                )
+                for (name, labels), instrument in sorted(instruments.items(), key=_sort_key)
+            )
+        return order
+
     def iter_counters(self) -> List[Tuple[str, Dict[str, str], float]]:
-        """Every counter as ``(name, labels, value)``, sorted by key."""
+        """Every counter as ``(name, labels, value)``, in export order."""
         return [
             (name, dict(labels), counter.value)
-            for (name, labels), counter in sorted(self._counters.items(), key=_sort_key)
+            for kind, name, labels, counter in self.series() if kind == "counter"
         ]
 
     def iter_gauges(self) -> List[Tuple[str, Dict[str, str], float]]:
-        """Every gauge as ``(name, labels, value)``, sorted by key."""
+        """Every gauge as ``(name, labels, value)``, in export order."""
         return [
             (name, dict(labels), gauge.value)
-            for (name, labels), gauge in sorted(self._gauges.items(), key=_sort_key)
+            for kind, name, labels, gauge in self.series() if kind == "gauge"
         ]
 
     def iter_histograms(self) -> List[Tuple[str, Dict[str, str], Histogram]]:
-        """Every histogram as ``(name, labels, instrument)``, sorted by key."""
+        """Every histogram as ``(name, labels, instrument)``, in export order."""
         return [
             (name, dict(labels), histogram)
-            for (name, labels), histogram in sorted(self._histograms.items(), key=_sort_key)
+            for kind, name, labels, histogram in self.series() if kind == "histogram"
         ]
 
     def rows(self) -> List[Tuple[str, str, str, str, float]]:
@@ -327,35 +355,24 @@ class MetricsRegistry:
         bucket (field ``le=<bound>``; the overflow bucket is ``le=inf``).
         """
         out: List[Tuple[str, str, str, str, float]] = []
-        for (name, labels), counter in sorted(self._counters.items(), key=_sort_key):
-            out.append(("counter", name, format_labels(labels), "value", counter.value))
-        for (name, labels), gauge in sorted(self._gauges.items(), key=_sort_key):
-            out.append(("gauge", name, format_labels(labels), "value", gauge.value))
-        for (name, labels), histogram in sorted(self._histograms.items(), key=_sort_key):
+        for kind, name, labels, instrument in self.series():
             label_text = format_labels(labels)
-            out.append(("histogram", name, label_text, "count", float(histogram.count)))
-            out.append(("histogram", name, label_text, "sum", histogram.sum))
-            bounds = [f"le={bound:g}" for bound in histogram.boundaries] + ["le=inf"]
-            for bound, bucket_count in zip(bounds, histogram.bucket_counts):
+            if kind != "histogram":
+                out.append((kind, name, label_text, "value", instrument.value))
+                continue
+            out.append(("histogram", name, label_text, "count", float(instrument.count)))
+            out.append(("histogram", name, label_text, "sum", instrument.sum))
+            bounds = [f"le={bound:g}" for bound in instrument.boundaries] + ["le=inf"]
+            for bound, bucket_count in zip(bounds, instrument.bucket_counts):
                 out.append(("histogram", name, label_text, bound, float(bucket_count)))
         return out
 
     def snapshot(self) -> dict:
         """JSON-compatible dump of every instrument, keyed ``name{labels}``."""
-        return {
-            "counters": {
-                name + format_labels(labels): counter.to_dict()
-                for (name, labels), counter in sorted(self._counters.items(), key=_sort_key)
-            },
-            "gauges": {
-                name + format_labels(labels): gauge.to_dict()
-                for (name, labels), gauge in sorted(self._gauges.items(), key=_sort_key)
-            },
-            "histograms": {
-                name + format_labels(labels): histogram.to_dict()
-                for (name, labels), histogram in sorted(self._histograms.items(), key=_sort_key)
-            },
-        }
+        out: Dict[str, dict] = {"counters": {}, "gauges": {}, "histograms": {}}
+        for kind, name, labels, instrument in self.series():
+            out[kind + "s"][name + format_labels(labels)] = instrument.to_dict()
+        return out
 
 
 class Instruments:

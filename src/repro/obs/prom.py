@@ -15,6 +15,15 @@ Dots in instrument names (``broker.grants``) become underscores, and the
 configured ``prefix`` namespaces everything (``repro_broker_grants``).
 No Prometheus client library is involved -- the format is plain text.
 
+Both sources go through one walk.  A live registry is walked in
+:meth:`~repro.obs.metrics.MetricsRegistry.series` order, and each
+series' head (metric name and escaped labels, every bucket's ``le``) is
+rendered once and kept until the registry creates a series, so a scrape
+formats only the values.  A document's snapshot keys are parsed back into
+names and labels first; a key cannot tell a label value holding ``,``,
+``=`` or ``}`` from a label boundary, so only the live render keeps such
+a value whole.
+
 Histogram *exemplars* (per-bucket trace ids recorded by
 ``Histogram.observe(..., exemplar=...)``) are rendered as ``# EXEMPLAR``
 comment lines next to their bucket series.  The classic text format has
@@ -36,11 +45,13 @@ every value the renderer can produce, including ``+Inf``/``-Inf``/
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Dict, List, Mapping, Optional, Tuple
+from types import SimpleNamespace
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
-from repro.obs.metrics import MetricsRegistry, format_labels
+from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "ExpositionParseError",
@@ -81,15 +92,13 @@ def _render_label_items(items: Tuple[Tuple[str, str], ...]) -> str:
     return "{" + body + "}"
 
 
-def _render_labels(labels: Mapping[str, str]) -> str:
-    # The same label sets recur on every scrape of the same registry;
-    # the items-tuple cache skips re-escaping and re-joining them.
-    return _render_label_items(tuple(sorted(labels.items())))
-
-
-@lru_cache(maxsize=8192)
 def _parse_instrument_key(key: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
-    """Split a snapshot key ``name{k=v,...}`` back into name and labels."""
+    """Split a snapshot key ``name{k=v,...}`` back into name and labels.
+
+    Ambiguous for a label value holding ``,``, ``=`` or ``}``: the key
+    does not quote values, so such a value comes back split or cut.  Only
+    trace documents need this; a live registry renders its labels as is.
+    """
     if "{" not in key:
         return key, ()
     name, _, label_text = key.partition("{")
@@ -102,39 +111,77 @@ def _parse_instrument_key(key: str) -> Tuple[str, Tuple[Tuple[str, str], ...]]:
     return name, tuple(labels.items())
 
 
+#: repr() of the non-finite floats -> the exposition format's spellings
+#: (scrapers reject Python's lowercase "inf"/"nan").
+_NON_FINITE = {"inf": "+Inf", "-inf": "-Inf", "nan": "NaN"}
+
+
 def _format_value(value: float) -> str:
-    value = float(value)
-    if math.isinf(value):
-        return "+Inf" if value > 0 else "-Inf"
-    if math.isnan(value):
-        # The exposition format spells NaN exactly like this; Python's
-        # repr(float("nan")) is lowercase "nan", which scrapers reject.
-        return "NaN"
-    return repr(value)
+    text = repr(float(value))
+    return _NON_FINITE.get(text, text)
 
 
-class _Writer:
-    """Accumulates exposition lines, one ``# TYPE`` header per metric."""
+#: One series as the renderer walks it: ``(kind, name, sorted label items,
+#: source)``, the source read like the live instrument -- ``value``, or a
+#: histogram's ``boundaries``, ``bucket_counts``, ``count``, ``sum`` and
+#: ``exemplars``.
+Series = Tuple[str, str, Tuple[Tuple[str, str], ...], object]
 
-    def __init__(self) -> None:
-        self._lines: List[str] = []
-        self._typed: Dict[str, str] = {}
 
-    def sample(self, metric: str, kind: str, labels: Mapping[str, str], value: float,
-               *, sample_suffix: str = "") -> None:
-        declared = self._typed.get(metric)
-        if declared is None:
-            self._typed[metric] = kind
-            self._lines.append(f"# TYPE {metric} {kind}")
-        self._lines.append(
-            f"{metric}{sample_suffix}{_render_labels(labels)} {_format_value(value)}"
-        )
+def _heads(series: Iterable[Series], prefix: str) -> list:
+    """Each series' lines without their values: ``(type line, heads, source)``.
 
-    def comment(self, line: str) -> None:
-        self._lines.append(f"# {line}")
+    The ``# TYPE`` line goes with the first series of a metric and is ""
+    after it (two names may sanitise to one metric).  ``heads`` is the
+    sample line up to its value; for a histogram it is the finite buckets'
+    heads, the ``+Inf`` bucket's head, and the ``_sum`` and ``_count`` heads.
+    """
+    typed = set()
+    plan = []
+    for kind, name, items, source in series:
+        metric = _metric_name(name, prefix)
+        if kind == "counter" and not metric.endswith("_total"):
+            metric += "_total"
+        type_line = "" if metric in typed else f"# TYPE {metric} {kind}"
+        typed.add(metric)
+        labels = _render_label_items(items)
+        if kind != "histogram":
+            plan.append((type_line, f"{metric}{labels} ", source))
+            continue
+        bucket_labels = dict(items)
+        buckets = []
+        for le in [f"{float(bound):g}" for bound in source.boundaries] + ["+Inf"]:
+            bucket_labels["le"] = le
+            rendered = _render_label_items(tuple(sorted(bucket_labels.items())))
+            buckets.append(f"{metric}_bucket{rendered}")
+        heads = (buckets[:-1], buckets[-1], f"{metric}_sum{labels} ", f"{metric}_count{labels} ")
+        plan.append((type_line, heads, source))
+    return plan
 
-    def text(self) -> str:
-        return "\n".join(self._lines) + ("\n" if self._lines else "")
+
+def _render(plan: list) -> str:
+    """The exposition text of a :func:`_heads` plan, its values read now."""
+    lines: List[str] = []
+    append = lines.append
+    for type_line, heads, source in plan:
+        if type_line:
+            append(type_line)
+        if type(heads) is str:
+            append(heads + _format_value(source.value))
+            continue
+        buckets, overflow, sum_head, count_head = heads
+        cumulative = 0.0
+        for bucket, bucket_count in zip(buckets, source.bucket_counts):
+            cumulative += bucket_count
+            append(f"{bucket} {_format_value(cumulative)}")
+        count = _format_value(source.count)
+        append(f"{overflow} {count}")
+        append(sum_head + _format_value(source.sum))
+        append(count_head + count)
+        for index, (value, exemplar) in sorted(source.exemplars.items()):
+            bucket = buckets[index] if index < len(buckets) else overflow
+            append(f"# EXEMPLAR {bucket} trace_id={exemplar} value={_format_value(value)}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def snapshot_exposition(snapshot: Mapping[str, Mapping[str, dict]], *,
@@ -147,70 +194,47 @@ def snapshot_exposition(snapshot: Mapping[str, Mapping[str, dict]], *,
     export-prom`` feeds it.  ``exemplars`` maps a histogram's snapshot
     key (``name{labels}``) to its per-bucket ``(value, trace_id)``
     exemplars; each is rendered as an ``# EXEMPLAR`` comment line after
-    that histogram's series (see the module docstring).
+    that histogram's series (see the module docstring).  The keys are
+    parsed once and walked like a live registry's series.
     """
-    writer = _Writer()
-    for key, payload in snapshot.get("counters", {}).items():
-        name, label_items = _parse_instrument_key(key)
-        metric = _metric_name(name, prefix)
-        if not metric.endswith("_total"):
-            metric += "_total"
-        writer.sample(metric, "counter", dict(label_items),
-                      float(payload["value"]))
-    for key, payload in snapshot.get("gauges", {}).items():
-        name, label_items = _parse_instrument_key(key)
-        writer.sample(_metric_name(name, prefix), "gauge", dict(label_items),
-                      float(payload["value"]))
-    for key, payload in snapshot.get("histograms", {}).items():
-        name, label_items = _parse_instrument_key(key)
-        labels = dict(label_items)
-        metric = _metric_name(name, prefix)
-        cumulative = 0.0
-        boundaries = list(payload.get("boundaries", []))
-        bucket_counts = list(payload.get("bucket_counts", []))
-        for bound, bucket_count in zip(boundaries, bucket_counts):
-            cumulative += bucket_count
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = f"{float(bound):g}"
-            writer.sample(metric, "histogram", bucket_labels, cumulative,
-                          sample_suffix="_bucket")
-        total_count = float(payload.get("count", cumulative))
-        inf_labels = dict(labels)
-        inf_labels["le"] = "+Inf"
-        writer.sample(metric, "histogram", inf_labels, total_count,
-                      sample_suffix="_bucket")
-        writer.sample(metric, "histogram", labels, float(payload.get("sum", 0.0)),
-                      sample_suffix="_sum")
-        writer.sample(metric, "histogram", labels, total_count, sample_suffix="_count")
-        for bucket_index, (value, exemplar) in sorted(
-            (exemplars or {}).get(key, {}).items()
-        ):
-            if bucket_index < len(boundaries):
-                le = f"{float(boundaries[bucket_index]):g}"
+    exemplars = exemplars or {}
+    series: List[Series] = []
+    for kind in ("counter", "gauge", "histogram"):
+        for key, payload in snapshot.get(kind + "s", {}).items():
+            name, items = _parse_instrument_key(key)
+            if kind != "histogram":
+                source = SimpleNamespace(value=payload["value"])
             else:
-                le = "+Inf"
-            bucket_labels = dict(labels)
-            bucket_labels["le"] = le
-            writer.comment(
-                f"EXEMPLAR {metric}_bucket{_render_labels(bucket_labels)} "
-                f"trace_id={exemplar} value={_format_value(value)}"
-            )
-    return writer.text()
+                boundaries = payload.get("boundaries", [])
+                bucket_counts = payload.get("bucket_counts", [])
+                finite = sum(count for _, count in zip(boundaries, bucket_counts))
+                source = SimpleNamespace(
+                    boundaries=boundaries, bucket_counts=bucket_counts,
+                    count=payload.get("count", finite), sum=payload.get("sum", 0.0),
+                    exemplars=exemplars.get(key, {}),
+                )
+            series.append((kind, name, items, source))
+    return _render(_heads(series, prefix))
+
+
+#: registry -> (the series() tuple, prefix, the plan rendered for them).
+_PLANS: "weakref.WeakKeyDictionary[MetricsRegistry, tuple]" = weakref.WeakKeyDictionary()
 
 
 def registry_exposition(registry: MetricsRegistry, *, prefix: str = DEFAULT_PREFIX) -> str:
     """Prometheus text exposition of a live :class:`MetricsRegistry`.
 
-    Unlike the snapshot path, a live registry still holds its histograms'
-    exemplars, so they are collected here and rendered as ``# EXEMPLAR``
-    comment lines.
+    Walks :meth:`MetricsRegistry.series` directly.  Each series' heads
+    (name, escaped labels, every bucket's ``le``) are rendered once and
+    reused until the registry creates a series; a scrape formats only the
+    values, read live.  A live histogram still holds its exemplars, so
+    they are rendered as ``# EXEMPLAR`` comment lines.
     """
-    exemplars = {
-        name + format_labels(tuple(sorted(labels.items()))): dict(histogram.exemplars)
-        for name, labels, histogram in registry.iter_histograms()
-        if histogram.exemplars
-    }
-    return snapshot_exposition(registry.snapshot(), prefix=prefix, exemplars=exemplars)
+    series = registry.series()
+    cached = _PLANS.get(registry)
+    if cached is None or cached[0] is not series or cached[1] != prefix:
+        cached = _PLANS[registry] = (series, prefix, _heads(series, prefix))
+    return _render(cached[2])
 
 
 # -- parsing (the scraper's inverse of the renderer) ---------------------------
