@@ -124,7 +124,9 @@ class QRGStructure:
     every :class:`QoSResourceGraph` over this structure -- which is why
     all of it is tuples behind a read-only mapping, and why every
     reference to a node is to one instance (:meth:`node`): dict and set
-    lookups then succeed on identity without comparing fields.
+    lookups then succeed on identity without comparing fields.  A
+    :class:`QRGSkeletonCache` keeps one per (service, source level,
+    extras), shared by the skeletons of every binding.
     """
 
     def __init__(self, service: DistributedService, source_level: QoSLevel) -> None:
@@ -291,7 +293,7 @@ def resolve_source_level(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EdgeTemplate:
     """One candidate (Q_in -> Q_out) edge before feasibility/pricing.
 
@@ -355,22 +357,24 @@ def build_skeleton(
     binding: Binding,
     *,
     source_label: Optional[str] = None,
+    structure: Optional[QRGStructure] = None,
 ) -> QRGSkeleton:
     """Construct the availability-independent skeleton of a QRG.
 
     Nodes, equivalence edges and fan-in groups are complete;
     intra-component edges are kept as *templates* (with their bound
     requirement vectors already computed) awaiting the feasibility
-    filter and psi weights of :func:`price_skeleton`.
+    filter and psi weights of :func:`price_skeleton`.  ``structure``,
+    when given, is (service, source level)'s and is shared, not rebuilt.
     """
-    source_level = resolve_source_level(service, source_label)
-    structure = QRGStructure(service, source_level)
+    if structure is None:
+        structure = QRGStructure(service, resolve_source_level(service, source_label))
     source_node = structure.source_node
     node = structure.node
 
     templates: List[EdgeTemplate] = []
     for name in service.graph.topological_order():
-        allowed = frozenset({source_level.label}) if name == source_node.component else None
+        allowed = frozenset({source_node.label}) if name == source_node.component else None
         for template in component_edge_templates(
             service.component(name), binding, allowed_input_labels=allowed
         ):
@@ -564,12 +568,16 @@ class QRGSkeletonCache:
 
     Keyed *by value* on (service name, source label, caller-supplied
     extras, binding contents) -- bindings are rebuilt per session, so
-    identity-based caching would never hit.  The cache trusts the caller
+    identity-based caching would never hit.  The skeletons of every
+    binding share one :class:`QRGStructure` per key minus the binding,
+    (service name, source label, extras): a structure is binding-free.
+    The cache trusts the caller
     to keep one service name pointing at one definition; anything that
     swaps a definition under a live cache must call :meth:`invalidate`
     (the explicit invalidation hook).  Holds at most
-    :data:`MEMO_MAX_ENTRIES` skeletons; a miss on a full cache evicts the
-    oldest-inserted one (an evicted key simply rebuilds).
+    :data:`MEMO_MAX_ENTRIES` skeletons and as many structures; a miss on
+    a full memo evicts its oldest-inserted entry (an evicted key simply
+    rebuilds).
 
     ``hits`` / ``misses`` are plain counters for benchmarks; with a
     metrics registry installed the cache also increments the
@@ -578,6 +586,7 @@ class QRGSkeletonCache:
 
     def __init__(self) -> None:
         self._skeletons: Dict[SkeletonKey, QRGSkeleton] = {}
+        self._structures: Dict[Tuple, QRGStructure] = {}
         self.hits = 0
         self.misses = 0
         self._instruments = _metrics.Instruments()
@@ -610,7 +619,12 @@ class QRGSkeletonCache:
                 self._instruments.counter(
                     registry, "qrg.skeleton_cache", outcome="miss"
                 ).inc()
-            skeleton = build_skeleton(service, binding, source_label=source_label)
+            structure = self._structures.get(key[:3])
+            skeleton = build_skeleton(
+                service, binding, source_label=source_label, structure=structure
+            )
+            if structure is None:
+                memoise_bounded(self._structures, key[:3], skeleton.structure)
             memoise_bounded(self._skeletons, key, skeleton)
         else:
             self.hits += 1
@@ -623,14 +637,18 @@ class QRGSkeletonCache:
     def invalidate(self, service_name: Optional[str] = None) -> int:
         """Drop cached skeletons; returns how many were dropped.
 
-        With ``service_name`` only that service's entries go; without it
-        the whole cache is cleared.  Call this whenever a service
-        definition changes behind a name the cache has seen.
+        With ``service_name`` only that service's entries (and shared
+        structures) go; without it the whole cache is cleared.  Call this
+        whenever a service definition changes behind a name the cache has
+        seen.
         """
         if service_name is None:
             dropped = len(self._skeletons)
             self._skeletons.clear()
+            self._structures.clear()
             return dropped
+        for key in [key for key in self._structures if key[0] == service_name]:
+            del self._structures[key]
         stale = [key for key in self._skeletons if key[0] == service_name]
         for key in stale:
             del self._skeletons[key]
@@ -643,7 +661,8 @@ class QRGSkeletonCache:
         resources are rebound), only the skeletons bound to its
         resources are stale -- every other service keeps its warm
         entry, so fault recovery does not cold-start the whole cache.
-        Returns how many skeletons were dropped.
+        The shared structures stay: they hold no binding.  Returns how
+        many skeletons were dropped.
         """
         doomed = set(resource_ids)
         if not doomed:

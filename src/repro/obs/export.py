@@ -174,9 +174,10 @@ def summary_report(
 ) -> str:
     """A ``results/``-style text report of one traced run."""
     lines: List[str] = [title, "=" * len(title)]
-    if tracer is not None and tracer.records:
+    span_names = tracer.names() if tracer is not None else []
+    if span_names:
         rows = []
-        for name in tracer.names():
+        for name in span_names:
             count, total = tracer.count(name), tracer.total_time(name)
             rows.append((name, count, total, 1e6 * total / count if count else 0.0))
         lines += ["", "per-phase timings:"] + table(

@@ -18,11 +18,11 @@ timeline.  Outside any request nothing is stamped and the record shape
 is unchanged.
 
 Instrumented code never talks to a tracer directly; it calls the
-module-level :func:`span` / :func:`event` helpers, which dispatch to the
-*installed* tracer or, when none is installed (the default), to a no-op
-singleton.  The disabled path is a single module-global read plus an
-empty context manager, so instrumentation stays effectively free in
-production runs and benchmarks (< 1 microsecond per call site).
+module-level :func:`span` helper, which dispatches to the *installed*
+tracer or, when none is installed (the default), to a no-op singleton.
+The disabled path is a single module-global read plus an empty context
+manager, so instrumentation stays effectively free in production runs
+and benchmarks (< 1 microsecond per call site).
 
 Typical use::
 
@@ -32,9 +32,17 @@ Typical use::
     for record in tracer.records:
         print(record.name, record.duration)
 
-A ``Tracer(capacity=N)`` keeps only the N most recent records (a ring
-buffer) -- the always-on flight recorder of the service daemon runs on
-one so a long-lived process never grows without bound.
+The tracer holds each finished span as one flat row -- ``(name, start,
+duration, depth, index, parent, trace_id, request_id, keys, *values)``,
+with one shared ``keys`` tuple per distinct attribute-name set -- and
+builds a :class:`SpanRecord` only for a reader: :attr:`Tracer.records`,
+:meth:`~Tracer.to_dicts` and :meth:`~Tracer.records_for_trace` are read
+paths, while :meth:`~Tracer.count`, :meth:`~Tracer.names`,
+:meth:`~Tracer.total_time` and :meth:`~Tracer.durations_since` read the
+rows.  A ``Tracer(capacity=N)`` keeps only the N most recent spans (a
+ring buffer) -- the always-on flight recorder of the service daemon
+runs on one so a long-lived process never grows without bound (full
+at 4,096 spans, about 0.9 MiB).
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from collections import deque
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Deque, Dict, Iterator, List, Optional, Tuple
 
 from repro.obs import context as _context
 
@@ -52,7 +60,6 @@ __all__ = [
     "SpanRecord",
     "Tracer",
     "active_tracer",
-    "event",
     "install",
     "span",
     "tracing",
@@ -62,7 +69,7 @@ __all__ = [
 
 @dataclass(slots=True)
 class SpanRecord:
-    """One finished span (or instant event, when ``duration`` is 0).
+    """One finished span, as a reader sees it.
 
     ``start`` is seconds since the tracer was created (monotonic clock);
     ``index`` is the span's enter order; ``parent_index`` links a nested
@@ -132,22 +139,25 @@ class _ActiveSpan:
         end = time.perf_counter()
         tracer = self._tracer
         tracer._stack.reset(self._token)
+        attributes = self._attributes
         if exc_type is not None:
-            self._attributes["error"] = f"{exc_type.__name__}: {exc}"
+            attributes["error"] = f"{exc_type.__name__}: {exc}"
         context = _context.current_trace_context()
-        # Positional: keyword construction of a nine-field record costs
-        # 2.5x as much, on every span of every admission.
-        tracer.records.append(
-            SpanRecord(
+        keys = tuple(attributes)
+        # One flat row per span, and no record: a ``SpanRecord`` is
+        # built only for a reader.
+        tracer._rows.append(
+            (
                 self._name,
                 self._start - tracer._epoch,
                 end - self._start,
                 self._depth,
                 self._index,
                 self._parent,
-                self._attributes,
                 context.trace_id if context is not None else None,
                 context.request_id if context is not None else None,
+                tracer._key_sets.setdefault(keys, keys),
+                *attributes.values(),
             )
         )
         return False
@@ -172,20 +182,25 @@ _NULL_SPAN = _NullSpan()
 
 
 class Tracer:
-    """Collects span records for one run.
+    """Collects finished spans for one run.
 
     The tracer itself is always "on"; disabling tracing means not
     installing any tracer (see :func:`install` / :func:`tracing`).
-    ``capacity`` turns the record store into a ring buffer keeping only
-    the most recent records -- the flight-recorder mode of the service
+    ``capacity`` turns the span store into a ring buffer keeping only
+    the most recent spans -- the flight-recorder mode of the service
     daemon; None (the default) keeps everything.
     """
 
     def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity!r}")
-        self.capacity = capacity
-        self.records = deque(maxlen=capacity) if capacity is not None else []
+        #: The finished spans as rows, in completion order (a ring when
+        #: bounded): ``(name, start, duration, depth, index, parent,
+        #: trace_id, request_id, keys, *values)``; ``keys`` is the
+        #: attribute names, one shared tuple per distinct key set
+        #: (:attr:`_key_sets`).
+        self._rows: Deque[tuple] = deque(maxlen=capacity)
+        self._key_sets: Dict[tuple, tuple] = {}
         # The span nesting stack is task-local: concurrent asyncio tasks
         # each see only their own open spans.
         self._stack: ContextVar[Tuple[int, ...]] = ContextVar(
@@ -194,6 +209,11 @@ class Tracer:
         self._next_index = 0
         self._epoch = time.perf_counter()
 
+    @property
+    def capacity(self) -> Optional[int]:
+        """The ring's bound (None = unbounded)."""
+        return self._rows.maxlen
+
     # -- recording ---------------------------------------------------------
 
     @property
@@ -201,9 +221,9 @@ class Tracer:
         """The ``index`` the next span to open will get.
 
         A watermark: a caller that runs to completion without yielding
-        reads it, does its work, and then owns exactly the records whose
-        ``index`` is at or past it -- they sit at the tail of
-        :attr:`records`.
+        reads it, does its work, and then owns exactly the spans whose
+        ``index`` is at or past it -- they are the newest held (see
+        :meth:`durations_since`).
         """
         return self._next_index
 
@@ -211,54 +231,60 @@ class Tracer:
         """A context manager timing one named span."""
         return _ActiveSpan(self, name, attributes)
 
-    def event(self, name: str, **attributes: object) -> None:
-        """Record an instant (zero-duration) event."""
-        index = self._next_index
-        self._next_index += 1
-        stack = self._stack.get()
-        context = _context.current_trace_context()
-        self.records.append(
-            SpanRecord(
-                name=name,
-                start=time.perf_counter() - self._epoch,
-                duration=0.0,
-                depth=len(stack),
-                index=index,
-                parent_index=stack[-1] if stack else None,
-                attributes=attributes,
-                trace_id=context.trace_id if context is not None else None,
-                request_id=context.request_id if context is not None else None,
-            )
-        )
-
     def clear(self) -> None:
         """Drop every recorded span (the epoch is kept)."""
-        self.records.clear()
+        self._rows.clear()
 
-    # -- aggregation (summaries and tests) ---------------------------------
+    # -- reading -----------------------------------------------------------
+
+    @property
+    def records(self) -> List[SpanRecord]:
+        """Every held span as a :class:`SpanRecord`, in completion order."""
+        return list(map(_record, self._rows))
 
     def count(self, name: str) -> int:
         """Number of finished spans with the given name."""
-        return sum(1 for record in self.records if record.name == name)
+        return sum(1 for row in self._rows if row[0] == name)
 
     def total_time(self, name: str) -> float:
         """Summed duration of every span with the given name (seconds)."""
-        return sum(record.duration for record in self.records if record.name == name)
+        return sum(row[2] for row in self._rows if row[0] == name)
 
     def names(self) -> List[str]:
         """Distinct span names, in first-seen order."""
-        seen: Dict[str, None] = {}
-        for record in self.records:
-            seen.setdefault(record.name, None)
-        return list(seen)
+        return list(dict.fromkeys(row[0] for row in self._rows))
+
+    def durations_since(self, first_index: int, *names: str) -> Tuple[float, ...]:
+        """Summed duration per name of the spans indexed ``first_index`` on.
+
+        Walks the newest rows backwards and stops at the first span that
+        opened before ``first_index``: a caller that ran without
+        yielding after reading :attr:`next_index` owns a contiguous tail.
+        """
+        totals = dict.fromkeys(names, 0.0)
+        for row in reversed(self._rows):
+            if row[4] < first_index:
+                break
+            if row[0] in totals:
+                totals[row[0]] += row[2]
+        return tuple(totals.values())
 
     def records_for_trace(self, trace_id: str) -> List[SpanRecord]:
         """Every record stamped with the given trace id, oldest first."""
-        return [record for record in self.records if record.trace_id == trace_id]
+        return [_record(row) for row in self._rows if row[6] == trace_id]
 
     def to_dicts(self) -> List[dict]:
         """Every record as a JSON-compatible dict, in completion order."""
-        return [record.to_dict() for record in self.records]
+        return [record.to_dict() for record in map(_record, self._rows)]
+
+
+def _record(row: tuple) -> SpanRecord:
+    """The record a :class:`Tracer` row holds."""
+    name, start, duration, depth, index, parent, trace_id, request_id, keys = row[:9]
+    return SpanRecord(
+        name, start, duration, depth, index, parent,
+        dict(zip(keys, row[9:])), trace_id, request_id,
+    )
 
 
 #: The installed tracer; None means tracing is disabled (the default).
@@ -301,9 +327,3 @@ def span(name: str, **attributes: object):
         return _NULL_SPAN
     return _ActiveSpan(tracer, name, attributes)
 
-
-def event(name: str, **attributes: object) -> None:
-    """Record an instant event on the installed tracer (no-op when disabled)."""
-    tracer = _ACTIVE
-    if tracer is not None:
-        tracer.event(name, **attributes)

@@ -3,10 +3,12 @@
 One :class:`ServiceClient` talks to one daemon.  Admission calls share
 a small keep-alive connection pool: a socket is opened on demand,
 parked after a ``Connection: keep-alive`` response, and reused by the
-next request.  A request that finds its pooled socket already closed
-by the daemon is retried once on a fresh connection -- only when the
-old socket died before yielding any response bytes, so the request
-cannot have been executed twice.  Every byte read or written goes
+next request.  A ``GET`` that finds its pooled socket already closed
+by the daemon is retried once on a fresh connection, when the old
+socket died before yielding any response bytes.  Any other method is
+not resent: a daemon may have read the request and run it before the
+connection dropped, and only a ``GET`` is idempotent here (RFC 9110
+§9.2.2), so the call raises and its outcome is unknown.  Every byte read or written goes
 through :mod:`repro.service.http`, so a reply the codec refuses (a bad
 ``Content-Length``, a body over the bound, a missing length, non-JSON
 where JSON is due) raises :class:`~repro.service.http.ProtocolError`.
@@ -180,13 +182,13 @@ class ServiceClient:
                 except BaseException as exc:
                     # A failed exchange never returns to the pool: its
                     # stream may sit mid-message.  The daemon may close an
-                    # idle pooled socket at any time; that is only safe
-                    # to retry when no response bytes arrived (the
-                    # request never executed).
+                    # idle pooled socket at any time; a GET is resent
+                    # when no response bytes arrived.  Anything else may
+                    # have run before the socket died, so it raises.
                     await _close_writer(writer)
                     if reused and isinstance(exc, OSError):
                         self.connections_reused -= 1
-                        if attempt == 0:
+                        if attempt == 0 and method == "GET":
                             continue
                     raise
                 response = ServiceResponse(*parts)

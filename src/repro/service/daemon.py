@@ -921,19 +921,13 @@ class ReservationDaemon(ServingShell):
 
         ``first_span`` is the tracer's span index when the request took
         the lock.  Admissions are serialized under it, so the request's
-        spans sit contiguously at the tail of the flight tracer's ring;
-        walk backwards while they are its own.  (Per request, not per
-        trace: a client may send a whole session under one trace id.)
+        spans are the newest in the flight tracer's ring.  (Per request,
+        not per trace: a client may send a whole session under one trace
+        id.)
         """
-        plan = commit = 0.0
-        for record in reversed(self.service.flight.tracer.records):
-            if record.index < first_span:
-                break
-            if record.name == PHASE2_SPAN:
-                plan += record.duration
-            elif record.name == PHASE3_SPAN:
-                commit += record.duration
-        return plan, commit
+        return self.service.flight.tracer.durations_since(
+            first_span, PHASE2_SPAN, PHASE3_SPAN
+        )
 
     def _observe_phases(self, trace_id: Optional[str], *seconds: float) -> None:
         """One observation per phase, in ``_PHASES`` order."""

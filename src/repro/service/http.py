@@ -238,9 +238,14 @@ def response_bytes(
     return _message_bytes(lines, body)
 
 
+#: ``json.dumps(..., sort_keys=True)`` minus the encoder it builds per
+#: call (only an all-defaults ``dumps`` reuses json's shared encoder).
+_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+
+
 def encode_json(document: object) -> bytes:
     """The one JSON body encoding: sorted keys, UTF-8."""
-    return json.dumps(document, sort_keys=True).encode("utf-8")
+    return _encode_sorted(document).encode("utf-8")
 
 
 def decode_json(body: bytes) -> object:

@@ -8,7 +8,7 @@ HTTP, so its ``main()`` keeps ``ssl`` out of the process, and it imports
 only what a caller names, so the simulator's experiment layer (and
 ``multiprocessing`` with it) stays out too.  Each import check runs in a
 fresh interpreter: the test runner itself has all of these loaded.  What
-a full event ring occupies is walked in-process.
+a full event ring and a full span ring occupy is walked in-process.
 """
 
 from __future__ import annotations
@@ -23,14 +23,16 @@ import socket
 import subprocess
 import sys
 import textwrap
+import itertools
 import types
 
 import pytest
 
+from repro.obs.flight import SPAN_CAPACITY
 from repro.service import DaemonConfig, ReservationService
 from repro.service.http import websocket_accept_key
 from tests.test_examples import REPO, subprocess_env
-from tests.test_record_once import wrap_the_ring
+from tests.test_record_once import admit_and_release, wrap_the_ring
 
 
 def run_python(source: str) -> str:
@@ -264,6 +266,11 @@ def test_a_request_does_not_fault_in_fresh_pages():
 #: row per event it reads 4.0 MiB (Python 3.11, x86-64).
 EVENT_RING_BOUND_MIB = 4.5
 
+#: What a full span ring may occupy.  The ring read 1.44 MiB while it
+#: held a ``SpanRecord`` and an attribute dict per span; as one row per
+#: span it reads 0.87 MiB (Python 3.11, x86-64).
+SPAN_RING_BOUND_MIB = 1.0
+
 #: Objects the walk does not count: shared, not held by the ring.
 NOT_HELD = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 
@@ -326,3 +333,27 @@ def test_a_full_event_ring_is_compact():
     assert ring_bytes <= EVENT_RING_BOUND_MIB * 2**20, ring_bytes / 2**20
     # The key sets come from the call sites' fixed vocabularies.
     assert len(log._key_sets) <= 32, sorted(log._key_sets)
+
+
+def wrap_the_span_ring(service: ReservationService) -> None:
+    """Admit and release sessions until the span ring is full."""
+    for round_index in itertools.count():
+        if service.flight.tracer.next_index >= SPAN_CAPACITY:
+            return
+        admit_and_release(service, 100, f"spans{round_index}")
+
+
+def test_a_full_span_ring_is_compact():
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    try:
+        run_every_route(service)
+        tracer = service.flight.tracer
+        wrap_the_span_ring(service)
+        ring_bytes = walked_bytes(tracer, tracer._stack)
+    finally:
+        service.close()
+    assert len(tracer.records) == SPAN_CAPACITY
+    assert ring_bytes <= SPAN_RING_BOUND_MIB * 2**20, ring_bytes / 2**20
+    # The key sets come from the call sites' fixed vocabularies.
+    assert len(tracer._key_sets) <= 32, sorted(tracer._key_sets)

@@ -30,7 +30,6 @@ class TestTracer:
         # The module-level span helper must be a usable no-op.
         with trace_mod.span("anything", key="value") as span:
             span.set(more="attrs")
-        trace_mod.event("nothing")
         assert active_tracer() is None
 
     def test_spans_nest_with_parent_links(self):
@@ -72,16 +71,6 @@ class TestTracer:
                     raise ValueError("boom")
         (record,) = tracer.records
         assert record.attributes["error"] == "ValueError: boom"
-
-    def test_events_are_zero_duration(self):
-        tracer = Tracer()
-        with tracing(tracer):
-            with trace_mod.span("outer"):
-                trace_mod.event("tick", n=3)
-        event = tracer.records[0]
-        assert event.name == "tick" and event.duration == 0.0
-        assert event.attributes == {"n": 3}
-        assert event.parent_index == tracer.records[1].index
 
     def test_nested_tracing_restores_previous(self):
         outer_tracer, inner_tracer = Tracer(), Tracer()

@@ -8,6 +8,8 @@ against any snapshot yields exactly the graph ``build_qrg`` builds from
 scratch -- including after explicit cache invalidation.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,7 +31,10 @@ from repro.core.resources import (
     ratio_contention_index,
 )
 from repro.core.synthetic import random_availability, synthetic_chain, synthetic_diamond_dag
+from repro.des.rng import RandomStreams
 from repro.service.daemon import DaemonConfig, ReservationService
+from repro.service.loadgen import arrival_payload
+from repro.sim.workload import WorkloadGenerator, WorkloadSpec
 
 from tests.test_service_daemon import VALID_PAIRS
 
@@ -468,3 +473,47 @@ class TestCacheBound:
             assert paper_decisions() == before
         finally:
             service.close()
+
+
+class TestSharedStructure:
+    """One ``QRGStructure`` per (service, source level, extras), whatever the binding."""
+
+    def test_skeletons_share_their_services_structure(self):
+        service = ReservationService(DaemonConfig(seed=7))
+        service.start()
+        try:
+            generator = WorkloadGenerator(
+                WorkloadSpec(rate_per_60tu=240.0, horizon=250.0), RandomStreams(13)
+            )
+            for arrival in itertools.islice(generator.generate(), 300):
+                outcome = service.establish(arrival_payload(arrival))
+                if outcome["success"]:
+                    service.teardown({"session_id": arrival.session_id})
+            cache = service.coordinator.qrg_skeletons
+            skeletons = dict(cache._skeletons)
+        finally:
+            service.close()
+        structures = {}
+        for key, skeleton in skeletons.items():
+            structures.setdefault(key[:3], set()).add(id(skeleton.structure))
+        # Several bindings per key: sharing is what the test can see.
+        assert len(skeletons) > len(structures)
+        assert all(len(ids) == 1 for ids in structures.values()), structures
+        assert len({id(s.structure) for s in skeletons.values()}) == len(structures)
+
+    def test_invalidation_drops_a_names_structures_and_keeps_the_rest(self):
+        service_a, binding_a, _ = synthetic_chain(2, 2)
+        rng = np.random.default_rng(3)
+        service_b, binding_b, _ = synthetic_diamond_dag(2, 2, rng=rng)
+        cache = QRGSkeletonCache()
+        a = cache.skeleton_for(service_a, binding_a).structure
+        b = cache.skeleton_for(service_b, binding_b).structure
+        # Dropping a's skeletons by resource keeps its structure: a
+        # structure holds no binding.
+        assert cache.invalidate_resources(sorted(binding_a.resource_ids())[:1]) == 1
+        assert cache.skeleton_for(service_a, binding_a).structure is a
+        assert cache.invalidate(service_a.name) == 1
+        assert cache.skeleton_for(service_a, binding_a).structure is not a
+        assert cache.skeleton_for(service_b, binding_b).structure is b
+        cache.invalidate()
+        assert cache.skeleton_for(service_b, binding_b).structure is not b

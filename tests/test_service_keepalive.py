@@ -2,9 +2,10 @@
 
 The client pools one connection per (host, port) and reuses it across
 sequential requests; a ``Connection: close`` response ends the reuse.
-A pooled socket that died while idle is retried once -- but only when
-it failed before any response bytes, so a request is never silently
-executed twice.  A draining daemon's 503 surfaces as the typed
+A ``GET`` whose pooled socket died before any response bytes is resent
+once on a fresh connection; any other method raises instead, because
+the daemon may have run it before the socket died (RFC 9110 §9.2.2
+allows an automatic retry only for idempotent methods).  A draining daemon's 503 surfaces as the typed
 :class:`~repro.service.client.ServiceDrainingError` so callers can
 distinguish "try another replica" from a real error, and the load
 generator reports its connection economics in the ledger.
@@ -21,6 +22,8 @@ from repro.service import (
     ServiceClientError,
     ServiceDrainingError,
 )
+from repro.service import http as _http
+from repro.service.client import UNREACHABLE
 from repro.service.loadgen import LoadGenConfig, run_load
 from repro.sim.workload import WorkloadSpec
 
@@ -66,6 +69,66 @@ def test_stale_pooled_connection_is_retried_once():
             await client.aclose()
         finally:
             await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+async def start_dropping_server(seen: list) -> asyncio.AbstractServer:
+    """A server that answers a connection's first request and reads its
+    second, then closes without replying (a daemon that died mid-call)."""
+
+    async def handle(reader, writer):
+        try:
+            for position in range(2):
+                request = await _http.read_request(reader)
+                if request is None:
+                    return
+                seen.append((request.method, request.path))
+                if position == 0:
+                    writer.write(_http.json_response_bytes(200, {"status": "ok"}, close=False))
+                    await writer.drain()
+        finally:
+            writer.close()
+
+    return await asyncio.start_server(handle, "127.0.0.1", 0)
+
+
+def test_a_post_on_a_dropped_connection_is_not_resent():
+    async def scenario():
+        seen = []
+        server = await start_dropping_server(seen)
+        client = ServiceClient("127.0.0.1", server.sockets[0].getsockname()[1])
+        try:
+            await client.healthz()  # pools the socket
+            with pytest.raises(UNREACHABLE):
+                await client.reserve("s1", {"cpu:H1": 1.0})
+            # The server read the POST once: a resend would have made
+            # it hold two leases.
+            assert seen == [("GET", "/healthz"), ("POST", "/v1/reserve")]
+            assert client.connections_opened == 1
+        finally:
+            await client.aclose()
+            server.close()
+            await server.wait_closed()
+
+    asyncio.run(scenario())
+
+
+def test_a_get_on_a_dropped_connection_is_resent_once():
+    async def scenario():
+        seen = []
+        server = await start_dropping_server(seen)
+        client = ServiceClient("127.0.0.1", server.sockets[0].getsockname()[1])
+        try:
+            await client.healthz()
+            assert (await client.query())["status"] == "ok"
+            assert seen == [("GET", "/healthz"), ("GET", "/v1/query"),
+                            ("GET", "/v1/query")]
+            assert client.connections_opened == 2
+        finally:
+            await client.aclose()
+            server.close()
+            await server.wait_closed()
 
     asyncio.run(scenario())
 

@@ -16,6 +16,8 @@ import pytest
 
 from repro.obs import analyze
 from repro.obs import context as obs_context
+from repro.obs import trace as trace_mod
+from repro.runtime.coordinator import PHASE2_SPAN, PHASE3_SPAN
 from repro.service import DaemonConfig, ReservationDaemon, ServiceClient
 from repro.service.cli import build_config
 from repro.service.loadgen import LoadGenConfig, run_load
@@ -469,3 +471,51 @@ def test_event_plane_drops_surface_as_labelled_counter():
             await daemon.shutdown()
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# phase attribution from the span ring
+
+
+def request_phase_sums(tracer, first_span: int):
+    """(plan, commit) summed over the records of spans opened from ``first_span``."""
+    mine = [record for record in tracer.records if record.index >= first_span]
+    return tuple(
+        sum(record.duration for record in mine if record.name == name)
+        for name in (PHASE2_SPAN, PHASE3_SPAN)
+    )
+
+
+def test_planning_phases_are_the_requests_record_durations():
+    daemon = ReservationDaemon(DaemonConfig(port=0, seed=3))
+    service = daemon.service
+    tracer = service.flight.tracer
+    service.start()
+    try:
+        # An earlier request's phases sit below the watermark.
+        service.handle("POST", "/v1/establish", {},
+                       {"service": "S2", "domain": "D1", "session_id": "early"})
+        first_span = tracer.next_index
+        context = obs_context.new_trace_context(request_id="req-phases")
+        with obs_context.trace_context(context), trace_mod.tracing(tracer):
+            with trace_mod.span("daemon.establish"):
+                status, _ = service.handle(
+                    "POST", "/v1/establish", {},
+                    {"service": "S3", "domain": "D2", "session_id": "late"},
+                )
+                assert status == 200
+                with trace_mod.span(PHASE2_SPAN):
+                    with trace_mod.span(PHASE2_SPAN):
+                        pass
+                with pytest.raises(ValueError):
+                    with trace_mod.span(PHASE3_SPAN):
+                        raise ValueError("lost segment")
+        plan, commit = daemon._planning_phases(first_span)
+        expected = request_phase_sums(tracer, first_span)
+        stamped = tracer.records_for_trace(context.trace_id)
+    finally:
+        service.close()
+    assert plan > 0 and commit > 0
+    assert (plan, commit) == pytest.approx(expected, rel=1e-12)
+    assert {record.name for record in stamped} >= {PHASE2_SPAN, PHASE3_SPAN}
+    assert any("error" in record.attributes for record in stamped)
