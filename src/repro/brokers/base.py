@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, NamedTuple, Optional, Tuple
 
 from repro.brokers.history import AvailabilityHistory
 from repro.core.errors import AdmissionError, BrokerError
@@ -28,8 +27,7 @@ Clock = Callable[[], float]
 _reservation_ids = itertools.count(1)
 
 
-@dataclass(frozen=True)
-class Reservation:
+class Reservation(NamedTuple):
     """A granted reservation: the handle used to terminate/cancel it."""
 
     reservation_id: int

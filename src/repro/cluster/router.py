@@ -46,7 +46,7 @@ from __future__ import annotations
 import asyncio
 import itertools
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -424,7 +424,7 @@ class ClusterCoordinator:
                     # The planner saw zero-filled availability for a dead
                     # shard; that is an infrastructure failure, not a
                     # QoS-aware "no".
-                    result = replace(result, reason="shard_unreachable")
+                    result = result._replace(reason="shard_unreachable")
                 return result
             demand = plan.demand
             per_shard: Dict[int, Dict[str, float]] = {}

@@ -11,15 +11,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.errors import ModelError
 from repro.core.qrg import IntraEdge, QRGNode
 from repro.core.resources import ResourceVector
 
 
-@dataclass(frozen=True)
-class ComponentAssignment:
+class ComponentAssignment(NamedTuple):
     """The QoS operating point chosen for one component."""
 
     component: str
@@ -34,15 +33,9 @@ class ComponentAssignment:
     @classmethod
     def from_edge(cls, edge: IntraEdge) -> "ComponentAssignment":
         """Build an assignment from a chosen QRG intra edge."""
+        src, dst, requirement, bound, weight, bottleneck, alpha, _ = edge
         return cls(
-            component=edge.src.component,
-            qin_label=edge.src.label,
-            qout_label=edge.dst.label,
-            requirement=edge.requirement,
-            bound=edge.bound,
-            weight=edge.weight,
-            bottleneck_resource=edge.bottleneck_resource,
-            alpha=edge.alpha,
+            src.component, src.label, dst.label, requirement, bound, weight, bottleneck, alpha
         )
 
 

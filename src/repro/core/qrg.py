@@ -60,25 +60,33 @@ class QRGNode(namedtuple("QRGNode", ("component", "kind", "label"))):
         return f"{self[0]}.{self[1]}:{self[2]}"
 
 
-@dataclass(frozen=True)
-class IntraEdge:
+class IntraEdge(
+    namedtuple(
+        "IntraEdge",
+        "src dst requirement bound weight bottleneck_resource alpha per_resource",
+        defaults=(None,),
+    )
+):
     """A feasible (Q_in -> Q_out) edge of one component.
 
     ``requirement`` is slot-keyed (the component's view); ``bound`` is
     resource-id-keyed (the environment's view, after applying the
     session's binding).  ``weight`` is the max per-resource contention
     index; ``bottleneck_resource`` the arg-max resource id; ``alpha`` the
-    Availability Change Index of that resource (1.0 without trend data).
+    Availability Change Index of that resource (1.0 without trend data);
+    ``per_resource`` every bound resource's index.
+
+    A tuple underneath, like :class:`QRGNode`: pricing builds one per
+    feasible edge per session, and a tuple is one allocation where a
+    frozen dataclass paid one ``object.__setattr__`` per field.  Equality
+    compares all eight fields; the hash covers the first seven, so an
+    edge whose ``per_resource`` is a dict is still hashable.
     """
 
-    src: QRGNode
-    dst: QRGNode
-    requirement: ResourceVector
-    bound: ResourceVector
-    weight: float
-    bottleneck_resource: str
-    alpha: float
-    per_resource: Mapping[str, float] = field(hash=False, default=None)  # type: ignore[assignment]
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self[:7])
 
 
 @dataclass(frozen=True)
@@ -412,38 +420,6 @@ def assemble_qrg(
     )
 
 
-def _new_intra_edge(
-    src: QRGNode,
-    dst: QRGNode,
-    requirement: ResourceVector,
-    bound: ResourceVector,
-    weight: float,
-    bottleneck_resource: str,
-    alpha: float,
-    per_resource: Dict[str, float],
-) -> IntraEdge:
-    """Construct an :class:`IntraEdge` without the frozen-dataclass
-    ``object.__setattr__``-per-field ceremony (~2.4x cheaper).
-
-    Pricing creates one instance per feasible edge per session, which
-    makes construction itself a measurable share of the planning hot
-    path.  Field set and semantics are identical to the generated
-    ``__init__`` (IntraEdge has no ``__post_init__``).
-    """
-    edge = object.__new__(IntraEdge)
-    edge.__dict__.update(
-        src=src,
-        dst=dst,
-        requirement=requirement,
-        bound=bound,
-        weight=weight,
-        bottleneck_resource=bottleneck_resource,
-        alpha=alpha,
-        per_resource=per_resource,
-    )
-    return edge
-
-
 def _price_templates(
     templates: Iterable[EdgeTemplate],
     snapshot: AvailabilitySnapshot,
@@ -459,7 +435,9 @@ def _price_templates(
 
     This is ``bound.satisfiable_under`` + ``bound.contention`` inlined
     (property-tested against them): the loop runs per session, and the
-    Mapping-protocol round trips are measurable at that frequency.
+    Mapping-protocol round trips are measurable at that frequency.  For
+    the same reason each edge is built positionally, the one way an
+    :class:`IntraEdge` is built.
     """
     if contention_index is None:
         contention_index = ratio_contention_index
@@ -492,7 +470,7 @@ def _price_templates(
                 psi, bottleneck = value, resource_id
         assert bottleneck is not None
         intra_edges.append(
-            _new_intra_edge(
+            IntraEdge(
                 template.src,
                 template.dst,
                 template.requirement,

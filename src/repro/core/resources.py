@@ -14,6 +14,7 @@ definitions of psi are possible, so the definition is pluggable here.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
@@ -188,8 +189,9 @@ class ContentionReport:
         return self.psi <= 1.0
 
 
-@dataclass(frozen=True)
-class ResourceObservation:
+class ResourceObservation(
+    namedtuple("ResourceObservation", ("available", "alpha", "observed_at"))
+):
     """What a Resource Broker reports for one resource (paper §3, §4.3.1).
 
     ``available``  -- current availability ``r_avail``;
@@ -198,17 +200,21 @@ class ResourceObservation:
                       the broker does not track trends.
     ``observed_at``-- simulated time of the snapshot (used by the
                       observation-inaccuracy experiments, paper §5.2.4).
+
+    A tuple underneath: every admission reads one per resource.  Both
+    values must be ``>= 0``, which refuses NaN as well as a negative.
     """
 
-    available: float
-    alpha: float = 1.0
-    observed_at: Optional[float] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.available < 0:
-            raise ModelError(f"negative availability: {self.available!r}")
-        if self.alpha < 0:
-            raise ModelError(f"negative availability change index: {self.alpha!r}")
+    def __new__(
+        cls, available: float, alpha: float = 1.0, observed_at: Optional[float] = None
+    ) -> "ResourceObservation":
+        if not available >= 0:
+            raise ModelError(f"negative availability: {available!r}")
+        if not alpha >= 0:
+            raise ModelError(f"negative availability change index: {alpha!r}")
+        return tuple.__new__(cls, (available, alpha, observed_at))
 
 
 class AvailabilitySnapshot(Mapping[str, ResourceObservation]):

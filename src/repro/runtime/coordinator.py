@@ -28,7 +28,9 @@ import time as _time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding
@@ -57,8 +59,7 @@ PHASE2_SPAN = "phase2_plan"
 PHASE3_SPAN = "phase3_dispatch"
 
 
-@dataclass(frozen=True)
-class EstablishmentResult:
+class EstablishmentResult(NamedTuple):
     """Outcome of one session-establishment attempt."""
 
     session_id: str
@@ -963,13 +964,18 @@ class ReservationCoordinator:
     # -- tear-down -------------------------------------------------------------
 
     def teardown(self, session_id: str) -> int:
-        """Release everything every proxy holds for the session."""
+        """Release everything every proxy holds for the session.
+
+        Only the proxies that hold something for it are asked, in the
+        proxies' order: on a §5.1 grid that is about 3 of 12.
+        """
         with _trace.span("teardown", session=session_id) as span:
             released = 0
             self._tearing_down.add(session_id)
             try:
                 for proxy in self.proxies.values():
-                    released += proxy.release_session(session_id)
+                    if proxy.holds(session_id):
+                        released += proxy.release_session(session_id)
             finally:
                 self._tearing_down.discard(session_id)
             span.set(released=released)

@@ -24,9 +24,8 @@ made.  The table reads time only through the ``clock`` it is given.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from math import inf
-from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.brokers.base import Reservation
 from repro.core.errors import BrokerError
@@ -36,8 +35,7 @@ from repro.runtime.proxy import QoSProxy
 __all__ = ["Lease", "LeaseTable"]
 
 
-@dataclass(frozen=True)
-class Lease:
+class Lease(NamedTuple):
     """The reservations of one hold, between reserve and commit.
 
     Holds the *exact* reservation handles the hold created (not "all

@@ -3,23 +3,25 @@
 The three-phase protocol is: (1) participating proxies report current
 resource availability to the main proxy, (2) the main proxy runs the
 planning algorithm locally, (3) the main proxy dispatches the plan
-segments.  These dataclasses are the protocol's vocabulary; in the
+segments.  These records are the protocol's vocabulary; in the
 simulation they travel as function arguments (optionally delayed by the
 coordinator's latency model), but keeping them explicit documents the
-wire protocol a real deployment would need.
+wire protocol a real deployment would need.  The three that every
+admission builds -- the availability request and report and the plan
+segment -- are named tuples: one tuple allocation each, where a frozen
+dataclass paid one ``object.__setattr__`` per field.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Tuple
+from typing import Mapping, NamedTuple, Optional, Tuple
 
 from repro.core.component import Binding
 from repro.core.resources import ResourceObservation
 
 
-@dataclass(frozen=True)
-class AvailabilityRequest:
+class AvailabilityRequest(NamedTuple):
     """Phase 1 query: which resources the main proxy needs observed."""
 
     session_id: str
@@ -45,8 +47,7 @@ class SessionRequest:
     demand_scale: float = 1.0
 
 
-@dataclass(frozen=True)
-class AvailabilityReport:
+class AvailabilityReport(NamedTuple):
     """Phase 1 reply: one proxy's local observations."""
 
     session_id: str
@@ -54,8 +55,7 @@ class AvailabilityReport:
     observations: Mapping[str, ResourceObservation]
 
 
-@dataclass(frozen=True)
-class PlanSegment:
+class PlanSegment(NamedTuple):
     """Phase 3 dispatch: the per-host slice of the end-to-end plan.
 
     ``demands`` maps each of the receiving proxy's resource ids to the

@@ -126,6 +126,11 @@ class QoSProxy:
             )
         return tuple(made)
 
+    def holds(self, session_id: str) -> bool:
+        """True when this proxy holds reservations or started components
+        for the session: the proxies a teardown has to visit."""
+        return session_id in self._held or session_id in self._started_components
+
     def release_session(self, session_id: str) -> int:
         """Release everything held for a session; returns count released.
 
@@ -148,7 +153,7 @@ class QoSProxy:
         the count released.
         """
         held = self._held.get(session_id)
-        if not held:  # the common case: a teardown visits every proxy
+        if not held:  # torn down already, or never held
             return 0
         wanted = {id(reservation) for reservation in reservations}
         kept: List[Reservation] = []
