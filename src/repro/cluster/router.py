@@ -5,9 +5,12 @@ slice of the grid its :class:`~repro.cluster.shardmap.ShardMap` index
 assigns (every shard builds the identical same-seed grid, so capacities
 agree without a directory service).  An establishment becomes:
 
-1. **merged snapshot** -- ``GET /v1/availability`` from every involved
-   shard in parallel; resources an unreachable shard should have
-   reported are zero-filled, so planning degrades instead of crashing.
+1. **merged snapshot** -- ``GET /v1/availability?resources=...`` from
+   every involved shard in parallel, naming only the session's
+   resources that shard owns (the paper's phase 1 reports exactly the
+   resources a session needs); resources an unreachable shard should
+   have reported are zero-filled, so planning degrades instead of
+   crashing.
 2. **local plan** -- the paper's phase 2 runs once, in the router,
    against the merged snapshot
    (:meth:`~repro.runtime.coordinator.ReservationCoordinator.plan_session`).
@@ -107,8 +110,10 @@ class _ShardClient:
     async def _call(self, method: str, target: str, payload: Optional[dict] = None):
         return (await self.forward_raw(method, target, payload)).checked()
 
-    async def availability(self) -> dict:
-        return await self._call("GET", "/v1/availability")
+    async def availability(self, resource_ids: Sequence[str] = ()) -> dict:
+        """The shard's observations: of ``resource_ids``, or its whole slice."""
+        query = f"?resources={','.join(resource_ids)}" if resource_ids else ""
+        return await self._call("GET", "/v1/availability" + query)
 
     async def reserve(self, payload: dict) -> dict:
         return await self._call("POST", "/v1/reserve", payload)
@@ -221,16 +226,20 @@ def _read_object(document) -> dict:
 
 
 def _read_availability(wanted, document) -> Dict[str, ResourceObservation]:
-    """``GET /v1/availability``: the observations of the ``wanted`` resources."""
+    """``GET /v1/availability``: the observations of the ``wanted`` resources.
+
+    A reply that omits one of them raises ``KeyError``: it is unreadable.
+    """
+    reported = _read_object(document)["resources"]
     observations = {}
-    for rid, fields in _read_object(document)["resources"].items():
-        if rid in wanted:
-            observed_at = fields.get("observed_at")
-            observations[rid] = ResourceObservation(
-                available=max(0.0, float(fields.get("available", 0.0))),
-                alpha=float(fields.get("alpha", 1.0)),
-                observed_at=None if observed_at is None else float(observed_at),
-            )
+    for rid in wanted:
+        fields = reported[rid]
+        observed_at = fields.get("observed_at")
+        observations[rid] = ResourceObservation(
+            available=max(0.0, float(fields.get("available", 0.0))),
+            alpha=float(fields.get("alpha", 1.0)),
+            observed_at=None if observed_at is None else float(observed_at),
+        )
     return observations
 
 
@@ -301,7 +310,12 @@ class ClusterCoordinator:
             self._note_shard(index, True)
 
     def _note_shard(self, shard_index: int, reachable: bool) -> None:
-        """Record the latest reachability verdict for one shard."""
+        """Record the latest reachability verdict for one shard.
+
+        The gauge is written only when the verdict flips.
+        """
+        if self.shard_reachable.get(shard_index) == reachable:
+            return
         self.shard_reachable[shard_index] = reachable
         self.registry.gauge(
             "cluster.shard_reachable", shard=f"shard-{shard_index}"
@@ -439,16 +453,25 @@ class ClusterCoordinator:
     ) -> AvailabilitySnapshot:
         """Phase 1 over the wire: gather availability from every shard.
 
+        Each shard is asked only for the resources it owns among
+        ``resource_ids``, so it files the reports one daemon would file
+        for the session and its alpha reads the same history.
         Resources a shard should have covered are zero-filled when its
-        reply is unknown (no reply, or one of the wrong shape) -- the
-        same degrade-not-crash stance the fault-tolerant coordinator
-        takes on a timed-out proxy.
+        reply is unknown (no reply, one of the wrong shape, or one that
+        omits a resource asked for) -- the same degrade-not-crash stance
+        the fault-tolerant coordinator takes on a timed-out proxy.
         """
-        read = partial(_read_availability, set(resource_ids))
+        asked: Dict[int, List[str]] = {}
+        for rid in sorted(resource_ids):
+            asked.setdefault(self.shard_map.shard_of(rid), []).append(rid)
         with _trace.span("cluster.snapshot", shards=len(involved)):
             replies = await asyncio.gather(
                 *(
-                    self._exchange(index, self.shards[index].availability(), read)
+                    self._exchange(
+                        index,
+                        self.shards[index].availability(asked[index]),
+                        partial(_read_availability, asked[index]),
+                    )
                     for index in involved
                 )
             )

@@ -28,8 +28,7 @@ import os
 import re
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, replace
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 __all__ = [
     "TRACEPARENT_HEADER",
@@ -59,8 +58,7 @@ _ZERO_TRACE_ID = "0" * 32
 _ZERO_SPAN_ID = "0" * 16
 
 
-@dataclass(frozen=True, slots=True)
-class TraceContext:
+class TraceContext(NamedTuple):
     """One request's identity (immutable; derive children, never mutate)."""
 
     #: 32 lowercase hex chars shared across every hop of the request.
@@ -91,11 +89,11 @@ def child_context(
     parent: TraceContext, request_id: Optional[str] = None
 ) -> TraceContext:
     """A new hop within ``parent``'s trace (fresh span_id, same trace_id)."""
-    return replace(
-        parent,
-        span_id=_hex_id(8),
-        parent_id=parent.span_id,
-        request_id=request_id if request_id is not None else parent.request_id,
+    return TraceContext(
+        parent.trace_id,
+        _hex_id(8),
+        parent.span_id,
+        request_id if request_id is not None else parent.request_id,
     )
 
 

@@ -37,8 +37,7 @@ the wire format is byte-for-byte what it always was.
 from __future__ import annotations
 
 import asyncio
-from dataclasses import dataclass
-from typing import AsyncIterator, Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import context as _context
 from repro.obs import trace as _trace
@@ -79,8 +78,7 @@ class ServiceDrainingError(ServiceClientError):
 UNREACHABLE = (OSError, _http.ProtocolError, asyncio.TimeoutError)
 
 
-@dataclass(frozen=True)
-class ServiceResponse:
+class ServiceResponse(NamedTuple):
     """One parsed HTTP response."""
 
     status: int

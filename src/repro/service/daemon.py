@@ -18,7 +18,8 @@ behind an admission API and owns the one transport-free route table
 ``POST /v1/commit``          cross-shard 2PC: make a lease permanent
 ``POST /v1/abort``           cross-shard 2PC: release a lease
 ``GET  /v1/query``           daemon + session + utilization state
-``GET  /v1/availability``    observed availability of the owned slice
+``GET  /v1/availability``    observed availability of the owned slice, or of
+                             the ``?resources=`` it names
 ``GET  /v1/events``          WebSocket stream of the causal event log
 ``GET  /metrics``            Prometheus text exposition of the live registry
 ``GET  /healthz``            liveness probe (uptime, in-flight, drain state)
@@ -258,6 +259,13 @@ class ReservationService:
             self.shard_registry = self.grid.registry.subset(
                 sorted(self._owned_resources)
             )
+        #: The brokers plans name, grid-wide: cpu and end-to-end path,
+        #: not links.
+        self._addressable = {
+            broker.resource_id: broker
+            for brokers in (self.grid.cpu_brokers, self.grid.path_brokers)
+            for broker in brokers.values()
+        }
         #: Two-phase ``/v1/reserve`` leases, on the wall clock: the
         #: router that holds them is another process.
         self.leases = LeaseTable(self.grid.proxies, _time.monotonic, config.lease_ttl)
@@ -364,7 +372,7 @@ class ReservationService:
         if method == "GET" and path == "/v1/query":
             return answer(self.query, query.get("session_id"))
         if method == "GET" and path == "/v1/availability":
-            return answer(self.availability)
+            return answer(self.availability, query.get("resources"))
         if method != "POST":
             return 405, {"error": f"no route for {method} {path}"}
         if path == "/v1/debug/dump":
@@ -657,22 +665,35 @@ class ReservationService:
             )
         return len(reaped)
 
-    def availability(self) -> dict:
+    def availability(self, resources: Optional[str] = None) -> dict:
         """Observed availability of this shard's demand-addressable slice.
 
         Covers the cpu and end-to-end path brokers the shard owns (the
         resources plans name); link brokers stay internal to the paths.
+        ``resources`` (``?resources=<id>,<id>``) narrows it to the named
+        ones, each checked before any is observed: an unknown, link or
+        repeated id is a 400, one another shard owns a 409.
         """
+        if resources is None:
+            brokers = [
+                broker
+                for resource_id, broker in self._addressable.items()
+                if self._owned_resources is None
+                or resource_id in self._owned_resources
+            ]
+        else:
+            resource_ids = resources.split(",")
+            if len(set(resource_ids)) < len(resource_ids):
+                raise ServiceError(f"'resources' repeats a resource: {resources!r}")
+            for resource_id in resource_ids:
+                if resource_id not in self._addressable:
+                    raise ServiceError(
+                        f"resource {resource_id!r} is unknown or not a cpu or path"
+                    )
+                self._check_owned(resource_id)
+            brokers = [self._addressable[rid] for rid in resource_ids]
         observations: Dict[str, dict] = {}
-        addressable = list(self.grid.cpu_brokers.values()) + list(
-            self.grid.path_brokers.values()
-        )
-        for broker in addressable:
-            if (
-                self._owned_resources is not None
-                and broker.resource_id not in self._owned_resources
-            ):
-                continue
+        for broker in brokers:
             observation = broker.observe()
             observations[broker.resource_id] = {
                 "available": observation.available,

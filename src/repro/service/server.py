@@ -312,10 +312,7 @@ class ServingShell:
         if parent is None:
             return _context.new_trace_context(request_id=request_id)
         return _context.TraceContext(
-            trace_id=parent.trace_id,
-            span_id=parent.span_id,
-            parent_id=parent.parent_id,
-            request_id=request_id,
+            parent.trace_id, parent.span_id, parent.parent_id, request_id
         )
 
     def _access_log(

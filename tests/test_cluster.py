@@ -24,6 +24,7 @@ from repro.faults.invariants import (
     reconcile_shard_events,
 )
 from repro.obs.events import EventLog
+from repro.obs.prom import parse_exposition
 from repro.service import (
     DaemonConfig,
     ReservationDaemon,
@@ -41,6 +42,7 @@ from repro.cluster import (
     LocalShardClient,
     ShardMap,
 )
+from repro.cluster.router import HttpShardClient
 from repro.sim.environment import GridEnvironment
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
@@ -62,7 +64,8 @@ class FaultyShardClient(LocalShardClient):
     shard applies and stays up, but whose reply never arrives.
     ``garble_next_reply`` is a ``(path, body)`` pair: the shard applies
     the next call to ``path`` and answers it with ``body`` -- bytes that
-    are no JSON, or JSON of the wrong shape.
+    are no JSON, or JSON of the wrong shape.  A fault names a path and
+    matches a request target with or without a query string.
     """
 
     def __init__(self, *args, **kwargs):
@@ -81,15 +84,16 @@ class FaultyShardClient(LocalShardClient):
         await asyncio.sleep(0)  # the shard may crash while the request travels
         self._check_alive()
         response = await super().forward_raw(method, target, payload)
-        if self.crash_on_next_reserve and target == "/v1/reserve":
+        path = target.partition("?")[0]
+        if self.crash_on_next_reserve and path == "/v1/reserve":
             if response.status == 200:
                 self.crash_on_next_reserve = False
                 self.crashed = True
                 raise ConnectionError(f"shard {self.label} crashed mid-reserve")
-        if target == self.lose_next_reply:
+        if path == self.lose_next_reply:
             self.lose_next_reply = None
-            raise ConnectionError(f"shard {self.label}: reply to {target} lost")
-        if self.garble_next_reply and self.garble_next_reply[0] == target:
+            raise ConnectionError(f"shard {self.label}: reply to {path} lost")
+        if self.garble_next_reply and self.garble_next_reply[0] == path:
             body = self.garble_next_reply[1]
             self.garble_next_reply = None
             return ServiceResponse(response.status, {}, body)
@@ -541,6 +545,9 @@ WRONG_SHAPES = [
         {"resources": {"$rid": {"available": "x"}}},
         id="availability-not-a-number",
     ),
+    pytest.param(
+        "/v1/availability", {"resources": {}}, id="availability-omits-a-resource"
+    ),
     pytest.param("/v1/reserve", [], id="reserve-list"),
     pytest.param("/v1/reserve", {"reserved": True}, id="reserve-no-lease"),
     pytest.param("/v1/commit", [], id="commit-list"),
@@ -838,6 +845,150 @@ def test_expired_lease_is_reaped_by_the_daemon():
             await daemon.shutdown()
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# the scoped availability request (the router's phase 1)
+
+
+def _scoped_shard():
+    """Shard 0 of 3 at grid seed 11, and the ids a test names on it:
+    ``mine`` (its cpu and path resources, sorted), ``link`` (a link it
+    owns) and ``foreign`` (a path another shard owns)."""
+    shard = make_local_shards(3, seed=11)[0]
+    service = shard.service
+    addressable_ids = {
+        broker.resource_id
+        for brokers in (service.grid.cpu_brokers, service.grid.path_brokers)
+        for broker in brokers.values()
+    }
+    owned = service._owned_resources
+    ids = {
+        "mine": sorted(addressable_ids & owned),
+        "link": min(owned - addressable_ids),
+        "foreign": min(addressable_ids - owned),
+    }
+    return shard, ids
+
+
+def _report_log_sizes(service):
+    return {
+        broker.resource_id: len(broker.history._reports)
+        for broker in service.grid.registry.brokers()
+    }
+
+
+SCOPED_REFUSALS = [
+    pytest.param("", 400, id="empty"),
+    pytest.param("cpu:H99", 400, id="unknown"),
+    pytest.param("$mine,cpu:H99", 400, id="unknown-after-a-valid-id"),
+    pytest.param("$link", 400, id="link"),
+    pytest.param("$mine,$mine", 400, id="repeated"),
+    pytest.param("$mine,$foreign", 409, id="foreign"),
+]
+
+
+@pytest.mark.parametrize("resources,status", SCOPED_REFUSALS)
+def test_a_refused_scoped_request_observes_nothing(resources, status):
+    """Every named id is checked before any broker is observed: a refusal
+    writes no availability report and emits no event."""
+    shard, ids = _scoped_shard()
+    resources = (
+        resources.replace("$mine", ids["mine"][0])
+        .replace("$link", ids["link"])
+        .replace("$foreign", ids["foreign"])
+    )
+    before = _report_log_sizes(shard.service)
+
+    response = asyncio.run(
+        shard.forward_raw("GET", f"/v1/availability?resources={resources}", None)
+    )
+
+    assert response.status == status, response.body
+    assert "error" in response.json()
+    assert _report_log_sizes(shard.service) == before
+    assert len(shard.log) == 0
+
+
+def test_a_scoped_reply_holds_exactly_the_named_resources():
+    shard, ids = _scoped_shard()
+    named = [ids["mine"][0], ids["mine"][-1]]
+    before = _report_log_sizes(shard.service)
+
+    document = asyncio.run(shard.availability(named))
+
+    assert list(document["resources"]) == named
+    assert (document["shard"], document["shard_count"]) == (0, 3)
+    after = _report_log_sizes(shard.service)
+    grew = {rid: after[rid] - before[rid] for rid in after}
+    assert grew == {rid: int(rid in named) for rid in after}
+    assert [event.resource for event in shard.log] == named
+    assert {event.kind for event in shard.log} == {"broker.probe"}
+
+
+def test_the_unscoped_request_still_answers_the_whole_owned_slice():
+    shard, ids = _scoped_shard()
+
+    document = asyncio.run(shard.availability())
+
+    assert set(document) == {"shard", "shard_count", "seed", "resources"}
+    assert sorted(document["resources"]) == ids["mine"]
+    assert len(shard.log) == len(ids["mine"])
+
+
+def test_the_scoped_request_over_http():
+    """The router's target crosses the wire: a scoped reply, the unscoped
+    one, and a foreign id's 409."""
+
+    async def scenario():
+        daemon = ReservationDaemon(
+            DaemonConfig(port=0, seed=11, shard_index=0, shard_count=3)
+        )
+        await daemon.start()
+        shard = HttpShardClient(0, "127.0.0.1", daemon.port)
+        client = ServiceClient("127.0.0.1", daemon.port)
+        try:
+            owned = sorted((await client.availability())["resources"])
+            named = owned[1:3]
+            scoped = await shard.availability(named)
+            assert list(scoped["resources"]) == named
+            # cpu:H2 is shard 1's at this seed.
+            with pytest.raises(ServiceClientError) as refused:
+                await shard.availability([named[0], "cpu:H2"])
+            assert refused.value.status == 409
+        finally:
+            await client.aclose()
+            await shard.aclose()
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_the_reachability_gauge_follows_a_shard_down_and_back():
+    """The gauge is written on a flip only, and reads the latest verdict."""
+    service_name, domain, _ = _cross_shard_commits(2)[0]
+    shards = make_local_shards(2)
+    coordinator = ClusterCoordinator(shards, seed=7)
+
+    def reachable(index):
+        gauges = parse_exposition(coordinator.metrics_exposition()).gauges
+        return gauges[f'repro_cluster_shard_reachable{{shard="shard-{index}"}}']
+
+    async def establish(session_id):
+        status, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": session_id}
+        )
+        assert status == 200
+        return json.loads(body)
+
+    assert (reachable(0), reachable(1)) == (1.0, 1.0)
+    shards[1].crashed = True
+    outcome = asyncio.run(establish("while-down"))
+    assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
+    assert (reachable(0), reachable(1)) == (1.0, 0.0)
+    shards[1].crashed = False
+    assert asyncio.run(establish("after-recovery"))["success"] is True
+    assert (reachable(0), reachable(1)) == (1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

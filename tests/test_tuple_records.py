@@ -2,10 +2,12 @@
 
 Every establishment builds about forty small records: QRG edges, the
 three phases' messages, reservations, assignments, a lease and the
-result.  Each is a named tuple, so none carries a per-instance
-``__dict__``; what a frozen dataclass promised still holds -- the field
-set, the ``repr`` text, pickling, immutability and validation.  A
-teardown asks only the proxies that hold something for the session.
+result; every request across the service boundary carries a trace
+context and, at the client, a parsed response.  Each is a named tuple,
+so none carries a per-instance ``__dict__``; what a frozen dataclass
+promised still holds -- the field set, the ``repr`` text, pickling,
+immutability and validation.  A teardown asks only the proxies that
+hold something for the session.
 """
 
 import asyncio
@@ -26,6 +28,7 @@ from repro.core.qrg import IntraEdge, QRGNode
 from repro.core.resources import ResourceObservation, ResourceVector
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
+from repro.obs.context import TraceContext
 from repro.runtime.coordinator import EstablishmentResult
 from repro.runtime.leases import Lease
 from repro.runtime.messages import AvailabilityReport, AvailabilityRequest, PlanSegment
@@ -156,6 +159,29 @@ RECORDS = [
         "per_resource={'cpu:H1': 0.125})",
         id="IntraEdge",
     ),
+    pytest.param(
+        TraceContext(
+            trace_id="4bf92f3577b34da6a3ce929d0e0e4736",
+            span_id="00f067aa0ba902b7",
+            parent_id=None,
+            request_id="req-1",
+        ),
+        "span_id",
+        "TraceContext(trace_id='4bf92f3577b34da6a3ce929d0e0e4736', "
+        "span_id='00f067aa0ba902b7', parent_id=None, request_id='req-1')",
+        id="TraceContext",
+    ),
+    pytest.param(
+        ServiceResponse(
+            status=200,
+            headers={"content-type": "application/json"},
+            body=b'{"ok": true}',
+        ),
+        "status",
+        "ServiceResponse(status=200, headers={'content-type': 'application/json'}, "
+        """body=b'{"ok": true}')""",
+        id="ServiceResponse",
+    ),
 ]
 
 
@@ -270,7 +296,7 @@ class _NanAlphaShard(FaultyShardClient):
 
     async def forward_raw(self, method, target, payload):
         response = await super().forward_raw(method, target, payload)
-        if target != "/v1/availability":
+        if target.partition("?")[0] != "/v1/availability":
             return response
         document = json.loads(response.body)
         for fields in document["resources"].values():
