@@ -41,7 +41,8 @@ no reply, or one of the wrong shape -- the shard may have applied the
 call).  Each caller's handling of an unknown outcome is what keeps the
 cluster leak-free: an unknown reserve is left to the shard's TTL
 reaper, an unknown commit or teardown becomes a teardown debt, and an
-unknown availability reply zero-fills that shard's resources.
+unknown availability reply zero-fills that shard's resources.  A shard
+that does not answer within :data:`EXCHANGE_TIMEOUT` is unknown too.
 """
 
 from __future__ import annotations
@@ -95,6 +96,16 @@ __all__ = [
 ]
 
 
+#: Seconds the router waits for a shard's reply to one exchange.
+EXCHANGE_TIMEOUT = 10.0
+
+#: ``asyncio.timeout`` (3.11+) bounds an await inside the awaiting task.
+#: ``wait_for``, the one form 3.10 has, runs the call in a task of its
+#: own, which costs each exchange extra event-loop iterations: about
+#: twice the overhead on ``cluster3_serial``'s CPU per decision.
+_timeout = getattr(asyncio, "timeout", None)
+
+
 class _ShardClient:
     """The calls the router makes on one shard, over :meth:`forward_raw`."""
 
@@ -135,7 +146,15 @@ class _ShardClient:
 
 
 class HttpShardClient(_ShardClient):
-    """One shard daemon reached over HTTP (keep-alive pooled)."""
+    """One shard daemon reached over HTTP (keep-alive pooled).
+
+    An exchange that gets no reply within :data:`EXCHANGE_TIMEOUT` raises
+    ``asyncio.TimeoutError`` (one of :data:`UNREACHABLE`): a shard that
+    reads a request and never answers is an unknown outcome, not a
+    router holding its admission lock forever.  The bound lives here,
+    not in :class:`ServiceClient`: only the router has an unknown
+    outcome to settle, and every other client would pay for it.
+    """
 
     def __init__(self, index: int, host: str, port: int) -> None:
         self.index = index
@@ -145,7 +164,11 @@ class HttpShardClient(_ShardClient):
     async def forward_raw(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
-        return await self._client.request(method, target, payload)
+        call = self._client.request(method, target, payload)
+        if _timeout is None:  # Python 3.10
+            return await asyncio.wait_for(call, EXCHANGE_TIMEOUT)
+        async with _timeout(EXCHANGE_TIMEOUT):
+            return await call
 
     async def aclose(self) -> None:
         await self._client.aclose()

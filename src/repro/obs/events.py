@@ -56,13 +56,12 @@ Live consumers can :meth:`~EventLog.subscribe` a callback to an
 :class:`EventLog`; subscribers see *every* emitted event -- including
 the ones a bounded log has since evicted -- which is what the online
 monitoring plane builds on.  Dispatch is one event built at ``emit``
-and one call per subscriber, so what a subscriber is matters: the
-service daemon's event plane subscribes only while a WebSocket client
-listens, and consumers that only need *how many* events they were
-handed read the :attr:`~EventLog.next_seq` watermark instead of
-counting in a callback.  A started daemon with no WebSocket client
-therefore runs no Python code per event beyond :meth:`~EventLog.emit`
-itself; the disabled path is untouched.
+and one call per subscriber, so what a subscriber is matters: consumers
+that only need *how many* events they were handed read the
+:attr:`~EventLog.next_seq` watermark instead of counting in a callback.
+The service daemon subscribes nothing, so a started daemon runs no
+Python code per event beyond :meth:`~EventLog.emit` itself; the
+disabled path is untouched.
 
 When a request-scoped :class:`~repro.obs.context.TraceContext` is bound
 (the service daemon binds one per admission), every emitted event is

@@ -1,4 +1,4 @@
-"""Long-lived reservation service: daemon, client, event plane, load gen.
+"""Long-lived reservation service: daemon, client, load generator.
 
 Wraps :class:`~repro.runtime.coordinator.ReservationCoordinator` (or its
 fault-tolerant variant) behind a network admission API so the paper's
@@ -10,12 +10,10 @@ of a single in-process driver:
 * :mod:`repro.service.server` -- the HTTP/1.1 serving shell the daemon
   and the cluster router both run in.
 * :mod:`repro.service.client` -- the asyncio reference client.
-* :mod:`repro.service.events` -- EventLog fan-out with bounded
-  per-subscriber queues and ``stream.truncated`` loss markers.
 * :mod:`repro.service.loadgen` -- open-loop WorkloadSpec replay feeding
   the ``BENCH_service_load`` ledger.
-* :mod:`repro.service.http` -- the stdlib HTTP/1.1 + RFC 6455 plumbing
-  both sides share.
+* :mod:`repro.service.http` -- the stdlib HTTP/1.1 codec both sides
+  share.
 
 The package imports nothing at import time: ``python -m
 repro.service.cli`` runs this file before the CLI's ``main()`` keeps
@@ -32,7 +30,6 @@ _EXPORTS = {
     "ServiceClientError": "repro.service.client",
     "ServiceDrainingError": "repro.service.client",
     "ServiceResponse": "repro.service.client",
-    "TRUNCATION_KIND": "repro.service.events",
 }
 
 __all__ = sorted(_EXPORTS)

@@ -2,9 +2,9 @@
 
 Boots a :class:`~repro.service.daemon.ReservationDaemon` over a seeded
 :class:`~repro.sim.environment.GridEnvironment` and serves the admission
-API, the WebSocket event plane, and ``/metrics`` until a termination
-signal arrives; shutdown drains in-flight admissions before closing the
-listener (bounded by ``--drain-timeout``).
+API and ``/metrics`` until a termination signal arrives; shutdown drains
+in-flight admissions before closing the listener (bounded by
+``--drain-timeout``).
 
 SIGQUIT does *not* stop the daemon: it dumps the flight recorder (the
 always-on ring of recent spans, events and wire counters) to

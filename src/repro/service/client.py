@@ -19,9 +19,6 @@ caller cannot know.
 :attr:`ServiceClient.connections_reused` count the raw socket traffic
 (the load generator surfaces them in its report).
 
-:meth:`events` upgrades a dedicated connection to the WebSocket event
-plane and yields event dicts until either side closes.
-
 The client is also the reference consumer of the wire protocol: the
 daemon's tests drive every endpoint through it.
 
@@ -37,7 +34,7 @@ the wire format is byte-for-byte what it always was.
 from __future__ import annotations
 
 import asyncio
-from typing import AsyncIterator, Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import context as _context
 from repro.obs import trace as _trace
@@ -50,9 +47,6 @@ __all__ = [
     "ServiceDrainingError",
     "UNREACHABLE",
 ]
-
-#: Seconds :meth:`ServiceClient.events` waits for the WebSocket upgrade.
-HANDSHAKE_TIMEOUT = 10.0
 
 
 class ServiceClientError(RuntimeError):
@@ -259,60 +253,6 @@ class ServiceClient:
         if response.status != 200:
             raise ServiceClientError(response.status, response.body)
         return response.body.decode("utf-8")
-
-    # -- the event plane ---------------------------------------------------
-
-    async def events(self, *, queue: Optional[int] = None) -> AsyncIterator[dict]:
-        """Subscribe to ``/v1/events``; yields event dicts until closed.
-
-        ``queue`` requests a specific per-subscriber bound from the
-        daemon (the slow-consumer tests use a tiny one).  The iterator
-        ends when the daemon closes the stream; callers cancel the
-        surrounding task to unsubscribe early.
-        """
-        path = "/v1/events" + (f"?queue={queue}" if queue is not None else "")
-        key = "cmVwcm8tc2VydmljZS1ldnQ="  # any base64 16-byte nonce works
-        reader, writer = await asyncio.open_connection(self.host, self.port)
-        try:
-            writer.write(_http.request_bytes("GET", path, {
-                "Host": f"{self.host}:{self.port}",
-                "Upgrade": "websocket",
-                "Connection": "Upgrade",
-                "Sec-WebSocket-Key": key,
-                "Sec-WebSocket-Version": 13,
-            }))
-            await writer.drain()
-            upgrade = await asyncio.wait_for(
-                _http.read_response(reader), timeout=HANDSHAKE_TIMEOUT
-            )
-            if upgrade is None:
-                return
-            status, headers, body = upgrade
-            if status != 101:
-                raise ServiceClientError(status, body.decode("latin-1"))
-            if headers.get("sec-websocket-accept") != _http.websocket_accept_key(key):
-                raise ServiceClientError(400, "bad Sec-WebSocket-Accept")
-            while True:
-                opcode, payload = await _http.read_ws_frame(reader)
-                if opcode == _http.OP_CLOSE:
-                    return
-                if opcode == _http.OP_PING:
-                    writer.write(
-                        _http.encode_ws_frame(payload, opcode=_http.OP_PONG, mask=True)
-                    )
-                    await writer.drain()
-                    continue
-                if opcode in (_http.OP_TEXT, _http.OP_BINARY):
-                    yield _http.decode_json(payload)
-        except (_http.ProtocolError, ConnectionError):
-            return
-        finally:
-            try:
-                writer.write(_http.encode_ws_frame(b"", opcode=_http.OP_CLOSE, mask=True))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-            await _close_writer(writer)
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:

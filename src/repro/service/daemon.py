@@ -1,4 +1,4 @@
-"""The long-lived reservation service daemon (admission API + event plane).
+"""The long-lived reservation service daemon (the admission API).
 
 Everything before this module is run-to-completion: build a grid, drive
 a workload, exit.  :class:`ReservationService` keeps one
@@ -20,7 +20,6 @@ behind an admission API and owns the one transport-free route table
 ``GET  /v1/query``           daemon + session + utilization state
 ``GET  /v1/availability``    observed availability of the owned slice, or of
                              the ``?resources=`` it names
-``GET  /v1/events``          WebSocket stream of the causal event log
 ``GET  /metrics``            Prometheus text exposition of the live registry
 ``GET  /healthz``            liveness probe (uptime, in-flight, drain state)
 ``POST /v1/debug/dump``      flight-recorder snapshot on demand
@@ -29,11 +28,7 @@ behind an admission API and owns the one transport-free route table
 Admissions execute *serialized* on the event loop under the shell's
 lock, so daemon decisions for a given request order are byte-identical
 to calling ``coordinator.establish`` in-process in that order -- the
-property the acceptance test pins.  The event plane fans the
-coordinator's causal :class:`~repro.obs.events.EventLog` out to
-WebSocket subscribers through bounded queues
-(:mod:`repro.service.events`): a slow consumer loses its own events
-behind a ``stream.truncated`` marker, never the daemon's.
+property the acceptance test pins.
 
 Trace ids never appear in response bodies, so decisions stay
 byte-identical to in-process calls.  Per-phase admission latency (parse
@@ -75,7 +70,6 @@ from repro.runtime.coordinator import (
 )
 from repro.runtime.leases import LeaseTable
 from repro.service import http as _http
-from repro.service.events import EventPlane
 from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
 from repro.sim.workload import SessionArrival
@@ -207,13 +201,13 @@ _PHASES = ("parse", "queue_wait", "plan", "commit", "serialize")
 
 
 class ReservationService:
-    """The daemon's in-process core: grid + coordinator + event plane.
+    """The daemon's in-process core: grid + coordinator + flight recorder.
 
     Owns the process-global observability handles while started: its
     :class:`MetricsRegistry` backs ``/metrics`` and its
-    :class:`EventLog` feeds the event plane.  ``start()``/``close()``
-    install/uninstall them, so sequential daemons (tests, restarts)
-    leave a clean process behind.
+    :class:`EventLog` is the flight recorder's event ring.
+    ``start()``/``close()`` install/uninstall them, so sequential
+    daemons (tests, restarts) leave a clean process behind.
     """
 
     def __init__(self, config: DaemonConfig) -> None:
@@ -224,7 +218,6 @@ class ReservationService:
         self.flight = FlightRecorder()
         #: The one event log, and the flight recorder's event ring.
         self.log = self.flight.log
-        self.plane = EventPlane()
         self.grid = GridEnvironment(
             self.env, self.streams, capacity_range=config.capacity_range
         )
@@ -286,7 +279,7 @@ class ReservationService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Install the registry + event log + flight tracer, attach planes."""
+        """Install the registry + event log + flight tracer."""
         if self._started:
             return
         _metrics.install(self.registry)
@@ -297,14 +290,12 @@ class ReservationService:
             raise
         self._previous_tracer = _trace.active_tracer()
         _trace.install(self.flight.tracer)
-        self.plane.attach(self.log)
         self._started = True
 
     def close(self) -> None:
-        """Detach the planes and release the global handles."""
+        """Release the global handles."""
         if not self._started:
             return
-        self.plane.detach()
         if _trace.active_tracer() is self.flight.tracer:
             if self._previous_tracer is None:
                 _trace.uninstall()
@@ -729,8 +720,6 @@ class ReservationService:
             "event_log": {
                 "recorded": len(self.log),
                 "dropped": self.log.dropped,
-                "subscribers": self.plane.subscriber_count,
-                "fanned_out": self.plane.events_seen,
             },
             "utilization": {
                 broker.resource_id: broker.utilization()
@@ -812,9 +801,7 @@ def _renegotiation_to_dict(result: RenegotiationResult) -> dict:
 
 
 class ReservationDaemon(ServingShell):
-    """Serves a :class:`ReservationService` over HTTP + WebSocket."""
-
-    websocket_path = "/v1/events"
+    """Serves a :class:`ReservationService` over HTTP."""
 
     def __init__(self, config: Optional[DaemonConfig] = None) -> None:
         self.config = config or DaemonConfig()
@@ -826,7 +813,6 @@ class ReservationDaemon(ServingShell):
         )
         self.service = ReservationService(self.config)
         self._record_wire = self.service.flight.record_wire
-        self._ws_tasks: set = set()
         self._phase_histograms: Optional[tuple] = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -856,14 +842,9 @@ class ReservationDaemon(ServingShell):
     async def shutdown(self, *, drain: Optional[bool] = True) -> None:
         """Drain and stop listening, then release the service.
 
-        WebSocket streams are closed and the observability handles
-        uninstalled once the socket is gone.
+        The observability handles are uninstalled once the socket is gone.
         """
         await super().shutdown(drain=drain)
-        for task in list(self._ws_tasks):
-            task.cancel()
-        if self._ws_tasks:
-            await asyncio.gather(*self._ws_tasks, return_exceptions=True)
         self.service.close()
 
     # -- routes ------------------------------------------------------------
@@ -874,7 +855,6 @@ class ReservationDaemon(ServingShell):
             "shard": self.service.shard_label,
             "shard_index": self.service.config.shard_index,
             "shard_count": self.service.config.shard_count,
-            "websocket_clients": self.stats.websocket_clients,
         }
 
     def _metrics_text(self) -> str:
@@ -979,72 +959,3 @@ class ReservationDaemon(ServingShell):
                 file=_sys.stderr,
                 flush=True,
             )
-
-    # -- the event plane over WebSocket ------------------------------------
-
-    async def _serve_websocket(
-        self,
-        request: _http.Request,
-        reader: asyncio.StreamReader,
-        writer: asyncio.StreamWriter,
-    ) -> None:
-        key = request.headers.get("sec-websocket-key")
-        if not key:
-            writer.write(
-                _http.json_response_bytes(400, {"error": "missing Sec-WebSocket-Key"})
-            )
-            await writer.drain()
-            return
-        writer.write(_http.websocket_handshake_bytes(key))
-        await writer.drain()
-        queue_size = None
-        if "queue" in request.query:
-            try:
-                # One slot for the truncation marker plus one for a
-                # payload lets a stalled consumer recover.
-                queue_size = max(2, int(request.query["queue"]))
-            except ValueError:
-                queue_size = None
-        subscriber = self.service.plane.subscribe(queue_size=queue_size)
-        self.stats.websocket_clients += 1
-        task = asyncio.current_task()
-        if task is not None:
-            self._ws_tasks.add(task)
-        control = asyncio.create_task(self._ws_control_loop(reader))
-        # A client close (or dead socket) must wake the sender even when
-        # no events are flowing: closing the subscription queues the
-        # close sentinel next_event() is waiting on.
-        control.add_done_callback(
-            lambda _task: self.service.plane.unsubscribe(subscriber)
-        )
-        try:
-            while True:
-                event = await subscriber.next_event()
-                if event is None:
-                    break
-                writer.write(_http.encode_ws_frame(_http.encode_json(event)))
-                await writer.drain()
-        except (ConnectionError, asyncio.CancelledError):
-            pass
-        finally:
-            self.service.plane.unsubscribe(subscriber)
-            self.stats.websocket_clients -= 1
-            if task is not None:
-                self._ws_tasks.discard(task)
-            control.cancel()
-            try:
-                await control
-            except (Exception, asyncio.CancelledError):  # pragma: no cover
-                pass
-            try:
-                writer.write(_http.encode_ws_frame(b"", opcode=_http.OP_CLOSE))
-                await writer.drain()
-            except (ConnectionError, RuntimeError):
-                pass
-
-    async def _ws_control_loop(self, reader: asyncio.StreamReader) -> None:
-        """Consume client frames; returns when the client closes."""
-        while True:
-            opcode, _payload = await _http.read_ws_frame(reader)
-            if opcode == _http.OP_CLOSE:
-                return

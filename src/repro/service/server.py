@@ -46,11 +46,9 @@ _PROBES = ("/healthz", "/metrics")
 
 @dataclass
 class ServerStats:
-    """Wire-level counters (``requests`` and ``websocket_clients`` are
-    surfaced under /healthz)."""
+    """Wire-level counters (``requests`` is surfaced under /healthz)."""
 
     requests: int = 0
-    websocket_clients: int = 0
     unhandled_exceptions: int = 0
 
 
@@ -59,8 +57,6 @@ class ServingShell:
 
     #: Prefix of the request id given to a request that names none.
     request_id_prefix = "req"
-    #: The one path a WebSocket upgrade is honoured on (None: nowhere).
-    websocket_path: Optional[str] = None
 
     def __init__(
         self, host: str, port: int, *, drain_timeout: float, access_log: bool = False
@@ -99,10 +95,6 @@ class ServingShell:
 
     def _metrics_text(self) -> str:
         """The ``/metrics`` body (Prometheus text format)."""
-        raise NotImplementedError
-
-    async def _serve_websocket(self, request, reader, writer) -> None:
-        """Pump an upgraded connection (only reached on ``websocket_path``)."""
         raise NotImplementedError
 
     def _record_wire(self, key: str, amount: float = 1.0) -> None:
@@ -216,9 +208,6 @@ class ServingShell:
                     parse_seconds = _time.perf_counter() - started
                     self.stats.requests += 1
                     self._record_wire("requests")
-                    if request.path == self.websocket_path and request.wants_websocket:
-                        await self._serve_websocket(request, reader, writer)
-                        return
                     close = (
                         self._draining
                         or request.headers.get("connection", "").lower() == "close"

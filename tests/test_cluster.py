@@ -5,8 +5,9 @@ resource exactly once and deterministically, a single-shard cluster
 router returns responses byte-identical to the bare daemon (and hence to
 the in-process coordinator), cross-shard establishments either commit on
 every involved shard or leave zero net capacity behind under admission
-failure / drain / crash / a lost, garbled or wrong-shape shard reply
-(with every committed slice held or owed a teardown by the router),
+failure / drain / crash / a lost, garbled or wrong-shape shard reply /
+a shard that never answers (with every committed slice held or owed a
+teardown by the router),
 stranded leases are reaped by TTL, and the
 offline reconciler verifies global conservation from merged per-shard
 event logs -- catching each violation class when fed corrupted books.
@@ -14,6 +15,7 @@ event logs -- catching each violation class when fed corrupted books.
 
 import asyncio
 import json
+import time
 
 import pytest
 
@@ -34,7 +36,12 @@ from repro.service import (
     ServiceResponse,
 )
 from repro.service.client import UNREACHABLE
-from repro.service.http import MAX_BODY_BYTES, ProtocolError
+from repro.service.http import (
+    MAX_BODY_BYTES,
+    ProtocolError,
+    json_response_bytes,
+    read_request,
+)
 from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
@@ -42,6 +49,7 @@ from repro.cluster import (
     LocalShardClient,
     ShardMap,
 )
+from repro.cluster import router as cluster_router
 from repro.cluster.router import HttpShardClient
 from repro.sim.environment import GridEnvironment
 from repro.des.engine import Environment
@@ -716,6 +724,183 @@ def test_unknown_session_teardown_is_404_multi_shard():
         assert status == 404
 
     asyncio.run(scenario())
+
+
+# ---------------------------------------------------------------------------
+# a shard that reads a request and never answers
+
+
+#: The exchange bound the stall tests run the router with (seconds).
+STALL_TIMEOUT = 0.2
+
+#: Per case, the most a stalled establish or teardown may take beyond
+#: one bound per unanswered exchange, and the guard that fails a case
+#: whose router waits on a silent shard without a bound.
+STALL_SLACK = 1.0
+STALL_GUARD = 5.0
+
+
+class StallingShard:
+    """A shard daemon on a real socket that can go silent on one path.
+
+    Each request is read with the codec and applied through the
+    service's own route table (:meth:`ReservationService.handle`), then
+    answered -- except the next request to ``stall``, which is applied
+    and never answered: the server waits for the caller to hang up.
+    ``draining`` is the daemon's drain flag; ``stalled`` lists the paths
+    left unanswered.
+    """
+
+    def __init__(self, index: int, shard_count: int):
+        self.index = index
+        self.label = f"stalling-{index}"
+        self.service = ReservationService(
+            DaemonConfig(seed=7, shard_index=index, shard_count=shard_count)
+        )
+        self.stall = None
+        self.draining = False
+        self.stalled = []
+        self._server = None
+        #: Open connections: writer -> the task serving it.
+        self._connections = {}
+
+    async def start(self) -> HttpShardClient:
+        self._server = await asyncio.start_server(self._serve, "127.0.0.1", 0)
+        port = self._server.sockets[0].getsockname()[1]
+        return HttpShardClient(self.index, "127.0.0.1", port)
+
+    async def _serve(self, reader, writer):
+        self._connections[writer] = asyncio.current_task()
+        try:
+            while (request := await read_request(reader)) is not None:
+                status, document = self.service.handle(
+                    request.method,
+                    request.path,
+                    request.query,
+                    request.json(),
+                    draining=self.draining,
+                )
+                if request.path == self.stall:
+                    self.stall = None
+                    self.stalled.append(request.path)
+                    await reader.read()
+                    return
+                writer.write(json_response_bytes(status, document, close=False))
+                await writer.drain()
+        except ConnectionError:
+            pass
+        finally:
+            del self._connections[writer]
+            writer.close()
+
+    async def stop(self):
+        """Close the listener and every connection, and await their tasks."""
+        self._server.close()
+        handlers = list(self._connections.values())
+        for writer in list(self._connections):
+            writer.close()
+        await asyncio.gather(*handlers, return_exceptions=True)
+        await self._server.wait_closed()
+
+
+STALLED_ROUTES = [
+    "/v1/availability", "/v1/reserve", "/v1/commit", "/v1/abort", "/v1/teardown"
+]
+
+
+async def _stalled_exchange(
+    shard_count, route, service_name, domain, involved, victim
+):
+    """Stall ``victim`` on ``route``; the router must settle within bounds.
+
+    ``involved`` are the shards the session commits on, in order.
+    """
+    servers = [StallingShard(index, shard_count) for index in range(shard_count)]
+    coordinator = ClusterCoordinator(
+        [await server.start() for server in servers], seed=7
+    )
+    request = {"service": service_name, "domain": domain, "session_id": "silent"}
+    #: Shards that may hold the session after an unanswered exchange.
+    owed = set()
+    try:
+        if route == "/v1/teardown":
+            _, outcome = await coordinator.establish(request)
+            assert json.loads(outcome)["success"] is True
+            servers[victim].stall = route
+            started = time.monotonic()
+            status, _ = await coordinator.teardown({"session_id": "silent"})
+            owed.add(victim)
+        else:
+            servers[victim].stall = route
+            if route == "/v1/abort":
+                # Something must fail after the victim holds its lease: a
+                # later shard refusing its reserve, or, when the victim
+                # reserves last, an earlier shard's silent commit.
+                later = [index for index in involved if index > victim]
+                if later:
+                    servers[later[0]].draining = True
+                else:
+                    servers[involved[0]].stall = "/v1/commit"
+                    owed.add(involved[0])
+            elif route == "/v1/commit":
+                owed.add(victim)
+            started = time.monotonic()
+            status, outcome = await coordinator.establish(request)
+            assert json.loads(outcome)["success"] is False
+        elapsed = time.monotonic() - started
+        assert status == 200
+        stalls = sum(len(server.stalled) for server in servers)
+        assert route in servers[victim].stalled
+        assert elapsed < stalls * STALL_TIMEOUT + STALL_SLACK, (elapsed, stalls)
+        assert "silent" not in coordinator.sessions
+        assert set(coordinator.pending_teardowns.get("silent", [])) == owed
+        assert_tiers_agree(coordinator, servers)
+        for server in servers:
+            server.draining = False
+        await coordinator.flush_pending_teardowns()
+        assert not coordinator.pending_teardowns
+        for server in servers:
+            server.service.reap_expired_leases(float("inf"))
+            assert not server.service.leases.pending(), server.label
+            assert "silent" not in server.service.sessions, server.label
+        assert_cluster_clean(servers, session_ids=["silent"])
+        assert_tiers_agree(coordinator, servers)
+    finally:
+        await coordinator.aclose()
+        for server in servers:
+            await server.stop()
+
+
+@pytest.mark.parametrize("shard_count", [2, 3])
+@pytest.mark.parametrize("route", STALLED_ROUTES)
+def test_a_silent_shard_is_an_unknown_outcome_not_a_hang(
+    monkeypatch, shard_count, route
+):
+    """A shard reads the request, applies it, and never answers.
+
+    Over real sockets, the router gives up after ``EXCHANGE_TIMEOUT``
+    and reads the exchange as unknown: establish and teardown return
+    within the bound, a debt is booked exactly for a silent commit or
+    teardown, and one anti-entropy pass and a reap leave every shard
+    quiescent.
+    """
+    monkeypatch.setattr(
+        cluster_router, "EXCHANGE_TIMEOUT", STALL_TIMEOUT, raising=False
+    )
+    cases = [
+        (service_name, domain, involved, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in involved
+    ]
+    assert {case[-1] for case in cases} == set(range(shard_count))
+
+    async def guarded(case):
+        await asyncio.wait_for(
+            _stalled_exchange(shard_count, route, *case), STALL_GUARD
+        )
+
+    for case in cases:
+        asyncio.run(guarded(case))
 
 
 # ---------------------------------------------------------------------------

@@ -3,23 +3,20 @@
 The serving path (``repro-serve``, ``repro-cluster``) draws its grid's
 capacities from the pure-Python PCG64 stream, so a daemon that never
 plans with ``--algorithm random`` never imports numpy.  It speaks plain
-HTTP, so its ``main()`` keeps ``ssl`` out of the process, and it imports
-``hashlib`` only for a WebSocket handshake; the package inits import
-only what a caller names, so the simulator's experiment layer (and
-``multiprocessing`` with it) stays out too.  Each import check runs in a
+HTTP, so its ``main()`` keeps ``ssl`` out of the process, and nothing on
+it imports ``hashlib``; the package inits import only what a caller
+names, so the simulator's experiment layer (and ``multiprocessing`` with
+it) stays out too.  Each import check runs in a
 fresh interpreter: the test runner itself has all of these loaded.  What
 a full event ring and a full span ring occupy is walked in-process.
 """
 
 from __future__ import annotations
 
-import base64
 import gc
 import http.client
 import json
-import os
 import re
-import socket
 import subprocess
 import sys
 import textwrap
@@ -30,7 +27,6 @@ import pytest
 
 from repro.obs.flight import SPAN_CAPACITY
 from repro.service import DaemonConfig, ReservationService
-from repro.service.http import websocket_accept_key
 from tests.test_examples import REPO, subprocess_env
 from tests.test_record_once import admit_and_release, wrap_the_ring
 
@@ -171,33 +167,6 @@ def test_serving_processes_map_no_openssl_and_no_multiprocessing():
     finally:
         stop(*processes)
     assert mapped == {process.pid: [] for process in processes}
-
-
-def test_the_websocket_handshake_imports_hashlib_on_demand():
-    process, port = boot("repro.service.cli")
-    try:
-        key = base64.b64encode(os.urandom(16)).decode("ascii")
-        with socket.create_connection(("127.0.0.1", port), timeout=30) as sock:
-            sock.sendall(
-                (
-                    "GET /v1/events HTTP/1.1\r\n"
-                    f"Host: 127.0.0.1:{port}\r\n"
-                    "Upgrade: websocket\r\n"
-                    "Connection: Upgrade\r\n"
-                    f"Sec-WebSocket-Key: {key}\r\n"
-                    "Sec-WebSocket-Version: 13\r\n\r\n"
-                ).encode("latin-1")
-            )
-            head = b""
-            while b"\r\n\r\n" not in head:
-                chunk = sock.recv(4096)
-                assert chunk, head
-                head += chunk
-    finally:
-        stop(process)
-    status_line, _, rest = head.decode("latin-1").partition("\r\n")
-    assert status_line.startswith("HTTP/1.1 101 ")
-    assert f"Sec-WebSocket-Accept: {websocket_accept_key(key)}\r\n" in rest
 
 
 #: sha256 of the 40 ``/v1/establish`` answers below, read off the tree

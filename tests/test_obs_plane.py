@@ -25,7 +25,6 @@ from repro.obs import metrics as _metrics
 from repro.obs.context import TraceContext, trace_context
 from repro.obs.metrics import MetricsRegistry
 from repro.service import DaemonConfig, ReservationService
-from repro.service.events import EventPlane
 from repro.service.loadgen import arrival_payload
 from repro.sim.workload import WorkloadGenerator, WorkloadSpec
 from tests.test_record_once import admit_and_release
@@ -35,13 +34,16 @@ SCRIPT_SEED = 7
 SCRIPT_ARRIVALS = 600
 
 #: sha256 digests of the seeded script's records, computed on the tree
-#: before the plane's hot path changed (see ``plane_digests``).
+#: before the plane's hot path changed (see ``plane_digests``).  The
+#: ``query`` digest was taken on the tree before the WebSocket event
+#: plane was deleted, with the plane's two ``event_log`` keys
+#: (``subscribers``, ``fanned_out``) removed from that tree's document.
 PINNED = {
     "events": "914f6fd5639a4102d84121b074d15f1cc9de3c0d85074b21094476726fca5728",
     "spans": "deba1a25af37998e1514f99e7dba21f337e4aa6417f743386063c631b0af343a",
     "flight_seqs": "03dcadbf127c15307c80a729a2607b927103c1c73f6baf15ada8a7fb26ba8396",
     "registry": "d36d71e177d510975367fb8bd92c729c0188ec7e6e06e9f8ad78e05cd8199e50",
-    "query": "6c500e7d923aa1bc1394ea3fac96137dc075bb5bcb5eb2bf3636bedb3238fefd",
+    "query": "ccfa2aba0e4706d7dd964398b343620d66652611d742efdcc2d3de57b033a366",
     "metrics_series": "6c139c31ef5eb6158e4844386a54721ed723691796e37f4ffa05de92f33e44fa",
 }
 #: Responses per route and status: the script's decisions are pinned
@@ -310,7 +312,6 @@ def _event_counts_agree(service: ReservationService) -> int:
     state = service.query()["event_log"]
     recorded = len(service.log)
     assert state["recorded"] == recorded
-    assert state["fanned_out"] == recorded
     assert service.flight.events_seen == recorded
     return recorded
 
@@ -321,21 +322,21 @@ def test_fanned_out_and_events_seen_count_every_event_watched_or_not():
     try:
         admit_and_release(service, 4, "dark")
         joined_at = _event_counts_agree(service)
-        subscriber = service.plane.subscribe(queue_size=10_000)
+        received = []
+        subscriber = service.log.subscribe(
+            lambda event: received.append(event.to_dict())
+        )
         admit_and_release(service, 4, "watched")
         _event_counts_agree(service)
         # A subscriber joining mid-stream receives every later event.
-        received = []
-        while not subscriber.queue.empty():
-            received.append(subscriber.queue.get_nowait())
         assert received == service.log.to_dicts()[joined_at:]
-        service.plane.unsubscribe(subscriber)
+        service.log.unsubscribe(subscriber)
         admit_and_release(service, 4, "dark-again")
         recorded = _event_counts_agree(service)
     finally:
         service.close()
     # Closing and restarting keeps both counts, and they keep counting.
-    assert service.flight.events_seen == service.plane.events_seen == recorded
+    assert service.flight.events_seen == recorded
     service.start()
     try:
         assert _event_counts_agree(service) == recorded
@@ -369,14 +370,13 @@ def test_a_warmed_admission_resolves_no_series_and_runs_no_python_subscriber(
     monkeypatch,
 ):
     series_keys = _counting(monkeypatch, MetricsRegistry, "_series_key")
-    deliveries = _counting(monkeypatch, EventPlane, "_deliver")
     utilizations = _counting(monkeypatch, PathBroker, "utilization")
     service = ReservationService(DaemonConfig(seed=SCRIPT_SEED))
     service.start()
     try:
         # Twice: the first round misses the skeleton cache, the second hits.
         admit_and_release(service, 2 * len(VALID_PAIRS), "warm")
-        del series_keys[:], deliveries[:], utilizations[:]
+        del series_keys[:], utilizations[:]
         emitted = service.log.next_seq
         admit_and_release(service, len(VALID_PAIRS), "counted")
         path_bookings = sum(
@@ -388,16 +388,9 @@ def test_a_warmed_admission_resolves_no_series_and_runs_no_python_subscriber(
         assert path_bookings > 0
         # Every series the admissions write was resolved while warming.
         assert len(series_keys) == 0
-        # No WebSocket client: nothing but C appends hears an event.
-        assert deliveries == []
+        # Nothing but C appends hears an event.
         assert not any(_python_level(cb) for cb in service.log._subscribers)
         # A path's utilization is computed once per grant and release.
         assert len(utilizations) == path_bookings
-        # A watched daemon does run the plane's callback, once per event.
-        subscriber = service.plane.subscribe(queue_size=10_000)
-        before = service.log.next_seq
-        admit_and_release(service, 1, "watched")
-        assert len(deliveries) == service.log.next_seq - before
-        service.plane.unsubscribe(subscriber)
     finally:
         service.close()

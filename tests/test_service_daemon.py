@@ -1,12 +1,10 @@
-"""The reservation service daemon: API, event plane, shutdown, identity.
+"""The reservation service daemon: API, shutdown, identity.
 
 Covers the PR's acceptance properties end to end over real sockets:
-concurrent establish/teardown races stay consistent, a slow WebSocket
-subscriber is truncated (marked, bounded, isolated) without touching the
-daemon or its fast peers, shutdown drains in-flight admissions while
-refusing new ones, and the daemon's admission decisions are
-byte-identical to driving the coordinator in-process with the same
-seeded workload.
+concurrent establish/teardown races stay consistent, shutdown drains
+in-flight admissions while refusing new ones, and the daemon's admission
+decisions are byte-identical to driving the coordinator in-process with
+the same seeded workload.
 """
 
 import asyncio
@@ -21,9 +19,7 @@ from repro.service import (
     ReservationService,
     ServiceClient,
     ServiceClientError,
-    TRUNCATION_KIND,
 )
-from repro.service.events import EventPlane
 from repro.service.loadgen import LoadGenConfig, arrival_payload, run_load
 from repro.sim.workload import WorkloadGenerator, WorkloadSpec
 
@@ -197,107 +193,6 @@ def test_duplicate_session_race_admits_exactly_once():
             await daemon.shutdown()
 
     asyncio.run(scenario())
-
-
-# ---------------------------------------------------------------------------
-# the event plane
-
-
-async def _collect_events(client, sink, **kwargs):
-    async for event in client.events(**kwargs):
-        sink.append(event)
-
-
-def test_slow_subscriber_is_truncated_and_isolated():
-    async def scenario():
-        daemon = await start_daemon(seed=7)
-        client = ServiceClient("127.0.0.1", daemon.port)
-        try:
-            slow, fast = [], []
-            # queue=2 is the minimum bound: one establish emits an order
-            # of magnitude more events than that in one synchronous
-            # burst, so the slow stream must truncate deterministically.
-            slow_task = asyncio.create_task(
-                _collect_events(client, slow, queue=2)
-            )
-            fast_task = asyncio.create_task(_collect_events(client, fast))
-            await asyncio.sleep(0.1)
-
-            await client.establish(service="S2", domain="D1", session_id="ev-1")
-            await asyncio.sleep(0.1)  # let the burst flush to both streams
-            await client.establish(service="S3", domain="D2", session_id="ev-2")
-            await asyncio.sleep(0.2)
-
-            markers = [e for e in slow if e.get("kind") == TRUNCATION_KIND]
-            assert markers, f"no {TRUNCATION_KIND} marker in {slow!r}"
-            assert markers[0]["dropped"] > 0
-            # The fast subscriber saw the full stream, unmarked.
-            assert not any(e.get("kind") == TRUNCATION_KIND for e in fast)
-            real_slow = [e for e in slow if e.get("kind") != TRUNCATION_KIND]
-            assert len(fast) > len(real_slow)
-            assert len(real_slow) + sum(m["dropped"] for m in markers) <= len(fast)
-            # Admissions were never blocked by the stalled consumer.
-            state = await client.query()
-            assert state["counters"]["established"] == 2
-            assert state["event_log"]["fanned_out"] == len(fast)
-        finally:
-            await client.aclose()
-            await daemon.shutdown()
-        for task in (slow_task, fast_task):
-            task.cancel()
-        await asyncio.gather(slow_task, fast_task, return_exceptions=True)
-
-    asyncio.run(scenario())
-
-
-def test_websocket_close_releases_subscriber():
-    async def scenario():
-        daemon = await start_daemon(seed=7)
-        client = ServiceClient("127.0.0.1", daemon.port)
-        try:
-            sink = []
-            task = asyncio.create_task(_collect_events(client, sink))
-            await asyncio.sleep(0.1)
-            assert daemon.service.plane.subscriber_count == 1
-            # Client-side close must wake the idle sender (no events are
-            # flowing) and release the subscription.
-            task.cancel()
-            await asyncio.gather(task, return_exceptions=True)
-            await asyncio.sleep(0.2)
-            assert daemon.service.plane.subscriber_count == 0
-            assert daemon.stats.websocket_clients == 0
-        finally:
-            await client.aclose()
-            await daemon.shutdown()
-
-    asyncio.run(scenario())
-
-
-def test_event_plane_marker_recovery_unit():
-    # Unit-level: after a drop window, the first delivery with room is
-    # the marker, then the triggering payload.
-    class _Event:
-        def __init__(self, seq):
-            self.seq = seq
-
-        def to_dict(self):
-            return {"kind": "session.admitted", "seq": self.seq}
-
-    plane = EventPlane()
-    subscriber = plane.subscribe(queue_size=2)
-    plane._subscribers[subscriber.subscriber_id] = subscriber
-    for seq in range(5):
-        plane._deliver(_Event(seq))
-    # 2 queued, 3 dropped.
-    assert subscriber.total_dropped == 3
-    assert subscriber.queue.get_nowait()["seq"] == 0
-    assert subscriber.queue.get_nowait()["seq"] == 1
-    plane._deliver(_Event(5))
-    marker = subscriber.queue.get_nowait()
-    assert marker["kind"] == TRUNCATION_KIND
-    assert marker["dropped"] == 3
-    assert marker["resume_seq"] == 5
-    assert subscriber.queue.get_nowait()["seq"] == 5
 
 
 # ---------------------------------------------------------------------------

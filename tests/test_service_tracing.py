@@ -446,33 +446,6 @@ def test_build_config_wires_tracing_flags(tmp_path):
     assert signal.Signals  # SIGQUIT wiring is exercised in CI smoke
 
 
-def test_event_plane_drops_surface_as_labelled_counter():
-    async def scenario():
-        daemon = await start_daemon(seed=3)
-        client = ServiceClient("127.0.0.1", daemon.port)
-        try:
-            subscriber = daemon.service.plane.subscribe(queue_size=2)
-            try:
-                for i in range(8):
-                    await client.establish(
-                        service="S2", domain="D1", session_id=f"drop-{i}"
-                    )
-                registry = daemon.service.registry
-                dropped = registry.counter_total("service.events_dropped")
-                assert dropped > 0
-                assert dropped == subscriber.total_dropped
-                text = await client.metrics()
-                assert "repro_service_events_dropped_total" in text
-                assert 'reason="queue_full"' in text
-            finally:
-                daemon.service.plane.unsubscribe(subscriber)
-        finally:
-            await client.aclose()
-            await daemon.shutdown()
-
-    asyncio.run(scenario())
-
-
 # ---------------------------------------------------------------------------
 # phase attribution from the span ring
 

@@ -86,7 +86,7 @@ def test_shell_contract(target):
                 "status", "role", "requests", "uptime_seconds",
                 "inflight_admissions", "draining",
             } < set(health)
-            assert ("websocket_clients" in health) == (target == "daemon")
+            assert ("shard_count" in health) == (target == "daemon")
             response = await client.request("GET", "/metrics")
             assert response.status == 200
             assert response.headers["content-type"] == "text/plain; version=0.0.4"

@@ -2,11 +2,10 @@
 
 The HTTP codec (:mod:`repro.service.http`) reads what both servers and
 every client receive, so one fuzz target per reader covers both ends:
-given any bytes followed by EOF, :func:`read_request`,
-:func:`read_response` and :func:`read_ws_frame` each return a message
-(or ``None`` for a clean EOF) or raise :class:`ProtocolError` -- never
-another exception, never a hang, and never a body past
-:data:`MAX_BODY_BYTES`.  The JSON body decoder and the Prometheus
+given any bytes followed by EOF, :func:`read_request` and
+:func:`read_response` each return a message (or ``None`` for a clean
+EOF) or raise :class:`ProtocolError` -- never another exception, never
+a hang, and never a body past :data:`MAX_BODY_BYTES`.  The JSON body decoder and the Prometheus
 exposition parser the telemetry scraper runs on a target's ``/metrics``
 get the same treatment.  Hypothesis runs derandomized, so a failure
 replays; each escape found so far is pinned as an ``@example``.
@@ -29,7 +28,6 @@ from repro.service.http import (
     decode_json,
     read_request,
     read_response,
-    read_ws_frame,
 )
 
 FUZZ = settings(max_examples=300, deadline=None, derandomize=True)
@@ -92,18 +90,6 @@ def test_read_response_returns_a_response_none_or_protocol_error(data):
     status, headers, body = outcome
     assert isinstance(status, int) and isinstance(headers, dict)
     assert len(body) <= MAX_BODY_BYTES
-
-
-@FUZZ
-@given(WIRE)
-@example(b"\x81\x7f\x00\x00\x00\x00\x01\x00\x00\x00")
-def test_read_ws_frame_returns_a_frame_or_protocol_error(data):
-    outcome = _read(read_ws_frame, data)
-    if isinstance(outcome, ProtocolError):
-        return
-    opcode, payload = outcome
-    assert 0 <= opcode <= 0xF
-    assert len(payload) <= MAX_BODY_BYTES
 
 
 @FUZZ
