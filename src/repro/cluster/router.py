@@ -222,8 +222,8 @@ class LocalShardClient(_ShardClient):
 
 
 #: Reject reasons that are the infrastructure failing, not admission
-#: control saying a QoS-aware "no" -- the distinction the cluster
-#: availability SLO burns its budget on.
+#: control saying a QoS-aware "no": ``/metrics`` counts them as
+#: ``verdict="rejected_infra"``, the errors of an availability SLO.
 INFRA_REJECT_REASONS = frozenset(
     {"shard_unreachable", "shard_error", "shard_draining"}
 )
@@ -553,14 +553,22 @@ class ClusterCoordinator:
                     # Undo the rest: abort the still-held leases, tear the
                     # committed slices back down.  A shard that answered
                     # with an error (an expired lease) committed nothing;
-                    # one whose outcome is unknown may have committed,
-                    # which no abort undoes.  It owes a teardown, as does
-                    # a committed shard we cannot reach now:
+                    # its lease is aborted with the later ones.  One whose
+                    # outcome is unknown may have committed, which no
+                    # abort undoes, and may be silent: asking it again
+                    # would hold the admission lock for a second
+                    # EXCHANGE_TIMEOUT.  It owes a teardown, as does a
+                    # committed shard we cannot reach now:
                     # flush_pending_teardowns settles the debt (a 404
-                    # means the shard holds nothing).
-                    await self._abort_leases(leases[position:])
+                    # means the shard holds nothing), and a lease it never
+                    # committed is its TTL reaper's, as after an unknown
+                    # reserve.
+                    unanswered = failure == UNKNOWN
+                    await self._abort_leases(
+                        leases[position + 1 if unanswered else position:]
+                    )
                     _, owed = await self._teardown_on(committed, session_id)
-                    if failure == UNKNOWN:
+                    if unanswered:
                         owed.append(shard_index)
                     if owed:
                         self._owe_teardown(session_id, owed)

@@ -72,11 +72,8 @@ from repro.obs.metrics import (
     metering,
 )
 from repro.obs.trace import SpanRecord, Tracer, active_tracer, tracing
-from repro.obs.slo import BurnRateSLO
 
 __all__ = [
-    "BurnRateEngine",
-    "BurnRateSLO",
     "Counter",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_PSI_BUCKETS",
@@ -93,8 +90,6 @@ __all__ = [
     "ReservationEvent",
     "SpanRecord",
     "TRACE_SCHEMA_VERSION",
-    "TelemetryScraper",
-    "TimeSeriesStore",
     "TraceContext",
     "Tracer",
     "active_event_log",
@@ -118,24 +113,6 @@ __all__ = [
     "write_summary",
     "write_trace_json",
 ]
-
-#: Cluster-telemetry entry points, resolved lazily (PEP 562): eager
-#: imports would drag the whole service/client stack into every
-#: ``repro.obs`` import, and the scraper is only wanted by live tooling.
-_LAZY_TELEMETRY = {
-    "BurnRateEngine": "repro.obs.burn",
-    "TelemetryScraper": "repro.obs.telemetry",
-    "TimeSeriesStore": "repro.obs.telemetry",
-}
-
-
-def __getattr__(name: str):
-    target = _LAZY_TELEMETRY.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    import importlib
-
-    return getattr(importlib.import_module(target), name)
 
 
 class ObservabilityError(RuntimeError):

@@ -1,9 +1,9 @@
 """``repro-obs`` -- post-mortem analysis of exported trace documents.
 
 The subcommands consume the schema-v4 JSON trace documents that
-:class:`~repro.obs.ObservationSession` / ``--trace-json`` write, except
-``dashboard``, which scrapes a live fleet.  Each lives in its own module
-under :mod:`repro.obs.commands`, whose docstring says what it prints.
+:class:`~repro.obs.ObservationSession` / ``--trace-json`` write.  Each
+lives in its own module under :mod:`repro.obs.commands`, whose docstring
+says what it prints.
 
 Installed as a console script via ``[project.scripts]``; also runnable
 as ``python -m repro.obs.cli``.
@@ -15,8 +15,7 @@ import argparse
 from typing import Optional, Sequence
 
 from repro.obs.commands import (
-    critical_path, dashboard, diff, export_prom, monitor_report, reconcile, stitch, summarize,
-    top, watch,
+    critical_path, diff, export_prom, monitor_report, reconcile, stitch, summarize, top, watch,
 )
 
 __all__ = ["build_parser", "main"]
@@ -24,7 +23,6 @@ __all__ = ["build_parser", "main"]
 #: The subcommands, in the order ``--help`` lists them.
 COMMANDS = (
     summarize, critical_path, top, diff, watch, monitor_report, export_prom, stitch, reconcile,
-    dashboard,
 )
 
 

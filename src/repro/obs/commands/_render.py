@@ -12,19 +12,15 @@ from typing import Sequence
 from repro.obs import analyze
 
 
-def load_json(path: str):
-    """Any JSON file; exits with ``repro-obs: ...`` on a missing file or bad JSON."""
+def load_document(path: str) -> dict:
+    """Any JSON object document (trace or ledger); exits with
+    ``repro-obs: ...`` on a missing file, bad JSON or another JSON value."""
     try:
-        return json.loads(Path(path).read_text())
+        payload = json.loads(Path(path).read_text())
     except FileNotFoundError:
         raise SystemExit(f"repro-obs: no such file: {path}")
     except json.JSONDecodeError as exc:
         raise SystemExit(f"repro-obs: {path} is not valid JSON: {exc}")
-
-
-def load_document(path: str) -> dict:
-    """Any JSON object document (trace or ledger)."""
-    payload = load_json(path)
     if not isinstance(payload, dict):
         raise SystemExit(f"repro-obs: {path} is not a JSON object document")
     return payload

@@ -26,12 +26,7 @@ reservation-lifecycle events:
   the online monitoring plane of :mod:`repro.obs.monitor`: periodic
   rolling-estimate digests per broker, detected divergence between a
   session's planned-against availability and the live one, and the §5
-  adaptation loop's renegotiations;
-* ``slo.burn_rate`` / ``slo.budget_exhausted`` -- the cluster telemetry
-  plane of :mod:`repro.obs.burn`: SRE-style multi-window burn-rate alert
-  transitions (``state="firing"`` / ``state="resolved"``) and the moment
-  a rolling error budget runs dry, both computed over scraped fleet
-  metrics rather than any single process.
+  adaptation loop's renegotiations.
 
 Like the tracer and the metrics registry, instrumented code dispatches
 through the module-level :func:`emit` helper, which is a single global
@@ -118,8 +113,6 @@ EVENT_KINDS = frozenset(
         "broker.observed",
         "session.drift",
         "session.renegotiated",
-        "slo.burn_rate",
-        "slo.budget_exhausted",
     }
 )
 

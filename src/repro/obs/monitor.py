@@ -27,7 +27,8 @@ are ignored on input, so subscribing it to the same log it emits into
 cannot recurse.  Nothing here reads the wall clock into its *logic*
 (only the watchdog-latency histogram does), so serial and parallel sweep
 runs produce byte-identical monitor digests.  Whether the *fleet* keeps
-its objectives is :mod:`repro.obs.burn`'s question, not this module's.
+its objectives is a question for whatever scrapes ``/metrics``, not for
+this module.
 """
 
 from __future__ import annotations

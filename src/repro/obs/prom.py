@@ -36,8 +36,8 @@ landed there.
 live ``/metrics`` scrape or a rendered snapshot) back into typed samples
 -- counters, gauges, histogram series re-assembled from their
 ``_bucket``/``_sum``/``_count`` parts, and the ``# EXEMPLAR`` comment
-lines -- which is what the cluster telemetry scraper
-(:mod:`repro.obs.telemetry`) ingests.  Render -> parse is lossless for
+lines -- which is how a client reads ``/metrics`` (the admission
+benchmark, the cluster smoke in CI).  Render -> parse is lossless for
 every value the renderer can produce, including ``+Inf``/``-Inf``/
 ``NaN`` spellings.
 """
@@ -299,7 +299,7 @@ class ParsedExposition:
 
     Sample keys are ``<metric>{label="value",...}`` with labels sorted,
     exactly how :meth:`~repro.obs.metrics.MetricsRegistry.snapshot` keys
-    instruments -- so store code can treat a parsed scrape and a local
+    instruments -- so a reader can treat a parsed scrape and a local
     snapshot interchangeably.  Metric names keep whatever prefix the
     renderer applied (``repro_broker_grants_total``).
     """

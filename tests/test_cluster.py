@@ -741,14 +741,14 @@ STALL_GUARD = 5.0
 
 
 class StallingShard:
-    """A shard daemon on a real socket that can go silent on one path.
+    """A shard daemon on a real socket that can go silent on some paths.
 
     Each request is read with the codec and applied through the
     service's own route table (:meth:`ReservationService.handle`), then
-    answered -- except the next request to ``stall``, which is applied
-    and never answered: the server waits for the caller to hang up.
-    ``draining`` is the daemon's drain flag; ``stalled`` lists the paths
-    left unanswered.
+    answered -- except the next request to each path in ``stall``, which
+    is applied and never answered: the server waits for the caller to
+    hang up.  ``draining`` is the daemon's drain flag; ``stalled`` lists
+    the paths left unanswered, in order.
     """
 
     def __init__(self, index: int, shard_count: int):
@@ -757,7 +757,7 @@ class StallingShard:
         self.service = ReservationService(
             DaemonConfig(seed=7, shard_index=index, shard_count=shard_count)
         )
-        self.stall = None
+        self.stall = set()
         self.draining = False
         self.stalled = []
         self._server = None
@@ -780,8 +780,8 @@ class StallingShard:
                     request.json(),
                     draining=self.draining,
                 )
-                if request.path == self.stall:
-                    self.stall = None
+                if request.path in self.stall:
+                    self.stall.discard(request.path)
                     self.stalled.append(request.path)
                     await reader.read()
                     return
@@ -826,12 +826,12 @@ async def _stalled_exchange(
         if route == "/v1/teardown":
             _, outcome = await coordinator.establish(request)
             assert json.loads(outcome)["success"] is True
-            servers[victim].stall = route
+            servers[victim].stall.add(route)
             started = time.monotonic()
             status, _ = await coordinator.teardown({"session_id": "silent"})
             owed.add(victim)
         else:
-            servers[victim].stall = route
+            servers[victim].stall.add(route)
             if route == "/v1/abort":
                 # Something must fail after the victim holds its lease: a
                 # later shard refusing its reserve, or, when the victim
@@ -840,9 +840,13 @@ async def _stalled_exchange(
                 if later:
                     servers[later[0]].draining = True
                 else:
-                    servers[involved[0]].stall = "/v1/commit"
+                    servers[involved[0]].stall.add("/v1/commit")
                     owed.add(involved[0])
             elif route == "/v1/commit":
+                # The victim would leave an abort unanswered too; the
+                # router must not send it one (a second bound under the
+                # admission lock).
+                servers[victim].stall.add("/v1/abort")
                 owed.add(victim)
             started = time.monotonic()
             status, outcome = await coordinator.establish(request)
@@ -850,7 +854,7 @@ async def _stalled_exchange(
         elapsed = time.monotonic() - started
         assert status == 200
         stalls = sum(len(server.stalled) for server in servers)
-        assert route in servers[victim].stalled
+        assert servers[victim].stalled == [route]
         assert elapsed < stalls * STALL_TIMEOUT + STALL_SLACK, (elapsed, stalls)
         assert "silent" not in coordinator.sessions
         assert set(coordinator.pending_teardowns.get("silent", [])) == owed
@@ -881,8 +885,8 @@ def test_a_silent_shard_is_an_unknown_outcome_not_a_hang(
     Over real sockets, the router gives up after ``EXCHANGE_TIMEOUT``
     and reads the exchange as unknown: establish and teardown return
     within the bound, a debt is booked exactly for a silent commit or
-    teardown, and one anti-entropy pass and a reap leave every shard
-    quiescent.
+    teardown, a shard whose commit went unanswered is sent no abort,
+    and one anti-entropy pass and a reap leave every shard quiescent.
     """
     monkeypatch.setattr(
         cluster_router, "EXCHANGE_TIMEOUT", STALL_TIMEOUT, raising=False

@@ -454,103 +454,6 @@ class TestExportProm:
         assert 'le="+Inf"' in out
 
 
-class TestDashboard:
-    """The live fleet dashboard, against real subprocess daemons.
-
-    The fleet must live in other processes: the dashboard command owns
-    its own event loop, and an in-process daemon's listening socket
-    dies with the loop that created it.
-    """
-
-    @pytest.fixture
-    def fleet(self):
-        import os
-        import re
-        import subprocess
-        import sys as _sys
-
-        repo = Path(__file__).resolve().parents[1]
-        env = dict(os.environ)
-        env["PYTHONPATH"] = str(repo / "src")
-
-        def spawn(argv, pattern):
-            process = subprocess.Popen(
-                [_sys.executable, "-m"] + argv, cwd=repo, env=env,
-                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
-                text=True,
-            )
-            line = process.stdout.readline()
-            match = re.search(pattern, line)
-            assert match, f"no boot line: {line!r}"
-            return process, int(match.group(1))
-
-        shard, shard_port = spawn(
-            ["repro.service.cli", "--port", "0", "--seed", "11"],
-            r"repro-serve: listening on [^:]+:(\d+) ",
-        )
-        router, router_port = spawn(
-            ["repro.cluster.cli", "--port", "0", "--seed", "11",
-             "--shard", f"127.0.0.1:{shard_port}"],
-            r"repro-cluster: listening on [^:]+:(\d+) ",
-        )
-        try:
-            yield shard_port, router_port
-        finally:
-            for process in (router, shard):
-                process.terminate()
-            for process in (router, shard):
-                process.wait(timeout=10)
-                process.stdout.close()
-
-    def test_snapshot_one_shot(self, fleet, tmp_path, capsys):
-        shard_port, router_port = fleet
-        snapshot = tmp_path / "telemetry.json"
-        assert main([
-            "dashboard",
-            f"127.0.0.1:{shard_port}", f"127.0.0.1:{router_port}",
-            "--interval", "0.05", "--iterations", "2",
-            "--snapshot-json", str(snapshot), "--no-ansi",
-        ]) == 0
-        out = capsys.readouterr().out
-        # rendered frames + the snapshot confirmation
-        assert "admission-availability" in out
-        assert "snapshot written" in out
-        document = json.loads(snapshot.read_text())
-        assert document["schema"] == "telemetry-dashboard/1"
-        assert document["sweeps"] == 2
-        targets = {t["role"]: t for t in document["targets"]}
-        assert set(targets) == {"shard", "cluster-router"}
-        assert targets["shard"]["up"] and targets["shard"]["shard"]
-        assert document["firing"] == []
-        slos = {s["slo"] for s in document["slos"]}
-        assert slos == {"admission-availability", "admission-latency"}
-
-    def test_slo_config_loads_and_validates(self, fleet, tmp_path):
-        _, router_port = fleet
-        config = tmp_path / "slos.json"
-        config.write_text(json.dumps({"slos": [{
-            "name": "custom-avail", "kind": "availability", "target": 0.9,
-            "good": ['repro_cluster_admissions_total{verdict="established"}'],
-            "bad": ['repro_cluster_admissions_total{verdict="rejected_infra"}'],
-            "short_window": 1.0, "long_window": 2.0, "budget_window": 4.0,
-        }]}))
-        snapshot = tmp_path / "telemetry.json"
-        assert main([
-            "dashboard", f"127.0.0.1:{router_port}",
-            "--interval", "0.05", "--iterations", "1",
-            "--slo-config", str(config),
-            "--snapshot-json", str(snapshot), "--no-ansi", "--quiet",
-        ]) == 0
-        document = json.loads(snapshot.read_text())
-        assert [s["slo"] for s in document["slos"]] == ["custom-avail"]
-
-        bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"slos": [{"name": "x"}]}))
-        with pytest.raises(SystemExit):
-            main(["dashboard", "127.0.0.1:1", "--iterations", "1",
-                  "--slo-config", str(bad)])
-
-
 # -- pinned output -------------------------------------------------------------
 
 _DOCUMENTS = sorted(path.name for path in DATA_DIR.glob("*.json"))
@@ -736,7 +639,7 @@ PINNED_OUTPUT = {
         "7d1245d6086ad94a9c5913e35fda9fe2da4622b2f8e72707823d587f510294cf", 0,
     ),
     "--help": (
-        "290a03ca60037e591b64d494e901bb9ac90684359d841e0ef334cf3600c39b33", 0,
+        "e2d12004e11de6d5080d0ac78ca7f929785afa19ace02f49ebc523a78447493f", 0,
     ),
     "summarize --help": (
         "e76d90b080a289bf0e7917a552b03f6f480bdfa7f044193a308bf1f3b06114ab", 0,
@@ -764,9 +667,6 @@ PINNED_OUTPUT = {
     ),
     "reconcile --help": (
         "a3b5520096e4ef8422af5612ffa4c4e74838e7ab1b38a533d30bf23a1e7d6f50", 0,
-    ),
-    "dashboard --help": (
-        "5f241ab41fd15105372cca52b9cfecb704e904e6c507d4c751354d6c801336da", 0,
     ),
 }
 
@@ -815,9 +715,8 @@ def test_pinned_cases_cover_every_subcommand():
     ]
     for command in sub.choices:
         assert f"{command} --help" in PINNED_OUTPUT
-        if command != "dashboard":
-            assert any(case.startswith(command + " ") and "--help" not in case
-                       for case in PINNED_OUTPUT), command
+        assert any(case.startswith(command + " ") and "--help" not in case
+                   for case in PINNED_OUTPUT), command
 
 
 def test_import_loads_no_heavy_module():
@@ -825,10 +724,7 @@ def test_import_loads_no_heavy_module():
 
     import repro
 
-    heavy = (
-        "asyncio", "repro.obs.telemetry", "repro.obs.burn", "repro.obs.monitor",
-        "repro.faults", "repro.service",
-    )
+    heavy = ("asyncio", "repro.obs.monitor", "repro.faults", "repro.service")
     probe = (
         "import sys, repro.obs.cli\n"
         f"print([name for name in {heavy!r} if name in sys.modules])\n"
@@ -860,8 +756,6 @@ def test_import_loads_no_heavy_module():
         (["diff", _GOLDEN, _TWO, "--gate", "--tolerance", "-0.1"], "--tolerance"),
         (["diff", _GOLDEN, _TWO, "--gate", "--timing-tolerance", "-0.1"],
          "--timing-tolerance"),
-        (["dashboard", "127.0.0.1:1", "--iterations", "1", "--interval", "0"],
-         "--interval"),
     ],
     ids=lambda value: value if isinstance(value, str) else value[0],
 )

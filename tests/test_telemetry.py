@@ -1,13 +1,12 @@
-"""The telemetry plane: exposition parsing, the ring store, the scraper.
+"""What a ``/metrics`` reader sees: the exposition against a committed
+golden, the parser that reads it back, and the router's surface.
 
-Covers the PR's acceptance properties: the exposition parser is the
-exact inverse of the renderer (pinned against a committed golden file
-that exercises ``+Inf``/``NaN`` values, escaped label text and
-``# EXEMPLAR`` comment lines), the time-series store computes windowed
-counter increases that survive process restarts, histogram rollups
-merge bucket-by-bucket across shards, and the scraper discovers a live
-daemon's and router's role/shard identity from their ``/healthz``
-surfaces over real sockets.
+The renderer's output is pinned against a committed golden file that
+exercises ``+Inf``/``NaN`` values, escaped label text and ``# EXEMPLAR``
+comment lines; the parser is its exact inverse, refuses malformed lines
+and keeps untyped samples; and a live router's ``/metrics`` exports
+its admission verdicts and each shard's reachability, the series CI's
+cluster smoke reads after it kills a shard.
 """
 
 import asyncio
@@ -23,15 +22,8 @@ from repro.obs.prom import (
     registry_exposition,
     split_series_key,
 )
-from repro.obs.telemetry import (
-    TelemetryScraper,
-    TimeSeriesStore,
-    UP_SERIES,
-    WindowedHistogram,
-    parse_selector,
-    selector_matches,
-)
 from repro.service import DaemonConfig, ReservationDaemon, ServiceClient
+from repro.service.client import ServiceClientError
 from repro.cluster import ClusterConfig, ClusterDaemon
 
 GOLDEN = Path(__file__).parent / "data" / "telemetry_golden.prom"
@@ -132,271 +124,7 @@ def test_untyped_samples_and_unknown_comments_are_tolerated():
 
 
 # ---------------------------------------------------------------------------
-# selectors
-
-
-def test_selector_parsing_and_matching():
-    name, labels = parse_selector('repro_x{a="1",b=two}')
-    assert name == "repro_x"
-    assert labels == {"a": "1", "b": "two"}
-    assert parse_selector("repro_y") == ("repro_y", {})
-
-    sel = parse_selector('repro_x{verdict="established"}')
-    assert selector_matches(sel, "repro_x",
-                            {"verdict": "established", "shard": "shard-0"})
-    assert not selector_matches(sel, "repro_x", {"verdict": "rejected"})
-    assert not selector_matches(sel, "repro_z", {"verdict": "established"})
-
-
-# ---------------------------------------------------------------------------
-# the time-series store
-
-
-def scrape_text(store: TimeSeriesStore, target: str, text: str, *,
-                ts: float, role: str = "shard", shard: str = "shard-0"):
-    store.record_scrape(target, parse_exposition(text), ts=ts,
-                        role=role, shard=shard)
-
-
-def test_counter_window_sum_and_restart_clamp():
-    store = TimeSeriesStore()
-    for ts, value in ((0.0, 10.0), (1.0, 14.0), (2.0, 2.0), (3.0, 5.0)):
-        scrape_text(
-            store, "a:1",
-            "# TYPE repro_hits_total counter\n"
-            f"repro_hits_total {value}\n",
-            ts=ts,
-        )
-    # +4 (10->14), restart at ts=2 clamps the -12 to 0, then +3.
-    assert store.counter_window_sum(
-        ["repro_hits_total"], window=10.0, now=3.0
-    ) == pytest.approx(7.0)
-    # A window starting after ts=1 only sees the post-restart increase.
-    assert store.counter_window_sum(
-        ["repro_hits_total"], window=1.5, now=3.0
-    ) == pytest.approx(3.0)
-    assert store.counter_rate(
-        ["repro_hits_total"], window=10.0, now=3.0
-    ) == pytest.approx(0.7)
-
-
-def test_counter_born_between_sweeps_counts_from_zero():
-    # A label series that first appears after the target has already
-    # been scraped (a burst of rejections landing entirely inside one
-    # scrape interval) must contribute its full value to the window:
-    # the store seeds an implied zero at the previous sweep.
-    store = TimeSeriesStore()
-    scrape_text(
-        store, "a:1",
-        "# TYPE repro_hits_total counter\n"
-        'repro_hits_total{verdict="good"} 10\n',
-        ts=0.0,
-    )
-    scrape_text(
-        store, "a:1",
-        "# TYPE repro_hits_total counter\n"
-        'repro_hits_total{verdict="good"} 10\n'
-        'repro_hits_total{verdict="bad"} 32\n',
-        ts=1.0,
-    )
-    assert store.counter_window_sum(
-        ['repro_hits_total{verdict="bad"}'], window=10.0, now=1.0
-    ) == pytest.approx(32.0)
-    # The pre-existing series keeps plain delta semantics: its first
-    # observation (10 at ts=0, before we watched) is never counted.
-    assert store.counter_window_sum(
-        ['repro_hits_total{verdict="good"}'], window=10.0, now=1.0
-    ) == pytest.approx(0.0)
-    # Steady after birth: nothing new accrues.
-    scrape_text(
-        store, "a:1",
-        "# TYPE repro_hits_total counter\n"
-        'repro_hits_total{verdict="good"} 10\n'
-        'repro_hits_total{verdict="bad"} 32\n',
-        ts=2.0,
-    )
-    assert store.counter_window_sum(
-        ['repro_hits_total{verdict="bad"}'], window=0.9, now=2.0
-    ) == pytest.approx(0.0)
-
-
-def test_latest_by_selector_spans_targets_and_roles():
-    store = TimeSeriesStore()
-    text = (
-        "# TYPE repro_daemon_active_sessions gauge\n"
-        "repro_daemon_active_sessions {value}\n"
-    )
-    scrape_text(store, "a:1", text.replace("{value}", "3"), ts=0.0,
-                shard="shard-0")
-    scrape_text(store, "b:2", text.replace("{value}", "5"), ts=0.0,
-                shard="shard-1")
-    store.record_unreachable("c:3", ts=0.0)
-
-    rows = store.latest_by_selector("repro_daemon_active_sessions",
-                                    role="shard")
-    assert sorted((target, value) for target, _, value in rows) == [
-        ("a:1", 3.0), ("b:2", 5.0)
-    ]
-    assert store.latest("c:3", UP_SERIES) == 0.0
-    meta = {m.target: m for m in store.targets()}
-    assert meta["c:3"].up is False
-    assert meta["c:3"].consecutive_failures == 1
-    assert meta["a:1"].up is True
-
-
-def histogram_text(counts_by_bound, count, total):
-    lines = ["# TYPE repro_daemon_admission_phase_seconds histogram"]
-    cumulative = 0.0
-    for bound, bucket in counts_by_bound:
-        cumulative += bucket
-        lines.append(
-            'repro_daemon_admission_phase_seconds_bucket'
-            f'{{le="{bound}",phase="plan"}} {cumulative}'
-        )
-    lines.append(
-        'repro_daemon_admission_phase_seconds_bucket'
-        f'{{le="+Inf",phase="plan"}} {count}'
-    )
-    lines.append(
-        'repro_daemon_admission_phase_seconds_sum{phase="plan"} ' + str(total)
-    )
-    lines.append(
-        'repro_daemon_admission_phase_seconds_count{phase="plan"} '
-        + str(count)
-    )
-    return "\n".join(lines) + "\n"
-
-
-def test_histogram_window_merges_across_shards():
-    store = TimeSeriesStore()
-    # Shard a: two scrapes; the delta is 2 fast + 1 slow observation.
-    scrape_text(store, "a:1",
-                histogram_text([("0.01", 0), ("0.1", 0)], 0, 0.0), ts=0.0)
-    scrape_text(store, "a:1",
-                histogram_text([("0.01", 2), ("0.1", 0)], 3, 1.3), ts=1.0,
-                shard="shard-0")
-    # Shard b: one observation lands in the second bucket.
-    scrape_text(store, "b:2",
-                histogram_text([("0.01", 0), ("0.1", 0)], 0, 0.0), ts=0.0,
-                shard="shard-1")
-    scrape_text(store, "b:2",
-                histogram_text([("0.01", 0), ("0.1", 1)], 1, 0.05), ts=1.0,
-                shard="shard-1")
-
-    rollup = store.histogram_window(
-        "repro_daemon_admission_phase_seconds",
-        window=10.0, now=1.0, labels={"phase": "plan"},
-    )
-    assert rollup is not None
-    assert rollup.boundaries == (0.01, 0.1)
-    assert rollup.counts == [2.0, 1.0, 1.0]
-    assert rollup.count == 4.0
-    assert rollup.sum == pytest.approx(1.35)
-    # 1 of 4 observations exceeded 0.1s.
-    assert rollup.fraction_above(0.1) == pytest.approx(0.25)
-    assert store.histogram_window(
-        "repro_daemon_admission_phase_seconds",
-        window=10.0, now=1.0, labels={"phase": "commit"},
-    ) is None
-
-
-def test_windowed_histogram_quantiles():
-    rollup = WindowedHistogram(
-        boundaries=(0.01, 0.1, 1.0),
-        counts=[8.0, 1.0, 1.0, 0.0],
-        count=10.0,
-        sum=0.3,
-    )
-    assert rollup.quantile(0.5) <= 0.01
-    assert 0.01 < rollup.quantile(0.9) <= 0.1
-    assert rollup.fraction_above(0.01) == pytest.approx(0.2)
-    assert rollup.fraction_above(1.0) == 0.0
-    empty = WindowedHistogram(boundaries=(1.0,), counts=[0.0, 0.0],
-                              count=0.0, sum=0.0)
-    assert empty.quantile(0.99) == 0.0
-    assert empty.fraction_above(1.0) == 0.0
-
-
-# ---------------------------------------------------------------------------
-# the scraper, over real sockets
-
-
-def test_scraper_discovers_roles_and_ingests_fleet_metrics():
-    async def scenario():
-        daemon = ReservationDaemon(
-            DaemonConfig(port=0, seed=11, shard_index=0, shard_count=1)
-        )
-        await daemon.start()
-        router = ClusterDaemon(ClusterConfig(
-            shards=(("127.0.0.1", daemon.port),), port=0, seed=11
-        ))
-        await router.start()
-        client = ServiceClient("127.0.0.1", router.port)
-        store = TimeSeriesStore()
-        scraper = TelemetryScraper(
-            [("127.0.0.1", daemon.port), ("127.0.0.1", router.port)],
-            store, interval=0.1, timeout=2.0,
-        )
-        try:
-            outcome = await client.establish(
-                service="S2", domain="D1", session_id="scrape-1",
-                duration=30.0,
-            )
-            assert outcome["success"] is True
-            result = await scraper.scrape_once()
-            assert not result.unreachable
-
-            meta = {m.target: m for m in store.targets()}
-            shard_key = TelemetryScraper.target_key("127.0.0.1", daemon.port)
-            router_key = TelemetryScraper.target_key("127.0.0.1", router.port)
-            assert meta[shard_key].role == "shard"
-            assert meta[shard_key].shard == "shard-0"
-            assert meta[shard_key].last_health["shard_count"] == 1
-            assert meta[router_key].role == "cluster-router"
-
-            # The shard's enriched scrape surface.
-            assert store.latest(
-                shard_key, "repro_daemon_active_sessions"
-            ) == 1.0
-            assert store.latest(
-                shard_key,
-                'repro_daemon_sessions_total{outcome="established"}',
-            ) == 1.0
-            assert store.latest(shard_key, "repro_daemon_shard_count") == 1.0
-            lease_rows = store.latest_by_selector(
-                "repro_daemon_lease_operations_total", role="shard"
-            )
-            assert lease_rows, "lease counters must be exported"
-
-            # Scrape again so phase-latency deltas exist, then roll up.
-            await client.establish(
-                service="S3", domain="D2", session_id="scrape-2",
-                duration=30.0,
-            )
-            await scraper.scrape_once()
-            rollup = store.histogram_window(
-                "repro_daemon_admission_phase_seconds",
-                window=60.0, now=result.ts + 60.0,
-                role="shard", labels={"phase": "plan"},
-            )
-            assert rollup is not None and rollup.count >= 1.0
-
-            # Down targets: unreachable ports record up=0 without
-            # disturbing the live targets.
-            dead = TelemetryScraper([("127.0.0.1", 1)], store, timeout=0.5)
-            try:
-                result = await dead.scrape_once()
-                assert result.unreachable == 1
-                assert store.latest("127.0.0.1:1", UP_SERIES) == 0.0
-            finally:
-                await dead.aclose()
-        finally:
-            await scraper.aclose()
-            await client.aclose()
-            await router.shutdown()
-            await daemon.shutdown()
-
-    asyncio.run(scenario())
+# the router's surface, over real sockets
 
 
 def test_router_metrics_classify_infra_and_merit_rejections():
@@ -424,9 +152,33 @@ def test_router_metrics_classify_infra_and_merit_rejections():
             assert parsed.gauges["repro_cluster_shard_count"] == 1.0
             # Session bookkeeping lives on the shard in single-shard
             # mode; the router still exports the gauge (at zero) so
-            # dashboards see a uniform surface.
+            # every router has the same series.
             assert "repro_cluster_active_sessions" in parsed.gauges
             assert parsed.gauges["repro_cluster_pending_teardown_sessions"] == 0.0
+
+            # A QoS-aware "no" is merit; a shard that is gone is infra.
+            refused = await client.establish(
+                service="S2", domain="D1", session_id="big-1",
+                duration=30.0, demand_scale=1e6,
+            )
+            assert refused["success"] is False
+            await daemon.shutdown()
+            with pytest.raises(ServiceClientError) as unreachable:
+                await client.establish(service="S2", domain="D1",
+                                       session_id="gone-1", duration=30.0)
+            assert unreachable.value.status == 503
+            parsed = parse_exposition(await client.metrics())
+            verdicts = {
+                verdict: parsed.counters.get(
+                    f'repro_cluster_admissions_total{{verdict="{verdict}"}}')
+                for verdict in ("established", "rejected_merit", "rejected_infra")
+            }
+            assert verdicts == {
+                "established": 1.0, "rejected_merit": 1.0, "rejected_infra": 1.0,
+            }
+            assert parsed.gauges[
+                'repro_cluster_shard_reachable{shard="shard-0"}'
+            ] == 0.0
         finally:
             await client.aclose()
             await router.shutdown()

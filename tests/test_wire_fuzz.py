@@ -6,8 +6,8 @@ given any bytes followed by EOF, :func:`read_request` and
 :func:`read_response` each return a message (or ``None`` for a clean
 EOF) or raise :class:`ProtocolError` -- never another exception, never
 a hang, and never a body past :data:`MAX_BODY_BYTES`.  The JSON body decoder and the Prometheus
-exposition parser the telemetry scraper runs on a target's ``/metrics``
-get the same treatment.  Hypothesis runs derandomized, so a failure
+exposition parser a client runs on a target's ``/metrics`` get the same
+treatment.  Hypothesis runs derandomized, so a failure
 replays; each escape found so far is pinned as an ``@example``.
 
 The one large message is a full flight-ring ``POST /v1/debug/dump``;
