@@ -20,8 +20,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, Generic, Hashable, Iterable, List, Sequence, Tuple, TypeVar
 
-from repro.obs import trace as _trace
-
 Node = TypeVar("Node", bound=Hashable)
 
 #: Adjacency oracle: node -> iterable of (successor, weight, edge payload).
@@ -82,16 +80,6 @@ def minimax_dijkstra(
         Apply the paper's min-edge-weight tie-breaking rule.  Disabling it
         (ablation) keeps first-found predecessors.
     """
-    with _trace.span("dijkstra") as span:
-        result = _minimax_dijkstra(source, successors, tie_break)
-        span.set(settled=len(result.distance))
-        return result
-
-
-def _minimax_dijkstra(
-    source: Node, successors: Successors, tie_break: bool
-) -> PathSearchResult[Node]:
-    """The uninstrumented search body of :func:`minimax_dijkstra`."""
     inf = math.inf
     pop, push = heapq.heappop, heapq.heappush
     distance: Dict[Node, float] = {source: 0.0}

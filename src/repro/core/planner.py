@@ -27,7 +27,6 @@ from repro.core.dijkstra import (
 from repro.core.errors import PlanningError
 from repro.core.plan import ComponentAssignment, ReservationPlan
 from repro.core.qrg import IntraEdge, QoSResourceGraph, QRGNode
-from repro.obs import trace as _trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotations only
     import numpy as np
@@ -77,24 +76,21 @@ def assemble_plan(
     edges: Sequence[Optional[IntraEdge]],
 ) -> ReservationPlan:
     """Turn an explicit QRG path into a :class:`ReservationPlan`."""
-    with _trace.span("plan_assemble", service=qrg.service.name) as span:
-        intra = [edge for edge in edges if edge is not None]
-        assignments = tuple(map(ComponentAssignment.from_edge, intra))
-        bottleneck = _bottleneck_edge(intra)
-        psi = bottleneck.weight
-        ranking = qrg.service.ranking
-        span.set(psi=psi, bottleneck=bottleneck.bottleneck_resource, label=sink.label)
-        return ReservationPlan(
-            service=qrg.service.name,
-            assignments=assignments,
-            end_to_end_label=sink.label,
-            end_to_end_rank=ranking.rank(sink.label),
-            numeric_level=ranking.numeric_level(sink.label),
-            psi=psi,
-            bottleneck_resource=bottleneck.bottleneck_resource,
-            bottleneck_alpha=bottleneck.alpha,
-            path_signature=tuple(node.label for node in node_path),
-        )
+    intra = [edge for edge in edges if edge is not None]
+    assignments = tuple(map(ComponentAssignment.from_edge, intra))
+    bottleneck = _bottleneck_edge(intra)
+    ranking = qrg.service.ranking
+    return ReservationPlan(
+        service=qrg.service.name,
+        assignments=assignments,
+        end_to_end_label=sink.label,
+        end_to_end_rank=ranking.rank(sink.label),
+        numeric_level=ranking.numeric_level(sink.label),
+        psi=bottleneck.weight,
+        bottleneck_resource=bottleneck.bottleneck_resource,
+        bottleneck_alpha=bottleneck.alpha,
+        path_signature=tuple(node.label for node in node_path),
+    )
 
 
 class BasicPlanner:
@@ -111,17 +107,12 @@ class BasicPlanner:
 
     def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
         """Compute a reservation plan for the QRG (None when infeasible)."""
-        with _trace.span("plan", algorithm=self.name) as span:
-            search = minimax_dijkstra(
-                qrg.source_node, qrg.successors, tie_break=self.tie_break
-            )
-            sink = _best_sink(qrg, _reachable_sinks(qrg, search))
-            if sink is None:
-                span.set(feasible=False)
-                return None
-            node_path = search.path_to(sink)
-            span.set(feasible=True)
-            return assemble_plan(qrg, sink, node_path, search.edges_along(node_path))
+        search = minimax_dijkstra(qrg.source_node, qrg.successors, tie_break=self.tie_break)
+        sink = _best_sink(qrg, _reachable_sinks(qrg, search))
+        if sink is None:
+            return None
+        node_path = search.path_to(sink)
+        return assemble_plan(qrg, sink, node_path, search.edges_along(node_path))
 
 
 class RandomPlanner:
@@ -143,21 +134,17 @@ class RandomPlanner:
 
     def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
         """Compute a reservation plan for the QRG (None when infeasible)."""
-        with _trace.span("plan", algorithm=self.name) as span:
-            search = minimax_dijkstra(qrg.source_node, qrg.successors, tie_break=False)
-            sink = _best_sink(qrg, _reachable_sinks(qrg, search))
-            if sink is None:
-                span.set(feasible=False)
-                return None
-            paths = enumerate_paths(qrg.source_node, sink, qrg.successors)
-            if not paths:  # pragma: no cover - reachable sink implies >=1 path
-                span.set(feasible=False)
-                return None
-            hops = paths[int(self.rng.integers(len(paths)))]
-            node_path = [qrg.source_node] + [node for node, _w, _e in hops]
-            edges = [edge for _node, _w, edge in hops]
-            span.set(feasible=True)
-            return assemble_plan(qrg, sink, node_path, edges)
+        search = minimax_dijkstra(qrg.source_node, qrg.successors, tie_break=False)
+        sink = _best_sink(qrg, _reachable_sinks(qrg, search))
+        if sink is None:
+            return None
+        paths = enumerate_paths(qrg.source_node, sink, qrg.successors)
+        if not paths:  # pragma: no cover - reachable sink implies >=1 path
+            return None
+        hops = paths[int(self.rng.integers(len(paths)))]
+        node_path = [qrg.source_node] + [node for node, _w, _e in hops]
+        edges = [edge for _node, _w, edge in hops]
+        return assemble_plan(qrg, sink, node_path, edges)
 
 
 def feasible_end_to_end_levels(qrg: QoSResourceGraph) -> List[str]:

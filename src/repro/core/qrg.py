@@ -27,7 +27,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 from repro.core.component import Binding
 from repro.core.errors import ModelError, PlanningError
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 from repro.core.qos import QoSLevel
 from repro.core.resources import (
     AvailabilitySnapshot,
@@ -694,13 +693,8 @@ def build_qrg(
         Reuse availability-independent skeletons across calls (the graph
         is identical either way; only construction cost changes).
     """
-    with _trace.span("qrg_build", service=service.name) as span:
-        if skeleton_cache is not None:
-            skeleton = skeleton_cache.skeleton_for(
-                service, binding, source_label=source_label
-            )
-        else:
-            skeleton = build_skeleton(service, binding, source_label=source_label)
-        qrg = price_skeleton(skeleton, snapshot, contention_index=contention_index)
-        span.set(nodes=qrg.count_nodes(), edges=qrg.count_edges())
-        return qrg
+    if skeleton_cache is not None:
+        skeleton = skeleton_cache.skeleton_for(service, binding, source_label=source_label)
+    else:
+        skeleton = build_skeleton(service, binding, source_label=source_label)
+    return price_skeleton(skeleton, snapshot, contention_index=contention_index)

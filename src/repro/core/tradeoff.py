@@ -31,7 +31,6 @@ from repro.core.planner import _best_sink, _bottleneck_edge, _reachable_sinks, a
 from repro.core.qrg import QoSResourceGraph, QRGNode
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
-from repro.obs import trace as _trace
 
 
 class TradeoffPlanner:
@@ -44,56 +43,53 @@ class TradeoffPlanner:
 
     def plan(self, qrg: QoSResourceGraph) -> Optional[ReservationPlan]:
         """Compute a reservation plan for the QRG (None when infeasible)."""
-        with _trace.span("plan", algorithm=self.name) as span:
-            search = minimax_dijkstra(qrg.source_node, qrg.successors, tie_break=self.tie_break)
-            sinks = _reachable_sinks(qrg, search)
-            best = _best_sink(qrg, sinks)
-            if best is None:
-                span.set(feasible=False)
-                return None
+        search = minimax_dijkstra(qrg.source_node, qrg.successors, tie_break=self.tie_break)
+        sinks = _reachable_sinks(qrg, search)
+        best = _best_sink(qrg, sinks)
+        if best is None:
+            return None
 
-            # psi and alpha of the bottleneck on the shortest path to each sink.
-            sink_psi: Dict[QRGNode, float] = {}
-            sink_alpha: Dict[QRGNode, float] = {}
-            for sink in sinks:
-                edges = search.edges_to(sink)
-                bottleneck = _bottleneck_edge(edges)
-                sink_psi[sink] = search.distance[sink]
-                sink_alpha[sink] = bottleneck.alpha
+        # psi and alpha of the bottleneck on the shortest path to each sink.
+        sink_psi: Dict[QRGNode, float] = {}
+        sink_alpha: Dict[QRGNode, float] = {}
+        for sink in sinks:
+            edges = search.edges_to(sink)
+            bottleneck = _bottleneck_edge(edges)
+            sink_psi[sink] = search.distance[sink]
+            sink_alpha[sink] = bottleneck.alpha
 
-            alpha0 = sink_alpha[best]
-            psi0 = sink_psi[best]
-            if alpha0 >= 1.0:
-                chosen = best
+        alpha0 = sink_alpha[best]
+        psi0 = sink_psi[best]
+        if alpha0 >= 1.0:
+            chosen = best
+        else:
+            budget = alpha0 * psi0
+            candidates = [sink for sink in sinks if sink_psi[sink] <= budget]
+            if candidates:
+                chosen = _best_sink(qrg, candidates)
             else:
-                budget = alpha0 * psi0
-                candidates = [sink for sink in sinks if sink_psi[sink] <= budget]
-                if candidates:
-                    chosen = _best_sink(qrg, candidates)
-                else:
-                    # Fallback (see module docstring): most conservative plan,
-                    # ties resolved toward the better QoS level.
-                    ranking = qrg.service.ranking
-                    chosen = min(sinks, key=lambda s: (sink_psi[s], ranking.rank(s.label)))
-            assert chosen is not None
-            span.set(feasible=True, traded_off=chosen != best)
-            if chosen != best:
-                registry = _metrics.active_registry()
-                if registry is not None:
-                    registry.counter("planner.tradeoff_backoffs").inc()
-                log = _events.active_event_log()
-                if log is not None:
-                    log.emit(
-                        "planner.tradeoff_backoff",
-                        service=qrg.service.name,
-                        from_level=best.label,
-                        to_level=chosen.label,
-                        psi_best=psi0,
-                        psi_chosen=sink_psi[chosen],
-                        alpha=alpha0,
-                    )
-            node_path = search.path_to(chosen)
-            return assemble_plan(qrg, chosen, node_path, search.edges_along(node_path))
+                # Fallback (see module docstring): most conservative plan,
+                # ties resolved toward the better QoS level.
+                ranking = qrg.service.ranking
+                chosen = min(sinks, key=lambda s: (sink_psi[s], ranking.rank(s.label)))
+        assert chosen is not None
+        if chosen != best:
+            registry = _metrics.active_registry()
+            if registry is not None:
+                registry.counter("planner.tradeoff_backoffs").inc()
+            log = _events.active_event_log()
+            if log is not None:
+                log.emit(
+                    "planner.tradeoff_backoff",
+                    service=qrg.service.name,
+                    from_level=best.label,
+                    to_level=chosen.label,
+                    psi_best=psi0,
+                    psi_chosen=sink_psi[chosen],
+                    alpha=alpha0,
+                )
+        node_path = search.path_to(chosen)
+        return assemble_plan(qrg, chosen, node_path, search.edges_along(node_path))
 
 
 def sink_report(qrg: QoSResourceGraph) -> List[Tuple[str, float, float]]:

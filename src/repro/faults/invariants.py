@@ -146,7 +146,7 @@ def assert_capacity_conserved(
 #
 #     broker.grant     requested / available / capacity
 #     broker.release   amount
-#     lease.reserved / lease.committed / lease.aborted / lease.expired
+#     lease.committed / lease.aborted / lease.expired
 #
 # :func:`reconcile_shard_events` merges the per-shard logs and verifies
 # the *global* conservation story of the two-phase protocol: no shard

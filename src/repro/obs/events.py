@@ -12,10 +12,11 @@ reservation-lifecycle events:
 * ``broker.probe`` / ``broker.grant`` / ``broker.reject`` /
   ``broker.release`` -- every admission decision with the requested
   amount against the broker's availability at that instant;
-* ``proxy.segment_applied`` / ``proxy.segment_rejected`` -- phase-3
-  segment outcomes per QoSProxy;
 * ``planner.tradeoff_backoff`` -- the §4.3.1 policy choosing a lower
   end-to-end level than the best feasible one;
+* ``lease.committed`` / ``lease.aborted`` -- a shard's outcome of a
+  cluster router's two-phase round, which the offline reconciler
+  (:func:`repro.faults.invariants.reconcile_shard_events`) reads;
 * ``fault.injected`` / ``segment.timeout`` / ``segment.retry`` /
   ``session.replanned`` / ``lease.expired`` -- the fault-injection and
   recovery lifecycle of :mod:`repro.faults`: every fired fault, every
@@ -27,6 +28,15 @@ reservation-lifecycle events:
   rolling-estimate digests per broker, detected divergence between a
   session's planned-against availability and the live one, and the §5
   adaptation loop's renegotiations.
+
+A kind stays in the vocabulary while something reads it (a
+``repro-obs`` command, the online monitor, the reconciler) or
+``repro-obs explain`` will; the event table of
+``docs/observability.md`` names the readers of each.  Phase 3's
+per-host segment outcomes are counted, not logged
+(``proxy.segments_applied`` / ``proxy.segment_rejections``): the
+``broker.grant`` / ``broker.reject`` events already carry every
+resource's outcome.
 
 Like the tracer and the metrics registry, instrumented code dispatches
 through the module-level :func:`emit` helper, which is a single global
@@ -99,14 +109,11 @@ EVENT_KINDS = frozenset(
         "broker.grant",
         "broker.reject",
         "broker.release",
-        "proxy.segment_applied",
-        "proxy.segment_rejected",
         "planner.tradeoff_backoff",
         "fault.injected",
         "segment.timeout",
         "segment.retry",
         "session.replanned",
-        "lease.reserved",
         "lease.committed",
         "lease.aborted",
         "lease.expired",

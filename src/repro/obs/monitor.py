@@ -40,7 +40,7 @@ from typing import Deque, Dict, Optional, Sequence, Set, Tuple
 
 from repro.brokers.history import AvailabilityHistory
 from repro.obs import metrics as _metrics
-from repro.obs.events import EVENT_KINDS, EventLog, ReservationEvent
+from repro.obs.events import EventLog, ReservationEvent
 
 __all__ = [
     "AdaptationPolicy",
@@ -240,10 +240,12 @@ class OnlineMonitor:
     def on_event(self, event: ReservationEvent) -> None:
         """The :meth:`EventLog.subscribe` callback."""
         kind = event.kind
-        # Kinds outside the vocabulary only arrive from recorded traces
-        # (an older schema's events); like the plane's own, they are not
-        # input.
-        if kind in MONITOR_EVENT_KINDS or kind not in EVENT_KINDS:
+        # The plane's own output is not input: its current kinds, and the
+        # ``slo.*`` kinds of the deleted watchdog that an older trace may
+        # hold.  Any other kind counts as seen, one retired from the
+        # vocabulary too, so a replay of an older trace sees what its
+        # live monitor saw.
+        if kind in MONITOR_EVENT_KINDS or kind.startswith("slo."):
             return
         started = _time.perf_counter()
         self.events_seen += 1

@@ -3,8 +3,9 @@
 A :class:`Tracer` records *spans*: named enter/exit intervals timed with
 the monotonic :func:`time.perf_counter` clock.  Spans nest -- a span
 opened while another is active becomes its child -- so one
-``establish`` span contains the ``qrg_build``, ``dijkstra`` and
-``plan`` spans of the session it admitted, each with its own wall time.
+``establish`` span contains the ``phase1_availability``,
+``phase2_plan`` and ``phase3_dispatch`` spans of the session it
+admitted, each with its own wall time.
 The nesting stack lives in a :class:`contextvars.ContextVar`, so spans
 opened by concurrent asyncio tasks (the service daemon, the open-loop
 load generator's clients) nest within their own task only and never

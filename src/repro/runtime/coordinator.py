@@ -557,21 +557,15 @@ class ReservationCoordinator:
         contention_index,
         reports: Sequence = (),
     ):
-        """Skeleton lookup + per-snapshot pricing, under a qrg_build span.
+        """Skeleton lookup + per-snapshot pricing.
 
         ``reports`` are phase 1's replies; central pricing needs only
         the snapshot merged from them.
         """
-        with _trace.span("qrg_build", service=service.name) as qrg_span:
-            skeleton = self.qrg_skeletons.skeleton_for(
-                service,
-                binding,
-                source_label=source_label,
-                extra=(demand_scale,),
-            )
-            qrg = price_skeleton(skeleton, snapshot, contention_index=contention_index)
-            qrg_span.set(nodes=qrg.count_nodes(), edges=qrg.count_edges())
-        return qrg
+        skeleton = self.qrg_skeletons.skeleton_for(
+            service, binding, source_label=source_label, extra=(demand_scale,)
+        )
+        return price_skeleton(skeleton, snapshot, contention_index=contention_index)
 
     def _reject_unplannable(
         self,

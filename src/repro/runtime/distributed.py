@@ -45,7 +45,6 @@ from repro.core.qrg import (
 )
 from repro.core.resources import ResourceObservation
 from repro.core.translation import ScaledTranslation
-from repro.obs import trace as _trace
 from repro.runtime.coordinator import ReservationCoordinator
 from repro.runtime.proxy import QoSProxy
 
@@ -178,9 +177,6 @@ class DistributedCoordinator(ReservationCoordinator):
         """Phase 2b: stitch the hosts' priced fragments into the full QRG."""
         if not reports:
             raise PlanningError("no component fragments to stitch")
-        with _trace.span("qrg_build", service=service.name) as qrg_span:
-            source_level = resolve_source_level(service, source_label)
-            intra_edges = [edge for fragment in reports for edge in fragment.edges]
-            qrg = assemble_qrg(service, source_level, intra_edges, snapshot)
-            qrg_span.set(nodes=qrg.count_nodes(), edges=qrg.count_edges())
-        return qrg
+        source_level = resolve_source_level(service, source_label)
+        intra_edges = [edge for fragment in reports for edge in fragment.edges]
+        return assemble_qrg(service, source_level, intra_edges, snapshot)

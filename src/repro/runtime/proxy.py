@@ -16,7 +16,6 @@ from repro.brokers.base import Reservation
 from repro.brokers.registry import BrokerRegistry
 from repro.core.errors import AdmissionError, BrokerError
 from repro.core.resources import ResourceObservation
-from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.runtime.messages import AvailabilityReport, AvailabilityRequest, PlanSegment
 
@@ -96,34 +95,15 @@ class QoSProxy:
             )
         try:
             made = self.registry.reserve_all(segment.demands, segment.session_id)
-        except AdmissionError as exc:
+        except AdmissionError:
             registry = _metrics.active_registry()
             if registry is not None:
                 self._instruments.counter(registry, "proxy.segment_rejections").inc()
-            log = _events.active_event_log()
-            if log is not None:
-                log.emit(
-                    "proxy.segment_rejected",
-                    session=segment.session_id,
-                    resource=exc.resource_id,
-                    host=self.host,
-                    rolled_back=sorted(segment.demands).index(exc.resource_id),
-                    demands=dict(segment.demands),
-                )
             raise
         self._held.setdefault(segment.session_id, []).extend(made)
         registry = _metrics.active_registry()
         if registry is not None:
             self._instruments.counter(registry, "proxy.segments_applied").inc()
-        log = _events.active_event_log()
-        if log is not None:
-            log.emit(
-                "proxy.segment_applied",
-                session=segment.session_id,
-                host=self.host,
-                reservations=len(made),
-                demands=dict(segment.demands),
-            )
         return tuple(made)
 
     def holds(self, session_id: str) -> bool:

@@ -506,10 +506,17 @@ class ReservationService:
         return _renegotiation_to_dict(result)
 
     def teardown(self, payload: dict) -> dict:
-        """Release everything a session holds."""
+        """Release everything a session holds.
+
+        The session's live leases are dropped first (their reservations
+        are on the proxies' books, which the teardown releases), so a
+        commit that arrives after the teardown finds no lease and
+        answers 404 instead of re-creating the session.
+        """
         session_id = payload.get("session_id")
         if not session_id:
             raise ServiceError("missing required field 'session_id'")
+        self.leases.drop_session(str(session_id))
         known = self.sessions.pop(str(session_id), None)
         released = self.coordinator.teardown(str(session_id))
         if known is None and released == 0:
@@ -576,13 +583,6 @@ class ReservationService:
         # the lease is the reaper's from birth; commit/abort race it.
         self.leases.orphan(lease)
         self.lease_counters["reserved"] += 1
-        _events.emit(
-            "lease.reserved",
-            session=session_id,
-            lease=lease.lease_id,
-            shard=self.shard_label,
-            resources=sorted(demands),
-        )
         return {
             "session_id": session_id,
             "reserved": True,

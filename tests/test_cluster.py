@@ -72,8 +72,14 @@ class FaultyShardClient(LocalShardClient):
     shard applies and stays up, but whose reply never arrives.
     ``garble_next_reply`` is a ``(path, body)`` pair: the shard applies
     the next call to ``path`` and answers it with ``body`` -- bytes that
-    are no JSON, or JSON of the wrong shape.  A fault names a path and
-    matches a request target with or without a query string.
+    are no JSON, or JSON of the wrong shape.  ``hold_next_request`` names
+    a path whose next call is still in flight when the router's exchange
+    fails: the shard has applied nothing, and the payload waits in
+    ``held`` for the test to deliver late.  ``refuse_next_request``
+    names a path whose next call the shard refuses with a 404 without
+    applying it, as it does a commit whose lease has expired.  A fault
+    names a path and matches a request target with or without a query
+    string.
     """
 
     def __init__(self, *args, **kwargs):
@@ -82,6 +88,9 @@ class FaultyShardClient(LocalShardClient):
         self.crash_on_next_reserve = False
         self.lose_next_reply = None
         self.garble_next_reply = None
+        self.hold_next_request = None
+        self.held = None
+        self.refuse_next_request = None
 
     def _check_alive(self):
         if self.crashed:
@@ -91,8 +100,15 @@ class FaultyShardClient(LocalShardClient):
         self._check_alive()
         await asyncio.sleep(0)  # the shard may crash while the request travels
         self._check_alive()
-        response = await super().forward_raw(method, target, payload)
         path = target.partition("?")[0]
+        if path == self.hold_next_request:
+            self.hold_next_request = None
+            self.held = payload
+            raise ConnectionError(f"shard {self.label}: {path} still in flight")
+        if path == self.refuse_next_request:
+            self.refuse_next_request = None
+            return ServiceResponse(404, {}, json.dumps({"error": "unknown lease"}).encode())
+        response = await super().forward_raw(method, target, payload)
         if self.crash_on_next_reserve and path == "/v1/reserve":
             if response.status == 200:
                 self.crash_on_next_reserve = False
@@ -538,6 +554,95 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
         outcome = json.loads(body)
         assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
         await _settle_unknown_commit(coordinator, shards, victim_index, "garbled")
+
+    for service_name, domain, victim_index in cases:
+        asyncio.run(scenario(service_name, domain, victim_index))
+
+
+def test_a_commit_after_its_sessions_teardown_creates_no_session():
+    """reserve -> teardown -> commit on one shard: the teardown took the
+    lease with it, so the late commit is a 404 and no session appears."""
+    service = ReservationService(DaemonConfig(seed=7))
+    status, held = service.handle(
+        "POST", "/v1/reserve", {}, {"session_id": "late", "demands": {"cpu:H1": 1.0}}
+    )
+    assert (status, held["reserved"]) == (200, True)
+    status, _ = service.handle("POST", "/v1/teardown", {}, {"session_id": "late"})
+    assert status == 200
+    assert not service.leases.pending()
+    status, document = service.handle(
+        "POST", "/v1/commit", {}, {"lease_id": held["lease_id"]}
+    )
+    assert status == 404, document
+    assert "late" not in service.sessions
+    assert service.query()["active_sessions"] == 0
+    report = capacity_conservation(service.grid.registry, service.grid.proxies)
+    assert report.ok, report.describe()
+
+
+def test_a_commit_delivered_after_the_anti_entropy_teardown_is_refused():
+    """The router's commit to a shard is still in flight when the
+    exchange fails; the anti-entropy pass tears the session down there,
+    and the commit that lands afterwards finds no lease to commit."""
+    service_name, domain, involved = _cross_shard_commits(2)[0]
+
+    async def scenario(victim_index):
+        shards = make_local_shards(2)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        victim = shards[victim_index]
+        victim.hold_next_request = "/v1/commit"
+        status, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "late"}
+        )
+        assert status == 200
+        assert json.loads(body)["reason"] == "shard_unreachable"
+        assert victim.held is not None
+        assert victim_index in coordinator.pending_teardowns["late"]
+        await coordinator.flush_pending_teardowns()
+        assert not coordinator.pending_teardowns
+        status, document = victim.service.handle("POST", "/v1/commit", {}, victim.held)
+        assert status == 404, document
+        for shard in shards:
+            assert "late" not in shard.service.sessions, shard.label
+            assert not shard.service.leases.pending(), shard.label
+        assert_tiers_agree(coordinator, shards)
+        assert_cluster_clean(shards, session_ids=["late"])
+
+    for victim_index in involved:
+        asyncio.run(scenario(victim_index))
+
+
+def test_a_refused_commit_aborts_its_own_lease():
+    """A shard that refuses its commit committed nothing, and the router
+    aborts that shard's lease at once: its capacity is back before any
+    reaper runs, not after the lease's TTL."""
+    cases = [
+        (service_name, domain, victim)
+        for service_name, domain, involved in _cross_shard_commits(2)
+        for victim in involved
+    ]
+
+    async def scenario(service_name, domain, victim_index):
+        shards = make_local_shards(2)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        victim = shards[victim_index]
+        brokers = list(victim.service.grid.registry.brokers())
+        before = [broker.available for broker in brokers]
+        victim.refuse_next_request = "/v1/commit"
+        status, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "refused"}
+        )
+        assert status == 200
+        outcome = json.loads(body)
+        assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
+        assert victim.refuse_next_request is None  # the commit was refused
+        assert "refused" not in coordinator.pending_teardowns
+        # No reap has run, and the lease's TTL is far off.
+        assert victim.service.lease_counters["expired"] == 0
+        assert not victim.service.leases.pending()
+        assert [broker.available for broker in brokers] == before
+        assert_cluster_clean(shards, session_ids=["refused"])
+        assert_tiers_agree(coordinator, shards)
 
     for service_name, domain, victim_index in cases:
         asyncio.run(scenario(service_name, domain, victim_index))

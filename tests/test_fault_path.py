@@ -38,34 +38,38 @@ EVERY_FAULT = FaultConfig(
 
 #: sha256 digests of each run's records (see ``_digests``), computed
 #: while the fault boundary still kept its own copy of the three phases.
+#: ``events`` and ``spans`` (and the monitored run's ``results``, whose
+#: monitor stats count the events seen) were re-derived from those runs'
+#: records with the event kinds and span names phases 2 and 3 no longer
+#: record removed and seq and index renumbered.
 PINNED = {
     "sync": {
         "counters": "4f08dccae0163393e1f9de067ab1f97f1ad04a3c14355d454df85ec06594a3b4",
-        "events": "f0c15c9b5a66cb6c5daef8ce0bebed1a3b3e2937fa2febdedcc3e08a3a7f5767",
+        "events": "e9e82c0ad60560b9d2726db2441f3b3123af16f3fa3069c721b82367588ee817",
         "fault_stats": "d0754e927776cc2c815ce9b80970716f2cd124dc2d625bfb1c59f2edbff34426",
         "results": "d83cd812458b592c981a34934bba565a83208e3d1c6d3f24498a299deae2ba10",
-        "spans": "ebb165bd80e18d133104439cd9bbc1d9e8a5c986fd75f882a8602b3e8d7508de",
+        "spans": "6ab9bf9ce0fe704ded2ec6830d8c6e096f3812fbb21380720c8cb6ec5334d175",
     },
     "des": {
         "counters": "bd344f306f01ee3babfa91d30740b0da3504ef2f6426408151462d477880e3fe",
-        "events": "7d2ff7cba947fe9b084099e55f7eb8024139b8dcab7d247642a68588e4188184",
+        "events": "1ea0c2311129c2fec4ef7537fcf95196967da23de294770bf66d90dadd3df43e",
         "fault_stats": "fc600c4331fa9a20c085dc9d6cafc8eb372a404f09391405fcb5013df1242dce",
         "results": "8d6694c75fc56a9fadef74f22386f162bcf03157d75c359779ac091b7e01acf9",
-        "spans": "bb2b0d3cde3fadd0f6181fd9c3c624446a37cc743cfcc51fc55dc1602bb693bf",
+        "spans": "f2e4afee3b5210d9bd7f56e24360bd42ed3ae3172c6c3fa002f2a961f809a3d6",
     },
     "monitored": {
         "counters": "369cf7ed4ea49d10d01eeaf9567864574825ffdaf6523060e8c60ea086bd210b",
-        "events": "bb4cf84800fc3329e627f555c24780106c3a35e0fc18de06b68c2587dd9964b7",
+        "events": "6a9c6fe5ce906703718a48adee8bc573fc83ba93dd63d96169562ce9b6513bdc",
         "fault_stats": "8dd72ed0c1b482a94ec6f2c4d7715b6599c83d421f4b860487b14b5357c375a5",
-        "results": "dd711482b122a2574d5869cabe8d7d725a3768a760ff2e5985bf6945980052e6",
-        "spans": "2a4624ff6ba25e3a48031eafe0ea0cc8864a5c99be39061de46b39d674a63a2c",
+        "results": "52635c122f8089033fd3e89ebbc5a55de550b0610b3ad2edac8c7c17926c2cbb",
+        "spans": "ea5f6813f7ea84946be6faa3de766c1d0976b1c5403291801284af3a3bf897fd",
     },
     "distributed": {
         "counters": "1f2db8b07d7e01b2be21faf8064fd865fe11a05b4e9740b2ed7bf6853d6f1660",
-        "events": "9be6e400ef88e8b4e64d694b2e119762b75b0817c7054744ffc6f89207ee837f",
+        "events": "2facc3a6e384147dee517246fe822bf0ac242fa3fa79a58c2d100fa827450245",
         "fault_stats": "1562242035724e19ee571b7671c75c93227de289d266b59e7dd435c81fb456cd",
         "results": "5aeacf30a0a8aff7d8dbf936012bb51c43efbf3144f45763aa956d54e674de6c",
-        "spans": "e67770f9a01fa2fbe1a35132bb473e2ddb2a0264dda324ac18f29ca20673abe5",
+        "spans": "f847d3df3512c0fc06f26934120f5e4fe36c3364560b6d6db2a465a0bb472341",
     },
 }
 

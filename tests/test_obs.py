@@ -349,22 +349,37 @@ class TestInstrumentedPipeline:
     """The instrumented call sites emit the expected spans/counters."""
 
     def test_compute_plan_emits_phase_spans(self, small_service, small_binding, ample_snapshot):
-        from repro.core import BasicPlanner
+        """Phase 2's one span is the coordinator's ``phase2_plan``: pricing
+        a QRG and planning on it open no span of their own."""
+        from repro.core import BasicPlanner, RandomPlanner, TradeoffPlanner
         from repro.core.qrg import build_qrg
+        from repro.des.engine import Environment
+        from repro.des.rng import RandomStreams
+        from repro.sim.environment import GridEnvironment
 
         tracer = Tracer()
         with tracing(tracer):
             qrg = build_qrg(small_service, small_binding, ample_snapshot)
-            plan = BasicPlanner().plan(qrg)
-        assert plan is not None
-        names = tracer.names()
-        assert "qrg_build" in names
-        assert "dijkstra" in names
-        assert "plan" in names
-        qrg_record = next(r for r in tracer.records if r.name == "qrg_build")
-        assert qrg_record.attributes["nodes"] > 0
-        dijkstra_record = next(r for r in tracer.records if r.name == "dijkstra")
-        assert dijkstra_record.attributes["settled"] > 0
+            plans = [
+                planner.plan(qrg)
+                for planner in (BasicPlanner(), RandomPlanner(), TradeoffPlanner())
+            ]
+        assert None not in plans
+        assert tracer.records == []
+
+        grid = GridEnvironment(Environment(), RandomStreams(7))
+        with tracing(tracer):
+            result = grid.coordinator.establish(
+                "s1", "S2", grid.binding_for("S2", "D1"), BasicPlanner(),
+                component_hosts=grid.component_hosts_for("S2", "D1"),
+            )
+        assert result.success
+        assert [(r.name, r.depth) for r in tracer.records] == [
+            ("phase1_availability", 1),
+            ("phase2_plan", 1),
+            ("phase3_dispatch", 1),
+            ("establish", 0),
+        ]
 
     def test_broker_counters(self):
         from repro.brokers import LocalResourceBroker
@@ -418,13 +433,14 @@ class TestSimulationIntegration:
         assert document["schema_version"] == TRACE_SCHEMA_VERSION
         assert document["meta"]["algorithm"] == "tradeoff"
         totals = document["span_totals"]
-        for phase in ("qrg_build", "dijkstra", "establish", "plan",
-                      "phase1_availability", "phase2_plan", "phase3_dispatch"):
-            assert phase in totals, f"missing span totals for {phase}"
+        assert sorted(totals) == [
+            "establish", "phase1_availability", "phase2_plan", "phase3_dispatch", "teardown",
+        ]
+        for phase in totals:
             assert totals[phase]["count"] > 0
             assert totals[phase]["total_seconds"] > 0.0
-        # every establish drove exactly one QRG build + plan
-        assert totals["establish"]["count"] == totals["qrg_build"]["count"]
+        # every establish drove exactly one pricing + plan
+        assert totals["establish"]["count"] == totals["phase2_plan"]["count"]
         assert totals["establish"]["count"] == result.metrics.attempts
 
     def test_trace_json_has_broker_counters(self, traced_run):

@@ -100,7 +100,7 @@ class TestCriticalPath:
     def test_real_trace_breakdown(self, sim_trace, capsys):
         assert main(["critical-path", sim_trace, "--limit", "3"]) == 0
         out = capsys.readouterr().out
-        assert "qrg_build" in out and "phase3_dispatch" in out
+        assert "phase2_plan" in out and "phase3_dispatch" in out
 
 
 class TestTop:

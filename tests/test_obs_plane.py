@@ -38,12 +38,19 @@ SCRIPT_ARRIVALS = 600
 #: ``query`` digest was taken on the tree before the WebSocket event
 #: plane was deleted, with the plane's two ``event_log`` keys
 #: (``subscribers``, ``fanned_out``) removed from that tree's document.
+#: ``events``, ``spans``, ``flight_seqs``, ``query`` and
+#: ``PINNED_EVENTS`` were then re-derived from the records of the tree
+#: before phases 2 and 3 stopped recording the ``qrg_build`` / ``plan`` /
+#: ``dijkstra`` / ``plan_assemble`` spans and the
+#: ``proxy.segment_applied`` / ``proxy.segment_rejected`` /
+#: ``lease.reserved`` events: those records removed (the span ring read
+#: unbounded, then its newest 4,096 rows kept), seq and index renumbered.
 PINNED = {
-    "events": "914f6fd5639a4102d84121b074d15f1cc9de3c0d85074b21094476726fca5728",
-    "spans": "deba1a25af37998e1514f99e7dba21f337e4aa6417f743386063c631b0af343a",
-    "flight_seqs": "03dcadbf127c15307c80a729a2607b927103c1c73f6baf15ada8a7fb26ba8396",
+    "events": "9924685e28b306d73679ce3d0663609bf73287f55ee7291738b4e51483f2bc47",
+    "spans": "e3433cc4fc0431b90937f9f33a9603b6a1273326f83522cc40af18a093cd1250",
+    "flight_seqs": "cc85bc08132fb239c7890364dbaf2521377cbf2d6e48e58657bba57efb0b99d6",
     "registry": "d36d71e177d510975367fb8bd92c729c0188ec7e6e06e9f8ad78e05cd8199e50",
-    "query": "ccfa2aba0e4706d7dd964398b343620d66652611d742efdcc2d3de57b033a366",
+    "query": "b3ceec5354b3806e737dbe46ebd4d0bd5b3f03300d7d0e812c40191e0fc74520",
     "metrics_series": "6c139c31ef5eb6158e4844386a54721ed723691796e37f4ffa05de92f33e44fa",
 }
 #: Responses per route and status: the script's decisions are pinned
@@ -58,7 +65,7 @@ PINNED_STATUSES = {
     "/v1/commit 200": 1,
     "/v1/abort 200": 1,
 }
-PINNED_EVENTS = 9059
+PINNED_EVENTS = 7690
 
 
 def _digest(value) -> str:
