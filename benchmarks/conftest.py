@@ -5,47 +5,20 @@ horizons, fewer sweep points) so the whole suite completes in a couple
 of minutes; the full-scale reproduction is ``repro-reproduce`` (see
 EXPERIMENTS.md).  Every benchmark stores the artifact's headline numbers
 in ``benchmark.extra_info`` so the saved benchmark JSON doubles as a
-record of the reproduced shapes.
-
-On top of extra_info, benchmarks persist a *telemetry ledger*: one
-``BENCH_<name>.json`` per benchmark (see :func:`write_bench_ledger`)
-with the headline numbers, an optional observability summary, the git
-sha of the run, and a runner fingerprint (hashed hostname + CPU count +
-python version) that ``repro-obs diff`` keys timing comparisons on --
-timings measured on different machines are excluded from the gate
-instead of tripping it.  Committed baselines live in
-``benchmarks/baselines/``; CI diffs a fresh run against them with
-``repro-obs diff --gate`` (see docs/observability.md for the workflow
-and the tolerance policy).
+record of the reproduced shapes.  What a seeded run reproduces exactly
+(session, event and cache-hit counts) a benchmark asserts as a literal;
+a wall-clock reading is held only to the bound its claim states.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
-import math
-import os
-import platform
-import socket
-import subprocess
-from pathlib import Path
-from typing import Mapping, Optional, Union
-
 import pytest
 
-from repro.obs import ObservationSummary, analyze
 from repro.sim import SimulationConfig, WorkloadSpec, run_simulation
 
 #: Reduced-scale defaults shared by the artifact benchmarks.
 BENCH_HORIZON = 600.0
 BENCH_SEED = 7
-
-#: Ledger schema tag; bump on breaking layout changes so ``repro-obs
-#: diff`` never silently compares incompatible documents.
-LEDGER_SCHEMA = "bench-ledger/1"
-
-#: Where fresh ledgers land; override for CI workspaces.
-LEDGER_DIR_ENV = "REPRO_BENCH_LEDGER_DIR"
 
 
 def bench_config(algorithm: str = "basic", rate: float = 180.0, **kw) -> SimulationConfig:
@@ -60,129 +33,6 @@ def run_all_algorithms(rate: float, horizon: float = BENCH_HORIZON, **kw):
         algorithm: run_simulation(bench_config(algorithm, rate, horizon=horizon, **kw))
         for algorithm in ("random", "basic", "tradeoff")
     }
-
-
-# -- telemetry ledger ----------------------------------------------------------
-
-
-def git_sha() -> str:
-    """The repository's current commit sha ("unknown" outside git)."""
-    try:
-        out = subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            capture_output=True,
-            text=True,
-            timeout=10,
-            cwd=Path(__file__).parent,
-        )
-    except OSError:
-        return "unknown"
-    return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else "unknown"
-
-
-def runner_fingerprint() -> dict:
-    """Identify the machine a ledger's timings were measured on.
-
-    ``repro-obs diff --gate`` only holds timing leaves to the tolerance
-    band when both documents carry the same ``fingerprint``; numbers
-    measured on different hardware are never gated against each other.
-    All values are strings so the fingerprint itself stays outside the
-    numeric diff.
-    """
-    try:
-        hostname = socket.gethostname()
-    except OSError:
-        hostname = "unknown"
-    host_hash = hashlib.sha256(hostname.encode("utf-8", "replace")).hexdigest()[:12]
-    cpus = os.cpu_count() or 0
-    version = platform.python_version()
-    return {
-        "fingerprint": f"{host_hash}-{cpus}c-py{version}",
-        "hostname_hash": host_hash,
-        "cpus": str(cpus),
-        "python": version,
-    }
-
-
-def _nulled_non_finite(value):
-    """``value`` with every non-finite float replaced by ``None``.
-
-    ``json.dumps`` serializes inf/-inf/NaN as the non-standard
-    ``Infinity``/``-Infinity``/``NaN`` tokens, which strict JSON parsers
-    (and the ledger diff gate) reject.  Ledgers null them instead: a
-    missing number diffs as a structural change, an ``Infinity`` token
-    breaks loading entirely.
-    """
-    if isinstance(value, float):
-        return value if math.isfinite(value) else None
-    if isinstance(value, dict):
-        return {key: _nulled_non_finite(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_nulled_non_finite(item) for item in value]
-    return value
-
-
-def write_bench_ledger(
-    name: str,
-    headline: Mapping[str, object],
-    obs: Optional[Union[ObservationSummary, Mapping[str, object]]] = None,
-    *,
-    environment: Optional[Mapping[str, str]] = None,
-) -> Path:
-    """Write ``BENCH_<name>.json`` and return its path.
-
-    ``headline`` carries the benchmark's reproducible numbers (counts,
-    speedups, exponents); ``obs`` optionally attaches a detached
-    :class:`~repro.obs.ObservationSummary` (or an equivalent dict) so
-    the ledger records *what the run did*, not just how fast.
-    ``environment`` records runner-dependent facts (CPU counts,
-    effective worker counts) as *strings* so they document the run
-    without entering the numeric diff.  Ledgers
-    land in ``$REPRO_BENCH_LEDGER_DIR`` (default ``benchmarks/ledger/``,
-    which is gitignored); promoting one to a committed baseline means
-    copying it into ``benchmarks/baselines/`` (merging
-    ``timing_baselines`` entries from other runners instead of
-    overwriting them, so the committed document accumulates one timing
-    baseline per runner fingerprint and ``repro-obs diff --gate`` can
-    hard-compare wall clocks on each of them).
-    """
-    document: dict = {
-        "schema": LEDGER_SCHEMA,
-        "name": name,
-        "git_sha": git_sha(),
-        "runner": runner_fingerprint(),
-        "headline": dict(headline),
-    }
-    if environment:
-        document["environment"] = {k: str(v) for k, v in environment.items()}
-    if isinstance(obs, ObservationSummary):
-        document["obs"] = {
-            "span_totals": {k: dict(v) for k, v in obs.span_totals.items()},
-            "metrics": obs.metrics,
-            "event_counts": dict(obs.event_counts),
-        }
-    elif obs is not None:
-        document["obs"] = dict(obs)
-    # Non-finite values are nulled *before* the timing-baseline
-    # extraction so baselines and the document body stay consistent,
-    # and ``allow_nan=False`` enforces that none slipped through.
-    document = _nulled_non_finite(document)
-    timing = {
-        path: value
-        for path, value in analyze.comparable_view(document).items()
-        if analyze.is_timing_path(path)
-    }
-    if timing:
-        document["timing_baselines"] = {
-            document["runner"]["fingerprint"]: timing
-        }
-    target_dir = Path(os.environ.get(LEDGER_DIR_ENV, Path(__file__).parent / "ledger"))
-    target_dir.mkdir(parents=True, exist_ok=True)
-    target = target_dir / f"BENCH_{name}.json"
-    target.write_text(
-        json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    )
-    return target
 
 
 def pytest_collection_modifyitems(items) -> None:

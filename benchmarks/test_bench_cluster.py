@@ -11,10 +11,9 @@ the same seeded open-loop workload through the router in both shapes:
   availability snapshot and commits two-phase across the involved
   shards, so this measures the full cross-shard protocol.
 
-The committed ``BENCH_cluster_scale`` ledger records both shapes'
-throughput and latency percentiles (timing-keyed, gated per runner
-fingerprint) plus the deterministic session count (structural).  The
-wall ratio documents the 2PC overhead; it is not gated structurally.
+Both shapes' throughput and latency percentiles are recorded; the
+seeded session count is asserted exactly.  The wall ratio documents
+the 2PC overhead; nothing holds it to a bound.
 """
 
 import asyncio
@@ -24,7 +23,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-from conftest import write_bench_ledger
 from repro.cluster import ClusterConfig, ClusterDaemon
 from repro.service.loadgen import LoadGenConfig, run_load
 from repro.sim.workload import WorkloadSpec
@@ -102,8 +100,9 @@ def test_bench_cluster_scale(benchmark):
     assert one.admitted + one.rejected == one.sessions
     assert three.admitted + three.rejected == three.sessions
     assert one.throughput > 0 and three.throughput > 0
+    assert one.sessions == 118
 
-    headline = {
+    benchmark.extra_info.update({
         "sessions": one.sessions,
         "one_shard_wall_seconds": one.wall_seconds,
         "one_shard_throughput_per_wall_second": one.throughput,
@@ -116,15 +115,10 @@ def test_bench_cluster_scale(benchmark):
         "cross_shard_overhead_wall_ratio": (
             three.wall_seconds / one.wall_seconds if one.wall_seconds else 0.0
         ),
-    }
-    environment = {
-        "one_shard_admitted": str(one.admitted),
-        "one_shard_rejected": str(one.rejected),
-        "three_shard_admitted": str(three.admitted),
-        "three_shard_rejected": str(three.rejected),
-        "one_shard_connection_reuses": str(one.connection_reuses),
-        "three_shard_connection_reuses": str(three.connection_reuses),
-    }
-    benchmark.extra_info.update(headline)
-    benchmark.extra_info.update(environment)
-    write_bench_ledger("cluster_scale", headline, environment=environment)
+        "one_shard_admitted": one.admitted,
+        "one_shard_rejected": one.rejected,
+        "three_shard_admitted": three.admitted,
+        "three_shard_rejected": three.rejected,
+        "one_shard_connection_reuses": one.connection_reuses,
+        "three_shard_connection_reuses": three.connection_reuses,
+    })

@@ -4,15 +4,16 @@ Two claims are measured:
 
 * the fault machinery is free when unused -- a zero-fault run through
   :class:`~repro.faults.FaultTolerantCoordinator` produces *identical*
-  metrics to the plain coordinator (asserted) at comparable wall time
-  (recorded; the structural gate ignores timing leaves);
+  metrics to the plain coordinator (asserted);
 * under a heavy composite fault level (f=0.15: drops + crashes + stale
   reports) the protocol degrades gracefully rather than collapsing --
   success stays above half the fault-free rate, every injected fault is
   accounted, and no capacity leaks (asserted inside the run itself).
+
+Every count of the seeded runs is asserted exactly as well.
 """
 
-from conftest import bench_config, write_bench_ledger
+from conftest import bench_config
 from repro.faults import FaultConfig
 from repro.sim import run_simulation
 
@@ -45,21 +46,11 @@ def test_bench_fault_tolerance(benchmark):
     survival = faulty.success_rate / plain.success_rate
     benchmark.extra_info["injected"] = injected
     benchmark.extra_info["survival"] = survival
-    write_bench_ledger(
-        "fault_tolerance",
-        {
-            "attempts": faulty.metrics.attempts,
-            "plain_successes": plain.metrics.successes,
-            "zero_fault_successes": zero.metrics.successes,
-            "faulty_successes": faulty.metrics.successes,
-            "injected_faults": injected,
-            "orphans_reaped": faulty.fault_stats.get("orphans_reaped", 0),
-            "survival_ratio": survival,
-            "plain_wall_seconds": plain.wall_seconds,
-            "zero_fault_wall_seconds": zero.wall_seconds,
-            "faulty_wall_seconds": faulty.wall_seconds,
-        },
-    )
+    assert faulty.metrics.attempts == 1209
+    assert (plain.metrics.successes, zero.metrics.successes) == (1014, 1014)
+    assert faulty.metrics.successes == 845
+    assert injected == 2909
+    assert faulty.fault_stats.get("orphans_reaped", 0) == 75
     assert injected > 0
     assert survival >= 0.5, (
         f"success collapsed under f={FAULT_LEVEL}: "

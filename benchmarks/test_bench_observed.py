@@ -1,19 +1,20 @@
-"""Observed-run benchmark: overhead claim + the gate's anchor ledger.
+"""Observed-run benchmark: overhead claim + what the observed run recorded.
 
 Two purposes:
 
 * measure the cost of full observability (tracing + metrics + the causal
   event log) against a dark run of the identical workload -- the
   "effectively free when off, cheap when on" claim;
-* write the ``BENCH_observed_run.json`` ledger whose *structural*
-  numbers (admitted/rejected counts, event counts, span counts) are
-  deterministic for a fixed seed, giving the CI regression gate exact
-  leaves to compare rather than only machine-dependent timings.
+* pin what the observed run recorded: its admitted/rejected counts,
+  event counts, span counts and the non-timing metric leaves are
+  deterministic for a fixed seed, so each is asserted exactly.
 """
 
+import hashlib
+import json
 import time
 
-from conftest import bench_config, write_bench_ledger
+from conftest import bench_config
 from repro.obs import ObservationSession
 from repro.sim import run_simulation
 
@@ -21,9 +22,42 @@ from repro.sim import run_simulation
 OBSERVED_RATE = 180.0
 OBSERVED_HORIZON = 300.0
 
+#: What the seeded observed run records, exactly.
+PINNED_EVENT_COUNTS = {
+    "broker.grant": 4338,
+    "broker.probe": 3704,
+    "broker.release": 4338,
+    "planner.tradeoff_backoff": 181,
+    "session.admitted": 723,
+    "session.degraded": 183,
+    "session.planned": 723,
+    "session.rejected": 203,
+}
+PINNED_SPAN_COUNTS = {
+    "establish": 926,
+    "phase1_availability": 926,
+    "phase2_plan": 926,
+    "phase3_dispatch": 723,
+    "teardown": 723,
+}
+#: sha256 of the run's non-timing metric leaves (every counter and
+#: gauge, and the ``session.psi`` histogram), see :func:`_metrics_digest`.
+PINNED_METRICS_DIGEST = "5d557062cab3fc876c71454579d3685487136fcde5bd55da994d98924fc8c8bc"
+
 
 def _config():
     return bench_config("tradeoff", OBSERVED_RATE, horizon=OBSERVED_HORIZON)
+
+
+def _metrics_digest(metrics: dict) -> str:
+    """sha256 of a registry snapshot minus its wall-clock histogram."""
+    leaves = {
+        "counters": metrics["counters"],
+        "gauges": metrics["gauges"],
+        "session.psi": metrics["histograms"]["session.psi"],
+    }
+    text = json.dumps(leaves, sort_keys=True)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def test_bench_observed_run(benchmark):
@@ -51,18 +85,12 @@ def test_bench_observed_run(benchmark):
     benchmark.extra_info["observed_seconds"] = observed_seconds
     benchmark.extra_info["overhead"] = overhead
 
-    write_bench_ledger(
-        "observed_run",
-        {
-            "dark_seconds": dark_seconds,
-            "observed_seconds": observed_seconds,
-            "attempts": observed.metrics.attempts,
-            "successes": observed.metrics.successes,
-            "success_rate": observed.metrics.success_rate,
-            "avg_qos_level": observed.metrics.avg_qos_level,
-        },
-        obs=summary,
-    )
+    assert (observed.metrics.attempts, observed.metrics.successes) == (926, 723)
+    assert dict(summary.event_counts) == PINNED_EVENT_COUNTS
+    assert {
+        name: totals["count"] for name, totals in summary.span_totals.items()
+    } == PINNED_SPAN_COUNTS
+    assert _metrics_digest(summary.metrics) == PINNED_METRICS_DIGEST
     # Generous bound: the observed run does strictly more work (spans,
     # counters, one event per admission decision); anything past 2x
     # would mean the instrumentation left the hot path's no-op pattern.

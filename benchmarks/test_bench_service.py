@@ -4,19 +4,16 @@ Boots a :class:`~repro.service.daemon.ReservationDaemon` on an ephemeral
 port and replays a seeded §5.1 workload against it with the open-loop
 generator -- every arrival is its own concurrent HTTP client, so the
 run's peak in-flight count is well past the 16-concurrent-client floor
-the acceptance criteria pin.  The committed ``BENCH_service_load``
-ledger records throughput and admission-latency percentiles (timing-
-keyed, gated per runner fingerprint) plus the deterministic session
-count (structural).
+the acceptance criteria pin.  Throughput and admission-latency
+percentiles are recorded; the seeded session count is asserted exactly.
 
 Admission/rejection tallies depend on completion interleaving (a torn-
-down session frees capacity for whoever arrives next), so they document
-the run as environment strings instead of entering the numeric diff.
+down session frees capacity for whoever arrives next), so they are
+recorded, never pinned.
 """
 
 import asyncio
 
-from conftest import write_bench_ledger
 from repro.service import DaemonConfig, ReservationDaemon
 from repro.service.loadgen import LoadGenConfig, run_load
 from repro.sim.workload import WorkloadSpec
@@ -55,10 +52,5 @@ def test_bench_service_load(benchmark):
     assert report.torn_down == report.admitted
     assert report.throughput > 0
 
-    benchmark.extra_info.update(report.headline())
-    benchmark.extra_info.update(report.environment())
-    write_bench_ledger(
-        "service_load",
-        report.headline(),
-        environment=report.environment(),
-    )
+    assert report.sessions == 188
+    benchmark.extra_info.update(report.to_dict())

@@ -4,19 +4,19 @@ Two claims are measured:
 
 * a ``rate_sweep`` (3 algorithms x 4 rates) on a 4-process pool beats
   the in-process run on wall time while producing byte-identical
-  metrics -- the speedup assertion (>= 2x on 4 workers) only fires on
-  hosts with at least 4 CPUs, but the identity assertion always runs;
+  metrics -- the pool must beat serial (> 1x) whenever it gets at least
+  2 workers and reach >= 2x on hosts with at least 4 CPUs, but the
+  identity assertion always runs;
 * a warm :class:`~repro.core.qrg.QRGSkeletonCache` makes QRG
   construction >= 3x faster than the cold (skeleton-rebuilding) path,
   since only per-snapshot feasibility filtering + psi pricing remain.
 """
 
-import os
 import time
 
 import numpy as np
 
-from conftest import BENCH_SEED, write_bench_ledger
+from conftest import BENCH_SEED
 from repro.core.qrg import QRGSkeletonCache, build_qrg
 from repro.core.synthetic import random_availability, synthetic_chain
 from repro.sim import SimulationConfig, WorkloadSpec, effective_workers, rate_sweep
@@ -65,27 +65,10 @@ def test_bench_parallel_rate_sweep(benchmark):
     benchmark.extra_info["workers"] = SWEEP_WORKERS
     benchmark.extra_info["effective_workers"] = pool_size
     benchmark.extra_info["cpus"] = AVAILABLE_CPUS
-    write_bench_ledger(
-        "parallel_rate_sweep",
-        {
-            "serial_seconds": serial_seconds,
-            "parallel_seconds": parallel_seconds,
-            "speedup": speedup,
-            "workers": SWEEP_WORKERS,
-            "sweep_points": sweep_points,
-            "successes": sum(
-                res.metrics.successes
-                for results in parallel.values()
-                for res in results
-            ),
-        },
-        # Strings on purpose: runner-dependent facts stay out of the
-        # numeric diff (cpus/effective workers differ across machines).
-        environment={
-            "cpus": str(AVAILABLE_CPUS),
-            "effective_workers": str(pool_size),
-        },
-    )
+    assert sweep_points == 12
+    assert sum(
+        res.metrics.successes for results in parallel.values() for res in results
+    ) == 8558
     # Universal floor: clamping workers to schedulable CPUs means the
     # pool must never lose badly to in-process again (the
     # regression this guards against showed 0.68x on oversubscribed
@@ -95,6 +78,12 @@ def test_bench_parallel_rate_sweep(benchmark):
         f"({parallel_seconds:.2f}s vs {serial_seconds:.2f}s with "
         f"{pool_size} workers on {AVAILABLE_CPUS} CPUs)"
     )
+    if pool_size >= 2:
+        assert speedup > 1.0, (
+            f"{pool_size}-worker sweep did not beat serial: {speedup:.2f}x "
+            f"({parallel_seconds:.2f}s vs {serial_seconds:.2f}s on "
+            f"{AVAILABLE_CPUS} CPUs)"
+        )
     if ENOUGH_CPUS:
         assert speedup >= 2.0, (
             f"parallel sweep only {speedup:.2f}x faster than serial "
@@ -130,16 +119,7 @@ def test_bench_qrg_skeleton_cache(benchmark):
     benchmark.extra_info["warm_seconds"] = warm_seconds
     benchmark.extra_info["speedup"] = speedup
     benchmark.extra_info["cache_stats"] = cache.stats()
-    write_bench_ledger(
-        "qrg_skeleton_cache",
-        {
-            "cold_seconds": cold_seconds,
-            "warm_seconds": warm_seconds,
-            "speedup": speedup,
-            "snapshots": len(snapshots),
-            **{f"cache_{key}": value for key, value in cache.stats().items()},
-        },
-    )
+    assert cache.stats() == {"hits": 20, "misses": 1, "size": 1}
     assert cache.stats()["misses"] == 1
     assert speedup >= 3.0, (
         f"warm QRG build only {speedup:.2f}x faster than cold "

@@ -46,7 +46,7 @@ def finite_speedup(cold: float, warm: float) -> Optional[float]:
 
     A zero (timer-granularity) or negative warm time must not turn into
     an infinite speedup: ``float("inf")`` serializes as the non-standard
-    ``Infinity`` token in JSON artifacts/ledgers downstream, which
+    ``Infinity`` token in JSON artifacts downstream, which
     strict parsers reject.
     """
     if warm <= 0:

@@ -13,10 +13,8 @@ Loads the JSON trace documents written by :func:`repro.obs.export
 * :func:`top_bottlenecks` -- the top-K contended resources, scored from
   how often each was a plan's psi bottleneck, lost a phase-3 admission
   race, or rejected a broker request;
-* :func:`diff_documents` / :func:`gate_documents` -- numeric deltas
-  between two documents (trace or benchmark-ledger JSON) and the gate
-  over them, the engine behind ``repro-obs diff`` and the CI benchmark
-  regression gate;
+* :func:`diff_documents` -- numeric deltas between two JSON documents
+  (traces or any other object), the engine behind ``repro-obs diff``;
 * :func:`stitch_traces` -- merge a *client-side* trace document (from
   the load generator or any traced ``ServiceClient`` caller) with a
   *daemon-side* one (a flight-recorder dump, or the daemon's exported
@@ -44,7 +42,6 @@ __all__ = [
     "BrokerTimeline",
     "DiffEntry",
     "FaultSummary",
-    "Gate",
     "RequestTimeline",
     "SessionBreakdown",
     "StitchReport",
@@ -55,9 +52,6 @@ __all__ = [
     "critical_path",
     "diff_documents",
     "fault_summary",
-    "gate_diff",
-    "gate_documents",
-    "is_timing_path",
     "load_trace",
     "stitch_traces",
     "top_bottlenecks",
@@ -67,7 +61,7 @@ PathLike = Union[str, Path]
 
 
 class TraceFormatError(ValueError):
-    """The document is not a loadable trace/ledger JSON."""
+    """The document is not a loadable trace JSON."""
 
 
 @dataclass
@@ -695,15 +689,6 @@ class DiffEntry:
             return None
         return self.new - self.base
 
-    @property
-    def relative(self) -> Optional[float]:
-        """Relative change against the base (None when not computable)."""
-        if self.base is None or self.new is None:
-            return None
-        if self.base == 0.0:
-            return None if self.new == 0.0 else math.inf
-        return (self.new - self.base) / abs(self.base)
-
 
 def _flatten_numeric(payload: object, prefix: str, out: Dict[str, float]) -> None:
     """Collect numeric leaves of nested dicts under dotted paths.
@@ -725,23 +710,16 @@ def comparable_view(payload: dict) -> Dict[str, float]:
     """The numeric leaves of a document that are worth diffing.
 
     Trace documents compare their span totals, metrics and event counts
-    (never the raw span/event arrays); benchmark ledgers and any other
-    JSON object compare every numeric leaf.
+    (never the raw span/event arrays); any other JSON object compares
+    every numeric leaf.
     """
+    view: Dict[str, float] = {}
     if "schema_version" in payload:
-        view: Dict[str, float] = {}
         for section in ("span_totals", "metrics", "event_counts", "meta"):
             if section in payload:
                 _flatten_numeric(payload[section], section, view)
         return view
-    view = {}
-    for key, value in payload.items():
-        # Per-runner timing baselines are gate *inputs* (substituted for
-        # the headline's timing leaves when fingerprints differ), never
-        # comparable leaves themselves.
-        if key == "timing_baselines":
-            continue
-        _flatten_numeric(value, str(key), view)
+    _flatten_numeric(payload, "", view)
     return view
 
 
@@ -753,132 +731,3 @@ def diff_documents(base: dict, new: dict) -> List[DiffEntry]:
     for path in sorted(set(base_view) | set(new_view)):
         entries.append(DiffEntry(path, base_view.get(path), new_view.get(path)))
     return entries
-
-
-#: Path fragments treated as wall-clock measurements by :func:`gate_diff`:
-#: machine-dependent, so they gate with their own runner-keyed tolerance
-#: (``timing_tolerance``) or are excluded entirely (``ignore_timing``).
-#: ``speedup`` counts as timing -- a wall-clock ratio is exactly as
-#: hardware-dependent as the wall clocks it divides.
-TIMING_FRAGMENTS = ("seconds", "wall", "_us", "_ms", "speedup")
-
-
-def is_timing_path(path: str) -> bool:
-    """True when a diff path is a wall-clock (machine-dependent) leaf."""
-    lowered = path.lower()
-    return any(fragment in lowered for fragment in TIMING_FRAGMENTS)
-
-
-def gate_diff(
-    entries: Sequence[DiffEntry],
-    *,
-    tolerance: float = 0.25,
-    ignore_timing: bool = False,
-    timing_tolerance: Optional[float] = None,
-) -> List[DiffEntry]:
-    """The entries whose relative change falls outside the tolerance band.
-
-    ``tolerance`` is a symmetric relative band (0.25 = +-25% of the
-    baseline value).  Leaves present on only one side always gate (a
-    metric appeared or vanished).  Timing leaves (paths containing a
-    :data:`TIMING_FRAGMENTS` fragment) are machine-dependent:
-    ``timing_tolerance`` gives them their own, typically wider, band --
-    the hard-fail flavour used when both documents were measured on the
-    same runner fingerprint -- while ``ignore_timing`` skips them
-    entirely so the gate stays deterministic across machines.
-    """
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance!r}")
-    if timing_tolerance is not None and timing_tolerance < 0:
-        raise ValueError(f"timing_tolerance must be >= 0, got {timing_tolerance!r}")
-    regressions: List[DiffEntry] = []
-    for entry in entries:
-        timing = is_timing_path(entry.path)
-        if ignore_timing and timing:
-            continue
-        band = (
-            timing_tolerance if (timing and timing_tolerance is not None) else tolerance
-        )
-        if entry.base is None or entry.new is None:
-            regressions.append(entry)
-            continue
-        relative = entry.relative
-        if relative is None:
-            continue  # both zero
-        if relative is math.inf or abs(relative) > band:
-            regressions.append(entry)
-    return regressions
-
-
-@dataclass(frozen=True)
-class Gate:
-    """What :func:`gate_documents` held two documents' leaves to."""
-
-    #: The entries the gate compared, timing leaves re-based on a
-    #: recorded runner baseline where one applied.
-    gated: List[DiffEntry]
-    #: The gated entries outside their tolerance band.
-    regressions: List[DiffEntry]
-    #: Why timing leaves were re-based or dropped (None when neither).
-    note: Optional[str] = None
-
-
-def _runner_fingerprint(document: dict) -> Optional[str]:
-    """A ledger's runner fingerprint (None for traces and older ledgers)."""
-    runner = document.get("runner")
-    fingerprint = runner.get("fingerprint") if isinstance(runner, dict) else None
-    return str(fingerprint) if fingerprint else None
-
-
-def gate_documents(
-    base: dict, new: dict, entries: Sequence[DiffEntry], *,
-    tolerance: float = 0.25, timing_tolerance: float = 0.5, ignore_timing: bool = False,
-) -> Gate:
-    """Gate ``entries`` (leaves of ``diff_documents(base, new)``), keying
-    timing comparisons on the documents' runner fingerprints.
-
-    Same fingerprint, or none on either side (traces, pre-fingerprint
-    ledgers): timing leaves gate at ``timing_tolerance``.  Different
-    fingerprints: wall clocks from different machines are never compared.
-    If the baseline records a timing baseline for the new runner
-    (``timing_baselines[fingerprint]``), timing leaves it names gate
-    against that value and the others drop out; without one, every
-    timing leaf drops out.  ``ignore_timing`` drops them regardless.
-    """
-    gated = list(entries)
-    note = None
-    base_runner = _runner_fingerprint(base)
-    new_runner = _runner_fingerprint(new)
-    if not ignore_timing and (base_runner or new_runner) and base_runner != new_runner:
-        baselines = base.get("timing_baselines")
-        recorded = (
-            baselines.get(new_runner) if new_runner and isinstance(baselines, dict) else None
-        )
-        if isinstance(recorded, dict):
-            gated = [
-                DiffEntry(entry.path, float(recorded[entry.path]), entry.new)
-                if is_timing_path(entry.path)
-                else entry
-                for entry in entries
-                if not is_timing_path(entry.path) or entry.path in recorded
-            ]
-            substituted = sum(1 for entry in gated if is_timing_path(entry.path))
-            note = (
-                "gate: runner fingerprints differ; "
-                f"{substituted} timing leaves gated against the baseline "
-                f"recorded for {new_runner}"
-            )
-        else:
-            ignore_timing = True
-            note = (
-                "gate: runner fingerprints differ "
-                f"({base_runner or 'unrecorded'} vs {new_runner or 'unrecorded'}) "
-                "and the baseline records no timing baseline for "
-                f"{new_runner or 'this runner'}; "
-                "timing leaves excluded from the gate"
-            )
-    regressions = gate_diff(
-        gated, tolerance=tolerance, ignore_timing=ignore_timing,
-        timing_tolerance=None if ignore_timing else timing_tolerance,
-    )
-    return Gate(gated, regressions, note)

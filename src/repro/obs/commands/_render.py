@@ -13,7 +13,7 @@ from repro.obs import analyze
 
 
 def load_document(path: str) -> dict:
-    """Any JSON object document (trace or ledger); exits with
+    """Any JSON object document, trace or not; exits with
     ``repro-obs: ...`` on a missing file, bad JSON or another JSON value."""
     try:
         payload = json.loads(Path(path).read_text())
@@ -59,5 +59,4 @@ def _at_least(convert, low, *, strict=False):
 
 row_count = _at_least(int, 1)  # rows or items to show
 line_limit = _at_least(int, 0)  # lines to show, 0 for all of them
-fraction = _at_least(float, 0.0)  # a relative tolerance band
 positive = _at_least(float, 0.0, strict=True)  # a length of time, a drift threshold

@@ -116,8 +116,7 @@ class Histogram:
     practice a trace_id) kept per bucket, last write wins.  Exemplars
     live beside the distribution in :attr:`exemplars` and are exposed by
     the Prometheus renderer; :meth:`to_dict` deliberately excludes them
-    so trace documents, ledgers and the diff gate see an unchanged
-    shape.
+    so trace documents and ``repro-obs diff`` see an unchanged shape.
     """
 
     __slots__ = ("boundaries", "bucket_counts", "count", "sum", "min", "max", "exemplars")

@@ -10,8 +10,8 @@ of a single in-process driver:
 * :mod:`repro.service.server` -- the HTTP/1.1 serving shell the daemon
   and the cluster router both run in.
 * :mod:`repro.service.client` -- the asyncio reference client.
-* :mod:`repro.service.loadgen` -- open-loop WorkloadSpec replay feeding
-  the ``BENCH_service_load`` ledger.
+* :mod:`repro.service.loadgen` -- open-loop WorkloadSpec replay against
+  a live daemon.
 * :mod:`repro.service.http` -- the stdlib HTTP/1.1 codec both sides
   share.
 

@@ -8,8 +8,9 @@ either end:
 
 * one message reader behind :func:`read_request` and
   :func:`read_response`, with one set of bounds and one
-  :class:`ProtocolError` for a malformed start or header line, a bad
-  ``Content-Length``, an EOF mid-message or an unparsable target;
+  :class:`ProtocolError` for a malformed start or header line, a bad or
+  repeated ``Content-Length``, any ``Transfer-Encoding``, an EOF
+  mid-message or an unparsable target;
 * one writer per direction, :func:`request_bytes` and
   :func:`response_bytes`, and one JSON body codec,
   :func:`encode_json` and :func:`decode_json`.
@@ -107,19 +108,23 @@ async def _read_head(reader: asyncio.StreamReader, kind: str):
         if not line:
             continue
         name, sep, value = line.partition(":")
-        if not sep:
+        if not sep or name != name.strip():
             raise ProtocolError(f"malformed header line: {line!r}")
-        headers[name.strip().lower()] = value.strip()
+        name = name.lower()
+        # Framing is Content-Length, given once, or nothing: a reader
+        # that guessed would leave a body on the socket as a next request.
+        if name == "transfer-encoding" or (name == "content-length" and name in headers):
+            raise ProtocolError(f"refused framing header: {line!r}")
+        headers[name] = value.strip()
     return start, headers
 
 
 async def _read_body(reader: asyncio.StreamReader, length_text: str) -> bytes:
     """The ``Content-Length`` framed body, at most :data:`MAX_BODY_BYTES`."""
-    try:
-        length = int(length_text)
-    except ValueError as exc:
-        raise ProtocolError(f"bad Content-Length: {length_text!r}") from exc
-    if length < 0 or length > MAX_BODY_BYTES:
+    if not (length_text.isascii() and length_text.isdigit()):
+        raise ProtocolError(f"bad Content-Length: {length_text!r}")
+    length = int(length_text)
+    if length > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {length} bytes refused")
     try:
         return await reader.readexactly(length)

@@ -9,11 +9,8 @@ the daemon's queueing shows up as admission latency, exactly what a
 closed loop would hide).  Admitted sessions hold their reservation for
 a scaled duration and then tear down.
 
-The run distils into a :class:`LoadReport` whose :meth:`headline
-<LoadReport.headline>` feeds the committed ``BENCH_service_load``
-telemetry ledger: throughput and admission-latency percentiles keyed so
-the ledger diff gate treats them as runner-dependent timings, plus the
-deterministic session count as a structural leaf.
+The run distils into a :class:`LoadReport`: throughput, admission-latency
+percentiles and the admitted / rejected / error tallies.
 
 Also runnable standalone against an already-running daemon::
 
@@ -29,7 +26,7 @@ import json
 import sys
 import time as _time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 from repro.des.rng import RandomStreams
 from repro.obs import context as _context
@@ -101,8 +98,8 @@ class LoadReport:
     #: keep-alive connection (the satellite win this report evidences).
     connections_opened: int = 0
     connection_reuses: int = 0
-    #: Client-side schema-v4 trace document (tracing runs only); stays
-    #: out of :meth:`to_dict` so the telemetry ledger shape is untouched.
+    #: Client-side schema-v4 trace document (tracing runs only); written
+    #: to its own file, never into :meth:`to_dict`.
     trace_document: Optional[dict] = None
 
     @property
@@ -119,13 +116,8 @@ class LoadReport:
 
         return float(np.percentile(np.asarray(self.latencies_ms), q))
 
-    def headline(self) -> Dict[str, float]:
-        """Ledger headline: structural counts + timing-keyed latencies.
-
-        Keys carrying wall-clock facts embed a timing fragment
-        (``wall``/``_ms``/``seconds``) so ``repro-obs diff`` gates them
-        per runner fingerprint instead of structurally.
-        """
+    def to_dict(self) -> dict:
+        """The report as the JSON document the CLI prints."""
         import numpy as np
 
         return {
@@ -139,24 +131,14 @@ class LoadReport:
             "admission_latency_mean_ms": (
                 float(np.mean(self.latencies_ms)) if self.latencies_ms else 0.0
             ),
+            "admitted": self.admitted,
+            "rejected": self.rejected,
+            "errors": self.errors,
+            "torn_down": self.torn_down,
+            "peak_inflight": self.peak_inflight,
+            "connections_opened": self.connections_opened,
+            "connection_reuses": self.connection_reuses,
         }
-
-    def environment(self) -> Dict[str, str]:
-        """Run facts that document, but never gate (order-dependent)."""
-        return {
-            "admitted": str(self.admitted),
-            "rejected": str(self.rejected),
-            "errors": str(self.errors),
-            "torn_down": str(self.torn_down),
-            "peak_inflight": str(self.peak_inflight),
-            "connections_opened": str(self.connections_opened),
-            "connection_reuses": str(self.connection_reuses),
-        }
-
-    def to_dict(self) -> dict:
-        document = dict(self.headline())
-        document.update({k: int(v) for k, v in self.environment().items()})
-        return document
 
 
 class _Tracker:

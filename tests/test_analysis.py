@@ -180,3 +180,16 @@ class TestArtifactRunnersMicro:
         report = run_ablation(seed=1, quick=True)
         assert "basic/psi=ratio" in report.text
         assert "tradeoff/psi=log" in report.text
+
+
+class TestComplexitySpeedupGuard:
+    def test_zero_warm_time_yields_none_not_inf(self):
+        # The complexity experiment's cache-speedup line: a timer-
+        # granularity zero warm time must degrade to None ("n/a" in the
+        # report), never emit float("inf") into the report extras.
+        from repro.analysis.experiments import finite_speedup
+
+        assert finite_speedup(1e-6, 0.0) is None
+        assert finite_speedup(1e-6, -1.0) is None
+        assert finite_speedup(1e300, 1e-300) is None  # overflows to inf
+        assert finite_speedup(4.0, 2.0) == 2.0

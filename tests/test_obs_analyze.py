@@ -1,7 +1,6 @@
 """Trace analysis (repro.obs.analyze) and Prometheus exposition (obs.prom)."""
 
 import json
-import math
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,6 @@ from repro.obs.analyze import (
     broker_timelines,
     critical_path,
     diff_documents,
-    gate_diff,
     load_trace,
     phase_totals,
     top_bottlenecks,
@@ -116,7 +114,6 @@ class TestDiff:
         assert not any(path.startswith(("spans", "events.")) for path in entries)
         changed = entries["event_counts.broker.reject"]
         assert (changed.base, changed.new, changed.delta) == (1.0, 5.0, 4.0)
-        assert changed.relative == pytest.approx(4.0)
         unchanged = entries["span_totals.establish.count"]
         assert unchanged.delta == 0.0
 
@@ -125,67 +122,6 @@ class TestDiff:
         by_path = {e.path: e for e in entries}
         assert by_path["a"].new is None and by_path["a"].delta is None
         assert by_path["b"].base is None
-        # one-sided leaves always gate
-        assert len(gate_diff(entries, tolerance=10.0)) == 2
-
-    def test_gate_tolerance_band(self):
-        base = {"schema": "bench-ledger/1", "headline": {"x": 100.0, "y": 0.0}}
-        ok = {"schema": "bench-ledger/1", "headline": {"x": 110.0, "y": 0.0}}
-        bad = {"schema": "bench-ledger/1", "headline": {"x": 160.0, "y": 0.0}}
-        assert gate_diff(diff_documents(base, ok), tolerance=0.25) == []
-        (regression,) = gate_diff(diff_documents(base, bad), tolerance=0.25)
-        assert regression.path == "headline.x"
-        # zero -> nonzero is an infinite relative change: always gates
-        appeared = {"schema": "bench-ledger/1", "headline": {"x": 100.0, "y": 1.0}}
-        (zero_jump,) = gate_diff(diff_documents(base, appeared), tolerance=0.25)
-        assert zero_jump.path == "headline.y"
-        assert zero_jump.relative is math.inf
-        with pytest.raises(ValueError):
-            gate_diff([], tolerance=-0.1)
-
-    def test_gate_ignore_timing(self):
-        base = {"headline": {"warm_seconds": 1.0, "speedup": 4.0}}
-        new = {"headline": {"warm_seconds": 9.0, "speedup": 4.1}}
-        entries = diff_documents(base, new)
-        assert [e.path for e in gate_diff(entries, tolerance=0.25)] == [
-            "headline.warm_seconds"
-        ]
-        assert gate_diff(entries, tolerance=0.25, ignore_timing=True) == []
-
-    def test_gate_timing_tolerance_is_a_separate_band(self):
-        base = {"headline": {"warm_seconds": 1.0, "sessions": 100.0}}
-        new = {"headline": {"warm_seconds": 1.4, "sessions": 130.0}}
-        entries = diff_documents(base, new)
-        # Structural band 0.25: sessions (+30%) gates, warm_seconds
-        # (+40%) is held to the looser timing band instead.
-        flagged = gate_diff(entries, tolerance=0.25, timing_tolerance=0.5)
-        assert [e.path for e in flagged] == ["headline.sessions"]
-        # Tightening the timing band flags the wall clock too.
-        flagged = gate_diff(entries, tolerance=0.25, timing_tolerance=0.1)
-        assert [e.path for e in flagged] == [
-            "headline.sessions",
-            "headline.warm_seconds",
-        ]
-        with pytest.raises(ValueError):
-            gate_diff(entries, timing_tolerance=-0.5)
-
-    def test_speedup_is_a_timing_leaf(self):
-        from repro.obs.analyze import is_timing_path
-
-        assert is_timing_path("headline.speedup_4w")
-        assert is_timing_path("headline.parallel_seconds")
-        assert not is_timing_path("headline.sessions")
-
-    def test_comparable_view_skips_timing_baselines_and_runner(self):
-        from repro.obs.analyze import comparable_view
-
-        doc = {
-            "schema": "bench-ledger/1",
-            "runner": {"fingerprint": "aaa-8c-py3.11", "cpus": "8"},
-            "headline": {"speedup": 2.0},
-            "timing_baselines": {"aaa-8c-py3.11": {"headline.speedup": 2.0}},
-        }
-        assert comparable_view(doc) == {"headline.speedup": 2.0}
 
     def test_booleans_and_strings_are_not_leaves(self):
         entries = diff_documents(

@@ -304,11 +304,11 @@ def test_load_generator_open_loop_run():
             assert report.sessions == report.admitted + report.rejected
             assert report.torn_down == report.admitted
             assert report.peak_inflight >= 2
-            headline = report.headline()
-            assert headline["throughput_per_wall_second"] > 0
+            document = report.to_dict()
+            assert document["throughput_per_wall_second"] > 0
             assert (
-                headline["admission_latency_p50_ms"]
-                <= headline["admission_latency_p99_ms"]
+                document["admission_latency_p50_ms"]
+                <= document["admission_latency_p99_ms"]
             )
             client = ServiceClient("127.0.0.1", daemon.port)
             state = await client.query()

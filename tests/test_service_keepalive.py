@@ -8,7 +8,7 @@ the daemon may have run it before the socket died (RFC 9110 §9.2.2
 allows an automatic retry only for idempotent methods).  A draining daemon's 503 surfaces as the typed
 :class:`~repro.service.client.ServiceDrainingError` so callers can
 distinguish "try another replica" from a real error, and the load
-generator reports its connection economics in the ledger.
+generator reports its connection economics in its report.
 """
 
 import asyncio

@@ -10,7 +10,9 @@ those bytes, so a change to the codec that moves one byte fails here:
   normalised);
 * the response bytes ``repro-serve`` and a three-shard ``repro-cluster``
   router write for a fixed script of raw requests, each on its own
-  ``Connection: close`` socket and read to EOF.
+  ``Connection: close`` socket and read to EOF.  Its framing rows carry
+  a body no reader may frame by guessing: each must get one 400, and
+  neither server may admit the establish hidden in them.
 """
 
 import asyncio
@@ -72,6 +74,30 @@ def _raw(method, target, body=None):
     return head + b"Content-Length: %d\r\n\r\n%s" % (len(body), body)
 
 
+_SMUGGLED = b'{"domain": "D1", "service": "S2", "session_id": "smuggled"}'
+#: A complete establish: whoever parses it admits a session.
+_INNER = _raw(b"POST", b"/v1/establish", _SMUGGLED)
+
+
+def _framed(length_line):
+    """A ``Connection: close`` establish whose body ``length_line`` frames."""
+    return (b"POST /v1/establish HTTP/1.1\r\nConnection: close\r\n%s\r\n\r\n%s"
+            % (length_line, _SMUGGLED))
+
+
+#: Framing RFC 9112 (sections 5.1, 6.3) lets no reader guess at: each is
+#: refused with one 400 and a close, so no session is admitted and no
+#: byte is read as a second request.
+FRAMING = [
+    ("length_underscore", _framed(b"Content-Length: %d_%d" % divmod(len(_SMUGGLED), 10))),
+    ("length_plus", _framed(b"Content-Length: +%d" % len(_SMUGGLED))),
+    ("length_space_before_colon", _framed(b"Content-Length : %d" % len(_SMUGGLED))),
+    ("length_twice", b"POST /v1/nonsense HTTP/1.1\r\nContent-Length: %d\r\n"
+     b"Content-Length: 0\r\n\r\n%s" % (len(_INNER), _INNER)),
+    ("transfer_encoding", b"POST /v1/nonsense HTTP/1.1\r\n"
+     b"Transfer-Encoding: chunked\r\n\r\n" + _INNER),
+]
+
 #: (name, raw request) -- each sent on its own socket, read to EOF.
 SCRIPT = [
     ("establish", _raw(b"POST", b"/v1/establish",
@@ -87,7 +113,7 @@ SCRIPT = [
     ("events", b"GET /v1/events HTTP/1.1\r\nUpgrade: websocket\r\n"
      b"Connection: Upgrade\r\nSec-WebSocket-Key: cmVwcm8tc2VydmljZS1ldnQ=\r\n"
      b"Sec-WebSocket-Version: 13\r\n\r\n"),
-]
+] + FRAMING
 
 #: "server:row" -> sha256 of the response bytes, recorded the same way.
 #: A WebSocket upgrade of ``/v1/events`` is a request for a route neither
@@ -103,6 +129,11 @@ RESPONSE_DIGESTS = {
     "daemon:garbage": "11a8ae9e02482455c8464d049a8ae72cc23ecd1892a575131cb5f53c491ee5cb",
     "daemon:bad_length": "12ca69033b26d70e8b0673fa42757c54962e5d93cb36114d55527b257d886018",
     "daemon:events": "5f3d92d5cb55260f4eeb22639f05a4a62bd7f4fdecf0ba5de6eedf2060744b98",
+    "daemon:length_underscore": "33e89586384dc2a8b74ddf7c2e098f3fa4a3ab0a10fd26bd4c64e908eafb0a99",
+    "daemon:length_plus": "db78bce61d2f9f69d1946d975324022c68599e4f893994f654ccc567ef7dfd2e",
+    "daemon:length_space_before_colon": "65a94c98497c7c6070726770f037a9fae32f455338467e871b078f3f3e7ccf66",
+    "daemon:length_twice": "a64d0d093be2407244e70a05f383ef8ee8a9403006dba2197c299fa465f397da",
+    "daemon:transfer_encoding": "6e55ea1dcb2ee73fbf8ab5d8315bbb9737fe0a33f24601fdcca4ccecccc63f20",
     "router:establish": "ed910ad713dfc924d774f8c43c5f7972485cda71f33501cb689ef7f2cea34c84",
     "router:query_session": "b5515148a42f7bda7c42bebf3aa6ebdedd09405f488ad186797b0987ac94d1e1",
     "router:teardown": "d2496ee89b6c529838eb75b473bd5678514d85d289a6a7157cb0a32eac9dc9fe",
@@ -113,6 +144,11 @@ RESPONSE_DIGESTS = {
     "router:garbage": "11a8ae9e02482455c8464d049a8ae72cc23ecd1892a575131cb5f53c491ee5cb",
     "router:bad_length": "12ca69033b26d70e8b0673fa42757c54962e5d93cb36114d55527b257d886018",
     "router:events": "5f3d92d5cb55260f4eeb22639f05a4a62bd7f4fdecf0ba5de6eedf2060744b98",
+    "router:length_underscore": "33e89586384dc2a8b74ddf7c2e098f3fa4a3ab0a10fd26bd4c64e908eafb0a99",
+    "router:length_plus": "db78bce61d2f9f69d1946d975324022c68599e4f893994f654ccc567ef7dfd2e",
+    "router:length_space_before_colon": "65a94c98497c7c6070726770f037a9fae32f455338467e871b078f3f3e7ccf66",
+    "router:length_twice": "a64d0d093be2407244e70a05f383ef8ee8a9403006dba2197c299fa465f397da",
+    "router:transfer_encoding": "6e55ea1dcb2ee73fbf8ab5d8315bbb9737fe0a33f24601fdcca4ccecccc63f20",
 }
 
 
@@ -185,21 +221,27 @@ async def _script_responses(port):
 
 
 async def _server_responses():
-    """(server, name) -> the response bytes it wrote for the script row."""
+    """(server, name) -> the response bytes it wrote for the script row,
+    and server -> its active sessions once the script has run."""
     daemon = ReservationDaemon(DaemonConfig(port=0, seed=11))
     router = ClusterDaemon(
         ClusterConfig(shards=(("127.0.0.1", 1),) * 3, port=0, seed=7),
         coordinator=ClusterCoordinator(make_local_shards(3), seed=7),
     )
-    out = {}
+    out, active = {}, {}
     for label, server in (("daemon", daemon), ("router", router)):
         await server.start()
         try:
             for name, response in (await _script_responses(server.port)).items():
                 out[f"{label}:{name}"] = response
+            client = ServiceClient("127.0.0.1", server.port)
+            try:
+                active[label] = (await client.query())["active_sessions"]
+            finally:
+                await client.aclose()
         finally:
             await server.shutdown()
-    return out
+    return out, active
 
 
 def test_client_request_bytes_are_pinned():
@@ -208,6 +250,12 @@ def test_client_request_bytes_are_pinned():
 
 
 def test_server_response_bytes_are_pinned():
-    responses = asyncio.run(_server_responses())
+    responses, active = asyncio.run(_server_responses())
+    for server in ("daemon", "router"):
+        for name, _ in FRAMING:
+            wire = responses[f"{server}:{name}"]
+            assert wire.startswith(b"HTTP/1.1 400 "), (server, name, wire)
+            assert wire.count(b"HTTP/1.1 ") == 1, (server, name, wire)
+    assert active == {"daemon": 0, "router": 0}
     assert {name: _digest(wire) for name, wire in responses.items()} == RESPONSE_DIGESTS
     assert responses["daemon:events"] == responses["router:events"]
