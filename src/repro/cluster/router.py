@@ -15,12 +15,15 @@ agree without a directory service).  An establishment becomes:
    against the merged snapshot
    (:meth:`~repro.runtime.coordinator.ReservationCoordinator.plan_session`).
 3. **two-phase commit** -- the plan's demand is split by owning shard;
-   each shard holds its slice on a TTL lease (``/v1/reserve``), and
-   only when every slice is held does the router ``/v1/commit`` them.
-   Any failure aborts the held leases; a shard that dies mid-round
-   leaves only TTL leases behind, which its reaper releases -- no lost
-   and no double-granted capacity, the PR 4 lease contract stretched
-   across processes.
+   each shard holds its slice on a TTL lease (``/v1/reserve``), in
+   shard order.  The last shard's reserve carries the commit (the fold):
+   that shard holds and commits in one exchange, so a one-shard plan is
+   a single exchange.  Only then does the router ``/v1/commit`` the
+   earlier shards' leases.  Any failure aborts the held leases and tears
+   down the committed slices; a shard that dies mid-round leaves only
+   TTL leases behind, which its reaper releases -- no lost and no
+   double-granted capacity, the :mod:`repro.runtime.leases` contract
+   stretched across processes.
 
 With a single shard the router forwards requests verbatim, so its
 responses are byte-identical to the daemon's (and therefore to the
@@ -40,15 +43,27 @@ small per-route reader), a refusal that applied nothing
 no reply, or one of the wrong shape -- the shard may have applied the
 call).  Each caller's handling of an unknown outcome is what keeps the
 cluster leak-free: an unknown reserve is left to the shard's TTL
-reaper, an unknown commit or teardown becomes a teardown debt, and an
-unknown availability reply zero-fills that shard's resources.  A shard
-that does not answer within :data:`EXCHANGE_TIMEOUT` is unknown too.
+reaper, an unknown folded reserve, commit or teardown becomes a
+teardown debt, and an unknown availability reply zero-fills that
+shard's resources.  A shard that does not answer within
+:data:`EXCHANGE_TIMEOUT` is unknown too.
+
+Every unknown outcome also bumps that shard's *generation*, which the
+router sends on reserves and teardowns; a shard refuses a reserve whose
+generation is below the highest it has seen.  The debt's teardown
+carries the bumped generation, so a folded reserve still in flight when
+the teardown settles the debt (a 404: the shard held nothing yet) is
+refused when it lands, instead of committing a session no router owns.
+The generations start at the router's boot time in nanoseconds: a
+restarted router starts above any generation its predecessor reached,
+and a shard keeps one integer, however often routers restart.
 """
 
 from __future__ import annotations
 
 import asyncio
 import itertools
+import time
 from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
@@ -273,6 +288,14 @@ def _read_reserve(document) -> Tuple[Optional[str], Optional[str]]:
     return None, document.get("failed_resource")
 
 
+def _read_folded(document) -> Tuple[Optional[str], Optional[str]]:
+    """A ``/v1/reserve`` that carried the commit: a hold must say committed."""
+    lease_id, failed_resource = _read_reserve(document)
+    if lease_id is not None and document.get("committed") is not True:
+        raise ValueError("a folded reserve held without committing")
+    return lease_id, failed_resource
+
+
 def _read_released(document) -> int:
     """``/v1/teardown``: the amount the shard released."""
     return int(_read_object(document).get("released", 0))
@@ -322,6 +345,9 @@ class ClusterCoordinator:
         #: its teardown or commit there had an unknown outcome (no
         #: reply, or an unreadable one).  Retried by flush_pending_teardowns.
         self.pending_teardowns: Dict[str, List[int]] = {}
+        #: shard index -> the generation sent on reserves and teardowns;
+        #: :meth:`_exchange` bumps it on every unknown outcome.
+        self.generations = [time.time_ns()] * len(self.shards)
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
         #: the router may share a process with shard services in tests).
@@ -353,7 +379,9 @@ class ClusterCoordinator:
         came, or one ``read`` cannot read -- the shard may have applied
         the call, and every caller's handling of an unknown outcome
         assumes it did.  The one place the router reads a shard's
-        answer, and records whether the shard is reachable.
+        answer, and records whether the shard is reachable; an unknown
+        outcome bumps the shard's generation, fencing off every reserve
+        sent to it before.
         """
         value = failure = None
         try:
@@ -364,6 +392,7 @@ class ClusterCoordinator:
             failure = "shard_error"
         except _NO_READABLE_REPLY:
             failure = UNKNOWN
+            self.generations[shard_index] += 1
         self._note_shard(shard_index, failure != UNKNOWN)
         return value, failure
 
@@ -512,16 +541,31 @@ class ClusterCoordinator:
         per_shard: Dict[int, Dict[str, float]],
     ) -> EstablishmentResult:
         session_id = arrival.session_id
+        meta = {
+            "service": arrival.service,
+            "domain": arrival.domain,
+            "demand_scale": arrival.demand_scale,
+            "duration": arrival.duration,
+            "level": plan.numeric_level,
+        }
+        order = sorted(per_shard)
+        last = order[-1]
         leases: List[Tuple[int, str]] = []
         reason: Optional[str] = None
         failed_resource: Optional[str] = None
-        with _trace.span("cluster.reserve", shards=len(per_shard)):
-            for shard_index in sorted(per_shard):
-                # An unknown reserve may hold a lease no abort can name:
-                # the shard's TTL reaper frees it.
-                request = {"session_id": session_id, "demands": per_shard[shard_index]}
+        with _trace.span("cluster.reserve", shards=len(order)):
+            for shard_index in order:
+                request = {
+                    "session_id": session_id,
+                    "demands": per_shard[shard_index],
+                    "generation": self.generations[shard_index],
+                }
+                read = _read_reserve
+                if shard_index == last:
+                    request["commit"] = meta
+                    read = _read_folded
                 reserve = self.shards[shard_index].reserve(request)
-                held, reason = await self._exchange(shard_index, reserve, _read_reserve)
+                held, reason = await self._exchange(shard_index, reserve, read)
                 if reason is not None:
                     break
                 lease_id, failed_resource = held
@@ -530,44 +574,45 @@ class ClusterCoordinator:
                     break
                 leases.append((shard_index, lease_id))
         if reason is not None:
+            # An unknown plain reserve may hold a lease no abort can name:
+            # the shard's TTL reaper frees it.  An unknown folded reserve
+            # may have committed, which only a teardown undoes.
             await self._abort_leases(leases)
+            if reason == UNKNOWN and shard_index == last:
+                self._owe_teardown(session_id, [last])
             return EstablishmentResult(
                 session_id, False, None, reason, failed_resource
             )
 
-        meta = {
-            "service": arrival.service,
-            "domain": arrival.domain,
-            "demand_scale": arrival.demand_scale,
-            "duration": arrival.duration,
-            "level": plan.numeric_level,
-        }
-        committed: List[int] = []
-        with _trace.span("cluster.commit", shards=len(leases)):
-            for position, (shard_index, lease_id) in enumerate(leases):
+        committed: List[int] = [last]
+        earlier = leases[:-1]
+        with _trace.span("cluster.commit", shards=len(earlier)):
+            for position, (shard_index, lease_id) in enumerate(earlier):
                 commit = self.shards[shard_index].commit(
                     {"lease_id": lease_id, "session": meta}
                 )
                 _, failure = await self._exchange(shard_index, commit, _read_object)
                 if failure is not None:
-                    # Undo the rest: abort the still-held leases, tear the
-                    # committed slices back down.  A shard that answered
-                    # with an error (an expired lease) committed nothing;
-                    # its lease is aborted with the later ones.  One whose
-                    # outcome is unknown may have committed, which no
-                    # abort undoes, and may be silent: asking it again
-                    # would hold the admission lock for a second
-                    # EXCHANGE_TIMEOUT.  It owes a teardown, as does a
-                    # committed shard we cannot reach now:
-                    # flush_pending_teardowns settles the debt (a 404
+                    # Undo the rest, all at once: abort the still-held
+                    # leases, tear the committed slices back down.  A
+                    # shard that answered with an error (an expired
+                    # lease) committed nothing; its lease is aborted with
+                    # the later ones.  One whose outcome is unknown may
+                    # have committed, which no abort undoes, and may be
+                    # silent: asking it again would hold the admission
+                    # lock for a second EXCHANGE_TIMEOUT.  It owes a
+                    # teardown, as does a committed shard we cannot reach
+                    # now: flush_pending_teardowns settles the debt (a 404
                     # means the shard holds nothing), and a lease it never
                     # committed is its TTL reaper's, as after an unknown
                     # reserve.
                     unanswered = failure == UNKNOWN
-                    await self._abort_leases(
-                        leases[position + 1 if unanswered else position:]
+                    _, (_, owed) = await asyncio.gather(
+                        self._abort_leases(
+                            earlier[position + 1 if unanswered else position:]
+                        ),
+                        self._teardown_on(committed, session_id),
                     )
-                    _, owed = await self._teardown_on(committed, session_id)
                     if unanswered:
                         owed.append(shard_index)
                     if owed:
@@ -580,7 +625,7 @@ class ClusterCoordinator:
             "service": arrival.service,
             "domain": arrival.domain,
             "level": plan.numeric_level,
-            "shards": sorted(per_shard),
+            "shards": order,
         }
         return EstablishmentResult(session_id, True, plan)
 
@@ -601,27 +646,51 @@ class ClusterCoordinator:
         self.registry.counter("cluster.rejects", reason=reason).inc()
 
     async def _abort_leases(self, leases: List[Tuple[int, str]]) -> None:
-        """Best-effort rollback; unreachable shards are left to their TTL."""
-        for shard_index, lease_id in leases:
-            abort = self.shards[shard_index].abort({"lease_id": lease_id})
-            await self._exchange(shard_index, abort, _read_object)
+        """Best-effort rollback on every shard at once; unreachable shards
+        are left to their TTL."""
+        await asyncio.gather(
+            *(
+                self._exchange(
+                    shard_index,
+                    self.shards[shard_index].abort({"lease_id": lease_id}),
+                    _read_object,
+                )
+                for shard_index, lease_id in leases
+            )
+        )
 
     async def _teardown_on(
         self, shard_indexes: Sequence[int], session_id: str
     ) -> Tuple[int, List[int]]:
-        """Tear a session down shard by shard: (released, unknown shards).
+        """Tear a session down on every shard at once: (released, unknown shards).
 
         A shard that answers with an error holds nothing to release (a
-        404: it never held the session, or forgot it in a restart).
+        404: it never held the session, or forgot it in a restart).  Each
+        teardown carries the shard's generation, which fences off a
+        reserve the router gave up on before.
         """
-        released = 0
-        unknown: List[int] = []
-        for shard_index in shard_indexes:
-            teardown = self.shards[shard_index].teardown({"session_id": session_id})
-            freed, failure = await self._exchange(shard_index, teardown, _read_released)
-            released += freed or 0
-            if failure == UNKNOWN:
-                unknown.append(shard_index)
+        shard_indexes = list(shard_indexes)
+        replies = await asyncio.gather(
+            *(
+                self._exchange(
+                    shard_index,
+                    self.shards[shard_index].teardown(
+                        {
+                            "session_id": session_id,
+                            "generation": self.generations[shard_index],
+                        }
+                    ),
+                    _read_released,
+                )
+                for shard_index in shard_indexes
+            )
+        )
+        released = sum(freed or 0 for freed, _ in replies)
+        unknown = [
+            shard_index
+            for shard_index, (_, failure) in zip(shard_indexes, replies)
+            if failure == UNKNOWN
+        ]
         return released, unknown
 
     # -- teardown / query --------------------------------------------------

@@ -14,7 +14,8 @@ behind an admission API and owns the one transport-free route table
 ``POST /v1/establish_batch`` N arrivals against one availability snapshot
 ``POST /v1/renegotiate``     §5 re-planning of a live session
 ``POST /v1/teardown``        release everything a session holds
-``POST /v1/reserve``         cross-shard 2PC: hold demands on a TTL lease
+``POST /v1/reserve``         cross-shard 2PC: hold demands on a TTL lease, or
+                             hold and commit them in one call (``commit``)
 ``POST /v1/commit``          cross-shard 2PC: make a lease permanent
 ``POST /v1/abort``           cross-shard 2PC: release a lease
 ``GET  /v1/query``           daemon + session + utilization state
@@ -265,6 +266,10 @@ class ReservationService:
         self.lease_counters = {
             "reserved": 0, "committed": 0, "aborted": 0, "expired": 0
         }
+        #: The highest router generation a reserve or teardown carried: a
+        #: reserve below it was sent before an exchange the router gave
+        #: up on, and is refused (see :meth:`reserve`).
+        self.fence = 0
         #: POST path -> admission operation (payload in, document out).
         self._operations = {
             "/v1/establish": self.establish,
@@ -516,6 +521,7 @@ class ReservationService:
         session_id = payload.get("session_id")
         if not session_id:
             raise ServiceError("missing required field 'session_id'")
+        self._raise_fence(payload)
         self.leases.drop_session(str(session_id))
         known = self.sessions.pop(str(session_id), None)
         released = self.coordinator.teardown(str(session_id))
@@ -544,6 +550,16 @@ class ReservationService:
                 status=409,
             )
 
+    def _raise_fence(self, payload: dict) -> Optional[int]:
+        """Raise the fence to a payload's router ``generation``, if it has one."""
+        generation = payload.get("generation")
+        if generation is None:
+            return None
+        if isinstance(generation, bool) or not isinstance(generation, int):
+            raise ServiceError("'generation' must be an integer")
+        self.fence = max(self.fence, generation)
+        return generation
+
     def reserve(self, payload: dict) -> dict:
         """Phase one of a cross-shard admission: hold capacity on a lease.
 
@@ -552,6 +568,14 @@ class ReservationService:
         router commits or aborts the lease; a router that dies first is
         covered by the reaper, which releases expired leases -- the
         PR 4 orphan-reaping contract applied across processes.
+
+        A reserve that carries ``commit`` (the session record a
+        ``/v1/commit`` would carry) is the router's last exchange of the
+        round, and commits the lease it holds before answering.  A
+        reserve whose ``generation`` is below the fence is refused with
+        a 409 before anything is held: the router gave up on an exchange
+        with this shard since it sent it, and may already have settled
+        that exchange's teardown here.
         """
         session_id = str(payload.get("session_id") or "")
         if not session_id:
@@ -568,6 +592,12 @@ class ReservationService:
             raise ServiceError(f"non-numeric demand: {exc}") from exc
         for resource_id in sorted(demands):
             self._check_owned(resource_id)
+        fence = self.fence
+        generation = self._raise_fence(payload)
+        if generation is not None and generation < fence:
+            raise ServiceError(
+                f"stale router generation (fence {fence})", status=409
+            )
         # hold itself refuses a non-finite or non-positive amount (a 400).
         try:
             lease = self.leases.hold(
@@ -579,10 +609,12 @@ class ReservationService:
                 "reserved": False,
                 "failed_resource": exc.resource_id,
             }
+        self.lease_counters["reserved"] += 1
+        if "commit" in payload:
+            return dict(self._commit(lease, payload["commit"]), reserved=True)
         # The holder is a remote router that may die at any moment, so
         # the lease is the reaper's from birth; commit/abort race it.
         self.leases.orphan(lease)
-        self.lease_counters["reserved"] += 1
         return {
             "session_id": session_id,
             "reserved": True,
@@ -601,8 +633,11 @@ class ReservationService:
                 f"unknown lease {lease_id!r} (expired or never reserved)",
                 status=404,
             )
+        return self._commit(lease, payload.get("session"))
+
+    def _commit(self, lease, meta) -> dict:
+        """Hand a live lease to its session, recorded from ``meta``."""
         self.leases.commit(lease)
-        meta = payload.get("session")
         record = {"cluster": True, "established_at": _time.monotonic()}
         if isinstance(meta, dict):
             for key in ("service", "domain", "demand_scale", "duration", "level"):
@@ -614,11 +649,11 @@ class ReservationService:
         _events.emit(
             "lease.committed",
             session=lease.session_id,
-            lease=lease_id,
+            lease=lease.lease_id,
             shard=self.shard_label,
         )
         return {
-            "lease_id": lease_id,
+            "lease_id": lease.lease_id,
             "session_id": lease.session_id,
             "committed": True,
         }

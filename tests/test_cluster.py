@@ -74,10 +74,11 @@ class FaultyShardClient(LocalShardClient):
     the next call to ``path`` and answers it with ``body`` -- bytes that
     are no JSON, or JSON of the wrong shape.  ``hold_next_request`` names
     a path whose next call is still in flight when the router's exchange
-    fails: the shard has applied nothing, and the payload waits in
-    ``held`` for the test to deliver late.  ``refuse_next_request``
-    names a path whose next call the shard refuses with a 404 without
-    applying it, as it does a commit whose lease has expired.  A fault
+    fails: the shard has applied nothing, and ``(path, payload)`` waits
+    in ``held`` until :meth:`deliver_held` lands it late.
+    ``refuse_next_request`` names a path whose next call the shard
+    refuses with a 404 without applying it, as it does a commit whose
+    lease has expired.  A fault
     names a path and matches a request target with or without a query
     string.
     """
@@ -103,7 +104,7 @@ class FaultyShardClient(LocalShardClient):
         path = target.partition("?")[0]
         if path == self.hold_next_request:
             self.hold_next_request = None
-            self.held = payload
+            self.held = (path, payload)
             raise ConnectionError(f"shard {self.label}: {path} still in flight")
         if path == self.refuse_next_request:
             self.refuse_next_request = None
@@ -122,6 +123,13 @@ class FaultyShardClient(LocalShardClient):
             self.garble_next_reply = None
             return ServiceResponse(response.status, {}, body)
         return response
+
+    def deliver_held(self):
+        """Apply the held request now, late: the shard's ``(status, document)``."""
+        path, payload = self.held
+        self.held = None
+        with self._logged():
+            return self.service.handle("POST", path, {}, payload)
 
 
 def make_local_shards(count: int, seed: int = 7, **overrides):
@@ -465,26 +473,44 @@ def _cross_shard_commits(shard_count):
     return asyncio.run(probe())
 
 
+def _commit_positions(shard_count):
+    """``(service, domain, victim, path)``: every exchange that commits.
+
+    Two positions per cross-shard placement: the last involved shard,
+    whose ``/v1/reserve`` carries the commit (the fold), and each
+    earlier shard's plain ``/v1/commit``.
+    """
+    return [
+        (
+            service_name,
+            domain,
+            victim,
+            "/v1/reserve" if victim == involved[-1] else "/v1/commit",
+        )
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in involved
+    ]
+
+
 @pytest.mark.parametrize("shard_count", [2, 3])
 def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
-    """A shard applies ``/v1/commit``, stays up, and its reply is lost.
+    """A shard applies the exchange that commits, stays up, and its reply
+    is lost -- the folded reserve of the last shard or an earlier shard's
+    plain commit.
 
     The commit's outcome is unknown to the router, so an abort cannot
     undo it: the shard joins the session's teardown debt, and the next
     anti-entropy pass frees the committed slice.
     """
-    cases = [
-        (service_name, domain, victim)
-        for service_name, domain, involved in _cross_shard_commits(shard_count)
-        for victim in involved
-    ]
-    assert {victim for _, _, victim in cases} == set(range(shard_count))
+    cases = _commit_positions(shard_count)
+    assert {victim for _, _, victim, _ in cases} == set(range(shard_count))
+    assert {path for *_, path in cases} == {"/v1/reserve", "/v1/commit"}
 
-    async def scenario(service_name, domain, victim_index):
+    async def scenario(service_name, domain, victim_index, path):
         shards = make_local_shards(shard_count)
         coordinator = ClusterCoordinator(shards, seed=7)
         victim = shards[victim_index]
-        victim.lose_next_reply = "/v1/commit"
+        victim.lose_next_reply = path
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "lost"}
         )
@@ -499,8 +525,8 @@ def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
         assert status == 409
         await _settle_unknown_commit(coordinator, shards, victim_index, "lost")
 
-    for service_name, domain, victim_index in cases:
-        asyncio.run(scenario(service_name, domain, victim_index))
+    for case in cases:
+        asyncio.run(scenario(*case))
 
 
 def assert_tiers_agree(coordinator, shards):
@@ -536,16 +562,13 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
     """The shard committed; its reply does not parse.  Like a lost reply,
     the outcome is unknown: the router books a teardown debt and the
     anti-entropy pass frees the slice, instead of raising out of
-    ``establish`` and leaving the session committed on the shard."""
-    cases = [
-        (service_name, domain, victim)
-        for service_name, domain, involved in _cross_shard_commits(shard_count)
-        for victim in involved
-    ]
+    ``establish`` and leaving the session committed on the shard.  Both
+    positions: the folded reserve and an earlier shard's plain commit."""
+    cases = _commit_positions(shard_count)
 
-    async def scenario(service_name, domain, victim_index):
+    async def scenario(service_name, domain, victim_index, path):
         shards = make_local_shards(shard_count)
-        shards[victim_index].garble_next_reply = ("/v1/commit", b"<html>bad gateway")
+        shards[victim_index].garble_next_reply = (path, b"<html>bad gateway")
         coordinator = ClusterCoordinator(shards, seed=7)
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "garbled"}
@@ -555,8 +578,8 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
         assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
         await _settle_unknown_commit(coordinator, shards, victim_index, "garbled")
 
-    for service_name, domain, victim_index in cases:
-        asyncio.run(scenario(service_name, domain, victim_index))
+    for case in cases:
+        asyncio.run(scenario(*case))
 
 
 def test_a_commit_after_its_sessions_teardown_creates_no_session():
@@ -581,9 +604,10 @@ def test_a_commit_after_its_sessions_teardown_creates_no_session():
 
 
 def test_a_commit_delivered_after_the_anti_entropy_teardown_is_refused():
-    """The router's commit to a shard is still in flight when the
+    """The router's commit to an earlier shard is still in flight when the
     exchange fails; the anti-entropy pass tears the session down there,
-    and the commit that lands afterwards finds no lease to commit."""
+    and the commit that lands afterwards finds no lease to commit.  (The
+    last shard's commit rides on its reserve: the next test.)"""
     service_name, domain, involved = _cross_shard_commits(2)[0]
 
     async def scenario(victim_index):
@@ -600,7 +624,7 @@ def test_a_commit_delivered_after_the_anti_entropy_teardown_is_refused():
         assert victim_index in coordinator.pending_teardowns["late"]
         await coordinator.flush_pending_teardowns()
         assert not coordinator.pending_teardowns
-        status, document = victim.service.handle("POST", "/v1/commit", {}, victim.held)
+        status, document = victim.deliver_held()
         assert status == 404, document
         for shard in shards:
             assert "late" not in shard.service.sessions, shard.label
@@ -608,33 +632,116 @@ def test_a_commit_delivered_after_the_anti_entropy_teardown_is_refused():
         assert_tiers_agree(coordinator, shards)
         assert_cluster_clean(shards, session_ids=["late"])
 
-    for victim_index in involved:
+    for victim_index in involved[:-1]:
         asyncio.run(scenario(victim_index))
+
+
+async def _phantom_probe(shard_count, service_name, domain, involved):
+    """Hold the folded reserve in flight, settle its debt, then land it.
+
+    Returns the late reserve's ``(status, document)``; asserts that no
+    shard ends up holding the session the router never established.
+    """
+    shards = make_local_shards(shard_count)
+    coordinator = ClusterCoordinator(shards, seed=7)
+    victim = shards[involved[-1]]
+    victim.hold_next_request = "/v1/reserve"
+    status, body = await coordinator.establish(
+        {"service": service_name, "domain": domain, "session_id": "late"}
+    )
+    assert status == 200
+    assert json.loads(body)["reason"] == "shard_unreachable"
+    assert victim.held is not None
+    assert coordinator.pending_teardowns == {"late": [victim.index]}
+    # The anti-entropy pass finds nothing there yet (a 404) and settles.
+    assert await coordinator.flush_pending_teardowns() == 0
+    assert not coordinator.pending_teardowns
+    late = victim.deliver_held()
+    for shard in shards:
+        await shard.reap(now=float("inf"))
+        assert "late" not in shard.service.sessions, shard.label
+        assert not shard.service.leases.pending(), shard.label
+    assert_tiers_agree(coordinator, shards)
+    assert_cluster_clean(shards, session_ids=["late"])
+    return late
+
+
+@pytest.mark.parametrize("shard_count", [2, 3])
+def test_a_folded_reserve_delivered_after_the_anti_entropy_teardown_is_refused(
+    shard_count,
+):
+    """The last shard's reserve, which carries the commit, is still in
+    flight when the router's exchange fails.  The router owes that shard
+    a teardown, whose 404 settles the debt before the reserve lands.
+    The teardown carried the generation the unknown outcome bumped, so
+    the late reserve is below the shard's fence: refused, and no session
+    appears that no router owns."""
+    for service_name, domain, involved in _cross_shard_commits(shard_count):
+        status, document = asyncio.run(
+            _phantom_probe(shard_count, service_name, domain, involved)
+        )
+        assert status == 409, document
+        assert "stale router generation" in document["error"]
+
+
+def test_a_fresh_router_still_admits_on_shards_an_earlier_router_fenced():
+    """Generations start at the router's boot time: a new router over
+    shards whose fence an earlier router raised is not fenced out."""
+    service_name, domain, involved = _cross_shard_commits(3)[0]
+    shards = make_local_shards(3)
+
+    async def scenario():
+        earlier = ClusterCoordinator(shards, seed=7)
+        for index in involved:
+            shards[index].lose_next_reply = "/v1/teardown"
+        status, body = await earlier.establish(
+            {"service": service_name, "domain": domain, "session_id": "first"}
+        )
+        assert json.loads(body)["success"] is True
+        await earlier.teardown({"session_id": "first"})
+        await earlier.flush_pending_teardowns()
+        assert not earlier.pending_teardowns
+        for index in involved:
+            assert shards[index].service.fence == earlier.generations[index]
+            assert shards[index].service.fence > 0
+        fresh = ClusterCoordinator(shards, seed=7)
+        assert all(
+            mine > theirs
+            for mine, theirs in zip(fresh.generations, earlier.generations)
+        )
+        status, body = await fresh.establish(
+            {"service": service_name, "domain": domain, "session_id": "second"}
+        )
+        assert json.loads(body)["success"] is True
+        status, _ = await fresh.teardown({"session_id": "second"})
+        assert status == 200
+        assert_cluster_clean(shards, session_ids=["first", "second"])
+
+    asyncio.run(scenario())
 
 
 def test_a_refused_commit_aborts_its_own_lease():
     """A shard that refuses its commit committed nothing, and the router
     aborts that shard's lease at once: its capacity is back before any
-    reaper runs, not after the lease's TTL."""
-    cases = [
-        (service_name, domain, victim)
-        for service_name, domain, involved in _cross_shard_commits(2)
-        for victim in involved
-    ]
+    reaper runs, not after the lease's TTL.  The last shard's commit is
+    its reserve: refused, it held nothing, and the earlier shards' leases
+    are aborted as after any refused reserve (``shard_error``)."""
+    cases = _commit_positions(2)
 
-    async def scenario(service_name, domain, victim_index):
+    async def scenario(service_name, domain, victim_index, path):
         shards = make_local_shards(2)
         coordinator = ClusterCoordinator(shards, seed=7)
         victim = shards[victim_index]
         brokers = list(victim.service.grid.registry.brokers())
         before = [broker.available for broker in brokers]
-        victim.refuse_next_request = "/v1/commit"
+        victim.refuse_next_request = path
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "refused"}
         )
         assert status == 200
         outcome = json.loads(body)
-        assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
+        reason = "shard_error" if path == "/v1/reserve" else "shard_unreachable"
+        assert (outcome["success"], outcome["reason"]) == (False, reason)
         assert victim.refuse_next_request is None  # the commit was refused
         assert "refused" not in coordinator.pending_teardowns
         # No reap has run, and the lease's TTL is far off.
@@ -644,13 +751,17 @@ def test_a_refused_commit_aborts_its_own_lease():
         assert_cluster_clean(shards, session_ids=["refused"])
         assert_tiers_agree(coordinator, shards)
 
-    for service_name, domain, victim_index in cases:
-        asyncio.run(scenario(service_name, domain, victim_index))
+    for case in cases:
+        asyncio.run(scenario(*case))
 
 
 #: Replies that are valid JSON of the wrong shape, per route; the shard
 #: applied the call before answering.  ``"$rid"`` stands for a resource
-#: the victim shard owns and the placement needs.
+#: the victim shard owns and the placement needs.  A ``/v1/commit`` row
+#: garbles the reply of whichever exchange commits on the victim: the
+#: folded reserve on the last involved shard, a plain commit on an
+#: earlier one.  The ``folded`` rows are replies to the folded reserve
+#: only.
 WRONG_SHAPES = [
     pytest.param("/v1/availability", [], id="availability-list"),
     pytest.param(
@@ -664,6 +775,12 @@ WRONG_SHAPES = [
     pytest.param("/v1/reserve", [], id="reserve-list"),
     pytest.param("/v1/reserve", {"reserved": True}, id="reserve-no-lease"),
     pytest.param("/v1/commit", [], id="commit-list"),
+    pytest.param(
+        "folded", {"reserved": True, "lease_id": "x"}, id="folded-no-commit"
+    ),
+    pytest.param(
+        "folded", {"reserved": True, "committed": True}, id="folded-no-lease"
+    ),
     pytest.param("/v1/teardown", [], id="teardown-list"),
     pytest.param("/v1/teardown", {"released": "many"}, id="teardown-not-a-number"),
 ]
@@ -676,20 +793,30 @@ def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
 
     Establishment and teardown answer 200 instead of raising; a call
     that can fail fails as ``shard_unreachable``; a shard that may have
-    committed or torn down joins the teardown debt; and after one
-    anti-entropy pass and a reap every shard is quiescent.  The garbled
-    teardown hits the *first* shard of the session, so the router must
-    still reach the others.
+    committed or torn down joins the teardown debt -- the last involved
+    shard, whose reserve carries the commit, on a garbled reserve too;
+    and after one anti-entropy pass and a reap every shard is quiescent.
+    The garbled teardown hits the *first* shard of the session, so the
+    router must still reach the others.
     """
-    cases = [
-        (service_name, domain, victim)
-        for service_name, domain, involved in _cross_shard_commits(shard_count)
-        for victim in (involved[:1] if route == "/v1/teardown" else involved)
-    ]
+    cases = []
+    for service_name, domain, involved in _cross_shard_commits(shard_count):
+        if route == "/v1/teardown":
+            victims = involved[:1]
+        elif route == "folded":
+            victims = involved[-1:]
+        else:
+            victims = involved
+        for victim in victims:
+            folded = victim == involved[-1] and route in (
+                "/v1/reserve", "/v1/commit", "folded"
+            )
+            path = "/v1/reserve" if folded else route
+            may_have_applied = folded or route in ("/v1/commit", "/v1/teardown")
+            cases.append((service_name, domain, victim, path, may_have_applied))
     assert cases
-    may_have_applied = route in ("/v1/commit", "/v1/teardown")
 
-    async def scenario(service_name, domain, victim_index):
+    async def scenario(service_name, domain, victim_index, path, may_have_applied):
         shards = make_local_shards(shard_count)
         coordinator = ClusterCoordinator(shards, seed=7)
         rid = min(
@@ -704,11 +831,11 @@ def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
         if route == "/v1/teardown":
             status, outcome = await coordinator.establish(request)
             assert json.loads(outcome)["success"] is True
-            shards[victim_index].garble_next_reply = (route, body)
+            shards[victim_index].garble_next_reply = (path, body)
             status, _ = await coordinator.teardown({"session_id": "shape"})
             assert status == 200
         else:
-            shards[victim_index].garble_next_reply = (route, body)
+            shards[victim_index].garble_next_reply = (path, body)
             status, outcome = await coordinator.establish(request)
             assert status == 200
             outcome = json.loads(outcome)
@@ -735,8 +862,8 @@ def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
         for label, per_resource in report.outstanding.items():
             assert not per_resource, (label, per_resource)
 
-    for service_name, domain, victim_index in cases:
-        asyncio.run(scenario(service_name, domain, victim_index))
+    for case in cases:
+        asyncio.run(scenario(*case))
 
 
 def test_cross_tier_check_flags_a_committed_slice_the_router_forgot():
@@ -852,8 +979,10 @@ class StallingShard:
     service's own route table (:meth:`ReservationService.handle`), then
     answered -- except the next request to each path in ``stall``, which
     is applied and never answered: the server waits for the caller to
-    hang up.  ``draining`` is the daemon's drain flag; ``stalled`` lists
-    the paths left unanswered, in order.
+    hang up.  The next request to each path in ``refuse`` is answered
+    with a 404 and not applied, as a commit whose lease expired is.
+    ``draining`` is the daemon's drain flag; ``stalled`` lists the paths
+    left unanswered, in order.
     """
 
     def __init__(self, index: int, shard_count: int):
@@ -863,6 +992,7 @@ class StallingShard:
             DaemonConfig(seed=7, shard_index=index, shard_count=shard_count)
         )
         self.stall = set()
+        self.refuse = set()
         self.draining = False
         self.stalled = []
         self._server = None
@@ -878,13 +1008,17 @@ class StallingShard:
         self._connections[writer] = asyncio.current_task()
         try:
             while (request := await read_request(reader)) is not None:
-                status, document = self.service.handle(
-                    request.method,
-                    request.path,
-                    request.query,
-                    request.json(),
-                    draining=self.draining,
-                )
+                if request.path in self.refuse:
+                    self.refuse.discard(request.path)
+                    status, document = 404, {"error": "refused"}
+                else:
+                    status, document = self.service.handle(
+                        request.method,
+                        request.path,
+                        request.query,
+                        request.json(),
+                        draining=self.draining,
+                    )
                 if request.path in self.stall:
                     self.stall.discard(request.path)
                     self.stalled.append(request.path)
@@ -913,18 +1047,43 @@ STALLED_ROUTES = [
 ]
 
 
+def _stall_cases(shard_count, route):
+    """``(service, domain, involved, victim, position)`` to stall on ``route``.
+
+    ``position`` is ``folded`` for the last involved shard, whose reserve
+    carries the commit, and ``plain`` for an earlier one.  Only an
+    earlier shard holds a lease to abort: for ``/v1/abort`` it is stalled
+    once after the last shard's folded reserve is refused (``folded``)
+    and once after its own plain commit is (``plain``).
+    """
+    cases = []
+    for service_name, domain, involved in _cross_shard_commits(shard_count):
+        if route == "/v1/abort":
+            for victim in involved[:-1]:
+                for position in ("folded", "plain"):
+                    cases.append((service_name, domain, involved, victim, position))
+            continue
+        for victim in involved:
+            position = "folded" if victim == involved[-1] else "plain"
+            cases.append((service_name, domain, involved, victim, position))
+    return cases
+
+
 async def _stalled_exchange(
-    shard_count, route, service_name, domain, involved, victim
+    shard_count, route, service_name, domain, involved, victim, position
 ):
     """Stall ``victim`` on ``route``; the router must settle within bounds.
 
-    ``involved`` are the shards the session commits on, in order.
+    ``involved`` are the shards the session commits on, in order.  At the
+    folded position a reserve or commit stall is the last shard's
+    reserve, which carries its commit.
     """
     servers = [StallingShard(index, shard_count) for index in range(shard_count)]
     coordinator = ClusterCoordinator(
         [await server.start() for server in servers], seed=7
     )
     request = {"service": service_name, "domain": domain, "session_id": "silent"}
+    path = route
     #: Shards that may hold the session after an unanswered exchange.
     owed = set()
     try:
@@ -936,17 +1095,19 @@ async def _stalled_exchange(
             status, _ = await coordinator.teardown({"session_id": "silent"})
             owed.add(victim)
         else:
-            servers[victim].stall.add(route)
+            if route in ("/v1/reserve", "/v1/commit") and position == "folded":
+                # The silent reserve may have committed.
+                path = "/v1/reserve"
+                owed.add(victim)
+            servers[victim].stall.add(path)
             if route == "/v1/abort":
-                # Something must fail after the victim holds its lease: a
-                # later shard refusing its reserve, or, when the victim
-                # reserves last, an earlier shard's silent commit.
-                later = [index for index in involved if index > victim]
-                if later:
-                    servers[later[0]].draining = True
+                # Something must fail after the victim holds its lease:
+                # the last shard refusing its folded reserve, or the
+                # victim refusing its own plain commit.
+                if position == "folded":
+                    servers[involved[-1]].draining = True
                 else:
-                    servers[involved[0]].stall.add("/v1/commit")
-                    owed.add(involved[0])
+                    servers[victim].refuse.add("/v1/commit")
             elif route == "/v1/commit":
                 # The victim would leave an abort unanswered too; the
                 # router must not send it one (a second bound under the
@@ -959,13 +1120,14 @@ async def _stalled_exchange(
         elapsed = time.monotonic() - started
         assert status == 200
         stalls = sum(len(server.stalled) for server in servers)
-        assert servers[victim].stalled == [route]
+        assert servers[victim].stalled == [path]
         assert elapsed < stalls * STALL_TIMEOUT + STALL_SLACK, (elapsed, stalls)
         assert "silent" not in coordinator.sessions
         assert set(coordinator.pending_teardowns.get("silent", [])) == owed
         assert_tiers_agree(coordinator, servers)
         for server in servers:
             server.draining = False
+            server.stall.clear()
         await coordinator.flush_pending_teardowns()
         assert not coordinator.pending_teardowns
         for server in servers:
@@ -989,19 +1151,18 @@ def test_a_silent_shard_is_an_unknown_outcome_not_a_hang(
 
     Over real sockets, the router gives up after ``EXCHANGE_TIMEOUT``
     and reads the exchange as unknown: establish and teardown return
-    within the bound, a debt is booked exactly for a silent commit or
-    teardown, a shard whose commit went unanswered is sent no abort,
-    and one anti-entropy pass and a reap leave every shard quiescent.
+    within the bound, a debt is booked exactly for a silent commit --
+    a folded reserve or a plain commit -- or teardown, a shard whose
+    commit went unanswered is sent no abort, and one anti-entropy pass
+    and a reap leave every shard quiescent.
     """
     monkeypatch.setattr(
         cluster_router, "EXCHANGE_TIMEOUT", STALL_TIMEOUT, raising=False
     )
-    cases = [
-        (service_name, domain, involved, victim)
-        for service_name, domain, involved in _cross_shard_commits(shard_count)
-        for victim in involved
-    ]
-    assert {case[-1] for case in cases} == set(range(shard_count))
+    cases = _stall_cases(shard_count, route)
+    assert {case[-1] for case in cases} == {"folded", "plain"}
+    if route != "/v1/abort":
+        assert {case[-2] for case in cases} == set(range(shard_count))
 
     async def guarded(case):
         await asyncio.wait_for(
@@ -1010,6 +1171,89 @@ def test_a_silent_shard_is_an_unknown_outcome_not_a_hang(
 
     for case in cases:
         asyncio.run(guarded(case))
+
+
+#: The exchange bound of the fan-out tests: 1.5 bounds leave 0.25 s for
+#: the answered exchanges around the silent ones.
+FAN_OUT_TIMEOUT = 0.5
+
+
+async def _silent_pair(placement):
+    """A 3-shard cluster over stalling shards, for a placement on two of them."""
+    service_name, domain, involved = placement
+    servers = [StallingShard(index, 3) for index in range(3)]
+    coordinator = ClusterCoordinator(
+        [await server.start() for server in servers], seed=7
+    )
+    request = {"service": service_name, "domain": domain, "session_id": "silent"}
+    return servers, coordinator, request, involved
+
+
+async def _settle_silent(servers, coordinator):
+    for server in servers:
+        server.stall.clear()
+    await coordinator.flush_pending_teardowns()
+    assert not coordinator.pending_teardowns
+    for server in servers:
+        server.service.reap_expired_leases(float("inf"))
+    assert_cluster_clean(servers, session_ids=["silent"])
+    assert_tiers_agree(coordinator, servers)
+    await coordinator.aclose()
+    for server in servers:
+        await server.stop()
+
+
+def test_a_teardown_waits_on_its_silent_shards_together(monkeypatch):
+    """Both involved shards of a 3-shard cluster go silent on teardown:
+    the router waits one bound for both, not one bound each, and books
+    both debts."""
+    monkeypatch.setattr(cluster_router, "EXCHANGE_TIMEOUT", FAN_OUT_TIMEOUT)
+    placement = _cross_shard_commits(3)[0]
+
+    async def scenario():
+        servers, coordinator, request, involved = await _silent_pair(placement)
+        _, outcome = await coordinator.establish(request)
+        assert json.loads(outcome)["success"] is True
+        for index in involved:
+            servers[index].stall.add("/v1/teardown")
+        started = time.monotonic()
+        status, _ = await coordinator.teardown({"session_id": "silent"})
+        elapsed = time.monotonic() - started
+        assert status == 200
+        assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
+        assert coordinator.pending_teardowns == {"silent": list(involved)}
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
+
+
+def test_a_rollback_waits_on_its_silent_shards_together(monkeypatch):
+    """The first shard refuses its plain commit; the rollback's exchanges
+    to both involved shards go unanswered.  They are sent together, so
+    the round ends one bound later, not two."""
+    monkeypatch.setattr(cluster_router, "EXCHANGE_TIMEOUT", FAN_OUT_TIMEOUT)
+    placement = _cross_shard_commits(3)[0]
+
+    async def scenario():
+        servers, coordinator, request, involved = await _silent_pair(placement)
+        first, last = involved
+        servers[first].refuse.add("/v1/commit")
+        for index in involved:
+            servers[index].stall.update({"/v1/abort", "/v1/teardown"})
+        started = time.monotonic()
+        status, outcome = await coordinator.establish(request)
+        elapsed = time.monotonic() - started
+        assert status == 200
+        assert json.loads(outcome)["reason"] == "shard_unreachable"
+        assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
+        # The first shard's lease is aborted; the last shard, which
+        # committed in its reserve, is torn down and owes a teardown.
+        assert servers[first].stalled == ["/v1/abort"]
+        assert servers[last].stalled == ["/v1/teardown"]
+        assert coordinator.pending_teardowns == {"silent": [last]}
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
 
 
 # ---------------------------------------------------------------------------

@@ -2,15 +2,19 @@
 
 Hypothesis generates schedules of concurrent establishments, teardowns,
 drains, un-drains, lost-ack crashes, lost replies from shards that
-stay up (to a commit, an abort or a teardown) and replies of the wrong
-shape (to an availability, reserve, commit or teardown call the shard
-applied) against a 2- or 3-shard cluster of in-process shard services,
+stay up (to a reserve -- the last shard's carries its commit -- a
+commit, an abort or a teardown), replies of the wrong shape (to an
+availability, reserve, commit or teardown call the shard applied),
+refused reserves and commits, requests still in flight when the
+router gives up on them and delivered late, and anti-entropy passes,
+against a 2- or 3-shard cluster of in-process shard services,
 interleaved on the event loop exactly as HTTP requests interleave on
 the wire.  After every step each shard's broker and proxy books must
 agree (capacity conservation), and every slice a shard holds committed
 must be one the router holds or owes a teardown (cross-tier
 reconciliation); after the schedule -- once crashed shards restart,
-live sessions tear down, and the TTL reaper collects stranded leases --
+live sessions tear down, the anti-entropy pass runs, requests still in
+flight land, and the TTL reaper collects stranded leases --
 every shard must be fully quiescent and the merged per-shard event logs
 must reconcile with zero violations: nothing leaked, nothing
 double-granted, every aborted 2PC round rolled back to zero.
@@ -43,9 +47,29 @@ operations = st.lists(
             st.just("lose_reply"),
             st.tuples(
                 st.integers(min_value=0, max_value=2),
-                st.sampled_from(["/v1/commit", "/v1/abort", "/v1/teardown"]),
+                st.sampled_from(
+                    ["/v1/reserve", "/v1/commit", "/v1/abort", "/v1/teardown"]
+                ),
             ),
         ),
+        st.tuples(
+            st.just("hold"),
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(
+                    ["/v1/reserve", "/v1/commit", "/v1/abort", "/v1/teardown"]
+                ),
+            ),
+        ),
+        st.tuples(st.just("deliver"), st.integers(min_value=0, max_value=2)),
+        st.tuples(
+            st.just("refuse"),
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(["/v1/reserve", "/v1/commit"]),
+            ),
+        ),
+        st.tuples(st.just("flush"), st.just(None)),
         st.tuples(
             st.just("garble"),
             st.tuples(
@@ -121,6 +145,18 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
             elif op == "garble":
                 shard_index, path = arg
                 shards[shard_index % shard_count].garble_next_reply = (path, b"[]")
+            elif op == "hold":
+                shard_index, path = arg
+                shards[shard_index % shard_count].hold_next_request = path
+            elif op == "deliver":
+                shard = shards[arg % shard_count]
+                if shard.held is not None:
+                    shard.deliver_held()
+            elif op == "refuse":
+                shard_index, path = arg
+                shards[shard_index % shard_count].refuse_next_request = path
+            elif op == "flush":
+                await coordinator.flush_pending_teardowns()
             elif op == "race":
                 await asyncio.gather(*(establish(p) for p in arg))
             _assert_books_agree(shards)
@@ -128,18 +164,24 @@ def test_racing_admissions_and_failures_never_leak(shard_count, schedule):
 
         # Recovery: crashed shards come back, every session tears down,
         # the anti-entropy pass settles teardowns owed to shards that
-        # were unreachable when the router tore the session down, and
-        # the reaper collects whatever leases the failures stranded.
+        # were unreachable when the router tore the session down, the
+        # requests still in flight land after it, and the reaper
+        # collects whatever leases the failures stranded.
         for shard in shards:
             shard.crashed = False
             shard.crash_on_next_reserve = False
             shard.lose_next_reply = None
             shard.garble_next_reply = None
+            shard.hold_next_request = None
+            shard.refuse_next_request = None
             shard.draining = False
         for session_id in list(established):
             await coordinator.teardown({"session_id": session_id})
         await coordinator.flush_pending_teardowns()
         assert not coordinator.pending_teardowns
+        for shard in shards:
+            if shard.held is not None:
+                shard.deliver_held()
         for shard in shards:
             await shard.reap(now=float("inf"))
         assert_tiers_agree(coordinator, shards)
