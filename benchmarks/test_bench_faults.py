@@ -2,9 +2,10 @@
 
 Two claims are measured:
 
-* the fault machinery is free when unused -- a zero-fault run through
-  :class:`~repro.faults.FaultTolerantCoordinator` produces *identical*
-  metrics to the plain coordinator (asserted);
+* the fault machinery is free when unused -- a zero-fault run, whose
+  :class:`~repro.runtime.coordinator.ReservationCoordinator` holds an
+  injector that never fires, produces *identical* metrics to a run
+  without one (asserted);
 * under a heavy composite fault level (f=0.15: drops + crashes + stale
   reports) the protocol degrades gracefully rather than collapsing --
   success stays above half the fault-free rate, every injected fault is

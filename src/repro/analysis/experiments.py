@@ -400,9 +400,9 @@ def run_fault_sweep(seed: int = 0, quick: bool = False) -> ExperimentReport:
     Sweeps one composite *fault level* f over the fault-tolerant
     protocol: message drop probability f, one expected broker crash per
     host per ``60/f`` TU (f > 0), and stale-report probability f.  The
-    f=0 column routes through the fault-tolerant coordinator with a
-    zero schedule, which is byte-identical to the plain coordinator --
-    so the leftmost points double as the no-regression baseline.
+    f=0 column gives the coordinator an injector with a zero schedule,
+    which is byte-identical to a coordinator without one -- so the
+    leftmost points double as the no-regression baseline.
     """
     from repro.faults.plan import FaultConfig
 

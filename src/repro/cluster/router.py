@@ -511,7 +511,7 @@ class ClusterCoordinator:
         Resources a shard should have covered are zero-filled when its
         reply is unknown (no reply, one of the wrong shape, or one that
         omits a resource asked for) -- the same degrade-not-crash stance
-        the fault-tolerant coordinator takes on a timed-out proxy.
+        the coordinator takes on a timed-out proxy under faults.
         """
         asked: Dict[int, List[str]] = {}
         for rid in sorted(resource_ids):

@@ -1,23 +1,18 @@
-"""Fault injection and the fault-tolerant reservation protocol (PR 4).
+"""Fault injection and the recovery policy of the reservation protocol (PR 4).
 
 Public surface:
 
 * :class:`FaultConfig` / :class:`FaultPlan` -- seeded fault schedules;
 * :class:`FaultInjector` -- the per-run decision point at the protocol
-  boundaries;
-* :class:`FaultTolerantCoordinator`
-  and :class:`FaultTolerantDistributedCoordinator` -- the coordinators'
-  one establishment protocol under a recovery policy, byte-identical to
-  the plain coordinators under a zero plan;
+  boundaries.  Handed to the one
+  :class:`~repro.runtime.coordinator.ReservationCoordinator`
+  (``injector=``), it runs the establishment protocol under the plan's
+  recovery policy; under a zero plan it fires nothing, and the
+  coordinator is byte-identical to one without an injector;
 * :func:`capacity_conservation` / :func:`assert_capacity_conserved` --
   the broker-vs-proxy bookkeeping invariant.
 """
 
-from repro.faults.coordinator import (
-    FaultTolerantCoordinator,
-    FaultTolerantDistributedCoordinator,
-    Lease,
-)
 from repro.faults.injector import MESSAGE_CHANNELS, FaultInjector
 from repro.faults.invariants import (
     CapacityConservationError,
@@ -32,6 +27,7 @@ from repro.faults.plan import (
     FaultWindow,
     InjectedFault,
 )
+from repro.runtime.leases import Lease
 
 __all__ = [
     "FAULT_SEED_INDEX",
@@ -41,8 +37,6 @@ __all__ = [
     "FaultConfig",
     "FaultInjector",
     "FaultPlan",
-    "FaultTolerantCoordinator",
-    "FaultTolerantDistributedCoordinator",
     "FaultWindow",
     "InjectedFault",
     "Lease",

@@ -1,8 +1,8 @@
 """Seeded fault injection at the protocol boundaries.
 
-The :class:`FaultInjector` is the single decision point the
-fault-tolerant coordinator consults at every phase-1/phase-3 message
-boundary.  It combines
+The :class:`FaultInjector` is the single decision point a
+:class:`~repro.runtime.coordinator.ReservationCoordinator` handed one
+consults at every phase-1/phase-3 message boundary.  It combines
 
 * the :class:`~repro.faults.plan.FaultPlan`'s pre-materialised
   crash/partition windows (checked against the DES clock), and

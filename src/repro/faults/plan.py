@@ -8,7 +8,7 @@ reproducible fault model:
 * :class:`FaultConfig` -- the knobs: per-message drop/delay rates,
   per-host crash and partition (Poisson) rates with outage durations,
   stale-report injection, and the recovery policy (retries, backoff,
-  replans, lease TTL) of the fault-tolerant coordinator;
+  replans, lease TTL) the coordinator runs under an injector;
 * :class:`FaultPlan` -- a concrete schedule: the crash/partition
   *windows* are materialised up front from the seed (one Poisson
   process per host per window kind), while per-message faults are
@@ -51,9 +51,10 @@ class FaultConfig:
     """Fault rates and the recovery policy of the tolerant protocol.
 
     All rates default to zero: a default-constructed config is the
-    *all-zero* plan, under which the fault-tolerant coordinator is
-    required (and regression-tested) to behave byte-identically to the
-    plain :class:`~repro.runtime.coordinator.ReservationCoordinator`.
+    *all-zero* plan.  A
+    :class:`~repro.runtime.coordinator.ReservationCoordinator` whose
+    injector runs it is required (and regression-tested) to behave
+    byte-identically to one with no injector.
     """
 
     #: Probability that any one protocol message (phase-1 availability

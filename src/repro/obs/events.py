@@ -20,8 +20,8 @@ reservation-lifecycle events:
 * ``fault.injected`` / ``segment.timeout`` / ``segment.retry`` /
   ``session.replanned`` / ``lease.expired`` -- the fault-injection and
   recovery lifecycle of :mod:`repro.faults`: every fired fault, every
-  per-phase timeout and bounded retry of the fault-tolerant
-  coordinator, every re-plan after a failed host or admission loss, and
+  per-phase timeout and bounded retry of the coordinator under an
+  injector, every re-plan after a failed host or admission loss, and
   every orphaned reserve/commit lease reclaimed by the reaper;
 * ``broker.observed`` / ``session.drift`` / ``session.renegotiated`` --
   the online monitoring plane of :mod:`repro.obs.monitor`: periodic

@@ -17,7 +17,6 @@ from repro.runtime.coordinator import EstablishmentResult, ReservationCoordinato
 from repro.runtime.distributed import (
     ComponentFragment,
     ComponentHost,
-    DistributedCoordinator,
     FragmentRequest,
 )
 from repro.runtime.messages import (
@@ -35,7 +34,6 @@ __all__ = [
     "AvailabilityRequest",
     "ComponentFragment",
     "ComponentHost",
-    "DistributedCoordinator",
     "EstablishmentResult",
     "FragmentRequest",
     "ModelStore",

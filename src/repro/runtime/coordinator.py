@@ -16,9 +16,16 @@ in a way planning treated independently; with the staleness model of
 under contention.
 
 The phases are written once, as a generator yielding the delays the
-protocol waits out (:meth:`ReservationCoordinator._establish`); the
-fault boundary (:mod:`repro.faults.coordinator`) overrides only the
-seams a fault changes.
+protocol waits out (:meth:`ReservationCoordinator._establish`).  It is
+the only coordinator.  Its fault boundary is its own seams: given a
+:class:`~repro.faults.injector.FaultInjector` that can fire, a phase-1
+exchange or a phase-3 reserve/ack may be lost (a timeout, retried under
+seeded backoff), a lost rollback release orphans its lease for the
+reaper, and a failed dispatch is planned again (§4.3).  Where the
+QoS-Resource Model lives (§3) is chosen by the proxies it is given:
+:class:`~repro.runtime.distributed.ComponentHost` proxies price their
+own QRG fragments, any other proxies report availability and the main
+proxy prices the QRG itself.
 """
 
 from __future__ import annotations
@@ -36,13 +43,20 @@ from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding
 from repro.core.errors import AdmissionError, BrokerError, ModelError, PlanningError
 from repro.core.plan import ReservationPlan
-from repro.core.qrg import QRGSkeletonCache, memoise_bounded, price_skeleton
+from repro.core.qrg import (
+    QRGSkeletonCache,
+    assemble_qrg,
+    memoise_bounded,
+    price_skeleton,
+    resolve_source_level,
+)
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.core.translation import ScaledTranslation
 from repro.obs import context as _context
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs import trace as _trace
+from repro.runtime.distributed import ComponentHost, FragmentRequest
 from repro.runtime.leases import Lease, LeaseTable
 from repro.runtime.messages import AvailabilityRequest, SessionRequest
 from repro.runtime.model_store import ModelStore
@@ -101,18 +115,23 @@ class RenegotiationResult:
 
 
 class ReservationCoordinator:
-    """Executes the three-phase establishment protocol."""
+    """Executes the three-phase establishment protocol.
 
-    #: Whether a batch's arrivals may share one phase-1 snapshot.
-    _shares_snapshots = True
-    #: Whether the phase-3 span names its commit count and lost host.
-    _dispatch_detail = False
+    ``injector`` (a :class:`~repro.faults.injector.FaultInjector`) runs
+    the protocol under its fault plan and the recovery policy of the
+    plan's :class:`~repro.faults.plan.FaultConfig`; ``env`` attaches the
+    coordinator to a DES clock, on which orphaned leases are reaped on
+    time.  Without them every message arrives, at once.
+    """
 
     def __init__(
         self,
         registry: BrokerRegistry,
         model_store: ModelStore,
         proxies: Mapping[str, QoSProxy],
+        *,
+        injector=None,
+        env=None,
     ) -> None:
         self.registry = registry
         self.model_store = model_store
@@ -126,10 +145,42 @@ class ReservationCoordinator:
         #: drift-triggered renegotiation of the dying session itself
         #: would re-reserve on proxies the teardown loop already passed.
         self._tearing_down: set = set()
-        #: Phase 3's hold -> commit engine.  The plain protocol commits in
-        #: the same call, so its leases never wait on this clock.
-        self.leases = LeaseTable(self.proxies, _time.monotonic, math.inf)
+        self.injector = injector
+        self._env = env
+        # An injector that can fire nothing costs nothing: phase 3 stays
+        # one all-or-nothing hold, a failed dispatch is not planned
+        # again, and a batch shares one phase-1 snapshot.  Faults are
+        # injected per message, so under a faulty plan each arrival runs
+        # its own phase 1 (one shared round would mask the timeouts,
+        # stale reports and retries the plan asks for).
+        self._faults = None if injector is None or injector.is_zero else injector
+        self._max_replans = (
+            self._faults.config.max_replans if self._faults is not None else 0
+        )
+        #: Phase 3's hold -> commit engine, on this coordinator's clock;
+        #: orphans await the reaper.  Without faults a lease is committed
+        #: or released in the call that holds it.
+        self.leases = LeaseTable(
+            self.proxies,
+            lambda: self.now,
+            injector.config.lease_ttl if injector is not None else math.inf,
+        )
+        #: Total orphaned leases reclaimed (watchdogs + explicit reaps).
+        self.leases_reaped = 0
+        #: §3's distributed placement: the component hosts store the
+        #: translation functions and price their own QRG fragments.
+        self._fragments = bool(self.proxies) and all(
+            isinstance(proxy, ComponentHost) for proxy in self.proxies.values()
+        )
         self._instruments = _metrics.Instruments()
+
+    @property
+    def now(self) -> float:
+        """The coordinator's clock: DES time when attached to an env,
+        else the injector's (0.0 without one)."""
+        if self._env is not None:
+            return self._env.now
+        return self.injector.now if self.injector is not None else 0.0
 
     # -- ownership ------------------------------------------------------------
 
@@ -143,6 +194,13 @@ class ReservationCoordinator:
                 self._owner_cache[resource_id] = candidate
                 return candidate
         raise BrokerError(f"no QoSProxy owns resource {resource_id!r}")
+
+    def host_of_component(self, component: str) -> ComponentHost:
+        """The component host storing ``component``; raises if none does."""
+        for proxy in self.proxies.values():
+            if component in proxy.stored_components():
+                return proxy
+        raise ModelError(f"no proxy stores component {component!r}")
 
     # -- establishment ------------------------------------------------------------
 
@@ -206,11 +264,6 @@ class ReservationCoordinator:
         internal phase-2 helper.
         """
         service = self._service_at_scale(service_name, demand_scale)
-        observed_instant = max(
-            (obs.observed_at for obs in snapshot.values()
-             if obs.observed_at is not None),
-            default=None,
-        )
         return self._phase2_plan(
             session_id,
             service,
@@ -218,7 +271,7 @@ class ReservationCoordinator:
             binding,
             planner,
             snapshot,
-            observed_instant,
+            _observed_instant(snapshot),
             source_label=source_label,
             demand_scale=demand_scale,
             contention_index=contention_index,
@@ -278,21 +331,40 @@ class ReservationCoordinator:
 
         ``ask(observed_at=schedule)`` performs the exchange and returns
         the proxy's report (anything with ``.observations``).  This and
-        :meth:`_price_qrg` are the two halves of a *pricing source*:
-        here the owning proxies report availability and the main proxy
-        prices the QRG itself;
-        :class:`~repro.runtime.distributed.DistributedCoordinator` has
-        the component hosts price their own fragments instead.
+        :meth:`_price_qrg` are the two halves of a *pricing source*.
+        Centrally, the owning proxies report availability and the main
+        proxy prices the QRG itself.  Under §3's distributed placement
+        each component's host prices its own fragment, which folds
+        phase 1 into fragment computation.
         """
-        return self._availability_exchanges(session_id, resource_ids)
+        if not self._fragments:
+            return self._availability_exchanges(session_id, resource_ids)
+        return [
+            (
+                host,
+                partial(
+                    host.price_fragment,
+                    FragmentRequest(session_id, component.name, demand_scale),
+                    binding,
+                    contention_index=contention_index,
+                ),
+            )
+            for component in service.components
+            for host in (self.host_of_component(component.name),)
+        ]
 
     def _availability_exchanges(self, session_id: str, resource_ids: Sequence[str]):
+        """One availability request to each owning proxy, in host order."""
         request = AvailabilityRequest(
             session_id=session_id, resource_ids=tuple(resource_ids)
         )
+        owners: Dict[str, QoSProxy] = {}
+        for resource_id in resource_ids:
+            proxy = self.proxy_for(resource_id)
+            owners[proxy.host] = proxy
         return [
-            (proxy, partial(proxy.report_availability, request))
-            for proxy in self._participating_proxies(resource_ids)
+            (owners[host], partial(owners[host].report_availability, request))
+            for host in sorted(owners)
         ]
 
     def _establish(
@@ -309,19 +381,19 @@ class ReservationCoordinator:
         contention_index=None,
         snapshot: Optional[AvailabilitySnapshot] = None,
     ):
-        """The three phases themselves, once for every coordinator.
+        """The three phases themselves, written once.
 
         A generator: it yields the delays the protocol waits out and
         returns the :class:`EstablishmentResult`.  :meth:`establish`
         lets the delays pass at once, :meth:`establish_process` turns
-        each into simulated time; this class never yields one.  What a
+        each into simulated time; only faults make a delay.  What a
         fault changes is left to the seams it calls -- how a phase-1
         exchange is delivered (:meth:`_deliver`, :meth:`_unreported`),
-        how a phase-3 dispatch goes (:meth:`_dispatch_groups`,
-        :meth:`_dispatch`, :meth:`_roll_back`) and whether a failed
-        dispatch is planned again (:meth:`_replan`).
+        how a phase-3 dispatch goes (:meth:`_dispatch`,
+        :meth:`_roll_back`) and whether a failed dispatch is planned
+        again (:meth:`_replan`).
         """
-        if snapshot is not None and not self._shares_snapshots:
+        if snapshot is not None and self._faults is not None:
             raise ModelError(
                 "snapshot= establishment is unsupported under fault injection: "
                 "phase 1 must run per session so message faults apply"
@@ -344,11 +416,7 @@ class ReservationCoordinator:
                 snapshot, reports = yield from self._phase1(
                     session_id, exchanges, resource_ids, observed_at, excluded
                 )
-            # The causal log timestamps session events with the instant the
-            # availability snapshot describes (== env.now for fresh probes).
-            observed_instant = max(
-                (obs.observed_at for obs in snapshot.values()), default=None
-            )
+            observed_instant = _observed_instant(snapshot)
 
             # Phase 2: local plan computation at the main proxy.
             plan, failure = self._phase2_plan(
@@ -368,7 +436,7 @@ class ReservationCoordinator:
                 return failure
 
             failed_resource, failed_host = yield from self._phase3(
-                session_id, self._segments(plan.demand)
+                session_id, self.segments(plan.demand)
             )
             if failed_resource is None and failed_host is None:
                 self._start_components(session_id, component_hosts)
@@ -389,17 +457,10 @@ class ReservationCoordinator:
                 reason="admission_failed",
                 failed_resource=failed_resource,
             )
-        log = _events.active_event_log()
-        if log is not None:
-            log.emit(
-                "session.rejected",
-                session=session_id,
-                time=observed_instant,
-                service=service_name,
-                reason="host_unreachable",
-                host=failed_host,
-                available=snapshot.availability(),
-            )
+        self._emit_rejected(
+            session_id, service_name, snapshot, observed_instant, "host_unreachable",
+            host=failed_host,
+        )
         return EstablishmentResult(session_id, False, plan, reason="host_unreachable")
 
     def _phase1(self, session_id, exchanges, resource_ids, observed_at, excluded=()):
@@ -433,9 +494,18 @@ class ReservationCoordinator:
         is committed.  A refused or lost dispatch rolls back the leases
         held before it.
         """
+        faulty = self._faults is not None
         with _trace.span(PHASE3_SPAN, segments=len(segments)) as span:
+            # Without faults nothing between the proxies is lost, so the
+            # whole plan is one all-or-nothing hold.  Under faults each
+            # host is one reserve/ack exchange, and one lease, in order.
+            groups = (
+                [{host: segments[host]} for host in sorted(segments)]
+                if faulty
+                else (segments,)
+            )
             held: List[Lease] = []
-            for group in self._dispatch_groups(segments):
+            for group in groups:
                 lease, failed_resource, failed_host = yield from self._dispatch(
                     session_id, group
                 )
@@ -445,7 +515,7 @@ class ReservationCoordinator:
             else:
                 for lease in held:
                     self.leases.commit(lease)
-                if self._dispatch_detail:
+                if faulty:
                     span.set(committed=len(held))
                 return None, None
             for lease in held:
@@ -455,7 +525,7 @@ class ReservationCoordinator:
                 rolled_back=sorted(segments).index(failing),
                 failed_resource=failed_resource,
             )
-            if self._dispatch_detail:
+            if faulty:
                 span.set(failed_host=failed_host)
             return failed_resource, failed_host
 
@@ -464,44 +534,196 @@ class ReservationCoordinator:
     def _deliver(self, session_id: str, host: str, ask, observed_at):
         """One phase-1 exchange: the report, or None when it never came.
 
-        A generator yielding the exchange's delays.  Here every message
-        arrives, at once.
+        A generator yielding the exchange's delays.  Without faults
+        every message arrives, at once.  Past the injector an attempt
+        may be lost -- a *timeout*, retried under seeded exponential
+        backoff -- and a delivered report may be served stale and arrive
+        late.
         """
-        return ask(observed_at=observed_at)
-        yield  # unreachable: makes this a generator, like its overrides
+        injector = self._faults
+        if injector is None:
+            return ask(observed_at=observed_at)
+        for attempt in range(injector.config.max_retries + 1):
+            fault = injector.message_fault("availability", host, session_id)
+            if fault is not None:
+                yield from self._lost(session_id, host, "availability", fault, attempt)
+                continue
+            schedule = observed_at
+            age = injector.stale_age_for(host, session_id)
+            if age is not None:
+                schedule = self._stale_schedule(observed_at, age)
+            report = ask(observed_at=schedule)
+            delay = injector.message_delay("availability", host, session_id)
+            if delay:
+                yield delay
+            return report
+        return None
 
     def _unreported(self, missing: Sequence[str]) -> Mapping[str, ResourceObservation]:
-        """Stand-ins for resources no report covered: here, an error."""
-        raise BrokerError(f"no proxy reported resources {sorted(missing)}")
+        """Stand-ins for resources no report covered.
 
-    def _dispatch_groups(self, segments):
-        """Phase 3's dispatches, each a ``{host: demands}`` held as one lease.
-
-        Nothing between the proxies is lost here, so the whole plan is
-        one all-or-nothing :meth:`LeaseTable.hold`.
+        Without faults that is an error.  Under faults an unreachable
+        (or excluded) host reports zero availability: the planner then
+        routes around it exactly as §4.3 degrades -- and rejects when
+        the binding leaves no alternative.
         """
-        return (segments,)
+        if self._faults is None:
+            raise BrokerError(f"no proxy reported resources {sorted(missing)}")
+        now = self.now
+        return {
+            resource_id: ResourceObservation(available=0.0, alpha=1.0, observed_at=now)
+            for resource_id in missing
+        }
 
     def _dispatch(self, session_id: str, demands_by_host):
         """One phase-3 dispatch, as ``(lease, failed_resource, failed_host)``.
 
         A generator yielding the dispatch's delays.  Returns the held
         lease, or the resource a broker refused, or the host that never
-        answered; here no host fails to answer.
+        answered.  Under faults a dispatch is one host's reserve/ack
+        exchange with bounded retries.  A reservation whose ack was lost
+        exists host-side but is unknown to the main proxy: it is
+        compensated with a release order, and orphaned for the reaper
+        when that release is lost too.
         """
-        lease, refusal = self._hold(session_id, demands_by_host)
-        if refusal is not None:
-            return None, refusal.resource_id, None
-        return lease, None, None
-        yield  # unreachable: makes this a generator, like its overrides
+        injector = self._faults
+        if injector is None:
+            lease, refusal = self._hold(session_id, demands_by_host)
+            if refusal is not None:
+                return None, refusal.resource_id, None
+            return lease, None, None
+        (host,) = demands_by_host
+        for attempt in range(injector.config.max_retries + 1):
+            fault = injector.message_fault("reserve", host, session_id)
+            if fault is not None:
+                yield from self._lost(session_id, host, "reserve", fault, attempt)
+                continue
+            lease, refusal = self._hold(session_id, demands_by_host)
+            if refusal is not None:
+                return None, refusal.resource_id, None
+            fault = injector.message_fault("ack", host, session_id)
+            if fault is None:
+                delay = injector.message_delay("ack", host, session_id)
+                if delay:
+                    yield delay
+                return lease, None, None
+            yield from self._lost(session_id, host, "reserve", fault, attempt, lease)
+        return None, None, host
 
     def _roll_back(self, lease: Lease) -> None:
-        """Undo a lease held before a later dispatch failed."""
-        self.leases.release(lease)
+        """Undo a lease held before a later dispatch failed.
+
+        When the release order is lost the lease is orphaned instead:
+        the reaper reclaims it once its TTL expires (on a DES clock, a
+        watchdog does so on time), so no capacity leaks past the TTL.
+        """
+        injector = self._faults
+        if injector is None or injector.message_fault(
+            "release", lease.host, lease.session_id
+        ) is None:
+            self.leases.release(lease)
+            return
+        self.leases.orphan(lease)
+        registry = _metrics.active_registry()
+        if registry is not None:
+            registry.counter("coordinator.leases_orphaned").inc()
+        if self._env is not None:
+            self._env.process(self._lease_watchdog(lease))
 
     def _replan(self, session_id: str, attempt: int, failed_host, excluded) -> bool:
-        """Whether a failed dispatch is planned again: never, here."""
-        return False
+        """Whether a failed dispatch is planned again (§4.3's degradation).
+
+        Only under faults, on fresh observations, up to ``max_replans``
+        times.  A host that stopped answering is excluded from every
+        later phase 1.  Its skeletons are stale (replans and later
+        sessions see it as zero availability, and a recovered host may
+        rebind); every other service keeps its warm cache entry.
+        """
+        if failed_host is not None:
+            excluded.add(failed_host)
+            self.invalidate_qrg_cache_for_host(failed_host)
+        if attempt > self._max_replans:
+            return False
+        reason = "admission_failed" if failed_host is None else "host_unreachable"
+        self._note(
+            "session.replanned", "coordinator.replans", "reason", session_id,
+            reason=reason, attempt=attempt, excluded=sorted(excluded),
+        )
+        return True
+
+    def _stale_schedule(self, base: Optional[ObservationSchedule], age: float):
+        """An observation schedule aged by an injected stale report."""
+        when = max(0.0, self.now - age)
+
+        def schedule(resource_id: str) -> Optional[float]:
+            earlier = base(resource_id) if base is not None else None
+            return when if earlier is None else min(earlier, when)
+
+        return schedule
+
+    def _lost(self, session_id, host, phase, fault, attempt, unacked=None):
+        """A lost message: its timeout, then a retry while attempts remain.
+
+        A generator yielding the retry's seeded exponential backoff.
+        ``phase`` names the exchange retried.  A lease whose ack was lost
+        (``unacked``) times out as ``ack`` and is compensated with a
+        release order before the reserve is retried.
+        """
+        self._note(
+            "segment.timeout", "coordinator.segment_timeouts", "phase", session_id,
+            host=host, phase=phase if unacked is None else "ack", fault=fault,
+            attempt=attempt,
+        )
+        if unacked is not None:
+            self._roll_back(unacked)
+        if attempt < self._faults.config.max_retries:
+            self._note(
+                "segment.retry", "coordinator.segment_retries", "phase", session_id,
+                host=host, phase=phase, attempt=attempt + 1,
+            )
+            yield self._faults.backoff(attempt)
+
+    def _note(self, kind: str, counter: str, label: str, session_id: str, **detail):
+        """One step of the recovery policy: its causal event, and its
+        counter labelled with the event's ``label`` attribute."""
+        _events.emit(kind, session=session_id, time=self.now, **detail)
+        registry = _metrics.active_registry()
+        if registry is not None:
+            registry.counter(counter, **{label: detail[label]}).inc()
+
+    # -- leases and the orphan reaper ---------------------------------------
+
+    def pending_leases(self) -> Tuple[Lease, ...]:
+        """Leases not yet committed, released or reclaimed, in lease-id order."""
+        return self.leases.pending()
+
+    def _lease_watchdog(self, lease: Lease):
+        """DES process reclaiming one orphan when its TTL expires."""
+        yield self._env.timeout(max(0.0, lease.expires_at - self._env.now))
+        self.reap_orphans(now=lease.expires_at)
+
+    def reap_orphans(self, *, now: Optional[float] = None, force: bool = False) -> int:
+        """Reclaim expired orphans (all of them with ``force``).
+
+        The DES watchdogs normally do this on time; the explicit form
+        serves the synchronous driver and end-of-run cleanup before
+        :meth:`~repro.brokers.registry.BrokerRegistry.assert_quiescent`.
+        """
+        reaped = self.leases.reap(now, force)
+        for lease, released in reaped:
+            self.leases_reaped += 1
+            _events.emit(
+                "lease.expired",
+                session=lease.session_id,
+                time=self.now,
+                host=lease.host,
+                lease=lease.lease_id,
+                released=released,
+            )
+            registry = _metrics.active_registry()
+            if registry is not None:
+                registry.counter("coordinator.leases_expired").inc()
+        return len(reaped)
 
     def _phase2_plan(
         self,
@@ -539,8 +761,12 @@ class ReservationCoordinator:
                     reports=reports,
                 )
             except PlanningError as exc:
-                return None, self._reject_unplannable(
-                    session_id, service_name, snapshot, observed_instant, exc
+                self._emit_rejected(
+                    session_id, service_name, snapshot, observed_instant, "qrg",
+                    detail=str(exc),
+                )
+                return None, EstablishmentResult(
+                    session_id, False, None, reason=f"qrg: {exc}"
                 )
             return self._plan_priced(
                 session_id, service_name, planner, qrg, snapshot, observed_instant
@@ -557,25 +783,36 @@ class ReservationCoordinator:
         contention_index,
         reports: Sequence = (),
     ):
-        """Skeleton lookup + per-snapshot pricing.
+        """Phase 2b: the priced QRG of this session's snapshot.
 
-        ``reports`` are phase 1's replies; central pricing needs only
-        the snapshot merged from them.
+        Centrally a cached skeleton is priced against the snapshot
+        merged from phase 1's replies.  Under §3's distributed placement
+        the replies (``reports``) are the hosts' priced fragments, which
+        are stitched into the full QRG; the snapshot-driven entry points
+        bring none, and are refused with a ``qrg:`` reason.
         """
+        if self._fragments:
+            if not reports:
+                raise PlanningError("no component fragments to stitch")
+            source_level = resolve_source_level(service, source_label)
+            intra_edges = [edge for fragment in reports for edge in fragment.edges]
+            return assemble_qrg(service, source_level, intra_edges, snapshot)
         skeleton = self.qrg_skeletons.skeleton_for(
             service, binding, source_label=source_label, extra=(demand_scale,)
         )
         return price_skeleton(skeleton, snapshot, contention_index=contention_index)
 
-    def _reject_unplannable(
+    def _emit_rejected(
         self,
         session_id: str,
         service_name: str,
         snapshot: AvailabilitySnapshot,
         observed_instant: Optional[float],
-        exc: PlanningError,
-    ) -> EstablishmentResult:
-        """The causal record of a pricing failure (unbuildable QRG)."""
+        reason: str,
+        **detail,
+    ) -> None:
+        """The causal record of a rejection made without a plan's demand
+        (no QRG, no feasible plan, an unreachable host)."""
         log = _events.active_event_log()
         if log is not None:
             log.emit(
@@ -583,11 +820,10 @@ class ReservationCoordinator:
                 session=session_id,
                 time=observed_instant,
                 service=service_name,
-                reason="qrg",
-                detail=str(exc),
+                reason=reason,
+                **detail,
                 available=snapshot.availability(),
             )
-        return EstablishmentResult(session_id, False, None, reason=f"qrg: {exc}")
 
     def _plan_priced(
         self,
@@ -602,15 +838,9 @@ class ReservationCoordinator:
         log = _events.active_event_log()
         plan = planner.plan(qrg)
         if plan is None:
-            if log is not None:
-                log.emit(
-                    "session.rejected",
-                    session=session_id,
-                    time=observed_instant,
-                    service=service_name,
-                    reason="no_feasible_plan",
-                    available=snapshot.availability(),
-                )
+            self._emit_rejected(
+                session_id, service_name, snapshot, observed_instant, "no_feasible_plan"
+            )
             return None, EstablishmentResult(
                 session_id, False, None, reason="no_feasible_plan"
             )
@@ -662,12 +892,12 @@ class ReservationCoordinator:
         is then an ordinary :meth:`establish` against that snapshot, in
         request order, each seeing the reservations of the ones before
         it -- phase 2 runs once per session, as in the paper.  A
-        coordinator whose arrivals may not share a snapshot
-        (``_shares_snapshots``) runs each arrival's phase 1 on its
-        own, and refuses a given ``snapshot`` as :meth:`establish` does.
+        faulty coordinator's arrivals may not share a snapshot: each
+        runs its own phase 1, and a given ``snapshot`` is refused as
+        :meth:`establish` refuses it.
         """
         requests = list(requests)
-        if snapshot is None and requests and self._shares_snapshots:
+        if snapshot is None and requests and self._faults is None:
             snapshot = self._collect_batch_snapshot(requests, observed_at)
         return [
             self.establish(
@@ -961,8 +1191,12 @@ class ReservationCoordinator:
         """Release everything every proxy holds for the session.
 
         Only the proxies that hold something for it are asked, in the
-        proxies' order: on a §5.1 grid that is about 3 of 12.
+        proxies' order: on a §5.1 grid that is about 3 of 12.  The
+        session's orphaned leases still sit in the proxies' held lists,
+        so this releases them too; dropping their records first turns
+        the pending watchdogs into no-ops.
         """
+        self.leases.drop_session(session_id)
         with _trace.span("teardown", session=session_id) as span:
             released = 0
             self._tearing_down.add(session_id)
@@ -987,9 +1221,11 @@ class ReservationCoordinator:
         uses a handful of discrete multipliers (§5.1's N in {2, 10}), so
         rebuilding the scaled component list per session is pure waste.
         The memo is bounded like the skeleton cache, because the wire
-        accepts any positive factor.
+        accepts any positive factor.  Under §3's distributed placement
+        the stored structure is scale-free: each host scales its own
+        component.
         """
-        if demand_scale == 1.0:
+        if demand_scale == 1.0 or self._fragments:
             return self.model_store.service(service_name)
         key = (service_name, demand_scale)
         service = self._scaled_services.get(key)
@@ -1028,20 +1264,28 @@ class ReservationCoordinator:
 
     # -- helpers --------------------------------------------------------------
 
-    def _participating_proxies(self, resource_ids) -> List[QoSProxy]:
-        seen: Dict[str, QoSProxy] = {}
-        for resource_id in resource_ids:
-            proxy = self.proxy_for(resource_id)
-            seen[proxy.host] = proxy
-        return [seen[host] for host in sorted(seen)]
+    def segments(self, demand: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
+        """Split a resource demand into per-host segments (host -> demands).
 
-    def _segments(self, demand: Mapping[str, float]) -> Dict[str, Dict[str, float]]:
-        """Split a resource demand into per-host segments (host -> demands)."""
+        Phase 3 dispatches these; a sharded daemon's ``/v1/reserve``
+        holds them as one lease.
+        """
         per_host: Dict[str, Dict[str, float]] = {}
         for resource_id in demand:
             host = self.proxy_for(resource_id).host
             per_host.setdefault(host, {})[resource_id] = demand[resource_id]
         return per_host
+
+
+def _observed_instant(snapshot: AvailabilitySnapshot) -> Optional[float]:
+    """The instant a snapshot describes (== env.now for fresh probes).
+
+    The causal log timestamps a session's events with it.
+    """
+    return max(
+        (obs.observed_at for obs in snapshot.values() if obs.observed_at is not None),
+        default=None,
+    )
 
 
 def _run(steps):

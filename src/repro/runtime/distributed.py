@@ -1,14 +1,15 @@
 """The *distributed* model-store approach (paper §3).
 
 §3 offers two placements for the QoS-Resource Model definition: the
-centralised one (the main QoSProxy stores everything; implemented by
-:class:`~repro.runtime.coordinator.ReservationCoordinator`, which the
-paper assumes for the rest of the text) and a distributed one, where
-"the Q_in and Q_out levels and the Translation Function of each service
+centralised one (the main QoSProxy stores everything, which the paper
+assumes for the rest of the text) and a distributed one, where "the
+Q_in and Q_out levels and the Translation Function of each service
 component will be stored and accessed by the QoSProxy of the host where
 the service component runs".
 
-This module implements the distributed flavour.  Per session:
+This module holds the distributed flavour's proxy and messages.  A
+:class:`~repro.runtime.coordinator.ReservationCoordinator` given
+:class:`ComponentHost` proxies runs it, per session:
 
 1. the main proxy asks each participating proxy for its component's
    *QRG fragment* -- the feasible, locally priced (Q_in, Q_out) edges
@@ -20,32 +21,23 @@ This module implements the distributed flavour.  Per session:
    the planning algorithm;
 3. plan dispatch and tear-down *are* the centralised path.
 
-:class:`DistributedCoordinator` is therefore the one coordinator core
-with a different *pricing source* -- it overrides who phase 1 asks and
-how the priced QRG is put together, and inherits everything else.  The
-two are interchangeable: given the same availability they compute
-identical plans (asserted by the test suite), so everything else in the
-library -- sessions, simulation, metrics -- accepts either.
+Only who phase 1 asks and how the priced QRG is put together differ.
+Given the same availability both placements compute identical plans
+(asserted by the test suite), so everything else in the library --
+sessions, simulation, metrics -- accepts either.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.brokers.registry import BrokerRegistry
 from repro.core.component import Binding, ServiceComponent
-from repro.core.errors import ModelError, PlanningError
-from repro.core.qrg import (
-    IntraEdge,
-    assemble_qrg,
-    price_component_edges,
-    resolve_source_level,
-)
+from repro.core.errors import ModelError
+from repro.core.qrg import IntraEdge, price_component_edges
 from repro.core.resources import ResourceObservation
 from repro.core.translation import ScaledTranslation
-from repro.runtime.coordinator import ReservationCoordinator
 from repro.runtime.proxy import QoSProxy
 
 
@@ -127,56 +119,3 @@ class ComponentHost(QoSProxy):
             edges=tuple(edges),
             observations=dict(snapshot),
         )
-
-
-class DistributedCoordinator(ReservationCoordinator):
-    """Session establishment with per-host component definitions.
-
-    The core's ``model_store`` plays the *structure store* here: it
-    holds the service-level structure (graph + ranking + level
-    declarations); the per-component translation functions live only in
-    the :class:`ComponentHost` proxies, which price their own fragments.
-    Phase 3, tear-down, renegotiation and accounting are inherited.
-    The snapshot-driven entry points (``snapshot=``, ``establish_batch``,
-    ``plan_session``) have no fragments to stitch and reject with a
-    ``qrg:`` reason.
-    """
-
-    def host_of_component(self, component: str) -> ComponentHost:
-        """The proxy storing ``component``; raises if none does."""
-        for proxy in self.proxies.values():
-            if component in proxy.stored_components():
-                return proxy
-        raise ModelError(f"no proxy stores component {component!r}")
-
-    def _service_at_scale(self, service_name: str, demand_scale: float):
-        """The structure is scale-free: each host scales its own component."""
-        return self.model_store.service(service_name)
-
-    def _phase1_exchanges(
-        self, session_id, service, binding, _resource_ids, *, demand_scale, contention_index
-    ):
-        """Phase 1+2a: one fragment request per component, to its host."""
-        return [
-            (
-                host,
-                partial(
-                    host.price_fragment,
-                    FragmentRequest(session_id, component.name, demand_scale),
-                    binding,
-                    contention_index=contention_index,
-                ),
-            )
-            for component in service.components
-            for host in (self.host_of_component(component.name),)
-        ]
-
-    def _price_qrg(
-        self, service, binding, snapshot, *, source_label, reports: Sequence = (), **_central
-    ):
-        """Phase 2b: stitch the hosts' priced fragments into the full QRG."""
-        if not reports:
-            raise PlanningError("no component fragments to stitch")
-        source_level = resolve_source_level(service, source_label)
-        intra_edges = [edge for fragment in reports for edge in fragment.edges]
-        return assemble_qrg(service, source_level, intra_edges, snapshot)

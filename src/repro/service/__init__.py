@@ -1,7 +1,7 @@
 """Long-lived reservation service: daemon, client, load generator.
 
-Wraps :class:`~repro.runtime.coordinator.ReservationCoordinator` (or its
-fault-tolerant variant) behind a network admission API so the paper's
+Wraps :class:`~repro.runtime.coordinator.ReservationCoordinator` behind
+a network admission API so the paper's
 three-phase protocol can be exercised by real concurrent clients instead
 of a single in-process driver:
 

@@ -601,7 +601,7 @@ class ReservationService:
         # hold itself refuses a non-finite or non-positive amount (a 400).
         try:
             lease = self.leases.hold(
-                session_id, self.coordinator._segments(demands), self.shard_label
+                session_id, self.coordinator.segments(demands), self.shard_label
             )
         except AdmissionError as exc:
             return {

@@ -26,7 +26,6 @@ from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import ModelError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
-from repro.faults.coordinator import FaultTolerantCoordinator
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import assert_capacity_conserved
 from repro.faults.plan import FAULT_SEED_INDEX, FaultConfig, FaultPlan
@@ -40,6 +39,7 @@ from repro.obs import events as _obs_events
 from repro.obs.events import EventLog
 from repro.obs.metrics import DEFAULT_PSI_BUCKETS, active_registry
 from repro.obs.monitor import AdaptationPolicy, MonitorConfig, OnlineMonitor
+from repro.runtime.coordinator import ReservationCoordinator
 from repro.runtime.session import ServiceSession, SessionOutcome
 from repro.sim.environment import GridEnvironment
 from repro.sim.metrics import MetricsCollector, MetricsSnapshot, PathCensus
@@ -76,9 +76,9 @@ class SimulationConfig:
     #: Span/metrics/event collection and export (None = not observed,
     #: the zero-overhead default).  See :mod:`repro.obs`.
     observability: Optional[ObservabilityConfig] = None
-    #: Fault schedule + recovery policy (None = the plain coordinator;
-    #: a zero FaultConfig routes through the fault-tolerant coordinator
-    #: but is regression-tested byte-identical).  See :mod:`repro.faults`.
+    #: Fault schedule + recovery policy (None = no injector; a zero
+    #: FaultConfig gives the coordinator an injector that never fires,
+    #: regression-tested byte-identical).  See :mod:`repro.faults`.
     faults: Optional[FaultConfig] = None
     #: Online monitoring plane: streaming estimators, drift detection
     #: and (with ``adapt=True``) §5 renegotiation of live sessions.
@@ -228,7 +228,7 @@ def _run_simulation(
             hosts=sorted(grid.proxies),
         )
         injector = FaultInjector(plan, clock=lambda: env.now)
-        grid.coordinator = FaultTolerantCoordinator(
+        grid.coordinator = ReservationCoordinator(
             grid.registry, grid.model_store, grid.proxies, injector=injector, env=env
         )
     planner = make_planner(config.algorithm, config.tie_break, streams)

@@ -21,11 +21,11 @@ from hypothesis import strategies as st
 from repro.core import BasicPlanner, RandomPlanner, TradeoffPlanner
 from repro.core.errors import ModelError
 from repro.des import Environment, RandomStreams
-from repro.faults import FaultConfig, FaultInjector, FaultPlan, FaultTolerantCoordinator
+from repro.faults import FaultConfig, FaultInjector, FaultPlan
 from repro.obs.events import EventLog, event_logging
 from repro.obs.metrics import MetricsRegistry, metering
 from repro.obs.trace import Tracer, tracing
-from repro.runtime import SessionRequest
+from repro.runtime import ReservationCoordinator, SessionRequest
 from repro.sim.environment import GridEnvironment
 
 
@@ -204,7 +204,7 @@ class TestEstablishBatchIdentity:
 class TestFaultBoundary:
     def fault_tolerant(self, grid, config):
         plan = FaultPlan.generate(config, seed=1, horizon=0.0, hosts=())
-        return FaultTolerantCoordinator(
+        return ReservationCoordinator(
             grid.registry, grid.model_store, grid.proxies, injector=FaultInjector(plan)
         )
 

@@ -16,6 +16,7 @@ event logs -- catching each violation class when fed corrupted books.
 import asyncio
 import json
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -52,6 +53,7 @@ from repro.cluster import (
 from repro.cluster import router as cluster_router
 from repro.cluster.router import HttpShardClient
 from repro.sim.environment import GridEnvironment
+from repro.sim.workload import SessionArrival
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
 
@@ -753,6 +755,74 @@ def test_a_refused_commit_aborts_its_own_lease():
 
     for case in cases:
         asyncio.run(scenario(*case))
+
+
+def _three_shard_round(session_id):
+    """A 2PC round over three in-process shards, one owned cpu each.
+
+    No placement on the paper's grid spans three shards, so the round is
+    handed to ``_two_phase_commit`` directly: shards 0 and 1 get plain
+    commits, shard 2 the folded reserve.
+    """
+    shards = make_local_shards(3)
+    coordinator = ClusterCoordinator(shards, seed=7)
+    per_shard = {}
+    for shard in shards:
+        owned = shard.service.availability()["resources"]
+        cpu = next(rid for rid in sorted(owned) if rid.startswith("cpu:"))
+        per_shard[shard.index] = {cpu: 1.0}
+    arrival = SessionArrival(session_id, 0.0, "D1", "S2", 1.0, 10.0)
+    plan = SimpleNamespace(numeric_level=1)
+    return shards, coordinator, arrival, plan, per_shard
+
+
+def test_a_plan_with_two_plain_commits_lands_on_every_shard():
+    async def scenario():
+        shards, coordinator, arrival, plan, per_shard = _three_shard_round("three")
+        result = await coordinator._two_phase_commit(arrival, plan, per_shard)
+        assert result.success, result
+        assert coordinator.sessions["three"]["shards"] == [0, 1, 2]
+        for shard in shards:
+            assert shard.service.sessions["three"]["cluster"] is True
+            assert shard.service.lease_counters["committed"] == 1
+            assert not shard.service.leases.pending()
+            (cpu,) = per_shard[shard.index]
+            proxy = shard.service.coordinator.proxy_for(cpu)
+            assert [r.resource_id for r in proxy.held_for("three")] == [cpu]
+        assert_tiers_agree(coordinator, shards)
+        assert_cluster_clean(shards)
+        status, _ = await coordinator.teardown({"session_id": "three"})
+        assert status == 200
+        assert_cluster_clean(shards, session_ids=["three"])
+        assert_tiers_agree(coordinator, shards)
+
+    asyncio.run(scenario())
+
+
+def test_a_refused_first_of_two_plain_commits_undoes_the_round():
+    """Shard 0 refuses its commit: its lease and shard 1's, both still
+    held, are aborted, and shard 2's folded slice is torn down."""
+
+    async def scenario():
+        shards, coordinator, arrival, plan, per_shard = _three_shard_round("three")
+        shards[0].refuse_next_request = "/v1/commit"
+        result = await coordinator._two_phase_commit(arrival, plan, per_shard)
+        assert (result.success, result.reason) == (False, "shard_unreachable")
+        assert shards[0].refuse_next_request is None
+        assert [shard.service.lease_counters["aborted"] for shard in shards] == [1, 1, 0]
+        assert shards[2].service.lease_counters["committed"] == 1
+        for shard in shards:
+            assert "three" not in shard.service.sessions, shard.label
+            assert not shard.service.leases.pending(), shard.label
+        assert "three" not in coordinator.sessions
+        await coordinator.flush_pending_teardowns()
+        assert not coordinator.pending_teardowns
+        for shard in shards:
+            await shard.reap(now=float("inf"))
+        assert_cluster_clean(shards, session_ids=["three"])
+        assert_tiers_agree(coordinator, shards)
+
+    asyncio.run(scenario())
 
 
 #: Replies that are valid JSON of the wrong shape, per route; the shard

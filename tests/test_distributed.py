@@ -1,4 +1,5 @@
-"""Tests for the distributed model-store coordinator (paper §3)."""
+"""Tests for the distributed model store (paper §3): a coordinator over
+ComponentHost proxies."""
 
 import pytest
 
@@ -7,7 +8,6 @@ from repro.core import BasicPlanner, TradeoffPlanner
 from repro.core.errors import ModelError
 from repro.runtime import (
     ComponentHost,
-    DistributedCoordinator,
     FragmentRequest,
     ModelStore,
     QoSProxy,
@@ -39,7 +39,7 @@ def distributed_rig(small_service, small_binding):
     host2.store_component(small_service.component("c2"))
     structure = ModelStore()
     structure.register(small_service)
-    coordinator = DistributedCoordinator(registry, structure, {"H1": host1, "H2": host2})
+    coordinator = ReservationCoordinator(registry, structure, {"H1": host1, "H2": host2})
     return registry, coordinator, host1, host2, cpu, link
 
 
@@ -141,6 +141,6 @@ class TestDistributedCoordinator:
         registry, _coordinator, host1, _h2, *_ = distributed_rig
         structure = ModelStore()
         structure.register(small_service)
-        partial = DistributedCoordinator(registry, structure, {"H1": host1})
+        partial = ReservationCoordinator(registry, structure, {"H1": host1})
         with pytest.raises(ModelError, match="stores component"):
             partial.establish("s1", "small", small_binding, BasicPlanner())

@@ -1,15 +1,16 @@
 """The fault boundary's records, pinned.
 
-The fault-tolerant coordinators run the one establishment protocol of
-:class:`~repro.runtime.coordinator.ReservationCoordinator` through the
-seams a fault changes (delivery, dispatch, re-planning).  These tests
-pin what that protocol records under every fault kind -- the causal
-event stream, the span records, the run's results and its fault
-statistics -- as sha256 digests, for both simulation drivers (no
-latency: the synchronous driver; latency: the DES driver), a monitored
-run that renegotiates under faults, and a synchronous schedule through
-the distributed (§3) coordinator.  A change that alters any record, a
-retry's timing or a decision fails here.
+Handed a fault injector, the one
+:class:`~repro.runtime.coordinator.ReservationCoordinator` runs its
+establishment protocol through the seams a fault changes (delivery,
+dispatch, re-planning).  These tests pin what that protocol records
+under every fault kind -- the causal event stream, the span records,
+the run's results and its fault statistics -- as sha256 digests, for
+both simulation drivers (no latency: the synchronous driver; latency:
+the DES driver), a monitored run that renegotiates under faults, and a
+synchronous schedule over §3's distributed placement (ComponentHost
+proxies pricing their own fragments).  A change that alters any
+record, a retry's timing or a decision fails here.
 """
 
 import hashlib

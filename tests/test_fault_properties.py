@@ -1,22 +1,24 @@
 """Property: no seeded fault schedule can leak reserved capacity.
 
 Hypothesis drives ~200 random ``(FaultConfig, seed)`` pairs through the
-fault-tolerant coordinators — establishments, partial teardowns, orphan
-reaping — and asserts the conservation invariant at every checkpoint
+coordinator under a fault injector — establishments, partial teardowns,
+orphan reaping — and asserts the conservation invariant at every checkpoint
 plus broker quiescence at the end.  A leak in either direction
 (capacity a broker holds that no proxy will release, or a proxy
 tracking capacity the broker already freed) fails the property.
 
-Two coordinator flavours are covered: the centralized
-:class:`FaultTolerantCoordinator` on the small rig and the distributed
-:class:`FaultTolerantDistributedCoordinator` (§3 component fragments
-priced host-side, dispatched through the same lease machinery).
+Both placements of the model are covered: the centralized one on the
+small rig (plain proxies) and the distributed one (§3: component
+fragments priced by ComponentHost proxies, dispatched through the same
+lease machinery).
 
 The sessions run synchronously (the DES driver shares the same protocol
 generator, exercised by the full-simulation tests in test_faults.py);
 what varies here is the *fault schedule*, which is the quantity the
 invariant must be robust against.
 """
+
+import math
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -28,16 +30,16 @@ from repro.brokers import (
     PathBroker,
 )
 from repro.core import BasicPlanner
+from repro.des.engine import Environment
 from repro.faults import (
     FAULT_SEED_INDEX,
     FaultConfig,
     FaultInjector,
     FaultPlan,
-    FaultTolerantDistributedCoordinator,
     assert_capacity_conserved,
 )
 from repro.obs import EventLog, event_logging
-from repro.runtime import ComponentHost, ModelStore
+from repro.runtime import ComponentHost, ModelStore, ReservationCoordinator
 from repro.sim.experiment import derive_run_seed
 
 from tests.test_faults import ScriptedInjector, build_ft_rig
@@ -111,7 +113,7 @@ def test_no_fault_schedule_leaks_capacity(small_service, small_binding, config, 
             assert proxy.held_for(session_id) == ()
 
 
-def build_ft_distributed_rig(small_service, injector, clock):
+def build_ft_distributed_rig(small_service, injector, clock, env=None):
     """The test_distributed rig behind the fault boundary: component
     definitions stored host-side, fragments priced there (§3)."""
     registry = BrokerRegistry()
@@ -127,8 +129,8 @@ def build_ft_distributed_rig(small_service, injector, clock):
     structure = ModelStore()
     structure.register(small_service)
     proxies = {"H1": host1, "H2": host2}
-    coordinator = FaultTolerantDistributedCoordinator(
-        registry, structure, proxies, injector=injector
+    coordinator = ReservationCoordinator(
+        registry, structure, proxies, injector=injector, env=env
     )
     return registry, coordinator, proxies
 
@@ -220,4 +222,61 @@ def test_distributed_lost_ack_and_release_go_through_the_shared_boundary(
     assert log.count("segment.retry") == 1
     assert log.count("lease.expired") == 1
     assert_capacity_conserved(registry, proxies)
+    registry.assert_quiescent()
+
+
+def test_distributed_orphan_is_reaped_on_time_under_the_des_driver(
+    small_service, small_binding
+):
+    """§3 fragment pricing under the DES driver with faults: the first
+    ack and its compensating release are lost, and the orphan's DES
+    watchdog reaps it at ``expires_at`` while the session still holds
+    the lease its retry committed.  Capacity is conserved at every
+    instant the clock stops at."""
+    env = Environment()
+    clock = lambda: env.now  # noqa: E731
+    injector = ScriptedInjector(
+        {"ack": ["message_drop"], "release": ["message_drop"]}, clock=clock
+    )
+    registry, coordinator, proxies = build_ft_distributed_rig(
+        small_service, injector, clock, env=env
+    )
+    priced = []
+
+    def counting(price):
+        def wrapper(request, *args, **kwargs):
+            priced.append(request.component)
+            return price(request, *args, **kwargs)
+
+        return wrapper
+
+    for host in proxies.values():
+        host.price_fragment = counting(host.price_fragment)
+
+    orphans = []
+
+    def session():
+        result = yield from coordinator.establish_process(
+            env, 0.4, "d1", "small", small_binding, BasicPlanner()
+        )
+        assert result.success
+        orphans.extend(coordinator.pending_leases())
+        yield env.timeout(orphans[0].expires_at - env.now + 1.0)
+        coordinator.teardown("d1")
+
+    env.process(session())
+    log = EventLog()
+    with event_logging(log):
+        while env.peek() < math.inf:
+            env.run(until=env.peek())
+            assert_capacity_conserved(registry, proxies)
+
+    assert priced == ["c1", "c2"]
+    (orphan,) = orphans
+    expired = [event for event in log if event.kind == "lease.expired"]
+    assert [(event.time, event.attributes["lease"]) for event in expired] == [
+        (orphan.expires_at, orphan.lease_id)
+    ]
+    assert coordinator.leases_reaped == 1
+    assert coordinator.pending_leases() == ()
     registry.assert_quiescent()

@@ -6,9 +6,10 @@ The three contracts under test:
   is a pure function of ``(config, seed, horizon, hosts)``, and a
   faulty simulation is a pure function of its config;
 * **Zero-fault byte-identity** -- with an all-zero :class:`FaultConfig`
-  the fault-tolerant coordinators run the parents' one protocol and
-  record what they record: same ``EstablishmentResult``s, events and
-  spans, same full-simulation metrics;
+  the coordinator under a zero injector runs the protocol it runs
+  without one and records what it records: same
+  ``EstablishmentResult``s, events and spans, same full-simulation
+  metrics;
 * **No capacity leaks** -- whatever is injected, the brokers' and
   proxies' reservation books agree (``capacity_conservation``) and the
   registry is quiescent once sessions are torn down and orphaned
@@ -30,7 +31,6 @@ from repro.faults import (
     FaultConfig,
     FaultInjector,
     FaultPlan,
-    FaultTolerantCoordinator,
     assert_capacity_conserved,
     capacity_conservation,
 )
@@ -54,7 +54,7 @@ def faulty_config(**kw):
 
 
 def build_ft_rig(small_service, injector, env=None):
-    """The test_coordinator_edges rig, with the fault-tolerant flavour."""
+    """The test_coordinator_edges rig, its coordinator under ``injector``."""
     registry = BrokerRegistry()
     clock = (lambda: env.now) if env is not None else None
     cpu = LocalResourceBroker("H1", "cpu", 100.0, clock=clock)
@@ -69,7 +69,7 @@ def build_ft_rig(small_service, injector, env=None):
     store = ModelStore()
     store.register(small_service)
     proxies = {"H1": proxy_h1, "H2": proxy_h2}
-    coordinator = FaultTolerantCoordinator(
+    coordinator = ReservationCoordinator(
         registry, store, proxies, injector=injector, env=env
     )
     return registry, coordinator, proxies
