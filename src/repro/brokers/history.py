@@ -5,12 +5,16 @@ Supports two distinct needs of the paper's evaluation:
 * **Availability Change Index** (§4.3.1, eq. 5): the broker keeps an
   average ``r_avg_avail`` of the availability values *reported* during
   the past ``T`` time units; ``alpha = r_avail / r_avg_avail`` reflects
-  the trend.  The average is updated after each report, in O(1): the
-  window's sum is kept beside the report log as an exact integer, so a
-  report costs the same after a million reports as after three, and
-  the mean is the correctly rounded quotient of the true sum -- a
-  window whose reports all equal the current availability yields
-  exactly 1.0, which §4.3's planner branches on.
+  the trend.  The mean needs only the window's report count and exact
+  sum, so the report log keeps one entry per distinct report *instant*
+  (its report count and exact integer sum), not one per report: a
+  report at the newest entry's instant merges into it, and an entry
+  leaves the window whole.  A clock that never advances (the daemon's)
+  therefore holds one entry for ever, and a report costs the same after
+  a million reports as after three.  The sums are integers, so the mean
+  is the correctly rounded quotient of the true sum -- a window whose
+  reports all equal the current availability yields exactly 1.0, which
+  §4.3's planner branches on.
 * **Stale observations** (§5.2.4): the inaccuracy experiments observe a
   resource's availability as it was up to ``E`` time units ago, so the
   true availability must be reconstructible for any past instant.
@@ -33,12 +37,17 @@ class AvailabilityHistory:
         if window <= 0:
             raise BrokerError(f"averaging window must be positive, got {window!r}")
         self.window = float(window)
-        self._reports: Deque[Tuple[float, float]] = deque()
-        #: Exact sum of the values in ``_reports``, as an integer count of
-        #: 2**-_sum_bits.  A float running sum would drift (entries leave
-        #: in another order than they rounded in) and a flat window would
-        #: stop reading 1.0.  ``_sum_bits`` is the finest binary exponent
-        #: any report has needed so far; it never exceeds 1074.
+        #: One ``(time, reports, sum, bits)`` entry per report instant in
+        #: the window, oldest first: ``sum`` is the exact sum of that
+        #: instant's reports as an integer count of 2**-bits.
+        self._reports: Deque[Tuple[float, int, int, int]] = deque()
+        #: Reports in ``_reports`` and the exact sum of their values, as an
+        #: integer count of 2**-_sum_bits.  A float running sum would drift
+        #: (entries leave in another order than they rounded in) and a flat
+        #: window would stop reading 1.0.  ``_sum_bits`` is the finest
+        #: binary exponent any report has needed so far (no entry's
+        #: ``bits`` exceeds it); it never exceeds 1074.
+        self._report_count = 0
         self._report_sum = 0
         self._sum_bits = 0
         self._change_times: List[float] = []
@@ -58,15 +67,13 @@ class AvailabilityHistory:
         reports = self._reports
         cutoff = now - self.window
         while reports and reports[0][0] < cutoff:
-            numerator, denominator = reports.popleft()[1].as_integer_ratio()
-            # No report is finer than the unit: it entered through it.
-            self._report_sum -= numerator << (
-                self._sum_bits + 1 - denominator.bit_length()
-            )
+            _when, count, total, bits = reports.popleft()
+            self._report_count -= count
+            self._report_sum -= total << (self._sum_bits - bits)
         if reports:
             # int / int is correctly rounded: the mean is the double
             # nearest the true mean, whatever the length of the window.
-            mean = self._report_sum / (len(reports) << self._sum_bits)
+            mean = self._report_sum / (self._report_count << self._sum_bits)
             index = 1.0 if mean <= 0 else available / mean
         else:
             index = 1.0
@@ -77,15 +84,28 @@ class AvailabilityHistory:
             raise BrokerError(
                 f"availability report must be finite, got {available!r}"
             ) from None
-        shift = self._sum_bits + 1 - denominator.bit_length()
+        bits = self._sum_bits
+        shift = bits + 1 - denominator.bit_length()
         if shift < 0:
             # Finer than anything reported so far: refine the unit.
+            bits -= shift
             self._report_sum <<= -shift
-            self._sum_bits -= shift
+            self._sum_bits = bits
             shift = 0
-        self._report_sum += numerator << shift
-        reports.append((now, available))
+        value = numerator << shift
+        self._report_sum += value
+        self._report_count += 1
+        if reports and reports[-1][0] == now:
+            _when, count, total, unit = reports[-1]
+            reports[-1] = (now, count + 1, (total << (bits - unit)) + value, bits)
+        else:
+            reports.append((now, 1, value, bits))
         return index
+
+    @property
+    def report_count(self) -> int:
+        """Reports in the window as of the latest report, that one included."""
+        return self._report_count
 
     # -- change log (retrospective availability) -----------------------------
 

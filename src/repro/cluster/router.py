@@ -763,10 +763,7 @@ class ClusterCoordinator:
                 return 404, encode_json({"error": f"unknown session {session_id!r}"})
             return 200, encode_json(dict(record, session_id=session_id))
         per_shard: List[dict] = []
-        for shard in self.shards:
-            document, failure = await self._exchange(
-                shard.index, shard.query(), _read_object
-            )
+        for shard, (document, failure) in zip(self.shards, await self._query_all()):
             entry: dict = {"label": shard.label, "reachable": failure is None}
             if failure is None:
                 entry["active_sessions"] = document.get("active_sessions")
@@ -784,13 +781,19 @@ class ClusterCoordinator:
             }
         )
 
+    async def _query_all(self) -> List[Tuple[Optional[dict], Optional[str]]]:
+        """Every shard's ``/v1/query`` exchange at once, in shard order."""
+        return await asyncio.gather(
+            *(
+                self._exchange(shard.index, shard.query(), _read_object)
+                for shard in self.shards
+            )
+        )
+
     async def check(self) -> List[str]:
         """Boot-time sanity: every reachable shard must share our config."""
         problems: List[str] = []
-        for shard in self.shards:
-            document, failure = await self._exchange(
-                shard.index, shard.query(), _read_object
-            )
+        for shard, (document, failure) in zip(self.shards, await self._query_all()):
             if failure is not None:
                 problems.append(f"{shard.label}: {failure}")
                 continue

@@ -891,13 +891,14 @@ class ReservationCoordinator:
         batch's resources (unless ``snapshot`` is given).  Every arrival
         is then an ordinary :meth:`establish` against that snapshot, in
         request order, each seeing the reservations of the ones before
-        it -- phase 2 runs once per session, as in the paper.  A
-        faulty coordinator's arrivals may not share a snapshot: each
-        runs its own phase 1, and a given ``snapshot`` is refused as
-        :meth:`establish` refuses it.
+        it -- phase 2 runs once per session, as in the paper.  Arrivals
+        under faults or over §3's component hosts share no snapshot:
+        each runs its own phase 1, and a given ``snapshot`` is refused
+        as :meth:`establish` refuses it.
         """
         requests = list(requests)
-        if snapshot is None and requests and self._faults is None:
+        shared = self._faults is None and not self._fragments
+        if snapshot is None and requests and shared:
             snapshot = self._collect_batch_snapshot(requests, observed_at)
         return [
             self.establish(

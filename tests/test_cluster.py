@@ -1297,6 +1297,44 @@ def test_a_teardown_waits_on_its_silent_shards_together(monkeypatch):
     asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
 
 
+def test_a_query_waits_on_its_silent_shards_together(monkeypatch):
+    """Two of three shards go silent on ``/v1/query``: the cluster
+    document and the boot check each wait one bound for both, not one
+    bound each, mark both shards unreachable and keep shard order."""
+    monkeypatch.setattr(cluster_router, "EXCHANGE_TIMEOUT", FAN_OUT_TIMEOUT)
+    placement = _cross_shard_commits(3)[0]
+
+    async def timed(servers, ask):
+        for index in (0, 2):
+            servers[index].stall.add("/v1/query")
+        started = time.monotonic()
+        answer = await ask()
+        return answer, time.monotonic() - started
+
+    async def scenario():
+        servers, coordinator, _, _ = await _silent_pair(placement)
+        (status, body), elapsed = await timed(servers, coordinator.query)
+        assert status == 200
+        assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
+        per_shard = json.loads(body)["per_shard"]
+        assert [entry["reachable"] for entry in per_shard] == [False, True, False]
+        labels = [shard.label for shard in coordinator.shards]
+        assert [entry["label"] for entry in per_shard] == labels
+        assert coordinator.shard_reachable == {0: False, 1: True, 2: False}
+
+        problems, elapsed = await timed(servers, coordinator.check)
+        assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
+        assert problems == [
+            f"{labels[index]}: {cluster_router.UNKNOWN}" for index in (0, 2)
+        ]
+        assert [server.stalled for server in servers] == [
+            ["/v1/query", "/v1/query"], [], ["/v1/query", "/v1/query"]
+        ]
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
+
+
 def test_a_rollback_waits_on_its_silent_shards_together(monkeypatch):
     """The first shard refuses its plain commit; the rollback's exchanges
     to both involved shards go unanswered.  They are sent together, so
@@ -1479,9 +1517,9 @@ def _scoped_shard():
     return shard, ids
 
 
-def _report_log_sizes(service):
+def _report_counts(service):
     return {
-        broker.resource_id: len(broker.history._reports)
+        broker.resource_id: broker.history.report_count
         for broker in service.grid.registry.brokers()
     }
 
@@ -1506,7 +1544,7 @@ def test_a_refused_scoped_request_observes_nothing(resources, status):
         .replace("$link", ids["link"])
         .replace("$foreign", ids["foreign"])
     )
-    before = _report_log_sizes(shard.service)
+    before = _report_counts(shard.service)
 
     response = asyncio.run(
         shard.forward_raw("GET", f"/v1/availability?resources={resources}", None)
@@ -1514,20 +1552,20 @@ def test_a_refused_scoped_request_observes_nothing(resources, status):
 
     assert response.status == status, response.body
     assert "error" in response.json()
-    assert _report_log_sizes(shard.service) == before
+    assert _report_counts(shard.service) == before
     assert len(shard.log) == 0
 
 
 def test_a_scoped_reply_holds_exactly_the_named_resources():
     shard, ids = _scoped_shard()
     named = [ids["mine"][0], ids["mine"][-1]]
-    before = _report_log_sizes(shard.service)
+    before = _report_counts(shard.service)
 
     document = asyncio.run(shard.availability(named))
 
     assert list(document["resources"]) == named
     assert (document["shard"], document["shard_count"]) == (0, 3)
-    after = _report_log_sizes(shard.service)
+    after = _report_counts(shard.service)
     grew = {rid: after[rid] - before[rid] for rid in after}
     assert grew == {rid: int(rid in named) for rid in after}
     assert [event.resource for event in shard.log] == named

@@ -29,6 +29,7 @@ from repro.obs.flight import SPAN_CAPACITY
 from repro.service import DaemonConfig, ReservationService
 from tests.test_examples import REPO, subprocess_env
 from tests.test_record_once import admit_and_release, wrap_the_ring
+from tests.test_service_daemon import VALID_PAIRS
 
 
 def run_python(source: str) -> str:
@@ -243,12 +244,19 @@ SPAN_RING_BOUND_MIB = 1.0
 #: Objects the walk does not count: shared, not held by the ring.
 NOT_HELD = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
 
+#: What the history walk does not count besides: its ints.  The window's
+#: exact sums grow by log2 of the report count (a 4-byte digit per 30
+#: bits), and CPython shares the ints up to 256, so a count of 200 held
+#: twice is walked once where a count of 2,000 held twice is walked twice.
+NOT_HELD_BY_HISTORY = NOT_HELD + (int,)
 
-def walked_bytes(root: object, skip: object) -> int:
+
+def walked_bytes(root: object, skip: object, not_held: tuple = NOT_HELD) -> int:
     """``sys.getsizeof`` of everything ``root`` reaches, each object once.
 
-    The walk follows ``gc.get_referents`` and leaves out types, modules,
-    functions and ``skip`` (the method ``docs/observability.md`` states).
+    The walk follows ``gc.get_referents`` and leaves out ``skip`` and
+    instances of ``not_held`` (types, modules and functions by default;
+    the method ``docs/observability.md`` states).
     """
     seen = {id(root), id(skip)}
     stack, total = [root], 0
@@ -256,7 +264,7 @@ def walked_bytes(root: object, skip: object) -> int:
         obj = stack.pop()
         total += sys.getsizeof(obj)
         for referent in gc.get_referents(obj):
-            if id(referent) not in seen and not isinstance(referent, NOT_HELD):
+            if id(referent) not in seen and not isinstance(referent, not_held):
                 seen.add(id(referent))
                 stack.append(referent)
     return total
@@ -326,3 +334,41 @@ def test_a_full_span_ring_is_compact():
     assert ring_bytes <= SPAN_RING_BOUND_MIB * 2**20, ring_bytes / 2**20
     # The key sets come from the call sites' fixed vocabularies.
     assert len(tracer._key_sets) <= 32, sorted(tracer._key_sets)
+
+
+def admit_through_handle(service: ReservationService, start: int, stop: int) -> None:
+    """Admit and tear down arrivals ``start``..``stop`` over ``handle()``."""
+    for index in range(start, stop):
+        name, domain = VALID_PAIRS[index % len(VALID_PAIRS)]
+        session = {"service": name, "domain": domain, "session_id": f"h{index}"}
+        status, document = service.handle("POST", "/v1/establish", {}, session)
+        assert status == 200 and document["success"] is True, document
+        assert service.handle("POST", "/v1/teardown", {}, session)[0] == 200
+
+
+def history_bytes(service: ReservationService) -> dict:
+    """Resource id -> walked size of its broker's availability history."""
+    return {
+        broker.resource_id: walked_bytes(broker.history, None, NOT_HELD_BY_HISTORY)
+        for broker in service.grid.registry.brokers()
+    }
+
+
+def test_a_daemons_history_stops_growing():
+    """The daemon's clock never advances, so every alpha report stays in
+    the window; the report log keeps one entry per report instant, and
+    the change log one per change instant, so a broker's history is as
+    large after 2,000 admissions as after 200."""
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    try:
+        admit_through_handle(service, 0, 200)
+        after_200 = history_bytes(service)
+        admit_through_handle(service, 200, 2000)
+        after_2000 = history_bytes(service)
+        brokers = list(service.grid.registry.brokers())
+    finally:
+        service.close()
+    assert after_2000 == after_200
+    assert max(len(broker.history._reports) for broker in brokers) == 1
+    assert sum(broker.history.report_count for broker in brokers) >= 2000

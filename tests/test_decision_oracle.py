@@ -53,12 +53,12 @@ def _script():
 
 
 def _report_counts(services):
-    """Resource id -> availability reports its brokers hold, over ``services``."""
+    """Resource id -> reports in its brokers' alpha windows, over ``services``."""
     counts = {}
     for service in services:
         for broker in service.grid.registry.brokers():
             counts[broker.resource_id] = (
-                counts.get(broker.resource_id, 0) + len(broker.history._reports)
+                counts.get(broker.resource_id, 0) + broker.history.report_count
             )
     return counts
 

@@ -12,6 +12,7 @@ from repro.runtime import (
     ModelStore,
     QoSProxy,
     ReservationCoordinator,
+    SessionRequest,
 )
 
 
@@ -23,8 +24,8 @@ class _Clock:
         return self.now
 
 
-@pytest.fixture
-def distributed_rig(small_service, small_binding):
+def build_distributed_rig(small_service):
+    """A registry over cpu:H1 and net:L1, priced by two component hosts."""
     registry = BrokerRegistry()
     clock = _Clock()
     cpu = LocalResourceBroker("H1", "cpu", 100.0, clock=clock)
@@ -41,6 +42,11 @@ def distributed_rig(small_service, small_binding):
     structure.register(small_service)
     coordinator = ReservationCoordinator(registry, structure, {"H1": host1, "H2": host2})
     return registry, coordinator, host1, host2, cpu, link
+
+
+@pytest.fixture
+def distributed_rig(small_service):
+    return build_distributed_rig(small_service)
 
 
 class TestComponentHost:
@@ -144,3 +150,51 @@ class TestDistributedCoordinator:
         partial = ReservationCoordinator(registry, structure, {"H1": host1})
         with pytest.raises(ModelError, match="stores component"):
             partial.establish("s1", "small", small_binding, BasicPlanner())
+
+    def test_a_batch_decides_as_sequential_establishments(
+        self, small_service, small_binding
+    ):
+        """Component hosts price fragments per arrival, so a batch shares
+        no phase-1 snapshot: each arrival is an ordinary establishment,
+        seeing the reservations of the ones before it."""
+        scales = (3.0, 3.0, 3.0, 1.0)
+        outcomes = []
+        for batched in (True, False):
+            _registry, coordinator, _h1, _h2, cpu, link = build_distributed_rig(
+                small_service
+            )
+            requests = [
+                SessionRequest(f"s{index}", "small", small_binding, demand_scale=scale)
+                for index, scale in enumerate(scales)
+            ]
+            if batched:
+                results = coordinator.establish_batch(requests, TradeoffPlanner())
+            else:
+                results = [
+                    coordinator.establish(
+                        request.session_id,
+                        "small",
+                        small_binding,
+                        TradeoffPlanner(),
+                        demand_scale=request.demand_scale,
+                    )
+                    for request in requests
+                ]
+            outcomes.append(
+                (
+                    [
+                        (
+                            result.success,
+                            result.reason,
+                            result.plan and result.plan.signature_string(),
+                            result.plan and result.plan.psi,
+                        )
+                        for result in results
+                    ],
+                    cpu.available,
+                    link.available,
+                )
+            )
+        batched, sequential = outcomes
+        assert batched == sequential
+        assert [success for success, *_ in sequential[0]] == [True, True, False, True]

@@ -6,7 +6,7 @@ from collections import deque
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.brokers import AvailabilityHistory, LocalResourceBroker
@@ -103,16 +103,38 @@ class TestAlpha:
             history.alpha(0.0, value)
         assert history.alpha(0.0, value) == 1.0
 
+    def test_reports_of_one_instant_merge(self):
+        history = AvailabilityHistory(window=3.0)
+        history.alpha(0.0, 100.0)
+        history.alpha(0.0, 0.1)  # a finer unit merges into the entry
+        history.alpha(1.0, 60.0)
+        assert (len(history._reports), history.report_count) == (2, 3)
+        mean = (Fraction(100.0) + Fraction(0.1) + Fraction(60.0)) / 3
+        assert history.alpha(1.0, 160.1) == 160.1 / float(mean)
+        assert (len(history._reports), history.report_count) == (2, 4)
+        # t=3.5: both reports of t=0 leave together.
+        mean = (Fraction(60.0) + Fraction(160.1)) / 2
+        assert history.alpha(3.5, 60.0) == 60.0 / float(mean)
+        assert (len(history._reports), history.report_count) == (2, 3)
+
 
 class TestAlphaIsExact:
     @given(schedule=_SCHEDULES)
+    # A finer unit merging into an entry, then the merged entry leaving.
+    @example(schedule=[(0.0, 4e3), (0.0, 0.1), (1.0, 3.0), (7.0, 5.0), (0.0, 5.0)])
+    @example(schedule=[(0.0, 1000.0), (0.0, 1e-6), (0.0, 1000.1), (2.5, 0.1), (1.0, 7.0)])
     @settings(max_examples=200, deadline=None)
     def test_matches_the_exact_resum(self, schedule):
+        """Alpha is bit-identical to the re-sum, and the log holds one
+        entry per distinct instant in the window and counts its reports."""
         history, reference = AvailabilityHistory(3.0), ResumReference(3.0)
         now = 0.0
         for advance, value in schedule:
             now += advance
             assert history.alpha(now, value) == reference.alpha(now, value)
+            in_window = [when for when, _value in reference._reports]
+            assert [entry[0] for entry in history._reports] == sorted(set(in_window))
+            assert history.report_count == len(in_window)
 
     @given(
         value=st.floats(min_value=1e-6, max_value=4e3),
