@@ -1,0 +1,234 @@
+"""The cluster admission protocol, written once: a sans-I/O core.
+
+:class:`RouterCore` is the router's protocol state -- each session's shard
+list, the teardown debts and one generation per shard -- and the three
+operations on it decide every consequence of every shard answer:
+
+* :class:`Admission` -- the plain reserves, one at a time in shard
+  order; the last shard's reserve, which carries its commit (the fold);
+  then the earlier shards' commits, one at a time.  A failure ends the
+  chain with one round that aborts the held leases and tears the
+  committed slices down.
+* :class:`Teardown` -- one round: the session's shards, or every shard
+  for a session the router does not know.
+* :class:`Flush` -- the anti-entropy pass: one round per owed session,
+  in id order.
+
+No asyncio, no sockets, no clock.  An operation is a sequence of rounds
+of :class:`Exchange`\\ s.  :meth:`~_Operation.ready` is the round it
+waits on; the driver sends every exchange in it, in any order or at
+once, and hands each outcome to :meth:`~_Operation.deliver`.  An outcome
+is a ``(value, failure)`` pair: ``failure`` is None when the reply was
+read (``value`` is what was read), ``shard_draining`` or ``shard_error``
+when the shard refused and applied nothing, and :data:`UNKNOWN` when the
+shard may have applied the call -- every consequence below assumes it
+did.  An empty ready round means the operation is over.
+
+:class:`~repro.cluster.router.ClusterCoordinator`, a :class:`RouterCore`
+with the I/O, drives the core over the wire, and
+``tests/protocol_model.py`` drives it against every interleaving of
+modelled shards.  So that the model can copy a state,
+an operation's fields hold immutable values, which it replaces and never
+changes in place.
+"""
+
+from __future__ import annotations
+
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+
+__all__ = ["UNKNOWN", "Admission", "Exchange", "Flush", "RouterCore", "Teardown"]
+
+#: The failure of an exchange whose outcome the router cannot know.
+UNKNOWN = "shard_unreachable"
+
+
+class Exchange(NamedTuple):
+    """One request to one shard.
+
+    ``kind`` is ``reserve``, ``commit``, ``abort`` or ``teardown``.  A
+    reserve or a teardown carries the shard's ``generation``; a commit or
+    an abort names its ``lease``; a ``folded`` reserve carries the commit.
+    """
+
+    kind: str
+    shard: int
+    session: str
+    generation: Optional[int] = None
+    lease: Optional[str] = None
+    folded: bool = False
+
+
+class RouterCore:
+    """The router's protocol state; every operation reads and writes it."""
+
+    def __init__(self, shard_count: int, generation: int) -> None:
+        #: session id -> its record; ``shards`` routes its teardown.
+        self.sessions: Dict[str, dict] = {}
+        #: session id -> the shards that may still hold it (sorted).
+        self.pending_teardowns: Dict[str, List[int]] = {}
+        #: shard index -> the generation sent on reserves and teardowns.
+        self.generations = [generation] * shard_count
+
+    def heard(self, shard: int, failure: Optional[str]) -> None:
+        """Every unknown outcome bumps the shard's generation: a shard
+        refuses a reserve below the highest generation it has seen, so
+        every reserve sent to it before is fenced off."""
+        if failure == UNKNOWN:
+            self.generations[shard] += 1
+
+    def teardown_round(self, session: str, shards: Sequence[int]) -> Tuple[Exchange, ...]:
+        """Teardowns of ``session`` on ``shards``, sent at once.
+
+        Each carries the shard's generation, which fences off a reserve
+        the router gave up on before.  A shard that answers with an
+        error holds nothing to release (a 404: it never held the
+        session, or forgot it in a restart).
+        """
+        return tuple(Exchange("teardown", i, session, self.generations[i]) for i in shards)
+
+    def owe(self, session: str, shards: Sequence[int]) -> None:
+        """Record that ``shards`` may still hold ``session``."""
+        if shards:
+            owed = set(self.pending_teardowns.get(session, ())) | set(shards)
+            self.pending_teardowns[session] = sorted(owed)
+
+
+class _Operation:
+    """A sequence of rounds on ``core``; ``owed`` collects the shards that
+    may still hold ``session`` and ``released`` what teardowns freed."""
+
+    __slots__ = ("core", "session", "round", "released", "owed")
+
+    def ready(self) -> Tuple[Exchange, ...]:
+        """The round to send, less what was delivered; empty once over."""
+        return self.round
+
+    def deliver(self, exchange: Exchange, outcome: Tuple[object, Optional[str]]) -> None:
+        """Take ``exchange``'s ``(value, failure)``; once the round is
+        delivered, decide the next one."""
+        value, failure = outcome
+        self.round = tuple(other for other in self.round if other != exchange)
+        if exchange.kind == "teardown":
+            # An unknown teardown may have left the session on its shard.
+            self.released += value or 0
+            if failure == UNKNOWN:
+                self.owed += (exchange.shard,)
+        elif exchange.kind != "abort":
+            self.round += self._read(exchange, value, failure)
+        if not self.round:
+            self.round = self._next()
+
+
+class Admission(_Operation):
+    """One session's admission on the shards in ``order``.
+
+    Over, it has ``reason`` None and the session recorded with
+    ``record``'s fields (a dict, or pairs), or the ``reason`` and
+    ``failed_resource`` of its refusal and every shard that may hold the
+    session owed a teardown.
+    """
+
+    __slots__ = ("order", "record", "commits", "committed", "reason", "failed_resource")
+
+    def __init__(self, core: RouterCore, session: str, order: Sequence[int], record) -> None:
+        self.core, self.session, self.order, self.record = core, session, tuple(order), record
+        self.released, self.owed, self.commits, self.committed = 0, (), (), ()
+        self.reason = self.failed_resource = None
+        self.round = self._reserve(self.order[0])
+
+    def _reserve(self, shard: int) -> Tuple[Exchange, ...]:
+        generation, folded = self.core.generations[shard], shard == self.order[-1]
+        return (Exchange("reserve", shard, self.session, generation, folded=folded),)
+
+    def _read(self, exchange: Exchange, value, failure: Optional[str]) -> Tuple[Exchange, ...]:
+        """A reserve or a commit answered: the exchanges that follow it."""
+        shard, commits = exchange.shard, self.commits
+        if exchange.kind == "reserve" and failure is None:
+            lease, self.failed_resource = value
+            if lease is None:
+                failure = "admission_failed"
+        if failure is None and exchange.kind == "reserve" and not exchange.folded:
+            # A plain lease held: its commit waits for the folded reserve.
+            self.commits += (Exchange("commit", shard, self.session, lease=lease),)
+            return self._reserve(self.order[len(self.commits)])
+        if failure is None:
+            # The folded reserve or a plain commit held: the next commit.
+            self.committed += (shard,)
+            return commits[len(self.committed) - 1:len(self.committed)]
+        if exchange.kind == "reserve":
+            # An unknown plain reserve may hold a lease no abort can name:
+            # the shard's TTL reaper frees it.  An unknown folded reserve
+            # may have committed, which only a teardown undoes.
+            self.reason = failure
+            if failure == UNKNOWN and exchange.folded:
+                self.owed = (shard,)
+        else:
+            # A shard that refused its commit committed nothing: its lease
+            # is aborted with the later ones.  An unanswered one may have
+            # committed, which no abort undoes, and may be silent: it is
+            # sent no abort and owed a teardown, and a lease it never
+            # committed is its TTL reaper's.
+            self.reason = UNKNOWN
+            if failure == UNKNOWN:
+                self.owed = (shard,)
+            commits = commits[len(self.committed) - 1 + (failure == UNKNOWN):]
+        aborts = tuple(commit._replace(kind="abort") for commit in commits)
+        return aborts + self.core.teardown_round(self.session, self.committed)
+
+    def _next(self) -> Tuple[Exchange, ...]:
+        if self.reason is None:
+            self.core.sessions[self.session] = dict(self.record, shards=list(self.order))
+        self.core.owe(self.session, self.owed)
+        return ()
+
+
+class Teardown(_Operation):
+    """Tears ``session`` down where it is, or everywhere when unknown.
+
+    Starting it takes the session out of the router's sessions.
+    Over, ``known`` says whether the router held the session and
+    ``released`` sums what the shards freed.  The session is gone from
+    the router's view, but a shard whose teardown was unknown may still
+    hold its capacity (a partition, not a crash-restart): it is owed a
+    teardown, which the anti-entropy pass settles once it is reachable.
+    """
+
+    __slots__ = ("known",)
+
+    def __init__(self, core: RouterCore, session: str) -> None:
+        record = core.sessions.pop(session, None)
+        self.core, self.session, self.known = core, session, record is not None
+        self.released, self.owed = 0, ()
+        shards = record["shards"] if self.known else range(len(core.generations))
+        self.round = core.teardown_round(session, shards)
+
+    def _next(self) -> Tuple[Exchange, ...]:
+        if self.known:
+            self.core.owe(self.session, self.owed)
+        return ()
+
+
+class Flush(_Operation):
+    """The anti-entropy pass: every debt's teardown, one session at a time.
+
+    An answered teardown settles the debt -- a 404 too: the shard holds
+    nothing -- and an unknown one stays owed.  Over, ``released`` sums
+    what the shards freed.
+    """
+
+    __slots__ = ("queue",)
+
+    def __init__(self, core: RouterCore) -> None:
+        self.core, self.session, self.released, self.owed = core, None, 0, ()
+        self.queue = tuple(sorted(core.pending_teardowns))
+        self.round = self._next()
+
+    def _next(self) -> Tuple[Exchange, ...]:
+        debts = self.core.pending_teardowns
+        # Settle the round just delivered (there is none before the first).
+        debts.pop(self.session, None)
+        self.core.owe(self.session, self.owed)
+        if not self.queue:
+            return ()
+        self.session, self.queue, self.owed = self.queue[0], self.queue[1:], ()
+        return self.core.teardown_round(self.session, debts[self.session])

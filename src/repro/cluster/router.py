@@ -41,22 +41,26 @@ The router reads every shard answer in one place,
 small per-route reader), a refusal that applied nothing
 (``shard_draining``, ``shard_error``), or unknown (``shard_unreachable``:
 no reply, or one of the wrong shape -- the shard may have applied the
-call).  Each caller's handling of an unknown outcome is what keeps the
-cluster leak-free: an unknown reserve is left to the shard's TTL
-reaper, an unknown folded reserve, commit or teardown becomes a
-teardown debt, and an unknown availability reply zero-fills that
-shard's resources.  A shard that does not answer within
-:data:`EXCHANGE_TIMEOUT` is unknown too.
+call).  A shard that does not answer within :data:`EXCHANGE_TIMEOUT` is
+unknown too.  What follows each outcome is decided in one place as well,
+the sans-I/O core :mod:`repro.cluster.protocol`, which holds the
+sessions, the teardown debts and the per-shard generations: an unknown
+reserve is left to the shard's TTL reaper, an unknown folded reserve,
+commit or teardown becomes a teardown debt, and every unknown outcome
+bumps that shard's *generation*.  :class:`ClusterCoordinator` is the
+core's driver: it builds each exchange's payload, sends the core's ready
+round, and delivers the outcomes back.  An unknown availability reply
+zero-fills that shard's resources.
 
-Every unknown outcome also bumps that shard's *generation*, which the
-router sends on reserves and teardowns; a shard refuses a reserve whose
-generation is below the highest it has seen.  The debt's teardown
-carries the bumped generation, so a folded reserve still in flight when
-the teardown settles the debt (a 404: the shard held nothing yet) is
-refused when it lands, instead of committing a session no router owns.
-The generations start at the router's boot time in nanoseconds: a
-restarted router starts above any generation its predecessor reached,
-and a shard keeps one integer, however often routers restart.
+The router sends the generation on reserves and teardowns; a shard
+refuses a reserve whose generation is below the highest it has seen.
+The debt's teardown carries the bumped generation, so a folded reserve
+still in flight when the teardown settles the debt (a 404: the shard
+held nothing yet) is refused when it lands, instead of committing a
+session no router owns.  The generations start at the router's boot
+time in nanoseconds: a restarted router starts above any generation its
+predecessor reached, and a shard keeps one integer, however often
+routers restart.
 """
 
 from __future__ import annotations
@@ -98,8 +102,8 @@ from repro.service.daemon import (
 )
 from repro.service.server import DRAIN_REFUSAL, ServingShell
 from repro.sim.environment import GridEnvironment
-from repro.sim.workload import SessionArrival
 
+from repro.cluster.protocol import UNKNOWN, Admission, Exchange, Flush, RouterCore, Teardown
 from repro.cluster.shardmap import ShardMap
 
 __all__ = [
@@ -243,9 +247,6 @@ INFRA_REJECT_REASONS = frozenset(
     {"shard_unreachable", "shard_error", "shard_draining"}
 )
 
-#: The failure of an exchange whose outcome the router cannot know.
-UNKNOWN = "shard_unreachable"
-
 #: What an exchange raises when no reply came (:data:`UNREACHABLE`), or
 #: what a reader raises on a reply of the wrong shape.
 _NO_READABLE_REPLY = UNREACHABLE + (
@@ -301,7 +302,12 @@ def _read_released(document) -> int:
     return int(_read_object(document).get("released", 0))
 
 
-class ClusterCoordinator:
+#: How an exchange's reply reads, by kind (a commit's or an abort's is an
+#: object); a folded reserve's reads with :func:`_read_folded`.
+_READERS = {"reserve": _read_reserve, "teardown": _read_released}
+
+
+class ClusterCoordinator(RouterCore):
     """Routes admissions across shard clients (HTTP or in-process).
 
     Holds its own same-seed planning replica of the grid -- used only
@@ -309,6 +315,10 @@ class ClusterCoordinator:
     .binding_for`) and phase-2 planning; it never reserves locally.
     All methods return ``(status, body_bytes)`` so the serving layer
     can pass shard responses through untouched in single-shard mode.
+
+    It is the protocol core (:class:`~repro.cluster.protocol.RouterCore`:
+    ``sessions``, ``pending_teardowns``, ``generations``) with the I/O:
+    it drives the core's operations over its shard clients.
     """
 
     def __init__(
@@ -337,17 +347,9 @@ class ClusterCoordinator:
         self.contention_index = CONTENTION_INDICES[contention_index]
         self.seed = seed
         self.algorithm = algorithm
-        #: session_id -> {"shards": [...], ...} for teardown routing.
-        self.sessions: Dict[str, dict] = {}
         self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
         self.reject_reasons: Dict[str, int] = {}
-        #: session_id -> shard indexes that may still hold the session:
-        #: its teardown or commit there had an unknown outcome (no
-        #: reply, or an unreadable one).  Retried by flush_pending_teardowns.
-        self.pending_teardowns: Dict[str, List[int]] = {}
-        #: shard index -> the generation sent on reserves and teardowns;
-        #: :meth:`_exchange` bumps it on every unknown outcome.
-        self.generations = [time.time_ns()] * len(self.shards)
+        super().__init__(len(self.shards), time.time_ns())
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
         #: the router may share a process with shard services in tests).
@@ -379,9 +381,9 @@ class ClusterCoordinator:
         came, or one ``read`` cannot read -- the shard may have applied
         the call, and every caller's handling of an unknown outcome
         assumes it did.  The one place the router reads a shard's
-        answer, and records whether the shard is reachable; an unknown
-        outcome bumps the shard's generation, fencing off every reserve
-        sent to it before.
+        answer, and records whether the shard is reachable; the core
+        hears every outcome (:meth:`~repro.cluster.protocol.RouterCore.heard`):
+        an unknown one bumps the shard's generation.
         """
         value = failure = None
         try:
@@ -392,7 +394,7 @@ class ClusterCoordinator:
             failure = "shard_error"
         except _NO_READABLE_REPLY:
             failure = UNKNOWN
-            self.generations[shard_index] += 1
+        self.heard(shard_index, failure)
         self._note_shard(shard_index, failure != UNKNOWN)
         return value, failure
 
@@ -433,16 +435,19 @@ class ClusterCoordinator:
             status, body = await self.forward("POST", "/v1/establish", payload)
             # The shard's bytes are proxied verbatim; the verdict is read
             # off them.  Request errors (4xx) are not admission decisions.
+            try:
+                document = _read_object(decode_json(body))
+            except (_http.ProtocolError, TypeError):
+                document = None
             if status == 503:
-                self._note_shard(0, False)
-                self._count(False, "shard_unreachable")
+                # A drain refusal applied nothing, on a shard that is up.
+                draining = document is not None and document.get("draining") is True
+                self._note_shard(0, draining)
+                self._count(False, "shard_draining" if draining else UNKNOWN)
             elif status == 200:
                 self._note_shard(0, True)
-                try:
-                    document = _read_object(decode_json(body))
-                except (_http.ProtocolError, TypeError):
-                    return status, body
-                self._count(document.get("success"), document.get("reason"))
+                if document is not None:
+                    self._count(document.get("success"), document.get("reason"))
             return status, body
         try:
             result = await self._establish_cross_shard(payload)
@@ -492,10 +497,9 @@ class ClusterCoordinator:
                     # QoS-aware "no".
                     result = result._replace(reason="shard_unreachable")
                 return result
-            demand = plan.demand
             per_shard: Dict[int, Dict[str, float]] = {}
-            for rid in sorted(demand):
-                per_shard.setdefault(shard_for[rid], {})[rid] = demand[rid]
+            for rid in sorted(plan.demand):
+                per_shard.setdefault(shard_for[rid], {})[rid] = plan.demand[rid]
             result = await self._two_phase_commit(arrival, plan, per_shard)
             span.set(outcome=result.reason or "established")
             return result
@@ -534,100 +538,54 @@ class ClusterCoordinator:
             observations.setdefault(rid, _UNSEEN)
         return AvailabilitySnapshot(observations)
 
-    async def _two_phase_commit(
-        self,
-        arrival: SessionArrival,
-        plan,
-        per_shard: Dict[int, Dict[str, float]],
-    ) -> EstablishmentResult:
+    async def _two_phase_commit(self, arrival, plan, per_shard) -> EstablishmentResult:
+        """Admit ``arrival`` (a :class:`~repro.sim.workload.SessionArrival`)
+        with ``plan``'s level, ``per_shard`` holding its demands by shard
+        index: the core's :class:`~repro.cluster.protocol.Admission`."""
         session_id = arrival.session_id
-        meta = {
-            "service": arrival.service,
-            "domain": arrival.domain,
-            "demand_scale": arrival.demand_scale,
-            "duration": arrival.duration,
-            "level": plan.numeric_level,
-        }
-        order = sorted(per_shard)
-        last = order[-1]
-        leases: List[Tuple[int, str]] = []
-        reason: Optional[str] = None
-        failed_resource: Optional[str] = None
-        with _trace.span("cluster.reserve", shards=len(order)):
-            for shard_index in order:
-                request = {
-                    "session_id": session_id,
-                    "demands": per_shard[shard_index],
-                    "generation": self.generations[shard_index],
-                }
-                read = _read_reserve
-                if shard_index == last:
-                    request["commit"] = meta
-                    read = _read_folded
-                reserve = self.shards[shard_index].reserve(request)
-                held, reason = await self._exchange(shard_index, reserve, read)
-                if reason is not None:
-                    break
-                lease_id, failed_resource = held
-                if lease_id is None:
-                    reason = "admission_failed"
-                    break
-                leases.append((shard_index, lease_id))
-        if reason is not None:
-            # An unknown plain reserve may hold a lease no abort can name:
-            # the shard's TTL reaper frees it.  An unknown folded reserve
-            # may have committed, which only a teardown undoes.
-            await self._abort_leases(leases)
-            if reason == UNKNOWN and shard_index == last:
-                self._owe_teardown(session_id, [last])
-            return EstablishmentResult(
-                session_id, False, None, reason, failed_resource
-            )
+        level = plan.numeric_level
+        record = {"service": arrival.service, "domain": arrival.domain, "level": level}
+        meta = dict(record, demand_scale=arrival.demand_scale, duration=arrival.duration)
+        admission = Admission(self, session_id, sorted(per_shard), record)
+        await self._drive(admission, per_shard, meta)
+        if admission.reason is None:
+            return EstablishmentResult(session_id, True, plan)
+        refused = admission.reason, admission.failed_resource
+        return EstablishmentResult(session_id, False, None, *refused)
 
-        committed: List[int] = [last]
-        earlier = leases[:-1]
-        with _trace.span("cluster.commit", shards=len(earlier)):
-            for position, (shard_index, lease_id) in enumerate(earlier):
-                commit = self.shards[shard_index].commit(
-                    {"lease_id": lease_id, "session": meta}
-                )
-                _, failure = await self._exchange(shard_index, commit, _read_object)
-                if failure is not None:
-                    # Undo the rest, all at once: abort the still-held
-                    # leases, tear the committed slices back down.  A
-                    # shard that answered with an error (an expired
-                    # lease) committed nothing; its lease is aborted with
-                    # the later ones.  One whose outcome is unknown may
-                    # have committed, which no abort undoes, and may be
-                    # silent: asking it again would hold the admission
-                    # lock for a second EXCHANGE_TIMEOUT.  It owes a
-                    # teardown, as does a committed shard we cannot reach
-                    # now: flush_pending_teardowns settles the debt (a 404
-                    # means the shard holds nothing), and a lease it never
-                    # committed is its TTL reaper's, as after an unknown
-                    # reserve.
-                    unanswered = failure == UNKNOWN
-                    _, (_, owed) = await asyncio.gather(
-                        self._abort_leases(
-                            earlier[position + 1 if unanswered else position:]
-                        ),
-                        self._teardown_on(committed, session_id),
-                    )
-                    if unanswered:
-                        owed.append(shard_index)
-                    if owed:
-                        self._owe_teardown(session_id, owed)
-                    return EstablishmentResult(
-                        session_id, False, None, "shard_unreachable"
-                    )
-                committed.append(shard_index)
-        self.sessions[session_id] = {
-            "service": arrival.service,
-            "domain": arrival.domain,
-            "level": plan.numeric_level,
-            "shards": order,
-        }
-        return EstablishmentResult(session_id, True, plan)
+    async def _drive(self, operation, demands=None, meta=None):
+        """Run a :mod:`~repro.cluster.protocol` operation to its end; return it.
+
+        Each ready round goes out at once (one exchange is awaited in
+        place, more are gathered), and every outcome is delivered back.
+        """
+        while ready := operation.ready():
+            sent = [self._send(exchange, demands, meta) for exchange in ready]
+            # Gathering one exchange would cost it a task of its own.
+            outcomes = [await sent[0]] if len(sent) == 1 else await asyncio.gather(*sent)
+            for exchange, outcome in zip(ready, outcomes):
+                operation.deliver(exchange, outcome)
+        return operation
+
+    def _send(self, exchange: Exchange, demands, meta):
+        """One exchange, its payload built and its reply read: ``(value, failure)``.
+
+        ``demands`` are an admission's by shard, and ``meta`` the session
+        record its commits carry.
+        """
+        kind, shard = exchange.kind, exchange.shard
+        if kind in ("commit", "abort"):
+            payload = {"lease_id": exchange.lease}
+        else:
+            payload = {"session_id": exchange.session, "generation": exchange.generation}
+        if kind == "reserve":
+            payload["demands"] = demands[shard]
+        if kind == "commit" or exchange.folded:
+            # The session record rides on a commit as ``session``, and on
+            # the folded reserve, which carries the commit, as ``commit``.
+            payload["session" if kind == "commit" else "commit"] = meta
+        read = _read_folded if exchange.folded else _READERS.get(kind, _read_object)
+        return self._exchange(shard, getattr(self.shards[shard], kind)(payload), read)
 
     def _count(self, success: bool, reason: Optional[str]) -> None:
         """The one admission verdict counter (pass-through and 2PC alike)."""
@@ -645,54 +603,6 @@ class ClusterCoordinator:
         self.registry.counter("cluster.admissions", verdict=verdict).inc()
         self.registry.counter("cluster.rejects", reason=reason).inc()
 
-    async def _abort_leases(self, leases: List[Tuple[int, str]]) -> None:
-        """Best-effort rollback on every shard at once; unreachable shards
-        are left to their TTL."""
-        await asyncio.gather(
-            *(
-                self._exchange(
-                    shard_index,
-                    self.shards[shard_index].abort({"lease_id": lease_id}),
-                    _read_object,
-                )
-                for shard_index, lease_id in leases
-            )
-        )
-
-    async def _teardown_on(
-        self, shard_indexes: Sequence[int], session_id: str
-    ) -> Tuple[int, List[int]]:
-        """Tear a session down on every shard at once: (released, unknown shards).
-
-        A shard that answers with an error holds nothing to release (a
-        404: it never held the session, or forgot it in a restart).  Each
-        teardown carries the shard's generation, which fences off a
-        reserve the router gave up on before.
-        """
-        shard_indexes = list(shard_indexes)
-        replies = await asyncio.gather(
-            *(
-                self._exchange(
-                    shard_index,
-                    self.shards[shard_index].teardown(
-                        {
-                            "session_id": session_id,
-                            "generation": self.generations[shard_index],
-                        }
-                    ),
-                    _read_released,
-                )
-                for shard_index in shard_indexes
-            )
-        )
-        released = sum(freed or 0 for freed, _ in replies)
-        unknown = [
-            shard_index
-            for shard_index, (_, failure) in zip(shard_indexes, replies)
-            if failure == UNKNOWN
-        ]
-        return released, unknown
-
     # -- teardown / query --------------------------------------------------
 
     async def teardown(self, payload: dict) -> Tuple[int, bytes]:
@@ -701,26 +611,11 @@ class ClusterCoordinator:
         session_id = str(payload.get("session_id") or "")
         if not session_id:
             return 400, encode_json({"error": "missing required field 'session_id'"})
-        record = self.sessions.pop(session_id, None)
-        targets = (
-            record["shards"] if record is not None else range(len(self.shards))
-        )
-        released, unreachable = await self._teardown_on(targets, session_id)
-        if record is not None and unreachable:
-            # The session is gone from the router's view, but a shard
-            # we could not reach may still hold its capacity (e.g. a
-            # partition, not a crash-restart).  Remember the debt and
-            # settle it when the shard is reachable again.
-            self._owe_teardown(session_id, unreachable)
-        if record is None and released == 0:
+        teardown = await self._drive(Teardown(self, session_id))
+        if not teardown.known and teardown.released == 0:
             return 404, encode_json({"error": f"unknown session {session_id!r}"})
         self.counters["torn_down"] += 1
-        return 200, encode_json({"session_id": session_id, "released": released})
-
-    def _owe_teardown(self, session_id: str, shard_indexes: Sequence[int]) -> None:
-        """Record that ``shard_indexes`` may still hold ``session_id``."""
-        pending = set(self.pending_teardowns.get(session_id, []))
-        self.pending_teardowns[session_id] = sorted(pending | set(shard_indexes))
+        return 200, encode_json({"session_id": session_id, "released": teardown.released})
 
     async def flush_pending_teardowns(self) -> int:
         """Retry teardowns that earlier failed against unreachable shards.
@@ -734,17 +629,7 @@ class ClusterCoordinator:
         Returns the amount released; shards still unreachable keep
         their entry for the next pass.
         """
-        released = 0
-        for session_id in sorted(self.pending_teardowns):
-            freed, remaining = await self._teardown_on(
-                self.pending_teardowns[session_id], session_id
-            )
-            released += freed
-            if remaining:
-                self.pending_teardowns[session_id] = remaining
-            else:
-                del self.pending_teardowns[session_id]
-        return released
+        return (await self._drive(Flush(self))).released
 
     async def query(
         self, target: str = "/v1/query", session_id: Optional[str] = None

@@ -1,34 +1,37 @@
 """An explicit-state model of the cluster's lease / two-phase-commit protocol.
 
-The router (:mod:`repro.cluster.router`) admits a session across shards
-by holding a lease on every involved shard and committing them; a
-failure aborts the held leases, tears the committed slices down, and
-books a *teardown debt* for every shard whose outcome it cannot know,
-which the anti-entropy pass (``flush_pending_teardowns``) settles.  This
-module writes that protocol as a small state machine and explores every
-interleaving of it breadth-first, hashing states, for bounded instances:
-one router, ``shards`` shards of one unit of capacity each, ``sessions``
-admissions, and at most ``faults`` faults.  Three variants:
+The router admits a session across shards by holding a lease on every
+involved shard and committing them; a failure aborts the held leases,
+tears the committed slices down, and books a *teardown debt* for every
+shard whose outcome it cannot know, which the anti-entropy pass settles.
+The router's side of that protocol is :mod:`repro.cluster.protocol`, the
+core :class:`~repro.cluster.router.ClusterCoordinator` drives over the
+wire: this module holds no router logic of its own.  It drives the
+core's operations against small modelled shards and explores every
+interleaving breadth-first, hashing states, for bounded instances: one
+router, ``shards`` shards of one unit of capacity each, ``sessions``
+admissions, and at most ``faults`` faults.  Two variants:
 
-``two_phase``
-    reserve every involved shard, then commit every lease.
-``fold_unfenced``
-    the last shard's reserve carries its commit (one exchange fewer).
 ``fold_fenced``
-    the fold, plus the fence: the router keeps one generation per shard,
-    bumps it on every unknown outcome and sends it on reserves and
-    teardowns; a shard refuses a reserve below the highest it has seen.
+    the protocol that ships: the last shard's reserve carries its commit
+    (the fold), and a shard refuses a reserve whose generation is below
+    the highest it has seen (the fence).
+``fold_unfenced``
+    the same core against shards that ignore generations.
 
 Every session involves every shard, in index order.  A router exchange
-is one atomic step whose outcome is chosen by the model: answered, or
-one of the faults -- *reply lost* (the shard applied the request; the
-router reads an unknown outcome), *late* (the request is still in
-flight when the router gives up: unknown, and it lands at any later
-point), *reserve refused* (a reserve answered with a refusal, nothing
-applied) -- and *shard restart* (the shard forgets its leases, sessions
-and fence, and the requests in flight to it die with their connections)
-may happen at any point.  A lease may expire at any point (its TTL is
-shorter than the router's exchange bound), which costs no fault.
+is one atomic step, and the exchanges of one round (the aborts and
+teardowns sent at once) are delivered in any order.  The model chooses
+each one's outcome: answered, or one of the faults -- *reply lost* (the
+shard applied the request; the router reads an unknown outcome), *late*
+(the request is still in flight when the router gives up: unknown, and
+it lands at any later point), *lost before the shard* (it never arrives:
+unknown, the shard unchanged), *reserve refused* (a reserve answered
+with a refusal, nothing applied) -- and *shard restart* (the shard
+forgets its leases, sessions and fence, and the requests in flight to it
+die with their connections) may happen at any point.  A lease may expire
+at any point (its TTL is shorter than the router's exchange bound),
+which costs no fault.
 
 Properties (Coti, Evangelista & Klai's, for this protocol):
 
@@ -54,10 +57,12 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
-VARIANTS = ("two_phase", "fold_unfenced", "fold_fenced")
+from repro.cluster.protocol import UNKNOWN, Admission, Flush, RouterCore, Teardown
 
-#: Reply kinds the router reads off an exchange.
-OK, REFUSED, UNKNOWN = "ok", "refused", "unknown"
+VARIANTS = ("fold_unfenced", "fold_fenced")
+
+#: What a modelled shard answers.
+OK, REFUSED = "ok", "refused"
 
 LEASE, COMMITTED = "lease", "committed"
 
@@ -70,25 +75,56 @@ CAPACITY = 1
 # A shard is ``(free, held, fence, in_flight)``: ``free`` its broker's
 # count of free units, ``held`` the sorted ``(session, LEASE |
 # COMMITTED)`` units its books hold, ``fence`` the highest generation it
-# has seen, ``in_flight`` the sorted late requests still travelling to it.
+# has seen, ``in_flight`` the sorted late exchanges still travelling to it.
 #
-# The router is ``(op, sessions, debts, admitted, generations, faults)``:
-# ``op`` the operation it is in the middle of (None when idle),
-# ``sessions`` the sessions it established, ``debts`` the sorted
-# ``(session, shard)`` teardowns it owes, ``admitted`` how many
-# admissions it started, ``generations`` one per shard, ``faults`` how
-# many faults happened.
-#
-# Operations, each a sequence of exchanges:
-#   ("reserve", s, shard, leases)          reserve ``shard``; ``leases`` held
-#   ("commit", s, pending, committed)      commit ``pending[0]``
-#   ("undo", s, exchanges, owed)           aborts / teardowns, then owe ``owed``
-#   ("flush", to_visit)                    tear down the debt ``to_visit[0]``
-#
-# Requests: ("reserve", s, generation, folded), ("commit", s),
-# ("abort", s), ("teardown", s, generation).
+# The router is ``(core, operation, admitted, faults)``: ``core`` the
+# core's state as sorted tuples (its sessions and their shards, its debts,
+# its generations), ``operation`` the class and fields of the core's
+# operation in progress (None when idle), ``admitted`` how many
+# admissions it started, ``faults`` how many faults happened.
 
 _FRESH_SHARD = (CAPACITY, (), 0, ())
+
+#: Each operation's fields but its core, in a fixed order.
+_FIELDS = {
+    cls: [name for klass in reversed(cls.__mro__)
+          for name in getattr(klass, "__slots__", ()) if name != "core"]
+    for cls in (Admission, Teardown, Flush)
+}
+
+
+def _freeze(core, operation, admitted: int, faults: int):
+    """The router state of ``core`` and ``operation`` (over: None)."""
+    sessions = core.sessions.items()
+    debts = core.pending_teardowns.items()
+    frozen = (
+        tuple(sorted((s, tuple(record["shards"])) for s, record in sessions)),
+        tuple(sorted((s, tuple(shards)) for s, shards in debts)),
+        tuple(core.generations),
+    )
+    if operation is not None and operation.ready():
+        cls = type(operation)
+        operation = cls, tuple(getattr(operation, name) for name in _FIELDS[cls])
+    else:
+        operation = None
+    return frozen, operation, admitted, faults
+
+
+def _thaw(router):
+    """A live core and operation with the router state's contents."""
+    (sessions, debts, generations), frozen, _, _ = router
+    core = RouterCore(0, 0)
+    core.sessions = {s: {"shards": list(shards)} for s, shards in sessions}
+    core.pending_teardowns = {s: list(shards) for s, shards in debts}
+    core.generations = list(generations)
+    if frozen is None:
+        return core, None
+    cls, values = frozen
+    operation = cls.__new__(cls)
+    operation.core = core
+    for name, value in zip(_FIELDS[cls], values):
+        setattr(operation, name, value)
+    return core, operation
 
 
 @dataclass(frozen=True)
@@ -100,7 +136,7 @@ class Instance:
 
 
 def initial_state(instance: Instance):
-    router = (None, (), (), 0, (1,) * instance.shards, 0)
+    router = _freeze(RouterCore(instance.shards, 1), None, 0, 0)
     return router, (_FRESH_SHARD,) * instance.shards
 
 
@@ -112,18 +148,17 @@ def _release(shard, keep):
 
 
 def _apply(shard, request, fenced: bool):
-    """The shard's handling of one request: ``(shard, reply)``."""
+    """The shard's handling of one exchange: ``(shard, reply)``."""
     free, held, fence, in_flight = shard
-    kind, session = request[0], request[1]
+    kind, session = request.kind, request.session
     if kind == "reserve":
-        generation, folded = request[2], request[3]
-        if fenced and generation < fence:
+        if fenced and request.generation < fence:
             return shard, REFUSED
         if fenced:
-            fence = max(fence, generation)
+            fence = max(fence, request.generation)
         if free < 1:
             return (free, held, fence, in_flight), REFUSED
-        unit = (session, COMMITTED if folded else LEASE)
+        unit = (session, COMMITTED if request.folded else LEASE)
         return (free - 1, tuple(sorted(held + (unit,))), fence, in_flight), OK
     if kind == "commit":
         if (session, LEASE) not in held:
@@ -135,7 +170,7 @@ def _apply(shard, request, fenced: bool):
         return _release(shard, lambda unit: unit != (session, LEASE)), OK
     # teardown: the session's leases and commits; a 404 settles the debt too
     if fenced:
-        shard = (free, held, max(fence, request[2]), in_flight)
+        shard = (free, held, max(fence, request.generation), in_flight)
     return _release(shard, lambda unit: unit[0] != session), OK
 
 
@@ -146,141 +181,62 @@ class Model:
         if instance.variant not in VARIANTS:
             raise ValueError(f"unknown variant {instance.variant!r}")
         self.instance = instance
-        self.last = instance.shards - 1
-        self.fold = instance.variant != "two_phase"
         self.fenced = instance.variant == "fold_fenced"
-
-    # -- the router --------------------------------------------------------
-
-    def _request(self, router) -> Tuple[int, tuple]:
-        """The shard and request of the router's next exchange."""
-        op, generations = router[0], router[4]
-        kind = op[0]
-        if kind == "reserve":
-            shard = op[2]
-            folded = self.fold and shard == self.last
-            return shard, ("reserve", op[1], generations[shard], folded)
-        if kind == "commit":
-            return op[2][0], ("commit", op[1])
-        if kind == "undo":
-            action, shard = op[2][0]
-            if action == "abort":
-                return shard, ("abort", op[1])
-            return shard, ("teardown", op[1], generations[shard])
-        session, shard = op[1][0]
-        return shard, ("teardown", session, generations[shard])
-
-    def _after(self, router, shard: int, reply: str, faulted: bool):
-        """The router once it read ``reply`` from ``shard``."""
-        op, sessions, debts, admitted, generations, faults = router
-        faults += faulted
-        if reply == UNKNOWN and self.fenced:
-            generations = tuple(
-                g + (index == shard) for index, g in enumerate(generations)
-            )
-        kind, session = op[0], op[1]
-        if kind == "reserve":
-            leases = op[3]
-            folded = self.fold and shard == self.last
-            if reply == OK and folded:
-                op = ("commit", session, leases, (shard,))
-            elif reply == OK:
-                leases += (shard,)
-                if shard == self.last:
-                    op = ("commit", session, leases, ())
-                else:
-                    op = ("reserve", session, shard + 1, leases)
-            else:
-                # An unknown folded reserve may have committed.
-                owed = (shard,) if reply == UNKNOWN and folded else ()
-                op = ("undo", session, tuple(("abort", i) for i in leases), owed)
-        elif kind == "commit":
-            pending, committed = op[2], op[3]
-            if reply == OK:
-                op = ("commit", session, pending[1:], committed + (shard,))
-            else:
-                # An unanswered shard may have committed: it is owed a
-                # teardown and sent no abort.
-                unanswered = reply == UNKNOWN
-                aborts = pending[1:] if unanswered else pending
-                op = (
-                    "undo",
-                    session,
-                    tuple(("abort", i) for i in aborts)
-                    + tuple(("teardown", i) for i in committed),
-                    (shard,) if unanswered else (),
-                )
-        elif kind == "undo":
-            exchanges, owed = op[2], op[3]
-            if exchanges[0][0] == "teardown" and reply == UNKNOWN:
-                owed += (shard,)
-            op = ("undo", session, exchanges[1:], owed)
-        else:  # flush: an answered teardown settles the debt, 404 or not
-            to_visit = op[1]
-            if reply != UNKNOWN:
-                debts = tuple(debt for debt in debts if debt != to_visit[0])
-            op = ("flush", to_visit[1:])
-        # Finish what is finished.
-        if op[0] == "commit" and not op[2]:
-            sessions = tuple(sorted(sessions + (op[1],)))
-            op = None
-        elif op[0] == "undo" and not op[2]:
-            debts = tuple(sorted(set(debts) | {(op[1], i) for i in op[3]}))
-            op = None
-        elif op[0] == "flush" and not op[1]:
-            op = None
-        return op, sessions, debts, admitted, generations, faults
-
-    def _exchanges(self, state) -> Iterator[Tuple[str, tuple]]:
-        """The router's next exchange, under every outcome the faults allow."""
-        router, shards = state
-        shard, request = self._request(router)
-        label = f"{request[0]} {request[1]}@{shard}"
-        target = shards[shard]
-        applied, reply = _apply(target, request, self.fenced)
-
-        def put(new_shard):
-            return shards[:shard] + (new_shard,) + shards[shard + 1:]
-
-        yield label, (self._after(router, shard, reply, False), put(applied))
-        if router[5] >= self.instance.faults:
-            return
-        yield f"{label}, reply lost", (
-            self._after(router, shard, UNKNOWN, True), put(applied)
-        )
-        free, held, fence, in_flight = target
-        late = (free, held, fence, tuple(sorted(in_flight + (request,))))
-        yield f"{label}, still in flight when the router gives up", (
-            self._after(router, shard, UNKNOWN, True), put(late)
-        )
-        if request[0] == "reserve":
-            yield f"{label}, refused", (
-                self._after(router, shard, REFUSED, True), put(target)
-            )
 
     def _router_starts(self, state) -> Iterator[Tuple[str, tuple]]:
         """What an idle router may start: an admission, a teardown, a flush."""
         router, shards = state
-        _, sessions, debts, admitted, generations, faults = router
+        (sessions, debts, _), _, admitted, faults = router
+
+        def start(label, operation, started=admitted):
+            core, _ = _thaw(router)
+            return label, (_freeze(core, operation(core), started, faults), shards)
+
         if admitted < self.instance.sessions:
-            session = f"s{admitted + 1}"
-            op = ("reserve", session, 0, ())
-            yield f"admit {session}", (
-                (op, sessions, debts, admitted + 1, generations, faults), shards
-            )
-        for session in sessions:
-            rest = tuple(s for s in sessions if s != session)
-            every = tuple(("teardown", i) for i in range(self.instance.shards))
-            yield f"tear down {session}", (
-                (("undo", session, every, ()), rest, debts, admitted, generations,
-                 faults),
-                shards,
-            )
+            session, every = f"s{admitted + 1}", range(self.instance.shards)
+            yield start(f"admit {session}",
+                        lambda core: Admission(core, session, every, ()), admitted + 1)
+        for session, _ in sessions:
+            yield start(f"tear down {session}", lambda core: Teardown(core, session))
         if debts:
-            yield "anti-entropy pass", (
-                (("flush", debts), sessions, debts, admitted, generations, faults),
-                shards,
-            )
+            yield start("anti-entropy pass", Flush)
+
+    def _deliveries(self, state) -> Iterator[Tuple[str, tuple]]:
+        """Each exchange of the router's round, under every outcome the
+        faults allow."""
+        router, shards = state
+        admitted, faults = router[2], router[3]
+        unknown, refused = (None, UNKNOWN), (None, "shard_error")
+        for exchange in _thaw(router)[1].ready():
+            shard = exchange.shard
+            label = f"{exchange.kind} {exchange.session}@{shard}"
+            target = shards[shard]
+            applied, reply = _apply(target, exchange, self.fenced)
+            # A reserve's reply reads as its lease id, here the session's.
+            value = (exchange.session, None) if exchange.kind == "reserve" else None
+            answered = (value, None) if reply == OK else refused
+            outcomes = [(label, applied, answered, faults)]
+            if faults < self.instance.faults:
+                free, held, fence, in_flight = target
+                late = (free, held, fence, tuple(sorted(in_flight + (exchange,))))
+                outcomes += [
+                    (f"{label}, reply lost", applied, unknown, faults + 1),
+                    (f"{label}, still in flight when the router gives up", late,
+                     unknown, faults + 1),
+                ]
+                if exchange.kind == "reserve":
+                    outcomes.append((f"{label}, refused", target, refused, faults + 1))
+                outcomes.append(
+                    (f"{label}, lost before the shard", target, unknown, faults + 1)
+                )
+            for label, new_shard, outcome, faulted in outcomes:
+                core, operation = _thaw(router)
+                core.heard(shard, outcome[1])
+                operation.deliver(exchange, outcome)
+                yield label, (
+                    _freeze(core, operation, admitted, faulted),
+                    shards[:shard] + (new_shard,) + shards[shard + 1:],
+                )
 
     def _environment(self, state) -> Iterator[Tuple[str, tuple]]:
         """Late deliveries, lease expiries and shard restarts."""
@@ -294,22 +250,22 @@ class Model:
             for position, request in enumerate(in_flight):
                 rest = in_flight[:position] + in_flight[position + 1:]
                 landed, _ = _apply((free, held, fence, rest), request, self.fenced)
-                yield f"the late {request[0]} {request[1]}@{index} lands", (
+                yield f"the late {request.kind} {request.session}@{index} lands", (
                     router, put(landed)
                 )
             for unit in held:
                 if unit[1] == LEASE:
                     expired = _release(shard, lambda other, unit=unit: other != unit)
                     yield f"lease {unit[0]}@{index} expires", (router, put(expired))
-            if router[5] < self.instance.faults and shard != _FRESH_SHARD:
-                restarted = router[:5] + (router[5] + 1,)
+            if router[3] < self.instance.faults and shard != _FRESH_SHARD:
+                restarted = router[:3] + (router[3] + 1,)
                 yield f"shard {index} restarts", (restarted, put(_FRESH_SHARD))
 
     def successors(self, state) -> Iterator[Tuple[str, tuple]]:
-        if state[0][0] is None:
+        if state[0][1] is None:
             yield from self._router_starts(state)
         else:
-            yield from self._exchanges(state)
+            yield from self._deliveries(state)
         yield from self._environment(state)
 
     # -- properties --------------------------------------------------------
@@ -327,12 +283,13 @@ class Model:
             owners = [session for session, _ in held]
             if len(set(owners)) != len(owners):
                 found.append(f"granted twice on shard {index}: {held}")
-        if router[0] is not None or any(shard[3] for shard in shards):
+        if router[1] is not None or any(shard[3] for shard in shards):
             return found
         # Quiescent: the reaper frees every lease, a fault-free
         # anti-entropy pass settles every debt, and then the router
         # tears down its own sessions.
-        sessions, debts = router[1], router[2]
+        sessions = {session for session, _ in router[0][0]}
+        debts = {(session, i) for session, owed in router[0][1] for i in owed}
         for index, shard in enumerate(shards):
             settled = _release(
                 shard,

@@ -293,6 +293,29 @@ def test_single_shard_router_over_http_byte_identical():
     assert asyncio.run(scenario()) == local
 
 
+def test_a_single_shard_router_counts_a_draining_shard_as_draining():
+    """A drain refusal passes through verbatim, and the router reads it
+    as a multi-shard router does: ``shard_draining`` from a shard that is
+    up, not ``shard_unreachable``."""
+    shard = LocalShardClient(0, ReservationService(DaemonConfig(seed=23)))
+    shard.draining = True
+    coordinator = ClusterCoordinator([shard], seed=23)
+    payload = {"service": "S2", "domain": "D1", "session_id": "drained"}
+
+    async def scenario():
+        direct = await shard.forward_raw("POST", "/v1/establish", payload)
+        return direct, await coordinator.establish(payload)
+
+    direct, (status, body) = asyncio.run(scenario())
+    assert status == 503
+    assert (status, body) == (direct.status, direct.body)
+    assert json.loads(body)["draining"] is True
+    assert coordinator.reject_reasons == {"shard_draining": 1}
+    assert coordinator.shard_reachable == {0: True}
+    samples = parse_exposition(coordinator.metrics_exposition())
+    assert samples.gauges['repro_cluster_shard_reachable{shard="shard-0"}'] == 1.0
+
+
 # ---------------------------------------------------------------------------
 # cross-shard two-phase commit
 
