@@ -48,19 +48,6 @@ class BrokerRegistry:
         """Iterate all registered brokers in resource-id order."""
         return (self._brokers[rid] for rid in sorted(self._brokers))
 
-    def subset(self, resource_ids: Iterable[str]) -> "BrokerRegistry":
-        """A registry over a slice of this one, sharing broker objects.
-
-        The cluster layer partitions one environment's directory into
-        shard-owned views: reservations made through a subset are
-        visible in the parent (same broker instances), so per-shard
-        conservation checks compose into the global one.
-        """
-        view = BrokerRegistry()
-        for resource_id in resource_ids:
-            view.register(self.broker(resource_id))
-        return view
-
     # -- snapshots -------------------------------------------------------------
 
     def snapshot(

@@ -73,7 +73,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core import CONTENTION_INDICES, make_planner
+from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import ModelError, ReproError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.des.engine import Environment
@@ -96,7 +96,6 @@ from repro.service.daemon import (
     ReservationService,
     ServiceError,
     _establishment_to_dict,
-    check_grid_fields,
     decode_arrival,
     refusal,
 )
@@ -117,6 +116,9 @@ __all__ = [
 
 #: Seconds the router waits for a shard's reply to one exchange.
 EXCHANGE_TIMEOUT = 10.0
+
+#: Seconds the router's shutdown waits for in-flight admissions.
+DRAIN_TIMEOUT = 10.0
 
 #: ``asyncio.timeout`` (3.11+) bounds an await inside the awaiting task.
 #: ``wait_for``, the one form 3.10 has, runs the call in a task of its
@@ -333,7 +335,7 @@ class ClusterCoordinator(RouterCore):
     ) -> None:
         if not shards:
             raise ModelError("a cluster needs at least one shard")
-        check_grid_fields(algorithm, contention_index)
+        check_planner_fields(algorithm, contention_index)
         self.shards = list(shards)
         self.env = Environment()
         self.streams = RandomStreams(seed)
@@ -347,8 +349,9 @@ class ClusterCoordinator(RouterCore):
         self.contention_index = CONTENTION_INDICES[contention_index]
         self.seed = seed
         self.algorithm = algorithm
-        self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
-        self.reject_reasons: Dict[str, int] = {}
+        #: Teardowns served; admissions and rejections are counted once,
+        #: on the registry (``cluster.admissions``, ``cluster.rejects``).
+        self._torn_down = 0
         super().__init__(len(self.shards), time.time_ns())
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
@@ -590,18 +593,36 @@ class ClusterCoordinator(RouterCore):
     def _count(self, success: bool, reason: Optional[str]) -> None:
         """The one admission verdict counter (pass-through and 2PC alike)."""
         if success:
-            self.counters["established"] += 1
             self.registry.counter("cluster.admissions", verdict="established").inc()
             return
         reason = reason or "rejected"
-        self.counters["rejected"] += 1
-        self.reject_reasons[reason] = self.reject_reasons.get(reason, 0) + 1
         verdict = (
             "rejected_infra" if reason in INFRA_REJECT_REASONS
             else "rejected_merit"
         )
         self.registry.counter("cluster.admissions", verdict=verdict).inc()
         self.registry.counter("cluster.rejects", reason=reason).inc()
+
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Admissions, rejections and teardowns so far."""
+        registry = self.registry
+        return {
+            "established": int(
+                registry.counter_value("cluster.admissions", verdict="established")
+            ),
+            "rejected": int(registry.counter_total("cluster.rejects")),
+            "torn_down": self._torn_down,
+        }
+
+    @property
+    def reject_reasons(self) -> Dict[str, int]:
+        """Rejections so far by reason, read off ``cluster.rejects``."""
+        return {
+            labels["reason"]: int(value)
+            for name, labels, value in self.registry.iter_counters()
+            if name == "cluster.rejects"
+        }
 
     # -- teardown / query --------------------------------------------------
 
@@ -614,7 +635,7 @@ class ClusterCoordinator(RouterCore):
         teardown = await self._drive(Teardown(self, session_id))
         if not teardown.known and teardown.released == 0:
             return 404, encode_json({"error": f"unknown session {session_id!r}"})
-        self.counters["torn_down"] += 1
+        self._torn_down += 1
         return 200, encode_json({"session_id": session_id, "released": teardown.released})
 
     async def flush_pending_teardowns(self) -> int:
@@ -660,8 +681,8 @@ class ClusterCoordinator(RouterCore):
                 "seed": self.seed,
                 "algorithm": self.algorithm,
                 "active_sessions": len(self.sessions),
-                "counters": dict(self.counters),
-                "reject_reasons": dict(self.reject_reasons),
+                "counters": self.counters,
+                "reject_reasons": self.reject_reasons,
                 "per_shard": per_shard,
             }
         )
@@ -706,12 +727,11 @@ class ClusterConfig:
     capacity_range: Tuple[float, float] = (1000.0, 4000.0)
     contention_index: str = "ratio"
     tie_break: bool = True
-    drain_timeout: float = 10.0
 
     def __post_init__(self) -> None:
         if not self.shards:
             raise ModelError("a cluster needs at least one shard address")
-        check_grid_fields(self.algorithm, self.contention_index, self.drain_timeout)
+        check_planner_fields(self.algorithm, self.contention_index)
 
 
 class ClusterDaemon(ServingShell):
@@ -732,9 +752,7 @@ class ClusterDaemon(ServingShell):
         *,
         coordinator: Optional[ClusterCoordinator] = None,
     ) -> None:
-        super().__init__(
-            config.host, config.port, drain_timeout=config.drain_timeout
-        )
+        super().__init__(config.host, config.port, drain_timeout=DRAIN_TIMEOUT)
         self.config = config
         self.coordinator = coordinator or ClusterCoordinator(
             [
@@ -790,7 +808,8 @@ class ClusterDaemon(ServingShell):
             return 405, encode_json(
                 {"error": f"no route for {request.method} {request.path}"}
             )
-        if self._draining:
+        if self._draining and request.path != "/v1/teardown":
+            # Drain refuses new work, never the freeing of old work.
             return 503, encode_json(DRAIN_REFUSAL)
         payload = request.json()
         if request.path == "/v1/establish":

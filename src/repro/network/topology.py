@@ -125,6 +125,31 @@ class Topology:
                 return link
         return None
 
+    def owner_of(self, resource_id: str) -> str:
+        """The node whose QoSProxy owns a resource: the one ownership rule.
+
+        A local resource (``cpu:H1``) belongs to its node.  A path
+        (``net:A-B``) or a link (``link:L3``) belongs to its domain
+        endpoint when it has one (the receiver side of a domain access
+        link), otherwise to the lexicographically first endpoint (host
+        resources are bidirectional).  The grid's proxies own resources
+        by it, and a cluster's shards by the shard of the owning node.
+        """
+        kind, _, name = resource_id.partition(":")
+        if kind == "net":
+            endpoints = name.split("-")
+        elif kind == "link":
+            link = self.links.get(name)
+            if link is None:
+                raise ModelError(f"link {name!r} is not in the topology")
+            endpoints = [link.endpoint_a, link.endpoint_b]
+        elif name:
+            return name
+        else:
+            raise ModelError(f"cannot place resource {resource_id!r}")
+        domains = [endpoint for endpoint in endpoints if endpoint in self.domains]
+        return domains[0] if domains else sorted(endpoints)[0]
+
 
 def build_scaled_topology(
     num_hosts: int,

@@ -2,10 +2,12 @@
 
 A :class:`FlightRecorder` keeps a bounded ring of the most recent
 telemetry -- spans (a :class:`~repro.obs.trace.Tracer` ring of
-:data:`SPAN_CAPACITY`), causal reservation events, and a small dict of
-wire counters (requests, bytes, errors).  Memory stays constant no
-matter how long the daemon runs.  The event ring is not a copy: it
-*is* the daemon's :class:`~repro.obs.events.EventLog`, bounded at
+:data:`SPAN_CAPACITY`), causal reservation events, and the daemon's
+wire counters (requests, bytes, errors) -- the one dict its
+:class:`~repro.service.server.ServingShell` counts into, not a copy.
+Memory stays constant no matter how long the daemon runs.  The event
+ring is not a copy either: it *is* the daemon's
+:class:`~repro.obs.events.EventLog`, bounded at
 :data:`EVENT_CAPACITY`, so recording an event is the log's own
 ``deque.append`` of one flat row and :attr:`~FlightRecorder.events_seen`
 is the log's ``seq`` watermark.  The span ring holds the tracer's
@@ -58,8 +60,9 @@ class FlightRecorder:
         self.tracer = Tracer(capacity=SPAN_CAPACITY)
         #: Install this log (``obs.events.install``): it is the event ring.
         self.log = EventLog(capacity=EVENT_CAPACITY)
-        #: Free-form transport counters (requests, bytes, errors).
-        self.wire: Dict[str, float] = {}
+        #: Transport counters (requests, bytes, errors): the serving
+        #: shell's own dict, which it counts into.
+        self.wire: Dict[str, int] = {}
         self.dump_count = 0
         self._started_unix = _time.time()
 
@@ -67,12 +70,6 @@ class FlightRecorder:
     def events_seen(self) -> int:
         """Events emitted since creation (evicted ones included)."""
         return self.log.next_seq
-
-    # -- wire counters -----------------------------------------------------
-
-    def record_wire(self, key: str, amount: float = 1.0) -> None:
-        """Bump a transport counter (created at zero on first use)."""
-        self.wire[key] = self.wire.get(key, 0.0) + amount
 
     # -- dumping -----------------------------------------------------------
 
@@ -104,7 +101,8 @@ class FlightRecorder:
         document = observability_to_dict(
             self.tracer, registry, self.log, meta=document_meta
         )
-        document["wire"] = dict(self.wire)
+        # The dump format writes the wire counts as floats.
+        document["wire"] = {key: float(value) for key, value in self.wire.items()}
         return document
 
     def dump(

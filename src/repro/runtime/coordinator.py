@@ -159,7 +159,8 @@ class ReservationCoordinator:
         )
         #: Phase 3's hold -> commit engine, on this coordinator's clock;
         #: orphans await the reaper.  Without faults a lease is committed
-        #: or released in the call that holds it.
+        #: or released in the call that holds it.  A daemon replaces it
+        #: with its wall-clock table, which its two-phase reserves share.
         self.leases = LeaseTable(
             self.proxies,
             lambda: self.now,

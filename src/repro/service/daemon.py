@@ -134,13 +134,6 @@ def decode_arrival(payload: object, session_ids) -> SessionArrival:
     )
 
 
-def check_grid_fields(algorithm: str, contention_index: str, drain_timeout: float = 0.0) -> None:
-    """Refuse the fields a daemon and a cluster router share (ModelError)."""
-    check_planner_fields(algorithm, contention_index)
-    if drain_timeout < 0:
-        raise ModelError("drain_timeout must be >= 0")
-
-
 @dataclass(frozen=True)
 class DaemonConfig:
     """Everything that defines one daemon instance.
@@ -179,7 +172,9 @@ class DaemonConfig:
     lease_ttl: float = 5.0
 
     def __post_init__(self) -> None:
-        check_grid_fields(self.algorithm, self.contention_index, self.drain_timeout)
+        check_planner_fields(self.algorithm, self.contention_index)
+        if self.drain_timeout < 0:
+            raise ModelError("drain_timeout must be >= 0")
         if self.shard_count < 1:
             raise ModelError("shard_count must be >= 1")
         if self.shard_index is not None and not (
@@ -227,7 +222,18 @@ class ReservationService:
         self.contention_index = CONTENTION_INDICES[config.contention_index]
         #: session_id -> the arrival facts needed to renegotiate/query it.
         self.sessions: Dict[str, dict] = {}
-        self.counters = {"established": 0, "rejected": 0, "torn_down": 0}
+        #: Session outcomes and two-phase lease operations, each counted
+        #: once, where it happens, on the registry (``daemon.sessions``,
+        #: ``daemon.lease_operations``); :attr:`counters` and
+        #: :attr:`lease_counters` read them.
+        self._outcomes = {
+            outcome: self.registry.counter("daemon.sessions", outcome=outcome)
+            for outcome in ("established", "rejected", "torn_down")
+        }
+        self._lease_operations = {
+            op: self.registry.counter("daemon.lease_operations", op=op)
+            for op in ("reserved", "committed", "aborted", "expired")
+        }
         self.started_at = _time.monotonic()
         self._session_ids = itertools.count(1)
         self._started = False
@@ -238,7 +244,6 @@ class ReservationService:
         # the resources the shard map assigns to it.
         self.shard_map = None
         self._owned_resources: Optional[frozenset] = None
-        self.shard_registry = self.grid.registry
         if config.shard_index is not None:
             from repro.cluster.shardmap import ShardMap
 
@@ -246,12 +251,9 @@ class ReservationService:
                 self.grid.topology, config.shard_count
             )
             self._owned_resources = frozenset(
-                rid
-                for rid in self.grid.registry.resource_ids()
-                if self.shard_map.shard_of(rid) == config.shard_index
-            )
-            self.shard_registry = self.grid.registry.subset(
-                sorted(self._owned_resources)
+                self.shard_map.owned_resource_ids(
+                    config.shard_index, self.grid.registry.resource_ids()
+                )
             )
         #: The brokers plans name, grid-wide: cpu and end-to-end path,
         #: not links.
@@ -260,12 +262,18 @@ class ReservationService:
             for brokers in (self.grid.cpu_brokers, self.grid.path_brokers)
             for broker in brokers.values()
         }
-        #: Two-phase ``/v1/reserve`` leases, on the wall clock: the
-        #: router that holds them is another process.
-        self.leases = LeaseTable(self.grid.proxies, _time.monotonic, config.lease_ttl)
-        self.lease_counters = {
-            "reserved": 0, "committed": 0, "aborted": 0, "expired": 0
-        }
+        #: The addressable brokers this daemon owns: ``/v1/availability``.
+        self._slice = [
+            broker
+            for resource_id, broker in self._addressable.items()
+            if self._owned_resources is None or resource_id in self._owned_resources
+        ]
+        #: The one lease table: phase 3's hold -> commit engine and the
+        #: two-phase ``/v1/reserve`` leases alike, on the wall clock (the
+        #: router that holds a reserve's lease is another process).
+        self.leases = self.coordinator.leases = LeaseTable(
+            self.coordinator.proxies, _time.monotonic, config.lease_ttl
+        )
         #: The highest router generation a reserve or teardown carried: a
         #: reserve below it was sent before an exchange the router gave
         #: up on, and is refused (see :meth:`reserve`).
@@ -340,7 +348,7 @@ class ReservationService:
             "daemon_seed": self.config.seed,
             "daemon_algorithm": self.config.algorithm,
             "active_sessions": len(self.sessions),
-            "counters": dict(self.counters),
+            "counters": self.counters,
         }
 
     def debug_dump(self) -> dict:
@@ -463,17 +471,16 @@ class ReservationService:
         """Track the outcome and shape the response document."""
         outcome = _establishment_to_dict(result)
         if result.success:
-            self.counters["established"] += 1
+            self._outcomes["established"].inc()
             self.sessions[arrival.session_id] = {
                 "service": arrival.service,
                 "domain": arrival.domain,
                 "demand_scale": arrival.demand_scale,
                 "duration": arrival.duration,
                 "level": result.qos_level,
-                "established_at": _time.monotonic(),
             }
         else:
-            self.counters["rejected"] += 1
+            self._outcomes["rejected"].inc()
         return outcome
 
     def renegotiate(self, payload: dict) -> dict:
@@ -513,21 +520,21 @@ class ReservationService:
     def teardown(self, payload: dict) -> dict:
         """Release everything a session holds.
 
-        The session's live leases are dropped first (their reservations
-        are on the proxies' books, which the teardown releases), so a
-        commit that arrives after the teardown finds no lease and
-        answers 404 instead of re-creating the session.
+        The coordinator's teardown drops the session's live leases first
+        (they are in its lease table, which is this daemon's; their
+        reservations are on the proxies' books, which the teardown
+        releases), so a commit that arrives after the teardown finds no
+        lease and answers 404 instead of re-creating the session.
         """
         session_id = payload.get("session_id")
         if not session_id:
             raise ServiceError("missing required field 'session_id'")
         self._raise_fence(payload)
-        self.leases.drop_session(str(session_id))
         known = self.sessions.pop(str(session_id), None)
         released = self.coordinator.teardown(str(session_id))
         if known is None and released == 0:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
-        self.counters["torn_down"] += 1
+        self._outcomes["torn_down"].inc()
         return {"session_id": str(session_id), "released": released}
 
     # -- cross-shard two-phase reserve/commit ------------------------------
@@ -609,7 +616,7 @@ class ReservationService:
                 "reserved": False,
                 "failed_resource": exc.resource_id,
             }
-        self.lease_counters["reserved"] += 1
+        self._lease_operations["reserved"].inc()
         if "commit" in payload:
             return dict(self._commit(lease, payload["commit"]), reserved=True)
         # The holder is a remote router that may die at any moment, so
@@ -638,14 +645,14 @@ class ReservationService:
     def _commit(self, lease, meta) -> dict:
         """Hand a live lease to its session, recorded from ``meta``."""
         self.leases.commit(lease)
-        record = {"cluster": True, "established_at": _time.monotonic()}
+        record = {"cluster": True}
         if isinstance(meta, dict):
             for key in ("service", "domain", "demand_scale", "duration", "level"):
                 if key in meta:
                     record[key] = meta[key]
         self.sessions.setdefault(lease.session_id, record)
-        self.counters["established"] += 1
-        self.lease_counters["committed"] += 1
+        self._outcomes["established"].inc()
+        self._lease_operations["committed"].inc()
         _events.emit(
             "lease.committed",
             session=lease.session_id,
@@ -667,7 +674,7 @@ class ReservationService:
         if lease is None:
             return {"lease_id": lease_id, "aborted": False, "released": 0}
         released = self.leases.release(lease)
-        self.lease_counters["aborted"] += 1
+        self._lease_operations["aborted"].inc()
         _events.emit(
             "lease.aborted",
             session=lease.session_id,
@@ -681,7 +688,7 @@ class ReservationService:
         """Release every lease past its TTL; returns the count reaped."""
         reaped = self.leases.reap(now)
         for lease, released in reaped:
-            self.lease_counters["expired"] += 1
+            self._lease_operations["expired"].inc()
             _events.emit(
                 "lease.expired",
                 session=lease.session_id,
@@ -701,12 +708,7 @@ class ReservationService:
         repeated id is a 400, one another shard owns a 409.
         """
         if resources is None:
-            brokers = [
-                broker
-                for resource_id, broker in self._addressable.items()
-                if self._owned_resources is None
-                or resource_id in self._owned_resources
-            ]
+            brokers = self._slice
         else:
             resource_ids = resources.split(",")
             if len(set(resource_ids)) < len(resource_ids):
@@ -735,23 +737,31 @@ class ReservationService:
 
     # -- read-only views ---------------------------------------------------
 
+    @property
+    def counters(self) -> Dict[str, int]:
+        """Session outcomes so far, read off ``daemon.sessions``."""
+        return {key: int(counter.value) for key, counter in self._outcomes.items()}
+
+    @property
+    def lease_counters(self) -> Dict[str, int]:
+        """Lease operations so far, read off ``daemon.lease_operations``."""
+        return {
+            key: int(counter.value) for key, counter in self._lease_operations.items()
+        }
+
     def query(self, session_id: Optional[str] = None) -> dict:
         """Daemon state, or one session's record with ``session_id``."""
         if session_id is not None:
             session = self.sessions.get(session_id)
             if session is None:
                 raise ServiceError(f"unknown session {session_id!r}", status=404)
-            document = {"session_id": session_id}
-            document.update(
-                {k: v for k, v in session.items() if k != "established_at"}
-            )
-            return document
+            return {"session_id": session_id, **session}
         document = {
             "uptime_seconds": _time.monotonic() - self.started_at,
             "algorithm": self.config.algorithm,
             "seed": self.config.seed,
             "active_sessions": len(self.sessions),
-            "counters": dict(self.counters),
+            "counters": self.counters,
             "event_log": {
                 "recorded": len(self.log),
                 "dropped": self.log.dropped,
@@ -764,47 +774,34 @@ class ReservationService:
         # The shard section appears only for sharded daemons (or once
         # the 2PC endpoints have been used), so plain single-daemon
         # query responses stay byte-identical to the pre-cluster wire.
-        if self.config.shard_index is not None or any(
-            self.lease_counters.values()
-        ):
+        lease_counters = self.lease_counters
+        if self.config.shard_index is not None or any(lease_counters.values()):
+            owned = self._owned_resources
             document["shard"] = {
                 "index": self.config.shard_index,
                 "count": self.config.shard_count,
-                "owned_resources": len(self.shard_registry.resource_ids()),
+                "owned_resources": len(
+                    self.grid.registry.resource_ids() if owned is None else owned
+                ),
                 "pending_leases": len(self.leases.pending()),
-                "lease_counters": dict(self.lease_counters),
+                "lease_counters": lease_counters,
             }
         return document
 
     def metrics_exposition(self) -> str:
         """The ``/metrics`` body (Prometheus text format).
 
-        Synced against the raw dict counters first, so cluster state --
-        session outcomes, 2PC lease operations, shard identity -- is
-        scrapeable without hitting ``/v1/query``.
+        The counters are counted where they happen; the point-in-time
+        state -- active sessions, pending leases, shard identity -- is
+        set into gauges here, at render time, so it is scrapeable
+        without hitting ``/v1/query``.
         """
-        self._sync_scrape_instruments()
-        return registry_exposition(self.registry)
-
-    def _sync_scrape_instruments(self) -> None:
-        """Mirror dict-based state into registry instruments.
-
-        The admission path keeps its counters in plain dicts (they
-        predate the registry and ride on ``/v1/query``); scrape time is
-        the one place both views must agree, so the mirror runs here --
-        incrementing by the delta keeps the instruments monotone.
-        """
-        for outcome, value in self.counters.items():
-            instrument = self.registry.counter("daemon.sessions", outcome=outcome)
-            instrument.inc(max(0.0, value - instrument.value))
-        for op, value in self.lease_counters.items():
-            instrument = self.registry.counter("daemon.lease_operations", op=op)
-            instrument.inc(max(0.0, value - instrument.value))
         self.registry.gauge("daemon.active_sessions").set(len(self.sessions))
         self.registry.gauge("daemon.pending_leases").set(len(self.leases.pending()))
         if self.config.shard_index is not None:
             self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
         self.registry.gauge("daemon.shard_count").set(self.config.shard_count)
+        return registry_exposition(self.registry)
 
 
 def _establishment_to_dict(result: EstablishmentResult) -> dict:
@@ -847,7 +844,8 @@ class ReservationDaemon(ServingShell):
             access_log=self.config.access_log,
         )
         self.service = ReservationService(self.config)
-        self._record_wire = self.service.flight.record_wire
+        #: The shell counts into the flight recorder's wire counters.
+        self.wire = self.service.flight.wire
         self._phase_histograms: Optional[tuple] = None
 
     # -- lifecycle ---------------------------------------------------------

@@ -5,7 +5,12 @@ routes: the listening socket and its lifecycle, the keep-alive request
 loop, the ``Connection: close`` decision, trace-context continuation,
 the 400 a malformed request earns, the 500 a route that raises earns,
 the access log, the wire counters, and the drain flag with its
-in-flight barrier.
+in-flight barrier.  The wire counters are one dict, :attr:`ServingShell.wire`
+(``requests``, ``response_bytes``, ``protocol_errors``,
+``unhandled_exceptions``, each present once counted): ``/healthz``
+reads ``requests`` from it, and a daemon with a flight recorder makes it
+the recorder's dict, so a dump's ``wire`` section is what the shell
+counted.
 :class:`~repro.service.daemon.ReservationDaemon` and
 :class:`~repro.cluster.router.ClusterDaemon` subclass it and supply
 four things: ``_dispatch`` (their routes), the two hooks behind the
@@ -27,13 +32,12 @@ import asyncio
 import json
 import sys as _sys
 import time as _time
-from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 from repro.obs import context as _context
 from repro.service import http as _http
 
-__all__ = ["DRAIN_REFUSAL", "ServerStats", "ServingShell"]
+__all__ = ["DRAIN_REFUSAL", "ServingShell"]
 
 #: The 503 body a draining daemon answers work it will not take on with;
 #: :class:`~repro.service.client.ServiceClient` raises it as the typed
@@ -42,14 +46,6 @@ DRAIN_REFUSAL = {"error": "daemon is shutting down", "draining": True}
 
 #: The two probe paths the shell answers itself, before ``_dispatch``.
 _PROBES = ("/healthz", "/metrics")
-
-
-@dataclass
-class ServerStats:
-    """Wire-level counters (``requests`` is surfaced under /healthz)."""
-
-    requests: int = 0
-    unhandled_exceptions: int = 0
 
 
 class ServingShell:
@@ -61,7 +57,8 @@ class ServingShell:
     def __init__(
         self, host: str, port: int, *, drain_timeout: float, access_log: bool = False
     ) -> None:
-        self.stats = ServerStats()
+        #: Transport counters, created at zero on first use.
+        self.wire: Dict[str, int] = {}
         self._host = host
         self._bind_port = port
         self._drain_timeout = drain_timeout
@@ -97,13 +94,13 @@ class ServingShell:
         """The ``/metrics`` body (Prometheus text format)."""
         raise NotImplementedError
 
-    def _record_wire(self, key: str, amount: float = 1.0) -> None:
-        """Transport-counter sink; the bare shell keeps none."""
+    def _count_wire(self, key: str, amount: int = 1) -> None:
+        """Add ``amount`` to one wire counter."""
+        self.wire[key] = self.wire.get(key, 0) + amount
 
     def _on_unhandled(self, exc: Exception) -> None:
         """A route raised ``exc`` (answered ``500``): count it."""
-        self.stats.unhandled_exceptions += 1
-        self._record_wire("unhandled_exceptions")
+        self._count_wire("unhandled_exceptions")
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -206,8 +203,7 @@ class ServingShell:
                     if request is None:
                         return
                     parse_seconds = _time.perf_counter() - started
-                    self.stats.requests += 1
-                    self._record_wire("requests")
+                    self._count_wire("requests")
                     close = (
                         self._draining
                         or request.headers.get("connection", "").lower() == "close"
@@ -234,9 +230,9 @@ class ServingShell:
                         _context.reset_trace_context(token)
                     writer.write(response)
                     await writer.drain()
-                    self._record_wire("response_bytes", len(response))
+                    self._count_wire("response_bytes", len(response))
                 except _http.ProtocolError as exc:
-                    self._record_wire("protocol_errors")
+                    self._count_wire("protocol_errors")
                     try:
                         response = _http.json_response_bytes(400, {"error": str(exc)})
                         writer.write(response)
@@ -276,7 +272,7 @@ class ServingShell:
             200,
             {
                 "status": "draining" if self._draining else "ok",
-                "requests": self.stats.requests,
+                "requests": self.wire["requests"],
                 "uptime_seconds": _time.monotonic() - self._started_at,
                 "inflight_admissions": self._inflight,
                 "draining": self._draining,
@@ -293,7 +289,7 @@ class ServingShell:
         -- bad propagation must never fail a request.
         """
         request_id = request.headers.get(_context.REQUEST_ID_HEADER) or (
-            f"{self.request_id_prefix}-{self.stats.requests}"
+            f"{self.request_id_prefix}-{self.wire['requests']}"
         )
         parent = _context.parse_traceparent(
             request.headers.get(_context.TRACEPARENT_HEADER)

@@ -119,20 +119,15 @@ class GridEnvironment:
             proxy_host = self.topology.domains[domain].proxy_host
             self._add_path_broker(proxy_host, domain, clock, trend_window)
 
-        # QoSProxies: one per host and per domain.  A path broker is
-        # owned by the receiver-side proxy where the direction is known
-        # (domain access links: the domain receives); host-host resources
-        # are bidirectional, owned by the lexicographically first host.
+        # QoSProxies: one per host and per domain, each owning the cpu
+        # and path resources the topology's ownership rule gives its node.
         self.proxies: Dict[str, QoSProxy] = {}
         for node in sorted(self.topology.hosts) + sorted(self.topology.domains):
             self.proxies[node] = QoSProxy(node, self.registry)
-        for host, broker in self.cpu_brokers.items():
-            self.proxies[host].own(broker.resource_id)
-        for resource_id, broker in self.path_brokers.items():
-            endpoints = resource_id[len("net:") :].split("-")
-            domains = [e for e in endpoints if e in self.topology.domains]
-            owner = domains[0] if domains else sorted(endpoints)[0]
-            self.proxies[owner].own(resource_id)
+        for brokers in (self.cpu_brokers, self.path_brokers):
+            for broker in brokers.values():
+                owner = self.topology.owner_of(broker.resource_id)
+                self.proxies[owner].own(broker.resource_id)
 
         # Model store + coordinator (centralised approach, §3).
         self.model_store = ModelStore()

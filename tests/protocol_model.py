@@ -250,9 +250,11 @@ class Model:
             for position, request in enumerate(in_flight):
                 rest = in_flight[:position] + in_flight[position + 1:]
                 landed, _ = _apply((free, held, fence, rest), request, self.fenced)
-                yield f"the late {request.kind} {request.session}@{index} lands", (
-                    router, put(landed)
-                )
+                # Two late requests may differ only in their generation.
+                sent = f"{request.kind} {request.session}@{index}"
+                if request.generation is not None:
+                    sent += f" of generation {request.generation}"
+                yield f"the late {sent} lands", (router, put(landed))
             for unit in held:
                 if unit[1] == LEASE:
                     expired = _release(shard, lambda other, unit=unit: other != unit)

@@ -34,6 +34,7 @@ from repro.service import (
     ReservationService,
     ServiceClient,
     ServiceClientError,
+    ServiceDrainingError,
     ServiceResponse,
 )
 from repro.service.client import UNREACHABLE
@@ -189,8 +190,8 @@ def test_shard_map_is_deterministic_and_groups_domains_with_hosts():
     # A domain's access path lives with its proxy host's shard, so
     # cpu:H and the net: paths that end at H's domains can only split
     # across shards when the *other* endpoint owns the path.
-    for domain, host in a.domain_proxy_hosts.items():
-        assert a.shard_of_node(domain) == a.shard_of_node(host)
+    for domain in topology.domains.values():
+        assert a.shard_of_node(domain.name) == a.shard_of_node(domain.proxy_host)
 
 
 def test_shard_map_rejects_bad_counts_and_unknown_resources():
@@ -204,18 +205,32 @@ def test_shard_map_rejects_bad_counts_and_unknown_resources():
         shard_map.shard_of("link:L999")
 
 
-@pytest.mark.parametrize(
-    "field, value",
-    [("algorithm", "nope"), ("contention_index", "bogus"), ("drain_timeout", -1)],
-)
+def test_a_resource_lives_on_the_shard_of_the_proxy_that_owns_it():
+    """One ownership rule: the grid's proxies and the shard map place
+    every cpu and path resource on the same node, at every shard count."""
+    grid = GridEnvironment(Environment(), RandomStreams(0))
+    owners = {
+        broker.resource_id: node
+        for brokers in (grid.cpu_brokers, grid.path_brokers)
+        for broker in brokers.values()
+        for node, proxy in grid.proxies.items()
+        if proxy.owns(broker.resource_id)
+    }
+    assert len(owners) == len(grid.cpu_brokers) + len(grid.path_brokers)
+    for count in (1, 2, 3, 4):
+        shard_map = ShardMap.from_topology(grid.topology, count)
+        for resource_id, node in owners.items():
+            assert shard_map.shard_of(resource_id) == shard_map.shard_of_node(node)
+
+
+@pytest.mark.parametrize("field, value", [("algorithm", "nope"), ("contention_index", "bogus")])
 def test_router_refuses_what_the_daemon_refuses(field, value):
     with pytest.raises(ModelError):
         DaemonConfig(**{field: value})
     with pytest.raises(ModelError):
         ClusterConfig(shards=(("127.0.0.1", 1),), **{field: value})
-    if field != "drain_timeout":
-        with pytest.raises(ModelError):
-            ClusterCoordinator(make_local_shards(1), **{field: value})
+    with pytest.raises(ModelError):
+        ClusterCoordinator(make_local_shards(1), **{field: value})
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +451,47 @@ def test_draining_shard_aborts_the_round_cleanly():
         assert report.ok, report.describe()
 
     asyncio.run(scenario())
+
+
+def test_a_draining_router_still_tears_a_session_down():
+    """Drain refuses new work, never the freeing of old work: a draining
+    router serves ``/v1/teardown``, as a draining daemon does, so the
+    shards free the session's capacity at once."""
+    service_name, domain, involved = _cross_shard_commits(3)[0]
+    shards = make_local_shards(3)
+
+    def held():
+        return sum(
+            len(proxy.held_for("drained"))
+            for shard in shards
+            for proxy in shard.service.grid.proxies.values()
+        )
+
+    async def scenario():
+        router = ClusterDaemon(
+            ClusterConfig(shards=(("127.0.0.1", 1),) * 3, port=0, seed=7),
+            coordinator=ClusterCoordinator(shards, seed=7),
+        )
+        await router.start()
+        client = ServiceClient("127.0.0.1", router.port)
+        try:
+            outcome = await client.establish(
+                service=service_name, domain=domain, session_id="drained"
+            )
+            assert outcome["success"] is True
+            holding = held()
+            assert holding > 0
+            router._draining = True
+            with pytest.raises(ServiceDrainingError):
+                await client.establish(service=service_name, domain=domain)
+            released = await client.teardown("drained")
+        finally:
+            await client.aclose()
+            await router.shutdown()
+        assert released == {"session_id": "drained", "released": holding}
+
+    asyncio.run(scenario())
+    assert_cluster_clean(shards, session_ids=["drained"])
 
 
 def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():

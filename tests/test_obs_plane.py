@@ -45,11 +45,18 @@ SCRIPT_ARRIVALS = 600
 #: ``proxy.segment_applied`` / ``proxy.segment_rejected`` /
 #: ``lease.reserved`` events: those records removed (the span ring read
 #: unbounded, then its newest 4,096 rows kept), seq and index renumbered.
+#: When the daemon's two-phase leases moved into the coordinator's one
+#: lease table, ``events`` was re-derived from the events of the tree
+#: before, with the script's two lease ids renumbered from that shared
+#: sequence (``twopc-1@shard-solo#1`` -> ``#328``, ``twopc-2...#2`` ->
+#: ``#329``), and ``registry`` from that tree's registry read after a
+#: ``/metrics`` scrape (the scrape used to create the ``daemon.sessions``
+#: and ``daemon.lease_operations`` counters).
 PINNED = {
-    "events": "9924685e28b306d73679ce3d0663609bf73287f55ee7291738b4e51483f2bc47",
+    "events": "36a722bbf4e0275237d116e53077bfaa48e7ace93c3bef5ddc08486f95f6de44",
     "spans": "e3433cc4fc0431b90937f9f33a9603b6a1273326f83522cc40af18a093cd1250",
     "flight_seqs": "cc85bc08132fb239c7890364dbaf2521377cbf2d6e48e58657bba57efb0b99d6",
-    "registry": "d36d71e177d510975367fb8bd92c729c0188ec7e6e06e9f8ad78e05cd8199e50",
+    "registry": "5625e2106ff2e209039518c1e2cd2e5b07aabd282a47082bdb1969e8e48267ac",
     "query": "b3ceec5354b3806e737dbe46ebd4d0bd5b3f03300d7d0e812c40191e0fc74520",
     "metrics_series": "6c139c31ef5eb6158e4844386a54721ed723691796e37f4ffa05de92f33e44fa",
 }
@@ -154,7 +161,12 @@ def metrics_series(service: ReservationService):
 
 
 def plane_digests(service: ReservationService) -> dict:
-    """sha256 of each record the plane keeps, minus wall-clock readings."""
+    """sha256 of each record the plane keeps, minus wall-clock readings.
+
+    The registry is read after a ``/metrics`` scrape, which sets the
+    point-in-time gauges.
+    """
+    series = metrics_series(service)
     snapshot = service.registry.snapshot()
     query = service.query()
     query.pop("uptime_seconds")
@@ -184,7 +196,7 @@ def plane_digests(service: ReservationService) -> dict:
             }
         ),
         "query": _digest(query),
-        "metrics_series": _digest(metrics_series(service)),
+        "metrics_series": _digest(series),
     }
 
 

@@ -76,19 +76,53 @@ def test_the_unfenced_fold_leaves_a_phantom_session(results):
         "reserve s1@0, still in flight when the router gives up",
         "anti-entropy pass",
         "teardown s1@0",
-        "the late reserve s1@0 lands",
+        "the late reserve s1@0 of generation 1 lands",
     ]
 
 
+def _moves(model, state):
+    """label -> the successors of ``state`` it names."""
+    moves = {}
+    for label, successor in model.successors(state):
+        moves.setdefault(label, set()).add(successor)
+    return moves
+
+
 def _replay(instance, labels):
-    """Follow ``labels`` through ``instance``'s transitions: the end state."""
+    """Follow ``labels`` through ``instance``'s transitions: the end state.
+
+    A label that names two successors is refused: a replay would follow
+    whichever came last.
+    """
     model = Model(instance)
     state = initial_state(instance)
     for label in labels:
-        moves = dict(model.successors(state))
+        moves = _moves(model, state)
         assert label in moves, (label, sorted(moves))
-        state = moves[label]
+        assert len(moves[label]) == 1, (label, "names two successors")
+        (state,) = moves[label]
     return model, state
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("shards", [1, 2])
+def test_every_label_names_one_successor(variant, shards):
+    """Walk every reachable state: no state has two successors under one
+    label (two late exchanges that differ only in their generation once
+    shared one), so every counterexample replays as it was found."""
+    instance = Instance(variant, shards)
+    model = Model(instance)
+    initial = initial_state(instance)
+    seen, stack, ambiguous = {initial}, [initial], []
+    while stack:
+        state = stack.pop()
+        for label, successors in _moves(model, state).items():
+            if len(successors) > 1:
+                ambiguous.append(label)
+            stack.extend(successors - seen)
+            seen |= successors
+    assert len(seen) == EXPLORED[(variant, shards)][0]
+    assert ambiguous == []
 
 
 @pytest.mark.parametrize("shards", [1, 2, 3])

@@ -12,6 +12,7 @@ import json
 
 import pytest
 
+from repro.core.errors import ModelError
 from repro.des.rng import RandomStreams
 from repro.service import (
     DaemonConfig,
@@ -125,6 +126,59 @@ def test_metrics_exposition_is_scrapable():
             await daemon.shutdown()
 
     asyncio.run(scenario())
+
+
+def test_a_flight_snapshot_counts_sessions_and_leases_before_any_scrape():
+    """Session outcomes and lease operations are counted on the registry
+    where they happen, so a dump taken before ``/metrics`` was ever
+    scraped carries them."""
+    service = ReservationService(DaemonConfig(seed=3))
+    service.start()
+    try:
+        establish = {"service": "S2", "domain": "D1", "session_id": "f-1"}
+        assert service.handle("POST", "/v1/establish", {}, establish)[0] == 200
+        reserve = {"session_id": "f-2", "demands": {"cpu:H1": 1.0}}
+        status, held = service.handle("POST", "/v1/reserve", {}, reserve)
+        assert status == 200
+        abort = {"lease_id": held["lease_id"]}
+        assert service.handle("POST", "/v1/abort", {}, abort)[0] == 200
+        counters = service.flight_snapshot("debug_endpoint")["metrics"]["counters"]
+    finally:
+        service.close()
+    assert {
+        key: counter["value"]
+        for key, counter in counters.items()
+        if key.startswith(("daemon.sessions", "daemon.lease_operations"))
+    } == {
+        "daemon.lease_operations{op=aborted}": 1.0,
+        "daemon.lease_operations{op=committed}": 0.0,
+        "daemon.lease_operations{op=expired}": 0.0,
+        "daemon.lease_operations{op=reserved}": 1.0,
+        "daemon.sessions{outcome=established}": 1.0,
+        "daemon.sessions{outcome=rejected}": 0.0,
+        "daemon.sessions{outcome=torn_down}": 0.0,
+    }
+
+
+def test_a_daemon_keeps_one_lease_table():
+    """Phase 3's holds and the two-phase reserves share one table, on the
+    daemon's wall clock: the coordinator's teardown drops a session's live
+    lease, and nothing is left for the reaper."""
+    service = ReservationService(DaemonConfig(seed=3))
+    assert service.leases is service.coordinator.leases
+    reserve = {"session_id": "t-1", "demands": {"cpu:H1": 1.0}}
+    status, held = service.handle("POST", "/v1/reserve", {}, reserve)
+    assert status == 200
+    assert [lease.lease_id for lease in service.leases.pending()] == [held["lease_id"]]
+    status, torn = service.handle("POST", "/v1/teardown", {}, {"session_id": "t-1"})
+    assert (status, torn) == (200, {"session_id": "t-1", "released": 1})
+    assert service.leases.pending() == ()
+    assert service.reap_expired_leases(now=float("inf")) == 0
+
+
+def test_a_negative_drain_timeout_is_refused():
+    with pytest.raises(ModelError):
+        DaemonConfig(drain_timeout=-1)
 
 
 # ---------------------------------------------------------------------------

@@ -284,7 +284,7 @@ def test_a_route_that_raises_is_a_500_on_a_usable_connection(target, tmp_path):
             )
             assert (await client.healthz())["status"] == "ok"
             assert (client.connections_opened, client.connections_reused) == (1, 1)
-            assert server.stats.unhandled_exceptions == 1
+            assert server.wire["unhandled_exceptions"] == 1
         finally:
             await client.aclose()
             await server.shutdown()

@@ -8,6 +8,10 @@ those bytes, so a change to the codec that moves one byte fails here:
   has a method for and for a request with an ``x-request-id`` header,
   captured by a bare socket server (the ephemeral port in ``Host`` is
   normalised);
+* the request bytes a multi-shard router sends a shard, captured the
+  same way: each kind of exchange ``ClusterCoordinator._send`` builds
+  (with a fixed generation) and the scoped availability and query
+  calls of its shard client;
 * the response bytes ``repro-serve`` and a three-shard ``repro-cluster``
   router write for a fixed script of raw requests, each on its own
   ``Connection: close`` socket and read to EOF.  Its framing rows carry
@@ -19,6 +23,8 @@ import asyncio
 import hashlib
 
 from repro.cluster import ClusterConfig, ClusterCoordinator, ClusterDaemon
+from repro.cluster.protocol import Exchange
+from repro.cluster.router import HttpShardClient
 from repro.service import DaemonConfig, ReservationDaemon, ServiceClient
 from repro.service import http
 
@@ -63,6 +69,35 @@ REQUEST_DIGESTS = {
     "healthz": "b5994d778c63ebfa82f0c2e46024ff916a3015e34e66efde4282d60e2fa96d64",
     "metrics": "74916f1a8913c14a97e6bc53c0c8d44d3920ffd4b8bc659e1d6b89282df5021c",
     "request_id": "bc93a42102721f9f19723a19bde3713f92c8b5303334ca55c62b3f307d032653",
+}
+
+#: The session record an admission's commits carry, and its demands.
+_META = {"service": "S2", "domain": "D1", "level": 3, "demand_scale": 1.0, "duration": 1.0}
+_DEMANDS = {0: {"cpu:H1": 10.0, "net:H1-H2": 2.5}}
+
+#: (name, call on a router) -- every request a router sends a shard.
+ROUTER_CALLS = [
+    ("availability", lambda r: r.shards[0].availability(["cpu:H1", "net:H1-H2"])),
+    ("reserve", lambda r: r._send(Exchange("reserve", 0, "r1", 7), _DEMANDS, _META)),
+    ("reserve_folded", lambda r: r._send(
+        Exchange("reserve", 0, "r1", 7, folded=True), _DEMANDS, _META)),
+    ("commit_session", lambda r: r._send(
+        Exchange("commit", 0, "r1", lease="r1@shard-0#1"), _DEMANDS, _META)),
+    ("abort", lambda r: r._send(Exchange("abort", 0, "r1", lease="r1@shard-0#1"), None, None)),
+    ("teardown", lambda r: r._send(Exchange("teardown", 0, "r1", 7), None, None)),
+    ("query", lambda r: r.shards[0].query()),
+]
+
+#: name -> sha256 of the request bytes, recorded on the tree before the
+#: serving path kept each fact once.
+ROUTER_REQUEST_DIGESTS = {
+    "availability": "dd2a3c826e6fc94a4ad3650bec40e6753831f0b2a38a33a6886d40c0505251b5",
+    "reserve": "e867dddd4423260289dd53647e8d46336199850341ad4b9805b344b7847480b7",
+    "reserve_folded": "9784b1a993559b7d2f9c2e56dcfab45bbd2a10650b5445b8dcd1129ba0a199f8",
+    "commit_session": "9c1bb8797fe35acfab0013760e9e68da9a15ca2f77d930dd740caf27106940a2",
+    "abort": "df9de8e7e005d57adda2133bf973a00cab3a280c89debc96d376b092f433b468",
+    "teardown": "eca6cff841ca4750cc12a7eddcc3083230fb81d4e7b0a50b1df629681240761b",
+    "query": "b97d30958ee08c906a581b348ab9d69d14bf34eb49ae3687b0babe05b461928f",
 }
 
 
@@ -156,10 +191,11 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-async def _client_requests():
-    """name -> the bytes ServiceClient wrote for it (port normalised).
+async def _captured(calls, connect):
+    """name -> the bytes each call wrote (port normalised).
 
-    The capture server frames requests by hand, not with the codec under
+    ``connect(port)`` is what the calls run on (it has ``aclose``).  The
+    capture server frames requests by hand, not with the codec under
     test, so a codec bug cannot hide itself.
     """
     captured = []
@@ -183,14 +219,14 @@ async def _client_requests():
 
     server = await asyncio.start_server(capture, "127.0.0.1", 0)
     port = server.sockets[0].getsockname()[1]
-    client = ServiceClient("127.0.0.1", port)
+    target = connect(port)
     names = []
     try:
-        for name, call in CALLS:
-            await call(client)
+        for name, call in calls:
+            await call(target)
             names.append(name)
     finally:
-        await client.aclose()
+        await target.aclose()
         server.close()
         await server.wait_closed()
     host = b"Host: 127.0.0.1:%d\r\n" % port
@@ -245,8 +281,16 @@ async def _server_responses():
 
 
 def test_client_request_bytes_are_pinned():
-    wires = asyncio.run(_client_requests())
+    wires = asyncio.run(_captured(CALLS, lambda port: ServiceClient("127.0.0.1", port)))
     assert {name: _digest(wire) for name, wire in wires.items()} == REQUEST_DIGESTS
+
+
+def test_router_request_bytes_are_pinned():
+    def router(port):
+        return ClusterCoordinator([HttpShardClient(0, "127.0.0.1", port)], seed=7)
+
+    wires = asyncio.run(_captured(ROUTER_CALLS, router))
+    assert {name: _digest(wire) for name, wire in wires.items()} == ROUTER_REQUEST_DIGESTS
 
 
 def test_server_response_bytes_are_pinned():
