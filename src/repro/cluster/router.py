@@ -6,7 +6,7 @@ assigns (every shard builds the identical same-seed grid, so capacities
 agree without a directory service).  An establishment becomes:
 
 1. **merged snapshot** -- ``GET /v1/availability?resources=...`` from
-   every involved shard in parallel, naming only the session's
+   every involved shard in one round, naming only the session's
    resources that shard owns (the paper's phase 1 reports exactly the
    resources a session needs); resources an unreachable shard should
    have reported are zero-filled, so planning degrades instead of
@@ -36,21 +36,25 @@ cluster.  :class:`LocalShardClient` swaps the HTTP hop for a direct call
 into the shard's route table (with per-shard event logs and the drain
 flag) -- the transport the property tests race.
 
-The router reads every shard answer in one place,
-:meth:`ClusterCoordinator._exchange`: a reply is either read (through a
-small per-route reader), a refusal that applied nothing
-(``shard_draining``, ``shard_error``), or unknown (``shard_unreachable``:
-no reply, or one of the wrong shape -- the shard may have applied the
-call).  A shard that does not answer within :data:`EXCHANGE_TIMEOUT` is
-unknown too.  What follows each outcome is decided in one place as well,
-the sans-I/O core :mod:`repro.cluster.protocol`, which holds the
-sessions, the teardown debts and the per-shard generations: an unknown
-reserve is left to the shard's TTL reaper, an unknown folded reserve,
-commit or teardown becomes a teardown debt, and every unknown outcome
-bumps that shard's *generation*.  :class:`ClusterCoordinator` is the
-core's driver: it builds each exchange's payload, sends the core's ready
-round, and delivers the outcomes back.  An unknown availability reply
-zero-fills that shard's resources.
+The router sends and reads shard exchanges in rounds, in one place,
+:meth:`ClusterCoordinator._round`: every request of a round is written
+first, then the replies are read in shard order -- with no task and no
+timer per exchange.  One deadline, :data:`EXCHANGE_TIMEOUT` from the
+round's start, bounds the whole round; the single-shard pass-through
+keeps a bound of its own per exchange.  A
+reply is either read (through a small per-route reader), a refusal that
+applied nothing (``shard_draining``, ``shard_error``), or unknown
+(``shard_unreachable``: no reply by the deadline, or one of the wrong
+shape -- the shard may have applied the call).  What follows each
+outcome is decided in one place as well, the sans-I/O core
+:mod:`repro.cluster.protocol`, which holds the sessions, the teardown
+debts and the per-shard generations: an unknown reserve is left to the
+shard's TTL reaper, an unknown folded reserve, commit or teardown becomes
+a teardown debt, and every unknown outcome bumps that shard's
+*generation*.  :class:`ClusterCoordinator` is the core's driver: it
+builds each exchange's payload, sends the core's ready round, and
+delivers the outcomes back.  An unknown availability reply zero-fills
+that shard's resources.
 
 The router sends the generation on reserves and teardowns; a shard
 refuses a reserve whose generation is below the highest it has seen.
@@ -68,10 +72,10 @@ from __future__ import annotations
 import asyncio
 import itertools
 import time
-from contextlib import nullcontext
+from contextlib import nullcontext, suppress
 from dataclasses import dataclass
 from functools import partial
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Awaitable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import ModelError, ReproError
@@ -114,21 +118,60 @@ __all__ = [
 ]
 
 
-#: Seconds the router waits for a shard's reply to one exchange.
+#: Seconds the router waits for the replies of one round, or for the
+#: reply of one single-shard pass-through exchange.
 EXCHANGE_TIMEOUT = 10.0
 
 #: Seconds the router's shutdown waits for in-flight admissions.
 DRAIN_TIMEOUT = 10.0
 
-#: ``asyncio.timeout`` (3.11+) bounds an await inside the awaiting task.
-#: ``wait_for``, the one form 3.10 has, runs the call in a task of its
-#: own, which costs each exchange extra event-loop iterations: about
-#: twice the overhead on ``cluster3_serial``'s CPU per decision.
-_timeout = getattr(asyncio, "timeout", None)
+#: ``Task.uncancel`` (3.11+) takes back the cancel a :class:`_Deadline` sent.
+_UNCANCEL = hasattr(asyncio.Task, "uncancel")
+
+
+class _Deadline:
+    """Bounds the awaits of the current task by ``when`` (loop time).
+
+    Inside the ``with`` block the task is cancelled at ``when``, and the
+    block raises ``asyncio.TimeoutError`` instead.  A ``when`` already
+    past cancels at the next loop iteration, so an await that needs no
+    wait, such as a reply already buffered, still completes.  One timer,
+    no task: ``asyncio.wait_for`` runs its call in a task of its own, and
+    ``asyncio.timeout_at`` is 3.11+ only.
+    """
+
+    def __init__(self, when: float) -> None:
+        self._when = when
+        self._expired = False
+
+    def __enter__(self) -> "_Deadline":
+        self._task = task = asyncio.current_task()
+        self._cancelling = task.cancelling() if _UNCANCEL else 0
+        self._timer = task.get_loop().call_at(self._when, self._expire)
+        return self
+
+    def _expire(self) -> None:
+        self._expired = True
+        self._task.cancel()
+
+    def __exit__(self, exc_type, exc, _tb) -> bool:
+        self._timer.cancel()
+        if self._expired and exc_type is asyncio.CancelledError:
+            # Only our own cancel turns into a timeout; one sent from
+            # outside as well still cancels the task.
+            if not _UNCANCEL or self._task.uncancel() <= self._cancelling:
+                raise asyncio.TimeoutError from exc
+        return False
 
 
 class _ShardClient:
-    """The calls the router makes on one shard, over :meth:`forward_raw`."""
+    """The calls the router makes on one shard.
+
+    Each per-kind call (:meth:`availability`, :meth:`reserve`, ...) writes
+    its request through :meth:`send` when it is called, and returns a
+    coroutine that reads the checked reply -- so the router writes a
+    whole round before it reads any of it.
+    """
 
     index: int
     label: str
@@ -139,42 +182,60 @@ class _ShardClient:
         """One verbatim exchange (the single-shard byte-identity path)."""
         raise NotImplementedError
 
-    async def _call(self, method: str, target: str, payload: Optional[dict] = None):
-        return (await self.forward_raw(method, target, payload)).checked()
+    def send(
+        self, method: str, target: str, payload: Optional[dict]
+    ) -> Awaitable[ServiceResponse]:
+        """Send one request; the awaitable gives its reply, with no bound.
 
-    async def availability(self, resource_ids: Sequence[str] = ()) -> dict:
+        In process, the request is applied when the awaitable is awaited.
+        """
+        return self.forward_raw(method, target, payload)
+
+    def _call(self, method: str, target: str, payload: Optional[dict] = None):
+        return _checked(self.send(method, target, payload))
+
+    def availability(self, resource_ids: Sequence[str] = ()):
         """The shard's observations: of ``resource_ids``, or its whole slice."""
         query = f"?resources={','.join(resource_ids)}" if resource_ids else ""
-        return await self._call("GET", "/v1/availability" + query)
+        return self._call("GET", "/v1/availability" + query)
 
-    async def reserve(self, payload: dict) -> dict:
-        return await self._call("POST", "/v1/reserve", payload)
+    def reserve(self, payload: dict):
+        return self._call("POST", "/v1/reserve", payload)
 
-    async def commit(self, payload: dict) -> dict:
-        return await self._call("POST", "/v1/commit", payload)
+    def commit(self, payload: dict):
+        return self._call("POST", "/v1/commit", payload)
 
-    async def abort(self, payload: dict) -> dict:
-        return await self._call("POST", "/v1/abort", payload)
+    def abort(self, payload: dict):
+        return self._call("POST", "/v1/abort", payload)
 
-    async def teardown(self, payload: dict) -> dict:
-        return await self._call("POST", "/v1/teardown", payload)
+    def teardown(self, payload: dict):
+        return self._call("POST", "/v1/teardown", payload)
 
-    async def query(self) -> dict:
-        return await self._call("GET", "/v1/query")
+    def query(self):
+        return self._call("GET", "/v1/query")
 
     async def aclose(self) -> None:
         """Release pooled connections (none by default)."""
 
 
+async def _checked(reply: Awaitable[ServiceResponse]) -> object:
+    """The decoded body of ``reply``, or its status's typed error."""
+    return (await reply).checked()
+
+
 class HttpShardClient(_ShardClient):
     """One shard daemon reached over HTTP (keep-alive pooled).
 
-    An exchange that gets no reply within :data:`EXCHANGE_TIMEOUT` raises
-    ``asyncio.TimeoutError`` (one of :data:`UNREACHABLE`): a shard that
-    reads a request and never answers is an unknown outcome, not a
-    router holding its admission lock forever.  The bound lives here,
-    not in :class:`ServiceClient`: only the router has an unknown
-    outcome to settle, and every other client would pay for it.
+    A per-kind call writes its request at once
+    (:meth:`ServiceClient.send`) and leaves the bound on its reply to the
+    round that reads it (:meth:`ClusterCoordinator._round`).  The
+    single-shard pass-through, :meth:`forward_raw`, keeps a bound of its
+    own: no reply within :data:`EXCHANGE_TIMEOUT` raises
+    ``asyncio.TimeoutError`` (one of :data:`UNREACHABLE`).  Either way a
+    shard that reads a request and never answers is an unknown outcome,
+    not a router holding its admission lock forever.  The bound lives in
+    the router, not in :class:`ServiceClient`: only the router has an
+    unknown outcome to settle, and every other client would pay for it.
     """
 
     def __init__(self, index: int, host: str, port: int) -> None:
@@ -185,11 +246,14 @@ class HttpShardClient(_ShardClient):
     async def forward_raw(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
-        call = self._client.request(method, target, payload)
-        if _timeout is None:  # Python 3.10
-            return await asyncio.wait_for(call, EXCHANGE_TIMEOUT)
-        async with _timeout(EXCHANGE_TIMEOUT):
-            return await call
+        deadline = asyncio.get_running_loop().time() + EXCHANGE_TIMEOUT
+        with _Deadline(deadline):
+            return await self._client.request(method, target, payload)
+
+    def send(
+        self, method: str, target: str, payload: Optional[dict]
+    ) -> Awaitable[ServiceResponse]:
+        return self._client.send(method, target, payload)
 
     async def aclose(self) -> None:
         await self._client.aclose()
@@ -349,14 +413,14 @@ class ClusterCoordinator(RouterCore):
         self.contention_index = CONTENTION_INDICES[contention_index]
         self.seed = seed
         self.algorithm = algorithm
-        #: Teardowns served; admissions and rejections are counted once,
-        #: on the registry (``cluster.admissions``, ``cluster.rejects``).
-        self._torn_down = 0
         super().__init__(len(self.shards), time.time_ns())
         self._session_ids = itertools.count(1)
         #: The router's own scrape surface (NOT globally installed --
         #: the router may share a process with shard services in tests).
         self.registry = MetricsRegistry()
+        #: Admissions, rejections and teardowns are counted once, on the
+        #: registry; the teardown series exists from the first scrape on.
+        self.registry.counter("cluster.teardowns")
         self.shard_reachable: Dict[int, bool] = {}
         for index in range(len(self.shards)):
             # Optimistic until proven otherwise, so every shard's
@@ -375,8 +439,16 @@ class ClusterCoordinator(RouterCore):
             "cluster.shard_reachable", shard=f"shard-{shard_index}"
         ).set(1.0 if reachable else 0.0)
 
-    async def _exchange(self, shard_index: int, call, read):
-        """Await one shard ``call`` and ``read`` its reply: ``(value, failure)``.
+    async def _round(self, sent) -> List[Tuple[object, Optional[str]]]:
+        """Read a written round's replies in shard order: ``[(value, failure)]``.
+
+        ``sent`` holds one ``(shard index, reply, read)`` per exchange,
+        its request already written: ``reply`` is the awaitable a shard
+        client's per-kind call returned, and ``read`` reads its document.
+        One deadline, :data:`EXCHANGE_TIMEOUT` from now, bounds the whole
+        round.  A reply not in by then is unknown, and its connection is
+        closed; a later shard's reply that came in meanwhile is still
+        read.
 
         ``failure`` is None when the shard answered and the reply read;
         ``shard_draining`` or ``shard_error`` when it answered with a
@@ -388,17 +460,40 @@ class ClusterCoordinator(RouterCore):
         hears every outcome (:meth:`~repro.cluster.protocol.RouterCore.heard`):
         an unknown one bumps the shard's generation.
         """
-        value = failure = None
+        outcomes: List[Tuple[object, Optional[str]]] = []
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + EXCHANGE_TIMEOUT
         try:
-            value = read(await call)
-        except ServiceDrainingError:
-            failure = "shard_draining"
-        except ServiceClientError:
-            failure = "shard_error"
-        except _NO_READABLE_REPLY:
-            failure = UNKNOWN
-        self.heard(shard_index, failure)
-        self._note_shard(shard_index, failure != UNKNOWN)
+            while len(outcomes) < len(sent):
+                try:
+                    with _Deadline(deadline):
+                        for shard, reply, read in sent[len(outcomes):]:
+                            value = failure = None
+                            try:
+                                value = read(await reply)
+                            except ServiceDrainingError:
+                                failure = "shard_draining"
+                            except ServiceClientError:
+                                failure = "shard_error"
+                            except _NO_READABLE_REPLY:
+                                failure = UNKNOWN
+                            outcomes.append(self._outcome(shard, value, failure))
+                except asyncio.TimeoutError:
+                    shard = sent[len(outcomes)][0]
+                    outcomes.append(self._outcome(shard, None, UNKNOWN))
+        except BaseException:
+            # Cancelled from outside: each reply not read yet is read as a
+            # late one, so a socket left unanswered is closed, not leaked.
+            for _, reply, _ in sent[len(outcomes) + 1:]:
+                with suppress(BaseException), _Deadline(loop.time()):
+                    await reply
+            raise
+        return outcomes
+
+    def _outcome(self, shard: int, value, failure: Optional[str]):
+        """One exchange's outcome, heard by the core and the reachability gauge."""
+        self.heard(shard, failure)
+        self._note_shard(shard, failure != UNKNOWN)
         return value, failure
 
     def metrics_exposition(self) -> str:
@@ -510,7 +605,7 @@ class ClusterCoordinator(RouterCore):
     async def _merged_snapshot(
         self, resource_ids: List[str], involved: List[int]
     ) -> AvailabilitySnapshot:
-        """Phase 1 over the wire: gather availability from every shard.
+        """Phase 1 over the wire: availability from every involved shard.
 
         Each shard is asked only for the resources it owns among
         ``resource_ids``, so it files the reports one daemon would file
@@ -524,15 +619,15 @@ class ClusterCoordinator(RouterCore):
         for rid in sorted(resource_ids):
             asked.setdefault(self.shard_map.shard_of(rid), []).append(rid)
         with _trace.span("cluster.snapshot", shards=len(involved)):
-            replies = await asyncio.gather(
-                *(
-                    self._exchange(
+            replies = await self._round(
+                [
+                    (
                         index,
                         self.shards[index].availability(asked[index]),
                         partial(_read_availability, asked[index]),
                     )
                     for index in involved
-                )
+                ]
             )
         observations: Dict[str, ResourceObservation] = {}
         for read_observations, _ in replies:
@@ -559,19 +654,19 @@ class ClusterCoordinator(RouterCore):
     async def _drive(self, operation, demands=None, meta=None):
         """Run a :mod:`~repro.cluster.protocol` operation to its end; return it.
 
-        Each ready round goes out at once (one exchange is awaited in
-        place, more are gathered), and every outcome is delivered back.
+        Each ready round is written at once and read by one deadline
+        (:meth:`_round`), and every outcome is delivered back.
         """
         while ready := operation.ready():
-            sent = [self._send(exchange, demands, meta) for exchange in ready]
-            # Gathering one exchange would cost it a task of its own.
-            outcomes = [await sent[0]] if len(sent) == 1 else await asyncio.gather(*sent)
+            outcomes = await self._round(
+                [self._send(exchange, demands, meta) for exchange in ready]
+            )
             for exchange, outcome in zip(ready, outcomes):
                 operation.deliver(exchange, outcome)
         return operation
 
     def _send(self, exchange: Exchange, demands, meta):
-        """One exchange, its payload built and its reply read: ``(value, failure)``.
+        """Write one exchange, its payload built: ``(shard, reply, read)``.
 
         ``demands`` are an admission's by shard, and ``meta`` the session
         record its commits carry.
@@ -588,7 +683,7 @@ class ClusterCoordinator(RouterCore):
             # the folded reserve, which carries the commit, as ``commit``.
             payload["session" if kind == "commit" else "commit"] = meta
         read = _read_folded if exchange.folded else _READERS.get(kind, _read_object)
-        return self._exchange(shard, getattr(self.shards[shard], kind)(payload), read)
+        return shard, getattr(self.shards[shard], kind)(payload), read
 
     def _count(self, success: bool, reason: Optional[str]) -> None:
         """The one admission verdict counter (pass-through and 2PC alike)."""
@@ -612,7 +707,7 @@ class ClusterCoordinator(RouterCore):
                 registry.counter_value("cluster.admissions", verdict="established")
             ),
             "rejected": int(registry.counter_total("cluster.rejects")),
-            "torn_down": self._torn_down,
+            "torn_down": int(registry.counter_value("cluster.teardowns")),
         }
 
     @property
@@ -635,7 +730,7 @@ class ClusterCoordinator(RouterCore):
         teardown = await self._drive(Teardown(self, session_id))
         if not teardown.known and teardown.released == 0:
             return 404, encode_json({"error": f"unknown session {session_id!r}"})
-        self._torn_down += 1
+        self.registry.counter("cluster.teardowns").inc()
         return 200, encode_json({"session_id": session_id, "released": teardown.released})
 
     async def flush_pending_teardowns(self) -> int:
@@ -688,12 +783,9 @@ class ClusterCoordinator(RouterCore):
         )
 
     async def _query_all(self) -> List[Tuple[Optional[dict], Optional[str]]]:
-        """Every shard's ``/v1/query`` exchange at once, in shard order."""
-        return await asyncio.gather(
-            *(
-                self._exchange(shard.index, shard.query(), _read_object)
-                for shard in self.shards
-            )
+        """Every shard's ``/v1/query`` exchange, in one round."""
+        return await self._round(
+            [(shard.index, shard.query(), _read_object) for shard in self.shards]
         )
 
     async def check(self) -> List[str]:

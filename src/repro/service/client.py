@@ -3,9 +3,20 @@
 One :class:`ServiceClient` talks to one daemon.  Admission calls share
 a small keep-alive connection pool: a socket is opened on demand,
 parked after a ``Connection: keep-alive`` response, and reused by the
-next request.  A ``GET`` that finds its pooled socket already closed
-by the daemon is retried once on a fresh connection, when the old
-socket died before yielding any response bytes.  Any other method is
+next request.
+
+An exchange has two halves.  :meth:`ServiceClient.send` writes the
+request at once, on an idle pooled socket (with none idle, a new socket
+is opened in a task and written to as soon as it is up), and returns an
+awaitable for the reply; awaiting it reads the reply and parks or
+closes the socket.  :meth:`ServiceClient.request` runs the two halves
+back to back.  A caller with several daemons to ask -- the cluster
+router -- writes to all of them first and then reads each reply, with
+no task per exchange.
+
+A ``GET`` that finds its pooled socket already closed by the daemon is
+resent once, on another socket, when the old socket died before yielding
+any response bytes.  Any other method is
 not resent: a daemon may have read the request and run it before the
 connection dropped, and only a ``GET`` is idempotent here (RFC 9110
 §9.2.2), so the call raises and its outcome is unknown.  Every byte read or written goes
@@ -24,17 +35,18 @@ daemon's tests drive every endpoint through it.
 
 When a trace context is bound (see :mod:`repro.obs.context`), every
 request carries W3C-style ``traceparent`` and ``x-request-id`` headers
-derived from it, and the exchange is recorded as a ``client.request``
-span on the installed tracer -- that is how the daemon's spans and the
-caller's spans end up sharing a trace id, which ``repro-obs stitch``
-later joins into one cross-process timeline.  Without a bound context
-the wire format is byte-for-byte what it always was.
+derived from it, and the exchange's reply half is recorded as a
+``client.request`` span on the installed tracer -- that is how the
+daemon's spans and the caller's spans end up sharing a trace id, which
+``repro-obs stitch`` later joins into one cross-process timeline.
+Without a bound context the wire format is byte-for-byte what it always
+was.
 """
 
 from __future__ import annotations
 
 import asyncio
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Awaitable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs import context as _context
 from repro.obs import trace as _trace
@@ -72,6 +84,10 @@ class ServiceDrainingError(ServiceClientError):
 UNREACHABLE = (OSError, _http.ProtocolError, asyncio.TimeoutError)
 
 
+#: One keep-alive socket's two streams.
+_Connection = Tuple[asyncio.StreamReader, asyncio.StreamWriter]
+
+
 class ServiceResponse(NamedTuple):
     """One parsed HTTP response."""
 
@@ -103,7 +119,7 @@ class ServiceClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._pool: List[Tuple[asyncio.StreamReader, asyncio.StreamWriter]] = []
+        self._pool: List[_Connection] = []
         #: Raw sockets opened so far (pool misses + ``Connection: close``).
         self.connections_opened = 0
         #: Requests served over a previously used socket.
@@ -111,21 +127,35 @@ class ServiceClient:
 
     # -- connection pool ---------------------------------------------------
 
-    async def _acquire(self) -> Tuple[asyncio.StreamReader, asyncio.StreamWriter, bool]:
-        """A (reader, writer, reused) triple: pooled if possible."""
+    def _pooled(self) -> Optional[_Connection]:
+        """An idle pooled socket, or None."""
         while self._pool:
             reader, writer = self._pool.pop()
             if writer.is_closing():
-                await _close_writer(writer)
+                writer.close()
                 continue
             self.connections_reused += 1
-            return reader, writer, True
+            return reader, writer
+        return None
+
+    async def _open(self, wire: bytes) -> _Connection:
+        """A new socket, with ``wire`` written on it."""
         reader, writer = await asyncio.open_connection(self.host, self.port)
         self.connections_opened += 1
-        return reader, writer, False
+        writer.write(wire)
+        return reader, writer
 
-    def _release(self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
-        self._pool.append((reader, writer))
+    def _write(self, wire: bytes) -> Tuple[Optional[_Connection], Optional[asyncio.Task]]:
+        """Write ``wire`` on an idle pooled socket now: ``(socket, None)``.
+
+        With none idle, a new socket is opened in a task of its own, which
+        writes ``wire`` as soon as the socket is up: ``(None, task)``.
+        """
+        connection = self._pooled()
+        if connection is not None:
+            connection[1].write(wire)
+            return connection, None
+        return None, asyncio.ensure_future(self._open(wire))
 
     async def aclose(self) -> None:
         """Close every pooled connection (call when done with the client)."""
@@ -135,15 +165,23 @@ class ServiceClient:
 
     # -- raw exchange ------------------------------------------------------
 
-    async def request(
+    def send(
         self,
         method: str,
         path: str,
         payload: Optional[dict] = None,
         *,
         headers: Optional[Dict[str, str]] = None,
-    ) -> ServiceResponse:
-        """One request/response exchange (pooled connection when possible)."""
+    ) -> Awaitable[ServiceResponse]:
+        """Write one request now; await what this returns for the reply.
+
+        The first half of an exchange: the request is on a pooled socket
+        when this returns (a new socket writes it as soon as it is up), so
+        a caller may write to several daemons and then read each reply in
+        turn, with no task per exchange.  The returned awaitable is the
+        second half; it must be awaited, since it returns the socket to
+        the pool or closes it.
+        """
         body = b"" if payload is None else _http.encode_json(payload)
         fields = {
             "Host": f"{self.host}:{self.port}",
@@ -161,12 +199,40 @@ class ServiceClient:
             if child.request_id is not None:
                 fields.setdefault(_context.REQUEST_ID_HEADER, child.request_id)
         wire = _http.request_bytes(method, path, fields, body)
+        return self._reply(method, path, wire, *self._write(wire))
+
+    async def request(
+        self,
+        method: str,
+        path: str,
+        payload: Optional[dict] = None,
+        *,
+        headers: Optional[Dict[str, str]] = None,
+    ) -> ServiceResponse:
+        """One request/response exchange: :meth:`send`, then its reply."""
+        return await self.send(method, path, payload, headers=headers)
+
+    async def _reply(
+        self,
+        method: str,
+        path: str,
+        wire: bytes,
+        connection: Optional[_Connection],
+        opening: Optional[asyncio.Task],
+    ) -> ServiceResponse:
+        """The second half of an exchange: the reply to ``wire``.
+
+        ``wire`` went out on the pooled ``connection``, or goes out on the
+        socket ``opening`` brings up.
+        """
         with _trace.span("client.request") as span:
             span.set(method=method, path=path)
             for attempt in (0, 1):
-                reader, writer, reused = await self._acquire()
+                reused = opening is None
                 try:
-                    writer.write(wire)
+                    if connection is None:
+                        connection = await opening
+                    reader, writer = connection
                     await writer.drain()
                     parts = await _http.read_response(reader)
                     if parts is None:
@@ -177,15 +243,19 @@ class ServiceClient:
                     # idle pooled socket at any time; a GET is resent
                     # when no response bytes arrived.  Anything else may
                     # have run before the socket died, so it raises.
-                    await _close_writer(writer)
+                    if connection is None:
+                        opening.add_done_callback(_close_opened)
+                    else:
+                        await _close_writer(connection[1])
                     if reused and isinstance(exc, OSError):
                         self.connections_reused -= 1
                         if attempt == 0 and method == "GET":
+                            connection, opening = self._write(wire)
                             continue
                     raise
                 response = ServiceResponse(*parts)
                 if response.headers.get("connection", "").lower() != "close":
-                    self._release(reader, writer)
+                    self._pool.append(connection)
                 else:
                     await _close_writer(writer)
                 span.set(status=response.status)
@@ -253,6 +323,12 @@ class ServiceClient:
         if response.status != 200:
             raise ServiceClientError(response.status, response.body)
         return response.body.decode("utf-8")
+
+
+def _close_opened(opening: asyncio.Task) -> None:
+    """Close the socket a task opened for an exchange that was given up."""
+    if not opening.cancelled() and opening.exception() is None:
+        opening.result()[1].close()
 
 
 async def _close_writer(writer: asyncio.StreamWriter) -> None:

@@ -330,6 +330,7 @@ class ReservationService:
         if self.config.flight_dir is None:
             return None
         name = f"flight-{reason}-{_os.getpid()}-{self.flight.dump_count}.json"
+        self._set_state_gauges()
         return self.flight.dump(
             Path(self.config.flight_dir) / name,
             reason=reason,
@@ -339,6 +340,7 @@ class ReservationService:
 
     def flight_snapshot(self, reason: str) -> dict:
         """The flight recorder's schema-v4 document, in-band."""
+        self._set_state_gauges()
         return self.flight.snapshot(
             reason=reason, registry=self.registry, meta=self._flight_meta()
         )
@@ -788,6 +790,14 @@ class ReservationService:
             }
         return document
 
+    def _set_state_gauges(self) -> None:
+        """Sync the point-in-time state into gauges (scrape, flight dump)."""
+        self.registry.gauge("daemon.active_sessions").set(len(self.sessions))
+        self.registry.gauge("daemon.pending_leases").set(len(self.leases.pending()))
+        if self.config.shard_index is not None:
+            self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
+        self.registry.gauge("daemon.shard_count").set(self.config.shard_count)
+
     def metrics_exposition(self) -> str:
         """The ``/metrics`` body (Prometheus text format).
 
@@ -796,11 +806,7 @@ class ReservationService:
         set into gauges here, at render time, so it is scrapeable
         without hitting ``/v1/query``.
         """
-        self.registry.gauge("daemon.active_sessions").set(len(self.sessions))
-        self.registry.gauge("daemon.pending_leases").set(len(self.leases.pending()))
-        if self.config.shard_index is not None:
-            self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
-        self.registry.gauge("daemon.shard_count").set(self.config.shard_count)
+        self._set_state_gauges()
         return registry_exposition(self.registry)
 
 

@@ -1443,6 +1443,102 @@ def test_a_rollback_waits_on_its_silent_shards_together(monkeypatch):
     asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
 
 
+def test_a_round_starts_no_task_per_exchange(monkeypatch):
+    """Over three shards on real sockets, a two-shard admission, its
+    teardown and the cluster query write each round, then read it in
+    shard order: no ``asyncio.gather`` call and no new task.  (A socket
+    is opened once, before, by a first query: accepting it starts the
+    shard server's own task.)"""
+    placement = _cross_shard_commits(3)[0]
+    gathered = []
+    gather = asyncio.gather
+
+    def counted_gather(*awaitables, **kwargs):
+        gathered.append(len(awaitables))
+        return gather(*awaitables, **kwargs)
+
+    async def scenario():
+        servers, coordinator, request, involved = await _silent_pair(placement)
+        assert len(involved) == 2
+        assert (await coordinator.query())[0] == 200
+        loop = asyncio.get_running_loop()
+        started = []
+
+        def task_factory(loop, coro, **kwargs):
+            started.append(coro)
+            return asyncio.Task(coro, loop=loop, **kwargs)
+
+        monkeypatch.setattr(asyncio, "gather", counted_gather)
+        loop.set_task_factory(task_factory)
+        try:
+            _, outcome = await coordinator.establish(request)
+            assert json.loads(outcome)["success"] is True
+            status, _ = await coordinator.teardown({"session_id": "silent"})
+            assert status == 200
+            status, body = await coordinator.query()
+            assert status == 200
+        finally:
+            loop.set_task_factory(None)
+        assert (gathered, started) == ([], [])
+        assert all(entry["reachable"] for entry in json.loads(body)["per_shard"])
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
+
+
+def test_a_cancelled_round_closes_the_sockets_it_leaves_unanswered():
+    """A round cancelled from outside while shards 0 and 2 are silent on
+    ``/v1/query``: the cancel reaches the caller, and the router closes
+    both silent shards' connections instead of leaving them open."""
+    placement = _cross_shard_commits(3)[0]
+
+    async def scenario():
+        servers, coordinator, _, _ = await _silent_pair(placement)
+        assert (await coordinator.query())[0] == 200
+        for index in (0, 2):
+            servers[index].stall.add("/v1/query")
+        asking = asyncio.ensure_future(coordinator.query())
+        while not (servers[0].stalled and servers[2].stalled):
+            await asyncio.sleep(0.01)
+        asking.cancel()
+        with pytest.raises(asyncio.CancelledError):
+            await asking
+        for _ in range(100):
+            if not (servers[0]._connections or servers[2]._connections):
+                break
+            await asyncio.sleep(0.01)
+        assert not (servers[0]._connections or servers[2]._connections)
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
+
+
+def test_the_router_counts_teardowns_on_its_registry():
+    """A multi-shard teardown is counted once, on the registry: the
+    series exists at zero from the first scrape, and ``/v1/query``'s
+    ``counters.torn_down`` reads it."""
+    service_name, domain, involved = _cross_shard_commits(3)[0]
+    coordinator = ClusterCoordinator(make_local_shards(3), seed=7)
+
+    def torn_down():
+        counters = parse_exposition(coordinator.metrics_exposition()).counters
+        return counters["repro_cluster_teardowns_total"]
+
+    async def scenario():
+        assert torn_down() == 0.0
+        request = {"service": service_name, "domain": domain, "session_id": "t-1"}
+        _, outcome = await coordinator.establish(request)
+        assert json.loads(outcome)["success"] is True
+        assert len(involved) == 2
+        status, _ = await coordinator.teardown({"session_id": "t-1"})
+        assert status == 200
+        assert torn_down() == 1.0
+        _, body = await coordinator.query()
+        assert json.loads(body)["counters"]["torn_down"] == 1
+
+    asyncio.run(scenario())
+
+
 # ---------------------------------------------------------------------------
 # the 2PC wire endpoints on a daemon
 

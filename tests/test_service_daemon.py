@@ -130,8 +130,8 @@ def test_metrics_exposition_is_scrapable():
 
 def test_a_flight_snapshot_counts_sessions_and_leases_before_any_scrape():
     """Session outcomes and lease operations are counted on the registry
-    where they happen, so a dump taken before ``/metrics`` was ever
-    scraped carries them."""
+    where they happen, and the state gauges are set for the dump, so a
+    dump taken before ``/metrics`` was ever scraped carries them."""
     service = ReservationService(DaemonConfig(seed=3))
     service.start()
     try:
@@ -142,9 +142,13 @@ def test_a_flight_snapshot_counts_sessions_and_leases_before_any_scrape():
         assert status == 200
         abort = {"lease_id": held["lease_id"]}
         assert service.handle("POST", "/v1/abort", {}, abort)[0] == 200
-        counters = service.flight_snapshot("debug_endpoint")["metrics"]["counters"]
+        metrics = service.flight_snapshot("debug_endpoint")["metrics"]
     finally:
         service.close()
+    counters, gauges = metrics["counters"], metrics["gauges"]
+    # The point-in-time gauges are set for the snapshot, not only by a scrape.
+    assert gauges["daemon.active_sessions"]["value"] == 1.0
+    assert gauges["daemon.pending_leases"]["value"] == 0.0
     assert {
         key: counter["value"]
         for key, counter in counters.items()

@@ -10,7 +10,7 @@ those bytes, so a change to the codec that moves one byte fails here:
   normalised);
 * the request bytes a multi-shard router sends a shard, captured the
   same way: each kind of exchange ``ClusterCoordinator._send`` builds
-  (with a fixed generation) and the scoped availability and query
+  and writes, read as a round of one (with a fixed generation) and the scoped availability and query
   calls of its shard client;
 * the response bytes ``repro-serve`` and a three-shard ``repro-cluster``
   router write for a fixed script of raw requests, each on its own
@@ -78,13 +78,14 @@ _DEMANDS = {0: {"cpu:H1": 10.0, "net:H1-H2": 2.5}}
 #: (name, call on a router) -- every request a router sends a shard.
 ROUTER_CALLS = [
     ("availability", lambda r: r.shards[0].availability(["cpu:H1", "net:H1-H2"])),
-    ("reserve", lambda r: r._send(Exchange("reserve", 0, "r1", 7), _DEMANDS, _META)),
-    ("reserve_folded", lambda r: r._send(
-        Exchange("reserve", 0, "r1", 7, folded=True), _DEMANDS, _META)),
-    ("commit_session", lambda r: r._send(
-        Exchange("commit", 0, "r1", lease="r1@shard-0#1"), _DEMANDS, _META)),
-    ("abort", lambda r: r._send(Exchange("abort", 0, "r1", lease="r1@shard-0#1"), None, None)),
-    ("teardown", lambda r: r._send(Exchange("teardown", 0, "r1", 7), None, None)),
+    ("reserve", lambda r: r._round([r._send(Exchange("reserve", 0, "r1", 7), _DEMANDS, _META)])),
+    ("reserve_folded", lambda r: r._round([r._send(
+        Exchange("reserve", 0, "r1", 7, folded=True), _DEMANDS, _META)])),
+    ("commit_session", lambda r: r._round([r._send(
+        Exchange("commit", 0, "r1", lease="r1@shard-0#1"), _DEMANDS, _META)])),
+    ("abort", lambda r: r._round([r._send(
+        Exchange("abort", 0, "r1", lease="r1@shard-0#1"), None, None)])),
+    ("teardown", lambda r: r._round([r._send(Exchange("teardown", 0, "r1", 7), None, None)])),
     ("query", lambda r: r.shards[0].query()),
 ]
 
