@@ -84,7 +84,7 @@ from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
 from repro.obs import events as _events
 from repro.obs import trace as _trace
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Counter, MetricsRegistry, format_labels
 from repro.obs.prom import registry_exposition
 from repro.runtime.coordinator import EstablishmentResult
 from repro.service import http as _http
@@ -138,6 +138,11 @@ class _Deadline:
     wait, such as a reply already buffered, still completes.  One timer,
     no task: ``asyncio.wait_for`` runs its call in a task of its own, and
     ``asyncio.timeout_at`` is 3.11+ only.
+
+    A cancel sent from outside still cancels the task -- except on
+    Python 3.10 when it comes after ``when`` but before the task runs
+    again: without ``Task.uncancel`` it cannot be told from the
+    deadline's own, so it is lost and the block raises the timeout.
     """
 
     def __init__(self, when: float) -> None:
@@ -158,7 +163,7 @@ class _Deadline:
         self._timer.cancel()
         if self._expired and exc_type is asyncio.CancelledError:
             # Only our own cancel turns into a timeout; one sent from
-            # outside as well still cancels the task.
+            # outside as well still cancels the task (3.11+, see above).
             if not _UNCANCEL or self._task.uncancel() <= self._cancelling:
                 raise asyncio.TimeoutError from exc
         return False
@@ -212,7 +217,8 @@ class _ShardClient:
         return self._call("POST", "/v1/teardown", payload)
 
     def query(self):
-        return self._call("GET", "/v1/query")
+        """The shard's ``?view=shard``: all the router reads of its state."""
+        return self._call("GET", "/v1/query?view=shard")
 
     async def aclose(self) -> None:
         """Release pooled connections (none by default)."""
@@ -323,6 +329,11 @@ _NO_READABLE_REPLY = UNREACHABLE + (
 _UNSEEN = ResourceObservation(available=0.0)
 
 
+def _export_order(reason_and_counter) -> str:
+    """Where ``cluster.rejects{reason=...}`` sorts in the registry's export."""
+    return format_labels((("reason", reason_and_counter[0]),))
+
+
 def _read_object(document) -> dict:
     """A JSON object: all the router reads off a commit, abort or query."""
     if not isinstance(document, dict):
@@ -420,7 +431,11 @@ class ClusterCoordinator(RouterCore):
         self.registry = MetricsRegistry()
         #: Admissions, rejections and teardowns are counted once, on the
         #: registry; the teardown series exists from the first scrape on.
-        self.registry.counter("cluster.teardowns")
+        #: The router holds each counter it reads, by verdict and by
+        #: reason, from the first time it counts one.
+        self._teardowns = self.registry.counter("cluster.teardowns")
+        self._verdicts: Dict[str, Counter] = {}
+        self._rejects: Dict[str, Counter] = {}
         self.shard_reachable: Dict[int, bool] = {}
         for index in range(len(self.shards)):
             # Optimistic until proven otherwise, so every shard's
@@ -688,36 +703,42 @@ class ClusterCoordinator(RouterCore):
     def _count(self, success: bool, reason: Optional[str]) -> None:
         """The one admission verdict counter (pass-through and 2PC alike)."""
         if success:
-            self.registry.counter("cluster.admissions", verdict="established").inc()
-            return
-        reason = reason or "rejected"
-        verdict = (
-            "rejected_infra" if reason in INFRA_REJECT_REASONS
-            else "rejected_merit"
-        )
-        self.registry.counter("cluster.admissions", verdict=verdict).inc()
-        self.registry.counter("cluster.rejects", reason=reason).inc()
+            verdict = "established"
+        else:
+            reason = reason or "rejected"
+            verdict = (
+                "rejected_infra" if reason in INFRA_REJECT_REASONS
+                else "rejected_merit"
+            )
+            rejects = self._rejects.get(reason)
+            if rejects is None:
+                rejects = self._rejects[reason] = self.registry.counter(
+                    "cluster.rejects", reason=reason
+                )
+                # reject_reasons lists them in the registry's export order.
+                self._rejects = dict(sorted(self._rejects.items(), key=_export_order))
+            rejects.inc()
+        admissions = self._verdicts.get(verdict)
+        if admissions is None:
+            admissions = self._verdicts[verdict] = self.registry.counter(
+                "cluster.admissions", verdict=verdict
+            )
+        admissions.inc()
 
     @property
     def counters(self) -> Dict[str, int]:
-        """Admissions, rejections and teardowns so far."""
-        registry = self.registry
+        """Admissions, rejections and teardowns so far (read-only)."""
+        established = self._verdicts.get("established")
         return {
-            "established": int(
-                registry.counter_value("cluster.admissions", verdict="established")
-            ),
-            "rejected": int(registry.counter_total("cluster.rejects")),
-            "torn_down": int(registry.counter_value("cluster.teardowns")),
+            "established": 0 if established is None else int(established.value),
+            "rejected": int(sum(c.value for c in self._rejects.values())),
+            "torn_down": int(self._teardowns.value),
         }
 
     @property
     def reject_reasons(self) -> Dict[str, int]:
         """Rejections so far by reason, read off ``cluster.rejects``."""
-        return {
-            labels["reason"]: int(value)
-            for name, labels, value in self.registry.iter_counters()
-            if name == "cluster.rejects"
-        }
+        return {reason: int(c.value) for reason, c in self._rejects.items()}
 
     # -- teardown / query --------------------------------------------------
 
@@ -730,7 +751,7 @@ class ClusterCoordinator(RouterCore):
         teardown = await self._drive(Teardown(self, session_id))
         if not teardown.known and teardown.released == 0:
             return 404, encode_json({"error": f"unknown session {session_id!r}"})
-        self.registry.counter("cluster.teardowns").inc()
+        self._teardowns.inc()
         return 200, encode_json({"session_id": session_id, "released": teardown.released})
 
     async def flush_pending_teardowns(self) -> int:

@@ -18,7 +18,8 @@ behind an admission API and owns the one transport-free route table
                              hold and commit them in one call (``commit``)
 ``POST /v1/commit``          cross-shard 2PC: make a lease permanent
 ``POST /v1/abort``           cross-shard 2PC: release a lease
-``GET  /v1/query``           daemon + session + utilization state
+``GET  /v1/query``           daemon + session + utilization state, or with
+                             ``?view=shard`` only what a cluster router reads
 ``GET  /v1/availability``    observed availability of the owned slice, or of
                              the ``?resources=`` it names
 ``GET  /metrics``            Prometheus text exposition of the live registry
@@ -376,6 +377,8 @@ class ReservationService:
         wedge another shard's decision or strand a session's holds.
         """
         if method == "GET" and path == "/v1/query":
+            if "view" in query:
+                return answer(self.query_view, query["view"], query.get("session_id"))
             return answer(self.query, query.get("session_id"))
         if method == "GET" and path == "/v1/availability":
             return answer(self.availability, query.get("resources"))
@@ -773,9 +776,30 @@ class ReservationService:
                 for broker in self.grid.registry.brokers()
             },
         }
-        # The shard section appears only for sharded daemons (or once
-        # the 2PC endpoints have been used), so plain single-daemon
-        # query responses stay byte-identical to the pre-cluster wire.
+        return self._with_shard_section(document)
+
+    def query_view(self, view: str, session_id: Optional[str] = None) -> dict:
+        """``?view=shard``: only what a cluster router reads of :meth:`query`.
+
+        ``seed``, ``active_sessions`` and the ``shard`` section, each as
+        the full document has it.  Any other view, or a view asked
+        together with ``session_id``, is a 400.
+        """
+        if view != "shard":
+            raise ServiceError(f"unknown view {view!r}: the one view is 'shard'")
+        if session_id is not None:
+            raise ServiceError("'view' and 'session_id' cannot be asked together")
+        return self._with_shard_section(
+            {"seed": self.config.seed, "active_sessions": len(self.sessions)}
+        )
+
+    def _with_shard_section(self, document: dict) -> dict:
+        """``document`` with the ``shard`` section, when the daemon has one.
+
+        The section appears only for sharded daemons (or once the 2PC
+        endpoints have been used), so plain single-daemon query
+        responses stay byte-identical to the pre-cluster wire.
+        """
         lease_counters = self.lease_counters
         if self.config.shard_index is not None or any(lease_counters.values()):
             owned = self._owned_resources

@@ -58,7 +58,7 @@ from repro.sim.workload import SessionArrival
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
 
-from tests.test_service_daemon import VALID_PAIRS, _seeded_operations
+from tests.test_service_daemon import VALID_PAIRS, _seeded_operations, start_daemon
 
 
 def _topology(seed: int = 0):
@@ -1537,6 +1537,144 @@ def test_the_router_counts_teardowns_on_its_registry():
         assert json.loads(body)["counters"]["torn_down"] == 1
 
     asyncio.run(scenario())
+
+
+def test_the_router_reads_its_counters_in_export_order():
+    """``counters`` and ``reject_reasons`` read the counters the router
+    holds: the same values as the registry, and the reasons in the
+    registry's export order -- ``{reason=a_b}`` sorts before ``{reason=a}``."""
+    coordinator = ClusterCoordinator(make_local_shards(2), seed=7)
+    for success, reason in [(False, "a_b"), (True, None), (False, "a"),
+                            (False, "shard_error"), (False, "a")]:
+        coordinator._count(success, reason)
+    registry = coordinator.registry
+    exported = [
+        (labels["reason"], int(value))
+        for name, labels, value in registry.iter_counters()
+        if name == "cluster.rejects"
+    ]
+    assert list(coordinator.reject_reasons.items()) == exported
+    assert exported == [("a_b", 1), ("a", 2), ("shard_error", 1)]
+    assert coordinator.counters == {
+        "established": int(
+            registry.counter_value("cluster.admissions", verdict="established")
+        ),
+        "rejected": int(registry.counter_total("cluster.rejects")),
+        "torn_down": 0,
+    }
+    assert coordinator.counters == {"established": 1, "rejected": 4, "torn_down": 0}
+
+
+#: What a router reads of a shard's ``GET /v1/query``.
+VIEW_FIELDS = ("seed", "active_sessions", "shard")
+
+
+def _view_of(full: dict) -> dict:
+    """The fields of the full document that ``?view=shard`` answers."""
+    return {key: full[key] for key in VIEW_FIELDS if key in full}
+
+
+def test_the_shard_view_is_the_full_document_narrowed():
+    """Over in-process shards, ``?view=shard`` -- what the router asks --
+    answers exactly the full document's ``seed``, ``active_sessions`` and
+    ``shard`` section: after a cross-shard admission, with a lease
+    pending, and on a daemon that has no shard section at all."""
+    service_name, domain, involved = _cross_shard_commits(3)[0]
+    shards = make_local_shards(3)
+    coordinator = ClusterCoordinator(shards, seed=7)
+    solo = LocalShardClient(0, ReservationService(DaemonConfig(seed=7)))
+
+    async def both(shard):
+        full = await shard.forward_raw("GET", "/v1/query", None)
+        return json.loads(full.body), await shard.query()
+
+    async def scenario():
+        request = {"service": service_name, "domain": domain, "session_id": "v-1"}
+        _, outcome = await coordinator.establish(request)
+        assert json.loads(outcome)["success"] is True
+        holder = shards[involved[0]].service
+        owned = min(holder.availability()["resources"])
+        held = holder.reserve({"session_id": "v-2", "demands": {owned: 1.0}})
+        assert held["reserved"] is True
+        for index, shard in enumerate(shards):
+            full, view = await both(shard)
+            assert "shard" in full
+            assert view == _view_of(full)
+            assert view["shard"]["pending_leases"] == int(index == involved[0])
+        full, view = await both(solo)
+        assert "shard" not in full
+        assert view == _view_of(full) == {"seed": 7, "active_sessions": 0}
+
+    asyncio.run(scenario())
+
+
+def test_the_shard_view_over_http_and_its_refusals():
+    """Over a socket, the router's ``query()`` of a sharded daemon equals
+    the full document narrowed; an unknown ``view``, or ``view`` together
+    with ``session_id``, is a 400, and ``?session_id=`` alone still reads
+    one session."""
+
+    async def scenario():
+        daemon = await start_daemon(seed=7, shard_index=0, shard_count=3)
+        shard = HttpShardClient(0, "127.0.0.1", daemon.port)
+        client = ServiceClient("127.0.0.1", daemon.port)
+        try:
+            owned = min((await client.availability())["resources"])
+            outcome = await client.reserve("h-1", {owned: 1.0})
+            assert outcome["reserved"] is True
+            await client.commit(outcome["lease_id"], {"service": "S2", "domain": "D1"})
+            full = await client.query()
+            assert full["active_sessions"] == 1
+            assert await shard.query() == _view_of(full)
+            for target in ("/v1/query?view=full", "/v1/query?view=",
+                           "/v1/query?view=shard&session_id=h-1"):
+                response = await client.request("GET", target)
+                assert response.status == 400, target
+                assert "view" in response.json()["error"]
+            assert (await client.query("h-1"))["session_id"] == "h-1"
+        finally:
+            await client.aclose()
+            await shard.aclose()
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_a_deadline_turns_only_its_own_cancel_into_a_timeout():
+    """``_Deadline`` raises ``asyncio.TimeoutError`` for the cancel it
+    sends at expiry, and a cancel from outside before expiry cancels the
+    task.  One from outside after expiry, before the task runs again,
+    cancels it too on Python 3.11 and later; 3.10, with no
+    ``Task.uncancel``, loses it to the timeout, as the docstring says."""
+    Deadline = cluster_router._Deadline
+
+    async def bounded(delay, outside_cancel=None):
+        """Sleep under a deadline ``delay`` s away; ``outside_cancel`` is
+        None, ``"early"`` (10 ms in) or ``"at expiry"`` (right after the
+        deadline's own cancel)."""
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
+        deadline = Deadline(loop.time() + delay)
+        if outside_cancel == "early":
+            loop.call_later(0.01, task.cancel)
+        elif outside_cancel == "at expiry":
+            expire = deadline._expire
+
+            def expire_then_cancel():
+                expire()
+                task.cancel()
+
+            deadline._expire = expire_then_cancel
+        with deadline:
+            await asyncio.sleep(10)
+
+    with pytest.raises(asyncio.TimeoutError):
+        asyncio.run(bounded(0.0))
+    with pytest.raises(asyncio.CancelledError):
+        asyncio.run(bounded(5.0, "early"))
+    late = asyncio.CancelledError if cluster_router._UNCANCEL else asyncio.TimeoutError
+    with pytest.raises(late):
+        asyncio.run(bounded(0.0, "at expiry"))
 
 
 # ---------------------------------------------------------------------------

@@ -90,7 +90,8 @@ ROUTER_CALLS = [
 ]
 
 #: name -> sha256 of the request bytes, recorded on the tree before the
-#: serving path kept each fact once.
+#: serving path kept each fact once; ``query`` since the router asks for
+#: the shard view (only its request target, ``/v1/query?view=shard``, moved).
 ROUTER_REQUEST_DIGESTS = {
     "availability": "dd2a3c826e6fc94a4ad3650bec40e6753831f0b2a38a33a6886d40c0505251b5",
     "reserve": "e867dddd4423260289dd53647e8d46336199850341ad4b9805b344b7847480b7",
@@ -98,7 +99,7 @@ ROUTER_REQUEST_DIGESTS = {
     "commit_session": "9c1bb8797fe35acfab0013760e9e68da9a15ca2f77d930dd740caf27106940a2",
     "abort": "df9de8e7e005d57adda2133bf973a00cab3a280c89debc96d376b092f433b468",
     "teardown": "eca6cff841ca4750cc12a7eddcc3083230fb81d4e7b0a50b1df629681240761b",
-    "query": "b97d30958ee08c906a581b348ab9d69d14bf34eb49ae3687b0babe05b461928f",
+    "query": "31d79e275674f8b6aa095ca9f4f7dc5c767abf249557d5adff9b52f15403fcf4",
 }
 
 
@@ -304,3 +305,59 @@ def test_server_response_bytes_are_pinned():
     assert active == {"daemon": 0, "router": 0}
     assert {name: _digest(wire) for name, wire in responses.items()} == RESPONSE_DIGESTS
     assert responses["daemon:events"] == responses["router:events"]
+
+
+#: A three-shard router's script before its full ``GET /v1/query``: an
+#: admission, a merit refusal, an admission torn down, a refusal of a
+#: draining shard, then the query with one shard down.  Each row is a
+#: raw request, or ``(shard index, flag, value)``: a flag set on that
+#: in-process shard.
+ROUTER_QUERY_SCRIPT = [
+    _raw(b"POST", b"/v1/establish", b'{"domain": "D1", "service": "S2", "session_id": "w1"}'),
+    _raw(b"POST", b"/v1/establish",
+         b'{"demand_scale": 1000, "domain": "D1", "service": "S2", "session_id": "w2"}'),
+    _raw(b"POST", b"/v1/establish", b'{"domain": "D3", "service": "S1", "session_id": "w3"}'),
+    _raw(b"POST", b"/v1/teardown", b'{"session_id": "w3"}'),
+    (0, "draining", True),
+    _raw(b"POST", b"/v1/establish", b'{"domain": "D1", "service": "S2", "session_id": "w4"}'),
+    (0, "draining", False),
+    (2, "crashed", True),
+    _raw(b"GET", b"/v1/query"),
+]
+
+#: sha256 of the router's response to the script's last row, recorded on
+#: the tree whose router read each shard's whole state document.
+ROUTER_QUERY_DIGEST = "c299a2d1269d409b318fc8b7ee31bcf1720438fad2a53b95d39790ef0364336d"
+
+
+async def _router_query_response():
+    shards = make_local_shards(3)
+    router = ClusterDaemon(
+        ClusterConfig(shards=(("127.0.0.1", 1),) * 3, port=0, seed=7),
+        coordinator=ClusterCoordinator(shards, seed=7),
+    )
+    await router.start()
+    try:
+        for row in ROUTER_QUERY_SCRIPT:
+            if isinstance(row, tuple):
+                index, flag, value = row
+                setattr(shards[index], flag, value)
+                continue
+            reader, writer = await asyncio.open_connection("127.0.0.1", router.port)
+            try:
+                writer.write(row)
+                await writer.drain()
+                response = await reader.read()
+            finally:
+                writer.close()
+    finally:
+        await router.shutdown()
+    return response
+
+
+def test_router_query_response_bytes_are_pinned():
+    response = asyncio.run(_router_query_response())
+    document = http.decode_json(response.partition(b"\r\n\r\n")[2])
+    assert document["reject_reasons"] == {"no_feasible_plan": 1, "shard_draining": 1}
+    assert [entry["reachable"] for entry in document["per_shard"]] == [True, True, False]
+    assert _digest(response) == ROUTER_QUERY_DIGEST
