@@ -1,5 +1,7 @@
-"""The cluster admission protocol, written once: a sans-I/O core.
+"""The cluster admission protocol, written once: two sans-I/O cores.
 
+:class:`ShardCore` is a shard's half: its fence and session records,
+and the order of a reserve, commit, abort and teardown.
 :class:`RouterCore` is the router's protocol state -- each session's shard
 list, the teardown debts and one generation per shard -- and the three
 operations on it decide every consequence of every shard answer:
@@ -25,21 +27,26 @@ shard may have applied the call -- every consequence below assumes it
 did.  An empty ready round means the operation is over.
 
 :class:`~repro.cluster.router.ClusterCoordinator`, a :class:`RouterCore`
-with the I/O, drives the core over the wire, and
-``tests/protocol_model.py`` drives it against every interleaving of
-modelled shards.  So that the model can copy a state,
-an operation's fields hold immutable values, which it replaces and never
-changes in place.
+with the I/O, drives the router core over the wire, and each
+:class:`~repro.service.daemon.ReservationService` serves a shard core.
+``tests/protocol_model.py`` drives both cores through every
+interleaving, a shard's capacity being a one-unit fake.  So that the
+model can copy a state, an operation's fields hold immutable values,
+which it replaces and never changes in place.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-__all__ = ["UNKNOWN", "Admission", "Exchange", "Flush", "RouterCore", "Teardown"]
+__all__ = ["UNKNOWN", "Admission", "Exchange", "Flush", "RouterCore", "ShardCore",
+           "Teardown"]
 
 #: The failure of an exchange whose outcome the router cannot know.
 UNKNOWN = "shard_unreachable"
+
+#: The fields of a commit's session record a shard keeps.
+_RECORD_FIELDS = ("service", "domain", "demand_scale", "duration", "level")
 
 
 class Exchange(NamedTuple):
@@ -56,6 +63,64 @@ class Exchange(NamedTuple):
     generation: Optional[int] = None
     lease: Optional[str] = None
     folded: bool = False
+
+
+class ShardCore:
+    """A shard's protocol state: its fence and its session records.
+
+    Capacity is in ``leases``, a :class:`~repro.runtime.leases.LeaseTable`
+    (whose ``hold`` raises a refusal), and ``teardown(session)`` frees
+    all a session holds, its live leases first.
+    """
+
+    def __init__(self, leases, teardown, holder: Optional[str] = None) -> None:
+        self.leases, self._teardown, self.holder = leases, teardown, holder
+        #: The highest router generation a reserve or teardown carried.
+        self.fence = 0
+        #: session id -> its record; a cluster session's is its commit's.
+        self.sessions: Dict[str, dict] = {}
+
+    def stale(self, generation: Optional[int]) -> bool:
+        """The fence test: a reserve below it may be one the router gave
+        up on and settled; a reserve with no generation is not fenced."""
+        return generation is not None and generation < self.fence
+
+    def reserve(self, session: str, generation: Optional[int], demands, record):
+        """Hold ``demands``, committed too given ``record`` (the fold):
+        the lease, or None below the fence, holding nothing."""
+        if self.stale(generation):
+            return None
+        self.fence = max(self.fence, generation or 0)
+        lease = self.leases.hold(session, demands, self.holder)
+        if record is not None:
+            self._commit(lease, record)
+        return lease
+
+    def commit(self, lease_id: str, record=None):
+        """Commit a live lease: it, or None once gone (expired, aborted or
+        torn down), so a late commit re-creates nothing."""
+        lease = self.leases.get(lease_id)
+        if lease is not None:
+            self._commit(lease, record)
+        return lease
+
+    def _commit(self, lease, meta) -> None:
+        self.leases.commit(lease)
+        meta = meta if isinstance(meta, dict) else {}
+        record = {key: meta[key] for key in _RECORD_FIELDS if key in meta}
+        self.sessions.setdefault(lease.session_id, {"cluster": True, **record})
+
+    def abort(self, lease_id: str):
+        """``(lease, released)``; ``(None, 0)`` once the lease is gone."""
+        lease = self.leases.get(lease_id)
+        return lease, 0 if lease is None else self.leases.release(lease)
+
+    def teardown(self, session: str, generation: Optional[int]) -> Tuple[bool, int]:
+        """Raise the fence, drop the record, free what the session holds:
+        ``(known, released)``."""
+        self.fence = max(self.fence, generation or 0)
+        known = self.sessions.pop(session, None) is not None
+        return known, self._teardown(session)
 
 
 class RouterCore:

@@ -769,16 +769,22 @@ class ClusterCoordinator(RouterCore):
         return (await self._drive(Flush(self))).released
 
     async def query(
-        self, target: str = "/v1/query", session_id: Optional[str] = None
+        self,
+        target: str = "/v1/query",
+        session_id: Optional[str] = None,
+        view: Optional[str] = None,
     ) -> Tuple[int, bytes]:
         """The cluster document, or one session's record with ``session_id``.
 
         A single shard is asked ``target`` verbatim, so its
-        ``?session_id=`` answers stay byte-identical to the daemon's; a
-        multi-shard router answers from its own session table.
+        ``?session_id=`` and ``?view=`` answers stay byte-identical to the
+        daemon's; a multi-shard router answers from its own session
+        table, and has no view (a 400).
         """
         if len(self.shards) == 1:
             return await self.forward("GET", target, None)
+        if view is not None:
+            return 400, encode_json({"error": "a cluster router has no 'view'"})
         if session_id is not None:
             record = self.sessions.get(session_id)
             if record is None:
@@ -914,8 +920,9 @@ class ClusterDaemon(ServingShell):
     async def _route(self, request: _http.Request) -> Tuple[int, bytes]:
         coordinator = self.coordinator
         if (request.method, request.path) == ("GET", "/v1/query"):
+            query = request.query
             return await coordinator.query(
-                request.target, request.query.get("session_id")
+                request.target, query.get("session_id"), query.get("view")
             )
         if request.method != "POST":
             return 405, encode_json(

@@ -53,6 +53,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
+from repro.cluster.protocol import ShardCore
 from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import AdmissionError, ModelError, ReproError
 from repro.des.engine import Environment
@@ -99,6 +100,14 @@ def answer(operation, *args) -> Tuple[int, object]:
         return 200, operation(*args)
     except ReproError as exc:
         return refusal(exc)
+
+
+def _generation(payload: dict) -> Optional[int]:
+    """A payload's router ``generation`` (None without one); 400 unless an int."""
+    generation = payload.get("generation")
+    if isinstance(generation, bool) or not isinstance(generation, (int, type(None))):
+        raise ServiceError("'generation' must be an integer")
+    return generation
 
 
 def decode_arrival(payload: object, session_ids) -> SessionArrival:
@@ -221,8 +230,6 @@ class ReservationService:
         self.coordinator = self.grid.coordinator
         self.planner = make_planner(config.algorithm, config.tie_break, self.streams)
         self.contention_index = CONTENTION_INDICES[config.contention_index]
-        #: session_id -> the arrival facts needed to renegotiate/query it.
-        self.sessions: Dict[str, dict] = {}
         #: Session outcomes and two-phase lease operations, each counted
         #: once, where it happens, on the registry (``daemon.sessions``,
         #: ``daemon.lease_operations``); :attr:`counters` and
@@ -275,10 +282,11 @@ class ReservationService:
         self.leases = self.coordinator.leases = LeaseTable(
             self.coordinator.proxies, _time.monotonic, config.lease_ttl
         )
-        #: The highest router generation a reserve or teardown carried: a
-        #: reserve below it was sent before an exchange the router gave
-        #: up on, and is refused (see :meth:`reserve`).
-        self.fence = 0
+        #: The shard's half of the cluster protocol: its fence, and the
+        #: one session table (session_id -> the facts to renegotiate or
+        #: query it).
+        self.core = ShardCore(self.leases, self.coordinator.teardown, self.shard_label)
+        self.sessions = self.core.sessions
         #: POST path -> admission operation (payload in, document out).
         self._operations = {
             "/v1/establish": self.establish,
@@ -534,10 +542,8 @@ class ReservationService:
         session_id = payload.get("session_id")
         if not session_id:
             raise ServiceError("missing required field 'session_id'")
-        self._raise_fence(payload)
-        known = self.sessions.pop(str(session_id), None)
-        released = self.coordinator.teardown(str(session_id))
-        if known is None and released == 0:
+        known, released = self.core.teardown(str(session_id), _generation(payload))
+        if not known and released == 0:
             raise ServiceError(f"unknown session {session_id!r}", status=404)
         self._outcomes["torn_down"].inc()
         return {"session_id": str(session_id), "released": released}
@@ -561,16 +567,6 @@ class ReservationService:
                 f"{self.config.shard_index}",
                 status=409,
             )
-
-    def _raise_fence(self, payload: dict) -> Optional[int]:
-        """Raise the fence to a payload's router ``generation``, if it has one."""
-        generation = payload.get("generation")
-        if generation is None:
-            return None
-        if isinstance(generation, bool) or not isinstance(generation, int):
-            raise ServiceError("'generation' must be an integer")
-        self.fence = max(self.fence, generation)
-        return generation
 
     def reserve(self, payload: dict) -> dict:
         """Phase one of a cross-shard admission: hold capacity on a lease.
@@ -604,16 +600,11 @@ class ReservationService:
             raise ServiceError(f"non-numeric demand: {exc}") from exc
         for resource_id in sorted(demands):
             self._check_owned(resource_id)
-        fence = self.fence
-        generation = self._raise_fence(payload)
-        if generation is not None and generation < fence:
-            raise ServiceError(
-                f"stale router generation (fence {fence})", status=409
-            )
+        generation, record = _generation(payload), payload.get("commit")
         # hold itself refuses a non-finite or non-positive amount (a 400).
         try:
-            lease = self.leases.hold(
-                session_id, self.coordinator.segments(demands), self.shard_label
+            lease = self.core.reserve(
+                session_id, generation, self.coordinator.segments(demands), record
             )
         except AdmissionError as exc:
             return {
@@ -621,9 +612,13 @@ class ReservationService:
                 "reserved": False,
                 "failed_resource": exc.resource_id,
             }
+        if lease is None:
+            raise ServiceError(
+                f"stale router generation (fence {self.core.fence})", status=409
+            )
         self._lease_operations["reserved"].inc()
-        if "commit" in payload:
-            return dict(self._commit(lease, payload["commit"]), reserved=True)
+        if record is not None:
+            return dict(self._committed(lease), reserved=True)
         # The holder is a remote router that may die at any moment, so
         # the lease is the reaper's from birth; commit/abort race it.
         self.leases.orphan(lease)
@@ -639,23 +634,16 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        lease = self.leases.get(lease_id)
+        lease = self.core.commit(lease_id, payload.get("session"))
         if lease is None:
             raise ServiceError(
                 f"unknown lease {lease_id!r} (expired or never reserved)",
                 status=404,
             )
-        return self._commit(lease, payload.get("session"))
+        return self._committed(lease)
 
-    def _commit(self, lease, meta) -> dict:
-        """Hand a live lease to its session, recorded from ``meta``."""
-        self.leases.commit(lease)
-        record = {"cluster": True}
-        if isinstance(meta, dict):
-            for key in ("service", "domain", "demand_scale", "duration", "level"):
-                if key in meta:
-                    record[key] = meta[key]
-        self.sessions.setdefault(lease.session_id, record)
+    def _committed(self, lease) -> dict:
+        """Count, log and answer a lease the core committed."""
         self._outcomes["established"].inc()
         self._lease_operations["committed"].inc()
         _events.emit(
@@ -675,10 +663,9 @@ class ReservationService:
         lease_id = str(payload.get("lease_id") or "")
         if not lease_id:
             raise ServiceError("missing required field 'lease_id'")
-        lease = self.leases.get(lease_id)
+        lease, released = self.core.abort(lease_id)
         if lease is None:
             return {"lease_id": lease_id, "aborted": False, "released": 0}
-        released = self.leases.release(lease)
         self._lease_operations["aborted"].inc()
         _events.emit(
             "lease.aborted",

@@ -4,20 +4,22 @@ The router admits a session across shards by holding a lease on every
 involved shard and committing them; a failure aborts the held leases,
 tears the committed slices down, and books a *teardown debt* for every
 shard whose outcome it cannot know, which the anti-entropy pass settles.
-The router's side of that protocol is :mod:`repro.cluster.protocol`, the
-core :class:`~repro.cluster.router.ClusterCoordinator` drives over the
-wire: this module holds no router logic of its own.  It drives the
-core's operations against small modelled shards and explores every
-interleaving breadth-first, hashing states, for bounded instances: one
-router, ``shards`` shards of one unit of capacity each, ``sessions``
-admissions, and at most ``faults`` faults.  Two variants:
+Both halves of that protocol are :mod:`repro.cluster.protocol`: the
+router core :class:`~repro.cluster.router.ClusterCoordinator` drives
+over the wire, and the shard core each daemon serves.  This module holds
+no protocol logic of its own: it drives the router core's operations
+against a shard core per shard, whose capacity is a one-unit fake of
+the daemon's lease table, and explores every interleaving
+breadth-first, hashing states, for bounded instances: one router,
+``shards`` shards of one unit of capacity each, ``sessions`` admissions,
+and at most ``faults`` faults.  Two variants:
 
 ``fold_fenced``
     the protocol that ships: the last shard's reserve carries its commit
     (the fold), and a shard refuses a reserve whose generation is below
     the highest it has seen (the fence).
 ``fold_unfenced``
-    the same core against shards that ignore generations.
+    the same cores, but the shards' fence test never refuses.
 
 Every session involves every shard, in index order.  A router exchange
 is one atomic step, and the exchanges of one round (the aborts and
@@ -55,14 +57,13 @@ from __future__ import annotations
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.cluster.protocol import UNKNOWN, Admission, Flush, RouterCore, Teardown
+from repro.cluster.protocol import (UNKNOWN, Admission, Flush, RouterCore,
+                                    ShardCore, Teardown)
+from repro.core.errors import AdmissionError
 
 VARIANTS = ("fold_unfenced", "fold_fenced")
-
-#: What a modelled shard answers.
-OK, REFUSED = "ok", "refused"
 
 LEASE, COMMITTED = "lease", "committed"
 
@@ -72,10 +73,11 @@ CAPACITY = 1
 
 # -- states ------------------------------------------------------------------
 #
-# A shard is ``(free, held, fence, in_flight)``: ``free`` its broker's
+# A shard is ``(free, held, kept, in_flight)``: ``free`` its broker's
 # count of free units, ``held`` the sorted ``(session, LEASE |
-# COMMITTED)`` units its books hold, ``fence`` the highest generation it
-# has seen, ``in_flight`` the sorted late exchanges still travelling to it.
+# COMMITTED)`` units its books hold, ``kept`` what its shard core keeps
+# (its fence and sorted session ids), ``in_flight`` the sorted late
+# exchanges still travelling to it.
 #
 # The router is ``(core, operation, admitted, faults)``: ``core`` the
 # core's state as sorted tuples (its sessions and their shards, its debts,
@@ -83,7 +85,7 @@ CAPACITY = 1
 # operation in progress (None when idle), ``admitted`` how many
 # admissions it started, ``faults`` how many faults happened.
 
-_FRESH_SHARD = (CAPACITY, (), 0, ())
+_FRESH_SHARD = (CAPACITY, (), (0, ()), ())
 
 #: Each operation's fields but its core, in a fixed order.
 _FIELDS = {
@@ -140,38 +142,76 @@ def initial_state(instance: Instance):
     return router, (_FRESH_SHARD,) * instance.shards
 
 
-def _release(shard, keep):
-    """``shard`` without the units ``keep`` rejects, their capacity freed."""
-    free, held, fence, in_flight = shard
-    rest = tuple(unit for unit in held if keep(unit))
-    return free + len(held) - len(rest), rest, fence, in_flight
+#: A unit of capacity a shard's book holds, and a lease's handle.
+Unit = NamedTuple("Unit", [("session_id", str), ("kind", str)])
 
 
-def _apply(shard, request, fenced: bool):
-    """The shard's handling of one exchange: ``(shard, reply)``."""
-    free, held, fence, in_flight = shard
-    kind, session = request.kind, request.session
-    if kind == "reserve":
-        if fenced and request.generation < fence:
-            return shard, REFUSED
-        if fenced:
-            fence = max(fence, request.generation)
-        if free < 1:
-            return (free, held, fence, in_flight), REFUSED
-        unit = (session, COMMITTED if request.folded else LEASE)
-        return (free - 1, tuple(sorted(held + (unit,))), fence, in_flight), OK
-    if kind == "commit":
-        if (session, LEASE) not in held:
-            return shard, REFUSED  # the lease expired, was aborted or torn down
-        rest = tuple(unit for unit in held if unit != (session, LEASE))
-        held = tuple(sorted(rest + ((session, COMMITTED),)))
-        return (free, held, fence, in_flight), OK
-    if kind == "abort":
-        return _release(shard, lambda unit: unit != (session, LEASE)), OK
-    # teardown: the session's leases and commits; a 404 settles the debt too
-    if fenced:
-        shard = (free, held, max(fence, request.generation), in_flight)
-    return _release(shard, lambda unit: unit[0] != session), OK
+class _Book:
+    """A shard's capacity: a fake of the daemon's lease table and teardown.
+
+    A lease's id is its session's; a refused hold raises, as the
+    table's does.
+    """
+
+    def __init__(self, free: int, held: tuple) -> None:
+        self.free, self.held = free, held
+
+    def hold(self, session, demands, holder):
+        if self.free < 1:
+            raise AdmissionError("no free unit")
+        lease = Unit(session, LEASE)
+        self.free, self.held = self.free - 1, tuple(sorted(self.held + (lease,)))
+        return lease
+
+    def get(self, lease_id):
+        return Unit(lease_id, LEASE) if (lease_id, LEASE) in self.held else None
+
+    def commit(self, lease) -> None:
+        # Given a lease that is gone, this writes a unit from nothing:
+        # the core commits only a live one.
+        rest = tuple(unit for unit in self.held if unit != lease)
+        self.held = tuple(sorted(rest + (lease._replace(kind=COMMITTED),)))
+
+    def release(self, lease) -> int:
+        return self._free(lambda unit: unit == lease)
+
+    def teardown(self, session) -> int:
+        return self._free(lambda unit: unit[0] == session)
+
+    def _free(self, drop) -> int:
+        rest = tuple(unit for unit in self.held if not drop(unit))
+        released = len(self.held) - len(rest)
+        self.free, self.held = self.free + released, rest
+        return released
+
+
+class _UnfencedShard(ShardCore):
+    """``fold_unfenced``'s shard core: its fence test never refuses."""
+
+    def stale(self, generation) -> bool:
+        return False
+
+
+def _serve(shard, exchange, shard_class):
+    """``(shard, answered)``: ``shard`` after a ``shard_class`` core of its
+    state and its book serve ``exchange`` (a lease's id is its session's)."""
+    free, held, (fence, sessions), in_flight = shard
+    book = _Book(free, held)
+    shard_core = shard_class(book, book.teardown)
+    shard_core.fence, shard_core.sessions = fence, dict.fromkeys(sessions, {})
+    kind, session = exchange.kind, exchange.session
+    try:
+        if kind == "reserve":
+            record = {} if exchange.folded else None
+            reply = shard_core.reserve(session, exchange.generation, None, record)
+        elif kind == "teardown":
+            reply = shard_core.teardown(session, exchange.generation)
+        else:
+            reply = getattr(shard_core, kind)(exchange.lease)
+    except AdmissionError:
+        reply = None
+    kept = (shard_core.fence, tuple(sorted(shard_core.sessions)))
+    return (book.free, book.held, kept, in_flight), reply is not None
 
 
 class Model:
@@ -181,7 +221,8 @@ class Model:
         if instance.variant not in VARIANTS:
             raise ValueError(f"unknown variant {instance.variant!r}")
         self.instance = instance
-        self.fenced = instance.variant == "fold_fenced"
+        fenced = instance.variant == "fold_fenced"
+        self.shard_class = ShardCore if fenced else _UnfencedShard
 
     def _router_starts(self, state) -> Iterator[Tuple[str, tuple]]:
         """What an idle router may start: an admission, a teardown, a flush."""
@@ -211,14 +252,14 @@ class Model:
             shard = exchange.shard
             label = f"{exchange.kind} {exchange.session}@{shard}"
             target = shards[shard]
-            applied, reply = _apply(target, exchange, self.fenced)
+            applied, ok = _serve(target, exchange, self.shard_class)
             # A reserve's reply reads as its lease id, here the session's.
             value = (exchange.session, None) if exchange.kind == "reserve" else None
-            answered = (value, None) if reply == OK else refused
+            answered = (value, None) if ok else refused
             outcomes = [(label, applied, answered, faults)]
             if faults < self.instance.faults:
-                free, held, fence, in_flight = target
-                late = (free, held, fence, tuple(sorted(in_flight + (exchange,))))
+                free, held, kept, in_flight = target
+                late = (free, held, kept, tuple(sorted(in_flight + (exchange,))))
                 outcomes += [
                     (f"{label}, reply lost", applied, unknown, faults + 1),
                     (f"{label}, still in flight when the router gives up", late,
@@ -242,14 +283,14 @@ class Model:
         """Late deliveries, lease expiries and shard restarts."""
         router, shards = state
         for index, shard in enumerate(shards):
-            free, held, fence, in_flight = shard
+            free, held, kept, in_flight = shard
 
             def put(new_shard, index=index):
                 return shards[:index] + (new_shard,) + shards[index + 1:]
 
             for position, request in enumerate(in_flight):
                 rest = in_flight[:position] + in_flight[position + 1:]
-                landed, _ = _apply((free, held, fence, rest), request, self.fenced)
+                landed, _ = _serve((free, held, kept, rest), request, self.shard_class)
                 # Two late requests may differ only in their generation.
                 sent = f"{request.kind} {request.session}@{index}"
                 if request.generation is not None:
@@ -257,7 +298,9 @@ class Model:
                 yield f"the late {sent} lands", (router, put(landed))
             for unit in held:
                 if unit[1] == LEASE:
-                    expired = _release(shard, lambda other, unit=unit: other != unit)
+                    book = _Book(free, held)
+                    book.release(unit)  # the reaper's expiry
+                    expired = (book.free, book.held, kept, in_flight)
                     yield f"lease {unit[0]}@{index} expires", (router, put(expired))
             if router[3] < self.instance.faults and shard != _FRESH_SHARD:
                 restarted = router[:3] + (router[3] + 1,)
@@ -292,20 +335,20 @@ class Model:
         # tears down its own sessions.
         sessions = {session for session, _ in router[0][0]}
         debts = {(session, i) for session, owed in router[0][1] for i in owed}
-        for index, shard in enumerate(shards):
-            settled = _release(
-                shard,
-                lambda unit: unit[1] == COMMITTED and (unit[0], index) not in debts,
-            )
-            for session, _ in settled[1]:
+        for index, (free, held, _, _) in enumerate(shards):
+            settled = [
+                unit for unit in held
+                if unit[1] == COMMITTED and (unit[0], index) not in debts
+            ]
+            for session, _ in settled:
                 if session not in sessions:
                     found.append(
                         f"phantom session: shard {index} holds {session}, "
                         "which the router never established"
                     )
-            emptied = _release(settled, lambda unit: unit[0] not in sessions)
-            if emptied[0] != CAPACITY:
-                found.append(f"capacity lost on shard {index}: {emptied[1]}")
+            left = tuple(unit for unit in settled if unit[0] not in sessions)
+            if free + len(held) - len(left) != CAPACITY:
+                found.append(f"capacity lost on shard {index}: {left}")
         return found
 
 

@@ -783,8 +783,8 @@ def test_a_fresh_router_still_admits_on_shards_an_earlier_router_fenced():
         await earlier.flush_pending_teardowns()
         assert not earlier.pending_teardowns
         for index in involved:
-            assert shards[index].service.fence == earlier.generations[index]
-            assert shards[index].service.fence > 0
+            assert shards[index].service.core.fence == earlier.generations[index]
+            assert shards[index].service.core.fence > 0
         fresh = ClusterCoordinator(shards, seed=7)
         assert all(
             mine > theirs

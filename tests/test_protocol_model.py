@@ -1,13 +1,13 @@
 """The lease / two-phase-commit protocol, checked exhaustively.
 
-:mod:`tests.protocol_model` drives the router's protocol core
+:mod:`tests.protocol_model` drives both protocol cores
 (:mod:`repro.cluster.protocol`) through every interleaving of one router
 and up to three shards with at most two faults.  The fenced fold, the
 protocol that ships, must hold every property in every instance; the
-same core against shards that ignore the fence must not: a folded
+same cores with a fence test that never refuses must not: a folded
 reserve that lands after the anti-entropy pass settled its debt commits
-a session no router owns.  Because the model runs the core, a mutant of
-the core that breaks a property is caught here.
+a session no router owns.  Because the model runs the cores, a mutant of
+either core that breaks a property is caught here.
 """
 
 import inspect
@@ -30,9 +30,9 @@ BUDGET_SECONDS = 30.0
 
 #: (variant, shards) -> (states, transitions) the search reaches.
 EXPLORED = {
-    ("fold_unfenced", 1): (1466, 3585),
-    ("fold_unfenced", 2): (10237, 28230),
-    ("fold_unfenced", 3): (58332, 190670),
+    ("fold_unfenced", 1): (2138, 5006),
+    ("fold_unfenced", 2): (12928, 34474),
+    ("fold_unfenced", 3): (70535, 224359),
     ("fold_fenced", 1): (1984, 4763),
     ("fold_fenced", 2): (11771, 31880),
     ("fold_fenced", 3): (63433, 203784),
@@ -144,7 +144,8 @@ def test_an_unknown_variant_is_refused():
 
 
 #: name -> (source of :mod:`repro.cluster.protocol`, what the mutant has
-#: instead).  Each must leave a violating state at 2 shards.
+#: instead).  Each must leave a violating state at 2 shards.  The last
+#: three are of the shard core; a model lease's id is its session's.
 MUTANTS = {
     "no generation bump on an unknown outcome": (
         "            self.generations[shard] += 1\n",
@@ -171,6 +172,22 @@ MUTANTS = {
         "        self.core.owe(self.session, self.owed)\n",
         "        debts.pop(self.session, None)\n",
     ),
+    "the reserve skips the fence test": (
+        "        if self.stale(generation):\n"
+        "            return None\n",
+        "",
+    ),
+    "the teardown does not raise the fence": (
+        "        self.fence = max(self.fence, generation or 0)\n"
+        "        known = ",
+        "        known = ",
+    ),
+    "a commit of a lease that is no longer live is accepted": (
+        "        if lease is not None:\n"
+        "            self._commit(lease, record)\n",
+        "        lease = lease or self.leases.hold(lease_id, None, self.holder)\n"
+        "        self._commit(lease, record)\n",
+    ),
 }
 
 
@@ -192,7 +209,7 @@ def test_the_model_catches_a_mutant_core(monkeypatch, name):
     mutant = compile(source.replace(original, mutated), protocol.__file__, "exec")
     exec(mutant, namespace)
     for cls in (protocol.RouterCore, protocol._Operation, protocol.Admission,
-                protocol.Teardown, protocol.Flush):
+                protocol.Teardown, protocol.Flush, protocol.ShardCore):
         for attribute, value in vars(namespace[cls.__name__]).items():
             if inspect.isfunction(value):
                 monkeypatch.setattr(cls, attribute, value)
