@@ -5,15 +5,17 @@ its ShardMap slice of the same-seed grid), fronts them with an
 in-process :class:`~repro.cluster.router.ClusterDaemon`, and replays
 the same seeded open-loop workload through the router in both shapes:
 
-* **one shard** -- the router forwards verbatim (the byte-identity
-  path), so this measures the cost of the extra network hop;
+* **one shard** -- every admission is an availability round and a
+  folded reserve on the one shard, so this measures the protocol at one
+  shard: the router's planning and the extra network hop;
 * **three shards** -- every admission plans against a merged
   availability snapshot and commits two-phase across the involved
   shards, so this measures the full cross-shard protocol.
 
 Both shapes' throughput and latency percentiles are recorded; the
 seeded session count is asserted exactly.  The wall ratio documents
-the 2PC overhead; nothing holds it to a bound.
+what the cross-shard rounds cost over one shard; nothing holds it to a
+bound.
 """
 
 import asyncio

@@ -4,14 +4,16 @@ Boots a :class:`~repro.cluster.router.ClusterDaemon` fronting one shard
 daemon per ``--shard host:port`` flag.  The router plans each admission
 against a merged availability snapshot from the involved shards and
 executes it as a two-phase reserve/commit, so a shard dying mid-round
-never loses or double-grants capacity.  With a single ``--shard`` the
-router forwards requests verbatim (responses stay byte-identical to the
-daemon's own).
+never loses or double-grants capacity.  It runs that one path at every
+shard count; with a single ``--shard`` an establish or teardown still
+answers what the daemon itself would.
 
 The shards must be ``repro-serve`` instances started with the *same*
 ``--seed``/capacity range and ``--shard-index i --shard-count N`` for
-``i`` in ``0..N-1`` -- every party replicates the identical grid, the
-shard map just divides who may grant what.
+``i`` in ``0..N-1``, listed in that order -- every party replicates the
+identical grid, the shard map just divides who may grant what.  A
+single ``--shard`` may also name an unsharded daemon.  At boot the
+router warns of a shard whose seed, index or count disagrees.
 """
 
 from __future__ import annotations

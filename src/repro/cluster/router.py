@@ -25,9 +25,10 @@ agree without a directory service).  An establishment becomes:
    double-granted capacity, the :mod:`repro.runtime.leases` contract
    stretched across processes.
 
-With a single shard the router forwards requests verbatim, so its
-responses are byte-identical to the daemon's (and therefore to the
-in-process coordinator) -- the property the acceptance test pins.
+The router runs this one path at every shard count: a one-shard
+admission is an availability round and a folded reserve, and its
+establish and teardown bodies equal the daemon's (and therefore the
+in-process coordinator's).
 
 :class:`ClusterDaemon` serves the router inside the same
 :class:`~repro.service.server.ServingShell` as a single daemon, so the
@@ -40,8 +41,7 @@ The router sends and reads shard exchanges in rounds, in one place,
 :meth:`ClusterCoordinator._round`: every request of a round is written
 first, then the replies are read in shard order -- with no task and no
 timer per exchange.  One deadline, :data:`EXCHANGE_TIMEOUT` from the
-round's start, bounds the whole round; the single-shard pass-through
-keeps a bound of its own per exchange.  A
+round's start, bounds the whole round and so every exchange in it.  A
 reply is either read (through a small per-route reader), a refusal that
 applied nothing (``shard_draining``, ``shard_error``), or unknown
 (``shard_unreachable``: no reply by the deadline, or one of the wrong
@@ -88,7 +88,7 @@ from repro.obs.metrics import Counter, MetricsRegistry, format_labels
 from repro.obs.prom import registry_exposition
 from repro.runtime.coordinator import EstablishmentResult
 from repro.service import http as _http
-from repro.service.http import decode_json, encode_json
+from repro.service.http import encode_json
 from repro.service.client import (
     UNREACHABLE,
     ServiceClient,
@@ -118,8 +118,7 @@ __all__ = [
 ]
 
 
-#: Seconds the router waits for the replies of one round, or for the
-#: reply of one single-shard pass-through exchange.
+#: Seconds the router waits for the replies of one round.
 EXCHANGE_TIMEOUT = 10.0
 
 #: Seconds the router's shutdown waits for in-flight admissions.
@@ -181,12 +180,6 @@ class _ShardClient:
     index: int
     label: str
 
-    async def forward_raw(
-        self, method: str, target: str, payload: Optional[dict]
-    ) -> ServiceResponse:
-        """One verbatim exchange (the single-shard byte-identity path)."""
-        raise NotImplementedError
-
     def send(
         self, method: str, target: str, payload: Optional[dict]
     ) -> Awaitable[ServiceResponse]:
@@ -194,7 +187,7 @@ class _ShardClient:
 
         In process, the request is applied when the awaitable is awaited.
         """
-        return self.forward_raw(method, target, payload)
+        raise NotImplementedError
 
     def _call(self, method: str, target: str, payload: Optional[dict] = None):
         return _checked(self.send(method, target, payload))
@@ -234,13 +227,10 @@ class HttpShardClient(_ShardClient):
 
     A per-kind call writes its request at once
     (:meth:`ServiceClient.send`) and leaves the bound on its reply to the
-    round that reads it (:meth:`ClusterCoordinator._round`).  The
-    single-shard pass-through, :meth:`forward_raw`, keeps a bound of its
-    own: no reply within :data:`EXCHANGE_TIMEOUT` raises
-    ``asyncio.TimeoutError`` (one of :data:`UNREACHABLE`).  Either way a
-    shard that reads a request and never answers is an unknown outcome,
-    not a router holding its admission lock forever.  The bound lives in
-    the router, not in :class:`ServiceClient`: only the router has an
+    round that reads it (:meth:`ClusterCoordinator._round`), so a shard
+    that reads a request and never answers is an unknown outcome, not a
+    router holding its admission lock forever.  The bound lives in the
+    router, not in :class:`ServiceClient`: only the router has an
     unknown outcome to settle, and every other client would pay for it.
     """
 
@@ -248,13 +238,6 @@ class HttpShardClient(_ShardClient):
         self.index = index
         self.label = f"{host}:{port}"
         self._client = ServiceClient(host, port)
-
-    async def forward_raw(
-        self, method: str, target: str, payload: Optional[dict]
-    ) -> ServiceResponse:
-        deadline = asyncio.get_running_loop().time() + EXCHANGE_TIMEOUT
-        with _Deadline(deadline):
-            return await self._client.request(method, target, payload)
 
     def send(
         self, method: str, target: str, payload: Optional[dict]
@@ -295,7 +278,7 @@ class LocalShardClient(_ShardClient):
             return nullcontext()
         return _events.event_logging(self.log)
 
-    async def forward_raw(
+    async def send(
         self, method: str, target: str, payload: Optional[dict]
     ) -> ServiceResponse:
         await asyncio.sleep(0)  # the network hop: an interleave point
@@ -390,8 +373,8 @@ class ClusterCoordinator(RouterCore):
     Holds its own same-seed planning replica of the grid -- used only
     for placement (:meth:`~repro.sim.environment.GridEnvironment
     .binding_for`) and phase-2 planning; it never reserves locally.
-    All methods return ``(status, body_bytes)`` so the serving layer
-    can pass shard responses through untouched in single-shard mode.
+    Its routes return ``(status, body_bytes)``, what the serving layer
+    writes.
 
     It is the protocol core (:class:`~repro.cluster.protocol.RouterCore`:
     ``sessions``, ``pending_teardowns``, ``generations``) with the I/O:
@@ -529,39 +512,9 @@ class ClusterCoordinator(RouterCore):
         )
         return registry_exposition(self.registry)
 
-    # -- single-shard pass-through -----------------------------------------
-
-    async def forward(
-        self, method: str, target: str, payload: Optional[dict]
-    ) -> Tuple[int, bytes]:
-        """Verbatim proxying to the only shard (byte-identity path)."""
-        try:
-            response = await self.shards[0].forward_raw(method, target, payload)
-        except UNREACHABLE:
-            return 503, encode_json({"error": "shard unreachable"})
-        return response.status, response.body
-
     # -- cross-shard establishment -----------------------------------------
 
     async def establish(self, payload: dict) -> Tuple[int, bytes]:
-        if len(self.shards) == 1:
-            status, body = await self.forward("POST", "/v1/establish", payload)
-            # The shard's bytes are proxied verbatim; the verdict is read
-            # off them.  Request errors (4xx) are not admission decisions.
-            try:
-                document = _read_object(decode_json(body))
-            except (_http.ProtocolError, TypeError):
-                document = None
-            if status == 503:
-                # A drain refusal applied nothing, on a shard that is up.
-                draining = document is not None and document.get("draining") is True
-                self._note_shard(0, draining)
-                self._count(False, "shard_draining" if draining else UNKNOWN)
-            elif status == 200:
-                self._note_shard(0, True)
-                if document is not None:
-                    self._count(document.get("success"), document.get("reason"))
-            return status, body
         try:
             result = await self._establish_cross_shard(payload)
         except ReproError as exc:
@@ -701,7 +654,7 @@ class ClusterCoordinator(RouterCore):
         return shard, getattr(self.shards[shard], kind)(payload), read
 
     def _count(self, success: bool, reason: Optional[str]) -> None:
-        """The one admission verdict counter (pass-through and 2PC alike)."""
+        """The one admission verdict counter."""
         if success:
             verdict = "established"
         else:
@@ -743,8 +696,6 @@ class ClusterCoordinator(RouterCore):
     # -- teardown / query --------------------------------------------------
 
     async def teardown(self, payload: dict) -> Tuple[int, bytes]:
-        if len(self.shards) == 1:
-            return await self.forward("POST", "/v1/teardown", payload)
         session_id = str(payload.get("session_id") or "")
         if not session_id:
             return 400, encode_json({"error": "missing required field 'session_id'"})
@@ -769,20 +720,13 @@ class ClusterCoordinator(RouterCore):
         return (await self._drive(Flush(self))).released
 
     async def query(
-        self,
-        target: str = "/v1/query",
-        session_id: Optional[str] = None,
-        view: Optional[str] = None,
+        self, session_id: Optional[str] = None, view: Optional[str] = None
     ) -> Tuple[int, bytes]:
         """The cluster document, or one session's record with ``session_id``.
 
-        A single shard is asked ``target`` verbatim, so its
-        ``?session_id=`` and ``?view=`` answers stay byte-identical to the
-        daemon's; a multi-shard router answers from its own session
-        table, and has no view (a 400).
+        A session's record comes from the router's own session table.  A
+        router has no view: ``view`` is a 400.
         """
-        if len(self.shards) == 1:
-            return await self.forward("GET", target, None)
         if view is not None:
             return 400, encode_json({"error": "a cluster router has no 'view'"})
         if session_id is not None:
@@ -816,8 +760,15 @@ class ClusterCoordinator(RouterCore):
         )
 
     async def check(self) -> List[str]:
-        """Boot-time sanity: every reachable shard must share our config."""
+        """Boot-time sanity: every reachable shard must share our config.
+
+        It must replicate the router's grid (the same seed) and serve the
+        slice its place in the router's list names: its ``shard`` section
+        says ``index`` that place and ``count`` the router's shard count.
+        Only a one-shard router may front an unsharded daemon (no index).
+        """
         problems: List[str] = []
+        count = len(self.shards)
         for shard, (document, failure) in zip(self.shards, await self._query_all()):
             if failure is not None:
                 problems.append(f"{shard.label}: {failure}")
@@ -826,6 +777,17 @@ class ClusterCoordinator(RouterCore):
                 problems.append(
                     f"{shard.label}: seed {document.get('seed')} != {self.seed} "
                     "(shards must replicate the router's grid)"
+                )
+            section = document.get("shard") or {}
+            index = section.get("index")
+            if index is None and count > 1:
+                problems.append(
+                    f"{shard.label}: not sharded, listed as shard {shard.index} of {count}"
+                )
+            elif index is not None and (index, section.get("count")) != (shard.index, count):
+                problems.append(
+                    f"{shard.label}: serves shard {index} of {section.get('count')}, "
+                    f"listed as shard {shard.index} of {count}"
                 )
         return problems
 
@@ -887,8 +849,7 @@ class ClusterDaemon(ServingShell):
 
     async def start(self) -> None:
         await super().start()
-        if len(self.coordinator.shards) > 1:
-            self._background = asyncio.create_task(self._flush_loop())
+        self._background = asyncio.create_task(self._flush_loop())
 
     async def _flush_loop(self) -> None:
         """Anti-entropy: settle teardowns owed to once-unreachable shards."""
@@ -921,32 +882,25 @@ class ClusterDaemon(ServingShell):
         coordinator = self.coordinator
         if (request.method, request.path) == ("GET", "/v1/query"):
             query = request.query
-            return await coordinator.query(
-                request.target, query.get("session_id"), query.get("view")
-            )
+            return await coordinator.query(query.get("session_id"), query.get("view"))
         if request.method != "POST":
             return 405, encode_json(
                 {"error": f"no route for {request.method} {request.path}"}
             )
-        if self._draining and request.path != "/v1/teardown":
-            # Drain refuses new work, never the freeing of old work.
-            return 503, encode_json(DRAIN_REFUSAL)
-        payload = request.json()
         if request.path == "/v1/establish":
             operation = coordinator.establish
         elif request.path == "/v1/teardown":
             operation = coordinator.teardown
         elif request.path not in ("/v1/establish_batch", "/v1/renegotiate"):
             return 404, encode_json({"error": f"unknown path {request.path!r}"})
-        elif len(coordinator.shards) == 1:
-            operation = partial(coordinator.forward, "POST", request.path)
         else:
             return 501, encode_json(
-                {
-                    "error": f"{request.path} is not supported by the "
-                    "multi-shard router"
-                }
+                {"error": f"{request.path} is not supported by the cluster router"}
             )
+        if self._draining and request.path != "/v1/teardown":
+            # Drain refuses new work, never the freeing of old work.
+            return 503, encode_json(DRAIN_REFUSAL)
+        payload = request.json()
         self._enter_admission()
         try:
             async with self._lock:

@@ -1236,27 +1236,12 @@ class ReservationCoordinator:
             memoise_bounded(self._scaled_services, key, service)
         return service
 
-    def invalidate_qrg_cache(self, service_name: Optional[str] = None) -> int:
-        """Drop cached QRG skeletons (and scaled-service variants).
-
-        The explicit invalidation hook: required whenever a service
-        definition changes behind a name this coordinator has already
-        planned for.  Returns the number of skeletons dropped.
-        """
-        if service_name is None:
-            self._scaled_services.clear()
-        else:
-            for key in [k for k in self._scaled_services if k[0] == service_name]:
-                del self._scaled_services[key]
-        return self.qrg_skeletons.invalidate(service_name)
-
     def invalidate_qrg_cache_for_host(self, host: str) -> int:
         """Drop cached skeletons bound to resources the host's proxy owns.
 
-        The per-host flavour of :meth:`invalidate_qrg_cache`: a failed
-        (or decommissioned) host only stales the skeletons whose binding
-        touches its resources, so every other service keeps its warm
-        cache entry across the fault.  Returns the number dropped;
+        A failed (or decommissioned) host only stales the skeletons whose
+        binding touches its resources, so every other service keeps its
+        warm cache entry across the fault.  Returns the number dropped;
         unknown hosts drop nothing.
         """
         proxy = self.proxies.get(host)

@@ -2,8 +2,9 @@
 
 Covers the PR's acceptance properties: the shard map partitions every
 resource exactly once and deterministically, a single-shard cluster
-router returns responses byte-identical to the bare daemon (and hence to
-the in-process coordinator), cross-shard establishments either commit on
+router runs the cross-shard protocol and still answers establishes and
+teardowns byte-identical to the bare daemon (and hence to the in-process
+coordinator), cross-shard establishments either commit on
 every involved shard or leave zero net capacity behind under admission
 failure / drain / crash / a lost, garbled or wrong-shape shard reply /
 a shard that never answers (with every committed slice held or owed a
@@ -100,7 +101,7 @@ class FaultyShardClient(LocalShardClient):
         if self.crashed:
             raise ConnectionError(f"shard {self.label} is down")
 
-    async def forward_raw(self, method, target, payload):
+    async def send(self, method, target, payload):
         self._check_alive()
         await asyncio.sleep(0)  # the shard may crash while the request travels
         self._check_alive()
@@ -112,7 +113,7 @@ class FaultyShardClient(LocalShardClient):
         if path == self.refuse_next_request:
             self.refuse_next_request = None
             return ServiceResponse(404, {}, json.dumps({"error": "unknown lease"}).encode())
-        response = await super().forward_raw(method, target, payload)
+        response = await super().send(method, target, payload)
         if self.crash_on_next_reserve and path == "/v1/reserve":
             if response.status == 200:
                 self.crash_on_next_reserve = False
@@ -267,14 +268,21 @@ def test_single_shard_router_byte_identical_to_bare_service():
 
 
 def test_single_shard_router_over_http_byte_identical():
+    """Over real sockets, a one-shard router's establish and teardown
+    bodies are the daemon's own; a ``?session_id=`` read answers from the
+    router's session table, as at every shard count."""
     operations = _seeded_operations(count=10)
 
     service = ReservationService(DaemonConfig(seed=23))
     documents = [(200, getattr(service, op)(payload)) for op, payload in operations]
-    # Reads are forwarded with their query string: one live session's
-    # record, and the 404 of an unknown one.
+    # One live session's record, and the 404 of an unknown one.
     reads = [sorted(service.sessions)[0], "no-such"]
-    documents.append((200, service.query(reads[0])))
+    record = service.sessions[reads[0]]
+    documents.append((200, {
+        "session_id": reads[0],
+        **{key: record[key] for key in ("service", "domain", "level")},
+        "shards": [0],
+    }))
     documents.append((404, {"error": "unknown session 'no-such'"}))
     local = [
         (status, json.dumps(document, sort_keys=True).encode("utf-8"))
@@ -309,22 +317,18 @@ def test_single_shard_router_over_http_byte_identical():
 
 
 def test_a_single_shard_router_counts_a_draining_shard_as_draining():
-    """A drain refusal passes through verbatim, and the router reads it
-    as a multi-shard router does: ``shard_draining`` from a shard that is
-    up, not ``shard_unreachable``."""
+    """A one-shard router refuses what its draining shard will not hold as
+    a router of any size does: a ``shard_draining`` refusal, from a shard
+    that is up, not ``shard_unreachable``."""
     shard = LocalShardClient(0, ReservationService(DaemonConfig(seed=23)))
     shard.draining = True
     coordinator = ClusterCoordinator([shard], seed=23)
     payload = {"service": "S2", "domain": "D1", "session_id": "drained"}
 
-    async def scenario():
-        direct = await shard.forward_raw("POST", "/v1/establish", payload)
-        return direct, await coordinator.establish(payload)
-
-    direct, (status, body) = asyncio.run(scenario())
-    assert status == 503
-    assert (status, body) == (direct.status, direct.body)
-    assert json.loads(body)["draining"] is True
+    status, body = asyncio.run(coordinator.establish(payload))
+    assert status == 200
+    outcome = json.loads(body)
+    assert (outcome["success"], outcome["reason"]) == (False, "shard_draining")
     assert coordinator.reject_reasons == {"shard_draining": 1}
     assert coordinator.shard_reachable == {0: True}
     samples = parse_exposition(coordinator.metrics_exposition())
@@ -492,6 +496,99 @@ def test_a_draining_router_still_tears_a_session_down():
 
     asyncio.run(scenario())
     assert_cluster_clean(shards, session_ids=["drained"])
+
+
+def test_a_draining_router_resolves_the_path_before_refusing():
+    """A draining router answers a path it has no route for as a draining
+    daemon does, 404, and one it does not serve 501; only an admission
+    gets the drain refusal."""
+    expected = ReservationService(DaemonConfig(seed=7)).handle(
+        "POST", "/v1/nonsense", {}, {}, draining=True
+    )
+
+    async def scenario():
+        router = ClusterDaemon(
+            ClusterConfig(shards=(("127.0.0.1", 1),), port=0, seed=7),
+            coordinator=ClusterCoordinator(make_local_shards(1), seed=7),
+        )
+        await router.start()
+        router._draining = True
+        client = ServiceClient("127.0.0.1", router.port)
+        try:
+            return [
+                await client.request("POST", path, {})
+                for path in ("/v1/nonsense", "/v1/renegotiate", "/v1/establish")
+            ]
+        finally:
+            await client.aclose()
+            await router.shutdown()
+
+    unknown, unsupported, admission = asyncio.run(scenario())
+    assert (unknown.status, unknown.json()) == expected == (
+        404, {"error": "unknown path '/v1/nonsense'"}
+    )
+    assert unsupported.status == 501
+    assert (admission.status, admission.json()["draining"]) == (503, True)
+
+
+#: Shards listed to a router: ``(shard_index, shard_count)`` each daemon
+#: was started with, None for an unsharded daemon, in the router's order.
+MISCONFIGURED = [
+    pytest.param([(1, 3), (0, 3), (2, 3)], [
+        "local-0: serves shard 1 of 3, listed as shard 0 of 3",
+        "local-1: serves shard 0 of 3, listed as shard 1 of 3",
+    ], id="swapped"),
+    pytest.param([(0, 2), (1, 2), (2, 3)], [
+        "local-0: serves shard 0 of 2, listed as shard 0 of 3",
+        "local-1: serves shard 1 of 2, listed as shard 1 of 3",
+    ], id="wrong-count"),
+    pytest.param([None, (1, 2)], [
+        "local-0: not sharded, listed as shard 0 of 2",
+    ], id="unsharded-of-two"),
+    pytest.param([(0, 3)], [
+        "local-0: serves shard 0 of 3, listed as shard 0 of 1",
+    ], id="one-of-three"),
+    pytest.param([(0, 3), (1, 3), (2, 3)], [], id="in-order"),
+    pytest.param([None], [], id="one-unsharded"),
+]
+
+
+@pytest.mark.parametrize("started, problems", MISCONFIGURED)
+def test_check_reports_a_shard_listed_out_of_place(started, problems):
+    """A reachable shard whose ``shard`` section names another index or
+    count than its place in the router's list is a boot problem, as is
+    an unsharded daemon among several shards: each still answers, but
+    plans for the wrong slice (listed 1, 0, 2, every admission of the
+    seeded pairs is refused ``no_feasible_plan``)."""
+    shards = [
+        LocalShardClient(
+            position,
+            ReservationService(
+                DaemonConfig(seed=7)
+                if place is None
+                else DaemonConfig(seed=7, shard_index=place[0], shard_count=place[1])
+            ),
+        )
+        for position, place in enumerate(started)
+    ]
+    coordinator = ClusterCoordinator(shards, seed=7)
+    assert asyncio.run(coordinator.check()) == problems
+
+
+def test_check_passes_a_one_shard_router_over_a_daemon_it_has_admitted_on():
+    """An unsharded daemon grows a ``shard`` section (index None, count 1)
+    once a router reserves on it; a one-shard router still passes it."""
+    shard = LocalShardClient(0, ReservationService(DaemonConfig(seed=7)))
+    coordinator = ClusterCoordinator([shard], seed=7)
+
+    async def scenario():
+        _, body = await coordinator.establish({"service": "S2", "domain": "D1"})
+        assert json.loads(body)["success"] is True
+        view = await shard.query()
+        assert (view["shard"]["index"], view["shard"]["count"]) == (None, 1)
+        return await coordinator.check()
+
+    assert asyncio.run(scenario()) == []
 
 
 def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():
@@ -1585,7 +1682,7 @@ def test_the_shard_view_is_the_full_document_narrowed():
     solo = LocalShardClient(0, ReservationService(DaemonConfig(seed=7)))
 
     async def both(shard):
-        full = await shard.forward_raw("GET", "/v1/query", None)
+        full = await shard.send("GET", "/v1/query", None)
         return json.loads(full.body), await shard.query()
 
     async def scenario():
@@ -1860,7 +1957,7 @@ def test_a_refused_scoped_request_observes_nothing(resources, status):
     before = _report_counts(shard.service)
 
     response = asyncio.run(
-        shard.forward_raw("GET", f"/v1/availability?resources={resources}", None)
+        shard.send("GET", f"/v1/availability?resources={resources}", None)
     )
 
     assert response.status == status, response.body

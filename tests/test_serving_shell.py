@@ -230,7 +230,7 @@ def test_local_shard_client_answers_like_the_daemon():
                 daemon._draining = local.draining = draining
                 for method, target, payload in rows:
                     answers = []
-                    for side in (client.request, local.forward_raw):
+                    for side in (client.request, local.send):
                         sent = payload
                         if payload and payload.get("lease_id") == "$lease":
                             sent = dict(payload, lease_id=leases.get(side))

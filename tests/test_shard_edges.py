@@ -73,8 +73,8 @@ def test_a_teardown_answered_404_still_raises_the_fence():
 
 @pytest.mark.parametrize("shard_count", [1, 3])
 def test_a_router_answers_a_view_as_its_shards_do_or_refuses_it(shard_count):
-    """A one-shard router passes ``?view=`` through, so the shard's view or
-    its 400 comes back; a router of several shards has no view: a 400."""
+    """A router of any size has no view: ``?view=`` is a 400, whatever
+    view its shards answer, and a plain query is the cluster document."""
 
     async def scenario():
         shards = make_local_shards(shard_count)
@@ -91,14 +91,9 @@ def test_a_router_answers_a_view_as_its_shards_do_or_refuses_it(shard_count):
         finally:
             await client.aclose()
             await router.shutdown()
-        assert bogus.status == 400 and "view" in bogus.json()["error"]
+        for refused in (shard_view, bogus):
+            assert refused.status == 400 and "view" in refused.json()["error"]
         assert full.status == 200
-        if shard_count == 1:
-            assert shard_view.status == 200
-            assert set(shard_view.json()) == {"seed", "active_sessions", "shard"}
-        else:
-            assert shard_view.status == 400
-            assert "view" in shard_view.json()["error"]
-            assert full.json()["shards"] == shard_count
+        assert full.json()["shards"] == shard_count
 
     asyncio.run(scenario())

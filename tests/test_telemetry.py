@@ -23,7 +23,6 @@ from repro.obs.prom import (
     split_series_key,
 )
 from repro.service import DaemonConfig, ReservationDaemon, ServiceClient
-from repro.service.client import ServiceClientError
 from repro.cluster import ClusterConfig, ClusterDaemon
 
 GOLDEN = Path(__file__).parent / "data" / "telemetry_golden.prom"
@@ -150,10 +149,7 @@ def test_router_metrics_classify_infra_and_merit_rejections():
                 'repro_cluster_shard_reachable{shard="shard-0"}'
             ] == 1.0
             assert parsed.gauges["repro_cluster_shard_count"] == 1.0
-            # Session bookkeeping lives on the shard in single-shard
-            # mode; the router still exports the gauge (at zero) so
-            # every router has the same series.
-            assert "repro_cluster_active_sessions" in parsed.gauges
+            assert parsed.gauges["repro_cluster_active_sessions"] == 1.0
             assert parsed.gauges["repro_cluster_pending_teardown_sessions"] == 0.0
 
             # A QoS-aware "no" is merit; a shard that is gone is infra.
@@ -163,10 +159,9 @@ def test_router_metrics_classify_infra_and_merit_rejections():
             )
             assert refused["success"] is False
             await daemon.shutdown()
-            with pytest.raises(ServiceClientError) as unreachable:
-                await client.establish(service="S2", domain="D1",
-                                       session_id="gone-1", duration=30.0)
-            assert unreachable.value.status == 503
+            gone = await client.establish(service="S2", domain="D1",
+                                          session_id="gone-1", duration=30.0)
+            assert (gone["success"], gone["reason"]) == (False, "shard_unreachable")
             parsed = parse_exposition(await client.metrics())
             verdicts = {
                 verdict: parsed.counters.get(
@@ -183,5 +178,34 @@ def test_router_metrics_classify_infra_and_merit_rejections():
             await client.aclose()
             await router.shutdown()
             await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_a_one_shard_router_counts_its_sessions_and_teardowns():
+    """A router of one shard runs the cross-shard protocol, so its own
+    ``/metrics`` counts the session it admitted and the teardown that
+    freed it, as a router of several shards does."""
+
+    async def scenario():
+        daemon = ReservationDaemon(DaemonConfig(port=0, seed=11))
+        await daemon.start()
+        router = ClusterDaemon(ClusterConfig(
+            shards=(("127.0.0.1", daemon.port),), port=0, seed=11
+        ))
+        await router.start()
+        client = ServiceClient("127.0.0.1", router.port)
+        try:
+            await client.establish(service="S2", domain="D1", session_id="one-1")
+            admitted = parse_exposition(await client.metrics())
+            await client.teardown("one-1")
+            freed = parse_exposition(await client.metrics())
+        finally:
+            await client.aclose()
+            await router.shutdown()
+            await daemon.shutdown()
+        assert admitted.gauges["repro_cluster_active_sessions"] == 1.0
+        assert freed.gauges["repro_cluster_active_sessions"] == 0.0
+        assert freed.counters["repro_cluster_teardowns_total"] == 1.0
 
     asyncio.run(scenario())

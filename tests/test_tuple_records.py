@@ -294,8 +294,8 @@ class _NanAlphaShard(FaultyShardClient):
     """A shard whose availability replies say ``"alpha": NaN`` everywhere,
     which Python's ``json`` writes and reads."""
 
-    async def forward_raw(self, method, target, payload):
-        response = await super().forward_raw(method, target, payload)
+    async def send(self, method, target, payload):
+        response = await super().send(method, target, payload)
         if target.partition("?")[0] != "/v1/availability":
             return response
         document = json.loads(response.body)
