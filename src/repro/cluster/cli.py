@@ -11,9 +11,11 @@ answers what the daemon itself would.
 The shards must be ``repro-serve`` instances started with the *same*
 ``--seed``/capacity range and ``--shard-index i --shard-count N`` for
 ``i`` in ``0..N-1``, listed in that order -- every party replicates the
-identical grid, the shard map just divides who may grant what.  A
-single ``--shard`` may also name an unsharded daemon.  At boot the
-router warns of a shard whose seed, index or count disagrees.
+identical grid, the shard map just divides who may grant what.  A plain
+``repro-serve`` is shard 0 of 1, so a single ``--shard`` may name one.
+At boot the router exits with status 2 if a shard it reaches disagrees
+on the seed, its index or the count, and warns of a shard it cannot
+reach yet.
 """
 
 from __future__ import annotations
@@ -75,20 +77,26 @@ def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
     )
 
 
-async def _serve(config: ClusterConfig) -> None:
+async def _serve(config: ClusterConfig) -> int:
     from repro.cluster.router import ClusterDaemon
 
     daemon = ClusterDaemon(config)
     await daemon.start()
-    problems = await daemon.coordinator.check()
-    for problem in problems:
+    unreachable, misconfigured = await daemon.coordinator.check()
+    for problem in unreachable:
         print(f"repro-cluster: warning: {problem}", file=sys.stderr, flush=True)
+    for problem in misconfigured:
+        print(f"repro-cluster: error: {problem}", file=sys.stderr, flush=True)
+    if misconfigured:
+        await daemon.shutdown(drain=False)
+        return 2
     await serve_until_signalled(
         daemon,
         "repro-cluster",
         f"shards={len(config.shards)}, seed={config.seed}, "
         f"algorithm={config.algorithm}",
     )
+    return 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -97,10 +105,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     config = build_config(argv)
     try:
-        asyncio.run(_serve(config))
+        return asyncio.run(_serve(config))
     except KeyboardInterrupt:  # pragma: no cover - direct ^C race
-        pass
-    return 0
+        return 0
 
 
 if __name__ == "__main__":

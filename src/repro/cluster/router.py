@@ -759,37 +759,35 @@ class ClusterCoordinator(RouterCore):
             [(shard.index, shard.query(), _read_object) for shard in self.shards]
         )
 
-    async def check(self) -> List[str]:
-        """Boot-time sanity: every reachable shard must share our config.
+    async def check(self) -> Tuple[List[str], List[str]]:
+        """Boot-time sanity: ``(unreachable, misconfigured)`` problem lines.
 
-        It must replicate the router's grid (the same seed) and serve the
-        slice its place in the router's list names: its ``shard`` section
-        says ``index`` that place and ``count`` the router's shard count.
-        Only a one-shard router may front an unsharded daemon (no index).
+        Every reachable shard must replicate the router's grid (the same
+        seed) and serve the slice its place in the router's list names:
+        its ``shard`` section says ``index`` that place and ``count`` the
+        router's shard count.  A shard that does not answer may not be
+        up yet.
         """
-        problems: List[str] = []
+        unreachable: List[str] = []
+        misconfigured: List[str] = []
         count = len(self.shards)
         for shard, (document, failure) in zip(self.shards, await self._query_all()):
             if failure is not None:
-                problems.append(f"{shard.label}: {failure}")
+                unreachable.append(f"{shard.label}: {failure}")
                 continue
             if document.get("seed") != self.seed:
-                problems.append(
+                misconfigured.append(
                     f"{shard.label}: seed {document.get('seed')} != {self.seed} "
                     "(shards must replicate the router's grid)"
                 )
             section = document.get("shard") or {}
             index = section.get("index")
-            if index is None and count > 1:
-                problems.append(
-                    f"{shard.label}: not sharded, listed as shard {shard.index} of {count}"
-                )
-            elif index is not None and (index, section.get("count")) != (shard.index, count):
-                problems.append(
+            if (index, section.get("count")) != (shard.index, count):
+                misconfigured.append(
                     f"{shard.label}: serves shard {index} of {section.get('count')}, "
                     f"listed as shard {shard.index} of {count}"
                 )
-        return problems
+        return unreachable, misconfigured
 
     async def aclose(self) -> None:
         for shard in self.shards:

@@ -27,6 +27,7 @@ See ``docs/observability.md`` for the event schema and exporter formats.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Mapping, Optional
@@ -204,9 +205,9 @@ class ObservationSession:
     """Installs a tracer, a metrics registry and an event log for one
     block of work.
 
-    A thin convenience over the three modules' ``install`` functions
-    that restores the previously installed handles on exit and bundles
-    the exporters.
+    A thin convenience that enters :func:`tracing`, :func:`metering`
+    and :func:`event_logging`, so exit restores the previously
+    installed handles, and bundles the exporters.
 
     Sessions are *exclusive* per process: the instrumented hot paths
     dispatch through module-level handles, so a second session activated
@@ -222,9 +223,7 @@ class ObservationSession:
         self.tracer = Tracer()
         self.registry = MetricsRegistry()
         self.event_log = EventLog()
-        self._previous_tracer: Optional[Tracer] = None
-        self._previous_registry: Optional[MetricsRegistry] = None
-        self._previous_event_log: Optional[EventLog] = None
+        self._handles = ExitStack()
         #: Digest of the run's online monitoring plane (set by
         #: :func:`repro.sim.run_simulation` when monitoring is enabled);
         #: exported as the trace document's ``monitoring`` section.
@@ -241,30 +240,16 @@ class ObservationSession:
                 "(the parallel sweep runner does this for you)."
             )
         _ACTIVE_SESSION = self
-        self._previous_tracer = _trace.active_tracer()
-        self._previous_registry = _metrics.active_registry()
-        self._previous_event_log = _events.active_event_log()
-        _trace.install(self.tracer)
-        _metrics.install(self.registry)
-        _events.install(self.event_log, force=True)
+        self._handles.enter_context(tracing(self.tracer))
+        self._handles.enter_context(metering(self.registry))
+        self._handles.enter_context(event_logging(self.event_log))
         return self
 
     def __exit__(self, *_exc) -> bool:
         global _ACTIVE_SESSION
         if _ACTIVE_SESSION is self:
             _ACTIVE_SESSION = None
-        if self._previous_tracer is None:
-            _trace.uninstall()
-        else:
-            _trace.install(self._previous_tracer)
-        if self._previous_registry is None:
-            _metrics.uninstall()
-        else:
-            _metrics.install(self._previous_registry)
-        if self._previous_event_log is None:
-            _events.uninstall()
-        else:
-            _events.install(self._previous_event_log, force=True)
+        self._handles.close()
         return False
 
     # -- detaching ---------------------------------------------------------

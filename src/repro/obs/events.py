@@ -357,17 +357,15 @@ def _event(seq: int, row: tuple) -> ReservationEvent:
 _ACTIVE: Optional[EventLog] = None
 
 
-def install(log: EventLog, *, force: bool = False) -> None:
+def install(log: EventLog) -> None:
     """Make ``log`` receive every event from instrumented code.
 
     Installing over a *different* already-installed log raises: silently
     replacing it would detach that log's consumers (e.g. a subscribed
     online monitor) mid-run.  Re-installing the same log is idempotent.
-    ``force=True`` is for callers that deliberately manage a save/restore
-    stack of handles (:class:`~repro.obs.ObservationSession`).
     """
     global _ACTIVE
-    if not force and _ACTIVE is not None and _ACTIVE is not log:
+    if _ACTIVE is not None and _ACTIVE is not log:
         raise RuntimeError(
             "an EventLog is already installed; uninstall() it first "
             "(or use event_logging()/ObservationSession, which save and "

@@ -128,10 +128,9 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
                              "(SIGQUIT, unhandled exceptions, and "
                              "POST /v1/debug/dump); unset = in-band "
                              "snapshots only")
-    parser.add_argument("--shard-index", type=int, default=None,
-                        help="serve only the ShardMap slice of the grid "
-                             "with this index (cluster mode; requires "
-                             "--shard-count)")
+    parser.add_argument("--shard-index", type=int, default=0,
+                        help="serve the ShardMap slice of the grid with "
+                             "this index, out of --shard-count")
     parser.add_argument("--shard-count", type=int, default=1,
                         help="total number of shards in the cluster")
     parser.add_argument("--lease-ttl", type=float, default=5.0,
@@ -172,15 +171,11 @@ async def _serve(config: DaemonConfig) -> None:
             print(f"repro-serve: flight recorder dumped to {path}",
                   file=sys.stderr, flush=True)
 
-    shard = (
-        f", shard={config.shard_index}/{config.shard_count}"
-        if config.shard_index is not None
-        else ""
-    )
     await serve_until_signalled(
         daemon,
         "repro-serve",
-        f"algorithm={config.algorithm}, seed={config.seed}{shard}",
+        f"algorithm={config.algorithm}, seed={config.seed}, "
+        f"shard={config.shard_index}/{config.shard_count}",
         _sigquit_dump,
     )
 

@@ -49,11 +49,13 @@ import math
 import os as _os
 import sys as _sys
 import time as _time
+from contextlib import ExitStack
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.protocol import ShardCore
+from repro.cluster.shardmap import ShardMap
 from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
 from repro.core.errors import AdmissionError, ModelError, ReproError
 from repro.des.engine import Environment
@@ -171,10 +173,9 @@ class DaemonConfig:
     flight_dir: Optional[str] = None
     #: Cluster sharding: this daemon owns the resources the
     #: :class:`~repro.cluster.shardmap.ShardMap` assigns to
-    #: ``shard_index`` out of ``shard_count`` shards.  ``None`` (the
-    #: default) keeps the historical single-daemon behaviour: the
-    #: daemon owns every resource of its grid.
-    shard_index: Optional[int] = None
+    #: ``shard_index`` out of ``shard_count`` shards.  The default, shard
+    #: 0 of 1, owns every resource of its grid.
+    shard_index: int = 0
     shard_count: int = 1
     #: Wall-clock TTL (seconds) of a two-phase ``/v1/reserve`` lease;
     #: leases neither committed nor aborted in time are reaped so a
@@ -187,9 +188,7 @@ class DaemonConfig:
             raise ModelError("drain_timeout must be >= 0")
         if self.shard_count < 1:
             raise ModelError("shard_count must be >= 1")
-        if self.shard_index is not None and not (
-            0 <= self.shard_index < self.shard_count
-        ):
+        if not 0 <= self.shard_index < self.shard_count:
             raise ModelError(
                 f"shard_index {self.shard_index} out of range for "
                 f"shard_count {self.shard_count}"
@@ -212,8 +211,9 @@ class ReservationService:
     Owns the process-global observability handles while started: its
     :class:`MetricsRegistry` backs ``/metrics`` and its
     :class:`EventLog` is the flight recorder's event ring.
-    ``start()``/``close()`` install/uninstall them, so sequential
-    daemons (tests, restarts) leave a clean process behind.
+    ``start()`` installs them and ``close()`` restores the handles
+    installed before, so sequential daemons (tests, restarts) leave a
+    clean process behind.
     """
 
     def __init__(self, config: DaemonConfig) -> None:
@@ -244,25 +244,18 @@ class ReservationService:
         }
         self.started_at = _time.monotonic()
         self._session_ids = itertools.count(1)
-        self._started = False
-        self._previous_tracer = None
+        #: The installed handles while started, None while closed.
+        self._handles: Optional[ExitStack] = None
         # Cluster sharding: which slice of the grid this daemon owns.
         # Every shard builds the identical same-seed grid (capacities
         # come from the seeded draw), but only grants reservations on
         # the resources the shard map assigns to it.
-        self.shard_map = None
-        self._owned_resources: Optional[frozenset] = None
-        if config.shard_index is not None:
-            from repro.cluster.shardmap import ShardMap
-
-            self.shard_map = ShardMap.from_topology(
-                self.grid.topology, config.shard_count
+        self.shard_map = ShardMap.from_topology(self.grid.topology, config.shard_count)
+        self._owned_resources = frozenset(
+            self.shard_map.owned_resource_ids(
+                config.shard_index, self.grid.registry.resource_ids()
             )
-            self._owned_resources = frozenset(
-                self.shard_map.owned_resource_ids(
-                    config.shard_index, self.grid.registry.resource_ids()
-                )
-            )
+        )
         #: The brokers plans name, grid-wide: cpu and end-to-end path,
         #: not links.
         self._addressable = {
@@ -274,7 +267,7 @@ class ReservationService:
         self._slice = [
             broker
             for resource_id, broker in self._addressable.items()
-            if self._owned_resources is None or resource_id in self._owned_resources
+            if resource_id in self._owned_resources
         ]
         #: The one lease table: phase 3's hold -> commit engine and the
         #: two-phase ``/v1/reserve`` leases alike, on the wall clock (the
@@ -301,33 +294,25 @@ class ReservationService:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Install the registry + event log + flight tracer."""
-        if self._started:
+        """Install the registry + event log + flight tracer.
+
+        Refuses to start over another installed event log: replacing it
+        would detach that log's subscribers.
+        """
+        if self._handles is not None:
             return
-        _metrics.install(self.registry)
-        try:
-            _events.install(self.log)
-        except RuntimeError:
-            _metrics.uninstall()
-            raise
-        self._previous_tracer = _trace.active_tracer()
-        _trace.install(self.flight.tracer)
-        self._started = True
+        if _events.active_event_log() not in (None, self.log):
+            raise RuntimeError("an EventLog is already installed; uninstall() it first")
+        self._handles = ExitStack()
+        self._handles.enter_context(_metrics.metering(self.registry))
+        self._handles.enter_context(_events.event_logging(self.log))
+        self._handles.enter_context(_trace.tracing(self.flight.tracer))
 
     def close(self) -> None:
-        """Release the global handles."""
-        if not self._started:
-            return
-        if _trace.active_tracer() is self.flight.tracer:
-            if self._previous_tracer is None:
-                _trace.uninstall()
-            else:
-                _trace.install(self._previous_tracer)
-        if _events.active_event_log() is self.log:
-            _events.uninstall()
-        if _metrics.active_registry() is self.registry:
-            _metrics.uninstall()
-        self._started = False
+        """Restore the handles installed before :meth:`start`."""
+        if self._handles is not None:
+            self._handles.close()
+            self._handles = None
 
     def flight_dump(self, reason: str) -> Optional[Path]:
         """Dump the flight recorder (None when no ``flight_dir`` is set).
@@ -427,9 +412,8 @@ class ReservationService:
             component_hosts = self.grid.component_hosts_for(service, domain)
         except ModelError as exc:
             raise ServiceError(str(exc)) from exc
-        if self._owned_resources is not None:
-            for resource_id in sorted(binding.resource_ids()):
-                self._check_owned(resource_id)
+        for resource_id in sorted(binding.resource_ids() - self._owned_resources):
+            self._check_owned(resource_id)
         return binding, component_hosts
 
     # -- admission operations (serialized by the daemon's lock) ------------
@@ -552,16 +536,12 @@ class ReservationService:
 
     @property
     def shard_label(self) -> str:
-        index = self.config.shard_index
-        return f"shard-{index}" if index is not None else "shard-solo"
+        return f"shard-{self.config.shard_index}"
 
     def _check_owned(self, resource_id: str) -> None:
         if resource_id not in self.grid.registry:
             raise ServiceError(f"unknown resource {resource_id!r}")
-        if (
-            self._owned_resources is not None
-            and resource_id not in self._owned_resources
-        ):
+        if resource_id not in self._owned_resources:
             raise ServiceError(
                 f"resource {resource_id!r} is not owned by shard "
                 f"{self.config.shard_index}",
@@ -748,7 +728,7 @@ class ReservationService:
             if session is None:
                 raise ServiceError(f"unknown session {session_id!r}", status=404)
             return {"session_id": session_id, **session}
-        document = {
+        return {
             "uptime_seconds": _time.monotonic() - self.started_at,
             "algorithm": self.config.algorithm,
             "seed": self.config.seed,
@@ -762,8 +742,8 @@ class ReservationService:
                 broker.resource_id: broker.utilization()
                 for broker in self.grid.registry.brokers()
             },
+            "shard": self._shard_section(),
         }
-        return self._with_shard_section(document)
 
     def query_view(self, view: str, session_id: Optional[str] = None) -> dict:
         """``?view=shard``: only what a cluster router reads of :meth:`query`.
@@ -776,37 +756,27 @@ class ReservationService:
             raise ServiceError(f"unknown view {view!r}: the one view is 'shard'")
         if session_id is not None:
             raise ServiceError("'view' and 'session_id' cannot be asked together")
-        return self._with_shard_section(
-            {"seed": self.config.seed, "active_sessions": len(self.sessions)}
-        )
+        return {
+            "seed": self.config.seed,
+            "active_sessions": len(self.sessions),
+            "shard": self._shard_section(),
+        }
 
-    def _with_shard_section(self, document: dict) -> dict:
-        """``document`` with the ``shard`` section, when the daemon has one.
-
-        The section appears only for sharded daemons (or once the 2PC
-        endpoints have been used), so plain single-daemon query
-        responses stay byte-identical to the pre-cluster wire.
-        """
-        lease_counters = self.lease_counters
-        if self.config.shard_index is not None or any(lease_counters.values()):
-            owned = self._owned_resources
-            document["shard"] = {
-                "index": self.config.shard_index,
-                "count": self.config.shard_count,
-                "owned_resources": len(
-                    self.grid.registry.resource_ids() if owned is None else owned
-                ),
-                "pending_leases": len(self.leases.pending()),
-                "lease_counters": lease_counters,
-            }
-        return document
+    def _shard_section(self) -> dict:
+        """The ``shard`` section of :meth:`query` and :meth:`query_view`."""
+        return {
+            "index": self.config.shard_index,
+            "count": self.config.shard_count,
+            "owned_resources": len(self._owned_resources),
+            "pending_leases": len(self.leases.pending()),
+            "lease_counters": self.lease_counters,
+        }
 
     def _set_state_gauges(self) -> None:
         """Sync the point-in-time state into gauges (scrape, flight dump)."""
         self.registry.gauge("daemon.active_sessions").set(len(self.sessions))
         self.registry.gauge("daemon.pending_leases").set(len(self.leases.pending()))
-        if self.config.shard_index is not None:
-            self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
+        self.registry.gauge("daemon.shard_index").set(self.config.shard_index)
         self.registry.gauge("daemon.shard_count").set(self.config.shard_count)
 
     def metrics_exposition(self) -> str:

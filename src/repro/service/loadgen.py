@@ -25,6 +25,7 @@ import asyncio
 import json
 import sys
 import time as _time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -168,26 +169,21 @@ async def run_load(host: str, port: int, config: LoadGenConfig) -> LoadReport:
     client = ServiceClient(host, port)
     tracker = _Tracker()
     tracer = _trace.Tracer() if config.trace else None
-    previous_tracer = _trace.active_tracer()
-    if tracer is not None:
-        _trace.install(tracer)
     started = _time.perf_counter()
-    try:
-        tasks = [
-            asyncio.create_task(_one_client(client, arrival, config, tracker, started))
-            for arrival in arrivals
-        ]
-        if tasks:
-            await asyncio.gather(*tasks)
-    finally:
-        await client.aclose()
-        if tracer is not None:
-            if previous_tracer is None:
-                _trace.uninstall()
-            else:
-                # In-process runs (tests) have the daemon's flight
-                # tracer installed; put it back when we are done.
-                _trace.install(previous_tracer)
+    # In-process runs (tests) have the daemon's flight tracer installed;
+    # tracing() puts it back when we are done.
+    with _trace.tracing(tracer) if tracer is not None else nullcontext():
+        try:
+            tasks = [
+                asyncio.create_task(
+                    _one_client(client, arrival, config, tracker, started)
+                )
+                for arrival in arrivals
+            ]
+            if tasks:
+                await asyncio.gather(*tasks)
+        finally:
+            await client.aclose()
     wall = _time.perf_counter() - started
     trace_document = None
     if tracer is not None:

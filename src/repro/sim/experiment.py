@@ -18,6 +18,7 @@ from __future__ import annotations
 import os as _os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field, replace
 from pathlib import PurePath
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
@@ -242,19 +243,22 @@ def _run_simulation(
 
     monitor: Optional[OnlineMonitor] = None
     policy: Optional[AdaptationPolicy] = None
-    private_log: Optional[EventLog] = None
+    # What the run installs and subscribes, undone when it ends.
+    handles = ExitStack()
     if config.monitoring is not None:
         stream_log = _obs_events.active_event_log()
         if stream_log is None:
             # The monitor feeds off the event stream even when the run
             # is not otherwise observed; a capacity-1 private log keeps
             # storage bounded (subscribers see every event regardless).
-            stream_log = private_log = EventLog(capacity=1)
-            _obs_events.install(private_log)
+            stream_log = handles.enter_context(
+                _obs_events.event_logging(EventLog(capacity=1))
+            )
         if config.monitoring.adapt:
             policy = AdaptationPolicy(grid.coordinator)
         monitor = OnlineMonitor(config.monitoring, log=stream_log, policy=policy)
         stream_log.subscribe(monitor.on_event)
+        handles.callback(stream_log.unsubscribe, monitor.on_event)
 
     def record_outcome(outcome: SessionOutcome) -> None:
         """Feed the run's collector and the observability layer."""
@@ -300,13 +304,8 @@ def _run_simulation(
             env.process(session.run())
 
     env.process(arrivals())
-    try:
+    with handles:
         env.run()
-    finally:
-        if monitor is not None and monitor.log is not None:
-            monitor.log.unsubscribe(monitor.on_event)
-        if private_log is not None:
-            _obs_events.uninstall()
 
     fault_stats: Optional[Dict[str, int]] = None
     if injector is not None:

@@ -16,6 +16,8 @@ event logs -- catching each violation class when fed corrupted books.
 
 import asyncio
 import json
+import subprocess
+import sys
 import time
 from types import SimpleNamespace
 
@@ -59,6 +61,8 @@ from repro.sim.workload import SessionArrival
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
 
+from tests.test_daemon_footprint import boot, stop
+from tests.test_examples import REPO, subprocess_env
 from tests.test_service_daemon import VALID_PAIRS, _seeded_operations, start_daemon
 
 
@@ -532,7 +536,7 @@ def test_a_draining_router_resolves_the_path_before_refusing():
 
 
 #: Shards listed to a router: ``(shard_index, shard_count)`` each daemon
-#: was started with, None for an unsharded daemon, in the router's order.
+#: was started with, None for a default daemon, in the router's order.
 MISCONFIGURED = [
     pytest.param([(1, 3), (0, 3), (2, 3)], [
         "local-0: serves shard 1 of 3, listed as shard 0 of 3",
@@ -543,13 +547,13 @@ MISCONFIGURED = [
         "local-1: serves shard 1 of 2, listed as shard 1 of 3",
     ], id="wrong-count"),
     pytest.param([None, (1, 2)], [
-        "local-0: not sharded, listed as shard 0 of 2",
-    ], id="unsharded-of-two"),
+        "local-0: serves shard 0 of 1, listed as shard 0 of 2",
+    ], id="default-of-two"),
     pytest.param([(0, 3)], [
         "local-0: serves shard 0 of 3, listed as shard 0 of 1",
     ], id="one-of-three"),
     pytest.param([(0, 3), (1, 3), (2, 3)], [], id="in-order"),
-    pytest.param([None], [], id="one-unsharded"),
+    pytest.param([None], [], id="one-default"),
 ]
 
 
@@ -557,9 +561,9 @@ MISCONFIGURED = [
 def test_check_reports_a_shard_listed_out_of_place(started, problems):
     """A reachable shard whose ``shard`` section names another index or
     count than its place in the router's list is a boot problem, as is
-    an unsharded daemon among several shards: each still answers, but
-    plans for the wrong slice (listed 1, 0, 2, every admission of the
-    seeded pairs is refused ``no_feasible_plan``)."""
+    a default daemon (shard 0 of 1) among several shards: each still
+    answers, but plans for the wrong slice (listed 1, 0, 2, every
+    admission of the seeded pairs is refused ``no_feasible_plan``)."""
     shards = [
         LocalShardClient(
             position,
@@ -572,23 +576,54 @@ def test_check_reports_a_shard_listed_out_of_place(started, problems):
         for position, place in enumerate(started)
     ]
     coordinator = ClusterCoordinator(shards, seed=7)
-    assert asyncio.run(coordinator.check()) == problems
+    assert asyncio.run(coordinator.check()) == ([], problems)
 
 
 def test_check_passes_a_one_shard_router_over_a_daemon_it_has_admitted_on():
-    """An unsharded daemon grows a ``shard`` section (index None, count 1)
-    once a router reserves on it; a one-shard router still passes it."""
+    """A default daemon is shard 0 of 1 before and after a router
+    reserves on it, so a one-shard router passes it both times."""
     shard = LocalShardClient(0, ReservationService(DaemonConfig(seed=7)))
     coordinator = ClusterCoordinator([shard], seed=7)
 
     async def scenario():
+        sections = [(await shard.query())["shard"]]
+        checks = [await coordinator.check()]
         _, body = await coordinator.establish({"service": "S2", "domain": "D1"})
         assert json.loads(body)["success"] is True
-        view = await shard.query()
-        assert (view["shard"]["index"], view["shard"]["count"]) == (None, 1)
-        return await coordinator.check()
+        sections.append((await shard.query())["shard"])
+        checks.append(await coordinator.check())
+        return [(section["index"], section["count"]) for section in sections], checks
 
-    assert asyncio.run(scenario()) == []
+    assert asyncio.run(scenario()) == ([(0, 1), (0, 1)], [([], []), ([], [])])
+
+
+def test_repro_cluster_refuses_to_serve_shards_listed_out_of_place():
+    """Over two reachable ``repro-serve`` shards listed in swapped order,
+    ``repro-cluster`` names both and exits 2 without announcing a port:
+    served, it would refuse every admission as a QoS rejection."""
+    shards = [
+        boot("repro.service.cli", "--seed", "7", "--shard-index", str(index),
+             "--shard-count", "2")
+        for index in (1, 0)
+    ]
+    try:
+        argv = [sys.executable, "-m", "repro.cluster.cli", "--port", "0", "--seed", "7"]
+        for _, port in shards:
+            argv += ["--shard", f"127.0.0.1:{port}"]
+        router = subprocess.run(
+            argv, cwd=REPO, env=subprocess_env(), capture_output=True, text=True,
+            timeout=60,
+        )
+    finally:
+        stop(*(process for process, _ in shards))
+    (_, first), (_, second) = shards
+    assert (router.returncode, router.stdout) == (2, "")
+    assert router.stderr.splitlines() == [
+        f"repro-cluster: error: 127.0.0.1:{first}: serves shard 1 of 2, "
+        "listed as shard 0 of 2",
+        f"repro-cluster: error: 127.0.0.1:{second}: serves shard 0 of 2, "
+        "listed as shard 1 of 2",
+    ]
 
 
 def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():
@@ -1500,9 +1535,9 @@ def test_a_query_waits_on_its_silent_shards_together(monkeypatch):
 
         problems, elapsed = await timed(servers, coordinator.check)
         assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
-        assert problems == [
-            f"{labels[index]}: {cluster_router.UNKNOWN}" for index in (0, 2)
-        ]
+        assert problems == (
+            [f"{labels[index]}: {cluster_router.UNKNOWN}" for index in (0, 2)], []
+        )
         assert [server.stalled for server in servers] == [
             ["/v1/query", "/v1/query"], [], ["/v1/query", "/v1/query"]
         ]
@@ -1668,14 +1703,14 @@ VIEW_FIELDS = ("seed", "active_sessions", "shard")
 
 def _view_of(full: dict) -> dict:
     """The fields of the full document that ``?view=shard`` answers."""
-    return {key: full[key] for key in VIEW_FIELDS if key in full}
+    return {key: full[key] for key in VIEW_FIELDS}
 
 
 def test_the_shard_view_is_the_full_document_narrowed():
     """Over in-process shards, ``?view=shard`` -- what the router asks --
     answers exactly the full document's ``seed``, ``active_sessions`` and
     ``shard`` section: after a cross-shard admission, with a lease
-    pending, and on a daemon that has no shard section at all."""
+    pending, and on a default daemon, which is shard 0 of 1."""
     service_name, domain, involved = _cross_shard_commits(3)[0]
     shards = make_local_shards(3)
     coordinator = ClusterCoordinator(shards, seed=7)
@@ -1699,8 +1734,9 @@ def test_the_shard_view_is_the_full_document_narrowed():
             assert view == _view_of(full)
             assert view["shard"]["pending_leases"] == int(index == involved[0])
         full, view = await both(solo)
-        assert "shard" not in full
-        assert view == _view_of(full) == {"seed": 7, "active_sessions": 0}
+        assert view == _view_of(full)
+        assert (view["active_sessions"], view["shard"]["index"]) == (0, 0)
+        assert view["shard"]["count"] == 1
 
     asyncio.run(scenario())
 

@@ -87,11 +87,11 @@ class TestEventLog:
         with event_logging(first):
             with pytest.raises(RuntimeError, match="already installed"):
                 events_mod.install(second)
-            # force and reinstalling the same log are both allowed
             events_mod.install(first)  # idempotent, no raise
-            events_mod.install(second, force=True)
-            assert active_event_log() is second
-            events_mod.install(first, force=True)
+            # event_logging() stacks another log and restores this one
+            with event_logging(second):
+                assert active_event_log() is second
+            assert active_event_log() is first
         assert active_event_log() is None
 
     def test_query_helpers(self):

@@ -21,6 +21,15 @@ from repro.brokers.local import LocalResourceBroker
 from repro.brokers.path import PathBroker
 from repro.core.errors import AdmissionError
 from repro.des.rng import RandomStreams
+from repro.obs import (
+    EventLog,
+    Tracer,
+    active_event_log,
+    active_registry,
+    active_tracer,
+    event_logging,
+    tracing,
+)
 from repro.obs import metrics as _metrics
 from repro.obs.context import TraceContext, trace_context
 from repro.obs.metrics import MetricsRegistry
@@ -51,14 +60,20 @@ SCRIPT_ARRIVALS = 600
 #: sequence (``twopc-1@shard-solo#1`` -> ``#328``, ``twopc-2...#2`` ->
 #: ``#329``), and ``registry`` from that tree's registry read after a
 #: ``/metrics`` scrape (the scrape used to create the ``daemon.sessions``
-#: and ``daemon.lease_operations`` counters).
+#: and ``daemon.lease_operations`` counters).  When the unsharded daemon
+#: mode was deleted, ``events``, ``registry``, ``query`` and
+#: ``metrics_series`` were re-derived from the tree before, run with an
+#: explicit ``shard_index=0, shard_count=1``: the default daemon is now
+#: that shard.  They differ from that tree's default daemon only in the
+#: lease events' ``shard-solo`` -> ``shard-0`` label, the query's
+#: ``shard`` section and the ``daemon.shard_index`` gauge.
 PINNED = {
-    "events": "36a722bbf4e0275237d116e53077bfaa48e7ace93c3bef5ddc08486f95f6de44",
+    "events": "46e826cb7c1817b49c3db8c82cb64877bc63c109010f728dc5c38c1dba81a1c0",
     "spans": "e3433cc4fc0431b90937f9f33a9603b6a1273326f83522cc40af18a093cd1250",
     "flight_seqs": "cc85bc08132fb239c7890364dbaf2521377cbf2d6e48e58657bba57efb0b99d6",
-    "registry": "5625e2106ff2e209039518c1e2cd2e5b07aabd282a47082bdb1969e8e48267ac",
-    "query": "b3ceec5354b3806e737dbe46ebd4d0bd5b3f03300d7d0e812c40191e0fc74520",
-    "metrics_series": "6c139c31ef5eb6158e4844386a54721ed723691796e37f4ffa05de92f33e44fa",
+    "registry": "acfd08254092d9934bd3533814ccdb07c60a227a220a9432ad11359fafdabf2d",
+    "query": "25da4fa4701d9fccd4d519adb9ec9fad6bf28e04b083565e15c974cc282889fb",
+    "metrics_series": "928ebad3179347a16e2f1608ebf77b121669df5415813906bc9a5a2bc2a85db7",
 }
 #: Responses per route and status: the script's decisions are pinned
 #: too, so a digest mismatch is never a changed decision in disguise.
@@ -276,11 +291,14 @@ def test_nothing_is_written_while_no_registry_is_installed():
 #: A fresh daemon's ``/metrics`` series (count, digest): before anything
 #: is admitted, after the first establish, after its teardown.  Read off
 #: the tree before instruments were resolved once; a cache that creates
-#: a series ahead of its first write changes them.
+#: a series ahead of its first write changes them.  Re-derived, like
+#: ``PINNED``, from the tree before the unsharded mode was deleted, run
+#: as an explicit shard 0 of 1: each reading gains the
+#: ``daemon.shard_index`` gauge.
 FRESH_SERIES = [
-    (10, "f0707b037188628342507778e96dc065bd131d267b21ab20554ef718197e93cd"),
-    (43, "7ff78fc80188a53b339abdaec07ecddee31ebe0ac4c03415f4862662846ff426"),
-    (53, "667bb5a34a5eb54c42565f058784d2c228a2a80ec8a91e2370e97d6fd18ad1f7"),
+    (11, "8600b19e8d8246897300b7be47dfa2064b238518032341fb74162028d34b0b24"),
+    (44, "ede9d9eff60420e452b434aebd05c4587788cf7e84705936459de9ddc11b6b83"),
+    (54, "dd1f87359da838db2528701b0487abdd9b95953a7737faa5410ac96a02438c77"),
 ]
 
 
@@ -325,6 +343,31 @@ def test_services_run_one_after_another_count_only_their_own_admissions():
     assert second.registry.counter_total("broker.grants") * 3 == (
         first.registry.counter_total("broker.grants") * 2
     )
+
+
+def test_a_daemon_puts_back_the_handles_installed_before_it():
+    """Start then close restores every handle installed before the start,
+    the registry as well as the tracer; a start over another event log
+    is refused and installs nothing."""
+    outer, tracer = MetricsRegistry(), Tracer()
+    service = ReservationService(DaemonConfig(seed=3))
+    with _metrics.metering(outer), tracing(tracer):
+        service.start()
+        assert active_registry() is service.registry
+        assert active_tracer() is service.flight.tracer
+        assert active_event_log() is service.log
+        service.close()
+        assert (active_registry(), active_tracer(), active_event_log()) == (
+            outer, tracer, None
+        )
+        other = EventLog()
+        with event_logging(other):
+            with pytest.raises(RuntimeError, match="already installed"):
+                service.start()
+            assert (active_registry(), active_tracer(), active_event_log()) == (
+                outer, tracer, other
+            )
+    assert (active_registry(), active_tracer(), active_event_log()) == (None,) * 3
 
 
 def _event_counts_agree(service: ReservationService) -> int:

@@ -180,6 +180,48 @@ def test_a_daemon_keeps_one_lease_table():
     assert service.reap_expired_leases(now=float("inf")) == 0
 
 
+def test_a_default_daemon_is_shard_zero_of_one():
+    """A plain daemon and one started as shard 0 of 1 answer every read
+    alike, after the same admission and lease: the query document and
+    its shard view, availability, the health probe's shard fields and
+    the names of the ``/metrics`` series."""
+
+    async def reads(**shard) -> dict:
+        daemon = await start_daemon(seed=7, **shard)
+        client = ServiceClient("127.0.0.1", daemon.port)
+        try:
+            await client.establish(service="S2", domain="D1", session_id="s-1")
+            await client.reserve("s-2", {"cpu:H1": 1.0})
+            query = await client.query()
+            query.pop("uptime_seconds")
+            view = (await client.request("GET", "/v1/query?view=shard")).checked()
+            health = await client.healthz()
+            metrics = await client.metrics()
+            return {
+                "query": query,
+                "view": view,
+                "availability": await client.availability(),
+                "health": {
+                    key: health[key]
+                    for key in ("role", "shard", "shard_index", "shard_count")
+                },
+                "series": sorted(
+                    line.rpartition(" ")[0]
+                    for line in metrics.splitlines()
+                    if line and not line.startswith("#")
+                ),
+            }
+        finally:
+            await client.aclose()
+            await daemon.shutdown()
+
+    default = asyncio.run(reads())
+    assert default == asyncio.run(reads(shard_index=0, shard_count=1))
+    assert default["health"]["shard"] == "shard-0"
+    assert default["availability"]["shard"] == 0
+    assert "repro_daemon_shard_index" in default["series"]
+
+
 def test_a_negative_drain_timeout_is_refused():
     with pytest.raises(ModelError):
         DaemonConfig(drain_timeout=-1)
