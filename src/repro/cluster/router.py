@@ -244,6 +244,10 @@ class HttpShardClient(_ShardClient):
     ) -> Awaitable[ServiceResponse]:
         return self._client.send(method, target, payload)
 
+    def _call(self, method: str, target: str, payload: Optional[dict] = None):
+        # One coroutine per exchange: the client checks the reply itself.
+        return self._client.send(method, target, payload, checked=True)
+
     async def aclose(self) -> None:
         await self._client.aclose()
 
@@ -870,9 +874,7 @@ class ClusterDaemon(ServingShell):
     def _metrics_text(self) -> str:
         return self.coordinator.metrics_exposition()
 
-    async def _dispatch(
-        self, request: _http.Request, parse_seconds: float, close: bool
-    ) -> bytes:
+    async def _dispatch(self, request: _http.Request, close: bool) -> bytes:
         status, body = await self._route(request)
         return _http.response_bytes(status, body, close=close)
 
@@ -901,7 +903,10 @@ class ClusterDaemon(ServingShell):
         payload = request.json()
         self._enter_admission()
         try:
-            async with self._lock:
+            await self._lock.acquire()
+            try:
                 return await operation(payload)
+            finally:
+                self._lock.release()
         finally:
             self._exit_admission()

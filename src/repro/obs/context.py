@@ -134,14 +134,12 @@ _CURRENT: ContextVar[Optional[TraceContext]] = ContextVar(
 current_trace_context = _CURRENT.get
 
 
-def bind_trace_context(context: Optional[TraceContext]):
-    """Bind ``context`` in the current task; returns the reset token."""
-    return _CURRENT.set(context)
-
-
-def reset_trace_context(token) -> None:
-    """Undo a :func:`bind_trace_context` (pass its returned token)."""
-    _CURRENT.reset(token)
+#: ``bind_trace_context(context)``: bind ``context`` in the current task
+#: and return the reset token; ``reset_trace_context(token)`` undoes it.
+#: The ContextVar's own methods, as above: the serving shell binds a
+#: context around every request it serves.
+bind_trace_context = _CURRENT.set
+reset_trace_context = _CURRENT.reset
 
 
 @contextmanager

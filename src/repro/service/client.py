@@ -119,6 +119,7 @@ class ServiceClient:
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
+        self._host_field = f"{host}:{port}"
         self._pool: List[_Connection] = []
         #: Raw sockets opened so far (pool misses + ``Connection: close``).
         self.connections_opened = 0
@@ -126,17 +127,6 @@ class ServiceClient:
         self.connections_reused = 0
 
     # -- connection pool ---------------------------------------------------
-
-    def _pooled(self) -> Optional[_Connection]:
-        """An idle pooled socket, or None."""
-        while self._pool:
-            reader, writer = self._pool.pop()
-            if writer.is_closing():
-                writer.close()
-                continue
-            self.connections_reused += 1
-            return reader, writer
-        return None
 
     async def _open(self, wire: bytes) -> _Connection:
         """A new socket, with ``wire`` written on it."""
@@ -151,10 +141,14 @@ class ServiceClient:
         With none idle, a new socket is opened in a task of its own, which
         writes ``wire`` as soon as the socket is up: ``(None, task)``.
         """
-        connection = self._pooled()
-        if connection is not None:
-            connection[1].write(wire)
-            return connection, None
+        while self._pool:
+            reader, writer = self._pool.pop()
+            if writer.is_closing():
+                writer.close()
+                continue
+            self.connections_reused += 1
+            writer.write(wire)
+            return (reader, writer), None
         return None, asyncio.ensure_future(self._open(wire))
 
     async def aclose(self) -> None:
@@ -172,7 +166,8 @@ class ServiceClient:
         payload: Optional[dict] = None,
         *,
         headers: Optional[Dict[str, str]] = None,
-    ) -> Awaitable[ServiceResponse]:
+        checked: bool = False,
+    ) -> Awaitable:
         """Write one request now; await what this returns for the reply.
 
         The first half of an exchange: the request is on a pooled socket
@@ -180,26 +175,30 @@ class ServiceClient:
         a caller may write to several daemons and then read each reply in
         turn, with no task per exchange.  The returned awaitable is the
         second half; it must be awaited, since it returns the socket to
-        the pool or closes it.
+        the pool or closes it.  It gives the :class:`ServiceResponse`, or
+        with ``checked`` what :meth:`ServiceResponse.checked` makes of it.
         """
         body = b"" if payload is None else _http.encode_json(payload)
         fields = {
-            "Host": f"{self.host}:{self.port}",
+            "Host": self._host_field,
             "Connection": "keep-alive",
             "Content-Length": len(body),
             "Content-Type": "application/json",
-            **(headers or {}),
         }
+        if headers:
+            fields.update(headers)
         context = _context.current_trace_context()
         if context is not None:
             # A fresh span id per request keeps retries distinguishable
             # on the daemon side while staying inside the same trace.
             child = _context.child_context(context, request_id=context.request_id)
-            fields.setdefault(_context.TRACEPARENT_HEADER, child.traceparent())
+            fields.setdefault(
+                _context.TRACEPARENT_HEADER, _context.format_traceparent(child)
+            )
             if child.request_id is not None:
                 fields.setdefault(_context.REQUEST_ID_HEADER, child.request_id)
         wire = _http.request_bytes(method, path, fields, body)
-        return self._reply(method, path, wire, *self._write(wire))
+        return self._reply(method, path, wire, *self._write(wire), checked)
 
     async def request(
         self,
@@ -219,21 +218,22 @@ class ServiceClient:
         wire: bytes,
         connection: Optional[_Connection],
         opening: Optional[asyncio.Task],
-    ) -> ServiceResponse:
+        checked: bool,
+    ):
         """The second half of an exchange: the reply to ``wire``.
 
         ``wire`` went out on the pooled ``connection``, or goes out on the
         socket ``opening`` brings up.
         """
-        with _trace.span("client.request") as span:
-            span.set(method=method, path=path)
+        with _trace.span("client.request", method=method, path=path) as span:
             for attempt in (0, 1):
                 reused = opening is None
                 try:
                     if connection is None:
                         connection = await opening
                     reader, writer = connection
-                    await writer.drain()
+                    if writer.transport.get_write_buffer_size():
+                        await writer.drain()
                     parts = await _http.read_response(reader)
                     if parts is None:
                         raise ConnectionResetError("closed before any response bytes")
@@ -259,11 +259,11 @@ class ServiceClient:
                 else:
                     await _close_writer(writer)
                 span.set(status=response.status)
-                return response
-            raise AssertionError("unreachable")  # pragma: no cover
+                break
+        return response.checked() if checked else response
 
-    async def _call(self, method: str, path: str, payload: Optional[dict] = None):
-        return (await self.request(method, path, payload)).checked()
+    def _call(self, method: str, path: str, payload: Optional[dict] = None):
+        return self.send(method, path, payload, checked=True)
 
     # -- admission API -----------------------------------------------------
 

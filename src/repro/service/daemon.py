@@ -290,6 +290,10 @@ class ReservationService:
             "/v1/commit": self.commit,
             "/v1/abort": self.abort,
         }
+        #: POST path -> the span its admission runs in (``daemon.<op>``).
+        self.admission_spans = {
+            path: "daemon." + path.rsplit("/", 1)[1] for path in self._operations
+        }
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -880,25 +884,22 @@ class ReservationDaemon(ServingShell):
     def _metrics_text(self) -> str:
         return self.service.metrics_exposition()
 
-    async def _dispatch(
-        self, request: _http.Request, parse_seconds: float, close: bool
-    ) -> bytes:
+    async def _dispatch(self, request: _http.Request, close: bool) -> bytes:
         status, resolved = self.service.route(
             request.method, request.path, request.query, draining=self._draining
         )
         if status is not None:
             return _http.json_response_bytes(status, resolved, close=close)
-        decode_started = _time.perf_counter()
         payload = request.json()
-        parse_seconds += _time.perf_counter() - decode_started
-        name = request.path.rsplit("/", 1)[1]
-        return await self._admit(resolved, payload, name, parse_seconds, close)
+        parse_seconds = _time.perf_counter() - request.received
+        span_name = self.service.admission_spans[request.path]
+        return await self._admit(resolved, payload, span_name, parse_seconds, close)
 
     async def _admit(
         self,
         operation,
         payload: dict,
-        name: str,
+        span_name: str,
         parse_seconds: float,
         close: bool,
     ) -> bytes:
@@ -913,12 +914,13 @@ class ReservationDaemon(ServingShell):
         self._enter_admission()
         queue_started = _time.perf_counter()
         try:
-            async with self._lock:
+            await self._lock.acquire()
+            try:
                 queue_wait = _time.perf_counter() - queue_started
                 # Nothing yields between here and _planning_phases, so the
                 # spans opened from this index on are this request's.
                 first_span = self.service.flight.tracer.next_index
-                with _trace.span(f"daemon.{name}") as span:
+                with _trace.span(span_name) as span:
                     status, document = answer(operation, payload)
                     span.set(status=status)
                 plan_seconds, commit_seconds = self._planning_phases(first_span)
@@ -934,6 +936,8 @@ class ReservationDaemon(ServingShell):
                     serialize_seconds,
                 )
                 return response
+            finally:
+                self._lock.release()
         finally:
             self._exit_admission()
 

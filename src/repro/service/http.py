@@ -25,7 +25,9 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from json.encoder import c_make_encoder, encode_basestring_ascii
+from time import perf_counter as _perf_counter
+from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
 __all__ = [
@@ -76,6 +78,10 @@ class Request:
     query: Dict[str, str]
     headers: Dict[str, str] = field(default_factory=dict)
     body: bytes = b""
+    #: The request line's version (an HTTP/1.0 request closes by default).
+    version: str = "HTTP/1.1"
+    #: ``perf_counter`` when the head was in (what the parse phase times).
+    received: float = field(default=0.0, compare=False, repr=False)
 
     def json(self) -> dict:
         """The body decoded as a JSON object ({} when empty)."""
@@ -87,8 +93,15 @@ class Request:
         return payload
 
 
-async def _read_head(reader: asyncio.StreamReader, kind: str):
-    """``(start line fields, headers)`` of one message; None on clean EOF."""
+async def _read_message(reader: asyncio.StreamReader, kind: str):
+    """``(received, start line fields, headers, body)`` of one message.
+
+    None on a clean EOF before any byte.  ``received`` is the
+    ``perf_counter`` reading when the head was in.  A response's status
+    code (an ``int`` in the start line fields) and its ``Content-Length``
+    are checked before its body is read; a request without a
+    ``Content-Length`` has an empty body.
+    """
     try:
         head = await reader.readuntil(b"\r\n\r\n")
     except asyncio.IncompleteReadError as exc:
@@ -97,16 +110,17 @@ async def _read_head(reader: asyncio.StreamReader, kind: str):
         raise ProtocolError(f"connection closed mid-{kind}") from exc
     except asyncio.LimitOverrunError as exc:
         raise ProtocolError(f"{kind} head exceeds the stream limit") from exc
+    received = _perf_counter()
     if len(head) > MAX_HEADER_BYTES:
         raise ProtocolError(f"{kind} head exceeds {MAX_HEADER_BYTES} bytes")
+    # The head ends in the one blank line, so every line between the
+    # start line and the last two (empty) pieces is a header line.
     lines = head.decode("latin-1").split("\r\n")
     start = lines[0].split(" ", 2)
     if len(start) != 3:
         raise ProtocolError(f"malformed {kind} line: {head[:80]!r}")
     headers: Dict[str, str] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
+    for line in lines[1:-2]:
         name, sep, value = line.partition(":")
         if not sep or name != name.strip():
             raise ProtocolError(f"malformed header line: {line!r}")
@@ -116,31 +130,37 @@ async def _read_head(reader: asyncio.StreamReader, kind: str):
         if name == "transfer-encoding" or (name == "content-length" and name in headers):
             raise ProtocolError(f"refused framing header: {line!r}")
         headers[name] = value.strip()
-    return start, headers
-
-
-async def _read_body(reader: asyncio.StreamReader, length_text: str) -> bytes:
-    """The ``Content-Length`` framed body, at most :data:`MAX_BODY_BYTES`."""
+    length_text = headers.get("content-length")
+    if kind == "response":
+        try:
+            start[1] = int(start[1])
+        except ValueError as exc:
+            raise ProtocolError(f"malformed status code: {start[1]!r}") from exc
+        if length_text is None:
+            raise ProtocolError(f"HTTP {start[1]} response without Content-Length")
+    if length_text is None:
+        return received, start, headers, b""
     if not (length_text.isascii() and length_text.isdigit()):
         raise ProtocolError(f"bad Content-Length: {length_text!r}")
     length = int(length_text)
     if length > MAX_BODY_BYTES:
         raise ProtocolError(f"body of {length} bytes refused")
+    if not length:
+        return received, start, headers, b""
     try:
-        return await reader.readexactly(length)
+        return received, start, headers, await reader.readexactly(length)
     except asyncio.IncompleteReadError as exc:
         raise ProtocolError("connection closed mid-body") from exc
 
 
 async def read_request(reader: asyncio.StreamReader) -> Optional[Request]:
     """Parse one request; None on clean EOF before any bytes arrive."""
-    head = await _read_head(reader, "request")
-    if head is None:
+    message = await _read_message(reader, "request")
+    if message is None:
         return None
-    (method, target, _version), headers = head
-    body = await _read_body(reader, headers.get("content-length", "0"))
+    received, (method, target, version), headers, body = message
     path, query = split_target(target)
-    return Request(method.upper(), target, path, query, headers, body)
+    return Request(method.upper(), target, path, query, headers, body, version, received)
 
 
 async def read_response(
@@ -151,39 +171,45 @@ async def read_response(
     Every server here frames its bodies with ``Content-Length``, so a
     response without one is malformed.
     """
-    head = await _read_head(reader, "response")
-    if head is None:
+    message = await _read_message(reader, "response")
+    if message is None:
         return None
-    (_version, status_text, _phrase), headers = head
-    try:
-        status = int(status_text)
-    except ValueError as exc:
-        raise ProtocolError(f"malformed status code: {status_text!r}") from exc
-    if "content-length" not in headers:
-        raise ProtocolError(f"HTTP {status} response without Content-Length")
-    return status, headers, await _read_body(reader, headers["content-length"])
+    _received, (_version, status, _phrase), headers, body = message
+    return status, headers, body
 
 
 def split_target(target: str) -> Tuple[str, Dict[str, str]]:
-    """The ``(path, query)`` of a request target (query URL-decoded)."""
-    try:
-        parts = urlsplit(target)
-    except ValueError as exc:
-        raise ProtocolError(f"unparsable request target: {target[:80]!r}") from exc
-    return parts.path, dict(parse_qsl(parts.query, keep_blank_values=True))
+    """The ``(path, query)`` of a request target (query URL-decoded).
 
-
-def _message_bytes(lines: List[str], body: bytes = b"") -> bytes:
-    """A start line and header lines, the blank line, then ``body``."""
-    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
+    An origin-form target -- a ``/`` not followed by another, printable
+    ASCII, no ``#`` -- is split at its first ``?``, which is what
+    ``urlsplit`` makes of it; any other target goes through ``urlsplit``.
+    """
+    if (
+        target.startswith("/")
+        and not target.startswith("//")
+        and target.isascii()
+        and target.isprintable()
+        and "#" not in target
+    ):
+        path, _, query = target.partition("?")
+    else:
+        try:
+            parts = urlsplit(target)
+        except ValueError as exc:
+            raise ProtocolError(f"unparsable request target: {target[:80]!r}") from exc
+        path, query = parts.path, parts.query
+    if not query:
+        return path, {}
+    return path, dict(parse_qsl(query, keep_blank_values=True))
 
 
 def request_bytes(
     method: str, target: str, headers: Dict[str, object], body: bytes = b""
 ) -> bytes:
     """Serialize one request; ``headers`` are written in their order."""
-    start = f"{method} {target} HTTP/1.1"
-    return _message_bytes([start, *(f"{k}: {v}" for k, v in headers.items())], body)
+    lines = "".join([f"{name}: {value}\r\n" for name, value in headers.items()])
+    return f"{method} {target} HTTP/1.1\r\n{lines}\r\n".encode("latin-1") + body
 
 
 def response_bytes(
@@ -200,23 +226,39 @@ def response_bytes(
     is what makes reuse safe to frame.
     """
     phrase = _STATUS_PHRASES.get(status, "Unknown")
-    lines = [
-        f"HTTP/1.1 {status} {phrase}",
-        f"Content-Type: {content_type}",
-        f"Content-Length: {len(body)}",
-        "Connection: close" if close else "Connection: keep-alive",
-    ]
-    return _message_bytes(lines, body)
+    connection = "close" if close else "keep-alive"
+    return (
+        f"HTTP/1.1 {status} {phrase}\r\nContent-Type: {content_type}\r\n"
+        f"Content-Length: {len(body)}\r\nConnection: {connection}\r\n\r\n"
+    ).encode("latin-1") + body
 
 
-#: ``json.dumps(..., sort_keys=True)`` minus the encoder it builds per
-#: call (only an all-defaults ``dumps`` reuses json's shared encoder).
-_encode_sorted = json.JSONEncoder(sort_keys=True).encode
+#: ``json.dumps(..., sort_keys=True)``'s encoder: the fallback where the
+#: C accelerator is absent, and the settings of the C encoder below.
+_SORTED = json.JSONEncoder(sort_keys=True)
+
+#: One C encoder, built once with ``_SORTED``'s settings, where
+#: ``JSONEncoder.encode`` builds one (and a float closure) per call.  It
+#: keeps no circular-reference markers: a document is a tree the program
+#: built, and a cycle would end in ``RecursionError``.
+_c_encode = c_make_encoder and c_make_encoder(
+    None,
+    _SORTED.default,
+    encode_basestring_ascii,
+    _SORTED.indent,
+    _SORTED.key_separator,
+    _SORTED.item_separator,
+    _SORTED.sort_keys,
+    _SORTED.skipkeys,
+    _SORTED.allow_nan,
+)
 
 
 def encode_json(document: object) -> bytes:
     """The one JSON body encoding: sorted keys, UTF-8."""
-    return _encode_sorted(document).encode("utf-8")
+    if _c_encode is None:
+        return _SORTED.encode(document).encode("utf-8")
+    return "".join(_c_encode(document, 0)).encode("utf-8")
 
 
 def decode_json(body: bytes) -> object:

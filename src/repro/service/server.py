@@ -80,9 +80,7 @@ class ServingShell:
 
     # -- what a daemon supplies --------------------------------------------
 
-    async def _dispatch(
-        self, request: _http.Request, parse_seconds: float, close: bool
-    ) -> bytes:
+    async def _dispatch(self, request: _http.Request, close: bool) -> bytes:
         """The serialized response to one request (the daemon's routes)."""
         raise NotImplementedError
 
@@ -94,13 +92,9 @@ class ServingShell:
         """The ``/metrics`` body (Prometheus text format)."""
         raise NotImplementedError
 
-    def _count_wire(self, key: str, amount: int = 1) -> None:
-        """Add ``amount`` to one wire counter."""
-        self.wire[key] = self.wire.get(key, 0) + amount
-
     def _on_unhandled(self, exc: Exception) -> None:
         """A route raised ``exc`` (answered ``500``): count it."""
-        self._count_wire("unhandled_exceptions")
+        self.wire["unhandled_exceptions"] = self.wire.get("unhandled_exceptions", 0) + 1
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -187,11 +181,15 @@ class ServingShell:
         """Serve requests until the client closes or asks us to.
 
         HTTP/1.1 keep-alive: the loop reads back-to-back requests off
-        one socket; a clean EOF between requests ends it, a
-        ``Connection: close`` request header (or drain) makes the next
-        response the last one.
+        one socket; a clean EOF between requests ends it, and a
+        ``Connection: close`` request header, an HTTP/1.0 request that
+        does not ask for ``keep-alive`` (RFC 9112 §9.3), or drain makes
+        the next response the last one.  A response is drained only when
+        the transport could not send it whole.
         """
         self._connections.add(writer)
+        wire = self.wire
+        transport = writer.transport
         try:
             while True:
                 started = _time.perf_counter()
@@ -202,11 +200,12 @@ class ServingShell:
                     request = await _http.read_request(reader)
                     if request is None:
                         return
-                    parse_seconds = _time.perf_counter() - started
-                    self._count_wire("requests")
+                    wire["requests"] = wire.get("requests", 0) + 1
+                    connection = request.headers.get("connection", "").lower()
                     close = (
                         self._draining
-                        or request.headers.get("connection", "").lower() == "close"
+                        or connection == "close"
+                        or (request.version == "HTTP/1.0" and connection != "keep-alive")
                     )
                     context = self._context_for(request)
                     token = _context.bind_trace_context(context)
@@ -214,9 +213,7 @@ class ServingShell:
                         if request.method == "GET" and request.path in _PROBES:
                             response = self._probe(request.path, close)
                         else:
-                            response = await self._dispatch(
-                                request, parse_seconds, close
-                            )
+                            response = await self._dispatch(request, close)
                     except _http.ProtocolError:
                         raise  # a malformed body: the 400 below
                     except Exception as exc:
@@ -229,10 +226,11 @@ class ServingShell:
                     finally:
                         _context.reset_trace_context(token)
                     writer.write(response)
-                    await writer.drain()
-                    self._count_wire("response_bytes", len(response))
+                    if transport.get_write_buffer_size():
+                        await writer.drain()
+                    wire["response_bytes"] = wire.get("response_bytes", 0) + len(response)
                 except _http.ProtocolError as exc:
-                    self._count_wire("protocol_errors")
+                    wire["protocol_errors"] = wire.get("protocol_errors", 0) + 1
                     try:
                         response = _http.json_response_bytes(400, {"error": str(exc)})
                         writer.write(response)

@@ -9,10 +9,13 @@ names, so the simulator's experiment layer (and ``multiprocessing`` with
 it) stays out too.  Each import check runs in a
 fresh interpreter: the test runner itself has all of these loaded.  What
 a full event ring and a full span ring occupy is walked in-process.
+What one hop costs in Python is counted in calls into ``src/repro``:
+a shard serving a router's requests, and a client's exchange.
 """
 
 from __future__ import annotations
 
+import asyncio
 import gc
 import http.client
 import json
@@ -25,8 +28,11 @@ import types
 
 import pytest
 
+from repro.obs import context as _context
 from repro.obs.flight import SPAN_CAPACITY
-from repro.service import DaemonConfig, ReservationService
+from repro.service import DaemonConfig, ReservationDaemon, ReservationService
+from repro.service import ServiceClient
+from repro.service import http as wire_codec
 from tests.test_examples import REPO, subprocess_env
 from tests.test_record_once import admit_and_release, wrap_the_ring
 from tests.test_service_daemon import VALID_PAIRS
@@ -372,3 +378,145 @@ def test_a_daemons_history_stops_growing():
     assert after_2000 == after_200
     assert max(len(broker.history._reports) for broker in brokers) == 1
     assert sum(broker.history.report_count for broker in brokers) >= 2000
+
+
+#: Python calls into ``src/repro`` per request: a shard serving the
+#: router's two commonest requests, and one ``ServiceClient.request``
+#: exchange with a trace context bound.  Named functions only: 3.12 inlines
+#: comprehensions, 3.10 and 3.11 give each a frame.  One message reader,
+#: fewer wrappers around the trace context, the admission lock and the
+#: pooled socket brought these from 40, 28 and 20 (3.10-3.12 alike).
+HOP_CALLS = {"abort": 34, "availability": 22, "client": 15}
+
+#: The headers the router sends a shard with (its trace context bound).
+_ROUTER_HEADERS = {
+    "Host": "127.0.0.1:40001",
+    "Connection": "keep-alive",
+    "traceparent": "00-0af7651916cd43dd8448eb211c80319c-b7ad6b7169203331-01",
+    "x-request-id": "req-17",
+}
+
+
+def _router_request(method: str, target: str, payload=None) -> bytes:
+    body = b"" if payload is None else wire_codec.encode_json(payload)
+    fields = dict(_ROUTER_HEADERS, **{"Content-Length": len(body)})
+    return wire_codec.request_bytes(method, target, fields, body)
+
+
+class _Sink(asyncio.Transport):
+    """A transport that takes every write whole; closing loses the connection."""
+
+    def __init__(self, protocol: asyncio.Protocol) -> None:
+        super().__init__()
+        self._protocol = protocol
+        self._closing = False
+
+    def write(self, data) -> None:
+        pass
+
+    def get_write_buffer_size(self) -> int:
+        return 0
+
+    def is_closing(self) -> bool:
+        return self._closing
+
+    def close(self) -> None:
+        if not self._closing:
+            self._closing = True
+            asyncio.get_running_loop().call_soon(self._protocol.connection_lost, None)
+
+
+def fed_streams(data: bytes, *, eof: bool = True):
+    """A reader holding ``data`` (then EOF) and a writer into a :class:`_Sink`."""
+    reader = asyncio.StreamReader()
+    protocol = asyncio.StreamReaderProtocol(reader)
+    transport = _Sink(protocol)
+    protocol.connection_made(transport)
+    reader.feed_data(data)
+    if eof:
+        reader.feed_eof()
+    writer = asyncio.StreamWriter(transport, protocol, reader, asyncio.get_running_loop())
+    return reader, writer
+
+
+SRC = str(REPO / "src" / "repro")
+
+
+def repro_calls(coroutine) -> int:
+    """Calls into ``src/repro`` while ``coroutine`` runs (named functions)."""
+    calls = 0
+
+    def profile(frame, event, _arg):
+        nonlocal calls
+        code = frame.f_code
+        if (event == "call" and code.co_filename.startswith(SRC)
+                and not code.co_name.startswith("<")):
+            calls += 1
+
+    async def counted():
+        sys.setprofile(profile)
+        try:
+            await coroutine
+        finally:
+            sys.setprofile(None)
+
+    asyncio.run(counted())
+    return calls
+
+
+def per_request(count_of) -> float:
+    """What one more request adds, ``count_of(11) - count_of(1)`` over 10,
+    after one request that resolves what is built on first use."""
+    count_of(1)
+    return (count_of(11) - count_of(1)) / 10
+
+
+#: The router's requests a shard serves most.
+ROUTER_REQUESTS = {
+    "abort": _router_request("POST", "/v1/abort", {"lease_id": "s1@shard-0#9"}),
+    "availability": _router_request("GET", "/v1/availability?resources=cpu:H1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ROUTER_REQUESTS))
+def test_a_shard_serves_a_router_request_in_few_python_calls(name):
+    wire = ROUTER_REQUESTS[name]
+    daemon = ReservationDaemon(DaemonConfig(seed=7, shard_index=0, shard_count=3))
+    daemon.service.start()
+    try:
+        def served(requests: int) -> int:
+            async def serve():
+                await daemon._handle_connection(*fed_streams(wire * requests))
+            return repro_calls(serve())
+
+        calls = per_request(served)
+        assert daemon.wire["requests"] == 13
+        assert "protocol_errors" not in daemon.wire
+    finally:
+        daemon.service.close()
+    print(f"{name}: {calls} calls per request (bound {HOP_CALLS[name]})")
+    assert calls <= HOP_CALLS[name]
+
+
+def test_a_client_exchange_takes_few_python_calls():
+    reply = wire_codec.json_response_bytes(200, {"aborted": False}, close=False)
+
+    def exchanged(requests: int) -> int:
+        async def exchange():
+            client = ServiceClient("127.0.0.1", 40001)
+            client._pool.append(fed_streams(reply * requests, eof=False))
+            token = _context.bind_trace_context(
+                _context.new_trace_context(request_id="req-17"))
+            try:
+                for _ in range(requests):
+                    response = await client.request("POST", "/v1/abort",
+                                                     {"lease_id": "s1@shard-0#9"})
+                    assert response.status == 200
+            finally:
+                _context.reset_trace_context(token)
+                await client.aclose()
+        return repro_calls(exchange())
+
+    calls = per_request(exchanged)
+    print(f"client: {calls} calls per exchange (bound {HOP_CALLS['client']})")
+    assert calls <= HOP_CALLS["client"]

@@ -9,6 +9,13 @@ allows an automatic retry only for idempotent methods).  A draining daemon's 503
 :class:`~repro.service.client.ServiceDrainingError` so callers can
 distinguish "try another replica" from a real error, and the load
 generator reports its connection economics in its report.
+
+An HTTP/1.0 request keeps its connection open only when it asks for
+``Connection: keep-alive`` (RFC 9112 §9.3): otherwise the daemon
+answers ``Connection: close`` and closes, so a client reading to EOF
+gets its EOF.  The ``phase=parse`` histogram times a request from its
+head's arrival, so the idle gap before a request on a kept-alive
+socket is not counted as parsing.
 """
 
 import asyncio
@@ -186,6 +193,84 @@ def test_loadgen_reports_connection_reuse():
             assert document["connections_opened"] == report.connections_opened
             assert document["connection_reuses"] == report.connection_reuses
         finally:
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+async def _exchange(reader, writer, raw: bytes):
+    """Write ``raw``; the parsed response, read under a bound."""
+    writer.write(raw)
+    return await asyncio.wait_for(_http.read_response(reader), timeout=5)
+
+
+async def _at_eof(reader) -> bool:
+    """Whether the daemon closed the socket (within a bound)."""
+    try:
+        return await asyncio.wait_for(reader.read(1), timeout=2) == b""
+    except asyncio.TimeoutError:
+        return False
+
+
+def test_an_http10_request_closes_its_connection():
+    async def scenario():
+        daemon = await start_daemon(seed=3)
+        reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+        try:
+            status, headers, _ = await _exchange(
+                reader, writer, b"GET /healthz HTTP/1.0\r\n\r\n"
+            )
+            assert status == 200
+            assert headers["connection"] == "close"
+            assert await _at_eof(reader)
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_an_http10_connection_stays_open_while_it_asks_for_keep_alive():
+    async def scenario():
+        daemon = await start_daemon(seed=3)
+        reader, writer = await asyncio.open_connection("127.0.0.1", daemon.port)
+        try:
+            kept = b"GET /healthz HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n"
+            for _ in range(2):
+                status, headers, _ = await _exchange(reader, writer, kept)
+                assert (status, headers["connection"]) == (200, "keep-alive")
+            status, headers, _ = await _exchange(
+                reader, writer, b"GET /healthz HTTP/1.0\r\n\r\n"
+            )
+            assert (status, headers["connection"]) == (200, "close")
+            assert await _at_eof(reader)
+            assert daemon.wire["requests"] == 3
+        finally:
+            writer.close()
+            await writer.wait_closed()
+            await daemon.shutdown()
+
+    asyncio.run(scenario())
+
+
+def test_the_parse_phase_leaves_out_keep_alive_idle_time():
+    async def scenario():
+        daemon = await start_daemon(seed=3)
+        client = ServiceClient("127.0.0.1", daemon.port)
+        try:
+            await client.abort("unknown-1")
+            await asyncio.sleep(0.3)  # idle on the pooled socket
+            await client.abort("unknown-2")
+            assert (client.connections_opened, client.connections_reused) == (1, 1)
+            parse = daemon.service.registry.histogram(
+                "daemon.admission_phase_seconds", phase="parse"
+            )
+            assert parse.count == 2
+            # docs/observability.md's latency SLO: every phase <= 0.25 s.
+            assert parse.max < 0.25, parse.max
+        finally:
+            await client.aclose()
             await daemon.shutdown()
 
     asyncio.run(scenario())
