@@ -24,6 +24,7 @@ import argparse
 import sys
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
+from repro.core.errors import ModelError
 from repro.service.cli import (
     add_grid_arguments,
     grid_options,
@@ -69,12 +70,15 @@ def build_config(argv: Optional[List[str]] = None) -> ClusterConfig:
     args = parser.parse_args(argv)
     if not args.shards:
         parser.error("at least one --shard host:port is required")
-    return ClusterConfig(
-        shards=tuple(args.shards),
-        host=args.host,
-        port=args.port,
-        **grid_options(args),
-    )
+    try:
+        return ClusterConfig(
+            shards=tuple(args.shards),
+            host=args.host,
+            port=args.port,
+            **grid_options(args),
+        )
+    except ModelError as exc:
+        parser.error(str(exc))
 
 
 async def _serve(config: ClusterConfig) -> int:

@@ -77,7 +77,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Awaitable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
+from repro.core import CONTENTION_INDICES, check_numbers, check_planner_fields, make_planner
 from repro.core.errors import ModelError, ReproError
 from repro.core.resources import AvailabilitySnapshot, ResourceObservation
 from repro.des.engine import Environment
@@ -815,6 +815,7 @@ class ClusterConfig:
         if not self.shards:
             raise ModelError("a cluster needs at least one shard address")
         check_planner_fields(self.algorithm, self.contention_index)
+        check_numbers(self)
 
 
 class ClusterDaemon(ServingShell):

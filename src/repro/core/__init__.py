@@ -17,6 +17,8 @@ Public surface:
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.component import Binding, ServiceComponent
@@ -95,6 +97,7 @@ __all__ = [
     "TranslationError",
     "TwoPassDagPlanner",
     "build_qrg",
+    "check_numbers",
     "check_planner_fields",
     "compute_plan",
     "concat_levels",
@@ -139,6 +142,30 @@ def check_planner_fields(algorithm: str, contention_index: str) -> None:
             f"unknown contention index {contention_index!r}; "
             f"pick from {sorted(CONTENTION_INDICES)}"
         )
+
+
+#: The annotations, as a config module written with ``from __future__
+#: import annotations`` states them, of fields that hold plain numbers.
+_NUMBER_FIELDS = ("float", "Optional[float]", "Tuple[float, float]")
+
+
+def check_numbers(config) -> None:
+    """Refuse a config dataclass whose numbers would break a run later.
+
+    A field annotated ``int`` must hold an ``int`` (a ``bool`` is not
+    one): a float retry count fails deep inside a run.  A field holding
+    floats must hold finite ones: NaN and infinity pass every ``<= 0``
+    check, and a NaN lease TTL never expires.
+    """
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type == "int":
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ModelError(f"{field.name} must be an int, got {value!r}")
+        elif field.type in _NUMBER_FIELDS:
+            for number in value if isinstance(value, tuple) else (value,):
+                if number is not None and not math.isfinite(number):
+                    raise ModelError(f"{field.name} must be finite, got {value!r}")
 
 
 def make_planner(algorithm: str, tie_break: bool, streams):

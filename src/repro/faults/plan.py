@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from repro.core import check_numbers
 from repro.core.errors import ModelError
 from repro.des.rng import RandomStreams
 
@@ -61,7 +62,8 @@ class FaultConfig:
     #: exchange, phase-3 reserve, its ack, or a rollback release) is lost.
     drop_rate: float = 0.0
     #: Probability a delivered message is delayed, and the mean of the
-    #: exponential delay added (only advances the clock on the DES path).
+    #: exponential delay added (simulated time for a simulated session;
+    #: passes at once for a synchronous ``establish``).
     delay_rate: float = 0.0
     delay_mean: float = 0.5
     #: Expected broker-host crashes per host per 60 TU, and how long a
@@ -91,6 +93,7 @@ class FaultConfig:
     lease_ttl: float = 30.0
 
     def __post_init__(self) -> None:
+        check_numbers(self)
         for name in ("drop_rate", "delay_rate", "stale_rate"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:

@@ -97,14 +97,17 @@ def child_context(
     )
 
 
-def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
+def parse_traceparent(
+    header: Optional[str], request_id: Optional[str] = None
+) -> Optional[TraceContext]:
     """Decode a ``traceparent`` header; None on anything malformed.
 
     Accepts exactly the W3C shape
     ``<2 hex version>-<32 hex trace_id>-<16 hex parent_id>-<2 hex flags>``
     with lowercase hex digits; all-zero trace or span ids are invalid per
     the spec and also yield None.  Callers treat None as "start a fresh
-    root trace" -- a truncated or garbage header never errors.
+    root trace" -- a truncated or garbage header never errors.  The
+    continued context carries ``request_id``.
     """
     if not header or not isinstance(header, str):
         return None
@@ -114,7 +117,7 @@ def parse_traceparent(header: Optional[str]) -> Optional[TraceContext]:
     version, trace_id, parent_id = match.groups()
     if version == "ff" or trace_id == _ZERO_TRACE_ID or parent_id == _ZERO_SPAN_ID:
         return None
-    return TraceContext(trace_id=trace_id, span_id=_hex_id(8), parent_id=parent_id)
+    return TraceContext(trace_id, _hex_id(8), parent_id, request_id)
 
 
 def format_traceparent(context: TraceContext) -> str:

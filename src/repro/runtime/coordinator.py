@@ -30,9 +30,9 @@ proxy prices the QRG itself.
 
 from __future__ import annotations
 
+import contextvars as _contextvars
 import math
 import time as _time
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from typing import (
@@ -219,7 +219,7 @@ class ReservationCoordinator:
         contention_index=None,
         snapshot: Optional[AvailabilitySnapshot] = None,
     ) -> EstablishmentResult:
-        """Run the three phases atomically (no simulated latency).
+        """Run the three phases at one instant (no simulated time passes).
 
         ``demand_scale`` scales every translation-function requirement
         (the evaluation's "fat" sessions, §5.1).  ``snapshot`` replaces
@@ -228,20 +228,20 @@ class ReservationCoordinator:
         one across its arrivals this way.  Any delay the protocol waits
         out passes at once.
         """
-        steps = self._establish(
-            session_id,
-            service_name,
-            binding,
-            planner,
-            component_hosts=component_hosts,
-            source_label=source_label,
-            demand_scale=demand_scale,
-            observed_at=observed_at,
-            contention_index=contention_index,
-            snapshot=snapshot,
+        return _run(
+            self._accounted(
+                session_id,
+                service_name,
+                binding,
+                planner,
+                component_hosts=component_hosts,
+                source_label=source_label,
+                demand_scale=demand_scale,
+                observed_at=observed_at,
+                contention_index=contention_index,
+                snapshot=snapshot,
+            )
         )
-        with self._establish_accounting(session_id, service_name) as settle:
-            return settle(_run(steps))
 
     def plan_session(
         self,
@@ -278,17 +278,15 @@ class ReservationCoordinator:
             contention_index=contention_index,
         )
 
-    @contextmanager
-    def _establish_accounting(self, session_id: str, service_name: str):
-        """The per-session span/counter/histogram bracket of an establishment.
+    def _accounted(self, session_id: str, service_name: str, *args, **kwargs):
+        """The protocol inside its per-session span/counter/histogram bracket.
 
-        Yields ``settle``: the body hands it the
-        :class:`EstablishmentResult` (and gets it back), which is what
-        the bracket accounts.  Shared by :meth:`establish` and
-        :meth:`establish_process`, so both are accounted alike.  When a
-        request-scoped trace context is bound (daemon admissions), the
-        span carries the caller's request id; the coordinator never
-        *creates* contexts, so simulation runs stay byte-identical.
+        A generator, like :meth:`_establish`, that :meth:`establish` and
+        :meth:`establish_process` both drive, so both are accounted
+        alike.  When a request-scoped trace context is bound (daemon
+        admissions), the span carries the caller's request id; the
+        coordinator never *creates* contexts, so simulation runs stay
+        byte-identical.
         """
         registry = _metrics.active_registry()
         started = _time.perf_counter() if registry is not None else 0.0
@@ -296,27 +294,24 @@ class ReservationCoordinator:
             context = _context.current_trace_context()
             if context is not None and context.request_id is not None:
                 span.set(request=context.request_id)
-
-            def settle(result: EstablishmentResult) -> EstablishmentResult:
-                outcome = "established" if result.success else result.reason
-                span.set(outcome=outcome)
-                if registry is not None:
-                    instruments = self._instruments
+            result = yield from self._establish(session_id, service_name, *args, **kwargs)
+            outcome = "established" if result.success else result.reason
+            span.set(outcome=outcome)
+            if registry is not None:
+                instruments = self._instruments
+                instruments.counter(
+                    registry, "coordinator.establish", outcome=outcome
+                ).inc()
+                if result.failed_resource is not None:
                     instruments.counter(
-                        registry, "coordinator.establish", outcome=outcome
+                        registry,
+                        "coordinator.admission_failures",
+                        resource=result.failed_resource,
                     ).inc()
-                    if result.failed_resource is not None:
-                        instruments.counter(
-                            registry,
-                            "coordinator.admission_failures",
-                            resource=result.failed_resource,
-                        ).inc()
-                    instruments.histogram(
-                        registry, "coordinator.establish_seconds"
-                    ).observe(_time.perf_counter() - started)
-                return result
-
-            yield settle
+                instruments.histogram(
+                    registry, "coordinator.establish_seconds"
+                ).observe(_time.perf_counter() - started)
+            return result
 
     def _phase1_exchanges(
         self,
@@ -994,50 +989,27 @@ class ReservationCoordinator:
                 bottleneck=plan.bottleneck_resource,
             )
 
-    def establish_process(
-        self, env, latency: float, /, session_id: str, service_name: str, *args, **kwargs
-    ):
-        """Generator flavour of :meth:`establish` with protocol latency.
+    def establish_process(self, env, /, session_id: str, service_name: str, *args, **kwargs):
+        """Generator flavour of :meth:`establish`: its delays are simulated time.
 
-        Models §4.2's overhead: one message round trip between the
-        participating proxies and the main proxy (phase 1+3) plus local
-        computation.  The availability snapshot is taken *before* the
-        latency elapses, so concurrent sessions race exactly as §5.2.4
-        describes.  Every delay the protocol itself waits out (a fault
-        boundary's message delays and retry backoff) becomes simulated
-        time too.  Yields DES timeouts; returns the result.
+        Every delay the protocol waits out (a fault boundary's message
+        delays and retry backoff) becomes an ``env.timeout``, so a crash
+        window can pass while a session backs off; a session that meets
+        no delay runs at one instant, as :meth:`establish` would.  The
+        session's steps run in a :class:`contextvars.Context` of its own:
+        suspended mid-protocol, it keeps its open spans off the stack
+        that other sessions' spans nest under.  Yields DES timeouts;
+        returns the result.
         """
-        kwargs = yield from self._after_latency(env, latency, kwargs)
-        with self._establish_accounting(session_id, service_name) as settle:
-            steps = self._establish(session_id, service_name, *args, **kwargs)
-            while True:
-                try:
-                    delay = next(steps)
-                except StopIteration as stop:
-                    return settle(stop.value)
-                if delay:
-                    yield env.timeout(delay)
-
-    def _after_latency(self, env, latency: float, kwargs: dict):
-        """Generator: wait out the protocol latency of one establishment.
-
-        Returns ``kwargs`` with the observation schedule pinned to the
-        request instant: the phase-1 round trip happens first, so
-        observations are as of *now*, not of when the latency elapsed.
-        """
-        if latency < 0:
-            raise ValueError(f"negative latency: {latency!r}")
-        now = env.now
-        schedule = kwargs.pop("observed_at", None)
-
-        def frozen_schedule(resource_id: str) -> Optional[float]:
-            """Observation schedule pinned to the request instant."""
-            base = schedule(resource_id) if schedule is not None else None
-            return now if base is None else base
-
-        if latency:
-            yield env.timeout(latency)
-        return dict(kwargs, observed_at=frozen_schedule)
+        steps = self._accounted(session_id, service_name, *args, **kwargs)
+        step = _contextvars.copy_context().run
+        while True:
+            try:
+                delay = step(next, steps)
+            except StopIteration as stop:
+                return stop.value
+            if delay:
+                yield env.timeout(delay)
 
     # -- adaptive renegotiation (§5 / §4.3) ------------------------------------
 

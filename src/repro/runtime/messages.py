@@ -4,12 +4,13 @@ The three-phase protocol is: (1) participating proxies report current
 resource availability to the main proxy, (2) the main proxy runs the
 planning algorithm locally, (3) the main proxy dispatches the plan
 segments.  These records are the protocol's vocabulary; in the
-simulation they travel as function arguments (optionally delayed by the
-coordinator's latency model), but keeping them explicit documents the
-wire protocol a real deployment would need.  The three that every
-admission builds -- the availability request and report and the plan
-segment -- are named tuples: one tuple allocation each, where a frozen
-dataclass paid one ``object.__setattr__`` per field.
+simulation they travel as function arguments (delayed, under faults,
+by the simulated time a message delay or retry takes), but keeping them
+explicit documents the wire protocol a real deployment would need.
+The three that every admission builds -- the availability request and
+report and the plan segment -- are named tuples: one tuple allocation
+each, where a frozen dataclass paid one ``object.__setattr__`` per
+field.
 """
 
 from __future__ import annotations

@@ -42,6 +42,10 @@ class SessionOutcome:
 class ServiceSession:
     """Drives one session: establish -> hold -> release.
 
+    Establishment runs on the DES clock
+    (:meth:`~repro.runtime.coordinator.ReservationCoordinator.establish_process`):
+    whatever delay the protocol waits out is simulated time.
+
     Create it, then hand :meth:`run` to ``env.process``.  The finished
     process's value is the :class:`SessionOutcome`.
     """
@@ -60,7 +64,6 @@ class ServiceSession:
         component_hosts: Optional[Mapping[str, str]] = None,
         source_label: Optional[str] = None,
         observed_at: Optional[Callable[[str], Optional[float]]] = None,
-        latency: float = 0.0,
         contention_index=None,
         on_finish: Optional[Callable[[SessionOutcome], None]] = None,
     ) -> None:
@@ -77,70 +80,39 @@ class ServiceSession:
         self.component_hosts = component_hosts
         self.source_label = source_label
         self.observed_at = observed_at
-        self.latency = float(latency)
         self.contention_index = contention_index
         self.on_finish = on_finish
 
     def run(self):
         """The session's DES process body (a generator)."""
         arrived_at = self.env.now
-        if self.latency:
-            result: EstablishmentResult = yield from self.coordinator.establish_process(
-                self.env,
-                self.latency,
-                self.session_id,
-                self.service_name,
-                self.binding,
-                self.planner,
-                component_hosts=self.component_hosts,
-                source_label=self.source_label,
-                demand_scale=self.demand_scale,
-                observed_at=self.observed_at,
-                contention_index=self.contention_index,
-            )
-        else:
-            result = self.coordinator.establish(
-                self.session_id,
-                self.service_name,
-                self.binding,
-                self.planner,
-                component_hosts=self.component_hosts,
-                source_label=self.source_label,
-                demand_scale=self.demand_scale,
-                observed_at=self.observed_at,
-                contention_index=self.contention_index,
-            )
-        if not result.success:
-            outcome = SessionOutcome(
-                session_id=self.session_id,
-                service=self.service_name,
-                arrived_at=arrived_at,
-                success=False,
-                qos_level=None,
-                plan=result.plan,
-                reason=result.reason,
-                duration=self.duration,
-                demand_scale=self.demand_scale,
-                ended_at=self.env.now,
-                failed_resource=result.failed_resource,
-            )
-            if self.on_finish:
-                self.on_finish(outcome)
-            return outcome
-
-        yield self.env.timeout(self.duration)
-        self.coordinator.teardown(self.session_id)
+        result: EstablishmentResult = yield from self.coordinator.establish_process(
+            self.env,
+            self.session_id,
+            self.service_name,
+            self.binding,
+            self.planner,
+            component_hosts=self.component_hosts,
+            source_label=self.source_label,
+            demand_scale=self.demand_scale,
+            observed_at=self.observed_at,
+            contention_index=self.contention_index,
+        )
+        if result.success:
+            yield self.env.timeout(self.duration)
+            self.coordinator.teardown(self.session_id)
         outcome = SessionOutcome(
             session_id=self.session_id,
             service=self.service_name,
             arrived_at=arrived_at,
-            success=True,
+            success=result.success,
             qos_level=result.qos_level,
             plan=result.plan,
-            reason="completed",
+            reason="completed" if result.success else result.reason,
             duration=self.duration,
             demand_scale=self.demand_scale,
             ended_at=self.env.now,
+            failed_resource=result.failed_resource,
         )
         if self.on_finish:
             self.on_finish(outcome)

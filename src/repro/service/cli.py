@@ -20,6 +20,7 @@ import sys
 from typing import TYPE_CHECKING, List, Optional
 
 from repro.core import ALGORITHMS, CONTENTION_INDICES
+from repro.core.errors import ModelError
 
 if TYPE_CHECKING:
     from repro.service.daemon import DaemonConfig
@@ -138,17 +139,20 @@ def build_config(argv: Optional[List[str]] = None) -> DaemonConfig:
                              "reserve leases before the reaper "
                              "releases them")
     args = parser.parse_args(argv)
-    return DaemonConfig(
-        host=args.host,
-        port=args.port,
-        drain_timeout=args.drain_timeout,
-        access_log=args.access_log,
-        flight_dir=args.flight_dir,
-        shard_index=args.shard_index,
-        shard_count=args.shard_count,
-        lease_ttl=args.lease_ttl,
-        **grid_options(args),
-    )
+    try:
+        return DaemonConfig(
+            host=args.host,
+            port=args.port,
+            drain_timeout=args.drain_timeout,
+            access_log=args.access_log,
+            flight_dir=args.flight_dir,
+            shard_index=args.shard_index,
+            shard_count=args.shard_count,
+            lease_ttl=args.lease_ttl,
+            **grid_options(args),
+        )
+    except ModelError as exc:
+        parser.error(str(exc))
 
 
 async def _serve(config: DaemonConfig) -> None:

@@ -56,7 +56,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.cluster.protocol import ShardCore
 from repro.cluster.shardmap import ShardMap
-from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
+from repro.core import CONTENTION_INDICES, check_numbers, check_planner_fields, make_planner
 from repro.core.errors import AdmissionError, ModelError, ReproError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
@@ -184,6 +184,7 @@ class DaemonConfig:
 
     def __post_init__(self) -> None:
         check_planner_fields(self.algorithm, self.contention_index)
+        check_numbers(self)
         if self.drain_timeout < 0:
             raise ModelError("drain_timeout must be >= 0")
         if self.shard_count < 1:

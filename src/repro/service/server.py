@@ -289,14 +289,9 @@ class ServingShell:
         request_id = request.headers.get(_context.REQUEST_ID_HEADER) or (
             f"{self.request_id_prefix}-{self.wire['requests']}"
         )
-        parent = _context.parse_traceparent(
-            request.headers.get(_context.TRACEPARENT_HEADER)
-        )
-        if parent is None:
-            return _context.new_trace_context(request_id=request_id)
-        return _context.TraceContext(
-            parent.trace_id, parent.span_id, parent.parent_id, request_id
-        )
+        return _context.parse_traceparent(
+            request.headers.get(_context.TRACEPARENT_HEADER), request_id
+        ) or _context.new_trace_context(request_id=request_id)
 
     def _access_log(
         self,

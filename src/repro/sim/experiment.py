@@ -23,7 +23,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import PurePath
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from repro.core import CONTENTION_INDICES, check_planner_fields, make_planner
+from repro.core import CONTENTION_INDICES, check_numbers, check_planner_fields, make_planner
 from repro.core.errors import ModelError
 from repro.des.engine import Environment
 from repro.des.rng import RandomStreams
@@ -64,8 +64,6 @@ class SimulationConfig:
     trend_window: float = 3.0
     #: E of §5.2.4: observations may be up to E time units stale.
     staleness: float = 0.0
-    #: Optional establishment latency (protocol round-trip, §4.2).
-    latency: float = 0.0
     #: §5.2.5: compress requirement diversity to this max/min ratio.
     diversity_ratio: Optional[float] = None
     #: psi definition (paper footnote 2); one of CONTENTION_INDICES.
@@ -89,8 +87,9 @@ class SimulationConfig:
 
     def __post_init__(self) -> None:
         check_planner_fields(self.algorithm, self.contention_index)
-        if self.staleness < 0 or self.latency < 0:
-            raise ModelError("staleness and latency must be >= 0")
+        check_numbers(self)
+        if self.staleness < 0:
+            raise ModelError("staleness must be >= 0")
 
     def with_(self, **changes) -> "SimulationConfig":
         """Copy of this config with the given fields replaced."""
@@ -297,7 +296,6 @@ def _run_simulation(
                 demand_scale=request.demand_scale,
                 component_hosts=component_hosts,
                 observed_at=stale_model.schedule_for_session(),
-                latency=config.latency,
                 contention_index=contention_index,
                 on_finish=record_outcome,
             )

@@ -7,17 +7,15 @@ from repro.core import BasicPlanner, headroom_contention_index
 from repro.core.errors import BrokerError
 from repro.core.plan import ComponentAssignment, ReservationPlan
 from repro.core.resources import ResourceVector
-from repro.des import Environment
-from repro.runtime import ModelStore, QoSProxy, ReservationCoordinator, ServiceSession
+from repro.runtime import ModelStore, QoSProxy, ReservationCoordinator
 from repro.runtime.messages import PlanSegment
 
 
-def build_rig(small_service, env=None):
+def build_rig(small_service):
     registry = BrokerRegistry()
-    clock = (lambda: env.now) if env is not None else None
-    cpu = LocalResourceBroker("H1", "cpu", 100.0, clock=clock)
-    link = LinkBandwidthBroker("L1", "H1", "H2", 100.0, clock=clock)
-    path = PathBroker("net:L1", [link], clock=clock)
+    cpu = LocalResourceBroker("H1", "cpu", 100.0)
+    link = LinkBandwidthBroker("L1", "H1", "H2", 100.0)
+    path = PathBroker("net:L1", [link])
     for broker in (cpu, link, path):
         registry.register(broker)
     proxy_h1 = QoSProxy("H1", registry)
@@ -59,39 +57,6 @@ class TestCoordinatorConfig:
         # psi under the headroom definition: 20/(100-20) = 0.25
         assert result.plan.psi == pytest.approx(0.25)
         coordinator.teardown("s1")
-
-    def test_establish_process_negative_latency_rejected(self, small_service, small_binding):
-        env = Environment()
-        _registry, coordinator, *_ = build_rig(small_service, env)
-        generator = coordinator.establish_process(
-            env, -1.0, "s1", "small", small_binding, BasicPlanner()
-        )
-        with pytest.raises(ValueError):
-            next(generator)
-
-    def test_establish_process_freezes_observation_time(self, small_service, small_binding):
-        """Observations under latency are as-of the request time, so a
-        resource consumed during the round trip causes a phase-3 race."""
-        env = Environment()
-        registry, coordinator, *_rest, cpu, link = build_rig(small_service, env)
-
-        def racer(env):
-            yield env.timeout(1.0)
-            link.reserve(95.0, "racer")  # consumes net during the RTT
-
-        def session(env):
-            result = yield from coordinator.establish_process(
-                env, 2.0, "s1", "small", small_binding, BasicPlanner()
-            )
-            return result
-
-        env.process(racer(env))
-        process = env.process(session(env))
-        env.run()
-        result = process.value
-        assert not result.success
-        assert result.reason == "admission_failed"
-        assert cpu.available == 100.0  # rolled back
 
     def test_teardown_of_unknown_session_is_zero(self, small_service):
         _registry, coordinator, *_ = build_rig(small_service)

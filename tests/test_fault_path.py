@@ -6,11 +6,11 @@ establishment protocol through the seams a fault changes (delivery,
 dispatch, re-planning).  These tests pin what that protocol records
 under every fault kind -- the causal event stream, the span records,
 the run's results and its fault statistics -- as sha256 digests, for
-both simulation drivers (no latency: the synchronous driver; latency:
-the DES driver), a monitored run that renegotiates under faults, and a
-synchronous schedule over §3's distributed placement (ComponentHost
-proxies pricing their own fragments).  A change that alters any
-record, a retry's timing or a decision fails here.
+the simulation (whose sessions wait out every backoff and message
+delay on the DES clock), a monitored run that renegotiates under faults,
+and a synchronous schedule over §3's distributed placement
+(ComponentHost proxies pricing their own fragments).  A change that
+alters any record, a retry's timing or a decision fails here.
 """
 
 import hashlib
@@ -37,33 +37,30 @@ EVERY_FAULT = FaultConfig(
     stale_rate=0.1,
 )
 
-#: sha256 digests of each run's records (see ``_digests``), computed
-#: while the fault boundary still kept its own copy of the three phases.
-#: ``events`` and ``spans`` (and the monitored run's ``results``, whose
-#: monitor stats count the events seen) were re-derived from those runs'
-#: records with the event kinds and span names phases 2 and 3 no longer
-#: record removed and seq and index renumbered.
+#: sha256 digests of each run's records (see ``_digests``).  The
+#: ``distributed`` digests were computed while the fault boundary still
+#: kept its own copy of the three phases; their ``events`` and ``spans``
+#: were re-derived from that run's records with the event kinds and span
+#: names phases 2 and 3 no longer record removed and seq and index
+#: renumbered.  The ``sync`` and
+#: ``monitored`` digests were computed when every simulated session began
+#: to run on the DES clock, so a retry's backoff and a message's delay
+#: became simulated time; before, these runs took the synchronous driver
+#: (after which ``sync`` is named), which let every delay pass at once.
 PINNED = {
     "sync": {
-        "counters": "4f08dccae0163393e1f9de067ab1f97f1ad04a3c14355d454df85ec06594a3b4",
-        "events": "e9e82c0ad60560b9d2726db2441f3b3123af16f3fa3069c721b82367588ee817",
-        "fault_stats": "d0754e927776cc2c815ce9b80970716f2cd124dc2d625bfb1c59f2edbff34426",
-        "results": "d83cd812458b592c981a34934bba565a83208e3d1c6d3f24498a299deae2ba10",
-        "spans": "6ab9bf9ce0fe704ded2ec6830d8c6e096f3812fbb21380720c8cb6ec5334d175",
-    },
-    "des": {
-        "counters": "bd344f306f01ee3babfa91d30740b0da3504ef2f6426408151462d477880e3fe",
-        "events": "1ea0c2311129c2fec4ef7537fcf95196967da23de294770bf66d90dadd3df43e",
-        "fault_stats": "fc600c4331fa9a20c085dc9d6cafc8eb372a404f09391405fcb5013df1242dce",
-        "results": "8d6694c75fc56a9fadef74f22386f162bcf03157d75c359779ac091b7e01acf9",
-        "spans": "f2e4afee3b5210d9bd7f56e24360bd42ed3ae3172c6c3fa002f2a961f809a3d6",
+        "counters": "769fffdd25f2bd4ffd794d40dd58b9c715ad4fea9125139d2c7d7e84569801db",
+        "events": "60bfd86410a6149d4f42c628c4ce6b3d1bf08bcf030e12c8336580ecac327751",
+        "fault_stats": "c955506da15929bb205ed5cd45b16957c8d2e655b296f0512851aacadbdfc199",
+        "results": "7e9bb7b11369e466cac31ccfe7d96f2cc9d04801ed9a6011384ab3c181169c29",
+        "spans": "a0513075963926e8f1bac30fddae3f7cef5515dced24f480c11dbb5a6b481957",
     },
     "monitored": {
-        "counters": "369cf7ed4ea49d10d01eeaf9567864574825ffdaf6523060e8c60ea086bd210b",
-        "events": "6a9c6fe5ce906703718a48adee8bc573fc83ba93dd63d96169562ce9b6513bdc",
-        "fault_stats": "8dd72ed0c1b482a94ec6f2c4d7715b6599c83d421f4b860487b14b5357c375a5",
-        "results": "52635c122f8089033fd3e89ebbc5a55de550b0610b3ad2edac8c7c17926c2cbb",
-        "spans": "ea5f6813f7ea84946be6faa3de766c1d0976b1c5403291801284af3a3bf897fd",
+        "counters": "4c621876ef902959f3c4c98f5cf5895250cbae379906033b53a4e4ec6b5c2eba",
+        "events": "d342b8f3656752cb4137fd7d2b089480812406d47160f1d37fb28e1f8a01862f",
+        "fault_stats": "6c4c0bd28ac83317284683c9b649ad8fd632dd0044d1390112aa5bcf83e34f12",
+        "results": "bcc15b8e2df792591c1675adae88038d44da50539fc9bd4d7e4eba1942e649b6",
+        "spans": "0f41883cf59e0f214dd2c5d4f5e11a7e6c1cd1c353607ae47bf6dd6f0dae3255",
     },
     "distributed": {
         "counters": "1f2db8b07d7e01b2be21faf8064fd865fe11a05b4e9740b2ed7bf6853d6f1660",
@@ -182,10 +179,6 @@ def distributed_digests(small_service, small_binding) -> dict:
 
 def test_synchronous_driver_records_what_it_recorded_before():
     assert simulation_digests() == PINNED["sync"]
-
-
-def test_des_driver_records_what_it_recorded_before():
-    assert simulation_digests(latency=0.4) == PINNED["des"]
 
 
 def test_monitored_run_under_faults_records_what_it_recorded_before():

@@ -257,7 +257,7 @@ def test_distributed_orphan_is_reaped_on_time_under_the_des_driver(
 
     def session():
         result = yield from coordinator.establish_process(
-            env, 0.4, "d1", "small", small_binding, BasicPlanner()
+            env, "d1", "small", small_binding, BasicPlanner()
         )
         assert result.success
         orphans.extend(coordinator.pending_leases())

@@ -16,6 +16,8 @@ The three contracts under test:
   leases reaped.
 """
 
+import math
+
 import pytest
 
 from repro.brokers import (
@@ -26,17 +28,19 @@ from repro.brokers import (
 )
 from repro.core import BasicPlanner
 from repro.core.errors import ModelError
+from repro.des import Environment
 from repro.faults import (
     CapacityConservationError,
     FaultConfig,
     FaultInjector,
     FaultPlan,
+    FaultWindow,
     assert_capacity_conserved,
     capacity_conservation,
 )
 from repro.obs import EventLog, ObservabilityConfig, event_logging
 from repro.obs.trace import Tracer, tracing
-from repro.runtime import ModelStore, QoSProxy, ReservationCoordinator
+from repro.runtime import ModelStore, QoSProxy, ReservationCoordinator, ServiceSession
 from repro.runtime.messages import PlanSegment
 from repro.sim import SimulationConfig, WorkloadSpec, run_simulation
 
@@ -131,6 +135,23 @@ class TestFaultConfig:
         ],
     )
     def test_validation(self, bad):
+        with pytest.raises(ModelError):
+            FaultConfig(**bad)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(max_retries=1.5),
+            dict(max_replans=True),
+            dict(lease_ttl=math.nan),
+            dict(lease_ttl=math.inf),
+            dict(crash_duration=math.inf),
+            dict(backoff_base=math.nan),
+            dict(crash_rate=math.inf),
+            dict(backoff_jitter=math.nan),
+        ],
+    )
+    def test_non_finite_numbers_and_non_int_counts_are_refused(self, bad):
         with pytest.raises(ModelError):
             FaultConfig(**bad)
 
@@ -281,14 +302,13 @@ class TestZeroFaultIdentity:
         assert zero.fault_stats == {"orphans_reaped": 0}
 
     def test_des_driver_records_identical(self):
-        # Under protocol latency both coordinators run establish_process,
-        # which drives the one protocol generator: a zero plan yields no
-        # delay, so the DES interleaving and every record are the same.
+        # Every simulated session runs establish_process, which drives
+        # the one protocol generator on the DES clock: a zero plan yields
+        # no delay, so the interleaving and every record are the same.
         def records(**faults):
             result = run_simulation(
                 SimulationConfig(
                     seed=11,
-                    latency=0.4,
                     workload=WorkloadSpec(rate_per_60tu=100.0, horizon=150.0),
                     observability=ObservabilityConfig(),
                     **faults,
@@ -309,6 +329,73 @@ class TestZeroFaultIdentity:
 
 
 # -- faulty full simulations -----------------------------------------------
+
+
+class LateReports(FaultInjector):
+    """The plan's outage windows, no random fault, and every phase-1
+    report arriving ``delay`` TU late."""
+
+    def __init__(self, plan, delay, *, clock):
+        super().__init__(plan, clock=clock)
+        self.delay = delay
+
+    def message_delay(self, channel, host, session):
+        return self.delay if channel == "availability" else 0.0
+
+
+class TestSimulatedTime:
+    """Every simulated session runs the protocol on the DES clock."""
+
+    def test_a_session_backs_off_past_a_crash_window(self, small_service, small_binding):
+        # Phase 1's two reports arrive at t = 2; H1 is down in [1.5, 2.2),
+        # so the first reserve to H1 is lost, and its retry after a
+        # 0.25 TU backoff lands once the window has passed.
+        env = Environment()
+        plan = FaultPlan(
+            config=FaultConfig(backoff_jitter=0.0),
+            seed=1,
+            horizon=10.0,
+            hosts=("H1", "H2"),
+            windows=(FaultWindow("broker_crash", "H1", start=1.5, duration=0.7),),
+        )
+        injector = LateReports(plan, 1.0, clock=lambda: env.now)
+        registry, coordinator, proxies = build_ft_rig(small_service, injector, env)
+        session = ServiceSession(
+            env, coordinator, "s1", "small", small_binding, BasicPlanner(),
+            duration=10.0,
+        )
+        process = env.process(session.run())
+        log = EventLog()
+        with event_logging(log):
+            env.run()
+        outcome = process.value
+        assert outcome.success
+        assert outcome.ended_at == 2.25 + 10.0
+        assert [(event.time, event.attributes["host"]) for event in log
+                if event.kind == "segment.timeout"] == [(2.0, "H1")]
+        assert injector.injected_counts() == {"broker_crash": 1}
+        assert_capacity_conserved(registry, proxies)
+        registry.assert_quiescent()
+
+    def test_suspended_sessions_nest_no_establish_span(self):
+        def spans(**changes):
+            result = run_simulation(
+                faulty_config(
+                    algorithm="tradeoff",
+                    seed=7,
+                    workload=WorkloadSpec(rate_per_60tu=120.0, horizon=200.0),
+                    observability=ObservabilityConfig(),
+                    **changes,
+                )
+            )
+            return result.observation.tracer.records
+
+        faulty = spans()
+        establish = [record for record in faulty if record.name == "establish"]
+        assert establish
+        assert [record for record in establish if record.parent_index is not None] == []
+        fault_free = spans(faults=None)
+        assert max(r.depth for r in faulty) == max(r.depth for r in fault_free)
 
 
 class TestFaultySimulation:

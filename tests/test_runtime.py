@@ -187,21 +187,6 @@ class TestServiceSession:
         assert not outcomes[0].success
         assert outcomes[0].reason == "no_feasible_plan"
 
-    def test_latency_mode_defers_establishment(self, rig, small_binding):
-        env, registry, coordinator, *_rest, cpu, link = rig
-        session = ServiceSession(
-            env, coordinator, "s1", "small", small_binding, BasicPlanner(),
-            duration=10.0, latency=2.0,
-        )
-        process = env.process(session.run())
-        env.run(until=1.0)
-        assert cpu.available == 100.0  # not reserved yet
-        env.run()
-        outcome = process.value
-        assert outcome.success
-        assert outcome.ended_at == 12.0  # latency + duration
-        registry.assert_quiescent()
-
     def test_duration_must_be_positive(self, rig, small_binding):
         env, _registry, coordinator, *_ = rig
         with pytest.raises(Exception):

@@ -9,9 +9,11 @@ the same seeded workload.
 
 import asyncio
 import json
+import math
 
 import pytest
 
+from repro.cluster import cli as cluster_cli
 from repro.core.errors import ModelError
 from repro.des.rng import RandomStreams
 from repro.service import (
@@ -21,6 +23,7 @@ from repro.service import (
     ServiceClient,
     ServiceClientError,
 )
+from repro.service import cli as serve_cli
 from repro.service.loadgen import LoadGenConfig, arrival_payload, run_load
 from repro.sim.workload import WorkloadGenerator, WorkloadSpec
 
@@ -225,6 +228,39 @@ def test_a_default_daemon_is_shard_zero_of_one():
 def test_a_negative_drain_timeout_is_refused():
     with pytest.raises(ModelError):
         DaemonConfig(drain_timeout=-1)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        dict(lease_ttl=math.nan),
+        dict(lease_ttl=math.inf),
+        dict(drain_timeout=math.nan),
+        dict(drain_timeout=math.inf),
+        dict(capacity_range=(1000.0, math.inf)),
+        dict(shard_count=2.0),
+        dict(shard_index=True, shard_count=2),
+    ],
+)
+def test_non_finite_numbers_and_non_int_counts_are_refused(bad):
+    with pytest.raises(ModelError):
+        DaemonConfig(**bad)
+
+
+@pytest.mark.parametrize(
+    "build_config, argv",
+    [
+        (serve_cli.build_config, ["--shard-index", "3"]),
+        (serve_cli.build_config, ["--lease-ttl", "nan"]),
+        (cluster_cli.build_config, ["--shard", "127.0.0.1:1", "--capacity-max", "inf"]),
+    ],
+)
+def test_the_clis_report_a_bad_config_as_a_usage_error(build_config, argv, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        build_config(argv)
+    assert exit_.value.code == 2
+    error = capsys.readouterr().err.splitlines()[-1]
+    assert error.startswith(("repro-serve: error: ", "repro-cluster: error: "))
 
 
 # ---------------------------------------------------------------------------
