@@ -9,8 +9,9 @@ the same seeded open-loop workload through the router in both shapes:
   folded reserve on the one shard, so this measures the protocol at one
   shard: the router's planning and the extra network hop;
 * **three shards** -- every admission plans against a merged
-  availability snapshot and commits two-phase across the involved
-  shards, so this measures the full cross-shard protocol.
+  availability snapshot and commits across the involved shards in one
+  round of reserves that carry their commits, so this measures the full
+  cross-shard protocol.
 
 Both shapes' throughput and latency percentiles are recorded; the
 seeded session count is asserted exactly.  The wall ratio documents

@@ -4,8 +4,8 @@ Partitions the single-environment broker directory into shard-owned
 registries (:mod:`repro.cluster.shardmap`), runs each shard behind its
 own reservation daemon, and routes admissions through a cluster
 coordinator that plans against a merged availability snapshot and
-executes cross-shard reservations with two-phase reserve/commit
-(:mod:`repro.cluster.router`), whose every decision on a shard's answer
+executes cross-shard reservations in one round of reserves that carry
+their commits (:mod:`repro.cluster.router`), whose every decision on a shard's answer
 is made by the sans-I/O protocol core (:mod:`repro.cluster.protocol`).
 ``repro-cluster``
 (:mod:`repro.cluster.cli`) serves the router over the same wire

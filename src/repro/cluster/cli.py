@@ -3,8 +3,9 @@
 Boots a :class:`~repro.cluster.router.ClusterDaemon` fronting one shard
 daemon per ``--shard host:port`` flag.  The router plans each admission
 against a merged availability snapshot from the involved shards and
-executes it as a two-phase reserve/commit, so a shard dying mid-round
-never loses or double-grants capacity.  It runs that one path at every
+executes it as one round of reserves that carry their commits, torn
+down if any shard refuses, so a shard dying mid-round never loses or
+double-grants capacity.  It runs that one path at every
 shard count; with a single ``--shard`` an establish or teardown still
 answers what the daemon itself would.
 

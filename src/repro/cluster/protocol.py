@@ -6,11 +6,9 @@ and the order of a reserve, commit, abort and teardown.
 list, the teardown debts and one generation per shard -- and the three
 operations on it decide every consequence of every shard answer:
 
-* :class:`Admission` -- the plain reserves, one at a time in shard
-  order; the last shard's reserve, which carries its commit (the fold);
-  then the earlier shards' commits, one at a time.  A failure ends the
-  chain with one round that aborts the held leases and tears the
-  committed slices down.
+* :class:`Admission` -- one round of reserves, one per involved shard,
+  each carrying its commit (the fold).  If any fails, one round tears
+  the committed slices down.
 * :class:`Teardown` -- one round: the session's shards, or every shard
   for a session the router does not know.
 * :class:`Flush` -- the anti-entropy pass: one round per owed session,
@@ -50,19 +48,13 @@ _RECORD_FIELDS = ("service", "domain", "demand_scale", "duration", "level")
 
 
 class Exchange(NamedTuple):
-    """One request to one shard.
-
-    ``kind`` is ``reserve``, ``commit``, ``abort`` or ``teardown``.  A
-    reserve or a teardown carries the shard's ``generation``; a commit or
-    an abort names its ``lease``; a ``folded`` reserve carries the commit.
-    """
+    """One request to one shard: a ``reserve``, which carries its commit,
+    or a ``teardown``, each with the shard's ``generation``."""
 
     kind: str
     shard: int
     session: str
-    generation: Optional[int] = None
-    lease: Optional[str] = None
-    folded: bool = False
+    generation: int
 
 
 class ShardCore:
@@ -178,8 +170,8 @@ class _Operation:
             self.released += value or 0
             if failure == UNKNOWN:
                 self.owed += (exchange.shard,)
-        elif exchange.kind != "abort":
-            self.round += self._read(exchange, value, failure)
+        else:
+            self._read(exchange, value, failure)
         if not self.round:
             self.round = self._next()
 
@@ -187,61 +179,44 @@ class _Operation:
 class Admission(_Operation):
     """One session's admission on the shards in ``order``.
 
-    Over, it has ``reason`` None and the session recorded with
-    ``record``'s fields (a dict, or pairs), or the ``reason`` and
-    ``failed_resource`` of its refusal and every shard that may hold the
-    session owed a teardown.
+    Over, it has ``refusal`` None and the session recorded with
+    ``record``'s fields (a dict, or pairs), or ``refusal`` the ``(shard,
+    reason, failed_resource)`` of the first failing shard in shard order
+    and every shard that may hold the session owed a teardown.
     """
 
-    __slots__ = ("order", "record", "commits", "committed", "reason", "failed_resource")
+    __slots__ = ("order", "record", "committed", "refusal")
 
     def __init__(self, core: RouterCore, session: str, order: Sequence[int], record) -> None:
         self.core, self.session, self.order, self.record = core, session, tuple(order), record
-        self.released, self.owed, self.commits, self.committed = 0, (), (), ()
-        self.reason = self.failed_resource = None
-        self.round = self._reserve(self.order[0])
+        self.released, self.owed, self.committed, self.refusal = 0, (), (), None
+        #: Every reserve carries its commit, so they go out in one round.
+        self.round = tuple(
+            Exchange("reserve", shard, session, core.generations[shard]) for shard in self.order
+        )
 
-    def _reserve(self, shard: int) -> Tuple[Exchange, ...]:
-        generation, folded = self.core.generations[shard], shard == self.order[-1]
-        return (Exchange("reserve", shard, self.session, generation, folded=folded),)
-
-    def _read(self, exchange: Exchange, value, failure: Optional[str]) -> Tuple[Exchange, ...]:
-        """A reserve or a commit answered: the exchanges that follow it."""
-        shard, commits = exchange.shard, self.commits
-        if exchange.kind == "reserve" and failure is None:
-            lease, self.failed_resource = value
-            if lease is None:
-                failure = "admission_failed"
-        if failure is None and exchange.kind == "reserve" and not exchange.folded:
-            # A plain lease held: its commit waits for the folded reserve.
-            self.commits += (Exchange("commit", shard, self.session, lease=lease),)
-            return self._reserve(self.order[len(self.commits)])
+    def _read(self, exchange: Exchange, value, failure: Optional[str]) -> None:
+        """A reserve answered: its slice committed, or a refusal kept."""
+        shard, failed_resource = exchange.shard, None
         if failure is None:
-            # The folded reserve or a plain commit held: the next commit.
-            self.committed += (shard,)
-            return commits[len(self.committed) - 1:len(self.committed)]
-        if exchange.kind == "reserve":
-            # An unknown plain reserve may hold a lease no abort can name:
-            # the shard's TTL reaper frees it.  An unknown folded reserve
-            # may have committed, which only a teardown undoes.
-            self.reason = failure
-            if failure == UNKNOWN and exchange.folded:
-                self.owed = (shard,)
-        else:
-            # A shard that refused its commit committed nothing: its lease
-            # is aborted with the later ones.  An unanswered one may have
-            # committed, which no abort undoes, and may be silent: it is
-            # sent no abort and owed a teardown, and a lease it never
-            # committed is its TTL reaper's.
-            self.reason = UNKNOWN
-            if failure == UNKNOWN:
-                self.owed = (shard,)
-            commits = commits[len(self.committed) - 1 + (failure == UNKNOWN):]
-        aborts = tuple(commit._replace(kind="abort") for commit in commits)
-        return aborts + self.core.teardown_round(self.session, self.committed)
+            lease, failed_resource = value
+            if lease is not None:
+                self.committed += (shard,)
+                return
+            failure = "admission_failed"
+        elif failure == UNKNOWN:
+            # An unknown reserve may have committed, which only a teardown
+            # undoes; its shard may be silent, so it is owed one.
+            self.owed += (shard,)
+        if self.refusal is None or shard < self.refusal[0]:
+            self.refusal = (shard, failure, failed_resource)
 
     def _next(self) -> Tuple[Exchange, ...]:
-        if self.reason is None:
+        if self.refusal is not None and self.committed:
+            # A refused round: tear its committed slices down, at once.
+            committed, self.committed = self.committed, ()
+            return self.core.teardown_round(self.session, committed)
+        if self.refusal is None:
             self.core.sessions[self.session] = dict(self.record, shards=list(self.order))
         self.core.owe(self.session, self.owed)
         return ()

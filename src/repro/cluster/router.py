@@ -1,4 +1,4 @@
-"""The cluster router: cross-shard admission over two-phase reserve/commit.
+"""The cluster router: cross-shard admission in one round of reserves.
 
 :class:`ClusterCoordinator` fronts N shard daemons, each serving the
 slice of the grid its :class:`~repro.cluster.shardmap.ShardMap` index
@@ -14,16 +14,14 @@ agree without a directory service).  An establishment becomes:
 2. **local plan** -- the paper's phase 2 runs once, in the router,
    against the merged snapshot
    (:meth:`~repro.runtime.coordinator.ReservationCoordinator.plan_session`).
-3. **two-phase commit** -- the plan's demand is split by owning shard;
-   each shard holds its slice on a TTL lease (``/v1/reserve``), in
-   shard order.  The last shard's reserve carries the commit (the fold):
-   that shard holds and commits in one exchange, so a one-shard plan is
-   a single exchange.  Only then does the router ``/v1/commit`` the
-   earlier shards' leases.  Any failure aborts the held leases and tears
-   down the committed slices; a shard that dies mid-round leaves only
-   TTL leases behind, which its reaper releases -- no lost and no
-   double-granted capacity, the :mod:`repro.runtime.leases` contract
-   stretched across processes.
+3. **reserve** -- the plan's demand is split by owning shard, and every
+   involved shard gets one ``/v1/reserve`` that carries the commit (the
+   fold): it holds and commits its slice in one exchange.  The reserves
+   go out in one round.  If any shard refuses, or its outcome is
+   unknown, one more round tears the committed slices down; a shard
+   whose reserve went unanswered may have committed, and is owed a
+   teardown that the anti-entropy pass settles -- no lost and no
+   double-granted capacity.
 
 The router runs this one path at every shard count: a one-shard
 admission is an availability round and a folded reserve, and its
@@ -48,9 +46,8 @@ applied nothing (``shard_draining``, ``shard_error``), or unknown
 shape -- the shard may have applied the call).  What follows each
 outcome is decided in one place as well, the sans-I/O core
 :mod:`repro.cluster.protocol`, which holds the sessions, the teardown
-debts and the per-shard generations: an unknown reserve is left to the
-shard's TTL reaper, an unknown folded reserve, commit or teardown becomes
-a teardown debt, and every unknown outcome bumps that shard's
+debts and the per-shard generations: an unknown reserve or teardown
+becomes a teardown debt, and every unknown outcome bumps that shard's
 *generation*.  :class:`ClusterCoordinator` is the core's driver: it
 builds each exchange's payload, sends the core's ready round, and
 delivers the outcomes back.  An unknown availability reply zero-fills
@@ -58,7 +55,7 @@ that shard's resources.
 
 The router sends the generation on reserves and teardowns; a shard
 refuses a reserve whose generation is below the highest it has seen.
-The debt's teardown carries the bumped generation, so a folded reserve
+The debt's teardown carries the bumped generation, so a reserve
 still in flight when the teardown settles the debt (a 404: the shard
 held nothing yet) is refused when it lands, instead of committing a
 session no router owns.  The generations start at the router's boot
@@ -200,12 +197,6 @@ class _ShardClient:
     def reserve(self, payload: dict):
         return self._call("POST", "/v1/reserve", payload)
 
-    def commit(self, payload: dict):
-        return self._call("POST", "/v1/commit", payload)
-
-    def abort(self, payload: dict):
-        return self._call("POST", "/v1/abort", payload)
-
     def teardown(self, payload: dict):
         return self._call("POST", "/v1/teardown", payload)
 
@@ -322,7 +313,7 @@ def _export_order(reason_and_counter) -> str:
 
 
 def _read_object(document) -> dict:
-    """A JSON object: all the router reads off a commit, abort or query."""
+    """A JSON object: the shape of every reply the router reads."""
     if not isinstance(document, dict):
         raise TypeError(f"expected a JSON object, got {type(document).__name__}")
     return document
@@ -346,29 +337,19 @@ def _read_availability(wanted, document) -> Dict[str, ResourceObservation]:
     return observations
 
 
-def _read_reserve(document) -> Tuple[Optional[str], Optional[str]]:
-    """``/v1/reserve``: ``(lease_id, None)``, or ``(None, failed_resource)``."""
-    if _read_object(document).get("reserved"):
-        return document["lease_id"], None
-    return None, document.get("failed_resource")
-
-
 def _read_folded(document) -> Tuple[Optional[str], Optional[str]]:
-    """A ``/v1/reserve`` that carried the commit: a hold must say committed."""
-    lease_id, failed_resource = _read_reserve(document)
-    if lease_id is not None and document.get("committed") is not True:
-        raise ValueError("a folded reserve held without committing")
-    return lease_id, failed_resource
+    """``/v1/reserve``, which carried the commit: ``(lease_id, None)`` for
+    a hold, which must say committed, or ``(None, failed_resource)``."""
+    if not _read_object(document).get("reserved"):
+        return None, document.get("failed_resource")
+    if document.get("committed") is not True:
+        raise ValueError("a reserve held without committing")
+    return document["lease_id"], None
 
 
 def _read_released(document) -> int:
     """``/v1/teardown``: the amount the shard released."""
     return int(_read_object(document).get("released", 0))
-
-
-#: How an exchange's reply reads, by kind (a commit's or an abort's is an
-#: object); a folded reserve's reads with :func:`_read_folded`.
-_READERS = {"reserve": _read_reserve, "teardown": _read_released}
 
 
 class ClusterCoordinator(RouterCore):
@@ -570,7 +551,7 @@ class ClusterCoordinator(RouterCore):
             per_shard: Dict[int, Dict[str, float]] = {}
             for rid in sorted(plan.demand):
                 per_shard.setdefault(shard_for[rid], {})[rid] = plan.demand[rid]
-            result = await self._two_phase_commit(arrival, plan, per_shard)
+            result = await self._admit(arrival, plan, per_shard)
             span.set(outcome=result.reason or "established")
             return result
 
@@ -608,7 +589,7 @@ class ClusterCoordinator(RouterCore):
             observations.setdefault(rid, _UNSEEN)
         return AvailabilitySnapshot(observations)
 
-    async def _two_phase_commit(self, arrival, plan, per_shard) -> EstablishmentResult:
+    async def _admit(self, arrival, plan, per_shard) -> EstablishmentResult:
         """Admit ``arrival`` (a :class:`~repro.sim.workload.SessionArrival`)
         with ``plan``'s level, ``per_shard`` holding its demands by shard
         index: the core's :class:`~repro.cluster.protocol.Admission`."""
@@ -618,10 +599,9 @@ class ClusterCoordinator(RouterCore):
         meta = dict(record, demand_scale=arrival.demand_scale, duration=arrival.duration)
         admission = Admission(self, session_id, sorted(per_shard), record)
         await self._drive(admission, per_shard, meta)
-        if admission.reason is None:
+        if admission.refusal is None:
             return EstablishmentResult(session_id, True, plan)
-        refused = admission.reason, admission.failed_resource
-        return EstablishmentResult(session_id, False, None, *refused)
+        return EstablishmentResult(session_id, False, None, *admission.refusal[1:])
 
     async def _drive(self, operation, demands=None, meta=None):
         """Run a :mod:`~repro.cluster.protocol` operation to its end; return it.
@@ -641,21 +621,14 @@ class ClusterCoordinator(RouterCore):
         """Write one exchange, its payload built: ``(shard, reply, read)``.
 
         ``demands`` are an admission's by shard, and ``meta`` the session
-        record its commits carry.
+        record each of its reserves carries as ``commit``.
         """
-        kind, shard = exchange.kind, exchange.shard
-        if kind in ("commit", "abort"):
-            payload = {"lease_id": exchange.lease}
-        else:
-            payload = {"session_id": exchange.session, "generation": exchange.generation}
-        if kind == "reserve":
-            payload["demands"] = demands[shard]
-        if kind == "commit" or exchange.folded:
-            # The session record rides on a commit as ``session``, and on
-            # the folded reserve, which carries the commit, as ``commit``.
-            payload["session" if kind == "commit" else "commit"] = meta
-        read = _read_folded if exchange.folded else _READERS.get(kind, _read_object)
-        return shard, getattr(self.shards[shard], kind)(payload), read
+        shard = exchange.shard
+        payload = {"session_id": exchange.session, "generation": exchange.generation}
+        if exchange.kind == "teardown":
+            return shard, self.shards[shard].teardown(payload), _read_released
+        payload["demands"], payload["commit"] = demands[shard], meta
+        return shard, self.shards[shard].reserve(payload), _read_folded
 
     def _count(self, success: bool, reason: Optional[str]) -> None:
         """The one admission verdict counter."""
@@ -714,10 +687,10 @@ class ClusterCoordinator(RouterCore):
 
         A healed partition leaves the shard still holding capacity for
         sessions the router already tore down everywhere else, and a
-        lost commit reply can leave it holding a session the router
+        lost reserve reply can leave it holding a session the router
         never admitted; this anti-entropy pass releases them.  A shard
         that holds nothing (it crashed and restarted, or the lost
-        commit never applied) answers 404, which settles the debt too.
+        reserve never applied) answers 404, which settles the debt too.
         Returns the amount released; shards still unreachable keep
         their entry for the next pass.
         """

@@ -14,10 +14,10 @@ behind an admission API and owns the one transport-free route table
 ``POST /v1/establish_batch`` N arrivals against one availability snapshot
 ``POST /v1/renegotiate``     §5 re-planning of a live session
 ``POST /v1/teardown``        release everything a session holds
-``POST /v1/reserve``         cross-shard 2PC: hold demands on a TTL lease, or
-                             hold and commit them in one call (``commit``)
-``POST /v1/commit``          cross-shard 2PC: make a lease permanent
-``POST /v1/abort``           cross-shard 2PC: release a lease
+``POST /v1/reserve``         hold demands on a TTL lease, or hold and commit
+                             them in one call (``commit``: all a router sends)
+``POST /v1/commit``          make a held lease permanent
+``POST /v1/abort``           release a held lease
 ``GET  /v1/query``           daemon + session + utilization state, or with
                              ``?view=shard`` only what a cluster router reads
 ``GET  /v1/availability``    observed availability of the owned slice, or of
@@ -117,8 +117,9 @@ def decode_arrival(payload: object, session_ids) -> SessionArrival:
 
     The one arrival decoder of the daemon and the cluster router.
     ``session_ids`` is the caller's counter the id of an arrival that
-    names none is drawn from.  Anything malformed -- a non-object, a
-    missing field, a non-numeric or non-finite number -- is a 400
+    names none (no ``session_id``, null or ``""``) is drawn from.
+    Anything malformed -- a non-object, a missing field, a ``session_id``
+    that is no string, a non-numeric or non-finite number -- is a 400
     :class:`ServiceError`, never an unhandled exception.
     """
     if not isinstance(payload, dict):
@@ -128,7 +129,10 @@ def decode_arrival(payload: object, session_ids) -> SessionArrival:
         domain = str(payload["domain"])
     except KeyError as exc:
         raise ServiceError(f"missing required field {exc.args[0]!r}") from exc
-    session_id = str(payload.get("session_id") or f"svc-{next(session_ids)}")
+    session_id = payload.get("session_id")
+    if session_id is not None and not isinstance(session_id, str):
+        raise ServiceError(f"session_id must be a string, got {session_id!r}")
+    session_id = session_id or f"svc-{next(session_ids)}"
     numbers = {"demand_scale": 1.0, "duration": 1.0, "arrival_time": 0.0}
     for name, default in numbers.items():
         try:
@@ -554,17 +558,17 @@ class ReservationService:
             )
 
     def reserve(self, payload: dict) -> dict:
-        """Phase one of a cross-shard admission: hold capacity on a lease.
+        """Hold capacity on a lease, committed too when ``commit`` is given.
 
         Applies the demanded amounts through this shard's owning proxies
         atomically (all or nothing) and parks them on a TTL lease.  The
-        router commits or aborts the lease; a router that dies first is
+        client commits or aborts the lease; a client that dies first is
         covered by the reaper, which releases expired leases -- the
-        PR 4 orphan-reaping contract applied across processes.
+        orphan-reaping contract applied across processes.
 
         A reserve that carries ``commit`` (the session record a
-        ``/v1/commit`` would carry) is the router's last exchange of the
-        round, and commits the lease it holds before answering.  A
+        ``/v1/commit`` would carry) commits the lease it holds before
+        answering; it is the only reserve a cluster router sends.  A
         reserve whose ``generation`` is below the fence is refused with
         a 409 before anything is held: the router gave up on an exchange
         with this shard since it sent it, and may already have settled

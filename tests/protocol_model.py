@@ -1,9 +1,10 @@
-"""An explicit-state model of the cluster's lease / two-phase-commit protocol.
+"""An explicit-state model of the cluster's admission protocol.
 
-The router admits a session across shards by holding a lease on every
-involved shard and committing them; a failure aborts the held leases,
-tears the committed slices down, and books a *teardown debt* for every
-shard whose outcome it cannot know, which the anti-entropy pass settles.
+The router admits a session across shards with one round of reserves,
+each of which commits its shard's slice (the fold); a failure tears the
+committed slices down in one more round, and books a *teardown debt*
+for every shard whose outcome it cannot know, which the anti-entropy
+pass settles.
 Both halves of that protocol are :mod:`repro.cluster.protocol`: the
 router core :class:`~repro.cluster.router.ClusterCoordinator` drives
 over the wire, and the shard core each daemon serves.  This module holds
@@ -15,25 +16,25 @@ breadth-first, hashing states, for bounded instances: one router,
 and at most ``faults`` faults.  Two variants:
 
 ``fold_fenced``
-    the protocol that ships: the last shard's reserve carries its commit
-    (the fold), and a shard refuses a reserve whose generation is below
-    the highest it has seen (the fence).
+    the protocol that ships: every reserve carries its commit (the
+    fold), and a shard refuses a reserve whose generation is below the
+    highest it has seen (the fence).
 ``fold_unfenced``
     the same cores, but the shards' fence test never refuses.
 
 Every session involves every shard, in index order.  A router exchange
-is one atomic step, and the exchanges of one round (the aborts and
-teardowns sent at once) are delivered in any order.  The model chooses
-each one's outcome: answered, or one of the faults -- *reply lost* (the
-shard applied the request; the router reads an unknown outcome), *late*
-(the request is still in flight when the router gives up: unknown, and
-it lands at any later point), *lost before the shard* (it never arrives:
-unknown, the shard unchanged), *reserve refused* (a reserve answered
-with a refusal, nothing applied) -- and *shard restart* (the shard
-forgets its leases, sessions and fence, and the requests in flight to it
-die with their connections) may happen at any point.  A lease may expire
-at any point (its TTL is shorter than the router's exchange bound),
-which costs no fault.
+is one atomic step, and the exchanges of one round (an admission's
+reserves, a round of teardowns) are delivered in any order.  The model
+chooses each one's outcome: answered, or one of the faults -- *reply
+lost* (the shard applied the request; the router reads an unknown
+outcome), *late* (the request is still in flight when the router gives
+up: unknown, and it lands at any later point), *lost before the shard*
+(it never arrives: unknown, the shard unchanged), *reserve refused* (a
+reserve answered with a refusal, nothing applied) -- and *shard restart*
+(the shard forgets its leases, sessions and fence, and the requests in
+flight to it die with their connections) may happen at any point.  Every
+reserve commits as it holds, so no shard ever holds a lease its reaper
+could expire.
 
 Properties (Coti, Evangelista & Klai's, for this protocol):
 
@@ -149,8 +150,7 @@ Unit = NamedTuple("Unit", [("session_id", str), ("kind", str)])
 class _Book:
     """A shard's capacity: a fake of the daemon's lease table and teardown.
 
-    A lease's id is its session's; a refused hold raises, as the
-    table's does.
+    A refused hold raises, as the table's does.
     """
 
     def __init__(self, free: int, held: tuple) -> None:
@@ -163,23 +163,12 @@ class _Book:
         self.free, self.held = self.free - 1, tuple(sorted(self.held + (lease,)))
         return lease
 
-    def get(self, lease_id):
-        return Unit(lease_id, LEASE) if (lease_id, LEASE) in self.held else None
-
     def commit(self, lease) -> None:
-        # Given a lease that is gone, this writes a unit from nothing:
-        # the core commits only a live one.
         rest = tuple(unit for unit in self.held if unit != lease)
         self.held = tuple(sorted(rest + (lease._replace(kind=COMMITTED),)))
 
-    def release(self, lease) -> int:
-        return self._free(lambda unit: unit == lease)
-
     def teardown(self, session) -> int:
-        return self._free(lambda unit: unit[0] == session)
-
-    def _free(self, drop) -> int:
-        rest = tuple(unit for unit in self.held if not drop(unit))
+        rest = tuple(unit for unit in self.held if unit[0] != session)
         released = len(self.held) - len(rest)
         self.free, self.held = self.free + released, rest
         return released
@@ -194,20 +183,17 @@ class _UnfencedShard(ShardCore):
 
 def _serve(shard, exchange, shard_class):
     """``(shard, answered)``: ``shard`` after a ``shard_class`` core of its
-    state and its book serve ``exchange`` (a lease's id is its session's)."""
+    state and its book serve ``exchange``."""
     free, held, (fence, sessions), in_flight = shard
     book = _Book(free, held)
     shard_core = shard_class(book, book.teardown)
     shard_core.fence, shard_core.sessions = fence, dict.fromkeys(sessions, {})
-    kind, session = exchange.kind, exchange.session
+    session, generation = exchange.session, exchange.generation
     try:
-        if kind == "reserve":
-            record = {} if exchange.folded else None
-            reply = shard_core.reserve(session, exchange.generation, None, record)
-        elif kind == "teardown":
-            reply = shard_core.teardown(session, exchange.generation)
+        if exchange.kind == "reserve":
+            reply = shard_core.reserve(session, generation, None, {})
         else:
-            reply = getattr(shard_core, kind)(exchange.lease)
+            reply = shard_core.teardown(session, generation)
     except AdmissionError:
         reply = None
     kept = (shard_core.fence, tuple(sorted(shard_core.sessions)))
@@ -280,7 +266,7 @@ class Model:
                 )
 
     def _environment(self, state) -> Iterator[Tuple[str, tuple]]:
-        """Late deliveries, lease expiries and shard restarts."""
+        """Late deliveries and shard restarts."""
         router, shards = state
         for index, shard in enumerate(shards):
             free, held, kept, in_flight = shard
@@ -292,16 +278,8 @@ class Model:
                 rest = in_flight[:position] + in_flight[position + 1:]
                 landed, _ = _serve((free, held, kept, rest), request, self.shard_class)
                 # Two late requests may differ only in their generation.
-                sent = f"{request.kind} {request.session}@{index}"
-                if request.generation is not None:
-                    sent += f" of generation {request.generation}"
-                yield f"the late {sent} lands", (router, put(landed))
-            for unit in held:
-                if unit[1] == LEASE:
-                    book = _Book(free, held)
-                    book.release(unit)  # the reaper's expiry
-                    expired = (book.free, book.held, kept, in_flight)
-                    yield f"lease {unit[0]}@{index} expires", (router, put(expired))
+                sent = f"{request.kind} {request.session}@{index} of generation"
+                yield f"the late {sent} {request.generation} lands", (router, put(landed))
             if router[3] < self.instance.faults and shard != _FRESH_SHARD:
                 restarted = router[:3] + (router[3] + 1,)
                 yield f"shard {index} restarts", (restarted, put(_FRESH_SHARD))

@@ -1,4 +1,4 @@
-"""The sharded cluster: shard map, 2PC router, reconciliation, identity.
+"""The sharded cluster: shard map, router, reconciliation, identity.
 
 Covers the PR's acceptance properties: the shard map partitions every
 resource exactly once and deterministically, a single-shard cluster
@@ -85,10 +85,9 @@ class FaultyShardClient(LocalShardClient):
     fails: the shard has applied nothing, and ``(path, payload)`` waits
     in ``held`` until :meth:`deliver_held` lands it late.
     ``refuse_next_request`` names a path whose next call the shard
-    refuses with a 404 without applying it, as it does a commit whose
-    lease has expired.  A fault
-    names a path and matches a request target with or without a query
-    string.
+    refuses with a 404 without applying it.  A fault names a path and
+    matches a request target with or without a query string.
+    ``requests`` lists the path of every request sent, in order.
     """
 
     def __init__(self, *args, **kwargs):
@@ -100,6 +99,7 @@ class FaultyShardClient(LocalShardClient):
         self.hold_next_request = None
         self.held = None
         self.refuse_next_request = None
+        self.requests = []
 
     def _check_alive(self):
         if self.crashed:
@@ -110,6 +110,7 @@ class FaultyShardClient(LocalShardClient):
         await asyncio.sleep(0)  # the shard may crash while the request travels
         self._check_alive()
         path = target.partition("?")[0]
+        self.requests.append(path)
         if path == self.hold_next_request:
             self.hold_next_request = None
             self.held = (path, payload)
@@ -626,45 +627,42 @@ def test_repro_cluster_refuses_to_serve_shards_listed_out_of_place():
     ]
 
 
-def test_shard_crash_mid_reserve_strands_only_a_ttl_lease():
+def test_shard_crash_mid_reserve_is_owed_a_teardown():
+    """The first involved shard commits its reserve, then dies before its
+    ack reaches the router (the lost ack).  Its reserve carried the
+    commit, so the router owes it a teardown, and tears the other
+    shard's slice down at once; once the shard is reachable again, the
+    anti-entropy pass frees what it committed."""
+    service_name, domain, involved = _cross_shard_commits(3)[0]
+
     async def scenario():
         shards = make_local_shards(3)
         coordinator = ClusterCoordinator(shards, seed=7)
-        for service_name, domain in VALID_PAIRS:
-            binding = coordinator.grid.binding_for(service_name, domain)
-            involved = sorted(
-                {
-                    coordinator.shard_map.shard_of(rid)
-                    for rid in binding.resource_ids()
-                }
-            )
-            if len(involved) >= 2:
-                break
-        else:
-            pytest.skip("no cross-shard pair in this topology")
-        # The *first* involved shard grants, then dies before its ack
-        # reaches the router (the lost-ack case).
         victim = shards[involved[0]]
         victim.crash_on_next_reserve = True
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "lost"}
         )
         outcome = json.loads(body)
-        assert outcome["success"] is False
-        assert outcome["reason"] == "shard_unreachable"
-        # The dead shard holds the lease the router could not abort --
-        # no capacity is lost for longer than the TTL.
-        assert len(victim.service.leases.pending()) == 1
-        reaped = await victim.reap(now=float("inf"))
-        assert reaped == 1
+        assert (outcome["success"], outcome["reason"]) == (False, "shard_unreachable")
+        assert coordinator.pending_teardowns == {"lost": [victim.index]}
+        assert victim.service.sessions["lost"]["cluster"] is True
+        for shard in shards:
+            assert not shard.service.leases.pending(), shard.label
+            if shard is not victim:
+                assert "lost" not in shard.service.sessions, shard.label
+        assert_tiers_agree(coordinator, shards)
+        # Still down: the debt stays owed.
+        assert await coordinator.flush_pending_teardowns() == 0
+        assert coordinator.pending_teardowns == {"lost": [victim.index]}
+        victim.crashed = False
+        assert await coordinator.flush_pending_teardowns() > 0
+        assert not coordinator.pending_teardowns
         assert_cluster_clean(shards, session_ids=["lost"])
         report = reconcile_shard_events(
             {shard.label: list(shard.log) for shard in shards}
         )
         assert report.ok, report.describe()
-        # The other involved shards never committed anything.
-        for shard in shards:
-            assert shard.service.lease_counters["committed"] == 0
 
     asyncio.run(scenario())
 
@@ -687,19 +685,10 @@ def _cross_shard_commits(shard_count):
 
 
 def _commit_positions(shard_count):
-    """``(service, domain, victim, path)``: every exchange that commits.
-
-    Two positions per cross-shard placement: the last involved shard,
-    whose ``/v1/reserve`` carries the commit (the fold), and each
-    earlier shard's plain ``/v1/commit``.
-    """
+    """``(service, domain, victim)``: every exchange that commits -- each
+    involved shard's ``/v1/reserve``, which carries its commit."""
     return [
-        (
-            service_name,
-            domain,
-            victim,
-            "/v1/reserve" if victim == involved[-1] else "/v1/commit",
-        )
+        (service_name, domain, victim)
         for service_name, domain, involved in _cross_shard_commits(shard_count)
         for victim in involved
     ]
@@ -707,23 +696,22 @@ def _commit_positions(shard_count):
 
 @pytest.mark.parametrize("shard_count", [2, 3])
 def test_a_lost_commit_reply_is_torn_down_by_the_anti_entropy_pass(shard_count):
-    """A shard applies the exchange that commits, stays up, and its reply
-    is lost -- the folded reserve of the last shard or an earlier shard's
-    plain commit.
+    """A shard applies the exchange that commits -- its reserve, which
+    carries the commit -- stays up, and its reply is lost, at every
+    involved shard.
 
-    The commit's outcome is unknown to the router, so an abort cannot
-    undo it: the shard joins the session's teardown debt, and the next
-    anti-entropy pass frees the committed slice.
+    The commit's outcome is unknown to the router: the shard joins the
+    session's teardown debt, and the next anti-entropy pass frees the
+    committed slice.
     """
     cases = _commit_positions(shard_count)
-    assert {victim for _, _, victim, _ in cases} == set(range(shard_count))
-    assert {path for *_, path in cases} == {"/v1/reserve", "/v1/commit"}
+    assert {victim for _, _, victim in cases} == set(range(shard_count))
 
-    async def scenario(service_name, domain, victim_index, path):
+    async def scenario(service_name, domain, victim_index):
         shards = make_local_shards(shard_count)
         coordinator = ClusterCoordinator(shards, seed=7)
         victim = shards[victim_index]
-        victim.lose_next_reply = path
+        victim.lose_next_reply = "/v1/reserve"
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "lost"}
         )
@@ -775,13 +763,13 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
     """The shard committed; its reply does not parse.  Like a lost reply,
     the outcome is unknown: the router books a teardown debt and the
     anti-entropy pass frees the slice, instead of raising out of
-    ``establish`` and leaving the session committed on the shard.  Both
-    positions: the folded reserve and an earlier shard's plain commit."""
+    ``establish`` and leaving the session committed on the shard.  At
+    every involved shard: each one's reserve carries its commit."""
     cases = _commit_positions(shard_count)
 
-    async def scenario(service_name, domain, victim_index, path):
+    async def scenario(service_name, domain, victim_index):
         shards = make_local_shards(shard_count)
-        shards[victim_index].garble_next_reply = (path, b"<html>bad gateway")
+        shards[victim_index].garble_next_reply = ("/v1/reserve", b"<html>bad gateway")
         coordinator = ClusterCoordinator(shards, seed=7)
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "garbled"}
@@ -795,9 +783,9 @@ def test_a_garbled_commit_reply_is_an_unknown_outcome_not_a_leak(shard_count):
         asyncio.run(scenario(*case))
 
 
-def test_a_commit_after_its_sessions_teardown_creates_no_session():
-    """reserve -> teardown -> commit on one shard: the teardown took the
-    lease with it, so the late commit is a 404 and no session appears."""
+def commit_after_teardown():
+    """reserve -> teardown -> commit on one daemon, through its routes:
+    the commit's status, and whether the session then exists."""
     service = ReservationService(DaemonConfig(seed=7))
     status, held = service.handle(
         "POST", "/v1/reserve", {}, {"session_id": "late", "demands": {"cpu:H1": 1.0}}
@@ -806,58 +794,44 @@ def test_a_commit_after_its_sessions_teardown_creates_no_session():
     status, _ = service.handle("POST", "/v1/teardown", {}, {"session_id": "late"})
     assert status == 200
     assert not service.leases.pending()
-    status, document = service.handle(
-        "POST", "/v1/commit", {}, {"lease_id": held["lease_id"]}
-    )
-    assert status == 404, document
-    assert "late" not in service.sessions
-    assert service.query()["active_sessions"] == 0
+    status, _ = service.handle("POST", "/v1/commit", {}, {"lease_id": held["lease_id"]})
     report = capacity_conservation(service.grid.registry, service.grid.proxies)
     assert report.ok, report.describe()
+    exists = "late" in service.sessions or service.query()["active_sessions"] > 0
+    return status, exists
+
+
+def test_a_commit_after_its_sessions_teardown_creates_no_session():
+    """The teardown took the lease with it, so the late commit is a 404
+    and no session appears.  The router sends no plain commit, but the
+    shard's wire API keeps one, and this is its guarantee
+    (``tests/test_protocol_model.py`` patches in a mutant it catches)."""
+    assert commit_after_teardown() == (404, False)
 
 
 def test_a_commit_delivered_after_the_anti_entropy_teardown_is_refused():
-    """The router's commit to an earlier shard is still in flight when the
-    exchange fails; the anti-entropy pass tears the session down there,
-    and the commit that lands afterwards finds no lease to commit.  (The
-    last shard's commit rides on its reserve: the next test.)"""
-    service_name, domain, involved = _cross_shard_commits(2)[0]
-
-    async def scenario(victim_index):
-        shards = make_local_shards(2)
-        coordinator = ClusterCoordinator(shards, seed=7)
-        victim = shards[victim_index]
-        victim.hold_next_request = "/v1/commit"
-        status, body = await coordinator.establish(
-            {"service": service_name, "domain": domain, "session_id": "late"}
+    """The first involved shard's reserve, which carries its commit, is
+    still in flight when the router gives up on it; the other shard's
+    reserve of the same round commits and is torn down.  The anti-entropy
+    pass settles the first shard's debt before the reserve lands, and the
+    fence refuses it.  (The last shard's: the next test.)"""
+    for service_name, domain, involved in _cross_shard_commits(2):
+        status, document = asyncio.run(
+            _phantom_probe(2, service_name, domain, involved[0])
         )
-        assert status == 200
-        assert json.loads(body)["reason"] == "shard_unreachable"
-        assert victim.held is not None
-        assert victim_index in coordinator.pending_teardowns["late"]
-        await coordinator.flush_pending_teardowns()
-        assert not coordinator.pending_teardowns
-        status, document = victim.deliver_held()
-        assert status == 404, document
-        for shard in shards:
-            assert "late" not in shard.service.sessions, shard.label
-            assert not shard.service.leases.pending(), shard.label
-        assert_tiers_agree(coordinator, shards)
-        assert_cluster_clean(shards, session_ids=["late"])
-
-    for victim_index in involved[:-1]:
-        asyncio.run(scenario(victim_index))
+        assert status == 409, document
+        assert "stale router generation" in document["error"]
 
 
-async def _phantom_probe(shard_count, service_name, domain, involved):
-    """Hold the folded reserve in flight, settle its debt, then land it.
+async def _phantom_probe(shard_count, service_name, domain, victim_index):
+    """Hold ``victim_index``'s reserve in flight, settle its debt, then land it.
 
     Returns the late reserve's ``(status, document)``; asserts that no
     shard ends up holding the session the router never established.
     """
     shards = make_local_shards(shard_count)
     coordinator = ClusterCoordinator(shards, seed=7)
-    victim = shards[involved[-1]]
+    victim = shards[victim_index]
     victim.hold_next_request = "/v1/reserve"
     status, body = await coordinator.establish(
         {"service": service_name, "domain": domain, "session_id": "late"}
@@ -891,7 +865,7 @@ def test_a_folded_reserve_delivered_after_the_anti_entropy_teardown_is_refused(
     appears that no router owns."""
     for service_name, domain, involved in _cross_shard_commits(shard_count):
         status, document = asyncio.run(
-            _phantom_probe(shard_count, service_name, domain, involved)
+            _phantom_probe(shard_count, service_name, domain, involved[-1])
         )
         assert status == 409, document
         assert "stale router generation" in document["error"]
@@ -933,34 +907,39 @@ def test_a_fresh_router_still_admits_on_shards_an_earlier_router_fenced():
     asyncio.run(scenario())
 
 
-def test_a_refused_commit_aborts_its_own_lease():
-    """A shard that refuses its commit committed nothing, and the router
-    aborts that shard's lease at once: its capacity is back before any
-    reaper runs, not after the lease's TTL.  The last shard's commit is
-    its reserve: refused, it held nothing, and the earlier shards' leases
-    are aborted as after any refused reserve (``shard_error``)."""
+def test_a_refused_reserve_holds_nothing_and_its_round_is_torn_down_at_once():
+    """A shard that refuses its reserve (a 404, nothing applied) committed
+    nothing, and the other shard's slice, committed in the same round, is
+    torn down in the next: its capacity is back before any reaper runs,
+    and no debt is booked.  At every involved shard."""
     cases = _commit_positions(2)
 
-    async def scenario(service_name, domain, victim_index, path):
+    async def scenario(service_name, domain, victim_index):
         shards = make_local_shards(2)
         coordinator = ClusterCoordinator(shards, seed=7)
-        victim = shards[victim_index]
-        brokers = list(victim.service.grid.registry.brokers())
-        before = [broker.available for broker in brokers]
-        victim.refuse_next_request = path
+        brokers = {
+            shard.index: [b.available for b in shard.service.grid.registry.brokers()]
+            for shard in shards
+        }
+        shards[victim_index].refuse_next_request = "/v1/reserve"
         status, body = await coordinator.establish(
             {"service": service_name, "domain": domain, "session_id": "refused"}
         )
         assert status == 200
         outcome = json.loads(body)
-        reason = "shard_error" if path == "/v1/reserve" else "shard_unreachable"
-        assert (outcome["success"], outcome["reason"]) == (False, reason)
-        assert victim.refuse_next_request is None  # the commit was refused
+        assert (outcome["success"], outcome["reason"]) == (False, "shard_error")
+        assert shards[victim_index].refuse_next_request is None
         assert "refused" not in coordinator.pending_teardowns
-        # No reap has run, and the lease's TTL is far off.
-        assert victim.service.lease_counters["expired"] == 0
-        assert not victim.service.leases.pending()
-        assert [broker.available for broker in brokers] == before
+        for shard in shards:
+            # No reap has run, and the lease's TTL is far off.
+            assert shard.service.lease_counters["expired"] == 0
+            assert not shard.service.leases.pending()
+            available = [b.available for b in shard.service.grid.registry.brokers()]
+            assert available == brokers[shard.index], shard.label
+            expected = ["/v1/availability", "/v1/reserve"]
+            if shard.index != victim_index:
+                expected.append("/v1/teardown")
+            assert shard.requests == expected, shard.label
         assert_cluster_clean(shards, session_ids=["refused"])
         assert_tiers_agree(coordinator, shards)
 
@@ -968,30 +947,48 @@ def test_a_refused_commit_aborts_its_own_lease():
         asyncio.run(scenario(*case))
 
 
-def _three_shard_round(session_id):
-    """A 2PC round over three in-process shards, one owned cpu each.
+def _three_shard_round(session_id, shards=None, cpu_units=(1.0, 1.0, 1.0), clients=None):
+    """An admission over three shards, one owned cpu each: ``cpu_units[i]``
+    of it on shard ``i``.
 
     No placement on the paper's grid spans three shards, so the round is
-    handed to ``_two_phase_commit`` directly: shards 0 and 1 get plain
-    commits, shard 2 the folded reserve.
+    handed to ``_admit`` directly.  ``shards`` (each with its
+    ``service``) default to three in-process ones, which the router
+    reaches through ``clients``, or directly.
     """
-    shards = make_local_shards(3)
-    coordinator = ClusterCoordinator(shards, seed=7)
+    shards = shards or make_local_shards(3)
+    coordinator = ClusterCoordinator(clients or shards, seed=7)
     per_shard = {}
-    for shard in shards:
+    for shard, units in zip(shards, cpu_units):
         owned = shard.service.availability()["resources"]
         cpu = next(rid for rid in sorted(owned) if rid.startswith("cpu:"))
-        per_shard[shard.index] = {cpu: 1.0}
+        per_shard[shard.index] = {cpu: units}
     arrival = SessionArrival(session_id, 0.0, "D1", "S2", 1.0, 10.0)
     plan = SimpleNamespace(numeric_level=1)
     return shards, coordinator, arrival, plan, per_shard
 
 
-def test_a_plan_with_two_plain_commits_lands_on_every_shard():
+def _recording_rounds(coordinator):
+    """Record the shards of each round ``coordinator`` sends, in order."""
+    rounds = []
+    send_round = coordinator._round
+
+    async def recorded(sent):
+        rounds.append([shard for shard, _, _ in sent])
+        return await send_round(sent)
+
+    coordinator._round = recorded
+    return rounds
+
+
+def test_a_plan_over_three_shards_lands_on_every_shard():
+    """Three reserves, each carrying its commit, go out in one round."""
     async def scenario():
         shards, coordinator, arrival, plan, per_shard = _three_shard_round("three")
-        result = await coordinator._two_phase_commit(arrival, plan, per_shard)
+        rounds = _recording_rounds(coordinator)
+        result = await coordinator._admit(arrival, plan, per_shard)
         assert result.success, result
+        assert rounds == [[0, 1, 2]]
         assert coordinator.sessions["three"]["shards"] == [0, 1, 2]
         for shard in shards:
             assert shard.service.sessions["three"]["cluster"] is True
@@ -1010,39 +1007,98 @@ def test_a_plan_with_two_plain_commits_lands_on_every_shard():
     asyncio.run(scenario())
 
 
-def test_a_refused_first_of_two_plain_commits_undoes_the_round():
-    """Shard 0 refuses its commit: its lease and shard 1's, both still
-    held, are aborted, and shard 2's folded slice is torn down."""
+def test_a_refusal_on_one_shard_tears_the_others_down_in_one_round():
+    """Shard 1 is draining: it refuses its reserve, holding nothing, while
+    shards 0 and 2 commit theirs in the same round.  One more round tears
+    both committed slices down, and nothing is owed."""
 
     async def scenario():
         shards, coordinator, arrival, plan, per_shard = _three_shard_round("three")
-        shards[0].refuse_next_request = "/v1/commit"
-        result = await coordinator._two_phase_commit(arrival, plan, per_shard)
-        assert (result.success, result.reason) == (False, "shard_unreachable")
-        assert shards[0].refuse_next_request is None
-        assert [shard.service.lease_counters["aborted"] for shard in shards] == [1, 1, 0]
-        assert shards[2].service.lease_counters["committed"] == 1
+        shards[1].draining = True
+        rounds = _recording_rounds(coordinator)
+        result = await coordinator._admit(arrival, plan, per_shard)
+        assert (result.success, result.reason) == (False, "shard_draining")
+        assert rounds == [[0, 1, 2], [0, 2]]
+        assert [shard.requests for shard in shards] == [
+            ["/v1/reserve", "/v1/teardown"],
+            ["/v1/reserve"],
+            ["/v1/reserve", "/v1/teardown"],
+        ]
+        assert [shard.service.lease_counters["committed"] for shard in shards] == [1, 0, 1]
         for shard in shards:
             assert "three" not in shard.service.sessions, shard.label
             assert not shard.service.leases.pending(), shard.label
         assert "three" not in coordinator.sessions
-        await coordinator.flush_pending_teardowns()
         assert not coordinator.pending_teardowns
-        for shard in shards:
-            await shard.reap(now=float("inf"))
         assert_cluster_clean(shards, session_ids=["three"])
         assert_tiers_agree(coordinator, shards)
 
     asyncio.run(scenario())
 
 
+def test_two_refusals_in_one_round_report_the_first_in_shard_order():
+    """Two shards of a round refuse, one draining and one short of
+    capacity: the admission reports the lower shard's refusal (its
+    reason, and its ``failed_resource`` or none), as a chain that stopped
+    at the first failure would, whichever of the two it is."""
+
+    async def refused(draining, short):
+        cpu_units = [1.0, 1.0, 1.0]
+        cpu_units[short] = 1e9
+        shards, coordinator, arrival, plan, per_shard = _three_shard_round(
+            "two", cpu_units=cpu_units
+        )
+        shards[draining].draining = True
+        result = await coordinator._admit(arrival, plan, per_shard)
+        assert not result.success
+        assert_cluster_clean(shards, session_ids=["two"])
+        assert not coordinator.pending_teardowns
+        (cpu,) = per_shard[short]
+        return result.reason, result.failed_resource, cpu
+
+    draining_first = asyncio.run(refused(draining=1, short=2))
+    assert draining_first[:2] == ("shard_draining", None)
+    reason, failed_resource, cpu = asyncio.run(refused(draining=2, short=1))
+    assert (reason, failed_resource) == ("admission_failed", cpu)
+
+
+def test_a_two_shard_admission_is_four_exchanges_in_two_rounds():
+    """An admission's availability round, then its reserve round: a
+    two-shard one is 2 + 2 exchanges and a one-shard one 1 + 1, each
+    round sent at once."""
+    placements = {}
+    shard_map = ShardMap.from_topology(_topology(7), 3)
+    grid = GridEnvironment(Environment(), RandomStreams(7))
+    for service_name, domain in VALID_PAIRS:
+        involved = {
+            shard_map.shard_of(rid)
+            for rid in grid.binding_for(service_name, domain).resource_ids()
+        }
+        placements.setdefault(len(involved), (service_name, domain))
+    assert {1, 2} <= set(placements)
+
+    async def scenario(service_name, domain):
+        shards = make_local_shards(3)
+        coordinator = ClusterCoordinator(shards, seed=7)
+        rounds = _recording_rounds(coordinator)
+        _, body = await coordinator.establish(
+            {"service": service_name, "domain": domain, "session_id": "counted"}
+        )
+        assert json.loads(body)["success"] is True
+        paths = sorted(path for shard in shards for path in shard.requests)
+        return [len(round_) for round_ in rounds], paths
+
+    two = asyncio.run(scenario(*placements[2]))
+    assert two == ([2, 2], ["/v1/availability"] * 2 + ["/v1/reserve"] * 2)
+    one = asyncio.run(scenario(*placements[1]))
+    assert one == ([1, 1], ["/v1/availability", "/v1/reserve"])
+
+
 #: Replies that are valid JSON of the wrong shape, per route; the shard
 #: applied the call before answering.  ``"$rid"`` stands for a resource
-#: the victim shard owns and the placement needs.  A ``/v1/commit`` row
-#: garbles the reply of whichever exchange commits on the victim: the
-#: folded reserve on the last involved shard, a plain commit on an
-#: earlier one.  The ``folded`` rows are replies to the folded reserve
-#: only.
+#: the victim shard owns and the placement needs.  Every reserve carries
+#: its commit, so each ``reserve-``, ``commit-`` and ``folded-`` row
+#: garbles the reply to a reserve, on every involved shard.
 WRONG_SHAPES = [
     pytest.param("/v1/availability", [], id="availability-list"),
     pytest.param(
@@ -1055,12 +1111,16 @@ WRONG_SHAPES = [
     ),
     pytest.param("/v1/reserve", [], id="reserve-list"),
     pytest.param("/v1/reserve", {"reserved": True}, id="reserve-no-lease"),
-    pytest.param("/v1/commit", [], id="commit-list"),
     pytest.param(
-        "folded", {"reserved": True, "lease_id": "x"}, id="folded-no-commit"
+        "/v1/reserve",
+        {"reserved": True, "lease_id": "x", "committed": []},
+        id="commit-list",
     ),
     pytest.param(
-        "folded", {"reserved": True, "committed": True}, id="folded-no-lease"
+        "/v1/reserve", {"reserved": True, "lease_id": "x"}, id="folded-no-commit"
+    ),
+    pytest.param(
+        "/v1/reserve", {"reserved": True, "committed": True}, id="folded-no-lease"
     ),
     pytest.param("/v1/teardown", [], id="teardown-list"),
     pytest.param("/v1/teardown", {"released": "many"}, id="teardown-not-a-number"),
@@ -1074,30 +1134,21 @@ def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
 
     Establishment and teardown answer 200 instead of raising; a call
     that can fail fails as ``shard_unreachable``; a shard that may have
-    committed or torn down joins the teardown debt -- the last involved
-    shard, whose reserve carries the commit, on a garbled reserve too;
-    and after one anti-entropy pass and a reap every shard is quiescent.
-    The garbled teardown hits the *first* shard of the session, so the
-    router must still reach the others.
+    committed or torn down -- after a reserve, which carries the commit,
+    or a teardown -- joins the teardown debt; and after one anti-entropy
+    pass and a reap every shard is quiescent.  The garbled teardown hits
+    the *first* shard of the session, so the router must still reach the
+    others.
     """
-    cases = []
-    for service_name, domain, involved in _cross_shard_commits(shard_count):
-        if route == "/v1/teardown":
-            victims = involved[:1]
-        elif route == "folded":
-            victims = involved[-1:]
-        else:
-            victims = involved
-        for victim in victims:
-            folded = victim == involved[-1] and route in (
-                "/v1/reserve", "/v1/commit", "folded"
-            )
-            path = "/v1/reserve" if folded else route
-            may_have_applied = folded or route in ("/v1/commit", "/v1/teardown")
-            cases.append((service_name, domain, victim, path, may_have_applied))
+    cases = [
+        (service_name, domain, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in (involved[:1] if route == "/v1/teardown" else involved)
+    ]
     assert cases
+    may_have_applied = route != "/v1/availability"
 
-    async def scenario(service_name, domain, victim_index, path, may_have_applied):
+    async def scenario(service_name, domain, victim_index):
         shards = make_local_shards(shard_count)
         coordinator = ClusterCoordinator(shards, seed=7)
         rid = min(
@@ -1112,11 +1163,11 @@ def test_a_reply_of_the_wrong_shape_leaks_nothing(shard_count, route, reply):
         if route == "/v1/teardown":
             status, outcome = await coordinator.establish(request)
             assert json.loads(outcome)["success"] is True
-            shards[victim_index].garble_next_reply = (path, body)
+            shards[victim_index].garble_next_reply = (route, body)
             status, _ = await coordinator.teardown({"session_id": "shape"})
             assert status == 200
         else:
-            shards[victim_index].garble_next_reply = (path, body)
+            shards[victim_index].garble_next_reply = (route, body)
             status, outcome = await coordinator.establish(request)
             assert status == 200
             outcome = json.loads(outcome)
@@ -1327,82 +1378,60 @@ STALLED_ROUTES = [
     "/v1/availability", "/v1/reserve", "/v1/commit", "/v1/abort", "/v1/teardown"
 ]
 
-
-def _stall_cases(shard_count, route):
-    """``(service, domain, involved, victim, position)`` to stall on ``route``.
-
-    ``position`` is ``folded`` for the last involved shard, whose reserve
-    carries the commit, and ``plain`` for an earlier one.  Only an
-    earlier shard holds a lease to abort: for ``/v1/abort`` it is stalled
-    once after the last shard's folded reserve is refused (``folded``)
-    and once after its own plain commit is (``plain``).
-    """
-    cases = []
-    for service_name, domain, involved in _cross_shard_commits(shard_count):
-        if route == "/v1/abort":
-            for victim in involved[:-1]:
-                for position in ("folded", "plain"):
-                    cases.append((service_name, domain, involved, victim, position))
-            continue
-        for victim in involved:
-            position = "folded" if victim == involved[-1] else "plain"
-            cases.append((service_name, domain, involved, victim, position))
-    return cases
+#: Routes of the shard's wire API that no router sends: a reserve
+#: carries its commit, and a refused round is torn down.
+UNSENT_ROUTES = ("/v1/commit", "/v1/abort")
 
 
-async def _stalled_exchange(
-    shard_count, route, service_name, domain, involved, victim, position
-):
+def _stall_cases(shard_count):
+    """``(service, domain, involved, victim)``: each involved shard of each
+    cross-shard placement."""
+    return [
+        (service_name, domain, involved, victim)
+        for service_name, domain, involved in _cross_shard_commits(shard_count)
+        for victim in involved
+    ]
+
+
+async def _stalled_exchange(shard_count, route, service_name, domain, involved, victim):
     """Stall ``victim`` on ``route``; the router must settle within bounds.
 
-    ``involved`` are the shards the session commits on, in order.  At the
-    folded position a reserve or commit stall is the last shard's
-    reserve, which carries its commit.
+    ``involved`` are the shards the session commits on, in order.  On a
+    route no router sends, the admission goes on as if the shard were
+    not silent: admitted for ``/v1/commit``, and for ``/v1/abort`` refused
+    by another involved shard that drains, the victim's committed slice
+    torn down.
     """
     servers = [StallingShard(index, shard_count) for index in range(shard_count)]
     coordinator = ClusterCoordinator(
         [await server.start() for server in servers], seed=7
     )
     request = {"service": service_name, "domain": domain, "session_id": "silent"}
-    path = route
     #: Shards that may hold the session after an unanswered exchange.
-    owed = set()
+    owed = {victim} if route in ("/v1/reserve", "/v1/teardown") else set()
     try:
         if route == "/v1/teardown":
             _, outcome = await coordinator.establish(request)
             assert json.loads(outcome)["success"] is True
-            servers[victim].stall.add(route)
-            started = time.monotonic()
+        servers[victim].stall.add(route)
+        if route == "/v1/abort":
+            other = next(index for index in involved if index != victim)
+            servers[other].draining = True
+        started = time.monotonic()
+        if route == "/v1/teardown":
             status, _ = await coordinator.teardown({"session_id": "silent"})
-            owed.add(victim)
         else:
-            if route in ("/v1/reserve", "/v1/commit") and position == "folded":
-                # The silent reserve may have committed.
-                path = "/v1/reserve"
-                owed.add(victim)
-            servers[victim].stall.add(path)
-            if route == "/v1/abort":
-                # Something must fail after the victim holds its lease:
-                # the last shard refusing its folded reserve, or the
-                # victim refusing its own plain commit.
-                if position == "folded":
-                    servers[involved[-1]].draining = True
-                else:
-                    servers[victim].refuse.add("/v1/commit")
-            elif route == "/v1/commit":
-                # The victim would leave an abort unanswered too; the
-                # router must not send it one (a second bound under the
-                # admission lock).
-                servers[victim].stall.add("/v1/abort")
-                owed.add(victim)
-            started = time.monotonic()
             status, outcome = await coordinator.establish(request)
-            assert json.loads(outcome)["success"] is False
+            admitted = json.loads(outcome)["success"]
+            assert admitted is (route == "/v1/commit")
         elapsed = time.monotonic() - started
         assert status == 200
         stalls = sum(len(server.stalled) for server in servers)
-        assert servers[victim].stalled == [path]
+        assert servers[victim].stalled == ([] if route in UNSENT_ROUTES else [route])
         assert elapsed < stalls * STALL_TIMEOUT + STALL_SLACK, (elapsed, stalls)
+        if route == "/v1/commit":
+            status, _ = await coordinator.teardown({"session_id": "silent"})
+            assert status == 200
         assert "silent" not in coordinator.sessions
         assert set(coordinator.pending_teardowns.get("silent", [])) == owed
         assert_tiers_agree(coordinator, servers)
@@ -1432,18 +1461,17 @@ def test_a_silent_shard_is_an_unknown_outcome_not_a_hang(
 
     Over real sockets, the router gives up after ``EXCHANGE_TIMEOUT``
     and reads the exchange as unknown: establish and teardown return
-    within the bound, a debt is booked exactly for a silent commit --
-    a folded reserve or a plain commit -- or teardown, a shard whose
-    commit went unanswered is sent no abort, and one anti-entropy pass
-    and a reap leave every shard quiescent.
+    within the bound, a debt is booked exactly for a silent reserve,
+    which carries the commit, or teardown, and one anti-entropy pass and
+    a reap leave every shard quiescent.  The router sends no
+    ``/v1/commit`` and no ``/v1/abort``, so a shard silent on those
+    costs an admission nothing, admitted or refused.
     """
     monkeypatch.setattr(
         cluster_router, "EXCHANGE_TIMEOUT", STALL_TIMEOUT, raising=False
     )
-    cases = _stall_cases(shard_count, route)
-    assert {case[-1] for case in cases} == {"folded", "plain"}
-    if route != "/v1/abort":
-        assert {case[-2] for case in cases} == set(range(shard_count))
+    cases = _stall_cases(shard_count)
+    assert {case[-1] for case in cases} == set(range(shard_count))
 
     async def guarded(case):
         await asyncio.wait_for(
@@ -1546,30 +1574,56 @@ def test_a_query_waits_on_its_silent_shards_together(monkeypatch):
     asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
 
 
-def test_a_rollback_waits_on_its_silent_shards_together(monkeypatch):
-    """The first shard refuses its plain commit; the rollback's exchanges
-    to both involved shards go unanswered.  They are sent together, so
-    the round ends one bound later, not two."""
+def test_a_reserve_round_waits_on_its_silent_shards_together(monkeypatch):
+    """Both involved shards of a 3-shard cluster go silent on their
+    reserves: the round waits one bound for both, not one bound each,
+    and both are owed a teardown (each reserve carries its commit)."""
     monkeypatch.setattr(cluster_router, "EXCHANGE_TIMEOUT", FAN_OUT_TIMEOUT)
     placement = _cross_shard_commits(3)[0]
 
     async def scenario():
         servers, coordinator, request, involved = await _silent_pair(placement)
-        first, last = involved
-        servers[first].refuse.add("/v1/commit")
         for index in involved:
-            servers[index].stall.update({"/v1/abort", "/v1/teardown"})
+            servers[index].stall.add("/v1/reserve")
         started = time.monotonic()
         status, outcome = await coordinator.establish(request)
         elapsed = time.monotonic() - started
         assert status == 200
         assert json.loads(outcome)["reason"] == "shard_unreachable"
         assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
-        # The first shard's lease is aborted; the last shard, which
-        # committed in its reserve, is torn down and owes a teardown.
-        assert servers[first].stalled == ["/v1/abort"]
-        assert servers[last].stalled == ["/v1/teardown"]
-        assert coordinator.pending_teardowns == {"silent": [last]}
+        assert coordinator.pending_teardowns == {"silent": list(involved)}
+        await _settle_silent(servers, coordinator)
+
+    asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))
+
+
+def test_a_rollback_waits_on_its_silent_shards_together(monkeypatch):
+    """Shard 1 of a three-shard round drains and refuses its reserve;
+    shards 0 and 2 commit theirs, and go silent on the rollback's
+    teardowns.  They are sent together, so the round ends one bound
+    later, not two, and both are owed a teardown."""
+    monkeypatch.setattr(cluster_router, "EXCHANGE_TIMEOUT", FAN_OUT_TIMEOUT)
+
+    async def scenario():
+        servers = [StallingShard(index, 3) for index in range(3)]
+        clients = [await server.start() for server in servers]
+        _, coordinator, arrival, plan, per_shard = _three_shard_round(
+            "silent", servers, clients=clients
+        )
+        servers[1].draining = True
+        for index in (0, 2):
+            servers[index].stall.add("/v1/teardown")
+        started = time.monotonic()
+        result = await coordinator._admit(arrival, plan, per_shard)
+        elapsed = time.monotonic() - started
+        assert (result.success, result.reason) == (False, "shard_draining")
+        assert elapsed < 1.5 * FAN_OUT_TIMEOUT, elapsed
+        assert [server.stalled for server in servers] == [
+            ["/v1/teardown"], [], ["/v1/teardown"]
+        ]
+        assert coordinator.pending_teardowns == {"silent": [0, 2]}
+        for server in servers:
+            server.draining = False
         await _settle_silent(servers, coordinator)
 
     asyncio.run(asyncio.wait_for(scenario(), STALL_GUARD))

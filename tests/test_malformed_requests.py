@@ -17,7 +17,12 @@ import math
 import pytest
 
 from repro.cluster import ClusterConfig, ClusterCoordinator, ClusterDaemon
-from repro.service import DaemonConfig, ReservationDaemon, ServiceClient
+from repro.service import (
+    DaemonConfig,
+    ReservationDaemon,
+    ReservationService,
+    ServiceClient,
+)
 
 from tests.test_cluster import make_local_shards
 
@@ -51,6 +56,12 @@ MALFORMED = [
     ("/v1/reserve", {"session_id": "r", "demands": {"cpu:H1": 10, "cpu:H2": 0}}),
     ("/v1/reserve", {"demands": {"cpu:H1": 10}}),
 ]
+
+#: ``session_id`` values that are present but no string: each is a 400.
+NON_STRING_IDS = [["x"], {"id": "x"}, 0, 7, 1.5, False, True]
+
+#: Arrivals that name no session: each draws an id.
+UNNAMED = [GOOD, dict(GOOD, session_id=None), dict(GOOD, session_id="")]
 
 #: Raw requests the HTTP codec refuses -- every one must be answered 400.
 MALFORMED_WIRE = [
@@ -174,3 +185,47 @@ def test_non_finite_numbers_never_reach_a_broker():
             await daemon.shutdown()
 
     asyncio.run(scenario())
+
+
+def _establish_ids(establish):
+    """Drive ``establish`` (payload -> ``(status, document)``) with every
+    non-string id, then every unnamed arrival: the refusals' statuses and
+    the unnamed arrivals' ids."""
+    refused = [establish(dict(GOOD, session_id=sid))[0] for sid in NON_STRING_IDS]
+    drawn = []
+    for payload in UNNAMED:
+        status, document = establish(payload)
+        assert status == 200, document
+        drawn.append(document["session_id"])
+    return refused, drawn
+
+
+def test_the_daemon_refuses_a_session_id_that_is_no_string():
+    """A present ``session_id`` that is no string (a list, an object, a
+    number, a boolean) is a 400: never stringified, never replaced by a
+    drawn id.  An absent, null or empty one draws ``svc-N``."""
+    service = ReservationService(DaemonConfig(seed=7))
+
+    def establish(payload):
+        return service.handle("POST", "/v1/establish", {}, payload)
+
+    refused, drawn = _establish_ids(establish)
+    assert refused == [400] * len(NON_STRING_IDS)
+    assert drawn == ["svc-1", "svc-2", "svc-3"]
+
+
+def test_the_router_refuses_a_session_id_that_is_no_string():
+    """The router decodes arrivals with the daemon's decoder: the same
+    400s, the same ids drawn, and nothing reserved for a refused one."""
+    shards = make_local_shards(3)
+    coordinator = ClusterCoordinator(shards, seed=7)
+
+    def establish(payload):
+        status, body = asyncio.run(coordinator.establish(payload))
+        return status, json.loads(body)
+
+    refused, drawn = _establish_ids(establish)
+    assert refused == [400] * len(NON_STRING_IDS)
+    assert drawn == ["svc-1", "svc-2", "svc-3"]
+    assert sorted(coordinator.sessions) == drawn
+    assert sum(shard.requests.count("/v1/reserve") for shard in shards) == 2 * len(drawn)

@@ -1,4 +1,4 @@
-"""The lease / two-phase-commit protocol, checked exhaustively.
+"""The cluster admission protocol, checked exhaustively.
 
 :mod:`tests.protocol_model` drives both protocol cores
 (:mod:`repro.cluster.protocol`) through every interleaving of one router
@@ -7,7 +7,8 @@ protocol that ships, must hold every property in every instance; the
 same cores with a fence test that never refuses must not: a folded
 reserve that lands after the anti-entropy pass settled its debt commits
 a session no router owns.  Because the model runs the cores, a mutant of
-either core that breaks a property is caught here.
+either core that breaks a property is caught here; a mutant of what the
+model never sends (a plain commit) is caught by a daemon test instead.
 """
 
 import inspect
@@ -16,6 +17,7 @@ import time
 import pytest
 
 from repro.cluster import protocol
+from tests.test_cluster import commit_after_teardown
 from tests.protocol_model import (
     VARIANTS,
     Instance,
@@ -31,11 +33,11 @@ BUDGET_SECONDS = 30.0
 #: (variant, shards) -> (states, transitions) the search reaches.
 EXPLORED = {
     ("fold_unfenced", 1): (2138, 5006),
-    ("fold_unfenced", 2): (12928, 34474),
-    ("fold_unfenced", 3): (70535, 224359),
+    ("fold_unfenced", 2): (12940, 31644),
+    ("fold_unfenced", 3): (57290, 154686),
     ("fold_fenced", 1): (1984, 4763),
-    ("fold_fenced", 2): (11771, 31880),
-    ("fold_fenced", 3): (63433, 203784),
+    ("fold_fenced", 2): (11294, 28816),
+    ("fold_fenced", 3): (48836, 137703),
 }
 
 
@@ -145,22 +147,19 @@ def test_an_unknown_variant_is_refused():
 
 #: name -> (source of :mod:`repro.cluster.protocol`, what the mutant has
 #: instead).  Each must leave a violating state at 2 shards.  The last
-#: three are of the shard core; a model lease's id is its session's.
+#: two are of the shard core.
 MUTANTS = {
     "no generation bump on an unknown outcome": (
         "            self.generations[shard] += 1\n",
         "            pass\n",
     ),
     "an unknown folded reserve owes no teardown": (
-        "            if failure == UNKNOWN and exchange.folded:\n"
-        "                self.owed = (shard,)\n",
-        "",
+        "            self.owed += (shard,)\n",
+        "            pass\n",
     ),
-    "an unknown plain commit owes no teardown": (
-        "            if failure == UNKNOWN:\n"
-        "                self.owed = (shard,)\n",
-        "            if failure == UNKNOWN:\n"
-        "                pass\n",
+    "a failed round keeps its committed slices": (
+        "        if self.refusal is not None and self.committed:\n",
+        "        if False:\n",
     ),
     "an unknown teardown owes no debt": (
         "        if self.known:\n"
@@ -182,29 +181,26 @@ MUTANTS = {
         "        known = ",
         "        known = ",
     ),
+}
+
+#: Mutants of the shard core's plain ``/v1/commit``, which no router
+#: sends: the daemon test of a commit after its session's teardown must
+#: catch each.
+DAEMON_MUTANTS = {
     "a commit of a lease that is no longer live is accepted": (
         "        if lease is not None:\n"
         "            self._commit(lease, record)\n",
-        "        lease = lease or self.leases.hold(lease_id, None, self.holder)\n"
+        "        lease = lease or self.leases.hold(lease_id.partition('@')[0], {}, self.holder)\n"
         "        self._commit(lease, record)\n",
     ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(MUTANTS))
-def test_the_model_catches_a_mutant_core(monkeypatch, name):
-    """The model explores the core that ships: each mutant of the core's
-    decisions, patched in, leaves a state that breaks a property.
-
-    Out of the model's reach: a router that also sends an abort to the
-    shard whose commit went unanswered.  That breaks no property -- the
-    abort releases nothing committed -- but it holds the admission lock
-    for a second exchange bound on a silent shard, which
-    ``tests/test_cluster.py``'s ``StallingShard`` case catches.
-    """
-    original, mutated = MUTANTS[name]
+def _patch_core(monkeypatch, original, mutated):
+    """Patch :mod:`repro.cluster.protocol`'s cores with ``original``'s
+    source replaced by ``mutated``."""
     source = inspect.getsource(protocol)
-    assert source.count(original) == 1, name
+    assert source.count(original) == 1, original
     namespace = {"__name__": protocol.__name__}
     mutant = compile(source.replace(original, mutated), protocol.__file__, "exec")
     exec(mutant, namespace)
@@ -213,5 +209,21 @@ def test_the_model_catches_a_mutant_core(monkeypatch, name):
         for attribute, value in vars(namespace[cls.__name__]).items():
             if inspect.isfunction(value):
                 monkeypatch.setattr(cls, attribute, value)
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_the_model_catches_a_mutant_core(monkeypatch, name):
+    """The model explores the core that ships: each mutant of the core's
+    decisions, patched in, leaves a state that breaks a property."""
+    _patch_core(monkeypatch, *MUTANTS[name])
     result = explore(Instance("fold_fenced", 2))
     assert result.violating > 0, name
+
+
+@pytest.mark.parametrize("name", sorted(DAEMON_MUTANTS))
+def test_the_daemon_test_catches_a_mutant_commit(monkeypatch, name):
+    """The router sends no plain commit, so the model cannot reach the
+    shard core's ``commit``; the daemon's own test does."""
+    assert commit_after_teardown() == (404, False)
+    _patch_core(monkeypatch, *DAEMON_MUTANTS[name])
+    assert commit_after_teardown() != (404, False), name
